@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,6 +87,25 @@ func TestScheduleMontage(t *testing.T) {
 	}
 }
 
+// TestScheduleSeedWithNegativeBandwidthDraw schedules under a seed whose
+// metadata discretization draws a negative m1.small network rate; the
+// bandwidth histograms must bin positive draws only, so the estimator
+// accepts them.
+func TestScheduleSeedWithNegativeBandwidthDraw(t *testing.T) {
+	eng := newTestEngine(t, WithSeed(486206), WithIters(20), WithSearchBudget(200))
+	w, err := wfgen.Pipeline(4, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.Schedule(w, Deadline{Percentile: 0.9, Seconds: mediumDeadline(t, eng, w)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.EstimatedCost <= 0 {
+		t.Error("no cost estimate")
+	}
+}
+
 func TestScheduleValidation(t *testing.T) {
 	eng := newTestEngine(t)
 	w, _ := wfgen.Pipeline(3, rand.New(rand.NewSource(3)))
@@ -117,13 +137,10 @@ configs(Tid,Vid,Con) forall task(Tid) and vm(Vid).
 	}
 }
 
-func TestRunProgramPrologPathWithUserRules(t *testing.T) {
-	eng := newTestEngine(t, WithIters(30))
-	w, err := wfgen.Pipeline(3, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := `
+// userRuleProgram defines its goal and deadline with user rules, so the
+// engine interprets it with the Prolog machine rather than the native
+// evaluator.
+const userRuleProgram = `
 import(amazonec2).
 minimize Ct in totalcost(Ct).
 T in maxtime(Path,T) satisfies deadline(90%,10h).
@@ -136,7 +153,14 @@ maxtime(Path,T) :- setof([Z,T1], path(root,tail,Z,T1), Set), max(Set, [Path,T]).
 cost(Tid,Vid,C) :- price(Vid,Up), exetime(Tid,Vid,T), configs(Tid,Vid,Con), C is T*Up*Con.
 totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
 `
-	plan, err := eng.RunProgram(src, w)
+
+func TestRunProgramPrologPathWithUserRules(t *testing.T) {
+	eng := newTestEngine(t, WithIters(30))
+	w, err := wfgen.Pipeline(3, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.RunProgram(userRuleProgram, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +169,36 @@ totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
 	}
 	if plan.EstimatedCost <= 0 {
 		t.Error("no cost")
+	}
+}
+
+// TestRunProgramPrologPathDeviceInvariant runs the user-rule program on the
+// sequential, parallel and two-level devices: concurrent worlds prove the
+// same goal and constraint queries on pooled machines, and every figure of
+// the plan must come out bit-identical. Run it under -race.
+func TestRunProgramPrologPathDeviceInvariant(t *testing.T) {
+	w, err := wfgen.Pipeline(3, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *Plan
+	for _, dev := range []device.Device{device.Sequential{}, device.Parallel{}, device.TwoLevel{}} {
+		eng := newTestEngine(t, WithIters(30), WithSearchBudget(200), WithDevice(dev))
+		plan, err := eng.RunProgram(userRuleProgram, w)
+		if err != nil {
+			t.Fatalf("%s: %v", dev.Name(), err)
+		}
+		if want == nil {
+			want = plan
+			continue
+		}
+		if !reflect.DeepEqual(plan.Config, want.Config) || plan.EstimatedCost != want.EstimatedCost ||
+			plan.Objective != want.Objective || plan.Feasible != want.Feasible ||
+			!reflect.DeepEqual(plan.ConsProb, want.ConsProb) || plan.StatesEvaluated != want.StatesEvaluated {
+			t.Errorf("%s: plan %v cost %v objective %v probs %v states %d; sequential %v cost %v objective %v probs %v states %d",
+				dev.Name(), plan.Config, plan.EstimatedCost, plan.Objective, plan.ConsProb, plan.StatesEvaluated,
+				want.Config, want.EstimatedCost, want.Objective, want.ConsProb, want.StatesEvaluated)
+		}
 	}
 }
 

@@ -347,11 +347,14 @@ func NewMetadata() *Metadata {
 // into a metadata store with the given number of histogram bins. It is the
 // shortcut the tests and experiments use in place of running the full
 // calibration micro-benchmarks (package calib produces the same structure
-// from measurements).
+// from measurements). The bandwidths a task time divides by (sequential
+// I/O, network, cross-region network) are binned over their positive draws
+// only: a normal truth can draw a non-positive rate, which no transfer can
+// run at and whose bin the estimator rejects.
 func MetadataFromTruth(cat *Catalog, bins, samples int, rng *rand.Rand) (*Metadata, error) {
 	md := NewMetadata()
 	for _, t := range cat.Types {
-		h, err := dist.Discretize(cat.Perf.SeqIO[t.Name], bins, samples, rng)
+		h, err := discretizePositive(cat.Perf.SeqIO[t.Name], bins, samples, rng)
 		if err != nil {
 			return nil, fmt.Errorf("cloud: seqio %s: %w", t.Name, err)
 		}
@@ -360,17 +363,30 @@ func MetadataFromTruth(cat *Catalog, bins, samples int, rng *rand.Rand) (*Metada
 			return nil, fmt.Errorf("cloud: randio %s: %w", t.Name, err)
 		}
 		md.RandIO[t.Name] = h
-		if h, err = dist.Discretize(cat.Perf.Net[t.Name], bins, samples, rng); err != nil {
+		if h, err = discretizePositive(cat.Perf.Net[t.Name], bins, samples, rng); err != nil {
 			return nil, fmt.Errorf("cloud: net %s: %w", t.Name, err)
 		}
 		md.Net[t.Name] = h
 	}
-	h, err := dist.Discretize(cat.Perf.CrossRegionNet, bins, samples, rng)
+	h, err := discretizePositive(cat.Perf.CrossRegionNet, bins, samples, rng)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: cross-region net: %w", err)
 	}
 	md.CrossRegionNet = h
 	return md, nil
+}
+
+// discretizePositive is dist.Discretize over the positive draws of d. It
+// still draws exactly samples values, so the rng stream is the same, and
+// equals dist.Discretize whenever every draw is positive.
+func discretizePositive(d dist.Dist, bins, samples int, rng *rand.Rand) (*dist.Histogram, error) {
+	xs := make([]float64, 0, samples)
+	for i := 0; i < samples; i++ {
+		if x := d.Sample(rng); x > 0 {
+			xs = append(xs, x)
+		}
+	}
+	return dist.FromSamples(xs, bins)
 }
 
 // Validate checks the store covers every type in the catalog.

@@ -3,7 +3,10 @@ package cloud
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"deco/internal/dist"
 )
 
 func TestDefaultCatalogValid(t *testing.T) {
@@ -255,4 +258,70 @@ func TestSpotHelpers(t *testing.T) {
 	if _, err := cat.Spot("nowhere", "m1.small"); err == nil {
 		t.Error("unknown region accepted")
 	}
+}
+
+// discretizeAll is MetadataFromTruth before bandwidths were binned over
+// their positive draws: every quantity through dist.Discretize.
+func discretizeAll(t *testing.T, cat *Catalog, bins, samples int, rng *rand.Rand) *Metadata {
+	t.Helper()
+	md := NewMetadata()
+	disc := func(d dist.Dist) *dist.Histogram {
+		h, err := dist.Discretize(d, bins, samples, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for _, typ := range cat.Types {
+		md.SeqIO[typ.Name] = disc(cat.Perf.SeqIO[typ.Name])
+		md.RandIO[typ.Name] = disc(cat.Perf.RandIO[typ.Name])
+		md.Net[typ.Name] = disc(cat.Perf.Net[typ.Name])
+	}
+	md.CrossRegionNet = disc(cat.Perf.CrossRegionNet)
+	return md
+}
+
+// TestMetadataSeedOneUnchanged pins seed-1 metadata, at the sizes the
+// engine, experiments and benchmarks use, to the all-draws binning: seed 1
+// draws no non-positive bandwidth, so filtering must change nothing.
+func TestMetadataSeedOneUnchanged(t *testing.T) {
+	cat := DefaultCatalog()
+	for _, sz := range [][2]int{{20, 10000}, {20, 8000}, {15, 5000}, {15, 4000}} {
+		got, err := MetadataFromTruth(cat, sz[0], sz[1], rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := discretizeAll(t, cat, sz[0], sz[1], rand.New(rand.NewSource(1)))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("bins=%d samples=%d: seed-1 metadata changed", sz[0], sz[1])
+		}
+	}
+}
+
+// TestMetadataBandwidthBinsPositive checks a seed whose m1.small network
+// truth, Normal(55, 11), draws a negative rate: the bandwidth histograms
+// keep only positive bins, while random I/O (never inverted) keeps all.
+func TestMetadataBandwidthBinsPositive(t *testing.T) {
+	cat := DefaultCatalog()
+	md, err := MetadataFromTruth(cat, 20, 10000, rand.New(rand.NewSource(486206)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := discretizeAll(t, cat, 20, 10000, rand.New(rand.NewSource(486206)))
+	if lo, _ := raw.Net["m1.small"].Support(); lo > 0 {
+		t.Fatalf("seed no longer draws a non-positive m1.small rate (support from %v)", lo)
+	}
+	positive := func(name string, h *dist.Histogram) {
+		if lo, _ := h.Support(); lo <= 0 {
+			t.Errorf("%s: histogram support starts at %v", name, lo)
+		}
+	}
+	for _, typ := range cat.TypeNames() {
+		positive("seqio "+typ, md.SeqIO[typ])
+		positive("net "+typ, md.Net[typ])
+		if !reflect.DeepEqual(md.RandIO[typ], raw.RandIO[typ]) {
+			t.Errorf("randio %s: histogram changed", typ)
+		}
+	}
+	positive("cross-region net", md.CrossRegionNet)
 }

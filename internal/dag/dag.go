@@ -10,6 +10,8 @@ package dag
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // File is a workflow data product with a size in megabytes. File sizes drive
@@ -65,8 +67,13 @@ type Workflow struct {
 	byID     map[string]*Task
 	children map[string][]string
 	parents  map[string][]string
-	topo     []string // cached topological order of task IDs
-	flat     *Flat    // cached index-based form (see Flatten)
+
+	// Lazy caches, filled on first use and dropped by AddTask/AddEdge. A
+	// hit is one atomic load; fills are serialized by fillMu, so readers
+	// sharing a finished workflow may trigger the first fill concurrently.
+	fillMu sync.Mutex
+	topo   atomic.Pointer[[]string] // topological order of task IDs
+	flat   atomic.Pointer[Flat]     // index-based form (see Flatten)
 }
 
 // New creates an empty workflow with the given name.
@@ -89,8 +96,8 @@ func (w *Workflow) AddTask(t *Task) error {
 	}
 	w.byID[t.ID] = t
 	w.Tasks = append(w.Tasks, t)
-	w.topo = nil
-	w.flat = nil
+	w.topo.Store(nil)
+	w.flat.Store(nil)
 	return nil
 }
 
@@ -113,8 +120,8 @@ func (w *Workflow) AddEdge(parent, child string) error {
 	}
 	w.children[parent] = append(w.children[parent], child)
 	w.parents[child] = append(w.parents[child], parent)
-	w.topo = nil
-	w.flat = nil
+	w.topo.Store(nil)
+	w.flat.Store(nil)
 	return nil
 }
 
@@ -169,8 +176,18 @@ func (w *Workflow) Edges() [][2]string {
 // deterministic by insertion order). It returns an error if the graph has a
 // cycle.
 func (w *Workflow) TopoOrder() ([]string, error) {
-	if w.topo != nil {
-		return w.topo, nil
+	if p := w.topo.Load(); p != nil {
+		return *p, nil
+	}
+	w.fillMu.Lock()
+	defer w.fillMu.Unlock()
+	return w.topoLocked()
+}
+
+// topoLocked computes and caches the topological order; w.fillMu is held.
+func (w *Workflow) topoLocked() ([]string, error) {
+	if p := w.topo.Load(); p != nil {
+		return *p, nil
 	}
 	indeg := make(map[string]int, len(w.Tasks))
 	for _, t := range w.Tasks {
@@ -197,7 +214,7 @@ func (w *Workflow) TopoOrder() ([]string, error) {
 	if len(order) != len(w.Tasks) {
 		return nil, fmt.Errorf("dag: workflow %q has a cycle", w.Name)
 	}
-	w.topo = order
+	w.topo.Store(&order)
 	return order, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -455,5 +456,82 @@ func TestConeMatchesReachability(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLazyCachesConcurrentFirstUse fills the topological-order and flat
+// caches from several goroutines at once on a never-used workflow; every
+// caller must see the same cached values. Run it under -race -count=10.
+func TestLazyCachesConcurrentFirstUse(t *testing.T) {
+	w := randomDAG(rand.New(rand.NewSource(11)), 60)
+	const workers = 8
+	orders := make([][]string, workers)
+	flats := make([]*Flat, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				flats[g], errs[g] = w.Flatten()
+				if errs[g] == nil {
+					orders[g], errs[g] = w.TopoOrder()
+				}
+				return
+			}
+			orders[g], errs[g] = w.TopoOrder()
+			if errs[g] == nil {
+				flats[g], errs[g] = w.Flatten()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < workers; g++ {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if flats[g] != flats[0] {
+			t.Errorf("worker %d got a different flat form", g)
+		}
+		if &orders[g][0] != &orders[0][0] {
+			t.Errorf("worker %d got a different topological order", g)
+		}
+	}
+}
+
+// TestLazyCachesInvalidate checks AddTask and AddEdge drop both caches.
+func TestLazyCachesInvalidate(t *testing.T) {
+	w := diamond(t)
+	f, err := w.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AddTask(&Task{ID: "E", CPUSeconds: 1}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := w.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g == f || g.Len() != 5 {
+		t.Fatalf("flat form not rebuilt after AddTask: %d tasks", g.Len())
+	}
+	if err := w.AddEdge("D", "E"); err != nil {
+		t.Fatal(err)
+	}
+	order, err := w.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if order[len(order)-1] != "E" {
+		t.Errorf("topological order not rebuilt after AddEdge: %v", order)
+	}
+	h, err := w.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h == g || len(h.Parents) != len(g.Parents)+1 {
+		t.Error("flat form not rebuilt after AddEdge")
 	}
 }

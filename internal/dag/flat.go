@@ -28,10 +28,15 @@ type Flat struct {
 // Flatten compiles the workflow into its flat form, cached until the next
 // AddTask/AddEdge. It returns an error if the graph has a cycle.
 func (w *Workflow) Flatten() (*Flat, error) {
-	if w.flat != nil {
-		return w.flat, nil
+	if f := w.flat.Load(); f != nil {
+		return f, nil
 	}
-	order, err := w.TopoOrder()
+	w.fillMu.Lock()
+	defer w.fillMu.Unlock()
+	if f := w.flat.Load(); f != nil {
+		return f, nil
+	}
+	order, err := w.topoLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +81,7 @@ func (w *Workflow) Flatten() (*Flat, error) {
 			fill[p]++
 		}
 	}
-	w.flat = f
+	w.flat.Store(f)
 	return f, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"deco/internal/dag"
 	"deco/internal/estimate"
@@ -453,83 +454,110 @@ func NewPackedScheduleSpace(w *dag.Workflow, eval probir.Evaluator, tbl *estimat
 	return sp
 }
 
-// slotSpan records one packed instance's lifetime in the mean schedule.
-type slotSpan struct {
-	typ        string
-	typeIdx    int
+// packedSlot is one instance of a packed mean schedule: its type index into
+// the table and the span from its first task's mean start to its last
+// task's mean finish.
+type packedSlot struct {
+	typ        int
 	start, end float64
-	used       bool
 }
 
-// packMeanSchedule packs a configuration's mean schedule onto shared
-// instances: the Merge and Co-Scheduling transformations reuse an instance
-// of the same type that is idle by a task's start when the gap stays within
-// an already-billed hour; Move is implicit in the serial order.
-func packMeanSchedule(w *dag.Workflow, config State, tbl *estimate.Table, region string) (*sim.Plan, []slotSpan, error) {
+// packing is the pooled scratch and result of packMean. Per-task slices are
+// indexed like dag.Flat.IDs; byStart holds task indices and, sorted, orders
+// the tasks by mean start (sort.Interface below).
+type packing struct {
+	dur, start, finish []float64
+	byStart            []int32
+	slotOf             []int32
+	slots              []packedSlot
+}
+
+var packPool = sync.Pool{New: func() any { return new(packing) }}
+
+func (p *packing) Len() int           { return len(p.byStart) }
+func (p *packing) Less(a, b int) bool { return p.start[p.byStart[a]] < p.start[p.byStart[b]] }
+func (p *packing) Swap(a, b int)      { p.byStart[a], p.byStart[b] = p.byStart[b], p.byStart[a] }
+
+// packMean packs a configuration's mean schedule onto shared instances: the
+// Merge and Co-Scheduling transformations reuse an instance of the same type
+// that is idle by a task's start when the gap stays within an
+// already-billed hour; Move is implicit in the serial order. Tasks are
+// visited by mean start, stably over the topological order, and each takes
+// the first fitting slot in creation order. The result lives in pooled
+// scratch: the caller returns it with packPool.Put once done reading.
+func packMean(w *dag.Workflow, config State, tbl *estimate.Table) (*dag.Flat, *packing, error) {
 	if len(config) != w.Len() {
 		return nil, nil, fmt.Errorf("opt: config length %d, want %d", len(config), w.Len())
 	}
-	cfg := make(map[string]int, w.Len())
-	for i, t := range w.Tasks {
-		cfg[t.ID] = config[i]
-	}
-	means, err := tbl.MeanDurations(cfg)
+	f, err := w.Flatten()
 	if err != nil {
 		return nil, nil, err
+	}
+	n := f.Len()
+	p := packPool.Get().(*packing)
+	if cap(p.dur) < n {
+		p.dur = make([]float64, n)
+		p.start = make([]float64, n)
+		p.finish = make([]float64, n)
+		p.byStart = make([]int32, n)
+		p.slotOf = make([]int32, n)
+	}
+	p.dur, p.start, p.finish = p.dur[:n], p.start[:n], p.finish[:n]
+	p.byStart, p.slotOf, p.slots = p.byStart[:n], p.slotOf[:n], p.slots[:0]
+	for i, id := range f.IDs {
+		td, err := tbl.Dist(id, config[i])
+		if err != nil {
+			packPool.Put(p)
+			return nil, nil, err
+		}
+		p.dur[i] = td.Mean()
 	}
 	// Mean schedule: start/finish under infinite instances.
-	_, finish, err := w.Makespan(means)
-	if err != nil {
-		return nil, nil, err
+	f.Makespan(p.dur, p.finish)
+	for i := range p.start {
+		p.start[i] = p.finish[i] - p.dur[i]
 	}
-	order, err := w.TopoOrder()
-	if err != nil {
-		return nil, nil, err
-	}
-	// Sort tasks by mean start time (topo-stable).
-	starts := make(map[string]float64, len(order))
-	for _, id := range order {
-		starts[id] = finish[id] - means[id]
-	}
-	ids := append([]string(nil), order...)
-	sort.SliceStable(ids, func(a, b int) bool { return starts[ids[a]] < starts[ids[b]] })
+	copy(p.byStart, f.Order)
+	sort.Stable(p)
 
-	var slots []slotSpan
-	plan := &sim.Plan{Place: make(map[string]sim.Placement, w.Len())}
 	const hour = 3600.0
-	for _, id := range ids {
-		j := cfg[id]
-		typ := tbl.Types[j]
-		st, fin := starts[id], finish[id]
-		bestSlot := -1
-		for si := range slots {
-			if slots[si].typ != typ || slots[si].end > st {
+	for _, ti := range p.byStart {
+		j := config[ti]
+		st := p.start[ti]
+		best := -1
+		for si := range p.slots {
+			if p.slots[si].typ != j || p.slots[si].end > st {
 				continue
 			}
-			if st-slots[si].end <= hour {
-				bestSlot = si
+			if st-p.slots[si].end <= hour {
+				best = si
 				break
 			}
 		}
-		if bestSlot < 0 {
-			slots = append(slots, slotSpan{typ: typ, typeIdx: j, start: st})
-			bestSlot = len(slots) - 1
-		} else if !slots[bestSlot].used {
-			slots[bestSlot].start = st
+		if best < 0 {
+			p.slots = append(p.slots, packedSlot{typ: j, start: st})
+			best = len(p.slots) - 1
 		}
-		slots[bestSlot].used = true
-		slots[bestSlot].end = fin
-		plan.Place[id] = sim.Placement{Slot: bestSlot, Type: typ, Region: region}
+		p.slots[best].end = p.finish[ti]
+		p.slotOf[ti] = int32(best)
 	}
-	return plan, slots, nil
+	return f, p, nil
 }
 
 // Consolidate materializes a configuration into an executable plan, applying
 // the plan-level transformations (Merge, Co-Scheduling, Move). Returns a
 // sim.Plan ready for execution.
 func Consolidate(w *dag.Workflow, config State, tbl *estimate.Table, region string) (*sim.Plan, error) {
-	plan, _, err := packMeanSchedule(w, config, tbl, region)
-	return plan, err
+	f, p, err := packMean(w, config, tbl)
+	if err != nil {
+		return nil, err
+	}
+	defer packPool.Put(p)
+	plan := &sim.Plan{Place: make(map[string]sim.Placement, f.Len())}
+	for i, id := range f.IDs {
+		plan.Place[id] = sim.Placement{Slot: int(p.slotOf[i]), Type: tbl.Types[config[i]], Region: region}
+	}
+	return plan, nil
 }
 
 // PackedMeanCost is the hour-billed cost of a configuration's consolidated
@@ -537,17 +565,19 @@ func Consolidate(w *dag.Workflow, config State, tbl *estimate.Table, region stri
 // Merge/Co-Scheduling transformations have packed tasks onto instances and
 // EC2 bills whole instance-hours. The scheduling search minimizes this (the
 // transformations exist exactly to exploit partial hours); the fractional
-// Eq. 1 cost is available from the evaluator for reporting.
+// Eq. 1 cost is available from the evaluator for reporting. The prices are
+// per type index of tbl; region does not enter the cost.
 func PackedMeanCost(w *dag.Workflow, config State, tbl *estimate.Table, prices []float64, region string) (float64, error) {
 	if len(prices) != len(tbl.Types) {
 		return 0, fmt.Errorf("opt: %d prices for %d types", len(prices), len(tbl.Types))
 	}
-	_, slots, err := packMeanSchedule(w, config, tbl, region)
+	_, p, err := packMean(w, config, tbl)
 	if err != nil {
 		return 0, err
 	}
+	defer packPool.Put(p)
 	total := 0.0
-	for _, s := range slots {
+	for _, s := range p.slots {
 		hours := (s.end - s.start) / 3600
 		if hours <= 0 {
 			hours = 0
@@ -556,7 +586,7 @@ func PackedMeanCost(w *dag.Workflow, config State, tbl *estimate.Table, prices [
 		if hours == float64(int(hours)) && hours > 0 {
 			billed = hours
 		}
-		total += billed * prices[s.typeIdx]
+		total += billed * prices[s.typ]
 	}
 	return total, nil
 }

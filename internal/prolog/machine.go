@@ -389,8 +389,12 @@ func (m *Machine) FindAll(template, goal Term) ([]Term, error) {
 }
 
 // Once proves goal and returns the snapshot of template from the first
-// solution (found=false if none).
+// solution (found=false if none). Template and goal are renamed together on
+// entry, so the proof binds private copies and never the caller's terms:
+// machines may prove one shared query concurrently.
 func (m *Machine) Once(template, goal Term) (Term, bool, error) {
+	seen := map[*Var]*Var{}
+	template, goal = renameTerm(template, seen), renameTerm(goal, seen)
 	var result Term
 	found := false
 	mark := m.mark()
