@@ -182,20 +182,23 @@ func BenchmarkMonteCarloEvaluation(b *testing.B) {
 // in BENCH_solver.json.
 func BenchmarkEvaluationCore(b *testing.B) {
 	space := benchSpace(b, 100, 100)
-	states := append([]opt.State{space.Initial()}, space.Neighbors(space.Initial())...)
+	states := []opt.State{space.Initial()}
+	for _, tr := range space.Neighbors(space.Initial()) {
+		states = append(states, tr.Child)
+	}
 	if len(states) > 17 {
 		states = states[:17]
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base := int64(i) + 1
+		kernel := space.Describe(int64(i) + 1).Kernel
 		for _, st := range states {
-			k, err := space.CRNKernel(st, base)
+			k, err := kernel(st)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := probir.RunCRNKernel(k); err != nil {
+			if _, err := probir.RunKernel(k); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -125,7 +125,7 @@ func boundaryDeadline(p *problem, worlds int, pct, lo, hi float64) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		ev, err := probir.RunCRNKernel(k)
+		ev, err := probir.RunKernel(k)
 		if err != nil {
 			return 0, err
 		}
@@ -235,7 +235,7 @@ func batchFlat(n *probir.Native, p *problem, base int64) error {
 		if err != nil {
 			return err
 		}
-		if _, err := probir.RunCRNKernel(k); err != nil {
+		if _, err := probir.RunKernel(k); err != nil {
 			return err
 		}
 	}
@@ -267,18 +267,18 @@ func legacyStateRng(seed int64, key string) *rand.Rand {
 }
 
 // expandBatch collects up to max distinct states breadth-first from the
-// space's initial state — the states a beam search's first expansions
+// space's first start state — the states a beam search's first expansions
 // actually visit.
 func expandBatch(sp opt.Space, max int) []opt.State {
 	seen := map[string]bool{}
-	frontier := []opt.State{sp.Initial()}
+	frontier := []opt.State{sp.Starts()[0]}
 	seen[frontier[0].Key()] = true
 	batch := []opt.State{frontier[0]}
 	for len(batch) < max && len(frontier) > 0 {
 		var next []opt.State
 		for _, p := range frontier {
-			for _, c := range sp.Neighbors(p) {
-				k := c.Key()
+			for _, tr := range sp.Neighbors(p) {
+				c, k := tr.Child, tr.Child.Key()
 				if seen[k] {
 					continue
 				}

@@ -10,6 +10,7 @@ package deco
 // equivalence of the individual evaluation paths.
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -37,14 +38,18 @@ var crossDevices = []device.Device{
 	device.TwoLevel{NumWorkers: 3, MaxThreads: 2},
 }
 
-// searchAllDevices runs the same search on every device and fails unless all
-// Results are identical: best state, exact evaluation figures, and the
-// number of states evaluated.
-func searchAllDevices(t *testing.T, sp opt.Space, base opt.Options) {
+// searchAllDevices runs the same search on every device (crossDevices when
+// devs is empty) and fails unless all Results are identical: best state,
+// exact evaluation figures, and the number of states evaluated. It returns
+// the first device's Result.
+func searchAllDevices(t *testing.T, sp opt.Space, base opt.Options, devs ...device.Device) *opt.Result {
 	t.Helper()
+	if len(devs) == 0 {
+		devs = crossDevices
+	}
 	var want *opt.Result
 	var wantName string
-	for _, dev := range crossDevices {
+	for _, dev := range devs {
 		o := base
 		o.Device = dev
 		res, err := opt.Search(sp, o)
@@ -81,6 +86,7 @@ func searchAllDevices(t *testing.T, sp opt.Space, base opt.Options) {
 			}
 		}
 	}
+	return want
 }
 
 // TestCrossDeviceDeterminismScheduling covers the Monte-Carlo scheduling
@@ -113,6 +119,54 @@ func TestCrossDeviceDeterminismScheduling(t *testing.T) {
 	o.MaxStates = 150
 	o.Seed = 11
 	searchAllDevices(t, sp, o)
+}
+
+// stateRNG is the per-state rng the solver evaluates a state-keyed space
+// under: FNV-1a of the state key, xor the search seed. Its first draw is
+// the world substream base (opt.StateBase).
+func stateRNG(seed int64, key string) *rand.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+}
+
+// TestCrossDeviceDeterminismProlog covers the interpreted scheduling space:
+// Prolog kernels cannot share world realizations, so each state's worlds
+// draw from a substream keyed by (seed, state) and run the same block/thread
+// path as the native kernels. The result must be identical on every device
+// and equal the Evaluate oracle under the state's rng.
+func TestCrossDeviceDeterminismProlog(t *testing.T) {
+	env, err := exp.NewEnv(exp.QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wfgen.Pipeline(3, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := env.Est.BuildTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := wlog.Parse(userRuleProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := probir.NewProlog(w, tbl, env.Prices, prog, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := opt.NewScheduleSpace(w, eval)
+	o := opt.DefaultOptions(nil)
+	o.MaxStates = 30
+	o.Seed = 11
+	res := searchAllDevices(t, sp, o,
+		device.Sequential{}, device.Parallel{}, device.TwoLevel{}, device.TwoLevel{MaxThreads: 1})
+	want, err := sp.Evaluate(res.Best, stateRNG(o.Seed, res.Best.Key()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameEval(t, "prolog: Evaluate oracle", res.BestEval, want)
 }
 
 // TestCrossDeviceDeterminismSpotMarkets covers the market-aware scheduling

@@ -5,18 +5,17 @@ package deco
 // every way the solver can compute it must agree bit-for-bit:
 //
 //   - full evaluation     probir.Native.EvaluateCRN (one sequential pass)
-//   - kernel path         CRNKernel + probir.RunCRNKernel (world-decomposed,
-//                         folded canonically)
-//   - device/delta path   opt.Search's batch dispatch, which shares the
+//   - kernel path         the space descriptor's Kernel + probir.RunKernel
+//                         (world-decomposed, folded canonically)
+//   - device/delta path   opt.Search's batch evaluator, which shares the
 //                         lazily-filled CRN duration rows across sibling
 //                         states and runs them on whatever device is
 //                         configured
 //
 // The deterministic ensemble and follow-the-cost spaces carry Worlds()=1
-// kernels (their evaluations ignore the CRN base), so the same three-way
+// kernels (their evaluations ignore the seed), so the same three-way
 // property holds for them: direct Evaluate == kernel == the solver's
-// compiled dispatch on every device. The Map fallback path is additionally
-// pinned against direct Evaluate for both.
+// evaluation on every device.
 
 import (
 	"math/rand"
@@ -42,30 +41,26 @@ var pathDevices = []device.Device{
 	device.TwoLevel{},
 }
 
-// frozenSpace pins a search to exactly one state: Initial is the state,
-// Neighbors is empty. Searching it runs the solver's batch-evaluation
-// dispatch (CRN, kernel, or Map path — whatever the inner space supports)
-// on precisely that state, so Result.BestEval is the dispatched evaluation.
+// frozenSpace pins a search to exactly one state: Starts is the state,
+// Neighbors is empty, and the descriptor is the inner space's. Searching it
+// runs the solver's batch evaluator on precisely that state, so
+// Result.BestEval is the solver's evaluation.
 type frozenSpace struct {
 	inner opt.Space
 	st    opt.State
 }
 
-func (f *frozenSpace) Initial() opt.State              { return f.st.Clone() }
-func (f *frozenSpace) Neighbors(opt.State) []opt.State { return nil }
-func (f *frozenSpace) Evaluate(s opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
-	return f.inner.Evaluate(s, rng)
-}
+func (f *frozenSpace) Starts() []opt.State                 { return []opt.State{f.st.Clone()} }
+func (f *frozenSpace) Neighbors(opt.State) []opt.Transform { return nil }
+func (f *frozenSpace) Describe(seed int64) opt.Descriptor  { return f.inner.Describe(seed) }
 
-// frozenCRNSpace additionally forwards the CRN kernel, keeping the search on
-// the shared-realization device path.
-type frozenCRNSpace struct {
-	frozenSpace
-	crn opt.CRNSpace
-}
-
-func (f *frozenCRNSpace) CRNKernel(s opt.State, base int64) (probir.WorldKernel, error) {
-	return f.crn.CRNKernel(s, base)
+// children returns the child states of a transform list.
+func children(trs []opt.Transform) []opt.State {
+	out := make([]opt.State, len(trs))
+	for i, tr := range trs {
+		out[i] = tr.Child
+	}
+	return out
 }
 
 // assertSameEval fails unless the two evaluations are bit-identical.
@@ -85,11 +80,11 @@ func assertSameEval(t *testing.T, label string, got, want *probir.Evaluation) {
 	}
 }
 
-// searchOneState runs the solver over the frozen space on the given device
-// and returns the dispatched evaluation of the pinned state.
-func searchOneState(t *testing.T, sp opt.Space, dev device.Device, base int64, maximize bool) *probir.Evaluation {
+// searchOneState runs the solver over a space frozen at st on the given
+// device and returns the solver's evaluation of that state.
+func searchOneState(t *testing.T, sp opt.Space, st opt.State, dev device.Device, base int64, maximize bool) *probir.Evaluation {
 	t.Helper()
-	res, err := opt.Search(sp, opt.Options{Device: dev, MaxStates: 1, Seed: base, Maximize: maximize})
+	res, err := opt.Search(&frozenSpace{sp, st}, opt.Options{Device: dev, MaxStates: 1, Seed: base, Maximize: maximize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +125,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 	} {
 		const base = 27
 		states := []opt.State{sp.Initial()}
-		states = append(states, sp.Neighbors(states[0])...) // Δ=1 siblings: the row-reuse case
+		states = append(states, children(sp.Neighbors(states[0]))...) // Δ=1 siblings: the row-reuse case
 		if len(states) > 12 {
 			states = states[:12]
 		}
@@ -150,18 +145,18 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 				want.Value = v
 			}
 			// Kernel path, folded sequentially.
-			k, err := sp.CRNKernel(st, base)
+			k, err := sp.Describe(base).Kernel(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			kev, err := probir.RunCRNKernel(k)
+			kev, err := probir.RunKernel(k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameEval(t, name+": kernel path", kev, want)
-			// Device/delta path through the solver's dispatch, every device.
+			// Device/delta path through the solver's evaluator, every device.
 			for _, dev := range pathDevices {
-				got := searchOneState(t, &frozenCRNSpace{frozenSpace{sp, st}, sp}, dev, base, false)
+				got := searchOneState(t, sp, st, dev, base, false)
 				assertSameEval(t, name+": "+dev.Name(), got, want)
 			}
 		}
@@ -272,7 +267,7 @@ func TestEvalPathEquivalenceEnsemble(t *testing.T) {
 		sp.Plans = append(sp.Plans, &ensemble.PlannedWorkflow{Cost: c, Feasible: true})
 	}
 	states := []opt.State{sp.Initial()}
-	states = append(states, sp.Neighbors(states[0])...)
+	states = append(states, children(sp.Neighbors(states[0]))...)
 	const base = 13
 	for _, st := range states {
 		want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
@@ -280,22 +275,18 @@ func TestEvalPathEquivalenceEnsemble(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Kernel path, folded sequentially.
-		k, err := sp.CRNKernel(st, base)
+		k, err := sp.Kernel(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kev, err := probir.RunCRNKernel(k)
+		kev, err := probir.RunKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameEval(t, "ensemble: kernel path", kev, want)
 		for _, dev := range pathDevices {
-			// Compiled kernel dispatch and the Map fallback must both
-			// reproduce the direct evaluation on every device.
-			got := searchOneState(t, &frozenCRNSpace{frozenSpace{sp, st}, sp}, dev, base, true)
+			got := searchOneState(t, sp, st, dev, base, true)
 			assertSameEval(t, "ensemble kernel: "+dev.Name(), got, want)
-			got = searchOneState(t, &frozenSpace{sp, st}, dev, base, true)
-			assertSameEval(t, "ensemble map: "+dev.Name(), got, want)
 		}
 	}
 }
@@ -325,7 +316,7 @@ func TestEvalPathEquivalenceFTC(t *testing.T) {
 	}
 	sp := ftc.NewSpace(&ftc.Runtime{Cat: cat, Jobs: jobs})
 	states := []opt.State{sp.Initial()}
-	states = append(states, sp.Neighbors(states[0])...)
+	states = append(states, children(sp.Neighbors(states[0]))...)
 	const base = 19
 	for _, st := range states {
 		want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
@@ -333,20 +324,73 @@ func TestEvalPathEquivalenceFTC(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Kernel path, folded sequentially.
-		k, err := sp.CRNKernel(st, base)
+		k, err := sp.Kernel(st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kev, err := probir.RunCRNKernel(k)
+		kev, err := probir.RunKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameEval(t, "ftc: kernel path", kev, want)
 		for _, dev := range pathDevices {
-			got := searchOneState(t, &frozenCRNSpace{frozenSpace{sp, st}, sp}, dev, base, false)
+			got := searchOneState(t, sp, st, dev, base, false)
 			assertSameEval(t, "ftc kernel: "+dev.Name(), got, want)
-			got = searchOneState(t, &frozenSpace{sp, st}, dev, base, false)
-			assertSameEval(t, "ftc map: "+dev.Name(), got, want)
+		}
+	}
+}
+
+// TestEvalPathZeroWorldPrograms covers Native programs whose kernels have
+// nothing to thread over: a cost goal under a mean-notion budget samples no
+// worlds (every figure is world-free), and a program without constraints has
+// no figures at all. They run the solver's one evaluation path like every
+// other program — zero-thread blocks, reduced as device blocks — and must
+// equal the Evaluate oracle on every device, packed objective included.
+func TestEvalPathZeroWorldPrograms(t *testing.T) {
+	env, err := exp.NewEnv(exp.QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := wfgen.BySize(wfgen.AppMontage, 24, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := env.Est.BuildTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cons := range map[string][]wlog.Constraint{
+		"mean-budget":    {{Kind: "budget", Percentile: -1, Bound: 2}},
+		"no-constraints": nil,
+	} {
+		eval, err := probir.NewNative(w, tbl, env.Prices, probir.GoalCost, cons, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range []*opt.ScheduleSpace{
+			opt.NewScheduleSpace(w, eval),
+			opt.NewPackedScheduleSpace(w, eval, tbl, env.Prices, cloud.USEast),
+		} {
+			const base = 23
+			states := sp.Starts()
+			states = append(states, children(sp.Neighbors(states[0]))...)
+			for _, st := range states {
+				k, err := sp.Describe(base).Kernel(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k.Worlds() != 0 || k.Width() != 0 {
+					t.Fatalf("%s: kernel shape (%d worlds, %d figures), want (0, 0)", name, k.Worlds(), k.Width())
+				}
+				want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, dev := range pathDevices {
+					got := searchOneState(t, sp, st, dev, base, false)
+					assertSameEval(t, name+": "+dev.Name(), got, want)
+				}
+			}
 		}
 	}
 }

@@ -29,8 +29,11 @@ import (
 	"sync/atomic"
 )
 
-// Device schedules n independent work items ("blocks"). Implementations must
-// call fn exactly once for every i in [0, n).
+// Device schedules independent "blocks" of work, and the Monte-Carlo
+// "threads" within them. Implementations must call fn exactly once for every
+// i in [0, n), and kernel exactly once for every pair in [0, nBlocks) x
+// [0, threads); the schedule (which worker runs which item, in what order)
+// is unspecified, so kernels must write only to per-(block,thread) state.
 type Device interface {
 	// Name identifies the device in benchmark output.
 	Name() string
@@ -39,16 +42,6 @@ type Device interface {
 	Blocks() int
 	// Map runs fn(i) for every i in [0, n).
 	Map(n int, fn func(i int))
-}
-
-// BlockDevice is a Device that also exposes the inner level of the paper's
-// execution model: kernels addressed by (block, thread) pairs, one thread per
-// Monte-Carlo iteration. Implementations must call kernel exactly once for
-// every pair in [0, nBlocks) x [0, threads); the schedule (which worker runs
-// which pair, in what order) is unspecified, so kernels must write only to
-// per-(block,thread) state.
-type BlockDevice interface {
-	Device
 	// MapBlocks runs kernel(b, t) for every block b in [0, nBlocks) and
 	// thread t in [0, threads).
 	MapBlocks(nBlocks, threads int, kernel func(block, thread int))
@@ -70,7 +63,7 @@ func (Sequential) Map(n int, fn func(i int)) {
 	}
 }
 
-// MapBlocks implements BlockDevice: block-major, thread order.
+// MapBlocks implements Device: block-major, thread order.
 func (Sequential) MapBlocks(nBlocks, threads int, kernel func(block, thread int)) {
 	for b := 0; b < nBlocks; b++ {
 		for t := 0; t < threads; t++ {
@@ -134,7 +127,7 @@ func (p Parallel) Map(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// MapBlocks implements BlockDevice with outer-level parallelism only.
+// MapBlocks implements Device with outer-level parallelism only.
 func (p Parallel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)) {
 	p.Map(nBlocks, func(b int) {
 		for t := 0; t < threads; t++ {
@@ -183,7 +176,7 @@ func (d TwoLevel) Map(n int, fn func(i int)) {
 	Parallel{NumBlocks: d.workers()}.Map(n, fn)
 }
 
-// MapBlocks implements BlockDevice. Every block's threads are cut into
+// MapBlocks implements Device. Every block's threads are cut into
 // chunks that never span blocks; workers pull chunks from a shared counter,
 // so when the batch is narrower than the pool the surplus workers steal
 // chunks from the blocks that remain — the cross-block work-sharing a real
@@ -254,7 +247,7 @@ func (d TwoLevel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 // The returned slice is block-major (sums[b*width+w]); errs[b] is block b's
 // first error in thread order, or nil. A block with an error still has its
 // remaining threads run (threads are independent); its sums are meaningless.
-func ReduceBlocks(d BlockDevice, nBlocks, threads, width int, kernel func(block, thread int, out []float64) error) (sums []float64, errs []error) {
+func ReduceBlocks(d Device, nBlocks, threads, width int, kernel func(block, thread int, out []float64) error) (sums []float64, errs []error) {
 	sums = make([]float64, nBlocks*width)
 	errs = make([]error, nBlocks)
 	if nBlocks <= 0 || threads <= 0 || width <= 0 {
@@ -303,7 +296,7 @@ func ReduceBlocks(d BlockDevice, nBlocks, threads, width int, kernel func(block,
 // per-thread figures, laid out slots[(b*(hi-lo)+(t-lo))*width+w], for callers
 // that need per-world figures beyond the sums (racing's paired differences);
 // it is freshly allocated each call and owned by the caller.
-func ReduceBlocksRange(d BlockDevice, nBlocks, lo, hi, width int, sums []float64, kernel func(block, thread int, out []float64) error) (slots []float64, errs []error) {
+func ReduceBlocksRange(d Device, nBlocks, lo, hi, width int, sums []float64, kernel func(block, thread int, out []float64) error) (slots []float64, errs []error) {
 	errs = make([]error, nBlocks)
 	if nBlocks <= 0 || hi <= lo || width <= 0 {
 		return nil, errs
@@ -337,7 +330,7 @@ func ReduceBlocksRange(d BlockDevice, nBlocks, lo, hi, width int, sums []float64
 
 // Reduce runs fn(i) for every i in [0, n) on the device and sums the results
 // in index order — a single-block ReduceBlocks.
-func Reduce(d BlockDevice, n int, fn func(i int) float64) float64 {
+func Reduce(d Device, n int, fn func(i int) float64) float64 {
 	sums, _ := ReduceBlocks(d, 1, n, 1, func(_, t int, out []float64) error {
 		out[0] = fn(t)
 		return nil

@@ -93,7 +93,7 @@ func TestParallelDeterminism(t *testing.T) {
 // MapBlocks must call the kernel exactly once per (block, thread) pair, on
 // every implementation and for shapes narrower and wider than the pool.
 func TestMapBlocksVisitsEveryPairExactlyOnce(t *testing.T) {
-	devices := []BlockDevice{
+	devices := []Device{
 		Sequential{},
 		Parallel{NumBlocks: 5},
 		TwoLevel{NumWorkers: 5},
@@ -164,7 +164,7 @@ func TestReduceBlocksBitIdenticalAcrossDevices(t *testing.T) {
 		return nil
 	}
 	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, kernel)
-	for _, d := range []BlockDevice{Parallel{NumBlocks: 5}, TwoLevel{NumWorkers: 5}, TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
+	for _, d := range []Device{Parallel{NumBlocks: 5}, TwoLevel{NumWorkers: 5}, TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
 		for rep := 0; rep < 10; rep++ {
 			got, errs := ReduceBlocks(d, nb, th, width, kernel)
 			for _, err := range errs {
@@ -230,7 +230,7 @@ func TestReduceBlocksRangeChainsBitIdentical(t *testing.T) {
 		return nil
 	}
 	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, kernel)
-	for _, d := range []BlockDevice{Sequential{}, Parallel{NumBlocks: 4}, TwoLevel{NumWorkers: 5}} {
+	for _, d := range []Device{Sequential{}, Parallel{NumBlocks: 4}, TwoLevel{NumWorkers: 5}} {
 		for _, bounds := range [][]int{{th}, {16, 48, th}, {1, 2, 3, 50, th}} {
 			sums := make([]float64, nb*width)
 			lo := 0

@@ -212,25 +212,34 @@ func NewSpace(e *Ensemble, budget float64, plan Planner) (*Space, error) {
 	return sp, nil
 }
 
-// Initial implements opt.Space.
+// Initial is the search's start state: nothing admitted.
 func (s *Space) Initial() opt.State { return make(opt.State, len(s.E.Workflows)) }
 
+// Starts implements opt.Space.
+func (s *Space) Starts() []opt.State { return []opt.State{s.Initial()} }
+
 // Neighbors implements opt.Space: admit one more (plannable) workflow.
-func (s *Space) Neighbors(st opt.State) []opt.State {
-	var out []opt.State
+func (s *Space) Neighbors(st opt.State) []opt.Transform {
+	var out []opt.Transform
 	for i := range st {
 		if st[i] == 0 && s.Plans[i] != nil {
 			c := st.Clone()
 			c[i] = 1
-			out = append(out, c)
+			out = append(out, opt.Transform{Child: c})
 		}
 	}
 	return out
 }
 
-// Evaluate implements opt.Space: the score of the admitted set, feasible iff
-// the total cost fits the budget (per-workflow deadlines are already folded
-// into the plans).
+// Describe implements opt.Space: the admission kernel and the space's
+// fingerprint. The objective is deterministic, so the seed plays no part.
+func (s *Space) Describe(int64) opt.Descriptor {
+	return opt.Descriptor{Kernel: s.Kernel, Fingerprint: s.Fingerprint()}
+}
+
+// Evaluate scores the admitted set directly — the test oracle of the
+// kernel: the score of the admitted set, feasible iff the total cost fits
+// the budget (per-workflow deadlines are already folded into the plans).
 func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
 	if len(st) != len(s.E.Workflows) {
 		return nil, fmt.Errorf("ensemble: state length %d, want %d", len(st), len(s.E.Workflows))
@@ -254,14 +263,12 @@ func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, erro
 	return ev, nil
 }
 
-// CRNKernel implements opt.CRNSpace. The admission objective is
+// Kernel builds the admission kernel of one state. The objective is
 // deterministic — no Monte-Carlo worlds — so the kernel is a single world of
-// two figures (score sum, cost sum) that ignores the CRN base entirely; it
-// exists so admission searches run the solver's compiled kernel pipeline
-// (and its evaluation cache) instead of the per-state fallback. Figures fold
-// in workflow-index order, exactly as Evaluate accumulates them, so both
-// paths are bit-identical on every device.
-func (s *Space) CRNKernel(st opt.State, base int64) (probir.WorldKernel, error) {
+// two figures (score sum, cost sum). Figures fold in workflow-index order,
+// exactly as Evaluate accumulates them, so both are bit-identical on every
+// device.
+func (s *Space) Kernel(st opt.State) (probir.WorldKernel, error) {
 	if len(st) != len(s.E.Workflows) {
 		return nil, fmt.Errorf("ensemble: state length %d, want %d", len(st), len(s.E.Workflows))
 	}
@@ -274,10 +281,10 @@ func (s *Space) CRNKernel(st opt.State, base int64) (probir.WorldKernel, error) 
 	return &admissionKernel{sp: s, st: st, budget: s.Budget}, nil
 }
 
-// Fingerprint implements opt.FingerprintSpace: a content hash of everything
-// Evaluate depends on — budget, priorities, and each plan's cost and
-// admissibility — so cache entries from different ensembles, plan sets, or
-// budget sweep points never collide.
+// Fingerprint is a content hash of everything Evaluate depends on —
+// budget, priorities, and each plan's cost and admissibility — so cache
+// entries from different ensembles, plan sets, or budget sweep points never
+// collide.
 func (s *Space) Fingerprint() string {
 	if s.E == nil || len(s.Plans) != len(s.E.Workflows) {
 		return "" // half-built space: cannot vouch for identity
@@ -312,7 +319,7 @@ type admissionKernel struct {
 func (k *admissionKernel) Worlds() int { return 1 }
 func (k *admissionKernel) Width() int  { return 2 }
 
-func (k *admissionKernel) Sample(it int, rng *rand.Rand, out []float64) error {
+func (k *admissionKernel) Sample(it int, out []float64) error {
 	score, cost := 0.0, 0.0
 	for i, bit := range k.st {
 		if bit == 0 {

@@ -156,7 +156,7 @@ func TestSpaceNeighborsSkipUnplannable(t *testing.T) {
 		t.Fatalf("neighbors %v (b is unplannable)", ns)
 	}
 	for _, n := range ns {
-		if n[1] == 1 {
+		if n.Child[1] == 1 {
 			t.Error("unplannable workflow admitted")
 		}
 	}

@@ -333,7 +333,7 @@ func (s *Space) compile() error {
 	return s.compileErr
 }
 
-// Initial implements opt.Space: keep every job where it is.
+// Initial is the search's start state: keep every job where it is.
 func (s *Space) Initial() opt.State {
 	st := make(opt.State, len(s.rt.Jobs))
 	for i, j := range s.rt.Jobs {
@@ -342,10 +342,13 @@ func (s *Space) Initial() opt.State {
 	return st
 }
 
+// Starts implements opt.Space.
+func (s *Space) Starts() []opt.State { return []opt.State{s.Initial()} }
+
 // Neighbors implements opt.Space: move one unfinished job to one other
 // region (a task-granularity migration decision, Gmn of §3.3).
-func (s *Space) Neighbors(st opt.State) []opt.State {
-	var out []opt.State
+func (s *Space) Neighbors(st opt.State) []opt.Transform {
+	var out []opt.Transform
 	for i, j := range s.rt.Jobs {
 		if j.Done() {
 			continue
@@ -356,7 +359,7 @@ func (s *Space) Neighbors(st opt.State) []opt.State {
 			}
 			c := st.Clone()
 			c[i] = r
-			out = append(out, c)
+			out = append(out, opt.Transform{Child: c})
 		}
 	}
 	return out
@@ -406,8 +409,15 @@ func (s *Space) reduce(sums []float64) *probir.Evaluation {
 	return &probir.Evaluation{Value: sums[0], Violation: sums[1], Feasible: sums[2] == 0}
 }
 
-// Evaluate implements opt.Space: Eq. 7's expected remaining cost plus
-// migration charges, with Eq. 10's deterministic deadline per job.
+// Describe implements opt.Space: the placement kernel and the space's
+// fingerprint. The objective is deterministic, so the seed plays no part.
+func (s *Space) Describe(int64) opt.Descriptor {
+	return opt.Descriptor{Kernel: s.Kernel, Fingerprint: s.Fingerprint()}
+}
+
+// Evaluate scores one placement directly — the test oracle of the kernel:
+// Eq. 7's expected remaining cost plus migration charges, with Eq. 10's
+// deterministic deadline per job.
 func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
 	if err := s.compile(); err != nil {
 		return nil, err
@@ -419,12 +429,10 @@ func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, erro
 	return s.reduce(sums[:]), nil
 }
 
-// CRNKernel implements opt.CRNSpace. The placement objective is
+// Kernel builds the placement kernel of one state. The objective is
 // deterministic — no Monte-Carlo worlds — so the kernel is a single world of
-// three figures that ignores the CRN base; it exists so per-decision-point
-// searches run the solver's compiled kernel pipeline (and its evaluation
-// cache) instead of the per-state fallback.
-func (s *Space) CRNKernel(st opt.State, base int64) (probir.WorldKernel, error) {
+// three figures.
+func (s *Space) Kernel(st opt.State) (probir.WorldKernel, error) {
 	if err := s.compile(); err != nil {
 		return nil, err
 	}
@@ -434,10 +442,10 @@ func (s *Space) CRNKernel(st opt.State, base int64) (probir.WorldKernel, error) 
 	return &placementKernel{sp: s, st: st}, nil
 }
 
-// Fingerprint implements opt.FingerprintSpace: a content hash of the full
-// decision-point snapshot — every job's progress, placement, prices and
-// deadline plus the mean cross-region bandwidth — so cache entries are
-// shared exactly between searches seeing identical runtime state.
+// Fingerprint is a content hash of the full decision-point snapshot —
+// every job's progress, placement, prices and deadline plus the mean
+// cross-region bandwidth — so cache entries are shared exactly between
+// searches seeing identical runtime state.
 func (s *Space) Fingerprint() string {
 	if s.compile() != nil {
 		return "" // unsnapshottable runtime: cannot vouch for identity
@@ -480,7 +488,7 @@ type placementKernel struct {
 func (k *placementKernel) Worlds() int { return 1 }
 func (k *placementKernel) Width() int  { return 3 }
 
-func (k *placementKernel) Sample(it int, rng *rand.Rand, out []float64) error {
+func (k *placementKernel) Sample(it int, out []float64) error {
 	return k.sp.accumulate(k.st, out)
 }
 

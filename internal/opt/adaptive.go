@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"deco/internal/device"
@@ -11,11 +10,13 @@ import (
 	"deco/internal/sample"
 )
 
-// This file implements adaptive-precision Monte-Carlo evaluation: instead of
-// running every state's full world budget, the evaluator advances a batch of
-// states through world chunks on the device, folds each chunk into running
-// figure sums (in ascending world order, so the sums are bit-identical to
-// the fixed path's at every prefix), and after each chunk consults the
+// This file implements the solver's one batch evaluator. Every state is a
+// device block and every Monte-Carlo world a thread (§5.2-5.3): a batch of
+// states advances through world chunks on the device, each chunk folds into
+// running figure sums in ascending world order (so the sums are
+// bit-identical at every prefix), and finished states reduce as device
+// blocks. At fixed precision the schedule is the single chunk [0, worlds).
+// Adaptive precision runs geometric chunks and after each one consults the
 // sequential stopping rules of package sample:
 //
 //   - A state whose feasibility verdict is decided — certainly, by the exact
@@ -35,22 +36,22 @@ import (
 //
 // All decisions are functions of the running sums and the fixed chunk
 // schedule, so adaptive results are identical across devices. States that
-// reach the world cap reduce exactly as the fixed path does; only
+// reach the world cap reduce exactly as at fixed precision; only
 // fully-evaluated states enter the evaluation cache or the snapshot store,
 // and partial verdicts carry their world count (scored.worlds).
 
 // SampleStats reports how adaptive evaluation spent its world budget, for
-// observability and benchmark gating. Counters cover live kernel-path
+// observability and benchmark gating. Counters cover live adaptive
 // evaluations only (cache hits evaluate nothing) and are updated from the
 // search goroutine; read them between searches.
 type SampleStats struct {
 	// Adaptive reports whether the compiled problem routes evaluation
 	// through the adaptive path at all (Options.Adaptive requested it AND
-	// the space decomposes into an indicator-backed partial kernel).
+	// the space's kernels are indicator-backed partial kernels).
 	Adaptive bool
 	// Ordered reports whether adaptive evaluation runs worlds under a
-	// decisive-world-first permutation (WorldOrderSpace resolved at Compile
-	// and not disabled); WorldsReordered counts the worlds actually sampled
+	// decisive-world-first permutation (Descriptor.WorldOrder resolved at
+	// Compile and not disabled); WorldsReordered counts the worlds actually sampled
 	// under that permutation.
 	Ordered         bool
 	WorldsReordered int64
@@ -121,242 +122,284 @@ func (p *Problem) finalizePartial(k probir.PartialKernel, sums []float64, seen i
 	return ev, nil
 }
 
-// evaluateAdaptive is the chunked sequential-stopping evaluation path. Like
-// evaluateKernel it reports ok=false when a state's kernel drifts from the
-// compiled shape (including losing the partial-kernel capability), in which
-// case the batch falls back to the generic path with recorded construction
-// errors preserved.
-func (p *Problem) evaluateAdaptive(cands []candidate) ([]scored, bool) {
-	if len(cands) == 0 {
-		return nil, false
-	}
-	bd, okDev := p.opts.Device.(device.BlockDevice)
-	if !okDev {
-		return make([]scored, len(cands)), false
-	}
+// batch is the working state of one evaluate call. Per-state slices are
+// indexed like the candidates; sums holds each state's running figure sums
+// (width per state) and seen the worlds folded into them.
+type batch struct {
+	p        *Problem
+	adaptive bool
+	order    []int32 // world permutation (adaptive only); nil runs ascending
+	cands    []candidate
+	out      []scored
+	kernels  []probir.WorldKernel
+	partial  []probir.PartialKernel // adaptive only
+	snaps    []*probir.Snapshot     // delta only
+	sums     []float64
+	seen     []int
+
+	// Adaptive only: the stop verdict of each finished state; pinned marks
+	// states whose feasible verdict is already certain but that keep running
+	// to completion so their capture snapshot survives (racing must not
+	// eliminate them — a pessimistic finalize would overwrite a
+	// decided-feasible verdict); blockOf maps a state to its block in the
+	// current chunk; vals buffers per-world value figures for the canonical
+	// refold (ordered evaluation only); pairRef/pairs are the paired-value
+	// racing reference and its per-state difference trackers.
+	verdict []sample.Verdict
+	pinned  []bool
+	blockOf []int
+	vals    []float64
+	pairRef string
+	pairs   map[int]*sample.Paired
+}
+
+// row returns state i's running figure sums.
+func (b *batch) row(i int) []float64 { return b.sums[i*b.p.width : (i+1)*b.p.width] }
+
+// evaluate scores a batch of candidates. Kernels are built serially (the
+// delta path's plan cache and snapshot store are search-goroutine state); a
+// state whose kernel fails to build, or differs from the compiled shape,
+// carries that error while the others evaluate. With adaptive false every
+// state runs every world; with adaptive true states stop, and race, as
+// their verdicts are decided.
+func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 	n := len(cands)
-	out := make([]scored, n)
-	kernels := make([]probir.PartialKernel, n)
-	var snaps []*probir.Snapshot
-	if p.delta {
-		snaps = p.getSnapBuf(n)
-		defer p.putSnapBuf(snaps)
+	b := &batch{p: p, adaptive: adaptive, cands: cands,
+		out: make([]scored, n), kernels: make([]probir.WorldKernel, n),
+		sums: make([]float64, n*p.width), seen: make([]int, n)}
+	if p.delta != nil {
+		b.snaps = p.getSnapBuf(n)
+		defer p.putSnapBuf(b.snaps)
 	}
-	var bases []int64
-	if !p.crn {
-		bases = make([]int64, n)
+	if adaptive {
+		b.order = p.order
+		b.partial = make([]probir.PartialKernel, n)
+		b.verdict = make([]sample.Verdict, n)
+		b.pinned = make([]bool, n)
+		b.blockOf = make([]int, n)
+		b.pairs = make(map[int]*sample.Paired)
 	}
-	buildOK := true
-	p.labeled(phaseKernelBuild, func() {
-		for i, c := range cands {
-			out[i] = scored{state: c.state, key: c.key}
-			k, snap, err := p.buildKernel(c)
-			if err != nil {
-				out[i].err = err
-				continue
-			}
-			pk, okPartial := k.(probir.PartialKernel)
-			if k == nil || k.Worlds() != p.worlds || k.Width() != p.width || !okPartial {
-				if snap != nil {
-					p.dspace.ReleaseSnapshot(snap)
-				}
-				p.releaseSnaps(snaps)
-				buildOK = false
-				return
-			}
-			kernels[i] = pk
-			if snaps != nil {
-				snaps[i] = snap
-			}
-			if !p.crn {
-				bases[i] = stateRng(p.opts.Seed, c.key).Int63()
+	p.enterPhase(phaseKernelBuild)
+	active := make([]int, 0, n)
+	for i, c := range cands {
+		b.out[i] = scored{state: c.state, key: c.key}
+		k, snap, err := p.buildKernel(c)
+		if err == nil {
+			err = p.checkKernel(k)
+		}
+		if err == nil && adaptive {
+			var ok bool
+			if b.partial[i], ok = k.(probir.PartialKernel); !ok {
+				err = fmt.Errorf("opt: kernel %T cannot reduce a world prefix", k)
 			}
 		}
-	})
-	if !buildOK {
-		return out, false
+		if err != nil {
+			if snap != nil {
+				p.delta.ReleaseSnapshot(snap)
+			}
+			b.out[i].err = err
+			continue
+		}
+		b.kernels[i] = k
+		if b.snaps != nil {
+			b.snaps[i] = snap
+		}
+		active = append(active, i)
 	}
+	p.exitPhase()
 
-	sums := make([]float64, n*p.width)
-	seen := make([]int, n)
-	// pinned marks states whose feasible verdict is already certain but that
-	// keep running to completion so their capture snapshot survives; racing
-	// must not eliminate them (a pessimistic finalize would overwrite a
-	// decided-feasible verdict).
-	pinned := make([]bool, n)
-	var active []int
-	for i := range cands {
-		if out[i].err == nil && kernels[i] != nil {
-			active = append(active, i)
-			p.sstats.StatesAdaptive++
-			p.sstats.WorldsBudget += int64(p.worlds)
+	ends := []int{p.worlds}
+	if adaptive {
+		p.sstats.StatesAdaptive += int64(len(active))
+		p.sstats.WorldsBudget += int64(len(active) * p.worlds)
+		ends = sample.Chunks(p.opts.MinWorlds, p.worlds)
+		if b.order != nil {
+			// Ordered evaluation: worlds run permuted (position t samples
+			// world order[t]), the schedule gains the tail checkpoints where
+			// feasible verdicts first become decidable, and the value
+			// figures' per-world contributions are buffered so finalized rows
+			// can be refolded in ascending world order (indicator sums are
+			// exact integer adds, hence order-invariant bitwise; value sums
+			// are not).
+			ends = sample.TailChunks(p.opts.MinWorlds, p.worlds, p.indTargets)
+			need := n * p.worlds * len(p.valIdx)
+			if cap(p.valsScratch) < need {
+				p.valsScratch = make([]float64, need)
+			}
+			b.vals = p.valsScratch[:need]
 		}
 	}
-
-	// Ordered evaluation: worlds run permuted (position t samples world
-	// order[t]), the schedule gains the tail checkpoints where feasible
-	// verdicts first become decidable, and the value figures' per-world
-	// contributions are buffered so finalized rows can be refolded in
-	// ascending world order (indicator sums are exact integer adds, hence
-	// order-invariant bitwise; value sums are not).
-	ends := sample.Chunks(p.opts.MinWorlds, p.worlds)
-	var vals []float64
-	worldsRunBefore := p.sstats.WorldsRun
-	if p.order != nil {
-		ends = sample.TailChunks(p.opts.MinWorlds, p.worlds, p.indTargets)
-		need := n * p.worlds * len(p.valIdx)
-		if cap(p.valsScratch) < need {
-			p.valsScratch = make([]float64, need)
-		}
-		vals = p.valsScratch[:need]
-	}
-	delta := 1 - p.opts.Confidence
-	keep := p.opts.BeamWidth
-	if keep < 1 {
-		keep = 1
-	}
-	// Paired-value racing state: the reference state's key and the
-	// accumulated per-world difference trackers, reset when the reference
-	// changes.
-	var pairRefKey string
-	pairs := make(map[int]*sample.Paired)
-
 	lo := 0
 	for ci, end := range ends {
 		if len(active) == 0 {
 			break
 		}
-		nb := len(active)
-		span := end - lo
-		round := make([]float64, nb*p.width)
-		for b, i := range active {
-			copy(round[b*p.width:(b+1)*p.width], sums[i*p.width:(i+1)*p.width])
-		}
-		var slots []float64
-		var errs []error
-		p.labeled(phaseChunkEval, func() {
-			slots, errs = device.ReduceBlocksRange(bd, nb, lo, end, p.width, round, func(b, t int, slot []float64) error {
-				if kernels[active[b]] == nil {
-					return nil
-				}
-				if err := p.opts.Ctx.Err(); err != nil {
-					return fmt.Errorf("opt: search cancelled: %w", err)
-				}
-				// Position t runs world order[t] under decisive-world-first
-				// ordering; the CRN contract makes world figures a function of
-				// the world index alone, so permuting positions permutes rows.
-				wt := t
-				if p.order != nil {
-					wt = int(p.order[t])
-				}
-				var rng *rand.Rand
-				if !p.crn {
-					rng = probir.WorldRNG(bases[active[b]], wt)
-				}
-				return kernels[active[b]].Sample(wt, rng, slot)
-			})
-		})
-		blockOf := make(map[int]int, nb)
-		var still []int
-		for b, i := range active {
-			blockOf[i] = b
-			if errs[b] != nil {
-				out[i].err = errs[b]
-				out[i].worlds = seen[i]
-				continue
-			}
-			copy(sums[i*p.width:(i+1)*p.width], round[b*p.width:(b+1)*p.width])
-			if vals != nil {
-				// Buffer this chunk's per-world value figures under their
-				// world index, for the canonical refold at finalize.
-				nv := len(p.valIdx)
-				for t := lo; t < end; t++ {
-					w := int(p.order[t])
-					src := slots[(b*span+(t-lo))*p.width:]
-					dst := vals[(i*p.worlds+w)*nv:]
-					for v, fi := range p.valIdx {
-						dst[v] = src[fi]
-					}
-				}
-			}
-			seen[i] = end
-			still = append(still, i)
-		}
-		active = still
-		check := ci + 1
-
-		// Sequential stopping: finalize every decided state. A feasible-decided
-		// state still holding a capture snapshot is pinned to completion
-		// instead: its verdict can only be confirmed by the remaining worlds (a
-		// feasible-certain prefix stays feasible), finishing costs at most the
-		// tail cushion, and only a complete evaluation may keep its snapshot —
-		// the parent material every delta child of this state needs.
-		var undecided []int
-		for _, i := range active {
-			v := p.stateVerdict(sums[i*p.width:(i+1)*p.width], end, check, delta)
-			if end < p.worlds && (v == sample.Undecided ||
-				(v == sample.DecidedFeasible && snaps != nil && snaps[i] != nil)) {
-				if v == sample.DecidedFeasible {
-					pinned[i] = true
-				}
-				undecided = append(undecided, i)
-				continue
-			}
-			row := sums[i*p.width : (i+1)*p.width]
-			p.canonRow(vals, row, i, end)
-			if end == p.worlds {
-				out[i].eval, out[i].err = kernels[i].Reduce(row)
-				p.sstats.FullRuns++
-			} else {
-				out[i].eval, out[i].err = p.finalizePartial(kernels[i], row, end, v)
-				if v == sample.DecidedFeasible {
-					p.sstats.StoppedFeasible++
-				} else {
-					p.sstats.StoppedInfeasible++
-				}
-			}
-			out[i].worlds = end
-			p.sstats.WorldsRun += int64(end)
-		}
-		active = undecided
-
-		// Racing (minimized objectives only): eliminate states that provably
-		// cannot rank among the batch's best `keep` finalized scores.
-		if len(active) > 0 && end < p.worlds && !p.opts.Maximize {
-			p.labeled(phaseRacing, func() {
-				active = p.race(cands, out, kernels, sums, vals, seen, pinned, active, blockOf, slots, span, check, delta, keep, &pairRefKey, pairs)
-			})
-		}
+		active = b.chunk(active, lo, end, ci+1)
 		lo = end
 	}
-	// Anything still active hit an error path upstream; seen/worlds already
-	// recorded. Account for errored states' partial spend.
-	for i := range cands {
-		if out[i].err != nil && kernels[i] != nil {
-			p.sstats.WorldsRun += int64(seen[i])
+
+	if adaptive {
+		// Every state's spend counts once, wherever its evaluation ended.
+		run := int64(0)
+		for i := range cands {
+			run += int64(b.seen[i])
+		}
+		p.sstats.WorldsRun += run
+		if b.order != nil {
+			p.sstats.WorldsReordered += run
 		}
 	}
-	if p.order != nil {
-		p.sstats.WorldsReordered += p.sstats.WorldsRun - worldsRunBefore
-	}
-
-	// Only complete evaluations parent future deltas: a partial snapshot has
-	// unwritten worlds and must never enter the store.
-	if snaps != nil {
+	// Sampling is complete: snapshots of completely evaluated states enter
+	// the store (possibly evicting older generations back to the pool); all
+	// others — failed states, and partial snapshots with unwritten worlds —
+	// are recycled directly. Storing strictly after the batch finishes is
+	// what makes eviction safe: no running kernel can hold a reference to an
+	// evicted snapshot.
+	if b.snaps != nil {
 		p.enterPhase(phaseSnapshotPut)
-		for i, sn := range snaps {
+		for i, sn := range b.snaps {
 			if sn == nil {
 				continue
 			}
-			if out[i].err == nil && out[i].eval != nil && seen[i] == p.worlds {
-				p.snaps.put(out[i].key, sn)
+			if s := b.out[i]; s.err == nil && s.eval != nil && b.seen[i] == p.worlds {
+				p.snaps.put(s.key, sn)
 			} else {
-				p.dspace.ReleaseSnapshot(sn)
+				p.delta.ReleaseSnapshot(sn)
 			}
 		}
 		p.exitPhase()
 	}
-	return out, true
+	return b.out
+}
+
+// checkKernel rejects a kernel whose shape differs from the compiled one.
+func (p *Problem) checkKernel(k probir.WorldKernel) error {
+	if k == nil {
+		return fmt.Errorf("opt: space built no kernel")
+	}
+	if k.Worlds() != p.worlds || k.Width() != p.width {
+		return fmt.Errorf("opt: kernel shape (%d worlds, %d figures) differs from the compiled (%d, %d)",
+			k.Worlds(), k.Width(), p.worlds, p.width)
+	}
+	return nil
+}
+
+// chunk runs worlds [lo, end) of the active states as device blocks, folds
+// them into the running sums, finalizes every state that is done — all of
+// them at the world cap, decided ones before it — and, on the adaptive path,
+// races the rest. check is the 1-based index of the chunk in the schedule.
+// It returns the states still running.
+func (b *batch) chunk(active []int, lo, end, check int) []int {
+	p := b.p
+	width, nb, span := p.width, len(active), end-lo
+	// A chunk over every state of the batch folds straight into the sums;
+	// otherwise the active rows are gathered into their block order.
+	round := b.sums
+	if nb < len(b.cands) {
+		round = make([]float64, nb*width)
+		for bi, i := range active {
+			copy(round[bi*width:(bi+1)*width], b.row(i))
+		}
+	}
+	p.enterPhase(phaseChunkEval)
+	slots, errs := device.ReduceBlocksRange(p.opts.Device, nb, lo, end, width, round, func(bi, t int, slot []float64) error {
+		if err := p.opts.Ctx.Err(); err != nil {
+			return fmt.Errorf("opt: search cancelled: %w", err)
+		}
+		// Position t runs world order[t] under decisive-world-first
+		// ordering; world figures are a function of the world index alone,
+		// so permuting positions permutes rows.
+		if b.order != nil {
+			t = int(b.order[t])
+		}
+		return b.kernels[active[bi]].Sample(t, slot)
+	})
+
+	delta := 1 - p.opts.Confidence
+	done := make([]int, 0, nb)
+	var next []int
+	for bi, i := range active {
+		if errs[bi] != nil {
+			b.out[i].err = errs[bi]
+			b.out[i].worlds = b.seen[i]
+			continue
+		}
+		if nb < len(b.cands) {
+			copy(b.row(i), round[bi*width:(bi+1)*width])
+		}
+		if b.vals != nil {
+			// Buffer this chunk's per-world value figures under their world
+			// index, for the canonical refold at finalize.
+			nv := len(p.valIdx)
+			for t := lo; t < end; t++ {
+				src := slots[(bi*span+(t-lo))*width:]
+				dst := b.vals[(i*p.worlds+int(b.order[t]))*nv:]
+				for v, fi := range p.valIdx {
+					dst[v] = src[fi]
+				}
+			}
+		}
+		b.seen[i] = end
+		if end < p.worlds {
+			// Sequential stopping: a decided state finishes now. A
+			// feasible-decided state still holding a capture snapshot is
+			// pinned to completion instead: its verdict can only be confirmed
+			// by the remaining worlds (a feasible-certain prefix stays
+			// feasible), finishing costs at most the tail cushion, and only a
+			// complete evaluation may keep its snapshot — the parent material
+			// every delta child of this state needs.
+			b.blockOf[i] = bi
+			v := p.stateVerdict(b.row(i), end, check, delta)
+			if v == sample.Undecided || (v == sample.DecidedFeasible && b.snaps != nil && b.snaps[i] != nil) {
+				if v == sample.DecidedFeasible {
+					b.pinned[i] = true
+				}
+				next = append(next, i)
+				continue
+			}
+			b.verdict[i] = v
+		}
+		done = append(done, i)
+	}
+	// Finished states reduce as device blocks: a reduction can do real work
+	// (CostFn objectives such as the packed plan cost run there).
+	if len(done) > 0 {
+		p.opts.Device.Map(len(done), func(d int) {
+			i := done[d]
+			if err := p.opts.Ctx.Err(); err != nil {
+				b.out[i].err = fmt.Errorf("opt: search cancelled: %w", err)
+				return
+			}
+			row := b.row(i)
+			p.canonRow(b.vals, row, i, end)
+			if end == p.worlds {
+				b.out[i].eval, b.out[i].err = b.kernels[i].Reduce(row)
+			} else {
+				b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], row, end, b.verdict[i])
+			}
+		})
+	}
+	p.exitPhase()
+	for _, i := range done {
+		b.out[i].worlds = end
+		switch {
+		case !b.adaptive:
+		case end == p.worlds:
+			p.sstats.FullRuns++
+		case b.verdict[i] == sample.DecidedFeasible:
+			p.sstats.StoppedFeasible++
+		default:
+			p.sstats.StoppedInfeasible++
+		}
+	}
+	// Racing (minimized objectives only): eliminate states that provably
+	// cannot rank among the batch's best BeamWidth finalized scores.
+	if len(next) > 0 && !p.opts.Maximize {
+		p.enterPhase(phaseRacing)
+		next = b.race(next, slots, span, check, delta)
+		p.exitPhase()
+	}
+	return next
 }
 
 // canonRow refolds the value-figure entries of state i's running sums in
@@ -407,24 +450,25 @@ func (p *Problem) canonRow(vals, row []float64, i, seenWorlds int) {
 //
 // Eliminated states finalize pessimistically via finalizePartial (verdict
 // undecided ⇒ never feasible), so they cannot wrongly become the incumbent.
-func (p *Problem) race(cands []candidate, out []scored, kernels []probir.PartialKernel, sums, vals []float64, seen []int,
-	pinned []bool, active []int, blockOf map[int]int, slots []float64, span, check int, delta float64, keep int,
-	pairRefKey *string, pairs map[int]*sample.Paired) []int {
-
+func (b *batch) race(active []int, slots []float64, span, check int, delta float64) []int {
+	p := b.p
+	keep := p.opts.BeamWidth
+	if keep < 1 {
+		keep = 1
+	}
 	eliminate := func(i int) {
-		row := sums[i*p.width : (i+1)*p.width]
-		p.canonRow(vals, row, i, seen[i])
-		out[i].eval, out[i].err = p.finalizePartial(kernels[i], row, seen[i], sample.Undecided)
-		out[i].worlds = seen[i]
+		row := b.row(i)
+		p.canonRow(b.vals, row, i, b.seen[i])
+		b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], row, b.seen[i], sample.Undecided)
+		b.out[i].worlds = b.seen[i]
 		p.sstats.Raced++
-		p.sstats.WorldsRun += int64(seen[i])
 	}
 
 	// Rule 1: optimistic score vs the keep-th smallest finalized score.
 	var finals []float64
-	for i := range cands {
-		if out[i].eval != nil && out[i].err == nil {
-			finals = append(finals, score(out[i].eval, false))
+	for _, s := range b.out {
+		if s.eval != nil && s.err == nil {
+			finals = append(finals, score(s.eval, false))
 		}
 	}
 	threshold := math.Inf(1)
@@ -434,25 +478,21 @@ func (p *Problem) race(cands []candidate, out []scored, kernels []probir.Partial
 	}
 	var survivors []int
 	for _, i := range active {
-		if pinned[i] {
+		if b.pinned[i] {
 			survivors = append(survivors, i)
 			continue
 		}
 		var optimistic float64
 		if p.valueFig < 0 {
-			ev, err := kernels[i].ReducePartial(sums[i*p.width:(i+1)*p.width], seen[i])
+			ev, err := b.partial[i].ReducePartial(b.row(i), b.seen[i])
 			if err != nil {
-				out[i].err = err
-				out[i].worlds = seen[i]
-				p.sstats.WorldsRun += int64(seen[i])
+				b.out[i].err = err
+				b.out[i].worlds = b.seen[i]
 				continue
 			}
 			optimistic = ev.Value
 		} else {
-			optimistic = sums[i*p.width+p.valueFig] / float64(p.worlds)
-		}
-		if p.opts.Maximize {
-			optimistic = -optimistic
+			optimistic = b.row(i)[p.valueFig] / float64(p.worlds)
 		}
 		if optimistic > threshold {
 			eliminate(i)
@@ -468,44 +508,33 @@ func (p *Problem) race(cands []candidate, out []scored, kernels []probir.Partial
 		return active
 	}
 	ranked := append([]int(nil), active...)
-	sort.Slice(ranked, func(a, b int) bool {
-		va := sums[ranked[a]*p.width+p.valueFig]
-		vb := sums[ranked[b]*p.width+p.valueFig]
-		if va != vb {
-			return va < vb
+	sort.Slice(ranked, func(x, y int) bool {
+		vx, vy := b.row(ranked[x])[p.valueFig], b.row(ranked[y])[p.valueFig]
+		if vx != vy {
+			return vx < vy
 		}
-		return cands[ranked[a]].key < cands[ranked[b]].key
+		return b.cands[ranked[x]].key < b.cands[ranked[y]].key
 	})
 	ref := ranked[keep-1]
-	if cands[ref].key != *pairRefKey {
-		*pairRefKey = cands[ref].key
-		for k := range pairs {
-			delete(pairs, k)
-		}
+	if b.cands[ref].key != b.pairRef {
+		b.pairRef = b.cands[ref].key
+		clear(b.pairs)
 	}
-	refBlock, okRef := blockOf[ref]
-	if !okRef {
-		return active
-	}
+	refBlock := b.blockOf[ref]
 	survivors = active[:0]
 	for _, i := range active {
-		if i == ref || pinned[i] {
+		if i == ref || b.pinned[i] {
 			survivors = append(survivors, i)
 			continue
 		}
-		bi, ok := blockOf[i]
-		if !ok {
-			survivors = append(survivors, i)
-			continue
-		}
-		tr := pairs[i]
+		tr := b.pairs[i]
 		if tr == nil {
 			tr = &sample.Paired{}
-			pairs[i] = tr
+			b.pairs[i] = tr
 		}
+		bi := b.blockOf[i]
 		for t := 0; t < span; t++ {
-			d := slots[(bi*span+t)*p.width+p.valueFig] - slots[(refBlock*span+t)*p.width+p.valueFig]
-			tr.Add(d)
+			tr.Add(slots[(bi*span+t)*p.width+p.valueFig] - slots[(refBlock*span+t)*p.width+p.valueFig])
 		}
 		if tr.LowerBound(delta, check) > 0 {
 			eliminate(i)
@@ -516,8 +545,8 @@ func (p *Problem) race(cands []candidate, out []scored, kernels []probir.Partial
 	return survivors
 }
 
-// confirmBest re-evaluates a partially evaluated search result on the fixed
-// path, so every returned Result is backed by a complete evaluation (exact
+// confirmBest re-evaluates a partially evaluated search result at full
+// precision, so every returned Result is backed by a complete evaluation (exact
 // value, probabilities, and violation). Feasible early stops by the exact
 // rule are guaranteed to stay feasible; the confirmation refines the
 // reported numbers.
@@ -525,7 +554,7 @@ func (p *Problem) confirmBest(s *scored) error {
 	if s == nil || s.worlds == 0 || s.worlds >= p.worlds {
 		return nil
 	}
-	batch := p.evaluateFixed([]candidate{{state: s.state, key: s.key}})
+	batch := p.evaluate([]candidate{{state: s.state, key: s.key}}, false)
 	if batch[0].err != nil {
 		return batch[0].err
 	}

@@ -1,23 +1,28 @@
 package opt
 
 import (
-	"math/rand"
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"deco/internal/device"
 	"deco/internal/probir"
 )
 
-// mapOnlySpace has no kernel decomposition at all: evaluation only via the
-// generic map path. Used to pin the Worlds-assertion error.
+// mapOnlySpace has no per-world decomposition at all: its evaluation is a
+// world-free kernel. Used to pin the Worlds-assertion error.
 type mapOnlySpace struct{}
 
-func (mapOnlySpace) Initial() State            { return State{0} }
-func (mapOnlySpace) Neighbors(s State) []State { return nil }
-func (mapOnlySpace) Evaluate(s State, rng *rand.Rand) (*probir.Evaluation, error) {
-	return &probir.Evaluation{Value: 1, Feasible: true}, nil
+func (mapOnlySpace) Starts() []State               { return []State{{0}} }
+func (mapOnlySpace) Neighbors(s State) []Transform { return nil }
+func (mapOnlySpace) Describe(int64) Descriptor {
+	return Descriptor{Kernel: func(State) (probir.WorldKernel, error) {
+		return evalKernel(func() (*probir.Evaluation, error) {
+			return &probir.Evaluation{Value: 1, Feasible: true}, nil
+		}), nil
+	}}
 }
 
 // TestCompileAdaptiveOptionValidation pins the Compile-time validation of the
@@ -282,5 +287,69 @@ func TestSnapStoreOverwriteAccounting(t *testing.T) {
 	}
 	if got, ok := s.get("k"); !ok || got != b {
 		t.Fatalf("get after overwrite: %v %v", got, ok)
+	}
+}
+
+// failingReduceKernel is a one-indicator partial kernel whose every world
+// satisfies its constraint and whose reductions all fail; samples counts
+// the worlds actually sampled.
+type failingReduceKernel struct{ samples *atomic.Int64 }
+
+var errFakeReduce = errors.New("fake reduction failure")
+
+func (k failingReduceKernel) Worlds() int { return 64 }
+func (k failingReduceKernel) Width() int  { return 1 }
+func (k failingReduceKernel) Sample(it int, out []float64) error {
+	k.samples.Add(1)
+	out[0] = 1
+	return nil
+}
+func (k failingReduceKernel) Reduce([]float64) (*probir.Evaluation, error) { return nil, errFakeReduce }
+func (k failingReduceKernel) Indicators() ([]int, []float64, bool) {
+	return []int{0}, []float64{0.5}, true
+}
+func (k failingReduceKernel) ValueFigure() int { return -1 }
+func (k failingReduceKernel) ReducePartial([]float64, int) (*probir.Evaluation, error) {
+	return nil, errFakeReduce
+}
+
+// failingReduceSpace evaluates every state with a failingReduceKernel.
+type failingReduceSpace struct{ samples atomic.Int64 }
+
+func (s *failingReduceSpace) Starts() []State             { return []State{{0}} }
+func (s *failingReduceSpace) Neighbors(State) []Transform { return nil }
+func (s *failingReduceSpace) Describe(int64) Descriptor {
+	return Descriptor{Kernel: func(State) (probir.WorldKernel, error) {
+		return failingReduceKernel{&s.samples}, nil
+	}}
+}
+
+// TestAdaptiveReduceErrorCountsWorldsOnce pins the world accounting of
+// failed reductions: whether a state's final reduction, its prefix
+// finalization or racing's optimistic reduction fails, its spend counts once
+// — WorldsRun equals the worlds actually sampled and stays within budget.
+func TestAdaptiveReduceErrorCountsWorldsOnce(t *testing.T) {
+	for _, minWorlds := range []int{16, 63} {
+		sp := &failingReduceSpace{}
+		p, err := Compile(sp, Options{Device: device.TwoLevel{NumWorkers: 3}, Seed: 5, Adaptive: true, MinWorlds: minWorlds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Adaptive() {
+			t.Fatal("space did not compile adaptive")
+		}
+		var cands []candidate
+		for i := 0; i < 5; i++ {
+			cands = append(cands, candidate{state: State{i}, key: State{i}.Key()})
+		}
+		for i, s := range p.evaluateCandidates(cands) {
+			if !errors.Is(s.err, errFakeReduce) {
+				t.Fatalf("min %d state %d: want the reduction error, got eval %+v err %v", minWorlds, i, s.eval, s.err)
+			}
+		}
+		st := p.SampleStats()
+		if st.WorldsRun != sp.samples.Load() || st.WorldsRun > st.WorldsBudget {
+			t.Fatalf("min %d: WorldsRun %d, sampled %d, budget %d", minWorlds, st.WorldsRun, sp.samples.Load(), st.WorldsBudget)
+		}
 	}
 }

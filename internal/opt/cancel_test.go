@@ -3,7 +3,6 @@ package opt
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,21 +20,27 @@ type slowSpace struct {
 	evals atomic.Int64
 }
 
-func (s *slowSpace) Initial() State { return make(State, s.n) }
+func (s *slowSpace) Starts() []State { return []State{make(State, s.n)} }
 
-func (s *slowSpace) Neighbors(st State) []State {
-	var out []State
+func (s *slowSpace) Neighbors(st State) []Transform {
+	var out []Transform
 	for i := 0; i < s.n; i++ {
 		if st[i]+1 < s.types {
 			c := st.Clone()
 			c[i]++
-			out = append(out, c)
+			out = append(out, Transform{Child: c})
 		}
 	}
 	return out
 }
 
-func (s *slowSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, error) {
+func (s *slowSpace) Describe(int64) Descriptor {
+	return Descriptor{Kernel: func(st State) (probir.WorldKernel, error) {
+		return evalKernel(func() (*probir.Evaluation, error) { return s.evaluate(st) }), nil
+	}}
+}
+
+func (s *slowSpace) evaluate(st State) (*probir.Evaluation, error) {
 	s.evals.Add(1)
 	time.Sleep(s.delay)
 	v := 0.0

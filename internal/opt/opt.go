@@ -75,18 +75,87 @@ func (s State) Key() string {
 }
 
 // Space defines a search problem. Implementations exist for the three use
-// cases (scheduling here, ensembles and follow-the-cost in their packages).
+// cases (scheduling here, ensembles and follow-the-cost in their packages)
+// and for the runtime's residual replans.
 type Space interface {
-	// Initial is the search's start state (e.g. every task on the cheapest
-	// type, as in Figure 5b).
-	Initial() State
+	// Starts are the search's start states (e.g. every task on the cheapest
+	// type, as in Figure 5b); at least one.
+	Starts() []State
 	// Neighbors generates the child states of s via the transformation
-	// operations.
-	Neighbors(s State) []State
-	// Evaluate scores s with Monte-Carlo inference. It must be
-	// deterministic given rng and safe for concurrent calls with distinct
-	// rngs.
-	Evaluate(s State, rng *rand.Rand) (*probir.Evaluation, error)
+	// operations, in a deterministic order.
+	Neighbors(s State) []Transform
+	// Describe binds the space's evaluation to one search seed.
+	Describe(seed int64) Descriptor
+}
+
+// Transform is one transformation edge of the search graph: the child state
+// produced from a parent plus the metadata delta evaluation needs — which
+// operation ran and exactly which task assignments changed.
+type Transform struct {
+	// Op is the transformation operation that produced Child (scheduling
+	// spaces only).
+	Op Op
+	// Tasks are the task indices whose assignment differs between the
+	// parent and Child, or nil when the space does not annotate its
+	// transitions. The slice is owned by the Transform and must not alias
+	// the parent state.
+	Tasks []int32
+	// Child is the resulting state.
+	Child State
+}
+
+// Descriptor is how a space describes its evaluation to the solver for one
+// search seed: every state evaluates as a per-world kernel plus reduction
+// (package probir), run as one device block of Monte-Carlo threads.
+type Descriptor struct {
+	// Kernel builds one state's world kernel. Every state of a space must
+	// share the kernel shape (worlds and figures) of the first start state;
+	// a kernel that differs is an error for that state.
+	Kernel func(s State) (probir.WorldKernel, error)
+	// Fingerprint is a content hash of everything an evaluation depends on
+	// (program, distributions, objective). It gates the evaluation cache —
+	// empty means the space cannot vouch for its identity and caching is
+	// disabled.
+	Fingerprint string
+	// WorldOrder, when set, computes a decisive-world-first permutation of
+	// the Monte-Carlo worlds: position p holds the p-th world to run. The
+	// solver calls it only when adaptive evaluation engages, and runs worlds
+	// in this order so likely-violating worlds land in the first chunks: the
+	// exact worst-case stopping interval is a bound over the fixed finite
+	// world set and stays valid under any fixed permutation. The permutation
+	// must be a pure function of (program content, seed) — never of device
+	// or state — so adaptive decisions stay device-identical.
+	WorldOrder func() []int32
+	// Delta, when set, lets the solver evaluate a child incrementally from
+	// its parent's per-world finish times.
+	Delta *DeltaHooks
+}
+
+// DeltaHooks is the incremental-evaluation capability of a space whose
+// kernels share one world realization per seed (probir's CRN contract):
+// every evaluated state can capture a finish-time snapshot, and a child
+// whose Transform names its changed tasks evaluates over the dirty cone of
+// those tasks from its parent's snapshot, bit-identically to a full
+// evaluation.
+type DeltaHooks struct {
+	// NewSnapshot returns a pooled snapshot sized for this space's
+	// evaluation, or nil when evaluations have no reusable per-world state
+	// (which disables delta evaluation at Compile).
+	NewSnapshot func() *probir.Snapshot
+	// ReleaseSnapshot returns a snapshot to the pool.
+	ReleaseSnapshot func(*probir.Snapshot)
+	// Capture is Kernel, additionally capturing the state's per-world finish
+	// times into snap.
+	Capture func(s State, snap *probir.Snapshot) (probir.WorldKernel, error)
+	// PlanCone extracts the dirty cone of one changed-task set into an
+	// immutable, shareable plan; the solver caches one plan per distinct
+	// dirty set, so sibling children changing the same task group share one
+	// cone extraction and one delta-vs-full decision.
+	PlanCone func(dirty []int32) (*probir.ConePlan, error)
+	// Planned builds the kernel evaluating s from its parent's snapshot over
+	// the plan's cone, capturing into snap. Returns (nil, nil) when delta
+	// does not apply; the solver then evaluates fully.
+	Planned func(s State, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error)
 }
 
 // Options configures a search.
@@ -103,13 +172,14 @@ type Options struct {
 	// Patience stops the search after this many levels (generic) or
 	// expansions (A*) without improvement.
 	Patience int
-	// Seed makes runs reproducible. Under the common-random-number contract
-	// it is the search-level CRN base: every state in the search shares the
-	// same world realizations, keyed by (task, type, iteration); spaces
-	// without CRN support derive a per-state rng from Seed and the state
-	// key. Either way results are identical across devices. The zero value
-	// defaults to 1 (fillDefaults), matching DefaultOptions, so a zero-value
-	// Options and DefaultOptions agree.
+	// Seed makes runs reproducible; the space's Describe binds it. Under the
+	// common-random-number contract it is the search-level CRN base: every
+	// state in the search shares the same world realizations, keyed by
+	// (task, type, iteration); kernels that cannot share realizations draw
+	// from a per-state substream (StateBase). Either way results are
+	// identical across devices. The zero value defaults to 1 (fillDefaults),
+	// matching DefaultOptions, so a zero-value Options and DefaultOptions
+	// agree.
 	Seed int64
 	// AStar selects best-first search with pruning instead of the generic
 	// breadth-first search.
@@ -120,8 +190,8 @@ type Options struct {
 	Ctx context.Context
 	// Cache, when set, memoizes state evaluations across searches (a
 	// transposition table). It is only consulted when the space identifies
-	// its program via FingerprintSpace; evaluations are deterministic given
-	// (fingerprint, seed, state), so hits are bit-identical to live
+	// its program (Descriptor.Fingerprint); evaluations are deterministic
+	// given (fingerprint, seed, state), so hits are bit-identical to live
 	// evaluation and search trajectories do not depend on cache warmth.
 	Cache *EvalCache
 	// CacheScope labels this search's cache traffic for per-scope hit/miss
@@ -144,16 +214,16 @@ type Options struct {
 	// pessimistic violation estimates, so the search trajectory may differ
 	// while plan quality is preserved (the final best is always confirmed by
 	// a full evaluation). Off (the default) is the deterministic mode: bit
-	// identical to all prior behavior. Adaptive engages only when the space
-	// compiles onto the kernel path with indicator-backed constraints; it is
-	// silently inert otherwise (see Problem.SampleStats).
+	// identical to all prior behavior. Adaptive engages only when the
+	// space's kernels decide feasibility from indicator-backed constraints;
+	// it is silently inert otherwise (see Problem.SampleStats).
 	Adaptive bool
 	// DisableWorldOrder keeps adaptive evaluation on the plain ascending
 	// world schedule even when the space offers a decisive-world-first
-	// permutation (WorldOrderSpace). Ordering changes which world prefix the
-	// sequential stopping rules see — never their soundness — so this switch
-	// trades wall clock only; it exists to reproduce the unordered adaptive
-	// baseline exactly (benchmarks, bisection).
+	// permutation (Descriptor.WorldOrder). Ordering changes which world
+	// prefix the sequential stopping rules see — never their soundness — so
+	// this switch trades wall clock only; it exists to reproduce the
+	// unordered adaptive baseline exactly (benchmarks, bisection).
 	DisableWorldOrder bool
 	// Worlds, when positive, asserts the per-state Monte-Carlo world count
 	// the compiled kernel must have; Compile fails with a clear error on a
@@ -195,11 +265,10 @@ type Result struct {
 }
 
 // scored pairs a state with its evaluation. worlds is the number of
-// Monte-Carlo worlds the evaluation actually ran: 0 on the fixed paths
-// (always complete), the stop point on the adaptive path. A partial count
-// below the compiled world cap marks a pessimistic verdict that must not
-// enter the evaluation cache and that the search confirms fully before
-// returning the state as its result.
+// Monte-Carlo worlds the evaluation actually ran (0 for a cache hit, always
+// complete). A partial count below the compiled world cap marks a
+// pessimistic verdict that must not enter the evaluation cache and that the
+// search confirms fully before returning the state as its result.
 type scored struct {
 	state  State
 	key    string
@@ -210,9 +279,9 @@ type scored struct {
 
 // candidate is a state queued for evaluation together with its provenance:
 // the key of the parent it was expanded from and the tasks the producing
-// transformation changed, when known. Provenance is what lets the kernel
-// path route a state through delta evaluation; a candidate without it (a
-// start state, or a space without transform metadata) evaluates fully.
+// transformation changed, when known. Provenance is what lets the solver
+// route a state through delta evaluation; a candidate without it (a start
+// state, or a space without transform metadata) evaluates fully.
 type candidate struct {
 	state     State
 	key       string
@@ -236,127 +305,14 @@ func score(ev *probir.Evaluation, maximize bool) float64 {
 	return 1e15 * (1 + ev.Violation)
 }
 
-// stateRng derives a deterministic rng for a state so evaluation results do
-// not depend on scheduling order or device.
-func stateRng(seed int64, key string) *rand.Rand {
+// StateBase derives a state's world-substream base from the search seed and
+// the state key, for kernels that cannot share realizations across states
+// (probir.WorldRNG): evaluation results then depend on neither the
+// scheduling order nor the device.
+func StateBase(seed int64, key string) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
-}
-
-// KernelSpace is an optional Space extension: a space whose Monte-Carlo
-// evaluation decomposes into a per-world kernel plus reduction (package
-// probir), letting a BlockDevice schedule Monte-Carlo iterations as threads
-// within a state's block. Kernel returns (nil, nil) when the state's
-// evaluation has no world decomposition; the solver then falls back to
-// state-level parallelism.
-type KernelSpace interface {
-	Space
-	Kernel(s State) (probir.WorldKernel, error)
-}
-
-// CRNSpace is the preferred Space extension: a space whose kernels run under
-// the common-random-number contract (probir.CRNEvaluator). All states of a
-// search share one duration matrix keyed by the search seed, so evaluating a
-// neighbor state only samples the rows its changed assignments need, and
-// state-vs-state comparisons see identical randomness. CRNKernel returns
-// (nil, nil) when the state's evaluation has no CRN decomposition.
-type CRNSpace interface {
-	Space
-	CRNKernel(s State, base int64) (probir.WorldKernel, error)
-}
-
-// Transform is one transformation edge of the search graph: the child state
-// produced from a parent plus the metadata delta evaluation needs — which
-// operation ran and exactly which task assignments changed.
-type Transform struct {
-	// Op is the transformation operation that produced Child.
-	Op Op
-	// Tasks are the task indices whose assignment differs between the
-	// parent and Child. The slice is owned by the Transform and must not
-	// alias the parent state.
-	Tasks []int32
-	// Child is the resulting state.
-	Child State
-}
-
-// TransformSpace is an optional Space extension: neighbor generation that
-// reports which tasks each transformation touched. TransformNeighbors must
-// produce exactly the states Neighbors produces, in the same order — it is
-// the same expansion, annotated — so a search routed through either is
-// identical. The solver uses the annotations to evaluate children
-// incrementally from their parent's finish-time snapshot.
-type TransformSpace interface {
-	Space
-	TransformNeighbors(s State) []Transform
-}
-
-// DeltaSpace is an optional extension of CRNSpace: a space whose CRN kernels
-// can capture per-world finish-time snapshots and evaluate a child
-// configuration incrementally from its parent's snapshot (probir's
-// DeltaEvaluator lifted to search states). The solver enables delta
-// evaluation when a space implements both DeltaSpace and TransformSpace and
-// NewSnapshot returns non-nil.
-type DeltaSpace interface {
-	CRNSpace
-	// NewSnapshot returns a pooled snapshot sized for this space's
-	// evaluation, or nil when evaluations have no reusable per-world state.
-	NewSnapshot() *probir.Snapshot
-	// ReleaseSnapshot returns a snapshot to the pool.
-	ReleaseSnapshot(s *probir.Snapshot)
-	// CRNKernelSnap is CRNKernel, additionally capturing the state's
-	// per-world finish times into snap.
-	CRNKernelSnap(s State, base int64, snap *probir.Snapshot) (probir.WorldKernel, error)
-	// CRNDeltaKernel builds a kernel evaluating s from its parent's
-	// snapshot, recomputing only the dirty tasks' cone, and capturing into
-	// snap. Returns (nil, nil) when delta does not apply; the caller then
-	// evaluates fully.
-	CRNDeltaKernel(s State, base int64, dirty []int32, parent, snap *probir.Snapshot) (probir.WorldKernel, error)
-}
-
-// WorldOrderSpace is an optional extension of CRNSpace: a fixed
-// decisive-world-first permutation of the Monte-Carlo worlds (probir's
-// WorldOrderer lifted to spaces). When present, adaptive evaluation runs
-// worlds in this order so likely-violating worlds land in the first chunks:
-// the exact worst-case stopping interval is a bound over the fixed finite
-// world set and stays valid under any fixed permutation, so near-boundary
-// infeasible states refute after a handful of severe worlds and feasible
-// states confirm at the tail checkpoints instead of always running to the
-// cap. The permutation must be a pure function of (program content, base) —
-// never of device or state — so adaptive decisions stay device-identical.
-type WorldOrderSpace interface {
-	CRNSpace
-	// WorldOrder returns the permutation for the CRN base: position p holds
-	// the p-th world to run. The slice is shared and read-only; nil disables
-	// ordering.
-	WorldOrder(base int64) []int32
-}
-
-// PlannedDeltaSpace is an optional extension of DeltaSpace: delta kernel
-// construction with the dirty-cone extraction hoisted into a reusable plan
-// (probir's PlanCone / CRNDeltaKernelPlanned lifted to spaces). The solver
-// caches one plan per distinct dirty set, so sibling children that change the
-// same task group — the whole expansion under GroupByExecutable — share a
-// single cone extraction, and the plan's work-estimate model decides
-// delta-vs-full once per group instead of once per child.
-type PlannedDeltaSpace interface {
-	DeltaSpace
-	// PlanCone extracts the dirty cone of one changed-task set into an
-	// immutable, shareable plan.
-	PlanCone(dirty []int32) (*probir.ConePlan, error)
-	// CRNDeltaKernelPlanned is CRNDeltaKernel with the plan precomputed; the
-	// kernel borrows the plan's cone read-only. Returns (nil, nil) when delta
-	// does not apply (including a plan whose work model declined).
-	CRNDeltaKernelPlanned(s State, base int64, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error)
-}
-
-// FingerprintSpace is an optional Space extension: a content hash of
-// everything an evaluation depends on (program, distributions, objective).
-// It gates the evaluation cache — an empty fingerprint means the space
-// cannot vouch for its identity and caching is disabled.
-type FingerprintSpace interface {
-	Space
-	Fingerprint() string
+	return rand.New(rand.NewSource(seed ^ int64(h.Sum64()))).Int63()
 }
 
 // dedupCandidates returns the candidates not already visited, deduplicated
@@ -412,21 +368,12 @@ func fillDefaults(opt *Options) {
 	}
 }
 
-// MultiStartSpace is an optional extension: a space offering several start
-// states. The scheduling space uses it so tight-deadline problems (where
-// the all-cheapest start is far from feasibility) also search downhill from
-// the all-fastest state — the Demote direction of the transformation set.
-type MultiStartSpace interface {
-	Space
-	Starts() []State
-}
-
 // Search compiles the space against the options and runs the solver,
 // returning the best state found: Compile then Problem.Search. It dispatches
 // to A* when opt.AStar is set, otherwise to the generic search of
-// Algorithm 2. For MultiStartSpaces all starts seed the same frontier, so
-// the shared budget flows to the most promising region and the exploitation
-// phase descends from the single global incumbent.
+// Algorithm 2. All start states seed the same frontier, so the shared budget
+// flows to the most promising region and the exploitation phase descends
+// from the single global incumbent.
 func Search(sp Space, opt Options) (*Result, error) {
 	p, err := Compile(sp, opt)
 	if err != nil {

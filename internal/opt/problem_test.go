@@ -3,7 +3,6 @@ package opt
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -11,9 +10,18 @@ import (
 	"deco/internal/probir"
 )
 
-// fakeKernel is a one-figure kernel whose reduced value marks the kernel
-// path: Value = state component. The map path's marker is 1000 + component
-// (fakeSpace.Evaluate), so tests can tell which path scored a state.
+// evalKernel is a world-free kernel whose evaluation happens at reduction:
+// test spaces with a plain per-state evaluation run the solver's one path
+// through it.
+type evalKernel func() (*probir.Evaluation, error)
+
+func (evalKernel) Worlds() int                                    { return 0 }
+func (evalKernel) Width() int                                     { return 0 }
+func (evalKernel) Sample(int, []float64) error                    { return nil }
+func (k evalKernel) Reduce([]float64) (*probir.Evaluation, error) { return k() }
+
+// fakeKernel is a one-figure kernel whose reduced value is the state
+// component it was built for.
 type fakeKernel struct {
 	worlds, width int
 	val           float64
@@ -21,7 +29,7 @@ type fakeKernel struct {
 
 func (k *fakeKernel) Worlds() int { return k.worlds }
 func (k *fakeKernel) Width() int  { return k.width }
-func (k *fakeKernel) Sample(it int, _ *rand.Rand, out []float64) error {
+func (k *fakeKernel) Sample(it int, out []float64) error {
 	out[0] = k.val
 	return nil
 }
@@ -29,38 +37,35 @@ func (k *fakeKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
 	return &probir.Evaluation{Value: sums[0] / float64(k.worlds), Feasible: true}, nil
 }
 
-// fakeSpace drives the kernel-fallback machinery: a state's first component
-// selects its kernel-construction behavior — 0 mod 3 builds a normal kernel,
-// 1 mod 3 fails construction, 2 mod 3 drifts from the compiled shape.
+// fakeSpace drives the per-state kernel error handling: a state's first
+// component selects its kernel-construction behavior — 0 mod 3 builds a
+// normal kernel, 1 mod 3 fails construction, 2 mod 3 drifts from the
+// compiled shape.
 type fakeSpace struct{}
 
 var errFakeBuild = errors.New("fake kernel construction failure")
 
-func (fakeSpace) Initial() State            { return State{0} }
-func (fakeSpace) Neighbors(s State) []State { return nil }
-func (fakeSpace) Evaluate(s State, rng *rand.Rand) (*probir.Evaluation, error) {
-	return &probir.Evaluation{Value: 1000 + float64(s[0]), Feasible: true}, nil
-}
-func (fakeSpace) CRNKernel(s State, base int64) (probir.WorldKernel, error) {
-	switch s[0] % 3 {
-	case 1:
-		return nil, fmt.Errorf("state %d: %w", s[0], errFakeBuild)
-	case 2:
-		return &fakeKernel{worlds: 7, width: 1, val: float64(s[0])}, nil // drifted shape
-	}
-	return &fakeKernel{worlds: 4, width: 1, val: float64(s[0])}, nil
+func (fakeSpace) Starts() []State               { return []State{{0}} }
+func (fakeSpace) Neighbors(s State) []Transform { return nil }
+func (fakeSpace) Describe(int64) Descriptor {
+	return Descriptor{Kernel: func(s State) (probir.WorldKernel, error) {
+		switch s[0] % 3 {
+		case 1:
+			return nil, fmt.Errorf("state %d: %w", s[0], errFakeBuild)
+		case 2:
+			return &fakeKernel{worlds: 7, width: 1, val: float64(s[0])}, nil // drifted shape
+		}
+		return &fakeKernel{worlds: 4, width: 1, val: float64(s[0])}, nil
+	}}
 }
 
 // TestKernelConstructionErrorSurfaces pins the clean-batch contract: a state
 // whose kernel fails to build reports that error even though every other
-// state in the batch evaluates fine on the kernel path.
+// state in the batch evaluates fine.
 func TestKernelConstructionErrorSurfaces(t *testing.T) {
 	p, err := Compile(fakeSpace{}, Options{Device: device.Sequential{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if k, crn := p.Kerneled(); !k || !crn {
-		t.Fatalf("fake space should compile CRN-kerneled, got kernel=%v crn=%v", k, crn)
 	}
 	cands := []candidate{
 		{state: State{0}, key: State{0}.Key()},
@@ -79,41 +84,41 @@ func TestKernelConstructionErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestKernelDriftFallbackPreservesErrors is the regression test for the
-// drifted-batch bug: when one state's kernel shape drifts from the compiled
-// probe the whole batch falls back to the generic map path — but a state
-// whose kernel construction FAILED must keep its error rather than silently
-// re-running (and succeeding) under different state-keyed randomness.
+// TestKernelDriftFallbackPreservesErrors pins the per-state error contract on
+// every device: a kernel whose shape drifts from the compiled probe is an
+// error for that state only, the other states of the batch evaluate on
+// their kernels, and a state whose kernel construction failed keeps its
+// construction error.
 func TestKernelDriftFallbackPreservesErrors(t *testing.T) {
-	p, err := Compile(fakeSpace{}, Options{Device: device.Sequential{}, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := []candidate{
-		{state: State{0}, key: State{0}.Key()}, // normal kernel
-		{state: State{1}, key: State{1}.Key()}, // construction error
-		{state: State{2}, key: State{2}.Key()}, // drifted shape -> batch fallback
-		{state: State{6}, key: State{6}.Key()}, // normal kernel, after the drift
-	}
-	out := p.evaluateCandidates(cands)
-	// Drift sends survivors to the map path (marker 1000+x), consistently.
-	for _, i := range []int{0, 2, 3} {
-		want := 1000 + float64(cands[i].state[0])
-		if out[i].err != nil || out[i].eval == nil || out[i].eval.Value != want {
-			t.Fatalf("state %v: want map value %v, got %+v (err %v)",
-				cands[i].state, want, out[i].eval, out[i].err)
+	for _, dev := range []device.Device{device.Sequential{}, device.Parallel{NumBlocks: 3}, device.TwoLevel{NumWorkers: 3}} {
+		p, err := Compile(fakeSpace{}, Options{Device: dev, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !errors.Is(out[1].err, errFakeBuild) {
-		t.Fatalf("errored state lost its construction error in the fallback: eval %+v err %v",
-			out[1].eval, out[1].err)
-	}
-	if out[1].eval != nil {
-		t.Fatalf("errored state produced an evaluation via the map path: %+v", out[1].eval)
-	}
-	// The search surface rejects the batch with the construction error.
-	if _, err := p.EvaluateStates([]State{{0}, {1}, {2}}); !errors.Is(err, errFakeBuild) {
-		t.Fatalf("EvaluateStates: want construction error, got %v", err)
+		cands := []candidate{
+			{state: State{0}, key: State{0}.Key()}, // normal kernel
+			{state: State{1}, key: State{1}.Key()}, // construction error
+			{state: State{2}, key: State{2}.Key()}, // drifted shape
+			{state: State{6}, key: State{6}.Key()}, // normal kernel, after the drift
+		}
+		out := p.evaluateCandidates(cands)
+		for _, i := range []int{0, 3} {
+			want := float64(cands[i].state[0])
+			if out[i].err != nil || out[i].eval == nil || out[i].eval.Value != want {
+				t.Fatalf("%s: state %v: want kernel value %v, got %+v (err %v)",
+					dev.Name(), cands[i].state, want, out[i].eval, out[i].err)
+			}
+		}
+		if !errors.Is(out[1].err, errFakeBuild) || out[1].eval != nil {
+			t.Fatalf("%s: errored state lost its construction error: eval %+v err %v", dev.Name(), out[1].eval, out[1].err)
+		}
+		if out[2].err == nil || !strings.Contains(out[2].err.Error(), "differs from the compiled") || out[2].eval != nil {
+			t.Fatalf("%s: drifted state: want shape error, got eval %+v err %v", dev.Name(), out[2].eval, out[2].err)
+		}
+		// The search surface rejects the batch with the first state's error.
+		if _, err := p.EvaluateStates([]State{{0}, {1}, {2}}); !errors.Is(err, errFakeBuild) {
+			t.Fatalf("%s: EvaluateStates: want construction error, got %v", dev.Name(), err)
+		}
 	}
 }
 
@@ -141,10 +146,10 @@ func deltaProblem(t *testing.T, budget int64) (*Problem, *Problem, *ScheduleSpac
 // bit-identically to the delta-disabled problem.
 func TestEvaluateExpansionDeltaMatchesFull(t *testing.T) {
 	on, off, _ := deltaProblem(t, 0)
-	if !on.delta {
+	if on.delta == nil {
 		t.Fatal("problem did not compile with delta evaluation")
 	}
-	if off.delta {
+	if off.delta != nil {
 		t.Fatal("SnapshotBudget -1 did not disable delta")
 	}
 
@@ -247,22 +252,19 @@ func TestSearchDeltaInvariance(t *testing.T) {
 	}
 }
 
-// TestTransformNeighborsMatchesNeighbors pins the TransformSpace contract:
-// same children, same order, and Tasks lists exactly the changed indices.
+// TestTransformNeighborsMatchesNeighbors pins the scheduling space's
+// Transform contract: Tasks lists exactly the changed indices, and every
+// transition is a Promote or Demote.
 func TestTransformNeighborsMatchesNeighbors(t *testing.T) {
 	w := cpuChain(t, 5, 100)
 	ne, _ := buildEval(t, w, 0, 0, 10)
 	space := NewScheduleSpace(w, ne)
 	st := State{0, 1, 2, 0, 3}
-	ns := space.Neighbors(st)
-	trs := space.TransformNeighbors(st)
-	if len(ns) != len(trs) {
-		t.Fatalf("Neighbors %d != TransformNeighbors %d", len(ns), len(trs))
+	trs := space.Neighbors(st)
+	if len(trs) == 0 {
+		t.Fatal("no neighbors")
 	}
-	for i := range ns {
-		if ns[i].Key() != trs[i].Child.Key() {
-			t.Fatalf("child %d: %v != %v", i, ns[i], trs[i].Child)
-		}
+	for i := range trs {
 		changed := map[int32]bool{}
 		for j := range st {
 			if trs[i].Child[j] != st[j] {

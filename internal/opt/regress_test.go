@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"deco/internal/device"
@@ -10,9 +9,8 @@ import (
 )
 
 // graphSpace is a synthetic single-component search space: states are
-// one-element vectors, transitions and evaluations come from explicit maps.
-// It is deliberately NOT a KernelSpace, so searches run the generic
-// evaluation path.
+// one-element vectors, transitions and evaluations come from explicit maps,
+// evaluated as world-free kernels.
 type graphSpace struct {
 	values    map[int]float64
 	violation map[int]float64 // >0 marks the state infeasible
@@ -20,17 +18,23 @@ type graphSpace struct {
 	start     int
 }
 
-func (g *graphSpace) Initial() State { return State{g.start} }
+func (g *graphSpace) Starts() []State { return []State{{g.start}} }
 
-func (g *graphSpace) Neighbors(s State) []State {
-	var out []State
+func (g *graphSpace) Neighbors(s State) []Transform {
+	var out []Transform
 	for _, n := range g.neighbors[s[0]] {
-		out = append(out, State{n})
+		out = append(out, Transform{Child: State{n}})
 	}
 	return out
 }
 
-func (g *graphSpace) Evaluate(s State, _ *rand.Rand) (*probir.Evaluation, error) {
+func (g *graphSpace) Describe(int64) Descriptor {
+	return Descriptor{Kernel: func(s State) (probir.WorldKernel, error) {
+		return evalKernel(func() (*probir.Evaluation, error) { return g.evaluate(s) }), nil
+	}}
+}
+
+func (g *graphSpace) evaluate(s State) (*probir.Evaluation, error) {
 	x := s[0]
 	v, ok := g.values[x]
 	if !ok {

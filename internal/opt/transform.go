@@ -143,11 +143,10 @@ func (s *ScheduleSpace) Initial() State {
 	return make(State, s.W.Len())
 }
 
-// Starts implements MultiStartSpace: one homogeneous configuration per
-// instance type, from the all-cheapest state of Figure 5b to the
-// all-fastest one, so every deadline regime has a nearby start and the
-// packing-friendly homogeneous plans are all reachable. An explicit Init
-// suppresses multi-start.
+// Starts implements Space: one homogeneous configuration per instance type,
+// from the all-cheapest state of Figure 5b to the all-fastest one, so every
+// deadline regime has a nearby start and the packing-friendly homogeneous
+// plans are all reachable. An explicit Init suppresses multi-start.
 func (s *ScheduleSpace) Starts() []State {
 	if s.Init != nil {
 		return []State{s.Init.Clone()}
@@ -164,14 +163,14 @@ func (s *ScheduleSpace) Starts() []State {
 	return starts
 }
 
-// TransformNeighbors implements TransformSpace: one child per (group,
-// enabled direction), as in Figure 5b where each child promotes one task,
-// plus one whole-workflow shift per direction, each annotated with the
-// operation and the exact task indices whose type changed. The global shift
+// Neighbors implements Space: one child per (group, enabled direction), as
+// in Figure 5b where each child promotes one task, plus one whole-workflow
+// shift per direction, each annotated with the operation and the exact task
+// indices whose type changed. The global shift
 // preserves type homogeneity, which the Merge/Co-Scheduling packing rewards
 // (heterogeneous plans cannot share instances across types), so it lets the
 // search cross the homogeneity ridge single-group moves cannot.
-func (s *ScheduleSpace) TransformNeighbors(st State) []Transform {
+func (s *ScheduleSpace) Neighbors(st State) []Transform {
 	k := s.Eval.NumTypes()
 	var out []Transform
 	for _, op := range s.Ops {
@@ -215,18 +214,10 @@ func (s *ScheduleSpace) TransformNeighbors(st State) []Transform {
 	return out
 }
 
-// Neighbors implements Space: TransformNeighbors with the transformation
-// metadata stripped — by construction the same children in the same order.
-func (s *ScheduleSpace) Neighbors(st State) []State {
-	trs := s.TransformNeighbors(st)
-	out := make([]State, len(trs))
-	for i, tr := range trs {
-		out[i] = tr.Child
-	}
-	return out
-}
-
-// Evaluate implements Space.
+// Evaluate scores one state with a state-keyed rng — the test oracle the
+// solver's evaluation of the space must reproduce: Native evaluates under
+// the CRN base rng.Int63(), Prolog over the world substream rng.Int63(),
+// and any CostFn replaces the goal value.
 func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, error) {
 	ev, err := s.Eval.Evaluate(st, rng)
 	if err != nil || s.CostFn == nil {
@@ -240,152 +231,63 @@ func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, 
 	return ev, nil
 }
 
-// Kernel implements KernelSpace: the evaluator's per-world kernel, when it
-// has one, with any CostFn objective applied at reduction time exactly as
-// Evaluate applies it after the Monte-Carlo loop.
-func (s *ScheduleSpace) Kernel(st State) (probir.WorldKernel, error) {
-	ke, ok := s.Eval.(probir.KernelEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := ke.Kernel(st)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// CRNKernel implements CRNSpace: the evaluator's common-random-number
-// kernel, when it has one, with any CostFn objective applied at reduction
-// time exactly as Evaluate applies it after the Monte-Carlo loop.
-func (s *ScheduleSpace) CRNKernel(st State, base int64) (probir.WorldKernel, error) {
-	ce, ok := s.Eval.(probir.CRNEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := ce.CRNKernel(st, base)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// NewSnapshot implements DeltaSpace: a pooled finish-time snapshot from the
-// evaluator, or nil when the evaluator cannot delta (which disables delta
-// evaluation at Compile time).
-func (s *ScheduleSpace) NewSnapshot() *probir.Snapshot {
-	if de, ok := s.Eval.(probir.DeltaEvaluator); ok {
-		return de.NewSnapshot()
-	}
-	return nil
-}
-
-// ReleaseSnapshot implements DeltaSpace.
-func (s *ScheduleSpace) ReleaseSnapshot(sn *probir.Snapshot) {
-	if de, ok := s.Eval.(probir.DeltaEvaluator); ok {
-		de.ReleaseSnapshot(sn)
-	}
-}
-
-// CRNKernelSnap implements DeltaSpace: CRNKernel with snapshot capture, with
-// any CostFn objective applied at reduction time exactly as Evaluate applies
-// it after the Monte-Carlo loop. Capture happens inside the wrapped kernel's
-// Sample, so the CostFn wrapper never affects the snapshot.
-func (s *ScheduleSpace) CRNKernelSnap(st State, base int64, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	de, ok := s.Eval.(probir.DeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := de.CRNKernelSnap(st, base, snap)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// CRNDeltaKernel implements DeltaSpace: the evaluator's incremental kernel
-// (nil when delta does not apply for this transition), with any CostFn
-// objective applied at reduction time.
-func (s *ScheduleSpace) CRNDeltaKernel(st State, base int64, dirty []int32, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	de, ok := s.Eval.(probir.DeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := de.CRNDeltaKernel(st, base, dirty, parent, snap)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// WorldOrder implements WorldOrderSpace: the evaluator's decisive-world-first
-// permutation, when it has one. The CostFn never affects it — ordering is a
-// property of the Monte-Carlo worlds, and the CostFn only rewrites the
-// reduced goal value.
-func (s *ScheduleSpace) WorldOrder(base int64) []int32 {
-	if wo, ok := s.Eval.(probir.WorldOrderer); ok {
-		return wo.WorldOrder(base)
-	}
-	return nil
-}
-
-// PlanCone implements PlannedDeltaSpace.
-func (s *ScheduleSpace) PlanCone(dirty []int32) (*probir.ConePlan, error) {
-	de, ok := s.Eval.(probir.PlannedDeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	return de.PlanCone(dirty)
-}
-
-// CRNDeltaKernelPlanned implements PlannedDeltaSpace: the evaluator's planned
-// incremental kernel, with any CostFn objective applied at reduction time.
-func (s *ScheduleSpace) CRNDeltaKernelPlanned(st State, base int64, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	de, ok := s.Eval.(probir.PlannedDeltaEvaluator)
-	if !ok {
-		return nil, nil
-	}
-	k, err := de.CRNDeltaKernelPlanned(st, base, plan, parent, snap)
-	if err != nil || k == nil {
-		return k, err
-	}
-	if s.CostFn == nil {
-		return k, nil
-	}
-	return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-}
-
-// Fingerprint implements FingerprintSpace: the evaluator's program
-// fingerprint composed with the objective tag. Empty (caching disabled) when
-// the evaluator cannot fingerprint itself or a CostFn has no CostTag.
-func (s *ScheduleSpace) Fingerprint() string {
-	fe, ok := s.Eval.(interface{ Fingerprint() string })
-	if !ok {
-		return ""
-	}
-	fp := fe.Fingerprint()
-	if fp == "" {
-		return ""
+// Describe implements Space. A Native evaluator runs under the
+// common-random-number contract with the seed as its CRN base: shared world
+// realizations, delta evaluation over dirty-cone plans, and the
+// decisive-world-first order. A Prolog evaluator interprets each world over
+// a state-keyed substream (StateBase). The fingerprint — and with it the
+// evaluation cache — is the Native program's, composed with the CostTag;
+// it is empty for Prolog and for a CostFn without a tag.
+func (s *ScheduleSpace) Describe(seed int64) Descriptor {
+	var d Descriptor
+	switch e := s.Eval.(type) {
+	case *probir.Native:
+		d.Kernel = func(st State) (probir.WorldKernel, error) { return s.objective(st)(e.CRNKernel(st, seed)) }
+		d.Fingerprint = e.Fingerprint()
+		d.WorldOrder = func() []int32 { return e.WorldOrder(seed) }
+		d.Delta = &DeltaHooks{
+			NewSnapshot:     e.NewSnapshot,
+			ReleaseSnapshot: e.ReleaseSnapshot,
+			PlanCone:        e.PlanCone,
+			Capture: func(st State, snap *probir.Snapshot) (probir.WorldKernel, error) {
+				return s.objective(st)(e.CRNKernelSnap(st, seed, snap))
+			},
+			Planned: func(st State, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
+				return s.objective(st)(e.CRNDeltaKernelPlanned(st, seed, plan, parent, snap))
+			},
+		}
+	case *probir.Prolog:
+		d.Kernel = func(st State) (probir.WorldKernel, error) {
+			return s.objective(st)(e.Kernel(st, StateBase(seed, st.Key())))
+		}
+	default:
+		d.Kernel = func(State) (probir.WorldKernel, error) {
+			return nil, fmt.Errorf("opt: evaluator %T has no world kernel", s.Eval)
+		}
 	}
 	if s.CostFn != nil {
+		// The closure cannot be hashed: without a tag a hit could carry the
+		// wrong objective.
 		if s.CostTag == "" {
-			return ""
+			d.Fingerprint = ""
+		} else if d.Fingerprint != "" {
+			d.Fingerprint += "|cost=" + s.CostTag
 		}
-		fp += "|cost=" + s.CostTag
 	}
-	return fp
+	return d
+}
+
+// objective returns the kernel post-processor of state st: any CostFn
+// objective applied at reduction time, exactly as Evaluate applies it after
+// the Monte-Carlo loop. Capture happens inside the wrapped kernel's Sample,
+// so the wrapper never affects a snapshot.
+func (s *ScheduleSpace) objective(st State) func(probir.WorldKernel, error) (probir.WorldKernel, error) {
+	return func(k probir.WorldKernel, err error) (probir.WorldKernel, error) {
+		if err != nil || k == nil || s.CostFn == nil {
+			return k, err
+		}
+		return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
+	}
 }
 
 // costFnKernel replaces the reduced goal value with the plan-level cost,

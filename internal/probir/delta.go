@@ -87,46 +87,6 @@ func (s *Snapshot) Bytes() int64 {
 	return int64(len(s.finish))*8 + int64(len(s.ms))*8 + int64(len(s.amax))*4
 }
 
-// DeltaEvaluator is a CRNEvaluator that can additionally capture per-world
-// finish-time snapshots and evaluate a neighbor configuration incrementally
-// from its parent's snapshot.
-type DeltaEvaluator interface {
-	CRNEvaluator
-	// NewSnapshot returns a pooled snapshot sized for this evaluator, or nil
-	// when evaluation involves no per-world finish times (nothing to reuse).
-	NewSnapshot() *Snapshot
-	// ReleaseSnapshot returns a snapshot to the pool. The caller must hold
-	// no kernel built against it.
-	ReleaseSnapshot(s *Snapshot)
-	// CRNKernelSnap is CRNKernel, additionally recording every world's
-	// finish times into snap (which must come from NewSnapshot; nil degrades
-	// to CRNKernel). The snapshot is valid once the kernel has run all
-	// worlds.
-	CRNKernelSnap(config []int, base int64, snap *Snapshot) (WorldKernel, error)
-	// CRNDeltaKernel builds a kernel that evaluates config by reusing the
-	// parent snapshot, recomputing only the cone of the dirty tasks — the
-	// tasks whose (task, type) assignment differs from the parent's — and
-	// capturing the result into snap so it can parent further deltas.
-	// Returns (nil, nil) when delta does not apply (no parent, base
-	// mismatch, or cone too large): the caller must then evaluate fully.
-	// The caller is responsible for dirty being exactly the set of tasks on
-	// which config and the parent's configuration differ.
-	CRNDeltaKernel(config []int, base int64, dirty []int32, parent, snap *Snapshot) (WorldKernel, error)
-}
-
-// PlannedDeltaEvaluator is a DeltaEvaluator whose dirty-cone extraction can
-// be hoisted into a reusable ConePlan: callers that expand many children off
-// one parent plan each distinct dirty set once and build every sibling's
-// kernel from the shared plan.
-type PlannedDeltaEvaluator interface {
-	DeltaEvaluator
-	// PlanCone extracts one dirty set's cone into an immutable plan.
-	PlanCone(dirty []int32) (*ConePlan, error)
-	// CRNDeltaKernelPlanned is CRNDeltaKernel with the plan precomputed; the
-	// kernel borrows the plan's cone and dirty mask read-only.
-	CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan, parent, snap *Snapshot) (WorldKernel, error)
-}
-
 // needsMSSampling reports whether evaluation samples per-world makespans —
 // the precondition for finish-time snapshots to exist at all.
 func (n *Native) needsMSSampling() bool {
@@ -141,8 +101,9 @@ func (n *Native) needsMSSampling() bool {
 	return false
 }
 
-// NewSnapshot implements DeltaEvaluator. Snapshots are pooled per Native;
-// the returned snapshot's contents are undefined until a capturing kernel
+// NewSnapshot returns a pooled snapshot sized for this evaluator, or nil
+// when evaluation involves no per-world finish times (nothing to reuse).
+// The returned snapshot's contents are undefined until a capturing kernel
 // has run.
 func (n *Native) NewSnapshot() *Snapshot {
 	if !n.needsMSSampling() {
@@ -174,7 +135,8 @@ func (n *Native) NewSnapshot() *Snapshot {
 // anything beyond goes to the GC.
 const snapFreeCap = 256
 
-// ReleaseSnapshot implements DeltaEvaluator.
+// ReleaseSnapshot returns a snapshot to the pool. The caller must hold no
+// kernel built against it.
 func (n *Native) ReleaseSnapshot(s *Snapshot) {
 	if s == nil {
 		return
@@ -186,7 +148,9 @@ func (n *Native) ReleaseSnapshot(s *Snapshot) {
 	n.snapMu.Unlock()
 }
 
-// CRNKernelSnap implements DeltaEvaluator.
+// CRNKernelSnap is CRNKernel, additionally recording every world's finish
+// times into snap (which must come from NewSnapshot; nil degrades to
+// CRNKernel). The snapshot is valid once the kernel has run all worlds.
 func (n *Native) CRNKernelSnap(config []int, base int64, snap *Snapshot) (WorldKernel, error) {
 	k, err := n.newCRNKernel(config, base)
 	if err != nil {
@@ -280,10 +244,14 @@ func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan,
 	return k, nil
 }
 
-// CRNDeltaKernel implements DeltaEvaluator: PlanCone + CRNDeltaKernelPlanned
-// for callers without a plan cache. Each call re-extracts the cone; the
-// solver's compiled pipeline uses the planned form with a shared plan per
-// dirty set instead.
+// CRNDeltaKernel builds a kernel that evaluates config by reusing the parent
+// snapshot, recomputing only the cone of the dirty tasks — the tasks whose
+// (task, type) assignment differs from the parent's — and capturing the
+// result into snap so it can parent further deltas. It is PlanCone +
+// CRNDeltaKernelPlanned for callers without a plan cache: each call
+// re-extracts the cone, where the solver shares one plan per dirty set.
+// Returns (nil, nil) when delta does not apply (no parent, base mismatch, or
+// cone too large): the caller must then evaluate fully.
 func (n *Native) CRNDeltaKernel(config []int, base int64, dirty []int32, parent, snap *Snapshot) (WorldKernel, error) {
 	if parent == nil || snap == nil || !n.needsMSSampling() {
 		return nil, nil

@@ -106,7 +106,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCRNKernel(k); err != nil {
+	if _, err := RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,12 +151,12 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RunCRNKernel(fk); err != nil {
+			if _, err := RunKernel(fk); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			deltas++
-			dev, err := RunCRNKernel(dk)
+			dev, err := RunKernel(dk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := RunCRNKernel(rk); err != nil {
+			if _, err := RunKernel(rk); err != nil {
 				t.Fatal(err)
 			}
 			for i := range ref.finish {
@@ -209,7 +209,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCRNKernel(k); err != nil {
+	if _, err := RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,7 +226,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	want := make([][]float64, sk.Worlds())
 	for it := range want {
 		want[it] = make([]float64, sk.Width())
-		if err := sk.Sample(it, nil, want[it]); err != nil {
+		if err := sk.Sample(it, want[it]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 			defer wg.Done()
 			for it := g; it < pk.Worlds(); it += 8 {
 				out := make([]float64, pk.Width())
-				if err := pk.Sample(it, nil, out); err != nil {
+				if err := pk.Sample(it, out); err != nil {
 					t.Error(err)
 					return
 				}
@@ -273,7 +273,7 @@ func TestDeltaFallbacks(t *testing.T) {
 
 	snap := n.NewSnapshot()
 	k, _ := n.CRNKernelSnap(config, base, snap)
-	if _, err := RunCRNKernel(k); err != nil {
+	if _, err := RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
 	child := n.NewSnapshot()

@@ -13,16 +13,17 @@ import (
 // worlds, so the reduction is exactly the shared-memory block sum of §5.2,
 // and a device may run the worlds of one state in any order or in parallel.
 //
-// Determinism: the canonical contract for Native programs is common random
-// numbers (flat.go) — duration draws are keyed by (task, type, iteration)
-// against a search-level base seed, kernels ignore the per-world rng, and
-// every state in a search shares the same world realizations. Kernels that
-// cannot share realizations (the Prolog interpreter, the runtime's
-// conditioned residual kernels) instead draw world `it` from
-// WorldRNG(base, it), a substream keyed by (state, iteration). Under either
-// contract a world's figures depend only on (kernel, base, it), so results
-// are bit-identical whether the worlds ran sequentially, state-parallel, or
-// two-level on a device.
+// Determinism: a kernel's figures for world it depend only on (kernel, it)
+// — every kernel carries its randomness with it, so results are
+// bit-identical whether the worlds ran sequentially, state-parallel, or
+// two-level on a device. Native kernels follow the common-random-number
+// contract (flat.go): duration draws are keyed by (task, type, iteration)
+// against a search-level base seed, so every state in a search shares the
+// same world realizations. Kernels that cannot share realizations (the
+// Prolog interpreter, the runtime's conditioned residual kernels, whose
+// rejection sampling draws a data-dependent number of variates) take a
+// substream base when they are built and draw world it from
+// WorldRNG(base, it).
 
 // WorldKernel is one state's Monte-Carlo evaluation, decomposed for
 // block/thread execution.
@@ -33,19 +34,11 @@ type WorldKernel interface {
 	// Width is the number of figures each world produces.
 	Width() int
 	// Sample computes world it into out (len Width(), zeroed). It must be
-	// safe for concurrent calls with distinct it and draw only from rng.
-	Sample(it int, rng *rand.Rand, out []float64) error
+	// safe for concurrent calls with distinct it.
+	Sample(it int, out []float64) error
 	// Reduce folds the figure-wise sums over all worlds (len Width()) into
 	// the final evaluation.
 	Reduce(sums []float64) (*Evaluation, error)
-}
-
-// KernelEvaluator is an Evaluator whose Monte-Carlo loop decomposes into a
-// WorldKernel, enabling iteration-level device parallelism.
-type KernelEvaluator interface {
-	Evaluator
-	// Kernel builds the per-world kernel for one configuration.
-	Kernel(config []int) (WorldKernel, error)
 }
 
 // worldSeed mixes a state-level base seed with an iteration index
@@ -69,23 +62,13 @@ func WorldRNG(base int64, it int) *rand.Rand {
 	return rand.New(rand.NewSource(worldSeed(base, it)))
 }
 
-// RunKernel executes a kernel's worlds sequentially from the given substream
-// base and reduces them, accumulating in iteration order — the reference
-// semantics every device execution must (and does) match bit-identically.
-func RunKernel(k WorldKernel, base int64) (*Evaluation, error) {
-	width := k.Width()
-	sums := make([]float64, width)
-	tmp := make([]float64, width)
-	for it := 0; it < k.Worlds(); it++ {
-		for w := range tmp {
-			tmp[w] = 0
-		}
-		if err := k.Sample(it, WorldRNG(base, it), tmp); err != nil {
-			return nil, err
-		}
-		for w := range tmp {
-			sums[w] += tmp[w]
-		}
+// RunKernel executes a kernel's worlds sequentially and reduces them,
+// accumulating in iteration order — the reference semantics every device
+// execution must (and does) match bit-identically.
+func RunKernel(k WorldKernel) (*Evaluation, error) {
+	sums := make([]float64, k.Width())
+	if err := RunKernelRange(k, sums, 0, k.Worlds()); err != nil {
+		return nil, err
 	}
 	return k.Reduce(sums)
 }
@@ -134,10 +117,10 @@ type nativeKernel struct {
 	lastDirty int     // index into cone of the last dirty task
 }
 
-// CRNKernel implements CRNEvaluator: it builds the per-world kernel of one
-// configuration against the shared duration matrix of the given base seed.
-// Row filling happens here (serially, under the program's fill lock), so
-// Sample is read-only and a device may run worlds concurrently.
+// CRNKernel builds the per-world kernel of one configuration against the
+// shared duration matrix of the given base seed. Row filling happens here
+// (serially, under the program's fill lock), so Sample is read-only and a
+// device may run worlds concurrently.
 func (n *Native) CRNKernel(config []int, base int64) (WorldKernel, error) {
 	k, err := n.newCRNKernel(config, base)
 	if err != nil {
@@ -221,9 +204,8 @@ func (k *nativeKernel) Width() int { return k.width }
 // matrix, compute the makespan — by the full longest-path DP over pooled
 // scratch, or by the incremental dirty-cone recurrence when a parent
 // snapshot is attached — and sum the realized cost, then score the
-// probabilistic constraints. The rng is ignored (may be nil): all randomness
-// was drawn at row-fill time.
-func (k *nativeKernel) Sample(it int, _ *rand.Rand, out []float64) error {
+// probabilistic constraints. All randomness was drawn at row-fill time.
+func (k *nativeKernel) Sample(it int, out []float64) error {
 	var ms, cost float64
 	if k.needMS {
 		if k.parent != nil {

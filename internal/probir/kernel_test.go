@@ -10,12 +10,12 @@ import (
 // foldOutOfOrder runs a kernel's worlds in reverse order (as a concurrent
 // device might) but folds the per-world figures canonically — the exact
 // contract device.ReduceBlocks implements — and reduces.
-func foldOutOfOrder(t *testing.T, k WorldKernel, base int64) *Evaluation {
+func foldOutOfOrder(t *testing.T, k WorldKernel) *Evaluation {
 	t.Helper()
 	worlds, width := k.Worlds(), k.Width()
 	slots := make([]float64, worlds*width)
 	for it := worlds - 1; it >= 0; it-- {
-		if err := k.Sample(it, WorldRNG(base, it), slots[it*width:(it+1)*width]); err != nil {
+		if err := k.Sample(it, slots[it*width:(it+1)*width]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestNativeKernelMatchesEvaluateBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := foldOutOfOrder(t, k, base)
+			got := foldOutOfOrder(t, k)
 			assertBitIdentical(t, got, want)
 		})
 	}
@@ -111,12 +111,11 @@ func TestPrologKernelMatchesEvaluateBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := p.Kernel(config)
+	k, err := p.Kernel(config, rand.New(rand.NewSource(seed)).Int63())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := rand.New(rand.NewSource(seed)).Int63()
-	got := foldOutOfOrder(t, k, base)
+	got := foldOutOfOrder(t, k)
 	assertBitIdentical(t, got, want)
 }
 

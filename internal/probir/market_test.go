@@ -107,7 +107,7 @@ func TestSpotObjectiveIsSampledExpectedCost(t *testing.T) {
 	if fig := pk.ValueFigure(); fig < 0 {
 		t.Fatalf("ValueFigure() = %d, want the sampled cost column", fig)
 	}
-	evSpot, err := RunCRNKernel(k)
+	evSpot, err := RunKernel(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSpotDeltaMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCRNKernel(pk); err != nil {
+	if _, err := RunKernel(pk); err != nil {
 		t.Fatal(err)
 	}
 	childSnap := n.NewSnapshot()
@@ -180,7 +180,7 @@ func TestSpotDeltaMatchesFull(t *testing.T) {
 	if dk == nil {
 		t.Fatal("delta kernel declined on a 2-task cone")
 	}
-	got, err := RunCRNKernel(dk)
+	got, err := RunKernel(dk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,13 +142,13 @@ func (k *nativeKernel) ReducePartial(sums []float64, seen int) (*Evaluation, err
 	return ev, nil
 }
 
-// RunCRNKernelRange executes worlds [lo, hi) of a CRN kernel sequentially,
-// folding each world's figures into the caller's running sums in ascending
-// iteration order — the chunk-resumable form of RunCRNKernel. Chaining
-// ranges [0,a), [a,b), ... over the same sums yields bit-identical sums to a
-// single [0, Worlds()) run, because float accumulation happens world by
-// world in the same order either way.
-func RunCRNKernelRange(k WorldKernel, sums []float64, lo, hi int) error {
+// RunKernelRange executes worlds [lo, hi) of a kernel sequentially, folding
+// each world's figures into the caller's running sums in ascending iteration
+// order — the chunk-resumable form of RunKernel. Chaining ranges [0,a),
+// [a,b), ... over the same sums yields bit-identical sums to a single
+// [0, Worlds()) run, because float accumulation happens world by world in
+// the same order either way.
+func RunKernelRange(k WorldKernel, sums []float64, lo, hi int) error {
 	width := k.Width()
 	if len(sums) != width {
 		return fmt.Errorf("probir: range sums length %d, want %d", len(sums), width)
@@ -158,7 +158,7 @@ func RunCRNKernelRange(k WorldKernel, sums []float64, lo, hi int) error {
 		for w := range tmp {
 			tmp[w] = 0
 		}
-		if err := k.Sample(it, nil, tmp); err != nil {
+		if err := k.Sample(it, tmp); err != nil {
 			return err
 		}
 		for w := range tmp {

@@ -26,7 +26,7 @@ func TestRunCRNKernelRangeChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := make([]float64, k.Width())
-	if err := RunCRNKernelRange(k, full, 0, k.Worlds()); err != nil {
+	if err := RunKernelRange(k, full, 0, k.Worlds()); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
@@ -37,7 +37,7 @@ func TestRunCRNKernelRangeChains(t *testing.T) {
 			if hi > k.Worlds() {
 				hi = k.Worlds()
 			}
-			if err := RunCRNKernelRange(k, chunked, lo, hi); err != nil {
+			if err := RunKernelRange(k, chunked, lo, hi); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
@@ -71,7 +71,7 @@ func TestReducePartialFullIsReduce(t *testing.T) {
 		}
 		k := wk.(*nativeKernel)
 		sums := make([]float64, k.Width())
-		if err := RunCRNKernelRange(k, sums, 0, k.Worlds()); err != nil {
+		if err := RunKernelRange(k, sums, 0, k.Worlds()); err != nil {
 			t.Fatal(err)
 		}
 		full, err := k.Reduce(sums)
@@ -104,7 +104,7 @@ func TestReducePartialPessimistic(t *testing.T) {
 		}
 		k := wk.(*nativeKernel)
 		fullSums := make([]float64, k.Width())
-		if err := RunCRNKernelRange(k, fullSums, 0, k.Worlds()); err != nil {
+		if err := RunKernelRange(k, fullSums, 0, k.Worlds()); err != nil {
 			t.Fatal(err)
 		}
 		full, err := k.Reduce(fullSums)
@@ -114,7 +114,7 @@ func TestReducePartialPessimistic(t *testing.T) {
 		sums := make([]float64, k.Width())
 		lo := 0
 		for _, hi := range []int{8, 24, 48} {
-			if err := RunCRNKernelRange(k, sums, lo, hi); err != nil {
+			if err := RunKernelRange(k, sums, lo, hi); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi

@@ -172,29 +172,33 @@ func queryNumber(m *prolog.Machine, v, query prolog.Term) (float64, error) {
 // Iters sampled realizations, through the same per-world kernel the device
 // path executes, so results are device- and schedule-independent.
 func (p *Prolog) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {
-	k, err := p.Kernel(config)
+	k, err := p.Kernel(config, rng.Int63())
 	if err != nil {
 		return nil, err
 	}
-	return RunKernel(k, rng.Int63())
+	return RunKernel(k)
 }
 
-// prologKernel interprets one world per thread. Figures: the goal value,
-// then per constraint its queried value and a 0/1 satisfaction indicator.
-// Machines are pooled: each concurrent world checks one out, installs its
-// sampled facts (which clears any tabled answers), and returns it.
+// prologKernel interprets one world per thread, world it drawing its facts
+// from WorldRNG(base, it). Figures: the goal value, then per constraint its
+// queried value and a 0/1 satisfaction indicator. Machines are pooled: each
+// concurrent world checks one out, installs its sampled facts (which clears
+// any tabled answers), and returns it.
 type prologKernel struct {
 	p      *Prolog
 	config []int
+	base   int64
 	pool   sync.Pool
 }
 
-// Kernel implements KernelEvaluator.
-func (p *Prolog) Kernel(config []int) (WorldKernel, error) {
+// Kernel builds the per-world kernel of one configuration over the world
+// substream base. Interpreted worlds cannot share realizations across
+// states, so the solver derives base from its seed and the state key.
+func (p *Prolog) Kernel(config []int, base int64) (WorldKernel, error) {
 	if len(config) != p.W.Len() {
 		return nil, fmt.Errorf("probir: config length %d, want %d", len(config), p.W.Len())
 	}
-	k := &prologKernel{p: p, config: config}
+	k := &prologKernel{p: p, config: config, base: base}
 	k.pool.New = func() any { return p.base.Clone() }
 	return k, nil
 }
@@ -206,10 +210,10 @@ func (k *prologKernel) Worlds() int { return k.p.Iters }
 func (k *prologKernel) Width() int { return 1 + 2*len(k.p.Program.Constraints) }
 
 // Sample implements WorldKernel.
-func (k *prologKernel) Sample(it int, rng *rand.Rand, out []float64) error {
+func (k *prologKernel) Sample(it int, out []float64) error {
 	m := k.pool.Get().(*prolog.Machine)
 	defer k.pool.Put(m)
-	if err := k.p.assertWorld(m, k.config, rng); err != nil {
+	if err := k.p.assertWorld(m, k.config, WorldRNG(k.base, it)); err != nil {
 		return err
 	}
 	gv, err := queryNumber(m, k.p.Program.Goal.Var, k.p.Program.Goal.Query)

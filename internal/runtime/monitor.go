@@ -5,7 +5,6 @@ import (
 
 	"deco/internal/cloud"
 	"deco/internal/dag"
-	"deco/internal/device"
 	"deco/internal/estimate"
 	"deco/internal/probir"
 	"deco/internal/sim"
@@ -276,28 +275,26 @@ func (m *Monitor) Revise() map[string]sim.Placement {
 	if m.err != nil || len(m.cons) == 0 {
 		return nil
 	}
-	k, err := m.res.buildKernel(m.config)
+	k, err := m.res.buildKernel(m.config, mixSeed(m.opt.Seed, m.decisions))
 	if err != nil {
 		m.fail(err)
 		return nil
 	}
-	base := mixSeed(m.opt.Seed, m.decisions)
 	m.decisions++
 	var ev *probir.Evaluation
 	var risk float64
 	m.riskWorldsBudget += int64(k.Worlds())
-	bd, isBlock := m.opt.Device.(device.BlockDevice)
-	if m.opt.Adaptive && isBlock && k.chunkable() && k.Worlds() > riskMinWorlds {
+	if m.opt.Adaptive && k.chunkable() && k.Worlds() > riskMinWorlds {
 		// Chunked sequential stopping: a nil evaluation means the replan
 		// predicate was decided early from a world prefix, with risk the
 		// pessimistic bound; a replan-triggering evaluation always completes
 		// (canReplan), so the replan search below sees exact numbers.
 		canReplan := m.replans < m.opt.MaxReplans && m.sinceReplan >= m.opt.Cooldown
 		var run int
-		ev, risk, run, err = chunkedRisk(k, base, bd, m.opt.Risk, canReplan)
+		ev, risk, run, err = chunkedRisk(k, m.opt.Device, m.opt.Risk, canReplan)
 		m.riskWorldsRun += int64(run)
 	} else {
-		ev, err = evalKernel(k, base, m.opt.Device)
+		ev, err = evalKernel(k, m.opt.Device)
 		m.riskWorldsRun += int64(k.Worlds())
 		if err == nil {
 			risk = violationProb(ev)

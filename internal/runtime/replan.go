@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sync"
 
 	"deco/internal/dag"
@@ -31,17 +30,17 @@ type residualSpace struct {
 	fp     string
 }
 
-// Initial implements opt.Space: the running plan restricted to unfinished
+// Starts implements opt.Space: the running plan restricted to unfinished
 // tasks — exactly where the execution currently stands.
-func (s *residualSpace) Initial() opt.State {
-	return append(opt.State(nil), s.base...)
+func (s *residualSpace) Starts() []opt.State {
+	return []opt.State{append(opt.State(nil), s.base...)}
 }
 
 // Neighbors implements opt.Space: promote/demote each unstarted task by one
 // type, plus a global shift of all unstarted tasks (the escape move for
 // uniform drift).
-func (s *residualSpace) Neighbors(st opt.State) []opt.State {
-	var out []opt.State
+func (s *residualSpace) Neighbors(st opt.State) []opt.Transform {
+	var out []opt.Transform
 	for _, i := range s.unstarted {
 		for _, d := range []int{1, -1} {
 			j := st[i] + d
@@ -50,7 +49,7 @@ func (s *residualSpace) Neighbors(st opt.State) []opt.State {
 			}
 			c := append(opt.State(nil), st...)
 			c[i] = j
-			out = append(out, c)
+			out = append(out, opt.Transform{Child: c})
 		}
 	}
 	for _, d := range []int{1, -1} {
@@ -64,37 +63,28 @@ func (s *residualSpace) Neighbors(st opt.State) []opt.State {
 			}
 		}
 		if moved {
-			out = append(out, c)
+			out = append(out, opt.Transform{Child: c})
 		}
 	}
 	return out
 }
 
-// Evaluate implements opt.Space, running the residual kernel with the
-// solver-supplied state rng — the same substream base the kernel path
-// derives, so both are bit-identical.
-func (s *residualSpace) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
-	k, err := s.r.buildKernel(st)
-	if err != nil {
-		return nil, err
+// Describe implements opt.Space: the residual kernel of each state over the
+// state-keyed substream opt.StateBase(seed, key), and the snapshot
+// fingerprint.
+func (s *residualSpace) Describe(seed int64) opt.Descriptor {
+	return opt.Descriptor{
+		Kernel: func(st opt.State) (probir.WorldKernel, error) {
+			return s.r.buildKernel(st, opt.StateBase(seed, st.Key()))
+		},
+		Fingerprint: s.fingerprint(),
 	}
-	return probir.RunKernel(k, rng.Int63())
 }
 
-// Kernel implements opt.KernelSpace for two-level device execution. The
-// residual space stays on the state-keyed rng contract: its conditioned
-// rejection sampling (condSample) draws a data-dependent number of variates
-// per task, which is incompatible with the fixed (task, iteration) streams
-// of the CRN duration matrix.
-func (s *residualSpace) Kernel(st opt.State) (probir.WorldKernel, error) {
-	return s.r.buildKernel(st)
-}
-
-// Fingerprint implements opt.FingerprintSpace: a content hash of the full
-// residual snapshot — everything a state's evaluation depends on — so cache
-// entries from different replan instants (different progress, drift, or
-// accrued cost) never collide.
-func (s *residualSpace) Fingerprint() string {
+// fingerprint is a content hash of the full residual snapshot — everything
+// a state's evaluation depends on — so cache entries from different replan
+// instants (different progress, drift, or accrued cost) never collide.
+func (s *residualSpace) fingerprint() string {
 	s.fpOnce.Do(func() {
 		r := s.r
 		h := sha256.New()

@@ -64,9 +64,13 @@ func condSample(td *estimate.TimeDist, drift, elapsed float64, rng *rand.Rand) f
 // over the remaining DAG. Figure layout mirrors probir's native kernel: a
 // sampled makespan (when a deadline needs it), a sampled total cost (when a
 // probabilistic budget needs it), then one satisfaction indicator per
-// probabilistic constraint.
+// probabilistic constraint. World it draws from probir.WorldRNG(base, it):
+// the conditioned rejection sampling (condSample) draws a data-dependent
+// number of variates per task, which no fixed (task, iteration) stream of a
+// shared duration matrix can serve.
 type residualKernel struct {
 	r      *residual
+	base   int64
 	dists  []*estimate.TimeDist // per task, for this config
 	prices []float64            // per task, hourly
 	mean   float64              // deterministic residual cost: accrued + unstarted means
@@ -79,12 +83,13 @@ type residualKernel struct {
 	needCost bool
 }
 
-// buildKernel resolves config's per-task distributions and figure layout.
-func (r *residual) buildKernel(config []int) (*residualKernel, error) {
+// buildKernel resolves config's per-task distributions and figure layout
+// over the world substream base.
+func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error) {
 	if len(config) != len(r.ids) {
 		return nil, fmt.Errorf("runtime: config length %d, want %d", len(config), len(r.ids))
 	}
-	k := &residualKernel{r: r, msIdx: -1, costIdx: -1,
+	k := &residualKernel{r: r, base: base, msIdx: -1, costIdx: -1,
 		dists:  make([]*estimate.TimeDist, len(config)),
 		prices: make([]float64, len(config)),
 	}
@@ -142,8 +147,9 @@ func (k *residualKernel) Width() int { return k.width }
 // DAG. Observed finishes are facts; running tasks sample a conditioned
 // residual; unstarted tasks sample a full (drift-inflated) duration
 // starting at max(now, parents' finish).
-func (k *residualKernel) Sample(it int, rng *rand.Rand, out []float64) error {
+func (k *residualKernel) Sample(it int, out []float64) error {
 	r := k.r
+	rng := probir.WorldRNG(k.base, it)
 	finish := make([]float64, len(r.ids))
 	var ms float64
 	cost := r.accrued
@@ -306,7 +312,7 @@ func (k *residualKernel) chunkable() bool {
 // certain verdicts. A returned non-nil evaluation ran every world and is
 // bit-identical to evalKernel's (chunked folds accumulate in ascending world
 // order).
-func chunkedRisk(k *residualKernel, base int64, bd device.BlockDevice, threshold float64, needFull bool) (*probir.Evaluation, float64, int, error) {
+func chunkedRisk(k *residualKernel, dev device.Device, threshold float64, needFull bool) (*probir.Evaluation, float64, int, error) {
 	worlds, width := k.Worlds(), k.Width()
 	// A mean-based budget's verdict is known before any world runs.
 	detViolated := false
@@ -316,13 +322,11 @@ func chunkedRisk(k *residualKernel, base int64, bd device.BlockDevice, threshold
 		}
 	}
 	sums := make([]float64, width)
-	kernel := func(_, t int, out []float64) error {
-		return k.Sample(t, probir.WorldRNG(base, t), out)
-	}
+	kernel := func(_, t int, out []float64) error { return k.Sample(t, out) }
 	ends := sample.TailChunks(riskMinWorlds, worlds, []float64{1 - threshold})
 	lo := 0
 	for _, end := range ends {
-		if _, errs := device.ReduceBlocksRange(bd, 1, lo, end, width, sums, kernel); errs[0] != nil {
+		if _, errs := device.ReduceBlocksRange(dev, 1, lo, end, width, sums, kernel); errs[0] != nil {
 			return nil, 0, lo, errs[0]
 		}
 		lo = end
@@ -360,7 +364,7 @@ func chunkedRisk(k *residualKernel, base int64, bd device.BlockDevice, threshold
 		if replanCertain {
 			// The replan search needs the complete evaluation; finish the
 			// remaining worlds in one sweep.
-			if _, errs := device.ReduceBlocksRange(bd, 1, end, worlds, width, sums, kernel); errs[0] != nil {
+			if _, errs := device.ReduceBlocksRange(dev, 1, end, worlds, width, sums, kernel); errs[0] != nil {
 				return nil, 0, end, errs[0]
 			}
 			lo = worlds
@@ -377,13 +381,9 @@ func chunkedRisk(k *residualKernel, base int64, bd device.BlockDevice, threshold
 // evalKernel runs a kernel's worlds on the device (one block, a thread per
 // world) and reduces them — bit-identical to probir.RunKernel on any
 // device, because ReduceBlocks folds thread slots in canonical order.
-func evalKernel(k probir.WorldKernel, base int64, dev device.Device) (*probir.Evaluation, error) {
-	bd, ok := dev.(device.BlockDevice)
-	if !ok || k.Worlds() == 0 {
-		return probir.RunKernel(k, base)
-	}
-	sums, errs := device.ReduceBlocks(bd, 1, k.Worlds(), k.Width(), func(_, t int, out []float64) error {
-		return k.Sample(t, probir.WorldRNG(base, t), out)
+func evalKernel(k probir.WorldKernel, dev device.Device) (*probir.Evaluation, error) {
+	sums, errs := device.ReduceBlocks(dev, 1, k.Worlds(), k.Width(), func(_, t int, out []float64) error {
+		return k.Sample(t, out)
 	})
 	if errs[0] != nil {
 		return nil, errs[0]

@@ -52,8 +52,8 @@ type Options struct {
 	// replan-triggering evaluation always completes its full budget (the
 	// replan search compares candidates against it) — but early-stopped risk
 	// events report a pessimistic upper bound rather than the exact
-	// probability. Requires a BlockDevice and indicator-backed constraints;
-	// silently inert otherwise (see Report.RiskWorldsRun).
+	// probability. Requires indicator-backed constraints; silently inert
+	// otherwise (see Report.RiskWorldsRun).
 	Adaptive bool
 	// Device runs Monte-Carlo worlds (default device.Parallel{}).
 	Device device.Device

@@ -9,6 +9,7 @@ import (
 
 	"deco/internal/cloud"
 	"deco/internal/dag"
+	"deco/internal/device"
 	"deco/internal/estimate"
 	"deco/internal/sim"
 	"deco/internal/wfgen"
@@ -185,8 +186,8 @@ func TestAdaptiveRunsAreDeterministic(t *testing.T) {
 		place  map[string]sim.Placement
 		ms     float64
 	}
-	run := func() outcome {
-		o := &Options{Seed: 42, Iters: 150, ReplanBudget: 200}
+	run := func(dev device.Device) outcome {
+		o := &Options{Seed: 42, Iters: 150, ReplanBudget: 200, Device: dev}
 		res, rep := s.runOnce(t, 0.5, 42, o)
 		ev, err := json.Marshal(rep.Events)
 		if err != nil {
@@ -194,18 +195,23 @@ func TestAdaptiveRunsAreDeterministic(t *testing.T) {
 		}
 		return outcome{events: ev, cfg: rep.FinalConfig, place: res.Plan.Place, ms: res.Makespan}
 	}
-	a, b := run(), run()
-	if string(a.events) != string(b.events) {
-		t.Fatalf("event logs differ between identical seeded runs:\n%s\n---\n%s", a.events, b.events)
-	}
-	if !reflect.DeepEqual(a.cfg, b.cfg) {
-		t.Fatalf("final configs differ: %v vs %v", a.cfg, b.cfg)
-	}
-	if !reflect.DeepEqual(a.place, b.place) {
-		t.Fatalf("final plans differ: %v vs %v", a.place, b.place)
-	}
-	if a.ms != b.ms {
-		t.Fatalf("makespans differ: %v vs %v", a.ms, b.ms)
+	// The residual kernels seed every world themselves, so risk estimates
+	// and replan searches are identical on every device, run after run.
+	a := run(device.Sequential{})
+	for _, dev := range []device.Device{device.Sequential{}, device.Parallel{}, device.TwoLevel{}} {
+		b := run(dev)
+		if string(a.events) != string(b.events) {
+			t.Fatalf("%s: event logs differ between identical seeded runs:\n%s\n---\n%s", dev.Name(), a.events, b.events)
+		}
+		if !reflect.DeepEqual(a.cfg, b.cfg) {
+			t.Fatalf("%s: final configs differ: %v vs %v", dev.Name(), a.cfg, b.cfg)
+		}
+		if !reflect.DeepEqual(a.place, b.place) {
+			t.Fatalf("%s: final plans differ: %v vs %v", dev.Name(), a.place, b.place)
+		}
+		if a.ms != b.ms {
+			t.Fatalf("%s: makespans differ: %v vs %v", dev.Name(), a.ms, b.ms)
+		}
 	}
 	// The run must actually have adapted, or the test proves nothing.
 	var evs []StreamEvent
