@@ -249,33 +249,7 @@ func (d TwoLevel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 // remaining threads run (threads are independent); its sums are meaningless.
 func ReduceBlocks(d Device, nBlocks, threads, width int, kernel func(block, thread int, out []float64) error) (sums []float64, errs []error) {
 	sums = make([]float64, nBlocks*width)
-	errs = make([]error, nBlocks)
-	if nBlocks <= 0 || threads <= 0 || width <= 0 {
-		return sums, errs
-	}
-	slots := make([]float64, nBlocks*threads*width)
-	slotErrs := make([]error, nBlocks*threads)
-	d.MapBlocks(nBlocks, threads, func(b, t int) {
-		off := (b*threads + t) * width
-		slotErrs[b*threads+t] = kernel(b, t, slots[off:off+width:off+width])
-	})
-	for b := 0; b < nBlocks; b++ {
-		for t := 0; t < threads; t++ {
-			if err := slotErrs[b*threads+t]; err != nil {
-				errs[b] = err
-				break
-			}
-		}
-		if errs[b] != nil {
-			continue
-		}
-		for t := 0; t < threads; t++ {
-			off := (b*threads + t) * width
-			for w := 0; w < width; w++ {
-				sums[b*width+w] += slots[off+w]
-			}
-		}
-	}
+	_, errs = ReduceBlocksRange(d, nBlocks, 0, threads, width, sums, kernel)
 	return sums, errs
 }
 

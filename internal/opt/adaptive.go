@@ -468,7 +468,7 @@ func (b *batch) race(active []int, slots []float64, span, check int, delta float
 	var finals []float64
 	for _, s := range b.out {
 		if s.eval != nil && s.err == nil {
-			finals = append(finals, score(s.eval, false))
+			finals = append(finals, Score(s.eval, false))
 		}
 	}
 	threshold := math.Inf(1)

@@ -293,9 +293,10 @@ type candidate struct {
 	dirty  []int32
 }
 
-// score ranks states: any feasible state beats any infeasible one; feasible
-// states rank by objective value, infeasible ones by violation.
-func score(ev *probir.Evaluation, maximize bool) float64 {
+// Score ranks states, lower first: any feasible state beats any infeasible
+// one; feasible states rank by objective value, infeasible ones by
+// violation. The runtime's replanner ranks its candidates by it too.
+func Score(ev *probir.Evaluation, maximize bool) float64 {
 	if ev.Feasible {
 		if maximize {
 			return -ev.Value
@@ -428,8 +429,8 @@ func (p *Problem) genericSearch() (*Result, error) {
 			if batch[i].err != nil {
 				return nil, batch[i].err
 			}
-			pool.PushItem(pqItem{scored: batch[i], priority: score(batch[i].eval, opt.Maximize)})
-			if best == nil || score(batch[i].eval, opt.Maximize) < score(best.eval, opt.Maximize) {
+			pool.PushItem(pqItem{scored: batch[i], priority: Score(batch[i].eval, opt.Maximize)})
+			if best == nil || Score(batch[i].eval, opt.Maximize) < Score(best.eval, opt.Maximize) {
 				b := batch[i]
 				best = &b
 				improved = true
@@ -446,7 +447,7 @@ func (p *Problem) genericSearch() (*Result, error) {
 
 		// Rank this level's states and expand the best BeamWidth of them.
 		sort.Slice(batch, func(i, j int) bool {
-			si, sj := score(batch[i].eval, opt.Maximize), score(batch[j].eval, opt.Maximize)
+			si, sj := Score(batch[i].eval, opt.Maximize), Score(batch[j].eval, opt.Maximize)
 			if si != sj {
 				return si < sj
 			}
@@ -491,8 +492,8 @@ func (p *Problem) genericSearch() (*Result, error) {
 			if batch[i].err != nil {
 				return nil, batch[i].err
 			}
-			sc := score(batch[i].eval, opt.Maximize)
-			if sc < score(best.eval, opt.Maximize) {
+			sc := Score(batch[i].eval, opt.Maximize)
+			if sc < Score(best.eval, opt.Maximize) {
 				b := batch[i]
 				best = &b
 			}
@@ -559,7 +560,7 @@ func (p *Problem) astarSearch() (*Result, error) {
 	// any pop — e.g. MaxStates <= len(starts) with no feasible start — the
 	// doc contract of Result.Best still holds.
 	noteEvaluated := func(s *scored) {
-		if leastBad == nil || score(s.eval, opt.Maximize) < score(leastBad.eval, opt.Maximize) {
+		if leastBad == nil || Score(s.eval, opt.Maximize) < Score(leastBad.eval, opt.Maximize) {
 			c := *s
 			leastBad = &c
 		}
@@ -568,10 +569,10 @@ func (p *Problem) astarSearch() (*Result, error) {
 		if initBatch[i].err != nil {
 			return nil, initBatch[i].err
 		}
-		sc := score(initBatch[i].eval, opt.Maximize)
+		sc := Score(initBatch[i].eval, opt.Maximize)
 		open.PushItem(pqItem{scored: initBatch[i], priority: sc})
 		noteEvaluated(&initBatch[i])
-		if initBatch[i].eval.Feasible && (best == nil || sc < score(best.eval, opt.Maximize)) {
+		if initBatch[i].eval.Feasible && (best == nil || sc < Score(best.eval, opt.Maximize)) {
 			b := initBatch[i]
 			best = &b
 		}
@@ -588,7 +589,7 @@ func (p *Problem) astarSearch() (*Result, error) {
 		// worse than the incumbent is a dead end. States tying the incumbent
 		// (including the incumbent itself) still expand: with plan-level
 		// packing the objective is not perfectly monotone.
-		if best != nil && score(item.eval, opt.Maximize) > score(best.eval, opt.Maximize) {
+		if best != nil && Score(item.eval, opt.Maximize) > Score(best.eval, opt.Maximize) {
 			continue
 		}
 		children := dedupCandidates(p.childCandidates(item.state, item.key), visited)
@@ -609,9 +610,9 @@ func (p *Problem) astarSearch() (*Result, error) {
 			if batch[i].err != nil {
 				return nil, batch[i].err
 			}
-			sc := score(batch[i].eval, opt.Maximize)
+			sc := Score(batch[i].eval, opt.Maximize)
 			noteEvaluated(&batch[i])
-			if batch[i].eval.Feasible && (best == nil || sc < score(best.eval, opt.Maximize)) {
+			if batch[i].eval.Feasible && (best == nil || sc < Score(best.eval, opt.Maximize)) {
 				b := batch[i]
 				best = &b
 				improved = true

@@ -34,7 +34,7 @@ import (
 
 // crnSeed derives the rng seed of one (task, type) duration row from the
 // search-level base seed (splitmix64-style finalizer over a distinct stream
-// constant from worldSeed, so CRN rows never collide with state-keyed world
+// constant from MixSeed, so CRN rows never collide with state-keyed world
 // substreams).
 func crnSeed(base int64, stream int) int64 {
 	z := uint64(base) ^ 0x6A09E667F3BCC909

@@ -1,9 +1,6 @@
 package probir
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // This file decomposes Monte-Carlo evaluation into the paper's GPU kernel
 // shape (§5.2): a *per-world kernel* — one thread samples one realization of
@@ -41,11 +38,12 @@ type WorldKernel interface {
 	Reduce(sums []float64) (*Evaluation, error)
 }
 
-// worldSeed mixes a state-level base seed with an iteration index
-// (splitmix64 finalizer), giving every (state, iteration) pair its own
-// statistically independent substream.
-func worldSeed(base int64, it int) int64 {
-	z := uint64(base) + uint64(it+1)*0x9E3779B97F4A7C15
+// MixSeed mixes a base seed with an index (splitmix64 finalizer), giving
+// every (base, index) pair its own statistically independent substream:
+// world it of a state substream here, decision d of a monitor seed in
+// package runtime.
+func MixSeed(base int64, i int) int64 {
+	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
@@ -59,7 +57,7 @@ func worldSeed(base int64, it int) int64 {
 // and the state key; results therefore depend on neither the device nor the
 // schedule.
 func WorldRNG(base int64, it int) *rand.Rand {
-	return rand.New(rand.NewSource(worldSeed(base, it)))
+	return rand.New(rand.NewSource(MixSeed(base, it)))
 }
 
 // RunKernel executes a kernel's worlds sequentially and reduces them,
@@ -74,13 +72,11 @@ func RunKernel(k WorldKernel) (*Evaluation, error) {
 }
 
 // nativeKernel is the Native evaluator's per-world kernel under the CRN
-// contract. Its figures are laid out as: the sampled makespan (if any
-// goal/constraint needs it), the sampled world cost (if a probabilistic
-// budget needs it), then one 0/1 satisfaction indicator per probabilistic
-// constraint. Makespan and cost figures of one world share the same
-// per-(task, world) duration draws from the program's CRN matrix (under the
-// old state-keyed contract they drew separately from one stream).
+// contract. Its figure layout, indicator scoring and constraint reduction
+// are the embedded Figures. Makespan and cost figures of one world share the
+// same per-(task, world) duration draws from the program's CRN matrix.
 type nativeKernel struct {
+	Figures
 	n      *Native
 	config []int
 
@@ -97,13 +93,6 @@ type nativeKernel struct {
 	// world's cost figure.
 	costRows  [][]float64
 	xferTotal float64
-
-	width    int
-	msIdx    int   // -1 when no makespan samples are needed
-	costIdx  int   // -1 when no cost samples are needed
-	indIdx   []int // per constraint: indicator figure, or -1
-	needMS   bool
-	needCost bool
 
 	// capture, when non-nil, receives every world's finish-time row,
 	// makespan, and argmax task as Sample runs — the parent-side half of
@@ -135,38 +124,11 @@ func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
 	if err := n.checkConfig(config); err != nil {
 		return nil, err
 	}
-	k := &nativeKernel{n: n, config: config, msIdx: -1, costIdx: -1}
-	k.needMS = n.Goal == GoalMakespan
-	for _, c := range n.Constraints {
-		if c.Kind == "deadline" {
-			k.needMS = true
-		}
-		if c.Kind == "budget" && c.Percentile >= 0 {
-			k.needCost = true
-		}
-	}
 	// Spot markets make cost a random variable for every state of the search
 	// (uniform kernel shape — the compiled solver resolves figure layout once
 	// per problem), so the cost figure is always sampled.
-	if n.hasSpot {
-		k.needCost = true
-	}
-	if k.needMS {
-		k.msIdx = k.width
-		k.width++
-	}
-	if k.needCost {
-		k.costIdx = k.width
-		k.width++
-	}
-	k.indIdx = make([]int, len(n.Constraints))
-	for ci, c := range n.Constraints {
-		k.indIdx[ci] = -1
-		if c.Percentile >= 0 {
-			k.indIdx[ci] = k.width
-			k.width++
-		}
-	}
+	k := &nativeKernel{n: n, config: config,
+		Figures: NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot)}
 	var err error
 	if k.meanCost, err = n.MeanCost(config); err != nil {
 		return nil, err
@@ -188,18 +150,6 @@ func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
 	return k, nil
 }
 
-// Worlds implements WorldKernel: no sampled worlds when every figure is
-// deterministic.
-func (k *nativeKernel) Worlds() int {
-	if !k.needMS && !k.needCost {
-		return 0
-	}
-	return k.n.Iters
-}
-
-// Width implements WorldKernel.
-func (k *nativeKernel) Width() int { return k.width }
-
 // Sample implements WorldKernel: read world it's task durations from the CRN
 // matrix, compute the makespan — by the full longest-path DP over pooled
 // scratch, or by the incremental dirty-cone recurrence when a parent
@@ -213,7 +163,6 @@ func (k *nativeKernel) Sample(it int, out []float64) error {
 		} else {
 			ms = k.sampleFullMS(it)
 		}
-		out[k.msIdx] = ms
 	}
 	if k.needCost {
 		cost = k.xferTotal
@@ -230,24 +179,8 @@ func (k *nativeKernel) Sample(it int, out []float64) error {
 				cost += row[it] / 3600 * k.pricePerTask[i]
 			}
 		}
-		out[k.costIdx] = cost
 	}
-	for ci, c := range k.n.Constraints {
-		fi := k.indIdx[ci]
-		if fi < 0 {
-			continue
-		}
-		switch c.Kind {
-		case "deadline":
-			if ms <= c.Bound {
-				out[fi] = 1
-			}
-		case "budget":
-			if cost <= c.Bound {
-				out[fi] = 1
-			}
-		}
-	}
+	k.Score(out, ms, cost)
 	return nil
 }
 
@@ -302,71 +235,8 @@ func (k *nativeKernel) sampleFullMS(it int) float64 {
 	return ms
 }
 
-// Reduce implements WorldKernel: the same aggregation Algorithm 1 performs,
-// from figure sums instead of a sample loop.
+// Reduce implements WorldKernel: the reduction over every world, which is
+// ReducePartial over all of them.
 func (k *nativeKernel) Reduce(sums []float64) (*Evaluation, error) {
-	n := k.n
-	iters := float64(n.Iters)
-	ev := &Evaluation{Feasible: true, ConsProb: make([]float64, len(n.Constraints))}
-
-	switch n.Goal {
-	case GoalCost:
-		if n.hasSpot {
-			// Expected cost under revocation: the mean of the sampled
-			// per-world realized costs.
-			ev.Value = sums[k.costIdx] / iters
-		} else {
-			ev.Value = k.meanCost
-		}
-	case GoalMakespan:
-		ev.Value = sums[k.msIdx] / iters
-	default:
-		return nil, fmt.Errorf("probir: unknown goal kind %d", n.Goal)
-	}
-
-	for ci, c := range n.Constraints {
-		var prob, mean float64
-		switch c.Kind {
-		case "deadline":
-			mean = sums[k.msIdx] / iters
-			if c.Percentile < 0 {
-				// Deterministic notion: expected makespan within bound.
-				if mean <= c.Bound {
-					prob = 1
-				}
-			} else {
-				prob = sums[k.indIdx[ci]] / iters
-			}
-		case "budget":
-			if c.Percentile < 0 {
-				mean = k.meanCost
-				if mean <= c.Bound {
-					prob = 1
-				}
-			} else {
-				mean = sums[k.costIdx] / iters
-				prob = sums[k.indIdx[ci]] / iters
-			}
-		}
-		ev.ConsProb[ci] = prob
-		if c.Percentile < 0 {
-			if prob < 1 {
-				ev.Feasible = false
-				if c.Bound > 0 {
-					ev.Violation += (mean - c.Bound) / c.Bound
-				} else {
-					ev.Violation += mean
-				}
-			}
-		} else if prob < c.Percentile {
-			ev.Feasible = false
-			// The probability gap alone has no gradient once prob hits 0, so
-			// add the relative mean excess to keep the search climbing.
-			ev.Violation += c.Percentile - prob
-			if mean > c.Bound && c.Bound > 0 {
-				ev.Violation += (mean - c.Bound) / c.Bound
-			}
-		}
-	}
-	return ev, nil
+	return k.ReducePartial(sums, k.n.Iters)
 }

@@ -125,7 +125,7 @@ func TestWorldRNGSubstreams(t *testing.T) {
 	seen := map[int64]bool{}
 	for _, base := range []int64{0, 1, 1 << 40} {
 		for it := 0; it < 100; it++ {
-			s := worldSeed(base, it)
+			s := MixSeed(base, it)
 			if seen[s] {
 				t.Fatalf("seed collision at base=%d it=%d", base, it)
 			}

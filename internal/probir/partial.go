@@ -39,24 +39,6 @@ type PartialKernel interface {
 	ReducePartial(sums []float64, seen int) (*Evaluation, error)
 }
 
-// Indicators implements PartialKernel. The verdict decomposes completely
-// unless a constraint needs a sampled mean without an indicator — the
-// deterministic-notion deadline (Percentile < 0), whose pass/fail depends on
-// the mean makespan over all worlds. A deterministic-notion budget compares
-// the world-free Eq. 1-2 mean cost and never blocks partial evaluation.
-func (k *nativeKernel) Indicators() (idx []int, targets []float64, ok bool) {
-	ok = true
-	for ci, c := range k.n.Constraints {
-		if c.Percentile >= 0 {
-			idx = append(idx, k.indIdx[ci])
-			targets = append(targets, c.Percentile)
-		} else if c.Kind == "deadline" {
-			ok = false
-		}
-	}
-	return idx, targets, ok
-}
-
 // ValueFigure implements PartialKernel: the sampled mean makespan drives the
 // GoalMakespan value; the GoalCost value is the deterministic mean cost —
 // unless spot markets make cost itself a sampled figure, in which case the
@@ -71,73 +53,20 @@ func (k *nativeKernel) ValueFigure() int {
 	return -1
 }
 
-// ReducePartial implements PartialKernel. It mirrors Reduce figure-for-figure
-// with two denominators: constraint probabilities divide by the full world
-// count (the pessimistic completion — unseen worlds fail), sampled means
-// divide by the seen count (the natural estimate). At seen == Worlds() both
-// denominators coincide with Reduce's and the result is bit-identical.
+// ReducePartial implements PartialKernel: the embedded Figures' prefix
+// reduction, plus the goal value — the world-free mean cost, or the prefix
+// mean of the figure ValueFigure names.
 func (k *nativeKernel) ReducePartial(sums []float64, seen int) (*Evaluation, error) {
-	n := k.n
-	if seen <= 0 || seen > n.Iters {
-		return nil, fmt.Errorf("probir: partial reduction over %d of %d worlds", seen, n.Iters)
+	if k.n.Goal != GoalCost && k.n.Goal != GoalMakespan {
+		return nil, fmt.Errorf("probir: unknown goal kind %d", k.n.Goal)
 	}
-	iters := float64(n.Iters)
-	fseen := float64(seen)
-	ev := &Evaluation{Feasible: true, ConsProb: make([]float64, len(n.Constraints))}
-
-	switch n.Goal {
-	case GoalCost:
-		if n.hasSpot {
-			ev.Value = sums[k.costIdx] / fseen
-		} else {
-			ev.Value = k.meanCost
-		}
-	case GoalMakespan:
-		ev.Value = sums[k.msIdx] / fseen
-	default:
-		return nil, fmt.Errorf("probir: unknown goal kind %d", n.Goal)
+	ev, err := k.ReducePrefix(sums, seen, k.meanCost)
+	if err != nil {
+		return nil, err
 	}
-
-	for ci, c := range n.Constraints {
-		var prob, mean float64
-		switch c.Kind {
-		case "deadline":
-			mean = sums[k.msIdx] / fseen
-			if c.Percentile < 0 {
-				if mean <= c.Bound {
-					prob = 1
-				}
-			} else {
-				prob = sums[k.indIdx[ci]] / iters
-			}
-		case "budget":
-			if c.Percentile < 0 {
-				mean = k.meanCost
-				if mean <= c.Bound {
-					prob = 1
-				}
-			} else {
-				mean = sums[k.costIdx] / fseen
-				prob = sums[k.indIdx[ci]] / iters
-			}
-		}
-		ev.ConsProb[ci] = prob
-		if c.Percentile < 0 {
-			if prob < 1 {
-				ev.Feasible = false
-				if c.Bound > 0 {
-					ev.Violation += (mean - c.Bound) / c.Bound
-				} else {
-					ev.Violation += mean
-				}
-			}
-		} else if prob < c.Percentile {
-			ev.Feasible = false
-			ev.Violation += c.Percentile - prob
-			if mean > c.Bound && c.Bound > 0 {
-				ev.Violation += (mean - c.Bound) / c.Bound
-			}
-		}
+	ev.Value = k.meanCost
+	if vf := k.ValueFigure(); vf >= 0 {
+		ev.Value = sums[vf] / float64(seen)
 	}
 	return ev, nil
 }

@@ -18,6 +18,13 @@
 //     rules with the Prolog machine per sampled world.
 //
 // Property tests assert the two agree on the standard scheduling program.
+//
+// Both evaluators run as per-world kernels plus a reduction (kernel.go),
+// the paper's block/thread shape. The constraint semantics — figure layout,
+// indicator scoring, verdicts, violation gradient and the world-prefix
+// reduction — exists once, in Figures (figures.go): the native kernel and
+// the runtime's residual kernel embed it, and the Prolog kernel folds its
+// per-constraint verdicts through the same step.
 package probir
 
 import (

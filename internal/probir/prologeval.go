@@ -234,7 +234,9 @@ func (k *prologKernel) Sample(it int, out []float64) error {
 	return nil
 }
 
-// Reduce implements WorldKernel.
+// Reduce implements WorldKernel: the goal mean, and each constraint's
+// queried mean and satisfaction probability through the shared verdict
+// (figures.go).
 func (k *prologKernel) Reduce(sums []float64) (*Evaluation, error) {
 	p := k.p
 	iters := float64(p.Iters)
@@ -244,30 +246,7 @@ func (k *prologKernel) Reduce(sums []float64) (*Evaluation, error) {
 		ConsProb: make([]float64, len(p.Program.Constraints)),
 	}
 	for ci, c := range p.Program.Constraints {
-		mean := sums[1+2*ci] / iters
-		if c.Percentile < 0 {
-			// Deterministic notion on the mean.
-			if mean <= c.Bound {
-				ev.ConsProb[ci] = 1
-			} else {
-				ev.Feasible = false
-				if c.Bound > 0 {
-					ev.Violation += (mean - c.Bound) / c.Bound
-				} else {
-					ev.Violation += mean
-				}
-			}
-			continue
-		}
-		prob := sums[2+2*ci] / iters
-		ev.ConsProb[ci] = prob
-		if prob < c.Percentile {
-			ev.Feasible = false
-			ev.Violation += c.Percentile - prob
-			if mean > c.Bound && c.Bound > 0 {
-				ev.Violation += (mean - c.Bound) / c.Bound
-			}
-		}
+		judge(ev, ci, c, sums[2+2*ci]/iters, sums[1+2*ci]/iters)
 	}
 	return ev, nil
 }

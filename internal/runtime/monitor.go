@@ -24,7 +24,8 @@ type Monitor struct {
 	prices []float64
 	region string
 	cons   []wlog.Constraint
-	index  map[string]int
+	index  map[string]int // task ID -> index in w.Tasks
+	types  map[string]int // type name -> index in tbl.Types
 
 	config   []int // current type index per task, w.Tasks order
 	plan     map[string]sim.Placement
@@ -41,7 +42,6 @@ type Monitor struct {
 	revokedSlots        []int // slots reclaimed since the last Revise
 	riskMax             float64
 	riskWorldsRun       int64
-	riskWorldsBudget    int64
 	events              []StreamEvent
 	err                 error
 	done                bool
@@ -58,17 +58,17 @@ func NewMonitor(w *dag.Workflow, plan *sim.Plan, tbl *estimate.Table, prices []f
 	if len(prices) != len(tbl.Types) {
 		return nil, fmt.Errorf("runtime: %d prices for %d types", len(prices), len(tbl.Types))
 	}
-	typeIdx := make(map[string]int, len(tbl.Types))
-	for j, name := range tbl.Types {
-		typeIdx[name] = j
-	}
 	n := w.Len()
 	m := &Monitor{
 		opt: o, w: w, tbl: tbl, prices: prices, region: region, cons: cons,
 		index:       make(map[string]int, n),
+		types:       make(map[string]int, len(tbl.Types)),
 		config:      make([]int, n),
 		plan:        make(map[string]sim.Placement, n),
 		sinceReplan: o.Cooldown,
+	}
+	for j, name := range tbl.Types {
+		m.types[name] = j
 	}
 	for i, t := range w.Tasks {
 		m.index[t.ID] = i
@@ -76,7 +76,7 @@ func NewMonitor(w *dag.Workflow, plan *sim.Plan, tbl *estimate.Table, prices []f
 		if !ok {
 			return nil, fmt.Errorf("runtime: plan missing task %q", t.ID)
 		}
-		j, ok := typeIdx[pl.Type]
+		j, ok := m.types[pl.Type]
 		if !ok {
 			return nil, fmt.Errorf("runtime: plan type %q not in calibrated table", pl.Type)
 		}
@@ -126,16 +126,6 @@ func (m *Monitor) emit(ev StreamEvent) {
 	}
 }
 
-// typeIndex resolves a catalog type name to its table index (-1 if absent).
-func (m *Monitor) typeIndex(name string) int {
-	for j, t := range m.tbl.Types {
-		if t == name {
-			return j
-		}
-	}
-	return -1
-}
-
 // OnEvent implements sim.Controller: fold one execution event into the
 // progress snapshot.
 func (m *Monitor) OnEvent(ev sim.Event) {
@@ -166,7 +156,7 @@ func (m *Monitor) OnEvent(ev sim.Event) {
 		}
 		m.res.accrued = ev.AccruedCost
 		var forecast float64
-		if j := m.typeIndex(ev.Type); j >= 0 {
+		if j, ok := m.types[ev.Type]; ok {
 			if td, err := m.tbl.Dist(ev.Task, j); err == nil {
 				forecast = td.Mean()
 				m.sumObs += ev.Duration
@@ -236,8 +226,8 @@ func (m *Monitor) recoverRevoked() map[string]sim.Placement {
 			continue
 		}
 		base := cloud.BaseType(m.tbl.Types[m.config[i]])
-		j := m.typeIndex(base)
-		if j < 0 || j == m.config[i] {
+		j, ok := m.types[base]
+		if !ok || j == m.config[i] {
 			continue // no on-demand column, or already on one
 		}
 		newCfg[i] = j
@@ -275,43 +265,27 @@ func (m *Monitor) Revise() map[string]sim.Placement {
 	if m.err != nil || len(m.cons) == 0 {
 		return nil
 	}
-	k, err := m.res.buildKernel(m.config, mixSeed(m.opt.Seed, m.decisions))
+	k, err := m.res.buildKernel(m.config, probir.MixSeed(m.opt.Seed, m.decisions))
 	if err != nil {
 		m.fail(err)
 		return nil
 	}
 	m.decisions++
-	var ev *probir.Evaluation
-	var risk float64
-	m.riskWorldsBudget += int64(k.Worlds())
-	if m.opt.Adaptive && k.chunkable() && k.Worlds() > riskMinWorlds {
-		// Chunked sequential stopping: a nil evaluation means the replan
-		// predicate was decided early from a world prefix, with risk the
-		// pessimistic bound; a replan-triggering evaluation always completes
-		// (canReplan), so the replan search below sees exact numbers.
-		canReplan := m.replans < m.opt.MaxReplans && m.sinceReplan >= m.opt.Cooldown
-		var run int
-		ev, risk, run, err = chunkedRisk(k, m.opt.Device, m.opt.Risk, canReplan)
-		m.riskWorldsRun += int64(run)
-	} else {
-		ev, err = evalKernel(k, m.opt.Device)
-		m.riskWorldsRun += int64(k.Worlds())
-		if err == nil {
-			risk = violationProb(ev)
-		}
-	}
+	ev, err := evalKernel(k, m.opt.Device)
+	m.riskWorldsRun += int64(k.Worlds())
 	if err != nil {
 		m.fail(err)
 		return nil
 	}
+	risk := violationProb(ev)
 	if risk > m.riskMax {
 		m.riskMax = risk
 	}
 	m.emit(StreamEvent{Time: m.res.now, Kind: "risk", Risk: risk, Drift: m.res.drift})
-	if risk <= m.opt.Risk || m.replans >= m.opt.MaxReplans || m.sinceReplan < m.opt.Cooldown || ev == nil {
+	if risk <= m.opt.Risk || m.replans >= m.opt.MaxReplans || m.sinceReplan < m.opt.Cooldown {
 		return nil
 	}
-	searchSeed := mixSeed(m.opt.Seed, m.decisions)
+	searchSeed := probir.MixSeed(m.opt.Seed, m.decisions)
 	m.decisions++
 	upd, rev, err := m.replan(ev, searchSeed)
 	if err != nil {
@@ -372,16 +346,15 @@ func (m *Monitor) Err() error { return m.err }
 // Report summarizes the monitored execution.
 func (m *Monitor) Report() *Report {
 	rep := &Report{
-		Replans:          m.replans,
-		Revocations:      m.revocations,
-		Recoveries:       m.recoveries,
-		RiskMax:          m.riskMax,
-		Drift:            m.res.drift,
-		FinalConfig:      make(map[string]string, len(m.config)),
-		Events:           m.events,
-		DeadlineSeconds:  m.deadline(),
-		RiskWorldsRun:    m.riskWorldsRun,
-		RiskWorldsBudget: m.riskWorldsBudget,
+		Replans:         m.replans,
+		Revocations:     m.revocations,
+		Recoveries:      m.recoveries,
+		RiskMax:         m.riskMax,
+		Drift:           m.res.drift,
+		FinalConfig:     make(map[string]string, len(m.config)),
+		Events:          m.events,
+		DeadlineSeconds: m.deadline(),
+		RiskWorldsRun:   m.riskWorldsRun,
 	}
 	for i, t := range m.w.Tasks {
 		rep.FinalConfig[t.ID] = m.tbl.Types[m.config[i]]

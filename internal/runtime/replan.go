@@ -207,7 +207,7 @@ func (m *Monitor) replan(cur *probir.Evaluation, seed int64) (map[string]sim.Pla
 	if err != nil {
 		return nil, nil, fmt.Errorf("runtime: replan search: %w", err)
 	}
-	if scoreEval(res.BestEval) >= scoreEval(cur) {
+	if opt.Score(res.BestEval, false) >= opt.Score(cur, false) {
 		return nil, nil, nil // staying the course is at least as good
 	}
 	changed := map[string]string{}

@@ -20,7 +20,6 @@ import (
 
 	"deco/internal/device"
 	"deco/internal/opt"
-	"deco/internal/probir"
 )
 
 // Options configures the monitor and replanner.
@@ -44,17 +43,6 @@ type Options struct {
 	// Seed makes monitoring decisions reproducible: risk evaluations and
 	// replan searches derive per-decision rng substreams from it.
 	Seed int64
-	// Adaptive enables chunked risk re-evaluation with sequential stopping:
-	// the monitor decides its replan predicate (risk > Risk) from a world
-	// prefix when the exact worst-case interval settles it, instead of always
-	// running every world. Replan decisions are identical to the fixed path —
-	// an early stop happens only when the verdict is certain, and a
-	// replan-triggering evaluation always completes its full budget (the
-	// replan search compares candidates against it) — but early-stopped risk
-	// events report a pessimistic upper bound rather than the exact
-	// probability. Requires indicator-backed constraints; silently inert
-	// otherwise (see Report.RiskWorldsRun).
-	Adaptive bool
 	// Device runs Monte-Carlo worlds (default device.Parallel{}).
 	Device device.Device
 	// Ctx cancels replan searches; nil means context.Background().
@@ -152,11 +140,9 @@ type Report struct {
 	FinalConfig map[string]string `json:"final_config"`
 	// Events is the full monitor log.
 	Events []StreamEvent `json:"events"`
-	// RiskWorldsRun / RiskWorldsBudget are the Monte-Carlo worlds the
-	// monitor's risk re-evaluations actually sampled vs the fixed budget
-	// (decisions × Iters). They differ only under Options.Adaptive.
-	RiskWorldsRun    int64 `json:"risk_worlds_run,omitempty"`
-	RiskWorldsBudget int64 `json:"risk_worlds_budget,omitempty"`
+	// RiskWorldsRun is the Monte-Carlo worlds the monitor's risk
+	// re-evaluations sampled: every world of every risk evaluation.
+	RiskWorldsRun int64 `json:"risk_worlds_run,omitempty"`
 
 	Makespan        float64 `json:"makespan,omitempty"`
 	TotalCost       float64 `json:"total_cost,omitempty"`
@@ -164,26 +150,4 @@ type Report struct {
 	DeadlineMet     *bool   `json:"deadline_met,omitempty"`
 	// Error reports a monitoring failure (the run continued open-loop).
 	Error string `json:"error,omitempty"`
-}
-
-// mixSeed derives decision d's rng substream from the monitor seed
-// (splitmix64 finalizer, like probir's world substreams).
-func mixSeed(seed int64, d int) int64 {
-	z := uint64(seed) + uint64(d+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
-}
-
-// scoreEval ranks evaluations the way the solver does: any feasible state
-// beats any infeasible one; feasible states rank by objective value,
-// infeasible ones by violation.
-func scoreEval(ev *probir.Evaluation) float64 {
-	if ev.Feasible {
-		return ev.Value
-	}
-	return 1e15 * (1 + ev.Violation)
 }

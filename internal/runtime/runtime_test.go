@@ -11,6 +11,7 @@ import (
 	"deco/internal/dag"
 	"deco/internal/device"
 	"deco/internal/estimate"
+	"deco/internal/probir"
 	"deco/internal/sim"
 	"deco/internal/wfgen"
 	"deco/internal/wlog"
@@ -229,70 +230,112 @@ func TestAdaptiveRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestMonitorAdaptiveRiskMatchesFixed pins the monitor-side sequential
-// stopping contract: chunked risk evaluation may stop early only when the
-// replan predicate is already certain, so the replan decisions — and with
-// them the final plan and makespan — must be identical to the fixed path,
-// while the adaptive run provably spends fewer Monte-Carlo worlds. This is
-// also the race smoke for the chunked risk path (run with -race).
-func TestMonitorAdaptiveRiskMatchesFixed(t *testing.T) {
+// TestResidualReduceMatchesNative pins the residual kernel's claim to share
+// the solver's constraint semantics: a fresh residual (nothing started,
+// drift 1, nothing accrued) values a configuration at the native mean cost,
+// and from identical figure sums both kernels must reduce to identical
+// Evaluations — for deadlines and budgets under the mean and percentile
+// notions, with zero and positive bounds, feasible and infeasible.
+func TestResidualReduceMatchesNative(t *testing.T) {
 	s := newScenario(t)
-	const factor = 0.5
-	sawSavings := false
-	for i := 0; i < 3; i++ {
-		seed := int64(100 + i)
-		of := &Options{Seed: seed, Iters: 150, ReplanBudget: 200}
-		resF, repF := s.runOnce(t, factor, seed, of)
-		oa := &Options{Seed: seed, Iters: 150, ReplanBudget: 200, Adaptive: true}
-		resA, repA := s.runOnce(t, factor, seed, oa)
-
-		if resA.Makespan != resF.Makespan {
-			t.Fatalf("seed %d: adaptive makespan %v != fixed %v", seed, resA.Makespan, resF.Makespan)
+	const iters = 40
+	config := make([]int, s.w.Len())
+	for i := range config {
+		config[i] = i % len(s.tbl.Types)
+	}
+	type shape struct {
+		kind     string
+		mean     bool
+		zero     bool
+		feasible bool
+	}
+	seen := map[shape]bool{}
+	// Zero prices make a zero-bound mean-notion budget satisfiable.
+	for _, prices := range [][]float64{s.prices, make([]float64, len(s.prices))} {
+		native, err := probir.NewNative(s.w, s.tbl, prices, probir.GoalCost, nil, iters)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(resA.Plan.Place, resF.Plan.Place) {
-			t.Fatalf("seed %d: final plans differ:\n%v\n---\n%v", seed, resA.Plan.Place, resF.Plan.Place)
+		meanCost, err := native.MeanCost(config)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(repA.FinalConfig, repF.FinalConfig) {
-			t.Fatalf("seed %d: final configs differ: %v vs %v", seed, repA.FinalConfig, repF.FinalConfig)
-		}
-		if repA.Replans != repF.Replans {
-			t.Fatalf("seed %d: adaptive made %d replans, fixed %d", seed, repA.Replans, repF.Replans)
-		}
-		// The replan decision stream must match event for event. Risk events
-		// may report pessimistic bounds under early stops, so only the
-		// decisions (and their triggering risk, which always completes its
-		// full budget) are compared.
-		replansOf := func(rep *Report) []StreamEvent {
-			var out []StreamEvent
-			for _, e := range rep.Events {
-				if e.Kind == "replan" {
-					out = append(out, e)
+		var cases [][]wlog.Constraint
+		for _, kind := range []string{"deadline", "budget"} {
+			for _, pct := range []float64{-1, 0.9} {
+				for _, bound := range []float64{0, meanCost / 2, 2 * meanCost, s.deadline} {
+					cases = append(cases, []wlog.Constraint{{Kind: kind, Percentile: pct, Bound: bound}})
 				}
 			}
-			return out
 		}
-		ra, rf := replansOf(repA), replansOf(repF)
-		if !reflect.DeepEqual(ra, rf) {
-			t.Fatalf("seed %d: replan events differ:\n%+v\n---\n%+v", seed, ra, rf)
+		var all []wlog.Constraint
+		for _, cons := range cases {
+			all = append(all, cons...)
 		}
-
-		if repF.RiskWorldsRun != repF.RiskWorldsBudget {
-			t.Fatalf("seed %d: fixed path must run its full budget: %d of %d",
-				seed, repF.RiskWorldsRun, repF.RiskWorldsBudget)
-		}
-		if repA.RiskWorldsBudget != repF.RiskWorldsBudget {
-			t.Fatalf("seed %d: budgets differ: adaptive %d fixed %d",
-				seed, repA.RiskWorldsBudget, repF.RiskWorldsBudget)
-		}
-		if repA.RiskWorldsRun > repA.RiskWorldsBudget {
-			t.Fatalf("seed %d: adaptive ran more worlds than its budget: %d of %d",
-				seed, repA.RiskWorldsRun, repA.RiskWorldsBudget)
-		}
-		if repA.RiskWorldsRun < repA.RiskWorldsBudget {
-			sawSavings = true
+		cases = append(cases, all)
+		// Per figure: the sampled mean (makespan or cost) and the indicator
+		// probability the synthetic sums encode.
+		fills := [][2]float64{{0, 1}, {0.4 * s.deadline, 0.95}, {0.4 * meanCost, 0.5}, {3 * s.deadline, 0}}
+		for ci, cons := range cases {
+			native, err := probir.NewNative(s.w, s.tbl, prices, probir.GoalCost, cons, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nk, err := native.CRNKernel(config, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon, err := NewMonitor(s.w, s.plan, s.tbl, prices, cloud.USEast, cons, Options{Iters: iters})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rk, err := mon.res.buildKernel(config, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rk.mean != meanCost {
+				t.Fatalf("fresh residual mean cost %v, native %v", rk.mean, meanCost)
+			}
+			if rk.Width() != nk.Width() || rk.Worlds() != nk.Worlds() {
+				t.Fatalf("case %d: residual layout %dx%d, native %dx%d",
+					ci, rk.Worlds(), rk.Width(), nk.Worlds(), nk.Width())
+			}
+			ind, _, _ := rk.Indicators()
+			for _, fill := range fills {
+				sums := make([]float64, rk.Width())
+				for w := range sums {
+					sums[w] = fill[0] * iters
+				}
+				for _, fi := range ind {
+					sums[fi] = fill[1] * iters
+				}
+				want, err := nk.Reduce(sums)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rk.Reduce(sums)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("case %d %+v, sums %v: residual %+v, native %+v", ci, cons, sums, got, want)
+				}
+				if len(cons) == 1 {
+					c := cons[0]
+					seen[shape{c.Kind, c.Percentile < 0, c.Bound == 0, got.Feasible}] = true
+				}
+			}
 		}
 	}
-	if !sawSavings {
-		t.Fatal("adaptive risk evaluation never stopped early across seeds; scenario too weak")
+	for _, kind := range []string{"deadline", "budget"} {
+		for _, mean := range []bool{true, false} {
+			for _, zero := range []bool{true, false} {
+				for _, feasible := range []bool{true, false} {
+					if sh := (shape{kind, mean, zero, feasible}); !seen[sh] {
+						t.Errorf("constraint shape %+v never exercised", sh)
+					}
+				}
+			}
+		}
 	}
 }
