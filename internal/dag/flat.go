@@ -23,6 +23,10 @@ type Flat struct {
 	// evaluation uses it to push finish-time changes forward.
 	ChildStart []int32
 	Children   []int32
+	// Sinks lists the tasks without children, ascending. With non-negative
+	// durations every finish time is at most some sink's, so a makespan is
+	// a max over the sinks alone.
+	Sinks []int32
 }
 
 // Flatten compiles the workflow into its flat form, cached until the next
@@ -79,6 +83,11 @@ func (w *Workflow) Flatten() (*Flat, error) {
 		for _, p := range f.Parents[f.ParentStart[k]:f.ParentStart[k+1]] {
 			f.Children[fill[p]] = ti
 			fill[p]++
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		if f.ChildStart[i] == f.ChildStart[i+1] {
+			f.Sinks = append(f.Sinks, int32(i))
 		}
 	}
 	w.flat.Store(f)

@@ -10,12 +10,19 @@
 // The execution model has two levels:
 //
 //   - Map schedules blocks only (one per searched state) — the outer level.
-//   - MapBlocks schedules blocks *and* the threads within them (one per
-//     Monte-Carlo iteration), so a batch narrower than the machine — one A*
-//     expansion, a handful of multi-start seeds, an exploitation-phase child
-//     set — still saturates every core. The TwoLevel device shares thread
-//     chunks across its worker pool, stealing work from wide blocks when the
-//     batch is narrow.
+//   - MapBlocks schedules blocks *and* the threads within them, so a batch
+//     narrower than the machine — one A* expansion, a handful of
+//     multi-start seeds, an exploitation-phase child set — still saturates
+//     every core. The TwoLevel device shares thread chunks across its
+//     worker pool, stealing work from wide blocks when the batch is narrow.
+//
+// ReduceBlocksRange, the solver's one evaluation primitive, maps a block's
+// Monte-Carlo worlds onto MapBlocks threads in *world chunks*: each
+// (block, chunk) unit hands a run of consecutive world positions to one
+// kernel call, the software analogue of a warp stepping consecutive worlds
+// through the same task in lockstep. The chunk size depends on the device's
+// width and the batch, never on results: slots are folded per block in
+// ascending world order whatever the chunking.
 //
 // All implementations run the same work and produce identical results given
 // per-(block,thread) deterministic seeds; only wall-clock time differs,
@@ -95,8 +102,8 @@ func (p Parallel) blocks() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map implements Device: work items are distributed to workers via a shared
-// index channel (block scheduling); there is no cross-block communication,
+// Map implements Device: workers claim work items from a shared atomic
+// counter (block scheduling); there is no cross-block communication,
 // matching the GPU implementation principle of §5.2.
 func (p Parallel) Map(n int, fn func(i int)) {
 	workers := p.blocks()
@@ -109,17 +116,17 @@ func (p Parallel) Map(n int, fn func(i int)) {
 		}
 		return
 	}
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
 				fn(i)
 			}
 		}()
@@ -235,78 +242,150 @@ func (d TwoLevel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 	wg.Wait()
 }
 
-// ReduceBlocks runs kernel(b, t, out) for every (block, thread) pair on the
-// device — out being the thread's private width-sized slot — and folds each
-// block's slots figure-wise in thread order: the deterministic software
+// BlockKernel computes the worlds at positions [lo, hi) of block b into out:
+// hi-lo consecutive width-sized rows, zeroed on entry, row r holding
+// position lo+r. Calls for distinct (block, range) pairs may run
+// concurrently.
+type BlockKernel func(block, lo, hi int, out []float64) error
+
+// minChunk is the fewest worlds ReduceBlocksRange hands one kernel call
+// while a block is split across workers: below it the per-call overhead
+// (the kernel's scratch checkout, its task loop) outweighs the balance a
+// finer split buys.
+const minChunk = 32
+
+// Buffers is the reusable scratch of ReduceBlocksRange: the per-world slots
+// and the per-block errors. The zero value is ready to use; a caller that
+// runs many rounds keeps one and reuses it, so a round allocates nothing.
+// A Buffers serves one ReduceBlocksRange call at a time, and the slots and
+// errors a call returns stay valid until the next call on the same Buffers.
+type Buffers struct {
+	slots []float64
+	errs  []error
+	errAt []int // per block: position of the chunk that raised errs[b]
+	mu    sync.Mutex
+}
+
+// ReduceBlocks runs kernel over every world position [0, threads) of every
+// block on the device, in world chunks, and folds each block's slots
+// figure-wise in ascending position order: the deterministic software
 // analogue of the paper's shared-memory block reduction (§5.2: "store the
 // temporary results of each thread into the shared memory for fast
 // synchronization"). Because the fold order is canonical, the returned sums
 // are bit-identical on every device regardless of how the work was
-// scheduled.
+// scheduled or chunked.
 //
-// The returned slice is block-major (sums[b*width+w]); errs[b] is block b's
-// first error in thread order, or nil. A block with an error still has its
-// remaining threads run (threads are independent); its sums are meaningless.
-func ReduceBlocks(d Device, nBlocks, threads, width int, kernel func(block, thread int, out []float64) error) (sums []float64, errs []error) {
+// The returned slice is block-major (sums[b*width+w]); errs[b] is the error
+// of block b's first failing chunk in position order, or nil. A block with
+// an error still has its remaining chunks run (they are independent); its
+// sums are meaningless.
+func ReduceBlocks(d Device, nBlocks, threads, width int, kernel BlockKernel) (sums []float64, errs []error) {
 	sums = make([]float64, nBlocks*width)
-	_, errs = ReduceBlocksRange(d, nBlocks, 0, threads, width, sums, kernel)
+	_, errs = ReduceBlocksRange(d, nBlocks, 0, threads, width, sums, nil, kernel)
 	return sums, errs
 }
 
-// ReduceBlocksRange is ReduceBlocks restricted to the thread range [lo, hi):
-// it runs kernel(b, t, out) for every block b and thread t in the range and
-// folds each block's slots into the caller's running sums — sums[b*width+w],
-// len nBlocks*width — one thread at a time in ascending thread order.
-// Because the fold appends world by world to whatever the sums already hold,
-// chaining ranges [0,a), [a,b), ... yields sums bit-identical to a single
-// [0, n) ReduceBlocks: float accumulation happens in the same order either
-// way. This is the execution primitive of adaptive (chunked) evaluation,
-// where a batch of states advances through world chunks and states leave the
-// batch as their verdicts are decided.
+// ReduceBlocksRange is ReduceBlocks restricted to the position range
+// [lo, hi): it runs kernel over the range of every block, one (block,
+// chunk) unit per MapBlocks thread, and folds each block's slots into the
+// caller's running sums — sums[b*width+w], len nBlocks*width — one position
+// at a time in ascending order. Because the fold appends position by
+// position to whatever the sums already hold, chaining ranges [0,a), [a,b),
+// ... yields sums bit-identical to a single [0, n) ReduceBlocks: float
+// accumulation happens in the same order either way. This is the execution
+// primitive of adaptive (chunked) evaluation, where a batch of states
+// advances through world chunks and states leave the batch as their
+// verdicts are decided.
 //
-// errs[b] is block b's first error in thread order within this range, or nil;
-// a block with an error still has its remaining threads run, and its sums are
-// left untouched (not folded). The returned slots slice holds the range's raw
-// per-thread figures, laid out slots[(b*(hi-lo)+(t-lo))*width+w], for callers
-// that need per-world figures beyond the sums (racing's paired differences);
-// it is freshly allocated each call and owned by the caller.
-func ReduceBlocksRange(d Device, nBlocks, lo, hi, width int, sums []float64, kernel func(block, thread int, out []float64) error) (slots []float64, errs []error) {
-	errs = make([]error, nBlocks)
-	if nBlocks <= 0 || hi <= lo || width <= 0 {
+// errs[b] is the error of block b's first failing chunk within this range,
+// or nil; a block with an error still has its remaining chunks run, and its
+// sums are left untouched (not folded). The returned slots hold the range's
+// raw per-position figures, laid out slots[(b*(hi-lo)+(t-lo))*width+w], for
+// callers that need per-world figures beyond the sums (racing's paired
+// differences). Slots and errs live in buf, which may be nil (fresh
+// buffers) and is reused by the next call on it.
+func ReduceBlocksRange(d Device, nBlocks, lo, hi, width int, sums []float64, buf *Buffers, kernel BlockKernel) (slots []float64, errs []error) {
+	if buf == nil {
+		buf = new(Buffers)
+	}
+	if nBlocks < 0 {
+		nBlocks = 0
+	}
+	errs = grow(buf.errs, nBlocks)
+	buf.errs = errs
+	clear(errs)
+	if nBlocks == 0 || hi <= lo || width <= 0 {
 		return nil, errs
 	}
 	span := hi - lo
-	slots = make([]float64, nBlocks*span*width)
-	slotErrs := make([]error, nBlocks*span)
-	d.MapBlocks(nBlocks, span, func(b, t int) {
-		off := (b*span + t) * width
-		slotErrs[b*span+t] = kernel(b, lo+t, slots[off:off+width:off+width])
+	slots = grow(buf.slots, nBlocks*span*width)
+	buf.slots = slots
+	clear(slots)
+	errAt := grow(buf.errAt, nBlocks)
+	buf.errAt = errAt
+
+	// Split blocks only as far as a batch narrower than the pool needs to
+	// give every worker a unit, and never below minChunk worlds: a kernel
+	// call over a whole block runs its task loop once for all its worlds,
+	// so a batch at least as wide as the pool keeps whole blocks (finer
+	// splits measured slower end to end on the plan-cold workload).
+	chunks := 1
+	if workers := d.Blocks(); workers > 1 {
+		chunks = (workers + nBlocks - 1) / nBlocks
+		if most := (span + minChunk - 1) / minChunk; chunks > most {
+			chunks = most
+		}
+		if chunks < 1 {
+			chunks = 1
+		}
+	}
+	size := (span + chunks - 1) / chunks
+	chunks = (span + size - 1) / size // tight after rounding
+	d.MapBlocks(nBlocks, chunks, func(b, c int) {
+		clo := c * size
+		chi := clo + size
+		if chi > span {
+			chi = span
+		}
+		off := b * span
+		if err := kernel(b, lo+clo, lo+chi, slots[(off+clo)*width:(off+chi)*width:(off+chi)*width]); err != nil {
+			buf.mu.Lock()
+			if errs[b] == nil || clo < errAt[b] {
+				errs[b], errAt[b] = err, clo
+			}
+			buf.mu.Unlock()
+		}
 	})
 	for b := 0; b < nBlocks; b++ {
-		for t := 0; t < span; t++ {
-			if err := slotErrs[b*span+t]; err != nil {
-				errs[b] = err
-				break
-			}
-		}
 		if errs[b] != nil {
 			continue
 		}
+		row := sums[b*width : (b+1)*width]
 		for t := 0; t < span; t++ {
 			off := (b*span + t) * width
-			for w := 0; w < width; w++ {
-				sums[b*width+w] += slots[off+w]
+			for w := range row {
+				row[w] += slots[off+w]
 			}
 		}
 	}
 	return slots, errs
 }
 
+// grow returns s resliced to n, reallocated when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Reduce runs fn(i) for every i in [0, n) on the device and sums the results
 // in index order — a single-block ReduceBlocks.
 func Reduce(d Device, n int, fn func(i int) float64) float64 {
-	sums, _ := ReduceBlocks(d, 1, n, 1, func(_, t int, out []float64) error {
-		out[0] = fn(t)
+	sums, _ := ReduceBlocks(d, 1, n, 1, func(_, lo, hi int, out []float64) error {
+		for i := lo; i < hi; i++ {
+			out[i-lo] = fn(i)
+		}
 		return nil
 	})
 	return sums[0]

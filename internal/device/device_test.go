@@ -163,10 +163,10 @@ func TestReduceBlocksBitIdenticalAcrossDevices(t *testing.T) {
 		out[2] = 1 / x
 		return nil
 	}
-	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, kernel)
+	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, perWorld(kernel))
 	for _, d := range []Device{Parallel{NumBlocks: 5}, TwoLevel{NumWorkers: 5}, TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
 		for rep := 0; rep < 10; rep++ {
-			got, errs := ReduceBlocks(d, nb, th, width, kernel)
+			got, errs := ReduceBlocks(d, nb, th, width, perWorld(kernel))
 			for _, err := range errs {
 				if err != nil {
 					t.Fatal(err)
@@ -196,7 +196,7 @@ func TestReduceBlocksErrorAttribution(t *testing.T) {
 		out[0] = 1
 		return nil
 	}
-	sums, errs := ReduceBlocks(TwoLevel{NumWorkers: 4}, nb, th, 1, kernel)
+	sums, errs := ReduceBlocks(TwoLevel{NumWorkers: 4}, nb, th, 1, perWorld(kernel))
 	if errs[0] != nil || errs[2] != nil {
 		t.Errorf("healthy blocks got errors: %v %v", errs[0], errs[2])
 	}
@@ -215,6 +215,20 @@ func TestReduceBlocksErrorAttribution(t *testing.T) {
 
 type errBoom struct{ t int }
 
+// perWorld lifts a one-world kernel to the ranged BlockKernel contract: the
+// chunk's worlds in order, stopping at the first error.
+func perWorld(kernel func(b, t int, out []float64) error) BlockKernel {
+	return func(b, lo, hi int, out []float64) error {
+		width := len(out) / (hi - lo)
+		for t := lo; t < hi; t++ {
+			if err := kernel(b, t, out[(t-lo)*width:(t-lo+1)*width]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func (e errBoom) Error() string { return "boom" }
 
 // TestReduceBlocksRangeChainsBitIdentical verifies the chunked-fold contract:
@@ -229,13 +243,16 @@ func TestReduceBlocksRangeChainsBitIdentical(t *testing.T) {
 		out[1] = 1 / x
 		return nil
 	}
-	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, kernel)
+	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, perWorld(kernel))
+	// One Buffers serves every round: reuse must not leak a round's slots
+	// or errors into the next.
+	buf := new(Buffers)
 	for _, d := range []Device{Sequential{}, Parallel{NumBlocks: 4}, TwoLevel{NumWorkers: 5}} {
 		for _, bounds := range [][]int{{th}, {16, 48, th}, {1, 2, 3, 50, th}} {
 			sums := make([]float64, nb*width)
 			lo := 0
 			for _, hi := range bounds {
-				slots, errs := ReduceBlocksRange(d, nb, lo, hi, width, sums, kernel)
+				slots, errs := ReduceBlocksRange(d, nb, lo, hi, width, sums, buf, perWorld(kernel))
 				for _, err := range errs {
 					if err != nil {
 						t.Fatal(err)
@@ -277,13 +294,13 @@ func TestReduceBlocksRangeErrorSkipsFold(t *testing.T) {
 		return nil
 	}
 	sums := make([]float64, 3)
-	_, errs := ReduceBlocksRange(TwoLevel{NumWorkers: 3}, 3, 0, 8, 1, sums, kernel)
+	_, errs := ReduceBlocksRange(TwoLevel{NumWorkers: 3}, 3, 0, 8, 1, sums, nil, perWorld(kernel))
 	for b, err := range errs {
 		if err != nil {
 			t.Fatalf("unexpected error in clean range, block %d: %v", b, err)
 		}
 	}
-	_, errs = ReduceBlocksRange(TwoLevel{NumWorkers: 3}, 3, 8, 20, 1, sums, kernel)
+	_, errs = ReduceBlocksRange(TwoLevel{NumWorkers: 3}, 3, 8, 20, 1, sums, nil, perWorld(kernel))
 	if e, ok := errs[1].(errBoom); !ok || e.t != 10 {
 		t.Fatalf("block 1: want first error at t=10, got %v", errs[1])
 	}

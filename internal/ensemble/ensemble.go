@@ -319,17 +319,19 @@ type admissionKernel struct {
 func (k *admissionKernel) Worlds() int { return 1 }
 func (k *admissionKernel) Width() int  { return 2 }
 
-func (k *admissionKernel) Sample(it int, out []float64) error {
-	score, cost := 0.0, 0.0
-	for i, bit := range k.st {
-		if bit == 0 {
-			continue
+func (k *admissionKernel) Sample(ws []int32, out []float64) error {
+	for r := range ws {
+		score, cost := 0.0, 0.0
+		for i, bit := range k.st {
+			if bit == 0 {
+				continue
+			}
+			score += k.sp.weights[i]
+			cost += k.sp.costs[i]
 		}
-		score += k.sp.weights[i]
-		cost += k.sp.costs[i]
+		out[2*r] = score
+		out[2*r+1] = cost
 	}
-	out[0] = score
-	out[1] = cost
 	return nil
 }
 

@@ -488,8 +488,13 @@ type placementKernel struct {
 func (k *placementKernel) Worlds() int { return 1 }
 func (k *placementKernel) Width() int  { return 3 }
 
-func (k *placementKernel) Sample(it int, out []float64) error {
-	return k.sp.accumulate(k.st, out)
+func (k *placementKernel) Sample(ws []int32, out []float64) error {
+	for r := range ws {
+		if err := k.sp.accumulate(k.st, out[3*r:3*r+3]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (k *placementKernel) Reduce(sums []float64) (*probir.Evaluation, error) {

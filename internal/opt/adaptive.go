@@ -134,6 +134,7 @@ type batch struct {
 	kernels  []probir.WorldKernel
 	partial  []probir.PartialKernel // adaptive only
 	snaps    []*probir.Snapshot     // delta only
+	buf      *batchBuf              // reused round buffers
 	sums     []float64
 	seen     []int
 
@@ -167,10 +168,9 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 	b := &batch{p: p, adaptive: adaptive, cands: cands,
 		out: make([]scored, n), kernels: make([]probir.WorldKernel, n),
 		sums: make([]float64, n*p.width), seen: make([]int, n)}
-	if p.delta != nil {
-		b.snaps = p.getSnapBuf(n)
-		defer p.putSnapBuf(b.snaps)
-	}
+	bb := p.getBatchBuf(n)
+	defer p.putBatchBuf(bb)
+	b.buf, b.snaps = bb, bb.snaps
 	if adaptive {
 		b.order = p.order
 		b.partial = make([]probir.PartialKernel, n)
@@ -296,28 +296,38 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 	// otherwise the active rows are gathered into their block order.
 	round := b.sums
 	if nb < len(b.cands) {
-		round = make([]float64, nb*width)
+		if cap(b.buf.round) < nb*width {
+			b.buf.round = make([]float64, nb*width)
+		}
+		round = b.buf.round[:nb*width]
 		for bi, i := range active {
 			copy(round[bi*width:(bi+1)*width], b.row(i))
 		}
 	}
 	p.enterPhase(phaseChunkEval)
-	slots, errs := device.ReduceBlocksRange(p.opts.Device, nb, lo, end, width, round, func(bi, t int, slot []float64) error {
+	// Positions [clo, chi) run worlds ws[clo:chi]: the identity, or under
+	// decisive-world-first ordering the permutation. World figures are a
+	// function of the world index alone, so permuting positions permutes
+	// rows. Cancellation is checked once per (state, chunk) unit.
+	ws := p.ident
+	if b.order != nil {
+		ws = b.order
+	}
+	slots, errs := device.ReduceBlocksRange(p.opts.Device, nb, lo, end, width, round, &b.buf.dev, func(bi, clo, chi int, out []float64) error {
 		if err := p.opts.Ctx.Err(); err != nil {
 			return fmt.Errorf("opt: search cancelled: %w", err)
 		}
-		// Position t runs world order[t] under decisive-world-first
-		// ordering; world figures are a function of the world index alone,
-		// so permuting positions permutes rows.
-		if b.order != nil {
-			t = int(b.order[t])
-		}
-		return b.kernels[active[bi]].Sample(t, slot)
+		return b.kernels[active[bi]].Sample(ws[clo:chi], out)
 	})
 
 	delta := 1 - p.opts.Confidence
-	done := make([]int, 0, nb)
-	var next []int
+	// next filters active in place: entry bi is read before any later
+	// state is appended.
+	if cap(b.buf.done) < nb {
+		b.buf.done = make([]int, nb)
+	}
+	done := b.buf.done[:0]
+	next := active[:0]
 	for bi, i := range active {
 		if errs[bi] != nil {
 			b.out[i].err = errs[bi]

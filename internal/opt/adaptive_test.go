@@ -299,9 +299,11 @@ var errFakeReduce = errors.New("fake reduction failure")
 
 func (k failingReduceKernel) Worlds() int { return 64 }
 func (k failingReduceKernel) Width() int  { return 1 }
-func (k failingReduceKernel) Sample(it int, out []float64) error {
-	k.samples.Add(1)
-	out[0] = 1
+func (k failingReduceKernel) Sample(ws []int32, out []float64) error {
+	k.samples.Add(int64(len(ws)))
+	for r := range ws {
+		out[r] = 1
+	}
 	return nil
 }
 func (k failingReduceKernel) Reduce([]float64) (*probir.Evaluation, error) { return nil, errFakeReduce }

@@ -105,8 +105,8 @@ type Transform struct {
 }
 
 // Descriptor is how a space describes its evaluation to the solver for one
-// search seed: every state evaluates as a per-world kernel plus reduction
-// (package probir), run as one device block of Monte-Carlo threads.
+// search seed: every state evaluates as a world kernel plus reduction
+// (package probir), run as one device block cut into world chunks.
 type Descriptor struct {
 	// Kernel builds one state's world kernel. Every state of a space must
 	// share the kernel shape (worlds and figures) of the first start state;

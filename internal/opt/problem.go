@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"sync"
 
+	"deco/internal/device"
 	"deco/internal/probir"
 )
 
@@ -87,44 +88,59 @@ type Problem struct {
 	// allocation would show up as a delta-only allocs/op regression.
 	phaseCtx [nPhases]context.Context
 
-	// snapBufs freelists the per-batch snapshot pointer buffers of the delta
-	// path, for the same reason: the buffer is delta-only bookkeeping, and
-	// allocating it per batch would cost the delta row allocations the full
-	// path never pays. Batches nest (completeParent evaluates the parent in
-	// the middle of building a child batch), hence a stack, not one field.
-	snapBufMu sync.Mutex
-	snapBufs  [][]*probir.Snapshot
+	// batchBufs freelists per-batch scratch (batchBuf): the device rounds'
+	// slot and error buffers and the delta path's snapshot pointers, so a
+	// batch allocates neither. Batches nest (completeParent evaluates the
+	// parent in the middle of building a child batch), hence a stack, not
+	// one field.
+	batchBufMu sync.Mutex
+	batchBufs  []*batchBuf
+
+	// ident is the identity world list [0, worlds): the ws of an unpermuted
+	// chunk is a sub-slice of it.
+	ident []int32
 }
 
-// getSnapBuf returns a per-batch snapshot buffer of length n, reusing a
-// freelisted one when large enough.
-func (p *Problem) getSnapBuf(n int) []*probir.Snapshot {
-	p.snapBufMu.Lock()
-	for len(p.snapBufs) > 0 {
-		buf := p.snapBufs[len(p.snapBufs)-1]
-		p.snapBufs = p.snapBufs[:len(p.snapBufs)-1]
-		if cap(buf) >= n {
-			p.snapBufMu.Unlock()
-			return buf[:n]
+// batchBuf is one live batch's reusable scratch.
+type batchBuf struct {
+	dev   device.Buffers
+	snaps []*probir.Snapshot // delta only: per-state capture snapshots
+	round []float64          // a partial round's gathered running sums
+	done  []int              // the states a round finishes
+}
+
+// getBatchBuf returns a batch scratch, reusing a freelisted one; snaps is
+// resized to n states when the problem evaluates incrementally.
+func (p *Problem) getBatchBuf(n int) *batchBuf {
+	p.batchBufMu.Lock()
+	var bb *batchBuf
+	if k := len(p.batchBufs); k > 0 {
+		bb = p.batchBufs[k-1]
+		p.batchBufs = p.batchBufs[:k-1]
+	}
+	p.batchBufMu.Unlock()
+	if bb == nil {
+		bb = new(batchBuf)
+	}
+	if p.delta != nil {
+		if cap(bb.snaps) < n {
+			bb.snaps = make([]*probir.Snapshot, n)
 		}
-		// Undersized for this batch; drop it and keep looking.
+		bb.snaps = bb.snaps[:n]
 	}
-	p.snapBufMu.Unlock()
-	return make([]*probir.Snapshot, n)
+	return bb
 }
 
-// putSnapBuf recycles a batch buffer. Ownership of any snapshots it held has
-// already moved to the snapshot store or back to the evaluator's pool, so
+// putBatchBuf recycles a batch scratch. Ownership of any snapshots it held
+// has already moved to the snapshot store or back to the freelist, so
 // entries are only cleared, never released.
-func (p *Problem) putSnapBuf(buf []*probir.Snapshot) {
-	for i := range buf {
-		buf[i] = nil
+func (p *Problem) putBatchBuf(bb *batchBuf) {
+	clear(bb.snaps)
+	p.batchBufMu.Lock()
+	if len(p.batchBufs) < 8 {
+		p.batchBufs = append(p.batchBufs, bb)
 	}
-	p.snapBufMu.Lock()
-	if len(p.snapBufs) < 8 {
-		p.snapBufs = append(p.snapBufs, buf)
-	}
-	p.snapBufMu.Unlock()
+	p.batchBufMu.Unlock()
 }
 
 // Profiling phases: CPU profiles attribute hot-path time to the solver phase
@@ -166,8 +182,10 @@ type DeltaStats struct {
 	// evaluated fully anyway (parent snapshot missing or evicted, or the
 	// dirty cone exceeded the structural threshold).
 	Fallbacks int64
-	// Snapshots / SnapshotBytes are the retained snapshot count and bytes;
-	// Evictions counts snapshots recycled under budget pressure.
+	// Snapshots / SnapshotBytes are the retained snapshot count and bytes:
+	// those the store holds now plus those it held when a search ended and
+	// drained it back to the freelist. Evictions counts snapshots recycled
+	// under budget pressure.
 	Snapshots     int
 	SnapshotBytes int64
 	Evictions     int64
@@ -188,7 +206,10 @@ type DeltaStats struct {
 func (p *Problem) DeltaStats() DeltaStats {
 	st := p.stats
 	if p.snaps != nil {
-		st.Snapshots, st.SnapshotBytes, st.Evictions = p.snaps.stats()
+		n, b, ev := p.snaps.stats()
+		st.Snapshots += n
+		st.SnapshotBytes += b
+		st.Evictions = ev
 	}
 	return st
 }
@@ -229,6 +250,7 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		return nil, fmt.Errorf("opt: compiling kernel: %w", err)
 	}
 	p.worlds, p.width = probe.Worlds(), probe.Width()
+	p.ident = probir.Identity(p.worlds)
 	if o.Worlds > 0 && p.worlds == 0 {
 		return nil, fmt.Errorf("opt: Options.Worlds=%d asserted, but the space has no per-world kernel decomposition", o.Worlds)
 	}
@@ -325,6 +347,15 @@ func (p *Problem) Adaptive() bool { return p.adaptive }
 // Search runs the compiled problem to completion: A* when Options.AStar is
 // set, otherwise the generic search of Algorithm 2.
 func (p *Problem) Search() (*Result, error) {
+	if p.snaps != nil {
+		// The finished search's snapshots go back to the freelist, where the
+		// next search (on any evaluator) recycles their arenas.
+		defer func() {
+			n, b := p.snaps.drain()
+			p.stats.Snapshots += n
+			p.stats.SnapshotBytes += b
+		}()
+	}
 	if p.opts.AStar {
 		return p.astarSearch()
 	}

@@ -106,6 +106,25 @@ func (s *snapStore) put(key string, snap *probir.Snapshot) {
 	}
 }
 
+// drain releases every stored snapshot and empties the store, returning the
+// entry count and bytes it held. The eviction count is kept.
+func (s *snapStore) drain() (entries int, bytes int64) {
+	s.mu.Lock()
+	var out []*probir.Snapshot
+	for el := s.ll.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*snapEntry).snap)
+	}
+	entries, bytes = len(s.entries), s.used
+	s.ll.Init()
+	clear(s.entries)
+	s.used = 0
+	s.mu.Unlock()
+	for _, sn := range out {
+		s.release(sn)
+	}
+	return entries, bytes
+}
+
 // has reports whether a snapshot is already stored for a state key without
 // touching LRU order.
 func (s *snapStore) has(key string) bool {

@@ -184,34 +184,48 @@ func (s *ScheduleSpace) Neighbors(st State) []Transform {
 			continue // Move/Merge/Split/Co-Scheduling act at plan level
 		}
 		for _, g := range s.Groups {
-			child := st.Clone()
-			var tasks []int32
-			for _, i := range g {
-				nv := child[i] + delta
-				if nv >= 0 && nv < k {
-					child[i] = nv
-					tasks = append(tasks, int32(i))
-				}
-			}
-			if len(tasks) > 0 {
-				out = append(out, Transform{Op: op, Tasks: tasks, Child: child})
+			if tr, ok := shift(st, g, false, delta, k); ok {
+				tr.Op = op
+				out = append(out, tr)
 			}
 		}
 		// Global shift: every task moves one step in this direction.
-		child := st.Clone()
-		var tasks []int32
-		for i := range child {
-			nv := child[i] + delta
-			if nv >= 0 && nv < k {
-				child[i] = nv
-				tasks = append(tasks, int32(i))
-			}
-		}
-		if len(tasks) > 0 {
-			out = append(out, Transform{Op: op, Tasks: tasks, Child: child})
+		if tr, ok := shift(st, nil, true, delta, k); ok {
+			tr.Op = op
+			out = append(out, tr)
 		}
 	}
 	return out
+}
+
+// shift moves the tasks of group g (every task when all is set) one type
+// step by delta within [0, k), reporting false when none can move. The child
+// is cloned only once the first task changes, so an all-cheapest Demote or a
+// top-type Promote costs no allocation.
+func shift(st State, g []int, all bool, delta, k int) (Transform, bool) {
+	var child State
+	var tasks []int32
+	move := func(i int) {
+		nv := st[i] + delta
+		if nv < 0 || nv >= k {
+			return
+		}
+		if child == nil {
+			child = st.Clone()
+		}
+		child[i] = nv
+		tasks = append(tasks, int32(i))
+	}
+	if all {
+		for i := range st {
+			move(i)
+		}
+	} else {
+		for _, i := range g {
+			move(i)
+		}
+	}
+	return Transform{Tasks: tasks, Child: child}, child != nil
 }
 
 // Evaluate scores one state with a state-keyed rng — the test oracle the

@@ -1,0 +1,365 @@
+package probir
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"deco/internal/cloud"
+	"deco/internal/dag"
+	"deco/internal/estimate"
+	"deco/internal/wfgen"
+	"deco/internal/wlog"
+)
+
+// blockWorkflows returns the workflows the block-kernel test sweeps: one of
+// each wfgen family the paper evaluates plus random small DAGs.
+func blockWorkflows(t *testing.T) []*dag.Workflow {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	var out []*dag.Workflow
+	for _, app := range []wfgen.App{wfgen.AppMontage, wfgen.AppCyberShake, wfgen.AppLigo, wfgen.AppEpigenomics} {
+		w, err := wfgen.BySize(app, 40, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, w)
+	}
+	for k := 0; k < 2; k++ {
+		w := dag.New(fmt.Sprintf("rand%d", k))
+		nt := 6 + rng.Intn(10)
+		id := func(i int) string { return fmt.Sprintf("t%02d", i) }
+		for i := 0; i < nt; i++ {
+			task := &dag.Task{ID: id(i), CPUSeconds: 50 + rng.Float64()*400,
+				Inputs:  []dag.File{{Name: "in_" + id(i), SizeMB: 50 + rng.Float64()*300}},
+				Outputs: []dag.File{{Name: "out_" + id(i), SizeMB: 25 + rng.Float64()*150}}}
+			if err := w.AddTask(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1; i < nt; i++ {
+			for p := rng.Intn(3); p > 0; p-- {
+				if err := w.AddEdge(id(rng.Intn(i)), id(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// blockTable builds a workflow's time table from the default catalog, with
+// spot columns for two types and their market specs when spot is set.
+func blockTable(t *testing.T, w *dag.Workflow, md *cloud.Metadata, spot bool) (*estimate.Table, []float64, []MarketSpec) {
+	t.Helper()
+	cat := cloud.DefaultCatalog()
+	tbl, err := estimate.New(cat, md).BuildTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us, err := cat.Region(cloud.USEast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spot {
+		if tbl, err = tbl.ExpandSpot([]string{"m1.small", "m1.xlarge"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prices := make([]float64, len(tbl.Types))
+	var markets []MarketSpec
+	if spot {
+		markets = make([]MarketSpec, len(tbl.Types))
+	}
+	for j, name := range tbl.Types {
+		if !cloud.IsSpotName(name) {
+			prices[j] = us.PricePerHour[name]
+			continue
+		}
+		m := us.Spot[cloud.BaseType(name)]
+		prices[j] = m.PricePerHourMean
+		markets[j] = MarketSpec{Spot: true, PriceMean: m.PricePerHourMean, PriceSigma: m.PriceSigma,
+			RevocationsPerHour: m.RevocationsPerHour, OnDemandUSD: us.PricePerHour[cloud.BaseType(name)]}
+	}
+	return tbl, prices, markets
+}
+
+// perWorld runs a kernel one world per call over worlds 0..Worlds()-1 —
+// the sequential reference every chunked run must reproduce — and returns
+// the figure rows in world order.
+func perWorld(t *testing.T, k WorldKernel) []float64 {
+	t.Helper()
+	width := k.Width()
+	rows := make([]float64, k.Worlds()*width)
+	for it := 0; it < k.Worlds(); it++ {
+		if err := k.Sample([]int32{int32(it)}, rows[it*width:(it+1)*width]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rows
+}
+
+// chunked runs a kernel over the world list ws in chunks of size, calling
+// the chunks in a shuffled order as a device might, and returns the figure
+// rows by position.
+func chunked(t *testing.T, k WorldKernel, ws []int32, size int, rng *rand.Rand) []float64 {
+	t.Helper()
+	width := k.Width()
+	rows := make([]float64, len(ws)*width)
+	var los []int
+	for lo := 0; lo < len(ws); lo += size {
+		los = append(los, lo)
+	}
+	rng.Shuffle(len(los), func(i, j int) { los[i], los[j] = los[j], los[i] })
+	for _, lo := range los {
+		hi := min(lo+size, len(ws))
+		if err := k.Sample(ws[lo:hi], rows[lo*width:hi*width]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rows
+}
+
+// sameSnapshot fails unless two snapshots hold bitwise-equal finish times
+// and makespans, and argmax tasks that are equal too or, with exactAmax
+// unset (a delta rescan breaks ties in index order, the full DP in
+// topological order), that attain the makespan.
+func sameSnapshot(t *testing.T, what string, got, want *Snapshot, exactAmax bool) {
+	t.Helper()
+	for i := range want.finish {
+		if got.finish[i] != want.finish[i] {
+			t.Fatalf("%s: finish[%d] %v != %v", what, i, got.finish[i], want.finish[i])
+		}
+	}
+	for w := range want.ms {
+		if got.ms[w] != want.ms[w] {
+			t.Fatalf("%s: world %d makespan %v != %v", what, w, got.ms[w], want.ms[w])
+		}
+		if a := got.amax[w]; a != want.amax[w] && (exactAmax || got.finish[int(a)*got.worlds+w] != got.ms[w]) {
+			t.Fatalf("%s: world %d argmax task %d, want %d", what, w, a, want.amax[w])
+		}
+	}
+}
+
+// TestBlockKernelMatchesPerWorld pins the ranged kernel contract: the native
+// CRN kernel's full, capturing and dirty-cone delta passes, run over random
+// chunkings of the worlds (chunk sizes 1, 7, 13, 50 and all worlds, called
+// in shuffled order) of the identity and of the decisive-world-first
+// permutation, produce figure rows, folded sums and snapshot contents
+// (finish, ms, amax) bitwise equal to the one-world-per-call reference.
+// The reference itself is checked against dag.Flat.Makespan per world.
+// The sweep covers the wfgen Montage, CyberShake, LIGO and Epigenomics
+// families plus random small DAGs, with and without spot markets, under
+// every deadline/budget × mean/percentile constraint shape.
+func TestBlockKernelMatchesPerWorld(t *testing.T) {
+	const worlds = 100
+	md, err := cloud.MetadataFromTruth(cloud.DefaultCatalog(), 15, 2000, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		name string
+		cons func(dl, bud float64) []wlog.Constraint
+	}{
+		{"deadline-pct", func(dl, bud float64) []wlog.Constraint {
+			return []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: dl}}
+		}},
+		{"deadline-mean", func(dl, bud float64) []wlog.Constraint {
+			return []wlog.Constraint{{Kind: "deadline", Percentile: -1, Bound: dl}}
+		}},
+		{"budget-pct", func(dl, bud float64) []wlog.Constraint {
+			return []wlog.Constraint{{Kind: "budget", Percentile: 0.8, Bound: bud}}
+		}},
+		{"budget-mean", func(dl, bud float64) []wlog.Constraint {
+			return []wlog.Constraint{{Kind: "budget", Percentile: -1, Bound: bud}}
+		}},
+		{"all", func(dl, bud float64) []wlog.Constraint {
+			return []wlog.Constraint{
+				{Kind: "deadline", Percentile: 0.9, Bound: dl},
+				{Kind: "budget", Percentile: 0.8, Bound: bud},
+				{Kind: "deadline", Percentile: -1, Bound: dl},
+				{Kind: "budget", Percentile: -1, Bound: bud},
+			}
+		}},
+	}
+	rng := rand.New(rand.NewSource(99))
+	for wi, w := range blockWorkflows(t) {
+		for _, spot := range []bool{false, true} {
+			tbl, prices, markets := blockTable(t, w, md, spot)
+			// Bounds at the typical makespan and cost of a mid-range plan,
+			// so indicators split the worlds.
+			probe, err := NewNativeMarkets(w, tbl, prices, markets, GoalMakespan, nil, worlds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mid := make([]int, w.Len())
+			for i := range mid {
+				mid[i] = probe.NumTypes() / 2
+			}
+			pev, err := probe.EvaluateCRN(mid, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost, err := probe.MeanCost(mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range shapes {
+				for _, goal := range []GoalKind{GoalCost, GoalMakespan} {
+					name := fmt.Sprintf("wf%d-%s/spot=%v/%s/goal=%d", wi, w.Name, spot, sh.name, goal)
+					t.Run(name, func(t *testing.T) {
+						n, err := NewNativeMarkets(w, tbl, prices, markets, goal, sh.cons(pev.Value, cost), worlds)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkBlockKernels(t, n, rng)
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkBlockKernels runs one evaluator's kernels through every chunking and
+// compares them with the per-world reference.
+func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
+	base := rng.Int63()
+	nt := n.W.Len()
+	parentCfg := make([]int, nt)
+	for i := range parentCfg {
+		parentCfg[i] = rng.Intn(n.NumTypes())
+	}
+	childCfg := append([]int(nil), parentCfg...)
+	var dirty []int32
+	for len(dirty) == 0 {
+		for i := range childCfg {
+			if rng.Intn(nt) < 3 {
+				childCfg[i] = rng.Intn(n.NumTypes())
+				if childCfg[i] != parentCfg[i] {
+					dirty = append(dirty, int32(i))
+				}
+			}
+		}
+	}
+	full, err := n.newCRNKernel(childCfg, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Worlds() == 0 {
+		return // deterministic evaluation: no worlds to chunk
+	}
+	width := full.Width()
+	ref := perWorld(t, full)
+
+	// Oracle: the per-world makespan figure is the plain longest-path DP
+	// over the world's CRN durations.
+	rows := full.prog.Rows(childCfg)
+	dur := make([]float64, nt)
+	fin := make([]float64, nt)
+	for it := 0; it < full.Worlds(); it++ {
+		for i := range dur {
+			dur[i] = rows[i][it]
+		}
+		ms := n.flat.Makespan(dur, fin)
+		if full.needMS && ref[it*width+full.msIdx] != ms {
+			t.Fatalf("world %d: kernel makespan %v, Flat.Makespan %v", it, ref[it*width+full.msIdx], ms)
+		}
+	}
+
+	// Reference snapshots, one world per call: the parent captured in full,
+	// the child captured in full, and the child by a forced dirty-cone delta.
+	var refParent, refFull, refDelta *Snapshot
+	capture := func(cfg []int) (*Snapshot, []float64) {
+		s := n.NewSnapshot()
+		k, err := n.CRNKernelSnap(cfg, base, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, perWorld(t, k)
+	}
+	deltaKernel := func(parent, snap *Snapshot) WorldKernel {
+		plan, err := n.PlanCone(dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.delta = true // exercise the cone pass whatever the work model says
+		k, err := n.CRNDeltaKernelPlanned(childCfg, base, plan, parent, snap)
+		if err != nil || k == nil {
+			t.Fatalf("delta kernel: %v (nil=%v)", err, k == nil)
+		}
+		return k
+	}
+	if n.needsMSSampling() {
+		refParent, _ = capture(parentCfg)
+		var got []float64
+		refFull, got = capture(childCfg)
+		sameRows(t, "capture reference", got, ref)
+		refDelta = n.NewSnapshot()
+		sameRows(t, "delta reference", perWorld(t, deltaKernel(refParent, refDelta)), ref)
+		refDelta.materialize()
+		sameSnapshot(t, "delta reference vs full capture", refDelta, refFull, false)
+		for it := 0; it < n.Iters; it++ {
+			if a := refFull.amax[it]; refFull.finish[int(a)*n.Iters+it] != refFull.ms[it] {
+				t.Fatalf("world %d: argmax task %d does not attain the makespan", it, a)
+			}
+		}
+	}
+
+	perms := map[string][]int32{"identity": Identity(n.Iters), "ordered": n.WorldOrder(base)}
+	for pname, perm := range perms {
+		if perm == nil {
+			t.Fatalf("%s: no world list", pname)
+		}
+		for _, size := range []int{1, 7, 13, 50, n.Iters} {
+			what := fmt.Sprintf("%s chunk=%d", pname, size)
+			check := func(kind string, got []float64) {
+				t.Helper()
+				for p, w := range perm {
+					for f := 0; f < width; f++ {
+						if g, r := got[p*width+f], ref[int(w)*width+f]; g != r {
+							t.Fatalf("%s %s: position %d (world %d) figure %d: %v != %v", what, kind, p, w, f, g, r)
+						}
+					}
+				}
+				// Folded in position order, the sums match the reference
+				// rows folded in the same order.
+				gs, rs := make([]float64, width), make([]float64, width)
+				for p, w := range perm {
+					for f := 0; f < width; f++ {
+						gs[f] += got[p*width+f]
+						rs[f] += ref[int(w)*width+f]
+					}
+				}
+				sameRows(t, what+" "+kind+" sums", gs, rs)
+			}
+			check("full", chunked(t, full, perm, size, rng))
+			if !n.needsMSSampling() {
+				continue
+			}
+			s, err := n.CRNKernelSnap(childCfg, base, n.NewSnapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("capture", chunked(t, s, perm, size, rng))
+			sameSnapshot(t, what+" capture", s.(*nativeKernel).capture, refFull, true)
+			snap := n.NewSnapshot()
+			check("delta", chunked(t, deltaKernel(refParent, snap), perm, size, rng))
+			snap.materialize()
+			sameSnapshot(t, what+" delta", snap, refDelta, true)
+		}
+	}
+}
+
+// sameRows fails unless two figure slices are bitwise equal.
+func sameRows(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d figures, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: figure %d %v != %v", what, i, got[i], want[i])
+		}
+	}
+}

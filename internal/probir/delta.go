@@ -2,6 +2,7 @@ package probir
 
 import (
 	"fmt"
+	"sync"
 
 	"deco/internal/dag"
 )
@@ -11,11 +12,13 @@ import (
 // (task, type, iteration), so when a neighbor differs from its parent by a
 // transformation that reassigns a few tasks, the parent's per-(task, world)
 // finish times remain valid for every task whose inputs did not change. The
-// delta kernel copies the parent's finish row for a world and re-runs the
-// longest-path recurrence only over the dirty cone — the reassigned tasks
-// plus their topological descendants (dag.Flat.Cone) — and within the cone
-// skips any task none of whose parents actually changed value in that world
-// (value-change propagation over the child CSR). Recomputed tasks read
+// delta kernel re-runs the longest-path recurrence only over the dirty cone
+// — the reassigned tasks plus their topological descendants
+// (dag.Flat.Cone) — and within the cone skips any task none of whose
+// parents actually changed value in the chunk's worlds (value-change
+// propagation over the child CSR), copying the parent's finish times for
+// it instead. The walk is task-major: a recomputed task runs across the
+// whole chunk with its parent list read once. Recomputed tasks read
 // bitwise-identical inputs to a full evaluation, and skipped tasks provably
 // kept their parent values, so the resulting makespan is bit-identical to
 // the full DP; the max over tasks is order-independent. Cost figures are
@@ -25,10 +28,12 @@ import (
 
 // The structural fallback is a work-estimate model, in DP work units (one
 // unit ≈ one task step of the longest-path recurrence: an edge scan plus a
-// duration-row gather). Per world, delta evaluation pays a finish-row copy of
+// duration-row gather). Per world, delta evaluation pays a finish copy of
 // the whole DAG (deltaCopyUnit units per task — a contiguous memmove element
-// is far cheaper than a DP step) plus the cone's recomputation (cone tasks +
-// entering edges); full evaluation pays the whole DAG's DP (tasks + edges).
+// is far cheaper than a DP step — made by the kernel for skipped cone tasks
+// and by materialize for the rest) plus the cone's recomputation (cone
+// tasks + entering edges); full evaluation pays the whole DAG's DP (tasks +
+// edges).
 // Delta is declined only when the estimated delta work reaches the full
 // work, so Montage-scale group cones (~58% of the DAG, where the old flat
 // 0.75 cone-fraction threshold was already borderline and per-executable
@@ -55,6 +60,7 @@ type ConePlan struct {
 	cone      []int32 // cone positions into flat.Order, ascending
 	edges     int     // parent edges entering cone members
 	dirtyMask []bool  // per task: assignment differs from the parent's
+	inCone    []bool  // per task: a member of the cone
 	lastDirty int     // index into cone of the last dirty task
 	delta     bool    // work model: delta evaluation beats the full DP
 }
@@ -67,12 +73,15 @@ func (cp *ConePlan) Delta() bool { return cp.delta }
 // ConeSize returns the number of tasks in the dirty cone.
 func (cp *ConePlan) ConeSize() int { return len(cp.cone) }
 
-// Snapshot holds one state's per-world finish times — finish[it*n+task] —
-// plus each world's makespan and argmax task. A snapshot is written by a
-// capturing or delta kernel as its worlds run (disjoint slices per world, so
-// device threads never contend) and read as the parent of later delta
-// kernels. Snapshots are pooled by the Native that issued them; callers
-// return them via ReleaseSnapshot when evicted from their snapshot store.
+// Snapshot holds one state's per-world finish times, task-major —
+// finish[task*worlds+w] — plus each world's makespan and argmax task, so a
+// chunk of consecutive worlds reads and writes one contiguous run per task.
+// A snapshot is written by a capturing or delta kernel as its worlds run
+// (disjoint worlds per call, so device threads never contend) and read as
+// the parent of later delta kernels. Snapshot arenas are recycled through
+// one process-wide, byte-bounded freelist: callers return them via
+// ReleaseSnapshot when evicted from their snapshot store or when the search
+// that held them ends.
 type Snapshot struct {
 	n      int
 	worlds int
@@ -80,11 +89,67 @@ type Snapshot struct {
 	finish []float64
 	ms     []float64
 	amax   []int32
+
+	// from, when set, is the snapshot a delta kernel computed this one
+	// from: the rows outside its cone (inCone false) still equal from's and
+	// are copied by materialize, the first time this snapshot parents a
+	// delta kernel. pins counts the snapshots whose uncopied rows live here;
+	// a pinned snapshot released meanwhile (freed) returns to the freelist
+	// at its last unpin. Only the goroutine that owns the snapshots (the
+	// search building kernels) touches these fields.
+	from   *Snapshot
+	inCone []bool
+	pins   int
+	freed  bool
 }
 
-// Bytes reports the snapshot's retained memory, for store budgeting.
+// materialize copies the rows a delta kernel left in the snapshot it was
+// computed from, making this snapshot complete on its own.
+func (s *Snapshot) materialize() {
+	if s.from == nil {
+		return
+	}
+	W := s.worlds
+	for t, in := range s.inCone {
+		if !in {
+			copy(s.finish[t*W:(t+1)*W], s.from.finish[t*W:(t+1)*W])
+		}
+	}
+	s.from.unpin()
+	s.from, s.inCone = nil, nil
+}
+
+// detach drops the snapshot's link to the one it was computed from without
+// copying: its rows are about to be rewritten or discarded.
+func (s *Snapshot) detach() {
+	if s.from != nil {
+		s.from.unpin()
+		s.from, s.inCone = nil, nil
+	}
+}
+
+// unpin drops one dependent's hold on the snapshot, recycling it if it was
+// released while held.
+func (s *Snapshot) unpin() {
+	s.pins--
+	if s.pins == 0 && s.freed {
+		s.freed = false
+		recycle(s)
+	}
+}
+
+// Bytes reports the snapshot's memory, for store budgeting.
 func (s *Snapshot) Bytes() int64 {
 	return int64(len(s.finish))*8 + int64(len(s.ms))*8 + int64(len(s.amax))*4
+}
+
+// store records each of a chunk's worlds' makespan and argmax task; the
+// kernels write finish times into the snapshot as they compute them.
+func (s *Snapshot) store(ws []int32, ms []float64, amax []int32) {
+	for r, w := range ws {
+		s.ms[w] = ms[r]
+		s.amax[w] = amax[r]
+	}
 }
 
 // needsMSSampling reports whether evaluation samples per-world makespans —
@@ -101,51 +166,78 @@ func (n *Native) needsMSSampling() bool {
 	return false
 }
 
-// NewSnapshot returns a pooled snapshot sized for this evaluator, or nil
-// when evaluation involves no per-world finish times (nothing to reuse).
-// The returned snapshot's contents are undefined until a capturing kernel
-// has run.
+// snapPoolBytes bounds the arenas the snapshot freelist retains. A search's
+// store drains into the freelist when it ends, so the next search — on any
+// Native — builds its snapshots from recycled arenas instead of allocating
+// and zeroing them. The bound trades latency against peak RSS: whatever the
+// freelist holds stays in the GC's live heap between searches and raises
+// the heap goal of the whole process with it.
+const snapPoolBytes = 40 << 20
+
+// snapPool is the process-wide snapshot freelist: a stack of arenas, most
+// recently released on top, and the bytes they retain.
+var snapPool struct {
+	mu    sync.Mutex
+	bytes int64
+	free  []*Snapshot
+}
+
+// NewSnapshot returns a snapshot sized for this evaluator, or nil when
+// evaluation involves no per-world finish times (nothing to reuse). It
+// recycles the top arena of the freelist when its shape matches exactly;
+// otherwise that arena — sized for a shape no longer in use — goes to the
+// GC and a fresh one is allocated, so a change of shape turns the freelist
+// over instead of stranding it. The returned snapshot's contents are
+// undefined until a capturing kernel has run.
 func (n *Native) NewSnapshot() *Snapshot {
 	if !n.needsMSSampling() {
 		return nil
 	}
-	nt := n.W.Len()
-	n.snapMu.Lock()
-	for len(n.snapFree) > 0 {
-		s := n.snapFree[len(n.snapFree)-1]
-		n.snapFree = n.snapFree[:len(n.snapFree)-1]
-		if s.n == nt && s.worlds == n.Iters {
-			n.snapMu.Unlock()
-			return s
+	nt, worlds := n.W.Len(), n.Iters
+	var s *Snapshot
+	snapPool.mu.Lock()
+	if k := len(snapPool.free); k > 0 {
+		top := snapPool.free[k-1]
+		snapPool.free[k-1] = nil
+		snapPool.free = snapPool.free[:k-1]
+		snapPool.bytes -= top.Bytes()
+		if top.n == nt && top.worlds == worlds {
+			s = top
 		}
-		// Sized for a different shape (shouldn't happen per Native); drop it.
 	}
-	n.snapMu.Unlock()
-	return &Snapshot{
-		n:      nt,
-		worlds: n.Iters,
-		finish: make([]float64, nt*n.Iters),
-		ms:     make([]float64, n.Iters),
-		amax:   make([]int32, n.Iters),
+	snapPool.mu.Unlock()
+	if s == nil {
+		s = &Snapshot{n: nt, worlds: worlds, finish: make([]float64, nt*worlds), ms: make([]float64, worlds), amax: make([]int32, worlds)}
 	}
+	return s
 }
 
-// snapFreeCap bounds the snapshot freelist; at most this many released
-// snapshots are retained for reuse (roughly one frontier batch's worth),
-// anything beyond goes to the GC.
-const snapFreeCap = 256
-
-// ReleaseSnapshot returns a snapshot to the pool. The caller must hold no
-// kernel built against it.
+// ReleaseSnapshot returns a snapshot's arena to the freelist, or to the GC
+// when the freelist is full. A snapshot that still holds rows of
+// unmaterialized delta children goes back when the last of them lets go.
+// The caller must hold no kernel built against it.
 func (n *Native) ReleaseSnapshot(s *Snapshot) {
 	if s == nil {
 		return
 	}
-	n.snapMu.Lock()
-	if len(n.snapFree) < snapFreeCap {
-		n.snapFree = append(n.snapFree, s)
+	s.detach()
+	if s.pins > 0 {
+		s.freed = true
+		return
 	}
-	n.snapMu.Unlock()
+	recycle(s)
+}
+
+// recycle puts a snapshot's arena on the freelist, or leaves it to the GC
+// when the freelist is full.
+func recycle(s *Snapshot) {
+	b := s.Bytes()
+	snapPool.mu.Lock()
+	if snapPool.bytes+b <= snapPoolBytes {
+		snapPool.free = append(snapPool.free, s)
+		snapPool.bytes += b
+	}
+	snapPool.mu.Unlock()
 }
 
 // CRNKernelSnap is CRNKernel, additionally recording every world's finish
@@ -161,6 +253,7 @@ func (n *Native) CRNKernelSnap(config []int, base int64, snap *Snapshot) (WorldK
 			return nil, fmt.Errorf("probir: snapshot shape (%d tasks, %d worlds), want (%d, %d)",
 				snap.n, snap.worlds, n.W.Len(), n.Iters)
 		}
+		snap.detach()
 		snap.base = base
 		k.capture = snap
 	}
@@ -191,12 +284,14 @@ func (n *Native) PlanCone(dirty []int32) (*ConePlan, error) {
 		cone:      append([]int32(nil), cone...),
 		edges:     edges,
 		dirtyMask: make([]bool, nt),
+		inCone:    make([]bool, nt),
 		delta:     deltaWorthIt(nt, len(f.Parents), len(cone), edges),
 	}
 	for _, d := range dirty {
 		cp.dirtyMask[d] = true
 	}
 	for ci, kpos := range cp.cone {
+		cp.inCone[f.Order[kpos]] = true
 		if cp.dirtyMask[f.Order[kpos]] {
 			cp.lastDirty = ci
 		}
@@ -235,11 +330,16 @@ func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan,
 		// Nothing to delta (no makespan figures); run it as a plain kernel.
 		return k, nil
 	}
+	parent.materialize()
+	snap.detach()
 	snap.base = base
+	snap.from, snap.inCone = parent, plan.inCone
+	parent.pins++
 	k.capture = snap
 	k.parent = parent
 	k.cone = plan.cone
 	k.dirtyMask = plan.dirtyMask
+	k.inCone = plan.inCone
 	k.lastDirty = plan.lastDirty
 	return k, nil
 }
@@ -271,96 +371,193 @@ func (n *Native) CRNDeltaKernel(config []int, base int64, dirty []int32, parent,
 	return n.CRNDeltaKernelPlanned(config, base, plan, parent, snap)
 }
 
-// sampleDeltaMS computes world it's makespan incrementally: copy the
-// parent's finish row, walk the cone in topological order recomputing a task
-// only if it is dirty or one of its parents changed value this world, push
-// value changes to children through the child CSR, and derive the makespan
-// in O(1) from the parent's (makespan, argmax) unless the argmax task itself
-// changed. Recompute marks are epoch-stamped (no per-world clearing), and
-// the walk stops as soon as no marked task remains ahead and every dirty
-// task has been visited — past that point the world provably keeps its
-// parent values. All comparisons are bitwise, so the result is exactly the
-// full DP's.
-func (k *nativeKernel) sampleDeltaMS(it int) float64 {
-	f := k.n.flat
-	n0 := f.Len()
-	row := k.capture.finish[it*n0 : (it+1)*n0]
-	copy(row, k.parent.finish[it*n0:(it+1)*n0])
+// deltaRows is the per-world change bookkeeping of one delta chunk: the
+// largest changed finish and its task, whether the parent's argmax task
+// moved, and that argmax.
+type deltaRows struct {
+	chMax        []float64
+	chArg, pAmax []int32
+	amaxHit      []bool
+}
 
-	em := k.prog.flags.Get().(*epochMarks)
-	epoch := em.next()
-	marks := em.marks
-	parentAmax := k.parent.amax[it]
-	amaxChanged := false
-	changedMax := 0.0
-	changedArg := int32(-1)
-	pending := 0 // marked tasks not yet visited; all lie ahead in the cone
+// settle writes task ti's recomputed finish end for chunk row r at index i
+// of its finish row dst, reporting whether it moved from the parent's
+// finish prev[i].
+func (d *deltaRows) settle(dst, prev []float64, i, r int, ti int32, end float64) bool {
+	dst[i] = end
+	if end == prev[i] {
+		return false
+	}
+	if d.chArg[r] < 0 || end > d.chMax[r] {
+		d.chMax[r] = end
+		d.chArg[r] = ti
+	}
+	if ti == d.pAmax[r] {
+		d.amaxHit[r] = true
+	}
+	return true
+}
+
+// deltaMS computes the chunk's makespans incrementally: walk the cone in
+// topological order recomputing only the tasks that are dirty or have a
+// parent whose finish changed in some world of the chunk (copying the
+// parent's finishes for the rest), and derive each world's makespan in
+// O(1) from the parent's (makespan, argmax) unless the argmax task itself
+// changed. A recomputed task runs across the whole chunk with its parent
+// list read once, and only worlds whose value actually moved count as
+// changed. Touch marks are per task and epoch-stamped (no clearing per
+// call), and the walk stops as soon as no touched task remains ahead and
+// every dirty task has been visited — past that point every world provably
+// keeps its parent values. All comparisons are bitwise, so each world's
+// result is exactly the full DP's.
+func (k *nativeKernel) deltaMS(ws []int32, lo int, bs *blockScratch) {
+	f := k.n.flat
+	n0, m := f.Len(), len(ws)
+	par, snap := k.parent, k.capture
+	W := snap.worlds
+	sf, pf := snap.finish, par.finish
+	// src is the current finish row of task t: the child snapshot's for a
+	// cone task, the parent's for the rest (they never change). Each cone
+	// task's chunk worlds are written as the walk reaches it — recomputed,
+	// or copied from the parent when skipped — so a cone row is current
+	// before any child reads it. A contiguous chunk works on the [lo, lo+m)
+	// run of each row, a scattered one on the chunk's world columns. The
+	// rows outside the cone are left to Snapshot.materialize, so a state
+	// that never parents another never pays for them.
+	src := func(t int32) []float64 {
+		if k.inCone[t] {
+			return sf[int(t)*W : int(t)*W+W]
+		}
+		return pf[int(t)*W : int(t)*W+W]
+	}
+	keep := func(t int32) {
+		dst, from := sf[int(t)*W:int(t)*W+W], pf[int(t)*W:int(t)*W+W]
+		if lo >= 0 {
+			copy(dst[lo:lo+m], from[lo:lo+m])
+			return
+		}
+		for _, w := range ws {
+			dst[w] = from[w]
+		}
+	}
+	// touched: a parent's finish moved in some world of the chunk.
+	epoch := bs.marks.next(n0)
+	touched := bs.marks.marks[:n0]
+
+	dr := deltaRows{chMax: bs.chMax[:m], chArg: bs.chArg[:m], amaxHit: bs.amaxHit[:m], pAmax: bs.amax[:m]}
+	next, tmp := bs.start[:m], bs.tmp[:m]
+	for r, w := range ws {
+		dr.chArg[r] = -1
+		dr.amaxHit[r] = false
+		dr.pAmax[r] = par.amax[w]
+	}
+	pending := 0 // touched tasks not yet visited; all lie ahead in the cone
 	for ci, kpos := range k.cone {
+		ti := f.Order[kpos]
 		if pending == 0 && ci > k.lastDirty {
+			for _, kp := range k.cone[ci:] {
+				keep(f.Order[kp])
+			}
 			break
 		}
-		ti := f.Order[kpos]
-		if marks[ti] == epoch {
+		if touched[ti] == epoch {
 			pending--
 		} else if !k.dirtyMask[ti] {
+			keep(ti)
 			continue
 		}
-		start := 0.0
+		// next[r] becomes the task's new finish in chunk row r: max(0,
+		// parents) + duration, the parents folded in CSR order with strict
+		// >, as a lone world folds them.
+		clear(next)
 		for _, p := range f.Parents[f.ParentStart[kpos]:f.ParentStart[kpos+1]] {
-			if v := row[p]; v > start {
-				start = v
+			from := src(p)
+			if lo >= 0 {
+				for r, v := range from[lo : lo+m] {
+					if v > next[r] {
+						next[r] = v
+					}
+				}
+				continue
+			}
+			for r, w := range ws {
+				if v := from[w]; v > next[r] {
+					next[r] = v
+				}
 			}
 		}
-		end := start + k.rows[ti][it]
-		if end != row[ti] {
-			row[ti] = end
+		for r, d := range gather(k.row(ti), ws, lo, tmp) {
+			next[r] += d
+		}
+		prevRow := pf[int(ti)*W : int(ti)*W+W]
+		// Write every chunk world of the task and note the moved ones.
+		dstRow := sf[int(ti)*W : int(ti)*W+W]
+		moved := false
+		if lo >= 0 {
+			dst, prev := dstRow[lo:lo+m], prevRow[lo:lo+m]
+			for r, end := range next {
+				moved = dr.settle(dst, prev, r, r, ti, end) || moved
+			}
+		} else {
+			for r, end := range next {
+				moved = dr.settle(dstRow, prevRow, int(ws[r]), r, ti, end) || moved
+			}
+		}
+		if moved {
 			for _, c := range f.Children[f.ChildStart[ti]:f.ChildStart[ti+1]] {
-				if marks[c] != epoch {
-					marks[c] = epoch
+				if touched[c] != epoch {
+					touched[c] = epoch
 					pending++
 				}
 			}
-			if changedArg < 0 || end > changedMax {
-				changedMax = end
-				changedArg = ti
-			}
-			if ti == parentAmax {
-				amaxChanged = true
-			}
 		}
 	}
-	k.prog.flags.Put(em)
 
-	var ms float64
-	amax := parentAmax
-	if amaxChanged {
-		if changedMax >= k.parent.ms[it] {
+	chMax, chArg, amaxHit := dr.chMax, dr.chArg, dr.amaxHit
+	ms, amax := bs.ms[:m], dr.pAmax
+	rescan := bs.rescan[:0]
+	for r, w := range ws {
+		switch {
+		case amaxHit[r] && chMax[r] >= par.ms[w]:
 			// Every unchanged task still sits at its parent value, all of
 			// which are <= the parent makespan, so the changed maximum wins
 			// outright — no rescan needed.
-			ms = changedMax
-			amax = changedArg
-		} else {
+			ms[r], amax[r] = chMax[r], chArg[r]
+		case amaxHit[r]:
 			// The task that attained the parent's makespan dropped below it;
-			// rescan the contiguous finish row.
-			ms = 0
-			amax = -1
-			for i, v := range row {
-				if v > ms {
-					ms = v
-					amax = int32(i)
-				}
+			// the world's finish times are rescanned below.
+			ms[r], amax[r] = 0, -1
+			rescan = append(rescan, int32(r))
+		default:
+			// The parent's maximum still stands; only a changed value can
+			// beat it.
+			ms[r] = par.ms[w]
+			if chArg[r] >= 0 && chMax[r] > ms[r] {
+				ms[r], amax[r] = chMax[r], chArg[r]
 			}
 		}
-	} else {
-		// The parent's maximum still stands; only a changed value can beat it.
-		ms = k.parent.ms[it]
-		if changedArg >= 0 && changedMax > ms {
-			ms = changedMax
-			amax = changedArg
+	}
+	// Rescan task-major, each world visiting its tasks in index order: only
+	// the sinks while every duration is non-negative (no finish exceeds
+	// every sink's), else every task.
+	visit := func(t int32) {
+		from := src(t)
+		for _, r := range rescan {
+			if v := from[ws[r]]; v > ms[r] {
+				ms[r], amax[r] = v, t
+			}
 		}
 	}
-	k.capture.ms[it] = ms
-	k.capture.amax[it] = amax
-	return ms
+	switch {
+	case len(rescan) == 0:
+	case k.prog.negative.Load():
+		for t := 0; t < n0; t++ {
+			visit(int32(t))
+		}
+	default:
+		for _, t := range f.Sinks {
+			visit(t)
+		}
+	}
+	snap.store(ws, ms, amax)
 }

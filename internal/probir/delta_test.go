@@ -163,7 +163,9 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 			sameEval(t, step, dev, full)
 
 			// The delta-written snapshot must equal a full capture bit for
-			// bit — it parents the next step.
+			// bit — it parents the next step. Its rows outside the cone are
+			// copied when it first parents a kernel; copy them now.
+			childSnap.materialize()
 			ref := n.NewSnapshot()
 			rk, err := n.CRNKernelSnap(next, base, ref)
 			if err != nil {
@@ -226,7 +228,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	want := make([][]float64, sk.Worlds())
 	for it := range want {
 		want[it] = make([]float64, sk.Width())
-		if err := sk.Sample(it, want[it]); err != nil {
+		if err := sk.Sample([]int32{int32(it)}, want[it]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +246,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 			defer wg.Done()
 			for it := g; it < pk.Worlds(); it += 8 {
 				out := make([]float64, pk.Width())
-				if err := pk.Sample(it, out); err != nil {
+				if err := pk.Sample([]int32{int32(it)}, out); err != nil {
 					t.Error(err)
 					return
 				}
@@ -329,4 +331,62 @@ func TestSnapshotPooling(t *testing.T) {
 		t.Fatal("released snapshots never recycled through the pool")
 	}
 	n.ReleaseSnapshot(nil) // must not panic
+}
+
+// TestSnapshotPinnedUntilMaterialized pins the lazy delta snapshot's
+// lifetime: a delta child keeps its parent's arena out of the freelist
+// until the child materializes (here, by parenting a kernel of its own), so
+// rows the child still reads from the parent are never recycled under it.
+func TestSnapshotPinnedUntilMaterialized(t *testing.T) {
+	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2500}}
+	n := deltaFixture(t, 24, 5, GoalMakespan, cons, 32)
+	const base = int64(3)
+	config := make([]int, n.W.Len())
+	parent := n.NewSnapshot()
+	k, err := n.CRNKernelSnap(config, base, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunKernel(k); err != nil {
+		t.Fatal(err)
+	}
+	last := int32(n.W.Len() - 1)
+	next := append([]int(nil), config...)
+	next[last] = 1
+	child := n.NewSnapshot()
+	dk, err := n.CRNDeltaKernel(next, base, []int32{last}, parent, child)
+	if err != nil || dk == nil {
+		t.Fatalf("delta kernel: %v (nil=%v)", err, dk == nil)
+	}
+	if _, err := RunKernel(dk); err != nil {
+		t.Fatal(err)
+	}
+	n.ReleaseSnapshot(parent)
+	for i := 0; i < 4; i++ {
+		if s := n.NewSnapshot(); s == parent {
+			t.Fatal("a pinned parent was recycled before its child materialized")
+		}
+	}
+	// Parenting a kernel materializes the child, which lets the parent go.
+	next2 := append([]int(nil), next...)
+	next2[last] = 2
+	if _, err := n.CRNDeltaKernel(next2, base, []int32{last}, child, n.NewSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if parent.pins != 0 || parent.freed || child.from != nil {
+		t.Fatalf("after materializing: parent pins %d freed %v, child still linked %v", parent.pins, parent.freed, child.from != nil)
+	}
+	ref := n.NewSnapshot()
+	rk, err := n.CRNKernelSnap(next, base, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunKernel(rk); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.finish {
+		if child.finish[i] != ref.finish[i] {
+			t.Fatalf("materialized finish[%d] %v != full capture %v", i, child.finish[i], ref.finish[i])
+		}
+	}
 }

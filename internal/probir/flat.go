@@ -69,6 +69,12 @@ type Program struct {
 	// rng stream (market.go).
 	markets []MarketSpec
 
+	// negative records that some filled duration is negative or NaN. Finish
+	// times can then fall along an edge, so a makespan rescan must visit
+	// every task rather than only the sinks. It is set before the row is
+	// published.
+	negative atomic.Bool
+
 	fillMu sync.Mutex
 	rows   []atomic.Pointer[[]float64] // rows[task*nTypes+type][iteration], lazily filled
 	// costRows parallels rows for spot columns only: costRows[ri][it] is the
@@ -78,38 +84,73 @@ type Program struct {
 	// any reader that observed the duration row can load the cost row
 	// lock-free.
 	costRows []atomic.Pointer[[]float64]
+	// rng, guarded by fillMu, is reseeded for every row fill: reseeding
+	// yields exactly a fresh source's stream without allocating one.
+	rng *rand.Rand
 
 	// orderOnce/order cache the decisive-world-first permutation (order.go):
 	// a pure function of (program content, base), immutable once built.
 	orderOnce sync.Once
 	order     []int32
 
-	scratch sync.Pool // *[]float64 of len flat.Len(): per-world finish times
-	flags   sync.Pool // *epochMarks of len flat.Len(): per-world delta recompute marks
-	cones   sync.Pool // *dag.ConeScratch: per-kernel-build cone computation
+	blocks sync.Pool // *blockScratch: per-chunk kernel scratch
 }
 
-// epochMarks is a reusable per-task mark buffer that resets in O(1): a task
-// is marked iff marks[task] == epoch, so bumping the epoch unmarks
-// everything. The delta makespan pass marks the tasks whose finish value
-// must be recomputed in the current world.
+// epochMarks is a reusable mark buffer that resets in O(1): an entry is
+// marked iff marks[i] == epoch, so bumping the epoch unmarks everything.
+// The delta makespan pass marks the tasks a moved parent finish touched.
 type epochMarks struct {
 	epoch uint32
 	marks []uint32
 }
 
-// next unmarks every task and returns the fresh epoch, clearing the buffer
-// explicitly on the (once per 4G worlds) wrap so stale marks can never alias
-// a live epoch.
-func (e *epochMarks) next() uint32 {
+// next unmarks every entry, growing the buffer to at least n entries, and
+// returns the fresh epoch, clearing the buffer explicitly on the (once per
+// 4G calls) wrap so stale marks can never alias a live epoch.
+func (e *epochMarks) next(n int) uint32 {
+	if len(e.marks) < n {
+		e.marks = make([]uint32, n)
+		e.epoch = 0
+	}
 	e.epoch++
 	if e.epoch == 0 {
-		for i := range e.marks {
-			e.marks[i] = 0
-		}
+		clear(e.marks)
 		e.epoch = 1
 	}
 	return e.epoch
+}
+
+// blockScratch is one kernel call's working memory for a chunk of m worlds
+// over n tasks: chunk-major finish times (n·m) and per-row makespan, cost,
+// argmax and delta bookkeeping. Pooled per Program and grown on demand, so
+// device threads evaluating chunks concurrently never allocate.
+type blockScratch struct {
+	finish                      []float64 // n·m, task t row r at t*m+r
+	ms, cost, tmp, start, chMax []float64 // m
+	amax, chArg, rescan         []int32   // m
+	amaxHit                     []bool    // m
+	marks                       epochMarks
+}
+
+// block checks out a scratch sized for a chunk of m worlds; return it to
+// p.blocks when the call is done.
+func (p *Program) block(m int) *blockScratch {
+	bs := p.blocks.Get().(*blockScratch)
+	if cap(bs.ms) < m {
+		bs.ms, bs.cost, bs.tmp = make([]float64, m), make([]float64, m), make([]float64, m)
+		bs.start, bs.chMax = make([]float64, m), make([]float64, m)
+		bs.amax, bs.chArg, bs.rescan = make([]int32, m), make([]int32, m), make([]int32, m)
+		bs.amaxHit = make([]bool, m)
+	}
+	return bs
+}
+
+// scratch returns the chunk-major finish times of n tasks over m rows.
+func (bs *blockScratch) scratch(n, m int) []float64 {
+	if cap(bs.finish) < n*m {
+		bs.finish = make([]float64, n*m)
+	}
+	return bs.finish[:n*m]
 }
 
 func newProgram(flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, markets []MarketSpec) *Program {
@@ -125,50 +166,64 @@ func newProgram(flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, m
 	if markets != nil {
 		p.costRows = make([]atomic.Pointer[[]float64], flat.Len()*ft.NumTypes)
 	}
-	n := flat.Len()
-	p.scratch.New = func() any {
-		s := make([]float64, n)
-		return &s
-	}
-	p.flags.New = func() any {
-		return &epochMarks{marks: make([]uint32, n)}
-	}
-	p.cones.New = func() any { return new(dag.ConeScratch) }
+	p.blocks.New = func() any { return new(blockScratch) }
 	return p
 }
 
 // Rows resolves one configuration against the duration matrix, filling any
 // missing (task, type) rows: row[it] is the task's sampled duration in world
 // it, drawn from an rng seeded by crnSeed(base, task*nTypes+type) and
-// consumed in iteration order. A fully warm configuration takes no locks.
-// The returned per-task slices are shared and immutable once filled; callers
-// must not modify them.
+// consumed in iteration order. The returned per-task slices are shared and
+// immutable once filled; callers must not modify them.
 func (p *Program) Rows(config []int) [][]float64 {
+	p.fill(config)
 	out := make([][]float64, len(config))
-	missing := 0
 	for i, j := range config {
-		if rp := p.rows[i*p.nTypes+j].Load(); rp != nil {
-			out[i] = *rp
-		} else {
-			missing++
+		out[i] = p.row(i, j)
+	}
+	return out
+}
+
+// row returns the filled duration row of task i on type j.
+func (p *Program) row(i, j int) []float64 { return *p.rows[i*p.nTypes+j].Load() }
+
+// costRow returns the paired per-world cost row of task i on type j, or nil
+// when j is not a spot offering (deterministic pricing — duration/3600·
+// price). The row must have been filled; fill publishes a spot column's
+// cost row before its duration row, so it is present here lock-free.
+func (p *Program) costRow(i, j int) []float64 {
+	if p.costRows == nil || !p.markets[j].Spot {
+		return nil
+	}
+	return *p.costRows[i*p.nTypes+j].Load()
+}
+
+// fill fills every missing (task, type) row of a configuration. A fully
+// warm configuration takes no locks and allocates nothing.
+func (p *Program) fill(config []int) {
+	warm := true
+	for i, j := range config {
+		if p.rows[i*p.nTypes+j].Load() == nil {
+			warm = false
+			break
 		}
 	}
-	if missing == 0 {
-		return out
+	if warm {
+		return
 	}
 	p.fillMu.Lock()
 	defer p.fillMu.Unlock()
 	for i, j := range config {
-		if out[i] != nil {
-			continue
-		}
 		ri := i*p.nTypes + j
-		if rp := p.rows[ri].Load(); rp != nil { // filled while we waited
-			out[i] = *rp
+		if p.rows[ri].Load() != nil { // filled already, or while we waited
 			continue
 		}
 		row := make([]float64, p.iters)
-		rng := rand.New(rand.NewSource(crnSeed(p.base, ri)))
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewSource(0))
+		}
+		rng := p.rng
+		rng.Seed(crnSeed(p.base, ri))
 		td := p.ft.Dist(i, j)
 		if p.markets != nil && p.markets[j].Spot {
 			costRow := make([]float64, p.iters)
@@ -179,34 +234,14 @@ func (p *Program) Rows(config []int) [][]float64 {
 				row[it] = td.Sample(rng)
 			}
 		}
+		for _, d := range row {
+			if !(d >= 0) {
+				p.negative.Store(true)
+				break
+			}
+		}
 		p.rows[ri].Store(&row)
-		out[i] = row
 	}
-	return out
-}
-
-// CostRows resolves the paired per-world cost rows of a configuration:
-// out[i] is non-nil iff task i's assigned column is a spot offering (nil
-// entries mean deterministic pricing — duration/3600·price). The caller must
-// have resolved the same configuration through Rows first; Rows publishes a
-// spot column's cost row before its duration row, so every row is present
-// here lock-free.
-func (p *Program) CostRows(config []int) [][]float64 {
-	out := make([][]float64, len(config))
-	if p.costRows == nil {
-		return out
-	}
-	for i, j := range config {
-		if !p.markets[j].Spot {
-			continue
-		}
-		rp := p.costRows[i*p.nTypes+j].Load()
-		if rp == nil {
-			panic("probir: CostRows called before Rows filled the configuration")
-		}
-		out[i] = *rp
-	}
-	return out
 }
 
 // maxPrograms bounds the per-Native program cache. A search uses a single

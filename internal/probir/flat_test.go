@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -155,4 +156,30 @@ func BenchmarkRowsWarmParallel(b *testing.B) {
 			p.Rows(cfg)
 		}
 	})
+}
+
+// TestRowsMatchFreshSource pins the CRN row contract across fills: every
+// (task, type) row holds the draws of a fresh source seeded with crnSeed,
+// whichever rows were filled before it on the program's reused rng.
+func TestRowsMatchFreshSource(t *testing.T) {
+	n := deltaFixture(t, 12, 3, GoalCost, nil, 40) // I/O-bound tasks: draws vary
+	const base = int64(7)
+	p := n.program(base)
+	nTasks, nTypes := n.W.Len(), n.NumTypes()
+	for j := nTypes - 1; j >= 0; j-- {
+		config := make([]int, nTasks)
+		for i := range config {
+			config[i] = (i + j) % nTypes
+		}
+		rows := p.Rows(config)
+		for i, tj := range config {
+			rng := rand.New(rand.NewSource(crnSeed(base, i*nTypes+tj)))
+			td := n.ftab.Dist(i, tj)
+			for it, got := range rows[i] {
+				if want := td.Sample(rng); got != want {
+					t.Fatalf("task %d type %d world %d: %v != fresh-source draw %v", i, tj, it, got, want)
+				}
+			}
+		}
+	}
 }

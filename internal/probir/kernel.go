@@ -3,24 +3,32 @@ package probir
 import "math/rand"
 
 // This file decomposes Monte-Carlo evaluation into the paper's GPU kernel
-// shape (§5.2): a *per-world kernel* — one thread samples one realization of
-// the probabilistic facts and computes its figures — plus a *reduction* that
+// shape (§5.2): a *world kernel* — threads sample realizations of the
+// probabilistic facts and compute their figures — plus a *reduction* that
 // folds the per-world figures into the Evaluation. Every aggregate Algorithm
 // 1 needs (goal means, constraint means, satisfaction counts) is a sum over
 // worlds, so the reduction is exactly the shared-memory block sum of §5.2,
 // and a device may run the worlds of one state in any order or in parallel.
 //
+// The kernel contract is ranged: one call computes a chunk of worlds, the
+// software form of a warp that steps consecutive worlds through the same
+// instruction. The native CRN kernel runs its longest-path DP task-major
+// over the chunk — each task's parent list is read once and the max/add
+// run across the chunk's worlds — while every world still sees exactly the
+// operation sequence of a lone world, so figures are bitwise independent of
+// the chunking.
+//
 // Determinism: a kernel's figures for world it depend only on (kernel, it)
 // — every kernel carries its randomness with it, so results are
 // bit-identical whether the worlds ran sequentially, state-parallel, or
-// two-level on a device. Native kernels follow the common-random-number
-// contract (flat.go): duration draws are keyed by (task, type, iteration)
-// against a search-level base seed, so every state in a search shares the
-// same world realizations. Kernels that cannot share realizations (the
-// Prolog interpreter, the runtime's conditioned residual kernels, whose
-// rejection sampling draws a data-dependent number of variates) take a
-// substream base when they are built and draw world it from
-// WorldRNG(base, it).
+// two-level on a device, in whatever chunks. Native kernels follow the
+// common-random-number contract (flat.go): duration draws are keyed by
+// (task, type, iteration) against a search-level base seed, so every state
+// in a search shares the same world realizations. Kernels that cannot share
+// realizations (the Prolog interpreter, the runtime's conditioned residual
+// kernels, whose rejection sampling draws a data-dependent number of
+// variates) take a substream base when they are built and draw world it
+// from WorldRNG(base, it).
 
 // WorldKernel is one state's Monte-Carlo evaluation, decomposed for
 // block/thread execution.
@@ -30,12 +38,24 @@ type WorldKernel interface {
 	Worlds() int
 	// Width is the number of figures each world produces.
 	Width() int
-	// Sample computes world it into out (len Width(), zeroed). It must be
-	// safe for concurrent calls with distinct it.
-	Sample(it int, out []float64) error
+	// Sample computes the worlds listed in ws into out: len(ws) rows of
+	// Width() figures, zeroed on entry, row r receiving world ws[r]. ws is a
+	// run of the identity or of a world permutation, so its entries are
+	// distinct. It must be safe for concurrent calls with disjoint ws.
+	Sample(ws []int32, out []float64) error
 	// Reduce folds the figure-wise sums over all worlds (len Width()) into
 	// the final evaluation.
 	Reduce(sums []float64) (*Evaluation, error)
+}
+
+// Identity returns the world list [0, n): the ws of an unpermuted run.
+// Callers slice it to a chunk's range.
+func Identity(n int) []int32 {
+	ws := make([]int32, n)
+	for i := range ws {
+		ws[i] = int32(i)
+	}
+	return ws
 }
 
 // MixSeed mixes a base seed with an index (splitmix64 finalizer), giving
@@ -71,7 +91,7 @@ func RunKernel(k WorldKernel) (*Evaluation, error) {
 	return k.Reduce(sums)
 }
 
-// nativeKernel is the Native evaluator's per-world kernel under the CRN
+// nativeKernel is the Native evaluator's world kernel under the CRN
 // contract. Its figure layout, indicator scoring and constraint reduction
 // are the embedded Figures. Makespan and cost figures of one world share the
 // same per-(task, world) duration draws from the program's CRN matrix.
@@ -80,18 +100,15 @@ type nativeKernel struct {
 	n      *Native
 	config []int
 
-	prog *Program
-	// rows[i] is task i's CRN duration row (rows[i][it] = duration in world
-	// it); nil when Worlds() == 0. pricePerTask is each task's hourly price
-	// under the configuration, resolved only when cost samples are needed.
-	rows         [][]float64
+	// prog holds the configuration's CRN duration rows (row(i) = task i's,
+	// indexed by world), filled when the kernel is built; nil when no
+	// figure is sampled. pricePerTask is each task's hourly price under the
+	// configuration, resolved only when cost samples are needed.
+	prog         *Program
 	pricePerTask []float64
 	meanCost     float64 // deterministic Eq. 1-2 cost, computed once
-	// costRows[i], non-nil only when task i sits on a spot column, is the
-	// paired per-world realized cost row (market.go); xferTotal is the
-	// configuration's deterministic cross-region egress cost, added to every
-	// world's cost figure.
-	costRows  [][]float64
+	// xferTotal is the configuration's deterministic cross-region egress
+	// cost, added to every world's cost figure.
 	xferTotal float64
 
 	// capture, when non-nil, receives every world's finish-time row,
@@ -103,10 +120,11 @@ type nativeKernel struct {
 	parent    *Snapshot
 	cone      []int32 // dirty-cone positions into flat.Order, ascending
 	dirtyMask []bool  // per task: duration row differs from the parent's
+	inCone    []bool  // per task: a cone member
 	lastDirty int     // index into cone of the last dirty task
 }
 
-// CRNKernel builds the per-world kernel of one configuration against the
+// CRNKernel builds the world kernel of one configuration against the
 // shared duration matrix of the given base seed. Row filling happens here
 // (serially, under the program's fill lock), so Sample is read-only and a
 // device may run worlds concurrently.
@@ -127,15 +145,11 @@ func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
 	// Spot markets make cost a random variable for every state of the search
 	// (uniform kernel shape — the compiled solver resolves figure layout once
 	// per problem), so the cost figure is always sampled.
-	k := &nativeKernel{n: n, config: config,
-		Figures: NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot)}
-	var err error
-	if k.meanCost, err = n.MeanCost(config); err != nil {
-		return nil, err
-	}
+	n.figOnce.Do(func() { n.figures = NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot) })
+	k := &nativeKernel{n: n, config: config, Figures: n.figures, meanCost: n.meanCost(config)}
 	if k.needMS || k.needCost {
 		k.prog = n.program(base)
-		k.rows = k.prog.Rows(config)
+		k.prog.fill(config)
 	}
 	if k.needCost {
 		k.pricePerTask = make([]float64, len(config))
@@ -143,96 +157,148 @@ func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
 			k.pricePerTask[i] = n.PricePerHour[j]
 			k.xferTotal += n.ftab.Dist(i, j).XferCostUSD
 		}
-		if n.hasSpot {
-			k.costRows = k.prog.CostRows(config)
-		}
 	}
 	return k, nil
 }
 
-// Sample implements WorldKernel: read world it's task durations from the CRN
-// matrix, compute the makespan — by the full longest-path DP over pooled
-// scratch, or by the incremental dirty-cone recurrence when a parent
-// snapshot is attached — and sum the realized cost, then score the
-// probabilistic constraints. All randomness was drawn at row-fill time.
-func (k *nativeKernel) Sample(it int, out []float64) error {
-	var ms, cost float64
+// row returns task i's CRN duration row.
+func (k *nativeKernel) row(i int32) []float64 { return k.prog.row(int(i), k.config[i]) }
+
+// Sample implements WorldKernel: gather the chunk's task durations from the
+// CRN matrix, compute the makespans — by the full longest-path DP, or by the
+// incremental dirty-cone recurrence when a parent snapshot is attached —
+// and sum the realized costs, then score the probabilistic constraints. Each
+// pass runs task-major over the chunk; every world's figures come out of the
+// same operations, in the same order, as a lone world's would. All
+// randomness was drawn at row-fill time.
+func (k *nativeKernel) Sample(ws []int32, out []float64) error {
+	m, lo := len(ws), contiguous(ws)
+	bs := k.prog.block(m)
+	defer k.prog.blocks.Put(bs)
+	ms, cost := bs.ms[:m], bs.cost[:m]
 	if k.needMS {
 		if k.parent != nil {
-			ms = k.sampleDeltaMS(it)
+			k.deltaMS(ws, lo, bs)
 		} else {
-			ms = k.sampleFullMS(it)
+			k.fullMS(ws, lo, bs)
 		}
 	}
 	if k.needCost {
-		cost = k.xferTotal
-		if k.costRows != nil {
-			for i, row := range k.rows {
-				if cr := k.costRows[i]; cr != nil {
-					cost += cr[it]
-					continue
-				}
-				cost += row[it] / 3600 * k.pricePerTask[i]
-			}
-		} else {
-			for i, row := range k.rows {
-				cost += row[it] / 3600 * k.pricePerTask[i]
-			}
-		}
+		k.blockCost(ws, lo, cost, bs.tmp[:m])
 	}
-	k.Score(out, ms, cost)
+	w := k.Width()
+	for r := range ws {
+		k.Score(out[r*w:(r+1)*w], ms[r], cost[r])
+	}
 	return nil
 }
 
-// sampleFullMS runs the full longest-path DP for world it. Without a capture
-// snapshot the finish times live in pooled scratch exactly as before delta
-// evaluation existed; with one they are written into the snapshot's world
-// row, along with the world's makespan and argmax task, so children of this
-// state can later be evaluated incrementally.
-func (k *nativeKernel) sampleFullMS(it int) float64 {
+// contiguous returns lo when ws is the ascending run lo, lo+1, ..., and -1
+// otherwise: a contiguous chunk reads duration rows and snapshot runs in
+// place instead of gathering them.
+func contiguous(ws []int32) int {
+	for r, w := range ws {
+		if w != ws[0]+int32(r) {
+			return -1
+		}
+	}
+	return int(ws[0])
+}
+
+// gather returns the chunk's entries of one per-world row: the row's run
+// itself when the chunk is contiguous (lo >= 0), else a gather into tmp.
+func gather(row []float64, ws []int32, lo int, tmp []float64) []float64 {
+	if lo >= 0 {
+		return row[lo : lo+len(ws)]
+	}
+	for r, w := range ws {
+		tmp[r] = row[w]
+	}
+	return tmp
+}
+
+// blockCost sums every world's realized cost over the tasks in index order
+// (float summation order is observable): the configuration's transfer cost,
+// then per task its spot cost row or its duration at the on-demand price.
+func (k *nativeKernel) blockCost(ws []int32, lo int, cost, tmp []float64) {
+	for r := range cost {
+		cost[r] = k.xferTotal
+	}
+	for i, j := range k.config {
+		// A task on a spot column carries its paired realized cost row
+		// (market.go).
+		if cr := k.prog.costRow(i, j); cr != nil {
+			for r, c := range gather(cr, ws, lo, tmp) {
+				cost[r] += c
+			}
+			continue
+		}
+		price := k.pricePerTask[i]
+		for r, d := range gather(k.prog.row(i, j), ws, lo, tmp) {
+			cost[r] += d / 3600 * price
+		}
+	}
+}
+
+// fullMS runs the full longest-path DP for the chunk, task-major: for each
+// task in topological order, the start of every world is the max over the
+// parent finishes (parents in CSR order, strict >, from 0) and its finish
+// adds the world's duration. Without a capture snapshot the finish times
+// live in pooled scratch; with one they land in the snapshot — computed in
+// place for a contiguous chunk, written to the chunk's world columns after
+// the pass for a scattered one — along with each world's makespan and
+// argmax task, so children of this state can later be evaluated
+// incrementally.
+func (k *nativeKernel) fullMS(ws []int32, lo int, bs *blockScratch) {
 	f := k.n.flat
-	ms := 0.0
-	if k.capture == nil {
-		sp := k.prog.scratch.Get().(*[]float64)
-		finish := *sp
-		// No zeroing needed: topological order writes finish[ti] before any
-		// child reads it, and every task is written each world.
-		for ki, ti := range f.Order {
-			start := 0.0
-			for _, p := range f.Parents[f.ParentStart[ki]:f.ParentStart[ki+1]] {
-				if fp := finish[p]; fp > start {
-					start = fp
+	m := len(ws)
+	ms, amax := bs.ms[:m], bs.amax[:m]
+	clear(ms)
+	for r := range amax {
+		amax[r] = -1
+	}
+	// fin holds task t's finish in chunk row r at fin[t*stride+off+r].
+	fin, stride, off := bs.scratch(f.Len(), m), m, 0
+	if k.capture != nil && lo >= 0 {
+		fin, stride, off = k.capture.finish, k.capture.worlds, lo
+	}
+	tmp := bs.tmp[:m]
+	for ki, ti := range f.Order {
+		dst := fin[int(ti)*stride+off : int(ti)*stride+off+m]
+		// No zeroing of fin needed: topological order writes a task before
+		// any child reads it, and every task is written for every world.
+		clear(dst)
+		for _, p := range f.Parents[f.ParentStart[ki]:f.ParentStart[ki+1]] {
+			for r, v := range fin[int(p)*stride+off : int(p)*stride+off+m] {
+				if v > dst[r] {
+					dst[r] = v
 				}
 			}
-			end := start + k.rows[ti][it]
-			finish[ti] = end
-			if end > ms {
-				ms = end
+		}
+		for r, d := range gather(k.row(ti), ws, lo, tmp) {
+			end := dst[r] + d
+			dst[r] = end
+			if end > ms[r] {
+				ms[r] = end
+				amax[r] = ti
 			}
 		}
-		k.prog.scratch.Put(sp)
-		return ms
 	}
-	n0 := f.Len()
-	finish := k.capture.finish[it*n0 : (it+1)*n0]
-	amax := int32(-1)
-	for ki, ti := range f.Order {
-		start := 0.0
-		for _, p := range f.Parents[f.ParentStart[ki]:f.ParentStart[ki+1]] {
-			if fp := finish[p]; fp > start {
-				start = fp
+	if k.capture == nil {
+		return
+	}
+	if lo < 0 {
+		// A scattered chunk ran in scratch; write its rows to their world
+		// columns.
+		W := k.capture.worlds
+		for t := 0; t < f.Len(); t++ {
+			dst := k.capture.finish[t*W : (t+1)*W]
+			for r, v := range fin[t*m : (t+1)*m] {
+				dst[ws[r]] = v
 			}
 		}
-		end := start + k.rows[ti][it]
-		finish[ti] = end
-		if end > ms {
-			ms = end
-			amax = ti
-		}
 	}
-	k.capture.ms[it] = ms
-	k.capture.amax[it] = amax
-	return ms
+	k.capture.store(ws, ms, amax)
 }
 
 // Reduce implements WorldKernel: the reduction over every world, which is

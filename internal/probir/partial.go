@@ -2,7 +2,7 @@ package probir
 
 import "fmt"
 
-// This file extends the per-world kernel decomposition (kernel.go) with
+// This file extends the world-kernel decomposition (kernel.go) with
 // partial evaluation: finalizing a state's Evaluation from a prefix of its
 // Monte-Carlo worlds. The adaptive evaluator in the solver runs worlds in
 // chunks, consults sequential stopping rules on the running indicator sums,
@@ -71,27 +71,27 @@ func (k *nativeKernel) ReducePartial(sums []float64, seen int) (*Evaluation, err
 	return ev, nil
 }
 
-// RunKernelRange executes worlds [lo, hi) of a kernel sequentially, folding
-// each world's figures into the caller's running sums in ascending iteration
-// order — the chunk-resumable form of RunKernel. Chaining ranges [0,a),
-// [a,b), ... over the same sums yields bit-identical sums to a single
-// [0, Worlds()) run, because float accumulation happens world by world in
-// the same order either way.
+// RunKernelRange executes worlds [lo, hi) of a kernel in one call and folds
+// each world's figures into the caller's running sums in ascending
+// iteration order — the chunk-resumable form of RunKernel. Chaining ranges
+// [0,a), [a,b), ... over the same sums yields bit-identical sums to a
+// single [0, Worlds()) run, because float accumulation happens world by
+// world in the same order either way.
 func RunKernelRange(k WorldKernel, sums []float64, lo, hi int) error {
 	width := k.Width()
 	if len(sums) != width {
 		return fmt.Errorf("probir: range sums length %d, want %d", len(sums), width)
 	}
-	tmp := make([]float64, width)
-	for it := lo; it < hi; it++ {
-		for w := range tmp {
-			tmp[w] = 0
-		}
-		if err := k.Sample(it, tmp); err != nil {
-			return err
-		}
-		for w := range tmp {
-			sums[w] += tmp[w]
+	if hi <= lo {
+		return nil
+	}
+	out := make([]float64, (hi-lo)*width)
+	if err := k.Sample(Identity(hi)[lo:], out); err != nil {
+		return err
+	}
+	for r := 0; r < hi-lo; r++ {
+		for w := range sums {
+			sums[w] += out[r*width+w]
 		}
 	}
 	return nil

@@ -19,8 +19,14 @@
 //
 // Property tests assert the two agree on the standard scheduling program.
 //
-// Both evaluators run as per-world kernels plus a reduction (kernel.go),
-// the paper's block/thread shape. The constraint semantics — figure layout,
+// Both evaluators run as world kernels plus a reduction (kernel.go), the
+// paper's block/thread shape. The kernel contract is ranged: one Sample call
+// computes a chunk of worlds — a run of the identity or of the
+// decisive-world-first permutation — into one figure row per world, and the
+// native kernel runs its longest-path passes task-major over the chunk.
+// Delta snapshots are task-major too (finish[task*worlds+w]), and their
+// arenas recycle through one process-wide freelist (delta.go). The
+// constraint semantics — figure layout,
 // indicator scoring, verdicts, violation gradient and the world-prefix
 // reduction — exists once, in Figures (figures.go): the native kernel and
 // the runtime's residual kernel embed it, and the Prolog kernel folds its
@@ -92,9 +98,9 @@ type Native struct {
 	hasSpot bool
 
 	// flat/ftab are the compiled index-based forms of the DAG and the
-	// time-distribution table: the per-world kernels run the longest-path DP
-	// over dense integer arrays so the Monte-Carlo hot loop touches no maps
-	// and performs no per-world allocations.
+	// time-distribution table: the kernels run the longest-path DP over
+	// dense integer arrays so the Monte-Carlo hot loop touches no maps and
+	// performs no per-world allocations.
 	flat *dag.Flat
 	ftab *estimate.FlatTable
 
@@ -104,16 +110,13 @@ type Native struct {
 	progs    map[int64]*progEntry
 	progTick uint64
 
-	// snapFree freelists finish-time Snapshots for delta evaluation (see
-	// delta.go). A bounded freelist rather than a sync.Pool: snapshots are
-	// large (n·worlds floats) and cycle through every warm expansion, so
-	// letting the GC clear the pool between batches would re-allocate whole
-	// arenas mid-search.
-	snapMu   sync.Mutex
-	snapFree []*Snapshot
-
 	fpOnce sync.Once
 	fp     string
+
+	// figures is the figure layout every kernel of this evaluator shares
+	// (read-only), built on the first kernel, after any market columns.
+	figOnce sync.Once
+	figures Figures
 }
 
 // NewNative builds a native evaluator. The constraint list may contain
@@ -160,12 +163,17 @@ func (n *Native) MeanCost(config []int) (float64, error) {
 	if err := n.checkConfig(config); err != nil {
 		return 0, err
 	}
+	return n.meanCost(config), nil
+}
+
+// meanCost is MeanCost over a configuration already checked.
+func (n *Native) meanCost(config []int) float64 {
 	total := 0.0
 	for i, j := range config {
 		td := n.ftab.Dist(i, j)
 		total += td.Mean()/3600*n.PricePerHour[j] + td.XferCostUSD
 	}
-	return total, nil
+	return total
 }
 
 // MeanMakespan estimates the expected makespan by Monte-Carlo sampling over
@@ -199,7 +207,7 @@ func (n *Native) MeanMakespan(config []int, rng *rand.Rand) (float64, error) {
 }
 
 // Evaluate implements Evaluator: Monte-Carlo inference per Algorithm 1, run
-// as the per-world kernel plus reduction of kernel.go under the CRN contract
+// as the world kernel plus reduction of kernel.go under the CRN contract
 // with a base seed drawn from rng. Results are bit-identical whether the
 // kernel's worlds run sequentially or in parallel on a device.
 func (n *Native) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {

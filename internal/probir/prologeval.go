@@ -169,7 +169,7 @@ func queryNumber(m *prolog.Machine, v, query prolog.Term) (float64, error) {
 }
 
 // Evaluate implements Evaluator: the WLog interpreter of Algorithm 1 run for
-// Iters sampled realizations, through the same per-world kernel the device
+// Iters sampled realizations, through the same world kernel the device
 // path executes, so results are device- and schedule-independent.
 func (p *Prolog) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {
 	k, err := p.Kernel(config, rng.Int63())
@@ -191,7 +191,7 @@ type prologKernel struct {
 	pool   sync.Pool
 }
 
-// Kernel builds the per-world kernel of one configuration over the world
+// Kernel builds the world kernel of one configuration over the world
 // substream base. Interpreted worlds cannot share realizations across
 // states, so the solver derives base from its seed and the state key.
 func (p *Prolog) Kernel(config []int, base int64) (WorldKernel, error) {
@@ -209,10 +209,22 @@ func (k *prologKernel) Worlds() int { return k.p.Iters }
 // Width implements WorldKernel.
 func (k *prologKernel) Width() int { return 1 + 2*len(k.p.Program.Constraints) }
 
-// Sample implements WorldKernel.
-func (k *prologKernel) Sample(it int, out []float64) error {
+// Sample implements WorldKernel: the chunk's worlds one at a time on one
+// pooled machine.
+func (k *prologKernel) Sample(ws []int32, out []float64) error {
 	m := k.pool.Get().(*prolog.Machine)
 	defer k.pool.Put(m)
+	width := k.Width()
+	for r, it := range ws {
+		if err := k.world(m, int(it), out[r*width:(r+1)*width]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// world interprets world it on machine m into out.
+func (k *prologKernel) world(m *prolog.Machine, it int, out []float64) error {
 	if err := k.p.assertWorld(m, k.config, WorldRNG(k.base, it)); err != nil {
 		return err
 	}

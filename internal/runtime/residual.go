@@ -107,10 +107,19 @@ func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error
 // DAG. Observed finishes are facts; running tasks sample a conditioned
 // residual; unstarted tasks sample a full (drift-inflated) duration
 // starting at max(now, parents' finish).
-func (k *residualKernel) Sample(it int, out []float64) error {
+func (k *residualKernel) Sample(ws []int32, out []float64) error {
+	finish := make([]float64, len(k.r.ids))
+	width := k.Width()
+	for i, it := range ws {
+		k.world(int(it), finish, out[i*width:(i+1)*width])
+	}
+	return nil
+}
+
+// world samples world it into out over the finish-time scratch.
+func (k *residualKernel) world(it int, finish, out []float64) {
 	r := k.r
 	rng := probir.WorldRNG(k.base, it)
-	finish := make([]float64, len(r.ids))
 	var ms float64
 	cost := r.accrued
 	for _, ti := range r.order {
@@ -137,7 +146,6 @@ func (k *residualKernel) Sample(it int, out []float64) error {
 		}
 	}
 	k.Score(out, ms, cost)
-	return nil
 }
 
 // Reduce implements probir.WorldKernel: the shared constraint reduction
@@ -168,8 +176,9 @@ func violationProb(ev *probir.Evaluation) float64 {
 // world) and reduces them — bit-identical to probir.RunKernel on any
 // device, because ReduceBlocks folds thread slots in canonical order.
 func evalKernel(k probir.WorldKernel, dev device.Device) (*probir.Evaluation, error) {
-	sums, errs := device.ReduceBlocks(dev, 1, k.Worlds(), k.Width(), func(_, t int, out []float64) error {
-		return k.Sample(t, out)
+	ws := probir.Identity(k.Worlds())
+	sums, errs := device.ReduceBlocks(dev, 1, k.Worlds(), k.Width(), func(_, lo, hi int, out []float64) error {
+		return k.Sample(ws[lo:hi], out)
 	})
 	if errs[0] != nil {
 		return nil, errs[0]
