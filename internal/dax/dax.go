@@ -12,6 +12,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -70,8 +71,8 @@ func Parse(r io.Reader) (*dag.Workflow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dax: job %s: bad runtime %q: %w", j.ID, j.Runtime, err)
 			}
-			if rt < 0 {
-				return nil, fmt.Errorf("dax: job %s: negative runtime %v", j.ID, rt)
+			if !finiteNonNegative(rt) {
+				return nil, fmt.Errorf("dax: job %s: runtime %v is not a finite non-negative number", j.ID, rt)
 			}
 			t.CPUSeconds = rt
 		}
@@ -81,6 +82,9 @@ func Parse(r io.Reader) (*dag.Workflow, error) {
 				b, err := strconv.ParseFloat(u.Size, 64)
 				if err != nil {
 					return nil, fmt.Errorf("dax: job %s: bad size %q: %w", j.ID, u.Size, err)
+				}
+				if !finiteNonNegative(b) {
+					return nil, fmt.Errorf("dax: job %s: size %v of file %q is not a finite non-negative number", j.ID, b, u.File)
 				}
 				sizeMB = b / (1 << 20)
 			}
@@ -122,6 +126,10 @@ func Parse(r io.Reader) (*dag.Workflow, error) {
 	}
 	return w, nil
 }
+
+// finiteNonNegative reports whether v is a usable runtime or size: NaN and
+// ±Inf parse as floats but would poison every duration and cost downstream.
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // ParseFile parses the DAX document at path.
 func ParseFile(path string) (*dag.Workflow, error) {

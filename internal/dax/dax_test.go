@@ -66,6 +66,11 @@ func TestParseErrors(t *testing.T) {
 		{"garbage", "not xml at all"},
 		{"bad runtime", `<adag name="x"><job id="a" name="p" runtime="zzz"/></adag>`},
 		{"negative runtime", `<adag name="x"><job id="a" name="p" runtime="-5"/></adag>`},
+		{"NaN runtime", `<adag name="x"><job id="a" name="p" runtime="NaN"/></adag>`},
+		{"infinite runtime", `<adag name="x"><job id="a" name="p" runtime="+Inf"/></adag>`},
+		{"negative size", `<adag name="x"><job id="a" name="p"><uses file="f" link="input" size="-1"/></job></adag>`},
+		{"NaN size", `<adag name="x"><job id="a" name="p"><uses file="f" link="input" size="NaN"/></job></adag>`},
+		{"infinite size", `<adag name="x"><job id="a" name="p"><uses file="f" link="output" size="1e999"/></job></adag>`},
 		{"bad size", `<adag name="x"><job id="a" name="p"><uses file="f" link="input" size="NaNb"/></job></adag>`},
 		{"bad link", `<adag name="x"><job id="a" name="p"><uses file="f" link="sideways"/></job></adag>`},
 		{"dup id", `<adag name="x"><job id="a" name="p"/><job id="a" name="q"/></adag>`},

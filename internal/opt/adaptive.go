@@ -250,11 +250,11 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 		}
 	}
 	// Sampling is complete: snapshots of completely evaluated states enter
-	// the store (possibly evicting older generations back to the pool); all
-	// others — failed states, and partial snapshots with unwritten worlds —
-	// are recycled directly. Storing strictly after the batch finishes is
-	// what makes eviction safe: no running kernel can hold a reference to an
-	// evicted snapshot.
+	// the store under their search score (possibly evicting worse-scored
+	// states' snapshots back to the pool); all others — failed states, and
+	// partial snapshots with unwritten worlds — are recycled directly.
+	// Storing strictly after the batch finishes is what makes eviction safe:
+	// no running kernel can hold a reference to an evicted snapshot.
 	if b.snaps != nil {
 		p.enterPhase(phaseSnapshotPut)
 		for i, sn := range b.snaps {
@@ -262,7 +262,7 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 				continue
 			}
 			if s := b.out[i]; s.err == nil && s.eval != nil && b.seen[i] == p.worlds {
-				p.snaps.put(s.key, sn)
+				p.snaps.put(s.key, Score(s.eval, p.opts.Maximize), sn)
 			} else {
 				p.delta.ReleaseSnapshot(sn)
 			}

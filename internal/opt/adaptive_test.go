@@ -269,12 +269,12 @@ func TestSnapStoreOverwriteAccounting(t *testing.T) {
 	s := newSnapStore(1<<20, func(sn *probir.Snapshot) { released = append(released, sn) })
 
 	a, b := ne.NewSnapshot(), ne.NewSnapshot()
-	s.put("k", a)
+	s.put("k", 0, a)
 	_, bytesA, _ := s.stats()
 	if bytesA != a.Bytes() || bytesA == 0 {
 		t.Fatalf("after first put: %d bytes, want %d", bytesA, a.Bytes())
 	}
-	s.put("k", b)
+	s.put("k", 0, b)
 	entries, bytesB, _ := s.stats()
 	if entries != 1 {
 		t.Fatalf("overwrite left %d entries", entries)

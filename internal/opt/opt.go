@@ -201,9 +201,12 @@ type Options struct {
 	CacheScope string
 	// SnapshotBudget caps the bytes of per-state finish-time snapshots the
 	// compiled problem retains for incremental (delta) evaluation. 0 selects
-	// the default (64 MiB); negative disables delta evaluation entirely.
-	// Delta evaluation is bit-identical to full evaluation, so the budget
-	// trades memory against wall clock only — never results.
+	// the default (16 MiB); negative disables delta evaluation entirely.
+	// Snapshots are kept only until their state is expanded, and under
+	// pressure the worst-scored go first, so the states the search expands
+	// next keep theirs. Delta evaluation is bit-identical to full
+	// evaluation, so the budget trades memory against wall clock only —
+	// never results.
 	SnapshotBudget int64
 	// Adaptive enables adaptive-precision Monte-Carlo evaluation: worlds run
 	// in chunks, sequential stopping rules decide each state's feasibility
@@ -407,6 +410,10 @@ func (p *Problem) genericSearch() (*Result, error) {
 		exploreBudget = 1
 	}
 
+	// expanded are the states whose children form the frontier; their
+	// snapshots are released once that frontier has been evaluated (left
+	// childless, they are released when the exploitation phase pops them).
+	var expanded []scored
 	for len(frontier) > 0 && res.Evaluated < exploreBudget {
 		if err := opt.Ctx.Err(); err != nil {
 			return nil, fmt.Errorf("opt: search cancelled: %w", err)
@@ -421,6 +428,9 @@ func (p *Problem) genericSearch() (*Result, error) {
 		}
 		markVisited(frontier, visited)
 		batch := p.evaluateCandidates(frontier)
+		for _, s := range expanded {
+			p.releaseSnapshot(s.key)
+		}
 		res.Evaluated += len(batch)
 		res.Levels++
 
@@ -453,12 +463,12 @@ func (p *Problem) genericSearch() (*Result, error) {
 			}
 			return batch[i].key < batch[j].key // deterministic ties
 		})
-		expand := batch
-		if len(expand) > opt.BeamWidth {
-			expand = expand[:opt.BeamWidth]
+		expanded = batch
+		if len(expanded) > opt.BeamWidth {
+			expanded = expanded[:opt.BeamWidth]
 		}
 		var next []candidate
-		for _, s := range expand {
+		for _, s := range expanded {
 			next = append(next, p.childCandidates(s.state, s.key)...)
 		}
 		frontier = dedupCandidates(next, visited)
@@ -478,6 +488,7 @@ func (p *Problem) genericSearch() (*Result, error) {
 		item := heap.Pop(&pool).(pqItem)
 		children := dedupCandidates(p.childCandidates(item.state, item.key), visited)
 		if len(children) == 0 {
+			p.releaseSnapshot(item.key)
 			continue
 		}
 		// As in the exploration phase: trim to the budget first, mark
@@ -487,6 +498,7 @@ func (p *Problem) genericSearch() (*Result, error) {
 		}
 		markVisited(children, visited)
 		batch := p.evaluateCandidates(children)
+		p.releaseSnapshot(item.key)
 		res.Evaluated += len(batch)
 		for i := range batch {
 			if batch[i].err != nil {
@@ -590,10 +602,12 @@ func (p *Problem) astarSearch() (*Result, error) {
 		// (including the incumbent itself) still expand: with plan-level
 		// packing the objective is not perfectly monotone.
 		if best != nil && Score(item.eval, opt.Maximize) > Score(best.eval, opt.Maximize) {
+			p.releaseSnapshot(item.key)
 			continue
 		}
 		children := dedupCandidates(p.childCandidates(item.state, item.key), visited)
 		if len(children) == 0 {
+			p.releaseSnapshot(item.key)
 			continue
 		}
 		// Trim to the budget before marking visited, so a child dropped here
@@ -603,6 +617,7 @@ func (p *Problem) astarSearch() (*Result, error) {
 		}
 		markVisited(children, visited)
 		batch := p.evaluateCandidates(children)
+		p.releaseSnapshot(item.key)
 		res.Evaluated += len(batch)
 		res.Levels++
 		improved := false

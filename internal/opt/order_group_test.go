@@ -408,7 +408,7 @@ func TestCompleteParentRegeneratesSnapshot(t *testing.T) {
 		t.Fatalf("fixture start did not early-stop (%d/%d worlds); completeParent is not exercised",
 			out[0].worlds, p.worlds)
 	}
-	if p.snaps.has(parent.Key()) {
+	if _, ok := p.snaps.get(parent.Key()); ok {
 		t.Fatal("early-stopped parent must not have a stored snapshot")
 	}
 
@@ -420,7 +420,7 @@ func TestCompleteParentRegeneratesSnapshot(t *testing.T) {
 	if st.ParentCompletions == 0 {
 		t.Fatalf("missing-snapshot expansion did not complete the parent: %+v", st)
 	}
-	if !p.snaps.has(parent.Key()) {
+	if _, ok := p.snaps.get(parent.Key()); !ok {
 		t.Fatal("completeParent did not store the regenerated snapshot")
 	}
 	if st.DeltaEvals == 0 {
@@ -476,7 +476,7 @@ func TestPinnedFeasibleCompletesSnapshot(t *testing.T) {
 		if s.eval.Value != ref[i].Value || !s.eval.Feasible {
 			t.Fatalf("pinned state %v eval %+v != fixed %+v", states[i], s.eval, ref[i])
 		}
-		if !p.snaps.has(cands[i].key) {
+		if _, ok := p.snaps.get(cands[i].key); !ok {
 			t.Fatalf("pinned state %v completed without storing its snapshot", states[i])
 		}
 		feasibleComplete++

@@ -196,7 +196,8 @@ type DeltaStats struct {
 	ConePlanHits int64
 	// ParentCompletions counts expansion parents re-evaluated in full to
 	// regenerate a snapshot their own (early-stopped) evaluation never
-	// captured, unlocking delta evaluation for their sibling batches.
+	// captured or the store evicted, unlocking delta evaluation for their
+	// sibling batches.
 	ParentCompletions int64
 }
 
@@ -304,7 +305,7 @@ func Compile(sp Space, o Options) (*Problem, error) {
 			d.Delta.ReleaseSnapshot(probeSnap)
 			budget := p.opts.SnapshotBudget
 			if budget == 0 {
-				budget = 64 << 20
+				budget = 16 << 20
 			}
 			p.delta = d.Delta
 			p.snaps = newSnapStore(budget, d.Delta.ReleaseSnapshot)
@@ -315,6 +316,15 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		p.phaseCtx[ph] = pprof.WithLabels(p.opts.Ctx, pprof.Labels("deco_phase", name))
 	}
 	return p, nil
+}
+
+// releaseSnapshot drops a state's retained snapshot once the search has
+// expanded it (its child batch is evaluated, dedup left it no children, or
+// A* pruned it): no later kernel reads it as a parent.
+func (p *Problem) releaseSnapshot(key string) {
+	if p.snaps != nil {
+		p.snaps.remove(key)
+	}
 }
 
 // isPermutation reports whether ord is a permutation of [0, n).
