@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"deco/internal/device"
 	"deco/internal/exp"
 	"deco/internal/opt"
 	"deco/internal/probir"
@@ -39,15 +38,6 @@ func TestAdaptiveFixedEquivalence(t *testing.T) {
 		{wfgen.AppCyberShake, 14, 7},
 		{wfgen.AppPipeline, 10, 11},
 	}
-	// A subset of the crossDevices matrix: both one-level devices plus the
-	// oversubscribed two-level shape (the full matrix is covered by the
-	// cross-device tests; adaptive stop decisions are bit-identical across
-	// devices, pinned in internal/opt).
-	devices := []device.Device{
-		device.Sequential{},
-		device.Parallel{},
-		device.TwoLevel{NumWorkers: 3, MaxThreads: 2},
-	}
 	const worlds = 48
 
 	for _, tc := range cases {
@@ -70,7 +60,7 @@ func TestAdaptiveFixedEquivalence(t *testing.T) {
 		}
 		sp := opt.NewScheduleSpace(w, eval)
 
-		for _, dev := range devices {
+		for _, dev := range crossDevices {
 			for _, cached := range []bool{false, true} {
 				run := func(adaptive bool) (*opt.Result, opt.SampleStats) {
 					o := opt.Options{

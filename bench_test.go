@@ -2,8 +2,10 @@ package deco
 
 // Repository-level benchmarks: one per table/figure of the paper's
 // evaluation (§6), driving the harness in internal/exp at quick scale, plus
-// solver micro-benchmarks (device speedup, per-task overhead, Monte-Carlo
-// evaluation). Run with:
+// solver micro-benchmarks (per-task overhead, Monte-Carlo evaluation,
+// expansion and search). Device speedup is timed only by env.Speedup
+// (BenchmarkSolverSpeedup here, the device_scaling row of cmd/benchsolver).
+// Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -117,7 +119,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkSolverSpeedup(b *testing.B) {
 	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Speedup(io.Discard); err != nil {
+		if _, err := env.Speedup(io.Discard, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,9 +179,9 @@ func BenchmarkMonteCarloEvaluation(b *testing.B) {
 // common-random-number core: the initial state plus its Δ=1 neighbors, each
 // evaluated through its CRN world kernel over the shared compiled program.
 // A fresh base per iteration redoes the duration sampling, so the figure
-// includes row fill, not just the DP. cmd/benchsolver compares this same
-// batch against a reproduction of the old map-keyed path and records both
-// in BENCH_solver.json.
+// includes row fill, not just the DP. cmd/benchsolver measures this same
+// batch and records it, with an allocation ceiling per state, in
+// BENCH_solver.json.
 func BenchmarkEvaluationCore(b *testing.B) {
 	space := benchSpace(b, 100, 100)
 	states := []opt.State{space.Initial()}
@@ -240,7 +242,7 @@ func BenchmarkFullExpansion(b *testing.B)  { benchExpansion(b, -1) }
 func BenchmarkEvalCacheWarmSearch(b *testing.B) {
 	space := benchSpace(b, 100, 40)
 	cache := opt.NewEvalCache(0)
-	so := opt.DefaultOptions(device.Parallel{})
+	so := opt.DefaultOptions(device.TwoLevel{MaxThreads: 1})
 	so.MaxStates = 400
 	so.Seed = 5
 	so.Cache = cache
@@ -255,40 +257,10 @@ func BenchmarkEvalCacheWarmSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchSequential / Parallel / TwoLevel measure the full search on
-// each device — the per-device cost behind the §6.3 speedup rows. beam <= 0
-// keeps the default frontier width; the narrow-beam variants run batches far
-// smaller than the machine, the regime the two-level device exists for.
-func benchSearch(b *testing.B, dev device.Device, beam int) {
-	space := benchSpace(b, 100, 40)
-	so := opt.DefaultOptions(dev)
-	so.MaxStates = 400
-	so.Seed = 5
-	if beam > 0 {
-		so.BeamWidth = beam
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Search(space, so); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSearchSequential(b *testing.B) { benchSearch(b, device.Sequential{}, 0) }
-func BenchmarkSearchParallel(b *testing.B)   { benchSearch(b, device.Parallel{}, 0) }
-func BenchmarkSearchTwoLevel(b *testing.B)   { benchSearch(b, device.TwoLevel{}, 0) }
-
-// BenchmarkNarrowBatchSpeedup compares state-only parallelism against
-// two-level execution when the beam bounds every batch to a couple of
-// states (cf. the narrow-beam rows of env.Speedup).
-func BenchmarkNarrowBatchSpeedupParallel(b *testing.B) { benchSearch(b, device.Parallel{}, 2) }
-func BenchmarkNarrowBatchSpeedupTwoLevel(b *testing.B) { benchSearch(b, device.TwoLevel{}, 2) }
-
 // BenchmarkAStarSearch measures the pruned best-first variant.
 func BenchmarkAStarSearch(b *testing.B) {
 	space := benchSpace(b, 100, 40)
-	so := opt.DefaultOptions(device.Parallel{})
+	so := opt.DefaultOptions(device.TwoLevel{MaxThreads: 1})
 	so.MaxStates = 400
 	so.Seed = 5
 	so.AStar = true

@@ -46,7 +46,7 @@ func main() {
 		"fig9":     func(w io.Writer) error { _, err := env.Fig9(w); return err },
 		"fig10":    func(w io.Writer) error { _, err := env.Fig10(w); return err },
 		"fig11":    func(w io.Writer) error { _, err := env.Fig11(w); return err },
-		"speedup":  func(w io.Writer) error { _, err := env.Speedup(w); return err },
+		"speedup":  func(w io.Writer) error { _, err := env.Speedup(w, exp.SpeedupRounds); return err },
 		"overhead": func(w io.Writer) error { _, err := env.Overhead(w); return err },
 		"ablation": func(w io.Writer) error { _, err := env.Ablation(w); return err },
 	}

@@ -35,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"deco/internal/hoststamp"
 	"deco/internal/service"
 )
 
@@ -65,6 +66,7 @@ type fairnessResult struct {
 }
 
 type benchDoc struct {
+	Host           hoststamp.Host `json:"host"`
 	Nodes          int            `json:"nodes"`
 	WorkersPerNode int            `json:"workers_per_node"`
 	Keys           int            `json:"keys"`
@@ -437,6 +439,7 @@ func main() {
 	flag.Parse()
 
 	doc := benchDoc{
+		Host:           hoststamp.Stamp(),
 		Nodes:          *nodesN,
 		WorkersPerNode: *workers,
 		Keys:           *keys,

@@ -27,14 +27,14 @@ import (
 	"deco/internal/wlog"
 )
 
-// crossDevices is the device matrix every space must agree across: both
-// one-level devices, the two-level default, the degenerate
-// one-thread-per-block shape, and an oversubscribed narrow shape.
+// crossDevices is the device matrix every space must agree across: the
+// sequential baseline, the state-parallel shape (one worker per block), the
+// two-level default, and an oversubscribed pool whose blocks are capped at
+// two threads.
 var crossDevices = []device.Device{
 	device.Sequential{},
-	device.Parallel{},
-	device.TwoLevel{},
 	device.TwoLevel{MaxThreads: 1},
+	device.TwoLevel{},
 	device.TwoLevel{NumWorkers: 3, MaxThreads: 2},
 }
 
@@ -160,8 +160,7 @@ func TestCrossDeviceDeterminismProlog(t *testing.T) {
 	o := opt.DefaultOptions(nil)
 	o.MaxStates = 30
 	o.Seed = 11
-	res := searchAllDevices(t, sp, o,
-		device.Sequential{}, device.Parallel{}, device.TwoLevel{}, device.TwoLevel{MaxThreads: 1})
+	res := searchAllDevices(t, sp, o)
 	want, err := sp.Evaluate(res.Best, stateRNG(o.Seed, res.Best.Key()))
 	if err != nil {
 		t.Fatal(err)

@@ -84,8 +84,9 @@ func WithMetadata(md *cloud.Metadata) Option { return func(e *Engine) { e.meta =
 func WithDevice(d device.Device) Option { return func(e *Engine) { e.dev = d } }
 
 // WithThreads bounds the Monte-Carlo iteration parallelism within one state's
-// evaluation (threads per block in the §5.2 model): n <= 1 restricts the
-// device to state-level parallelism only, 0 (the default) lets it split a
+// evaluation (threads per block in the §5.2 model): n == 1 restricts the
+// device to state-level parallelism only, n > 1 lets at most n chunks of one
+// state's iterations run at once, and n <= 0 (the default) lets it split a
 // state's iterations freely. Plans are identical for every setting; the knob
 // trades scheduling overhead against narrow-batch utilization.
 func WithThreads(n int) Option {

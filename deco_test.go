@@ -16,7 +16,7 @@ import (
 
 func newTestEngine(t *testing.T, options ...Option) *Engine {
 	t.Helper()
-	base := []Option{WithSeed(1), WithIters(40), WithSearchBudget(2000), WithDevice(device.Parallel{})}
+	base := []Option{WithSeed(1), WithIters(40), WithSearchBudget(2000), WithDevice(device.TwoLevel{MaxThreads: 1})}
 	eng, err := NewEngine(append(base, options...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestRunProgramPrologPathDeviceInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want *Plan
-	for _, dev := range []device.Device{device.Sequential{}, device.Parallel{}, device.TwoLevel{}} {
+	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{MaxThreads: 1}, device.TwoLevel{}} {
 		eng := newTestEngine(t, WithIters(30), WithSearchBudget(200), WithDevice(dev))
 		plan, err := eng.RunProgram(userRuleProgram, w)
 		if err != nil {

@@ -34,13 +34,6 @@ import (
 	"deco/internal/wlog"
 )
 
-// pathDevices is the device matrix for the path-equivalence property.
-var pathDevices = []device.Device{
-	device.Sequential{},
-	device.Parallel{},
-	device.TwoLevel{},
-}
-
 // frozenSpace pins a search to exactly one state: Starts is the state,
 // Neighbors is empty, and the descriptor is the inner space's. Searching it
 // runs the solver's batch evaluator on precisely that state, so
@@ -155,7 +148,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 			}
 			assertSameEval(t, name+": kernel path", kev, want)
 			// Device/delta path through the solver's evaluator, every device.
-			for _, dev := range pathDevices {
+			for _, dev := range crossDevices {
 				got := searchOneState(t, sp, st, dev, base, false)
 				assertSameEval(t, name+": "+dev.Name(), got, want)
 			}
@@ -197,7 +190,7 @@ func TestDeltaChainEquivalence(t *testing.T) {
 	}
 	sp := opt.NewScheduleSpace(w, eval)
 	const base = 31
-	for _, dev := range pathDevices {
+	for _, dev := range crossDevices {
 		for _, cached := range []bool{false, true} {
 			name := dev.Name()
 			if cached {
@@ -284,7 +277,7 @@ func TestEvalPathEquivalenceEnsemble(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameEval(t, "ensemble: kernel path", kev, want)
-		for _, dev := range pathDevices {
+		for _, dev := range crossDevices {
 			got := searchOneState(t, sp, st, dev, base, true)
 			assertSameEval(t, "ensemble kernel: "+dev.Name(), got, want)
 		}
@@ -333,7 +326,7 @@ func TestEvalPathEquivalenceFTC(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameEval(t, "ftc: kernel path", kev, want)
-		for _, dev := range pathDevices {
+		for _, dev := range crossDevices {
 			got := searchOneState(t, sp, st, dev, base, false)
 			assertSameEval(t, "ftc kernel: "+dev.Name(), got, want)
 		}
@@ -386,7 +379,7 @@ func TestEvalPathZeroWorldPrograms(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, dev := range pathDevices {
+				for _, dev := range crossDevices {
 					got := searchOneState(t, sp, st, dev, base, false)
 					assertSameEval(t, name+": "+dev.Name(), got, want)
 				}

@@ -17,7 +17,7 @@ import (
 // non-negative runtimes and file sizes and survive Write → Parse with the
 // same tasks (ID, executable, runtime) and the same edges.
 //
-// Run it with: go test -run '^$' -fuzz FuzzParse -fuzztime 20s ./internal/dax/
+// Run it with: go test -run '^$' -fuzz FuzzParse -fuzztime 20s -fuzzminimizetime 5s ./internal/dax/
 func FuzzParse(f *testing.F) {
 	gens := []func(*rand.Rand) (*dag.Workflow, error){
 		func(r *rand.Rand) (*dag.Workflow, error) { return wfgen.Montage(1, r) },

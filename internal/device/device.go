@@ -14,7 +14,9 @@
 //     narrower than the machine — one A* expansion, a handful of
 //     multi-start seeds, an exploitation-phase child set — still saturates
 //     every core. The TwoLevel device shares thread chunks across its
-//     worker pool, stealing work from wide blocks when the batch is narrow.
+//     worker pool, stealing work from wide blocks when the batch is narrow;
+//     with MaxThreads 1 it pins each block to one worker and parallelizes
+//     across blocks only.
 //
 // ReduceBlocksRange, the solver's one evaluation primitive, maps a block's
 // Monte-Carlo worlds onto MapBlocks threads in *world chunks*: each
@@ -79,70 +81,6 @@ func (Sequential) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 	}
 }
 
-// Parallel runs blocks across a goroutine pool, standing in for the GPU's
-// multiprocessors. It parallelizes the outer level only: each block's
-// threads run sequentially on the worker that owns the block, so a batch
-// narrower than the pool leaves workers idle (the state-only-parallel
-// baseline the narrow-batch speedup series compares against).
-type Parallel struct {
-	// NumBlocks is the number of worker goroutines; 0 means GOMAXPROCS.
-	NumBlocks int
-}
-
-// Name implements Device.
-func (p Parallel) Name() string { return fmt.Sprintf("parallel-%d", p.blocks()) }
-
-// Blocks implements Device.
-func (p Parallel) Blocks() int { return p.blocks() }
-
-func (p Parallel) blocks() int {
-	if p.NumBlocks > 0 {
-		return p.NumBlocks
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Map implements Device: workers claim work items from a shared atomic
-// counter (block scheduling); there is no cross-block communication,
-// matching the GPU implementation principle of §5.2.
-func (p Parallel) Map(n int, fn func(i int)) {
-	workers := p.blocks()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// MapBlocks implements Device with outer-level parallelism only.
-func (p Parallel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)) {
-	p.Map(nBlocks, func(b int) {
-		for t := 0; t < threads; t++ {
-			kernel(b, t)
-		}
-	})
-}
-
 // TwoLevel is the full block/thread device of §5.2-5.3: states are blocks,
 // Monte-Carlo iterations are threads within a block, and the worker pool
 // shares thread chunks across blocks. A wide batch degenerates to block
@@ -153,9 +91,10 @@ type TwoLevel struct {
 	// NumWorkers is the goroutine pool size; 0 means GOMAXPROCS.
 	NumWorkers int
 	// MaxThreads caps how many thread chunks of one block may be in flight
-	// concurrently — the iteration-parallelism knob. 0 means unbounded
-	// (split blocks as finely as keeps all workers busy); 1 pins each block
-	// to a single worker, reproducing the state-only-parallel baseline.
+	// concurrently — the iteration-parallelism knob. 0 (or less) means
+	// unbounded (split blocks as finely as keeps all workers busy); 1 pins
+	// each block to a single worker, so the device parallelizes across
+	// states only: its threads run in order on the worker that owns it.
 	MaxThreads int
 }
 
@@ -178,9 +117,40 @@ func (d TwoLevel) workers() int {
 }
 
 // Map implements Device (outer level only), for callers that have no
-// per-thread decomposition.
+// per-thread decomposition: workers claim items from a shared atomic
+// counter, with no cross-block communication, matching the GPU
+// implementation principle of §5.2.
 func (d TwoLevel) Map(n int, fn func(i int)) {
-	Parallel{NumBlocks: d.workers()}.Map(n, fn)
+	workers := d.workers()
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		Sequential{}.Map(n, fn)
+		return
+	}
+	run(workers, n, fn)
+}
+
+// run starts workers goroutines that claim the items [0, n) from a shared
+// counter and waits for them to finish.
+func run(workers, n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // MapBlocks implements Device. Every block's threads are cut into
@@ -192,16 +162,9 @@ func (d TwoLevel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 	if nBlocks <= 0 || threads <= 0 {
 		return
 	}
-	workers := d.workers()
-	if total := nBlocks * threads; workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		Sequential{}.MapBlocks(nBlocks, threads, kernel)
-		return
-	}
 	// Aim for ~4 chunks per worker so stealing stays cheap but no worker
 	// idles behind one long chunk; never split finer than MaxThreads allows.
+	workers := d.workers()
 	chunksPerBlock := (4*workers + nBlocks - 1) / nBlocks
 	if chunksPerBlock > threads {
 		chunksPerBlock = threads
@@ -213,33 +176,28 @@ func (d TwoLevel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 		chunksPerBlock = 1
 	}
 	chunk := (threads + chunksPerBlock - 1) / chunksPerBlock
-	chunksPerBlock = (threads + chunk - 1) / chunk // tight after rounding
-	units := nBlocks * chunksPerBlock
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= units {
-					return
-				}
-				b := u / chunksPerBlock
-				lo := (u % chunksPerBlock) * chunk
-				hi := lo + chunk
-				if hi > threads {
-					hi = threads
-				}
-				for t := lo; t < hi; t++ {
-					kernel(b, t)
-				}
-			}
-		}()
+	perBlock := (threads + chunk - 1) / chunk // tight after rounding
+	units := nBlocks * perBlock
+	// Never start more workers than there are units: with MaxThreads 1 a
+	// one-block call runs inline rather than waking an idle goroutine.
+	if workers > units {
+		workers = units
 	}
-	wg.Wait()
+	if workers <= 1 {
+		Sequential{}.MapBlocks(nBlocks, threads, kernel)
+		return
+	}
+	run(workers, units, func(u int) {
+		b := u / perBlock
+		lo := (u % perBlock) * chunk
+		hi := lo + chunk
+		if hi > threads {
+			hi = threads
+		}
+		for t := lo; t < hi; t++ {
+			kernel(b, t)
+		}
+	})
 }
 
 // BlockKernel computes the worlds at positions [lo, hi) of block b into out:

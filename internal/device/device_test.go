@@ -19,28 +19,30 @@ func TestSequentialMapVisitsAllInOrder(t *testing.T) {
 	}
 }
 
-func TestParallelMapVisitsAllExactlyOnce(t *testing.T) {
+func TestTwoLevelMapVisitsAllExactlyOnce(t *testing.T) {
 	const n = 1000
-	var counts [n]int32
-	Parallel{NumBlocks: 8}.Map(n, func(i int) {
-		atomic.AddInt32(&counts[i], 1)
-	})
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("item %d visited %d times", i, c)
+	for _, d := range []Device{TwoLevel{NumWorkers: 8}, TwoLevel{NumWorkers: 8, MaxThreads: 1}} {
+		var counts [n]int32
+		d.Map(n, func(i int) {
+			atomic.AddInt32(&counts[i], 1)
+		})
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("%s: item %d visited %d times", d.Name(), i, c)
+			}
 		}
 	}
 }
 
-func TestParallelDegeneratesGracefully(t *testing.T) {
+func TestTwoLevelMapDegeneratesGracefully(t *testing.T) {
 	// n < workers and n == 0.
 	var visits int32
-	Parallel{NumBlocks: 16}.Map(3, func(i int) { atomic.AddInt32(&visits, 1) })
+	TwoLevel{NumWorkers: 16}.Map(3, func(i int) { atomic.AddInt32(&visits, 1) })
 	if visits != 3 {
 		t.Fatalf("visits %d", visits)
 	}
-	Parallel{NumBlocks: 16}.Map(0, func(i int) { t.Fatal("should not run") })
-	Parallel{NumBlocks: 1}.Map(2, func(i int) { atomic.AddInt32(&visits, 1) })
+	TwoLevel{NumWorkers: 16}.Map(0, func(i int) { t.Fatal("should not run") })
+	TwoLevel{NumWorkers: 1}.Map(2, func(i int) { atomic.AddInt32(&visits, 1) })
 	if visits != 5 {
 		t.Fatalf("visits %d", visits)
 	}
@@ -50,14 +52,14 @@ func TestBlocksAndNames(t *testing.T) {
 	if (Sequential{}).Blocks() != 1 || (Sequential{}).Name() != "sequential" {
 		t.Error("sequential identity wrong")
 	}
-	p := Parallel{NumBlocks: 6}
-	if p.Blocks() != 6 {
-		t.Errorf("blocks %d", p.Blocks())
+	d := TwoLevel{NumWorkers: 6, MaxThreads: 1}
+	if d.Blocks() != 6 {
+		t.Errorf("blocks %d", d.Blocks())
 	}
-	if p.Name() != "parallel-6" {
-		t.Errorf("name %s", p.Name())
+	if d.Name() != "twolevel-6x1" {
+		t.Errorf("name %s", d.Name())
 	}
-	if (Parallel{}).Blocks() < 1 {
+	if (TwoLevel{MaxThreads: 1}).Blocks() < 1 {
 		t.Error("default blocks < 1")
 	}
 }
@@ -67,8 +69,9 @@ func TestReduceMatchesSequentialSum(t *testing.T) {
 		n := len(vals)
 		fn := func(i int) float64 { return vals[i] }
 		seq := Reduce(Sequential{}, n, fn)
-		par := Reduce(Parallel{NumBlocks: 4}, n, fn)
-		return seq == par
+		par := Reduce(TwoLevel{NumWorkers: 4, MaxThreads: 1}, n, fn)
+		two := Reduce(TwoLevel{NumWorkers: 4}, n, fn)
+		return seq == par && seq == two
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -78,14 +81,14 @@ func TestReduceMatchesSequentialSum(t *testing.T) {
 // The parallel device must produce identical results to the sequential one
 // when blocks are independent — the determinism contract the solver relies
 // on.
-func TestParallelDeterminism(t *testing.T) {
+func TestTwoLevelMapDeterminism(t *testing.T) {
 	const n = 200
 	run := func(d Device) [n]float64 {
 		var out [n]float64
 		d.Map(n, func(i int) { out[i] = float64(i*i) * 0.5 })
 		return out
 	}
-	if run(Sequential{}) != run(Parallel{NumBlocks: 7}) {
+	if run(Sequential{}) != run(TwoLevel{NumWorkers: 7}) {
 		t.Error("devices disagree")
 	}
 }
@@ -95,7 +98,6 @@ func TestParallelDeterminism(t *testing.T) {
 func TestMapBlocksVisitsEveryPairExactlyOnce(t *testing.T) {
 	devices := []Device{
 		Sequential{},
-		Parallel{NumBlocks: 5},
 		TwoLevel{NumWorkers: 5},
 		TwoLevel{NumWorkers: 5, MaxThreads: 1},
 		TwoLevel{NumWorkers: 5, MaxThreads: 3},
@@ -117,23 +119,37 @@ func TestMapBlocksVisitsEveryPairExactlyOnce(t *testing.T) {
 	}
 }
 
-// MaxThreads=1 pins each block to one chunk: the kernel must then see each
-// block's threads strictly in order (the state-only-parallel baseline).
+// MaxThreads=1 pins each block to one worker: whatever the shape, each
+// block's threads run in ascending order and never two at once, and every
+// (block, thread) pair runs exactly once — the state-parallel schedule.
 func TestTwoLevelMaxThreadsOnePinsBlocks(t *testing.T) {
-	const nb, th = 6, 50
-	last := make([]int32, nb)
-	for i := range last {
-		last[i] = -1
-	}
-	TwoLevel{NumWorkers: 4, MaxThreads: 1}.MapBlocks(nb, th, func(b, tt int) {
-		if prev := atomic.LoadInt32(&last[b]); int32(tt) != prev+1 {
-			t.Errorf("block %d: thread %d after %d", b, tt, prev)
-		}
-		atomic.StoreInt32(&last[b], int32(tt))
-	})
-	for b, l := range last {
-		if l != th-1 {
-			t.Errorf("block %d stopped at thread %d", b, l)
+	shapes := [][2]int{{6, 50}, {1, 2}, {1, 40}, {2, 7}, {9, 1}}
+	for _, workers := range []int{1, 2, 4} {
+		d := TwoLevel{NumWorkers: workers, MaxThreads: 1}
+		for _, sh := range shapes {
+			nb, th := sh[0], sh[1]
+			last := make([]int32, nb)
+			busy := make([]int32, nb)
+			counts := make([]int32, nb*th)
+			for i := range last {
+				last[i] = -1
+			}
+			d.MapBlocks(nb, th, func(b, tt int) {
+				if n := atomic.AddInt32(&busy[b], 1); n != 1 {
+					t.Errorf("%s %dx%d: block %d runs %d threads at once", d.Name(), nb, th, b, n)
+				}
+				if prev := atomic.LoadInt32(&last[b]); int32(tt) != prev+1 {
+					t.Errorf("%s %dx%d: block %d: thread %d after %d", d.Name(), nb, th, b, tt, prev)
+				}
+				atomic.StoreInt32(&last[b], int32(tt))
+				atomic.AddInt32(&counts[b*th+tt], 1)
+				atomic.AddInt32(&busy[b], -1)
+			})
+			for i, c := range counts {
+				if c != 1 {
+					t.Errorf("%s %dx%d: pair %d ran %d times", d.Name(), nb, th, i, c)
+				}
+			}
 		}
 	}
 }
@@ -164,7 +180,7 @@ func TestReduceBlocksBitIdenticalAcrossDevices(t *testing.T) {
 		return nil
 	}
 	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, perWorld(kernel))
-	for _, d := range []Device{Parallel{NumBlocks: 5}, TwoLevel{NumWorkers: 5}, TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
+	for _, d := range []Device{TwoLevel{NumWorkers: 5, MaxThreads: 1}, TwoLevel{NumWorkers: 5}, TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
 		for rep := 0; rep < 10; rep++ {
 			got, errs := ReduceBlocks(d, nb, th, width, perWorld(kernel))
 			for _, err := range errs {
@@ -247,7 +263,7 @@ func TestReduceBlocksRangeChainsBitIdentical(t *testing.T) {
 	// One Buffers serves every round: reuse must not leak a round's slots
 	// or errors into the next.
 	buf := new(Buffers)
-	for _, d := range []Device{Sequential{}, Parallel{NumBlocks: 4}, TwoLevel{NumWorkers: 5}} {
+	for _, d := range []Device{Sequential{}, TwoLevel{NumWorkers: 4, MaxThreads: 1}, TwoLevel{NumWorkers: 5}} {
 		for _, bounds := range [][]int{{th}, {16, 48, th}, {1, 2, 3, 50, th}} {
 			sums := make([]float64, nb*width)
 			lo := 0

@@ -250,10 +250,13 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+// TestSpeedupShape checks the structure of the §6.3 series and that every
+// device lands on the same plan, over one round. It asserts no wall-clock
+// ratio: those are gated on cmd/benchsolver's device_scaling row.
 func TestSpeedupShape(t *testing.T) {
 	env := quickEnv(t)
 	var bs bytes.Buffer
-	res, err := env.Speedup(&bs)
+	res, err := env.Speedup(&bs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,20 +271,19 @@ func TestSpeedupShape(t *testing.T) {
 		if r.Beam > 0 {
 			narrow++
 		}
+		if len(r.Results) != len(SpeedupDevices) {
+			t.Fatalf("%s: %d results for %d devices", r.Workload, len(r.Results), len(SpeedupDevices))
+		}
+		want := r.Results[0]
+		for d, got := range r.Results[1:] {
+			if got.Best.Key() != want.Best.Key() || got.BestEval.Value != want.BestEval.Value {
+				t.Errorf("%s: %s found %v (objective %v), sequential %v (objective %v)", r.Workload,
+					SpeedupDevices[d+1].Name(), got.Best, got.BestEval.Value, want.Best, want.BestEval.Value)
+			}
+		}
 	}
 	if narrow == 0 {
 		t.Error("no narrow-beam rows in the series")
-	}
-	if res.ParallelBlocks <= 1 {
-		t.Skip("single-core host: no parallel speedup to measure")
-	}
-	for _, r := range res.Rows {
-		if r.Speedup < 1.0 {
-			t.Errorf("%s: parallel device slower than sequential (%.2fx)", r.Workload, r.Speedup)
-		}
-		if r.TwoLevelSpeedup < 1.0 {
-			t.Errorf("%s: two-level device slower than sequential (%.2fx)", r.Workload, r.TwoLevelSpeedup)
-		}
 	}
 }
 

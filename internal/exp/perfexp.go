@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"deco/internal/device"
@@ -15,7 +16,8 @@ import (
 // SpeedupRow is one workload of the §6.3 parallel-solver comparison. Beam is
 // the solver's frontier width: the narrow-beam series (beam 2) keeps batches
 // far smaller than the machine, the regime where only iteration-level
-// (two-level) parallelism can fill the idle workers.
+// (two-level) parallelism can fill the idle workers. Each device's time is
+// the median of the interleaved rounds the row was measured over.
 type SpeedupRow struct {
 	Workload        string
 	Tasks           int
@@ -25,6 +27,9 @@ type SpeedupRow struct {
 	TwoLevel        time.Duration
 	Speedup         float64 // sequential / parallel
 	TwoLevelSpeedup float64 // sequential / two-level
+	// Results holds each device's search result, in SpeedupDevices order;
+	// the devices must agree on them bit for bit.
+	Results []*opt.Result
 }
 
 // SpeedupResult reproduces the §6.3.1/§6.3.2 device-speedup measurements:
@@ -38,28 +43,37 @@ type SpeedupResult struct {
 	Rows           []SpeedupRow
 }
 
+// SpeedupDevices are the devices the speedup rows compare, in column order:
+// the sequential baseline, the state-parallel shape (each block's threads
+// pinned to one worker) and the full two-level device.
+var SpeedupDevices = []device.Device{device.Sequential{}, device.TwoLevel{MaxThreads: 1}, device.TwoLevel{}}
+
+// SpeedupRounds is how many rounds a speedup measurement that reports
+// ratios takes. Rounds interleave the devices and rotate their order, so a
+// burst of host noise lands on each device alike, and a row reports the
+// median per device.
+const SpeedupRounds = 5
+
 // timedSearch runs the scheduling search on the given device and returns
-// elapsed wall-clock time. beam <= 0 keeps the default frontier width.
-func (e *Env) timedSearch(wName string, nTasks int, dev device.Device, seed int64, beam int) (time.Duration, int, error) {
+// its result and elapsed wall-clock time. beam <= 0 keeps the default
+// frontier width.
+func (e *Env) timedSearch(nTasks int, dev device.Device, seed int64, beam int) (*opt.Result, time.Duration, int, error) {
 	w, err := wfgen.BySize(wfgen.AppMontage, nTasks, randFor(seed))
 	if err != nil {
-		return 0, 0, err
-	}
-	if wName != "" {
-		w.Name = wName
+		return nil, 0, 0, err
 	}
 	tbl, err := e.Est.BuildTable(w)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
 	deadline, err := e.Deadline(w, "medium")
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.96, Bound: deadline}}
 	eval, err := probir.NewNative(w, tbl, e.Prices, probir.GoalCost, cons, e.Cfg.Iters)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
 	space := opt.NewScheduleSpace(w, eval)
 	so := opt.DefaultOptions(dev)
@@ -71,25 +85,37 @@ func (e *Env) timedSearch(wName string, nTasks int, dev device.Device, seed int6
 	start := time.Now()
 	res, err := opt.Search(space, so)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
-	_ = res
-	return time.Since(start), w.Len(), nil
+	return res, time.Since(start), w.Len(), nil
 }
 
-// speedupRow measures one (size, beam) workload on all three devices.
-func (e *Env) speedupRow(n, beam int) (SpeedupRow, error) {
-	seqT, tasks, err := e.timedSearch("", n, device.Sequential{}, e.Cfg.Seed+51, beam)
-	if err != nil {
-		return SpeedupRow{}, err
+// speedupRow measures one (size, beam) workload on every device, round by
+// round with the device order rotated, and keeps each device's median time
+// and its first result.
+func (e *Env) speedupRow(n, beam, rounds int) (SpeedupRow, error) {
+	nd := len(SpeedupDevices)
+	times := make([][]time.Duration, nd)
+	results := make([]*opt.Result, nd)
+	tasks := 0
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < nd; k++ {
+			d := (r + k) % nd
+			res, dt, nt, err := e.timedSearch(n, SpeedupDevices[d], e.Cfg.Seed+51, beam)
+			if err != nil {
+				return SpeedupRow{}, err
+			}
+			times[d] = append(times[d], dt)
+			if results[d] == nil {
+				results[d] = res
+			}
+			tasks = nt
+		}
 	}
-	parT, _, err := e.timedSearch("", n, device.Parallel{}, e.Cfg.Seed+51, beam)
-	if err != nil {
-		return SpeedupRow{}, err
-	}
-	twoT, _, err := e.timedSearch("", n, device.TwoLevel{}, e.Cfg.Seed+51, beam)
-	if err != nil {
-		return SpeedupRow{}, err
+	med := make([]time.Duration, nd)
+	for d, ts := range times {
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+		med[d] = ts[len(ts)/2]
 	}
 	name := fmt.Sprintf("montage-%dt", tasks)
 	if beam > 0 {
@@ -97,28 +123,34 @@ func (e *Env) speedupRow(n, beam int) (SpeedupRow, error) {
 	}
 	row := SpeedupRow{
 		Workload: name, Tasks: tasks, Beam: beam,
-		Sequential: seqT, Parallel: parT, TwoLevel: twoT,
+		Sequential: med[0], Parallel: med[1], TwoLevel: med[2],
+		Results: results,
 	}
-	if parT > 0 {
-		row.Speedup = float64(seqT) / float64(parT)
+	if row.Parallel > 0 {
+		row.Speedup = float64(row.Sequential) / float64(row.Parallel)
 	}
-	if twoT > 0 {
-		row.TwoLevelSpeedup = float64(seqT) / float64(twoT)
+	if row.TwoLevel > 0 {
+		row.TwoLevelSpeedup = float64(row.Sequential) / float64(row.TwoLevel)
 	}
 	return row, nil
 }
 
 // Speedup runs the comparison for the Montage scales: the default-beam
 // series, then the narrow-beam (beam 2) series where state-level parallelism
-// starves and the two-level device shows its advantage.
-func (e *Env) Speedup(out io.Writer) (*SpeedupResult, error) {
+// starves and the two-level device shows its advantage. Each device runs
+// every row rounds times (at least once); a caller that only needs the
+// results or the table's shape takes one round, one that reads the ratios
+// takes SpeedupRounds. It is the one measurement of device wall-clock time
+// in the repository.
+func (e *Env) Speedup(out io.Writer, rounds int) (*SpeedupResult, error) {
+	rounds = max(rounds, 1)
 	sizes := []int{30, 120, 400}
 	if e.Cfg.Quick {
 		sizes = []int{30, 120}
 	}
-	res := &SpeedupResult{ParallelBlocks: device.Parallel{}.Blocks()}
+	res := &SpeedupResult{ParallelBlocks: SpeedupDevices[1].Blocks()}
 	for _, n := range sizes {
-		row, err := e.speedupRow(n, 0)
+		row, err := e.speedupRow(n, 0, rounds)
 		if err != nil {
 			return nil, err
 		}
@@ -129,14 +161,14 @@ func (e *Env) Speedup(out io.Writer) (*SpeedupResult, error) {
 		narrowSizes = sizes[:1]
 	}
 	for _, n := range narrowSizes {
-		row, err := e.speedupRow(n, 2)
+		row, err := e.speedupRow(n, 2, rounds)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	if out != nil {
-		fmt.Fprintf(out, "Solver speedup: parallel / two-level (%d blocks) vs sequential device\n", res.ParallelBlocks)
+		fmt.Fprintf(out, "Solver speedup: parallel / two-level (%d blocks) vs sequential device, median of %d rounds\n", res.ParallelBlocks, rounds)
 		fmt.Fprintf(out, "%-22s %-7s %-12s %-12s %-12s %-9s %s\n", "workload", "tasks", "sequential", "parallel", "twolevel", "speedup", "2L speedup")
 		for _, r := range res.Rows {
 			fmt.Fprintf(out, "%-22s %-7d %-12s %-12s %-12s %-9s %.1fx\n",

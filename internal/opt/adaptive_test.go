@@ -143,14 +143,9 @@ func TestAdaptiveSearchMatchesFixed(t *testing.T) {
 // devices: stopping and racing decisions are functions of the running sums,
 // which chunked folding keeps bit-identical everywhere.
 func TestAdaptiveDeviceInvariance(t *testing.T) {
-	devices := []device.Device{
-		device.Sequential{},
-		device.Parallel{NumBlocks: 3},
-		device.TwoLevel{NumWorkers: 4},
-	}
 	var refBest float64
 	var refStats SampleStats
-	for i, d := range devices {
+	for i, d := range testDevices {
 		_, adaptive := adaptiveFixture(t, d, nil)
 		ra, err := adaptive.Search()
 		if err != nil {

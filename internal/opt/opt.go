@@ -160,7 +160,7 @@ type DeltaHooks struct {
 
 // Options configures a search.
 type Options struct {
-	// Device runs state evaluations (Sequential or Parallel).
+	// Device runs state evaluations (device.Sequential or device.TwoLevel).
 	Device device.Device
 	// Maximize flips the objective (the ensemble problem maximizes score).
 	Maximize bool

@@ -16,6 +16,17 @@ import (
 	"deco/internal/wlog"
 )
 
+// testDevices is the device matrix the solver's determinism tests agree
+// across: the sequential baseline, the state-parallel shape (one worker per
+// block), the two-level default, and an oversubscribed pool whose blocks
+// are capped at two threads.
+var testDevices = []device.Device{
+	device.Sequential{},
+	device.TwoLevel{MaxThreads: 1},
+	device.TwoLevel{},
+	device.TwoLevel{NumWorkers: 3, MaxThreads: 2},
+}
+
 // buildEval assembles a native evaluator for a workflow with the given
 // probabilistic deadline.
 func buildEval(t *testing.T, w *dag.Workflow, deadline, pct float64, iters int) (*probir.Native, *estimate.Table) {
@@ -178,7 +189,7 @@ func TestParallelDeviceSameResultAsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Device = device.Parallel{NumBlocks: 8}
+	opts.Device = device.TwoLevel{NumWorkers: 8, MaxThreads: 1}
 	par, err := Search(space, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -40,20 +40,15 @@ func orderedPair(t *testing.T, d device.Device, cacheOn bool) (*Problem, *Proble
 }
 
 // TestOrderedAdaptiveMatchesFixedDevicesAndCache pins the tail-aware ordering
-// contract at search level: across three devices and with the evaluation
+// contract at search level: across the test devices and with the evaluation
 // cache on or off, the ordered-adaptive search must land on the fixed path's
 // objective and feasibility, must actually run worlds under the permutation,
 // and must make bit-identical decisions everywhere (identical sample stats).
 func TestOrderedAdaptiveMatchesFixedDevicesAndCache(t *testing.T) {
-	devices := []device.Device{
-		device.Sequential{},
-		device.Parallel{NumBlocks: 3},
-		device.TwoLevel{NumWorkers: 4},
-	}
 	for _, cacheOn := range []bool{false, true} {
 		var refBest float64
 		var refStats SampleStats
-		for i, d := range devices {
+		for i, d := range testDevices {
 			fixed, adaptive := orderedPair(t, d, cacheOn)
 			rf, err := fixed.Search()
 			if err != nil {

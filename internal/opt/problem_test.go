@@ -92,7 +92,7 @@ func TestKernelConstructionErrorSurfaces(t *testing.T) {
 // their kernels, and a state whose kernel construction failed keeps its
 // construction error.
 func TestKernelDriftFallbackPreservesErrors(t *testing.T) {
-	for _, dev := range []device.Device{device.Sequential{}, device.Parallel{NumBlocks: 3}, device.TwoLevel{NumWorkers: 3}} {
+	for _, dev := range testDevices {
 		p, err := Compile(fakeSpace{}, Options{Device: dev, Seed: 3})
 		if err != nil {
 			t.Fatal(err)

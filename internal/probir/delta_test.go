@@ -197,7 +197,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 }
 
 // TestDeltaConcurrentWorlds runs one delta kernel's worlds from many
-// goroutines (as the Parallel/TwoLevel devices do) and checks the per-world
+// goroutines (as the TwoLevel device does) and checks the per-world
 // figures match the sequential run — under -race this also proves the
 // snapshot's disjoint per-world writes don't conflict.
 func TestDeltaConcurrentWorlds(t *testing.T) {

@@ -21,7 +21,7 @@ import "sort"
 // a world slow across the uniform sweeps is slow under any configuration.
 // The signal depends only on (program content, base seed), never on the
 // search state or device, so the resulting permutation — and with it every
-// adaptive decision — is bit-identical across Sequential/Parallel/TwoLevel.
+// adaptive decision — is bit-identical on every device.
 
 // WorldOrder returns the decisive-world-first permutation of the Monte-Carlo
 // worlds for one CRN base seed — position p holds the p-th world to run —

@@ -43,7 +43,8 @@ type Options struct {
 	// Seed makes monitoring decisions reproducible: risk evaluations and
 	// replan searches derive per-decision rng substreams from it.
 	Seed int64
-	// Device runs Monte-Carlo worlds (default device.Parallel{}).
+	// Device runs Monte-Carlo worlds (default device.TwoLevel{MaxThreads: 1}:
+	// states in parallel, each state's worlds on one worker).
 	Device device.Device
 	// Ctx cancels replan searches; nil means context.Background().
 	Ctx context.Context
@@ -75,7 +76,7 @@ func (o *Options) fillDefaults() {
 		o.Cooldown = 1
 	}
 	if o.Device == nil {
-		o.Device = device.Parallel{}
+		o.Device = device.TwoLevel{MaxThreads: 1}
 	}
 	if o.Ctx == nil {
 		o.Ctx = context.Background()

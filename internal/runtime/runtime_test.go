@@ -199,7 +199,7 @@ func TestAdaptiveRunsAreDeterministic(t *testing.T) {
 	// The residual kernels seed every world themselves, so risk estimates
 	// and replan searches are identical on every device, run after run.
 	a := run(device.Sequential{})
-	for _, dev := range []device.Device{device.Sequential{}, device.Parallel{}, device.TwoLevel{}} {
+	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{MaxThreads: 1}, device.TwoLevel{}, device.TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
 		b := run(dev)
 		if string(a.events) != string(b.events) {
 			t.Fatalf("%s: event logs differ between identical seeded runs:\n%s\n---\n%s", dev.Name(), a.events, b.events)

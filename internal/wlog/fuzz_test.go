@@ -10,7 +10,7 @@ import (
 // example programs under programs/ and the paper's Example 1. Parse must
 // never panic, and it returns exactly one of a program or an error.
 //
-// Run it with: go test -run '^$' -fuzz FuzzParse -fuzztime 20s ./internal/wlog/
+// Run it with: go test -run '^$' -fuzz FuzzParse -fuzztime 20s -fuzzminimizetime 5s ./internal/wlog/
 func FuzzParse(f *testing.F) {
 	f.Add(example1)
 	paths, err := filepath.Glob(filepath.Join("..", "..", "programs", "*.wlog"))
