@@ -19,9 +19,10 @@
 //
 // These three rows report allocations and bytes per evaluated state, which
 // CI holds under fixed ceilings. The other rows compare two live paths on
-// the same states (delta vs full, adaptive vs fixed, ordered vs unordered,
-// market vs on-demand), and device_scaling times the same searches on the
-// sequential, state-parallel and two-level devices (exp.Env.Speedup).
+// the same states (delta vs full, adaptive vs fixed, ordered adaptive vs
+// fixed or delta-off, market vs on-demand), and device_scaling times the
+// same searches on the sequential, state-parallel and two-level devices
+// (exp.Env.Speedup).
 //
 // Usage:
 //
@@ -355,16 +356,17 @@ type adaptiveRow struct {
 	SpeedupStatesPerSec  float64 `json:"speedup_states_per_sec"`
 }
 
-// orderedRow compares the plain adaptive path (sequential stopping, fixed
-// world order) against the same path with decisive-world-first ordering —
-// and, for the groups row, group-cone delta evaluation — on a tail-regime
-// instance: a 0.96-percentile deadline calibrated so the probed states
-// violate in only a small fraction of worlds. Fixed world order spreads
-// those violating worlds uniformly, so the exact worst-case stopping rule
-// needs a long prefix to collect enough failures; severity ordering
-// front-loads them, deciding the same verdicts within the first chunks. Plan
-// quality is asserted the same way as adaptiveRow: complete fixed and
-// ordered searches must land on the same objective value and feasibility.
+// orderedRow measures the decisive-world-first adaptive path on a
+// tail-regime instance: a 0.96-percentile deadline calibrated so the probed
+// states violate in only a small fraction of worlds. Every Program stores
+// its worlds most-severe first, so the exact worst-case stopping rule meets
+// the failures it needs within the first chunks. The baseline is a live
+// path over the same states: fixed precision for the tail row, the same
+// adaptive expansion with delta evaluation disabled for the groups row.
+// SearchWorldsRun is deterministic, so CI also gates it: losing the order
+// shows up as more worlds whatever the host's noise. Plan quality is
+// asserted the same way as adaptiveRow: complete fixed and ordered searches
+// must land on the same objective value and feasibility.
 type orderedRow struct {
 	Benchmark        string  `json:"benchmark"`
 	FixedObjective   float64 `json:"fixed_objective"`
@@ -375,9 +377,11 @@ type orderedRow struct {
 	SearchStates          int   `json:"search_states"`
 	SearchWorldsRun       int64 `json:"search_worlds_run"`
 	SearchWorldsReordered int64 `json:"search_worlds_reordered"`
-	// BatchStates is the size of the measured frontier-expansion batch.
+	// BatchStates is the size of the measured frontier-expansion batch;
+	// Baseline names the path Base ran.
 	BatchStates          int     `json:"batch_states"`
-	Baseline             row     `json:"adaptive_unordered_expansion"`
+	Baseline             string  `json:"baseline"`
+	Base                 row     `json:"baseline_expansion"`
 	Ordered              row     `json:"adaptive_ordered_expansion"`
 	BaselineStatesPerSec float64 `json:"baseline_states_per_sec"`
 	OrderedStatesPerSec  float64 `json:"ordered_states_per_sec"`
@@ -462,14 +466,14 @@ type report struct {
 	// SchedulingAdaptive compares full solver searches — fixed-precision
 	// against adaptive-precision — over the same space; see adaptiveRow.
 	SchedulingAdaptive *adaptiveRow `json:"scheduling_adaptive"`
-	// SchedulingTail compares the adaptive path with and without
-	// decisive-world-first ordering on a tail-regime deadline (states violate
-	// in a small fraction of worlds); see orderedRow.
+	// SchedulingTail compares the decisive-world-first adaptive path with
+	// fixed precision on a tail-regime deadline (states violate in a small
+	// fraction of worlds); see orderedRow.
 	SchedulingTail *orderedRow `json:"scheduling_tail"`
-	// SchedulingGroups runs the same comparison on the per-executable
+	// SchedulingGroups runs the ordered adaptive path on the per-executable
 	// grouping, where promotions dirty Montage-scale cones: the ordered row
 	// compounds world ordering with group-cone delta evaluation, the baseline
-	// is the plain adaptive path with delta disabled.
+	// is the same adaptive path with delta disabled.
 	SchedulingGroups *orderedRow `json:"scheduling_groups"`
 	// SchedulingSpot compares market-aware search (spot columns, sampled
 	// clearing prices, revocation rework) against the on-demand-only search
@@ -549,28 +553,28 @@ func must[T any](v T, err error) T {
 // 0.96-percentile deadline at which the all-cheapest start meets it in a
 // share of worlds within [lo, hi], complete fixed and ordered-adaptive
 // searches that must agree on plan quality, and one warm expansion of the
-// all-cheapest start on the unordered-adaptive baseline and on the ordered
-// path. With cones set, the baseline also disables delta evaluation and the
-// ordered search must route children through group-cone deltas.
+// all-cheapest start on the baseline and on the ordered adaptive path.
+// Without cones the baseline is the fixed-precision expansion; with cones
+// it is the same adaptive expansion with delta evaluation disabled, and
+// the ordered search must route children through group-cone deltas.
 func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int, fixedOpts opt.Options, cones bool) *orderedRow {
 	bound := must(boundaryDeadline(p, worlds, 0.96, lo, hi))
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.96, Bound: bound}}
 	sp := opt.NewScheduleSpace(p.w, must(probir.NewNative(p.w, p.tbl, p.prices, probir.GoalCost, cons, worlds)))
 	sp.Groups = groups
 	sp.Init = make(opt.State, p.w.Len())
-	baseOpts := fixedOpts
-	baseOpts.Adaptive = true
-	baseOpts.DisableWorldOrder = true
 	ordOpts := fixedOpts
 	ordOpts.Adaptive = true
+	baseOpts, baseline := fixedOpts, "fixed precision"
 	if cones {
+		baseOpts, baseline = ordOpts, "adaptive, delta disabled"
 		baseOpts.SnapshotBudget = -1
 	}
 	fixedRes, _ := search(sp, fixedOpts)
 	ordRes, ordProb := search(sp, ordOpts)
 	stats, ds := ordProb.SampleStats(), ordProb.DeltaStats()
-	if !stats.Adaptive || !stats.Ordered || stats.WorldsReordered == 0 {
-		log.Fatalf("ordered search never engaged world ordering: %+v", stats)
+	if !stats.Adaptive || stats.WorldsReordered == 0 {
+		log.Fatalf("ordered search never engaged the adaptive path: %+v", stats)
 	}
 	if cones && ds.DeltaEvals == 0 {
 		log.Fatalf("group search never engaged group-cone delta evaluation: %+v", ds)
@@ -583,13 +587,14 @@ func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int, fixedOp
 		SearchStates:          ordRes.Evaluated,
 		SearchWorldsRun:       stats.WorldsRun,
 		SearchWorldsReordered: stats.WorldsReordered,
+		Baseline:              baseline,
 	}
 	if cones {
 		o.DeltaEvals, o.DeltaFallbacks, o.ConePlanHits = ds.DeltaEvals, ds.Fallbacks, ds.ConePlanHits
 	}
-	o.Baseline, _ = measureExpansion(sp, baseOpts, nil)
+	o.Base, _ = measureExpansion(sp, baseOpts, nil)
 	o.Ordered, o.BatchStates = measureExpansion(sp, ordOpts, nil)
-	o.BaselineStatesPerSec = o.Baseline.statesPerSec(o.BatchStates)
+	o.BaselineStatesPerSec = o.Base.statesPerSec(o.BatchStates)
 	o.OrderedStatesPerSec = o.Ordered.statesPerSec(o.BatchStates)
 	o.SpeedupStatesPerSec = ratio(o.OrderedStatesPerSec, o.BaselineStatesPerSec)
 	return o
@@ -806,12 +811,11 @@ func main() {
 
 	// Tail-regime ordering. The deadline is calibrated so the all-cheapest
 	// start meets it in ~90% of worlds: every early state is infeasible at the
-	// 0.96 percentile, but its violating worlds are rare, so the plain
-	// adaptive path must scan a long uniformly-ordered prefix to collect the
-	// failures the exact worst-case rule needs. Severity ordering front-loads
-	// exactly those worlds, deciding the same verdicts within the first
-	// chunks. The baseline is adaptive sequential stopping with ordering
-	// disabled.
+	// 0.96 percentile, but its violating worlds are rare. Unordered, the
+	// adaptive path would scan a long prefix to collect the failures the
+	// exact worst-case rule needs; stored most-severe first, those worlds
+	// decide the same verdicts within the first chunks. The baseline is the
+	// fixed-precision expansion.
 	// Both ordered rows run 256 worlds per state: rare tail violations need a
 	// deeper sample, and the larger budget keeps the per-world savings from
 	// dominating rather than the per-state kernel-build cost that both paths
@@ -823,7 +827,7 @@ func main() {
 		Worlds: tailWorlds, MinWorlds: 8,
 	}
 	tail := orderedPair(p, tailWorlds, 0.88, 0.92, opt.GroupPerTask(p.w), tailFixedOpts, false)
-	tail.Benchmark = "frontier expansion at the all-cheapest start, tail-regime deadline (all-cheapest meets it in ~90% of worlds, 0.96 percentile required); adaptive sequential stopping with fixed world order vs decisive-world-first ordering, equal full-search objective asserted"
+	tail.Benchmark = "frontier expansion at the all-cheapest start, tail-regime deadline (all-cheapest meets it in ~90% of worlds, 0.96 percentile required); fixed precision vs decisive-world-first adaptive stopping, equal full-search objective asserted"
 	rep.SchedulingTail = tail
 
 	// Executable groups: the same tail-regime instance on the per-executable
@@ -831,7 +835,7 @@ func main() {
 	// promotion dirties a cone covering half the DAG. The ordered row
 	// compounds decisive-world-first ordering with group-cone delta
 	// evaluation (the work-estimate model keeps these cones on the delta
-	// path); the baseline is the plain adaptive path with delta disabled.
+	// path); the baseline is the same adaptive path with delta disabled.
 	// The measured expansion grows from the all-cheapest start: its own
 	// evaluation stops early, so the compound path pays one on-demand parent
 	// completion and then evaluates the sibling batch incrementally with
@@ -844,7 +848,7 @@ func main() {
 	grpFixedOpts := tailFixedOpts
 	grpFixedOpts.Seed = 17
 	groups := orderedPair(p, tailWorlds, 0.78, 0.85, opt.GroupByExecutable(p.w), grpFixedOpts, true)
-	groups.Benchmark = "frontier expansion at the all-cheapest start, per-executable groups, tail-regime deadline; plain adaptive with delta disabled vs world ordering compounded with group-cone delta evaluation, equal full-search objective asserted"
+	groups.Benchmark = "frontier expansion at the all-cheapest start, per-executable groups, tail-regime deadline; decisive-world-first adaptive with delta disabled vs the same compounded with group-cone delta evaluation, equal full-search objective asserted"
 	rep.SchedulingGroups = groups
 
 	rep.SchedulingSpot = spotPair(p)
@@ -893,8 +897,8 @@ func main() {
 		adapt.SearchStates, adapt.SearchWorldsRun, adapt.SearchWorldsRun+adapt.SearchWorldsSaved,
 		adapt.AdaptiveObjective)
 	for i, o := range []*orderedRow{tail, groups} {
-		fmt.Printf("%-12s unordered %d ns/op | ordered %d ns/op (%d-state batch) | states/sec speedup %.1fx | search %d states, %d worlds run (%d reordered), %d delta evals, %d plan hits, objective %.4f on both\n",
-			[]string{"sched-tail:", "sched-group:"}[i], o.Baseline.NsPerOp, o.Ordered.NsPerOp, o.BatchStates, o.SpeedupStatesPerSec,
+		fmt.Printf("%-12s %s %d ns/op | ordered %d ns/op (%d-state batch) | states/sec speedup %.1fx | search %d states, %d worlds run (%d reordered), %d delta evals, %d plan hits, objective %.4f on both\n",
+			[]string{"sched-tail:", "sched-group:"}[i], o.Baseline, o.Base.NsPerOp, o.Ordered.NsPerOp, o.BatchStates, o.SpeedupStatesPerSec,
 			o.SearchStates, o.SearchWorldsRun, o.SearchWorldsReordered, o.DeltaEvals, o.ConePlanHits, o.OrderedObjective)
 	}
 	spot := rep.SchedulingSpot

@@ -186,7 +186,7 @@ func NewEngine(options ...Option) (*Engine, error) {
 		return nil, err
 	}
 	if e.meta == nil {
-		md, err := cloud.MetadataFromTruth(e.cat, 20, 10000, rand.New(rand.NewSource(e.seed)))
+		md, err := truthMetadata(e.cat, e.seed)
 		if err != nil {
 			return nil, err
 		}
@@ -277,8 +277,8 @@ type Plan struct {
 	// problem not adaptive-capable).
 	WorldsEvaluated int64
 	WorldsSaved     int64
-	// WorldsReordered counts worlds sampled under the decisive-world-first
-	// permutation (zero when ordering was unavailable or disabled).
+	// WorldsReordered counts worlds sampled in the decisive-world-first
+	// numbering: every adaptive world, so it equals WorldsEvaluated.
 	WorldsReordered int64
 	// DeltaEvals / DeltaFallbacks report the incremental-evaluation routing
 	// of the solve: states evaluated from a parent snapshot vs states that
@@ -593,19 +593,15 @@ func (e *Engine) RunProgramContext(ctx context.Context, src string, w *dag.Workf
 			continue
 		}
 		if strings.HasSuffix(imp, ".json") {
-			// A custom cloud: load the catalog and derive an engine over it
-			// (metadata discretized from the catalog's distributions).
+			// A custom cloud: load the catalog and derive an engine over it.
 			cat, err := cloud.LoadCatalog(imp)
 			if err != nil {
 				return nil, err
 			}
-			derived, err := NewEngine(WithCatalog(cat), WithSeed(e.seed), WithIters(e.iters),
-				WithDevice(e.dev), WithRegion(cat.Regions[0].Name), WithSearchBudget(e.search.MaxStates))
-			if err != nil {
+			if eng, err = e.overCatalog(cat); err != nil {
 				return nil, err
 			}
-			eng = derived
-			region = cat.Regions[0].Name
+			region = eng.region
 			continue
 		}
 		if w == nil {
@@ -674,6 +670,33 @@ func (e *Engine) RunProgramContext(ctx context.Context, src string, w *dag.Workf
 		return nil, fmt.Errorf("deco: the scheduling problem minimizes; use the ensemble API for maximization")
 	}
 	return eng.optimizeNative(ctx, w, goal, prog.Constraints, prog.AStar)
+}
+
+// truthMetadata is the engine's default metadata: the catalog's ground-truth
+// distributions discretized under the engine seed.
+func truthMetadata(cat *cloud.Catalog, seed int64) (*cloud.Metadata, error) {
+	return cloud.MetadataFromTruth(cat, 20, 10000, rand.New(rand.NewSource(seed)))
+}
+
+// overCatalog derives an engine over a custom catalog: a copy of e — every
+// solver option (adaptive precision, eval cache, confidence, budgets,
+// device, seed) carried over — with the catalog, its default metadata, the
+// estimator and the region (its first) replaced.
+func (e *Engine) overCatalog(cat *cloud.Catalog) (*Engine, error) {
+	if err := cat.Validate(); err != nil {
+		return nil, err
+	}
+	md, err := truthMetadata(cat, e.seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := md.Validate(cat); err != nil {
+		return nil, err
+	}
+	derived := *e
+	derived.cat, derived.meta, derived.est = cat, md, estimate.New(cat, md)
+	derived.region = cat.Regions[0].Name
+	return &derived, nil
 }
 
 type indicator struct {

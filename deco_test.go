@@ -458,6 +458,56 @@ func TestPlanWriteDOT(t *testing.T) {
 	}
 }
 
+// TestRunProgramCustomCloudKeepsSolverOptions is the regression test for a
+// custom-cloud import that rebuilt the engine from a handful of options:
+// import('x.json') must keep the engine's adaptive precision, eval cache,
+// cache scope and confidence. On the default catalog written to JSON the
+// solve must match import(amazonec2) world for world, and its evaluations
+// must go through the shared cache under the engine's scope.
+func TestRunProgramCustomCloudKeepsSolverOptions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "default.json")
+	if err := cloud.DefaultCatalog().SaveCatalog(path); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := wfgen.Pipeline(3, rand.New(rand.NewSource(34)))
+	body := `
+minimize Ct in totalcost(Ct).
+T in maxtime(Path,T) satisfies deadline(90%,2000).
+configs(Tid,Vid,Con) forall task(Tid) and vm(Vid).
+`
+	run := func(imp string) (*Plan, *EvalCache) {
+		t.Helper()
+		cache := NewEvalCache(0)
+		eng, err := NewEngine(WithAdaptive(true), WithSearchBudget(300), WithConfidence(0.99),
+			WithEvalCache(cache), WithEvalCacheScope("custom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := eng.RunProgram("import("+imp+").\n"+body, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, cache
+	}
+	ref, _ := run("amazonec2")
+	got, cache := run("'" + path + "'")
+	if ref.WorldsEvaluated == 0 {
+		t.Fatal("fixture solved without adaptive sampling; the check is vacuous")
+	}
+	if got.WorldsEvaluated != ref.WorldsEvaluated || got.WorldsReordered != ref.WorldsReordered {
+		t.Fatalf("custom-cloud solve sampled %d worlds (%d reordered), import(amazonec2) %d (%d)",
+			got.WorldsEvaluated, got.WorldsReordered, ref.WorldsEvaluated, ref.WorldsReordered)
+	}
+	if got.Objective != ref.Objective || got.Feasible != ref.Feasible {
+		t.Fatalf("custom-cloud plan %v (feasible %v), import(amazonec2) %v (%v)",
+			got.Objective, got.Feasible, ref.Objective, ref.Feasible)
+	}
+	if hits, misses := cache.ScopeStats("custom"); hits+misses == 0 || cache.Len() == 0 {
+		t.Fatalf("custom-cloud solve bypassed the engine's eval cache (scope hits %d misses %d, %d entries)",
+			hits, misses, cache.Len())
+	}
+}
+
 func TestRunProgramCustomCloudJSON(t *testing.T) {
 	// A custom single-type, single-region cloud loaded from JSON via
 	// import('file.json').

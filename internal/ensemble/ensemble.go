@@ -319,8 +319,8 @@ type admissionKernel struct {
 func (k *admissionKernel) Worlds() int { return 1 }
 func (k *admissionKernel) Width() int  { return 2 }
 
-func (k *admissionKernel) Sample(ws []int32, out []float64) error {
-	for r := range ws {
+func (k *admissionKernel) Sample(lo, hi int, out []float64) error {
+	for r := range hi - lo {
 		score, cost := 0.0, 0.0
 		for i, bit := range k.st {
 			if bit == 0 {

@@ -488,8 +488,8 @@ type placementKernel struct {
 func (k *placementKernel) Worlds() int { return 1 }
 func (k *placementKernel) Width() int  { return 3 }
 
-func (k *placementKernel) Sample(ws []int32, out []float64) error {
-	for r := range ws {
+func (k *placementKernel) Sample(lo, hi int, out []float64) error {
+	for r := range hi - lo {
 		if err := k.sp.accumulate(k.st, out[3*r:3*r+3]); err != nil {
 			return err
 		}

@@ -12,12 +12,16 @@ import (
 
 // This file implements the solver's one batch evaluator. Every state is a
 // device block and every Monte-Carlo world a thread (§5.2-5.3): a batch of
-// states advances through world chunks on the device, each chunk folds into
-// running figure sums in ascending world order (so the sums are
+// states advances through contiguous world ranges on the device, each range
+// folds into running figure sums in ascending world order (so the sums are
 // bit-identical at every prefix), and finished states reduce as device
-// blocks. At fixed precision the schedule is the single chunk [0, worlds).
-// Adaptive precision runs geometric chunks and after each one consults the
-// sequential stopping rules of package sample:
+// blocks. At fixed precision the schedule is the single range [0, worlds).
+// Adaptive precision runs the geometric chunks of sample.TailChunks, with
+// extra checkpoints where tail verdicts first become decidable, and after
+// each one consults the sequential stopping rules of package sample. Spaces
+// number their worlds decisive-first (a CRN Program stores its rows most
+// severe world first), so the first chunks hold the likely-violating
+// worlds:
 //
 //   - A state whose feasibility verdict is decided — certainly, by the exact
 //     worst-case interval, or statistically, by the anytime-valid confidence
@@ -49,11 +53,9 @@ type SampleStats struct {
 	// through the adaptive path at all (Options.Adaptive requested it AND
 	// the space's kernels are indicator-backed partial kernels).
 	Adaptive bool
-	// Ordered reports whether adaptive evaluation runs worlds under a
-	// decisive-world-first permutation (Descriptor.WorldOrder resolved at
-	// Compile and not disabled); WorldsReordered counts the worlds actually sampled
-	// under that permutation.
-	Ordered         bool
+	// WorldsReordered counts the worlds adaptive evaluation sampled in the
+	// decisive-world-first numbering: every adaptive world, so it equals
+	// WorldsRun.
 	WorldsReordered int64
 	// StatesAdaptive counts states evaluated on the adaptive path.
 	StatesAdaptive int64
@@ -128,7 +130,6 @@ func (p *Problem) finalizePartial(k probir.PartialKernel, sums []float64, seen i
 type batch struct {
 	p        *Problem
 	adaptive bool
-	order    []int32 // world permutation (adaptive only); nil runs ascending
 	cands    []candidate
 	out      []scored
 	kernels  []probir.WorldKernel
@@ -143,13 +144,11 @@ type batch struct {
 	// to completion so their capture snapshot survives (racing must not
 	// eliminate them — a pessimistic finalize would overwrite a
 	// decided-feasible verdict); blockOf maps a state to its block in the
-	// current chunk; vals buffers per-world value figures for the canonical
-	// refold (ordered evaluation only); pairRef/pairs are the paired-value
-	// racing reference and its per-state difference trackers.
+	// current chunk; pairRef/pairs are the paired-value racing reference and
+	// its per-state difference trackers.
 	verdict []sample.Verdict
 	pinned  []bool
 	blockOf []int
-	vals    []float64
 	pairRef string
 	pairs   map[int]*sample.Paired
 }
@@ -172,7 +171,6 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 	defer p.putBatchBuf(bb)
 	b.buf, b.snaps = bb, bb.snaps
 	if adaptive {
-		b.order = p.order
 		b.partial = make([]probir.PartialKernel, n)
 		b.verdict = make([]sample.Verdict, n)
 		b.pinned = make([]bool, n)
@@ -212,22 +210,7 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 	if adaptive {
 		p.sstats.StatesAdaptive += int64(len(active))
 		p.sstats.WorldsBudget += int64(len(active) * p.worlds)
-		ends = sample.Chunks(p.opts.MinWorlds, p.worlds)
-		if b.order != nil {
-			// Ordered evaluation: worlds run permuted (position t samples
-			// world order[t]), the schedule gains the tail checkpoints where
-			// feasible verdicts first become decidable, and the value
-			// figures' per-world contributions are buffered so finalized rows
-			// can be refolded in ascending world order (indicator sums are
-			// exact integer adds, hence order-invariant bitwise; value sums
-			// are not).
-			ends = sample.TailChunks(p.opts.MinWorlds, p.worlds, p.indTargets)
-			need := n * p.worlds * len(p.valIdx)
-			if cap(p.valsScratch) < need {
-				p.valsScratch = make([]float64, need)
-			}
-			b.vals = p.valsScratch[:need]
-		}
+		ends = sample.TailChunks(p.opts.MinWorlds, p.worlds, p.indTargets)
 	}
 	lo := 0
 	for ci, end := range ends {
@@ -245,9 +228,7 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 			run += int64(b.seen[i])
 		}
 		p.sstats.WorldsRun += run
-		if b.order != nil {
-			p.sstats.WorldsReordered += run
-		}
+		p.sstats.WorldsReordered += run
 	}
 	// Sampling is complete: snapshots of completely evaluated states enter
 	// the store under their search score (possibly evicting worse-scored
@@ -305,19 +286,12 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 		}
 	}
 	p.enterPhase(phaseChunkEval)
-	// Positions [clo, chi) run worlds ws[clo:chi]: the identity, or under
-	// decisive-world-first ordering the permutation. World figures are a
-	// function of the world index alone, so permuting positions permutes
-	// rows. Cancellation is checked once per (state, chunk) unit.
-	ws := p.ident
-	if b.order != nil {
-		ws = b.order
-	}
+	// Cancellation is checked once per (state, chunk) unit.
 	slots, errs := device.ReduceBlocksRange(p.opts.Device, nb, lo, end, width, round, &b.buf.dev, func(bi, clo, chi int, out []float64) error {
 		if err := p.opts.Ctx.Err(); err != nil {
 			return fmt.Errorf("opt: search cancelled: %w", err)
 		}
-		return b.kernels[active[bi]].Sample(ws[clo:chi], out)
+		return b.kernels[active[bi]].Sample(clo, chi, out)
 	})
 
 	delta := 1 - p.opts.Confidence
@@ -336,18 +310,6 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 		}
 		if nb < len(b.cands) {
 			copy(b.row(i), round[bi*width:(bi+1)*width])
-		}
-		if b.vals != nil {
-			// Buffer this chunk's per-world value figures under their world
-			// index, for the canonical refold at finalize.
-			nv := len(p.valIdx)
-			for t := lo; t < end; t++ {
-				src := slots[(bi*span+(t-lo))*width:]
-				dst := b.vals[(i*p.worlds+int(b.order[t]))*nv:]
-				for v, fi := range p.valIdx {
-					dst[v] = src[fi]
-				}
-			}
 		}
 		b.seen[i] = end
 		if end < p.worlds {
@@ -381,7 +343,6 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 				return
 			}
 			row := b.row(i)
-			p.canonRow(b.vals, row, i, end)
 			if end == p.worlds {
 				b.out[i].eval, b.out[i].err = b.kernels[i].Reduce(row)
 			} else {
@@ -412,37 +373,6 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 	return next
 }
 
-// canonRow refolds the value-figure entries of state i's running sums in
-// ascending world order over the worlds seen so far. Under decisive-world-
-// first ordering the sums accumulate in permuted order; since float addition
-// is not associative under reordering, a completed row must be refolded so
-// Reduce returns bits identical to the fixed path's (those evaluations enter
-// the cache and parent snapshots). Partial rows are refolded too, so an
-// early-stopped evaluation is a pure function of the seen world SET, not the
-// schedule. No-op when worlds ran unpermuted.
-func (p *Problem) canonRow(vals, row []float64, i, seenWorlds int) {
-	if p.order == nil || len(p.valIdx) == 0 || vals == nil {
-		return
-	}
-	nv := len(p.valIdx)
-	base := i * p.worlds
-	for v, fi := range p.valIdx {
-		acc := 0.0
-		if seenWorlds >= p.worlds {
-			for w := 0; w < p.worlds; w++ {
-				acc += vals[(base+w)*nv+v]
-			}
-		} else {
-			for w := 0; w < p.worlds; w++ {
-				if int(p.rank[w]) < seenWorlds {
-					acc += vals[(base+w)*nv+v]
-				}
-			}
-		}
-		row[fi] = acc
-	}
-}
-
 // race applies successive elimination to the undecided states of a batch and
 // returns the survivors. Two rules run, both deterministic functions of the
 // running sums and chunk slots:
@@ -467,9 +397,7 @@ func (b *batch) race(active []int, slots []float64, span, check int, delta float
 		keep = 1
 	}
 	eliminate := func(i int) {
-		row := b.row(i)
-		p.canonRow(b.vals, row, i, b.seen[i])
-		b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], row, b.seen[i], sample.Undecided)
+		b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], b.row(i), b.seen[i], sample.Undecided)
 		b.out[i].worlds = b.seen[i]
 		p.sstats.Raced++
 	}

@@ -171,13 +171,6 @@ func TestAdaptiveDeviceInvariance(t *testing.T) {
 func TestAdaptivePartialNotCached(t *testing.T) {
 	cache := NewEvalCache(1 << 20)
 	_, adaptive := adaptiveFixture(t, device.Sequential{}, cache)
-	// Pin the gate on the unordered schedule: under decisive-world-first
-	// ordering every fixture state (including the feasible one) can settle
-	// before the world cap, leaving no complete evaluation to exercise the
-	// cache side of the gate.
-	adaptive.order, adaptive.rank = nil, nil
-	adaptive.sstats.Ordered = false
-
 	// A frontier-like batch: the all-cheapest state and its global promotions.
 	// The slow configurations are sharply infeasible and stop early.
 	var cands []candidate
@@ -294,9 +287,9 @@ var errFakeReduce = errors.New("fake reduction failure")
 
 func (k failingReduceKernel) Worlds() int { return 64 }
 func (k failingReduceKernel) Width() int  { return 1 }
-func (k failingReduceKernel) Sample(ws []int32, out []float64) error {
-	k.samples.Add(int64(len(ws)))
-	for r := range ws {
+func (k failingReduceKernel) Sample(lo, hi int, out []float64) error {
+	k.samples.Add(int64(hi - lo))
+	for r := range hi - lo {
 		out[r] = 1
 	}
 	return nil

@@ -15,7 +15,10 @@
 //
 // Every state evaluation is a Monte-Carlo inference over the probabilistic
 // IR (package probir); evaluations of distinct states are independent and
-// run as device blocks.
+// run as device blocks, each over contiguous world ranges. Worlds have one
+// numbering, fixed by the space (a CRN program stores its worlds
+// decisive-first), so fixed and adaptive precision fold every state's
+// figures in the same ascending order.
 package opt
 
 import (
@@ -117,15 +120,6 @@ type Descriptor struct {
 	// empty means the space cannot vouch for its identity and caching is
 	// disabled.
 	Fingerprint string
-	// WorldOrder, when set, computes a decisive-world-first permutation of
-	// the Monte-Carlo worlds: position p holds the p-th world to run. The
-	// solver calls it only when adaptive evaluation engages, and runs worlds
-	// in this order so likely-violating worlds land in the first chunks: the
-	// exact worst-case stopping interval is a bound over the fixed finite
-	// world set and stays valid under any fixed permutation. The permutation
-	// must be a pure function of (program content, seed) — never of device
-	// or state — so adaptive decisions stay device-identical.
-	WorldOrder func() []int32
 	// Delta, when set, lets the solver evaluate a child incrementally from
 	// its parent's per-world finish times.
 	Delta *DeltaHooks
@@ -221,13 +215,6 @@ type Options struct {
 	// space's kernels decide feasibility from indicator-backed constraints;
 	// it is silently inert otherwise (see Problem.SampleStats).
 	Adaptive bool
-	// DisableWorldOrder keeps adaptive evaluation on the plain ascending
-	// world schedule even when the space offers a decisive-world-first
-	// permutation (Descriptor.WorldOrder). Ordering changes which world
-	// prefix the sequential stopping rules see — never their soundness — so
-	// this switch trades wall clock only; it exists to reproduce the
-	// unordered adaptive baseline exactly (benchmarks, bisection).
-	DisableWorldOrder bool
 	// Worlds, when positive, asserts the per-state Monte-Carlo world count
 	// the compiled kernel must have; Compile fails with a clear error on a
 	// mismatch (instead of a confusing kernel-shape error mid-search). 0
@@ -543,7 +530,6 @@ func (p pq) Less(i, j int) bool {
 func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
 func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
 func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
-func (p pq) Peek() pqItem       { return p[0] }
 func (p *pq) PushItem(i pqItem) { heap.Push(p, i) }
 
 // astarSearch expands states best-first by g+h score (here: the evaluation

@@ -41,9 +41,10 @@ func orderedPair(t *testing.T, d device.Device, cacheOn bool) (*Problem, *Proble
 
 // TestOrderedAdaptiveMatchesFixedDevicesAndCache pins the tail-aware ordering
 // contract at search level: across the test devices and with the evaluation
-// cache on or off, the ordered-adaptive search must land on the fixed path's
-// objective and feasibility, must actually run worlds under the permutation,
-// and must make bit-identical decisions everywhere (identical sample stats).
+// cache on or off, the adaptive search over decisive-first worlds must land
+// on the fixed path's objective and feasibility, must account every sampled
+// world as reordered, and must make bit-identical decisions everywhere
+// (identical sample stats).
 func TestOrderedAdaptiveMatchesFixedDevicesAndCache(t *testing.T) {
 	for _, cacheOn := range []bool{false, true} {
 		var refBest float64
@@ -67,9 +68,6 @@ func TestOrderedAdaptiveMatchesFixedDevicesAndCache(t *testing.T) {
 					cacheOn, d, rf.BestEval.Value, rf.Best, ra.BestEval.Value, ra.Best)
 			}
 			st := adaptive.SampleStats()
-			if !st.Ordered {
-				t.Fatalf("cache=%v %T: adaptive search did not run ordered: %+v", cacheOn, d, st)
-			}
 			if st.WorldsReordered <= 0 {
 				t.Fatalf("cache=%v %T: no worlds sampled under the permutation: %+v", cacheOn, d, st)
 			}
@@ -86,95 +84,6 @@ func TestOrderedAdaptiveMatchesFixedDevicesAndCache(t *testing.T) {
 			if st != refStats {
 				t.Fatalf("cache=%v %T: stats %+v != sequential %+v", cacheOn, d, st, refStats)
 			}
-		}
-	}
-}
-
-// TestWorldPermutationInvariance is the property test behind decisive-world-
-// first ordering: a COMPLETE adaptive evaluation must be bit-identical to the
-// fixed path under ANY fixed permutation of the worlds — the compiled
-// severity order, the identity, its reverse, or random shuffles. Indicator
-// sums are order-invariant integer adds and value sums are refolded in
-// ascending world order (canonRow), so the permutation may change where a
-// state stops, never what a finished evaluation says. Early feasible stops
-// must agree with the fixed verdict (the exact rule is never wrong).
-func TestWorldPermutationInvariance(t *testing.T) {
-	w := cpuChain(t, 6, 400)
-	ne, _ := buildEval(t, w, 1400, 0.95, 100)
-	space := NewScheduleSpace(w, ne)
-	fixed, err := Compile(space, Options{Device: device.Sequential{}, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := Compile(space, Options{Device: device.Sequential{}, Seed: 7, Adaptive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.order == nil {
-		t.Fatal("adaptive problem compiled without a world order")
-	}
-
-	// The frontier-like batch: all-cheapest plus uniform promotions. Some are
-	// sharply infeasible (early stops), at least one is feasible (pinned to
-	// completion by its capture snapshot).
-	var states []State
-	var cands []candidate
-	for j := 0; j < 4; j++ {
-		st := State{j, j, j, j, j, j}
-		states = append(states, st)
-		cands = append(cands, candidate{state: st, key: st.Key()})
-	}
-	ref, err := fixed.EvaluateStates(states)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	worlds := adaptive.worlds
-	identity := make([]int32, worlds)
-	reversed := make([]int32, worlds)
-	for i := range identity {
-		identity[i] = int32(i)
-		reversed[i] = int32(worlds - 1 - i)
-	}
-	perms := [][]int32{adaptive.order, identity, reversed}
-	rng := rand.New(rand.NewSource(123))
-	for k := 0; k < 3; k++ {
-		perm := make([]int32, worlds)
-		for i, v := range rng.Perm(worlds) {
-			perm[i] = int32(v)
-		}
-		perms = append(perms, perm)
-	}
-
-	for pi, perm := range perms {
-		adaptive.order = perm
-		adaptive.rank = make([]int32, worlds)
-		for pos, wi := range perm {
-			adaptive.rank[wi] = int32(pos)
-		}
-		out := adaptive.evaluateCandidates(cands)
-		complete := 0
-		for i, s := range out {
-			if s.err != nil {
-				t.Fatal(s.err)
-			}
-			if s.worlds >= worlds || s.worlds == 0 {
-				complete++
-				if s.eval.Value != ref[i].Value || s.eval.Feasible != ref[i].Feasible ||
-					s.eval.Violation != ref[i].Violation || s.eval.ConsProb[0] != ref[i].ConsProb[0] {
-					t.Fatalf("perm %d state %v: complete adaptive eval %+v != fixed %+v",
-						pi, states[i], s.eval, ref[i])
-				}
-				continue
-			}
-			// Early stop: a feasible verdict must be the fixed path's verdict
-			// (the exact worst-case rule cannot be wrong under any permutation).
-			if s.eval.Feasible && !ref[i].Feasible {
-				t.Fatalf("perm %d state %v: early feasible stop contradicts fixed infeasible", pi, states[i])
-			}
-		}
-		if complete == 0 {
-			t.Fatalf("perm %d: no state ran to completion; bit-exactness check is vacuous", pi)
 		}
 	}
 }
@@ -377,8 +286,8 @@ func TestGroupConeDeltaTwoLevelConcurrent(t *testing.T) {
 // TestCompleteParentRegeneratesSnapshot pins the adaptive × delta compounding
 // fix: a parent whose own evaluation stopped early never captured a snapshot,
 // so the first child expansion re-evaluates it in full once — after which the
-// sibling batch evaluates incrementally. Without completeParent the ordered
-// adaptive path would starve delta of every early-stopped parent.
+// sibling batch evaluates incrementally. Without completeParent the adaptive
+// path would starve delta of every early-stopped parent.
 func TestCompleteParentRegeneratesSnapshot(t *testing.T) {
 	w := cpuChain(t, 6, 400)
 	ne, _ := buildEval(t, w, 1400, 0.95, 100)
@@ -387,13 +296,13 @@ func TestCompleteParentRegeneratesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.adaptive || p.order == nil || p.delta == nil {
-		t.Fatalf("fixture must compile adaptive+ordered+delta (adaptive=%v order=%v delta=%v)",
-			p.adaptive, p.order != nil, p.delta != nil)
+	if !p.adaptive || p.delta == nil {
+		t.Fatalf("fixture must compile adaptive+delta (adaptive=%v delta=%v)", p.adaptive, p.delta != nil)
 	}
 
-	// The all-cheapest start is sharply infeasible: under decisive-world-first
-	// ordering its verdict settles in the first chunks, so no snapshot exists.
+	// The all-cheapest start is sharply infeasible: with its worlds numbered
+	// decisive-first its verdict settles in the first chunks, so no snapshot
+	// exists.
 	parent := p.Starts()[0]
 	out := p.evaluateCandidates([]candidate{{state: parent, key: parent.Key()}})
 	if out[0].err != nil {
@@ -441,7 +350,7 @@ func TestPinnedFeasibleCompletesSnapshot(t *testing.T) {
 	}
 
 	// Uniform promotions: at least one is feasible well inside the deadline,
-	// which the ordered tail checkpoints decide long before the world cap.
+	// which the tail checkpoints decide long before the world cap.
 	var cands []candidate
 	var states []State
 	for j := 0; j < 4; j++ {

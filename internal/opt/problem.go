@@ -12,9 +12,9 @@ import (
 
 // Problem is a search compiled against a space and a fixed Options: the
 // space's Descriptor is resolved exactly once, here, and carried as plain
-// fields — kernel builder, fingerprint, cache binding, start states, delta
-// hooks and world order. The search loops and the batch evaluator never
-// probe the space again.
+// fields — kernel builder, fingerprint, cache binding, start states and
+// delta hooks. The search loops and the batch evaluator never probe the
+// space again.
 type Problem struct {
 	space  Space
 	opts   Options
@@ -66,20 +66,6 @@ type Problem struct {
 	valueFig   int
 	sstats     SampleStats
 
-	// order, when non-nil, is the decisive-world-first permutation the
-	// adaptive path runs worlds in (position p holds the p-th world to run);
-	// rank is its inverse (rank[w] = position of world w). valIdx lists the
-	// figure columns that are NOT constraint indicators: indicator sums are
-	// exact integer-valued float adds and therefore order-invariant bitwise,
-	// but value sums (makespan, cost) depend on float fold order, so the
-	// ordered path buffers their per-world values and refolds them in
-	// ascending world order at finalize — complete evaluations stay
-	// bit-identical to the fixed path. valsScratch is the reused buffer.
-	order       []int32
-	rank        []int32
-	valIdx      []int
-	valsScratch []float64
-
 	// phaseCtx holds one context per profiling phase with its pprof label
 	// pre-attached, plus the base context to restore on exit. Entering a
 	// phase is then two SetGoroutineLabels calls and no allocation — pprof.Do
@@ -95,10 +81,6 @@ type Problem struct {
 	// one field.
 	batchBufMu sync.Mutex
 	batchBufs  []*batchBuf
-
-	// ident is the identity world list [0, worlds): the ws of an unpermuted
-	// chunk is a sub-slice of it.
-	ident []int32
 }
 
 // batchBuf is one live batch's reusable scratch.
@@ -251,7 +233,6 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		return nil, fmt.Errorf("opt: compiling kernel: %w", err)
 	}
 	p.worlds, p.width = probe.Worlds(), probe.Width()
-	p.ident = probir.Identity(p.worlds)
 	if o.Worlds > 0 && p.worlds == 0 {
 		return nil, fmt.Errorf("opt: Options.Worlds=%d asserted, but the space has no per-world kernel decomposition", o.Worlds)
 	}
@@ -268,36 +249,9 @@ func Compile(sp Space, o Options) (*Problem, error) {
 			p.adaptive = true
 			p.indIdx, p.indTargets = idx, targets
 			p.valueFig = pk.ValueFigure()
-			// Non-indicator columns need canonical (ascending world order)
-			// refolds when worlds run permuted.
-			isInd := make([]bool, p.width)
-			for _, fi := range idx {
-				if fi >= 0 && fi < p.width {
-					isInd[fi] = true
-				}
-			}
-			for w := 0; w < p.width; w++ {
-				if !isInd[w] {
-					p.valIdx = append(p.valIdx, w)
-				}
-			}
-		}
-	}
-	// Decisive-world-first ordering engages on the adaptive path only, and
-	// only then is the permutation computed (it may sample every world of the
-	// program). A slice that is not a permutation of [0, worlds) is rejected
-	// rather than trusted — a corrupt order would silently skip worlds.
-	if p.adaptive && d.WorldOrder != nil && !o.DisableWorldOrder {
-		if ord := d.WorldOrder(); isPermutation(ord, p.worlds) {
-			p.order = ord
-			p.rank = make([]int32, p.worlds)
-			for pos, w := range ord {
-				p.rank[w] = int32(pos)
-			}
 		}
 	}
 	p.sstats.Adaptive = p.adaptive
-	p.sstats.Ordered = p.order != nil
 	// Delta evaluation needs an evaluation that actually has per-world
 	// finish times to snapshot.
 	if d.Delta != nil && p.opts.SnapshotBudget >= 0 {
@@ -325,21 +279,6 @@ func (p *Problem) releaseSnapshot(key string) {
 	if p.snaps != nil {
 		p.snaps.remove(key)
 	}
-}
-
-// isPermutation reports whether ord is a permutation of [0, n).
-func isPermutation(ord []int32, n int) bool {
-	if len(ord) != n || n == 0 {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, w := range ord {
-		if w < 0 || int(w) >= n || seen[w] {
-			return false
-		}
-		seen[w] = true
-	}
-	return true
 }
 
 // Fingerprint returns the compiled program fingerprint (empty when the space

@@ -17,7 +17,7 @@ type evalKernel func() (*probir.Evaluation, error)
 
 func (evalKernel) Worlds() int                                    { return 0 }
 func (evalKernel) Width() int                                     { return 0 }
-func (evalKernel) Sample([]int32, []float64) error                { return nil }
+func (evalKernel) Sample(int, int, []float64) error               { return nil }
 func (k evalKernel) Reduce([]float64) (*probir.Evaluation, error) { return k() }
 
 // fakeKernel is a one-figure kernel whose reduced value is the state
@@ -29,8 +29,8 @@ type fakeKernel struct {
 
 func (k *fakeKernel) Worlds() int { return k.worlds }
 func (k *fakeKernel) Width() int  { return k.width }
-func (k *fakeKernel) Sample(ws []int32, out []float64) error {
-	for r := range ws {
+func (k *fakeKernel) Sample(lo, hi int, out []float64) error {
+	for r := range hi - lo {
 		out[r] = k.val
 	}
 	return nil

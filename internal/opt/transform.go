@@ -247,8 +247,8 @@ func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, 
 
 // Describe implements Space. A Native evaluator runs under the
 // common-random-number contract with the seed as its CRN base: shared world
-// realizations, delta evaluation over dirty-cone plans, and the
-// decisive-world-first order. A Prolog evaluator interprets each world over
+// realizations, numbered decisive-world-first, and delta evaluation over
+// dirty-cone plans. A Prolog evaluator interprets each world over
 // a state-keyed substream (StateBase). The fingerprint — and with it the
 // evaluation cache — is the Native program's, composed with the CostTag;
 // it is empty for Prolog and for a CostFn without a tag.
@@ -258,7 +258,6 @@ func (s *ScheduleSpace) Describe(seed int64) Descriptor {
 	case *probir.Native:
 		d.Kernel = func(st State) (probir.WorldKernel, error) { return s.objective(st)(e.CRNKernel(st, seed)) }
 		d.Fingerprint = e.Fingerprint()
-		d.WorldOrder = func() []int32 { return e.WorldOrder(seed) }
 		d.Delta = &DeltaHooks{
 			NewSnapshot:     e.NewSnapshot,
 			ReleaseSnapshot: e.ReleaseSnapshot,

@@ -93,28 +93,28 @@ func perWorld(t *testing.T, k WorldKernel) []float64 {
 	width := k.Width()
 	rows := make([]float64, k.Worlds()*width)
 	for it := 0; it < k.Worlds(); it++ {
-		if err := k.Sample([]int32{int32(it)}, rows[it*width:(it+1)*width]); err != nil {
+		if err := k.Sample(it, it+1, rows[it*width:(it+1)*width]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return rows
 }
 
-// chunked runs a kernel over the world list ws in chunks of size, calling
-// the chunks in a shuffled order as a device might, and returns the figure
-// rows by position.
-func chunked(t *testing.T, k WorldKernel, ws []int32, size int, rng *rand.Rand) []float64 {
+// chunked runs a kernel over its worlds in ranges of size, calling the
+// ranges in a shuffled order as a device might, and returns the figure rows
+// in world order.
+func chunked(t *testing.T, k WorldKernel, size int, rng *rand.Rand) []float64 {
 	t.Helper()
-	width := k.Width()
-	rows := make([]float64, len(ws)*width)
+	width, n := k.Width(), k.Worlds()
+	rows := make([]float64, n*width)
 	var los []int
-	for lo := 0; lo < len(ws); lo += size {
+	for lo := 0; lo < n; lo += size {
 		los = append(los, lo)
 	}
 	rng.Shuffle(len(los), func(i, j int) { los[i], los[j] = los[j], los[i] })
 	for _, lo := range los {
-		hi := min(lo+size, len(ws))
-		if err := k.Sample(ws[lo:hi], rows[lo*width:hi*width]); err != nil {
+		hi := min(lo+size, n)
+		if err := k.Sample(lo, hi, rows[lo*width:hi*width]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,8 +145,7 @@ func sameSnapshot(t *testing.T, what string, got, want *Snapshot, exactAmax bool
 // TestBlockKernelMatchesPerWorld pins the ranged kernel contract: the native
 // CRN kernel's full, capturing and dirty-cone delta passes, run over random
 // chunkings of the worlds (chunk sizes 1, 7, 13, 50 and all worlds, called
-// in shuffled order) of the identity and of the decisive-world-first
-// permutation, produce figure rows, folded sums and snapshot contents
+// in shuffled order), produce figure rows, folded sums and snapshot contents
 // (finish, ms, amax) bitwise equal to the one-world-per-call reference.
 // The reference itself is checked against dag.Flat.Makespan per world.
 // The sweep covers the wfgen Montage, CyberShake, LIGO and Epigenomics
@@ -254,12 +253,11 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 
 	// Oracle: the per-world makespan figure is the plain longest-path DP
 	// over the world's CRN durations.
-	rows := full.prog.Rows(childCfg)
 	dur := make([]float64, nt)
 	fin := make([]float64, nt)
 	for it := 0; it < full.Worlds(); it++ {
 		for i := range dur {
-			dur[i] = rows[i][it]
+			dur[i] = full.row(int32(i))[it]
 		}
 		ms := n.flat.Makespan(dur, fin)
 		if full.needMS && ref[it*width+full.msIdx] != ms {
@@ -306,48 +304,36 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 		}
 	}
 
-	perms := map[string][]int32{"identity": Identity(n.Iters), "ordered": n.WorldOrder(base)}
-	for pname, perm := range perms {
-		if perm == nil {
-			t.Fatalf("%s: no world list", pname)
-		}
-		for _, size := range []int{1, 7, 13, 50, n.Iters} {
-			what := fmt.Sprintf("%s chunk=%d", pname, size)
-			check := func(kind string, got []float64) {
-				t.Helper()
-				for p, w := range perm {
-					for f := 0; f < width; f++ {
-						if g, r := got[p*width+f], ref[int(w)*width+f]; g != r {
-							t.Fatalf("%s %s: position %d (world %d) figure %d: %v != %v", what, kind, p, w, f, g, r)
-						}
-					}
+	for _, size := range []int{1, 7, 13, 50, n.Iters} {
+		what := fmt.Sprintf("chunk=%d", size)
+		check := func(kind string, got []float64) {
+			t.Helper()
+			sameRows(t, what+" "+kind, got, ref)
+			// Folded in world order, the sums match the reference rows
+			// folded in the same order.
+			gs, rs := make([]float64, width), make([]float64, width)
+			for w := 0; w < n.Iters; w++ {
+				for f := 0; f < width; f++ {
+					gs[f] += got[w*width+f]
+					rs[f] += ref[w*width+f]
 				}
-				// Folded in position order, the sums match the reference
-				// rows folded in the same order.
-				gs, rs := make([]float64, width), make([]float64, width)
-				for p, w := range perm {
-					for f := 0; f < width; f++ {
-						gs[f] += got[p*width+f]
-						rs[f] += ref[int(w)*width+f]
-					}
-				}
-				sameRows(t, what+" "+kind+" sums", gs, rs)
 			}
-			check("full", chunked(t, full, perm, size, rng))
-			if !n.needsMSSampling() {
-				continue
-			}
-			s, err := n.CRNKernelSnap(childCfg, base, n.NewSnapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("capture", chunked(t, s, perm, size, rng))
-			sameSnapshot(t, what+" capture", s.(*nativeKernel).capture, refFull, true)
-			snap := n.NewSnapshot()
-			check("delta", chunked(t, deltaKernel(refParent, snap), perm, size, rng))
-			snap.materialize()
-			sameSnapshot(t, what+" delta", snap, refDelta, true)
+			sameRows(t, what+" "+kind+" sums", gs, rs)
 		}
+		check("full", chunked(t, full, size, rng))
+		if !n.needsMSSampling() {
+			continue
+		}
+		s, err := n.CRNKernelSnap(childCfg, base, n.NewSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("capture", chunked(t, s, size, rng))
+		sameSnapshot(t, what+" capture", s.(*nativeKernel).capture, refFull, true)
+		snap := n.NewSnapshot()
+		check("delta", chunked(t, deltaKernel(refParent, snap), size, rng))
+		snap.materialize()
+		sameSnapshot(t, what+" delta", snap, refDelta, true)
 	}
 }
 

@@ -70,9 +70,6 @@ type ConePlan struct {
 // valid description of the cone).
 func (cp *ConePlan) Delta() bool { return cp.delta }
 
-// ConeSize returns the number of tasks in the dirty cone.
-func (cp *ConePlan) ConeSize() int { return len(cp.cone) }
-
 // Snapshot holds one state's per-world finish times, task-major —
 // finish[task*worlds+w] — plus each world's makespan and argmax task, so a
 // chunk of consecutive worlds reads and writes one contiguous run per task.
@@ -143,13 +140,11 @@ func (s *Snapshot) Bytes() int64 {
 	return int64(len(s.finish))*8 + int64(len(s.ms))*8 + int64(len(s.amax))*4
 }
 
-// store records each of a chunk's worlds' makespan and argmax task; the
-// kernels write finish times into the snapshot as they compute them.
-func (s *Snapshot) store(ws []int32, ms []float64, amax []int32) {
-	for r, w := range ws {
-		s.ms[w] = ms[r]
-		s.amax[w] = amax[r]
-	}
+// store records the makespan and argmax task of worlds [lo, lo+len(ms));
+// the kernels write finish times into the snapshot as they compute them.
+func (s *Snapshot) store(lo int, ms []float64, amax []int32) {
+	copy(s.ms[lo:], ms)
+	copy(s.amax[lo:], amax)
 }
 
 // needsMSSampling reports whether evaluation samples per-world makespans —
@@ -299,14 +294,15 @@ func (n *Native) PlanCone(dirty []int32) (*ConePlan, error) {
 	return cp, nil
 }
 
-// CRNDeltaKernelPlanned is CRNDeltaKernel with the cone extraction hoisted
-// out: the kernel borrows the plan's cone and dirty mask (read-only) instead
-// of extracting and owning copies, so building a sibling's kernel allocates
-// nothing cone-related. Returns (nil, nil) when delta does not apply — the
-// plan's work model declined, there is no parent snapshot, or the snapshot
-// shapes/base do not line up — and the caller must then evaluate fully. The
-// plan must come from PlanCone over exactly the tasks on which config and
-// the parent's configuration differ.
+// CRNDeltaKernelPlanned builds a kernel that evaluates config by reusing the
+// parent snapshot, recomputing only the plan's cone, and capturing the
+// result into snap so it can parent further deltas. The kernel borrows the
+// plan's cone and dirty mask (read-only), so building a sibling's kernel
+// allocates nothing cone-related. Returns (nil, nil) when delta does not
+// apply — the plan's work model declined, there is no parent snapshot, or
+// the snapshot shapes/base do not line up — and the caller must then
+// evaluate fully. The plan must come from PlanCone over exactly the tasks on
+// which config and the parent's configuration differ.
 func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan, parent, snap *Snapshot) (WorldKernel, error) {
 	if plan == nil || !plan.delta || parent == nil || snap == nil || !n.needsMSSampling() {
 		return nil, nil
@@ -344,33 +340,6 @@ func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan,
 	return k, nil
 }
 
-// CRNDeltaKernel builds a kernel that evaluates config by reusing the parent
-// snapshot, recomputing only the cone of the dirty tasks — the tasks whose
-// (task, type) assignment differs from the parent's — and capturing the
-// result into snap so it can parent further deltas. It is PlanCone +
-// CRNDeltaKernelPlanned for callers without a plan cache: each call
-// re-extracts the cone, where the solver shares one plan per dirty set.
-// Returns (nil, nil) when delta does not apply (no parent, base mismatch, or
-// cone too large): the caller must then evaluate fully.
-func (n *Native) CRNDeltaKernel(config []int, base int64, dirty []int32, parent, snap *Snapshot) (WorldKernel, error) {
-	if parent == nil || snap == nil || !n.needsMSSampling() {
-		return nil, nil
-	}
-	if len(dirty) == 0 {
-		// An identical configuration is not a delta; let the caller's eval
-		// cache or full path handle it.
-		return nil, nil
-	}
-	plan, err := n.PlanCone(dirty)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.delta {
-		return nil, nil
-	}
-	return n.CRNDeltaKernelPlanned(config, base, plan, parent, snap)
-}
-
 // deltaRows is the per-world change bookkeeping of one delta chunk: the
 // largest changed finish and its task, whether the parent's argmax task
 // moved, and that argmax.
@@ -380,12 +349,12 @@ type deltaRows struct {
 	amaxHit      []bool
 }
 
-// settle writes task ti's recomputed finish end for chunk row r at index i
-// of its finish row dst, reporting whether it moved from the parent's
-// finish prev[i].
-func (d *deltaRows) settle(dst, prev []float64, i, r int, ti int32, end float64) bool {
-	dst[i] = end
-	if end == prev[i] {
+// settle writes task ti's recomputed finish end for chunk row r into the
+// chunk's finish run dst, reporting whether it moved from the parent's
+// finish prev[r].
+func (d *deltaRows) settle(dst, prev []float64, r int, ti int32, end float64) bool {
+	dst[r] = end
+	if end == prev[r] {
 		return false
 	}
 	if d.chArg[r] < 0 || end > d.chMax[r] {
@@ -410,46 +379,38 @@ func (d *deltaRows) settle(dst, prev []float64, i, r int, ti int32, end float64)
 // every dirty task has been visited — past that point every world provably
 // keeps its parent values. All comparisons are bitwise, so each world's
 // result is exactly the full DP's.
-func (k *nativeKernel) deltaMS(ws []int32, lo int, bs *blockScratch) {
+func (k *nativeKernel) deltaMS(lo, m int, bs *blockScratch) {
 	f := k.n.flat
-	n0, m := f.Len(), len(ws)
+	n0, hi := f.Len(), lo+m
 	par, snap := k.parent, k.capture
 	W := snap.worlds
 	sf, pf := snap.finish, par.finish
-	// src is the current finish row of task t: the child snapshot's for a
-	// cone task, the parent's for the rest (they never change). Each cone
-	// task's chunk worlds are written as the walk reaches it — recomputed,
-	// or copied from the parent when skipped — so a cone row is current
-	// before any child reads it. A contiguous chunk works on the [lo, lo+m)
-	// run of each row, a scattered one on the chunk's world columns. The
-	// rows outside the cone are left to Snapshot.materialize, so a state
-	// that never parents another never pays for them.
+	// src is the chunk's run of the current finish row of task t: the child
+	// snapshot's for a cone task, the parent's for the rest (they never
+	// change). Each cone task's chunk worlds are written as the walk reaches
+	// it — recomputed, or copied from the parent when skipped — so a cone
+	// row is current before any child reads it. The rows outside the cone
+	// are left to Snapshot.materialize, so a state that never parents
+	// another never pays for them.
 	src := func(t int32) []float64 {
 		if k.inCone[t] {
-			return sf[int(t)*W : int(t)*W+W]
+			return sf[int(t)*W+lo : int(t)*W+hi]
 		}
-		return pf[int(t)*W : int(t)*W+W]
+		return pf[int(t)*W+lo : int(t)*W+hi]
 	}
 	keep := func(t int32) {
-		dst, from := sf[int(t)*W:int(t)*W+W], pf[int(t)*W:int(t)*W+W]
-		if lo >= 0 {
-			copy(dst[lo:lo+m], from[lo:lo+m])
-			return
-		}
-		for _, w := range ws {
-			dst[w] = from[w]
-		}
+		copy(sf[int(t)*W+lo:int(t)*W+hi], pf[int(t)*W+lo:int(t)*W+hi])
 	}
 	// touched: a parent's finish moved in some world of the chunk.
 	epoch := bs.marks.next(n0)
 	touched := bs.marks.marks[:n0]
 
 	dr := deltaRows{chMax: bs.chMax[:m], chArg: bs.chArg[:m], amaxHit: bs.amaxHit[:m], pAmax: bs.amax[:m]}
-	next, tmp := bs.start[:m], bs.tmp[:m]
-	for r, w := range ws {
+	next := bs.start[:m]
+	copy(dr.pAmax, par.amax[lo:hi])
+	for r := range m {
 		dr.chArg[r] = -1
 		dr.amaxHit[r] = false
-		dr.pAmax[r] = par.amax[w]
 	}
 	pending := 0 // touched tasks not yet visited; all lie ahead in the cone
 	for ci, kpos := range k.cone {
@@ -471,37 +432,20 @@ func (k *nativeKernel) deltaMS(ws []int32, lo int, bs *blockScratch) {
 		// >, as a lone world folds them.
 		clear(next)
 		for _, p := range f.Parents[f.ParentStart[kpos]:f.ParentStart[kpos+1]] {
-			from := src(p)
-			if lo >= 0 {
-				for r, v := range from[lo : lo+m] {
-					if v > next[r] {
-						next[r] = v
-					}
-				}
-				continue
-			}
-			for r, w := range ws {
-				if v := from[w]; v > next[r] {
+			for r, v := range src(p) {
+				if v > next[r] {
 					next[r] = v
 				}
 			}
 		}
-		for r, d := range gather(k.row(ti), ws, lo, tmp) {
+		for r, d := range k.row(ti)[lo:hi] {
 			next[r] += d
 		}
-		prevRow := pf[int(ti)*W : int(ti)*W+W]
 		// Write every chunk world of the task and note the moved ones.
-		dstRow := sf[int(ti)*W : int(ti)*W+W]
+		dst, prev := sf[int(ti)*W+lo:int(ti)*W+hi], pf[int(ti)*W+lo:int(ti)*W+hi]
 		moved := false
-		if lo >= 0 {
-			dst, prev := dstRow[lo:lo+m], prevRow[lo:lo+m]
-			for r, end := range next {
-				moved = dr.settle(dst, prev, r, r, ti, end) || moved
-			}
-		} else {
-			for r, end := range next {
-				moved = dr.settle(dstRow, prevRow, int(ws[r]), r, ti, end) || moved
-			}
+		for r, end := range next {
+			moved = dr.settle(dst, prev, r, ti, end) || moved
 		}
 		if moved {
 			for _, c := range f.Children[f.ChildStart[ti]:f.ChildStart[ti+1]] {
@@ -515,10 +459,11 @@ func (k *nativeKernel) deltaMS(ws []int32, lo int, bs *blockScratch) {
 
 	chMax, chArg, amaxHit := dr.chMax, dr.chArg, dr.amaxHit
 	ms, amax := bs.ms[:m], dr.pAmax
+	pms := par.ms[lo:hi]
 	rescan := bs.rescan[:0]
-	for r, w := range ws {
+	for r := range m {
 		switch {
-		case amaxHit[r] && chMax[r] >= par.ms[w]:
+		case amaxHit[r] && chMax[r] >= pms[r]:
 			// Every unchanged task still sits at its parent value, all of
 			// which are <= the parent makespan, so the changed maximum wins
 			// outright — no rescan needed.
@@ -531,7 +476,7 @@ func (k *nativeKernel) deltaMS(ws []int32, lo int, bs *blockScratch) {
 		default:
 			// The parent's maximum still stands; only a changed value can
 			// beat it.
-			ms[r] = par.ms[w]
+			ms[r] = pms[r]
 			if chArg[r] >= 0 && chMax[r] > ms[r] {
 				ms[r], amax[r] = chMax[r], chArg[r]
 			}
@@ -543,14 +488,14 @@ func (k *nativeKernel) deltaMS(ws []int32, lo int, bs *blockScratch) {
 	visit := func(t int32) {
 		from := src(t)
 		for _, r := range rescan {
-			if v := from[ws[r]]; v > ms[r] {
+			if v := from[r]; v > ms[r] {
 				ms[r], amax[r] = v, t
 			}
 		}
 	}
 	switch {
 	case len(rescan) == 0:
-	case k.prog.negative.Load():
+	case k.prog.negative:
 		for t := 0; t < n0; t++ {
 			visit(int32(t))
 		}
@@ -559,5 +504,5 @@ func (k *nativeKernel) deltaMS(ws []int32, lo int, bs *blockScratch) {
 			visit(t)
 		}
 	}
-	snap.store(ws, ms, amax)
+	snap.store(lo, ms, amax)
 }

@@ -74,6 +74,16 @@ func sameEval(t *testing.T, step int, delta, full *Evaluation) {
 	}
 }
 
+// plannedDelta builds a delta kernel the way the solver does: a cone plan
+// for the dirty set, then CRNDeltaKernelPlanned against it.
+func plannedDelta(n *Native, config []int, base int64, dirty []int32, parent, snap *Snapshot) (WorldKernel, error) {
+	plan, err := n.PlanCone(dirty)
+	if err != nil {
+		return nil, err
+	}
+	return n.CRNDeltaKernelPlanned(config, base, plan, parent, snap)
+}
+
 // TestDeltaChainBitIdentical walks random mutation chains — each step
 // reassigns one or two tasks — evaluating every step three ways: delta from
 // the previous step's snapshot (so snapshots produced by delta kernels
@@ -136,7 +146,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 		}
 
 		childSnap := n.NewSnapshot()
-		dk, err := n.CRNDeltaKernel(next, base, dirty, snap, childSnap)
+		dk, err := plannedDelta(n, next, base, dirty, snap, childSnap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,20 +231,20 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	next := append([]int(nil), config...)
 	next[d1], next[d2] = 1, 2
 	seqSnap := n.NewSnapshot()
-	sk, err := n.CRNDeltaKernel(next, base, []int32{d1, d2}, snap, seqSnap)
+	sk, err := plannedDelta(n, next, base, []int32{d1, d2}, snap, seqSnap)
 	if err != nil || sk == nil {
 		t.Fatalf("sequential delta kernel: %v (nil=%v)", err, sk == nil)
 	}
 	want := make([][]float64, sk.Worlds())
 	for it := range want {
 		want[it] = make([]float64, sk.Width())
-		if err := sk.Sample([]int32{int32(it)}, want[it]); err != nil {
+		if err := sk.Sample(it, it+1, want[it]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	parSnap := n.NewSnapshot()
-	pk, err := n.CRNDeltaKernel(next, base, []int32{d1, d2}, snap, parSnap)
+	pk, err := plannedDelta(n, next, base, []int32{d1, d2}, snap, parSnap)
 	if err != nil || pk == nil {
 		t.Fatalf("parallel delta kernel: %v (nil=%v)", err, pk == nil)
 	}
@@ -246,7 +256,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 			defer wg.Done()
 			for it := g; it < pk.Worlds(); it += 8 {
 				out := make([]float64, pk.Width())
-				if err := pk.Sample([]int32{int32(it)}, out); err != nil {
+				if err := pk.Sample(it, it+1, out); err != nil {
 					t.Error(err)
 					return
 				}
@@ -265,8 +275,9 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbacks pins the cases where CRNDeltaKernel must decline
-// (nil, nil) — the caller's cue to evaluate fully — versus hard-error.
+// TestDeltaFallbacks pins the cases where PlanCone + CRNDeltaKernelPlanned
+// must decline (nil, nil) — the caller's cue to evaluate fully — versus
+// hard-error.
 func TestDeltaFallbacks(t *testing.T) {
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2500}}
 	n := deltaFixture(t, 20, 2, GoalMakespan, cons, 16)
@@ -280,23 +291,26 @@ func TestDeltaFallbacks(t *testing.T) {
 	}
 	child := n.NewSnapshot()
 
-	if dk, err := n.CRNDeltaKernel(config, base, []int32{0}, nil, child); dk != nil || err != nil {
+	if dk, err := plannedDelta(n, config, base, []int32{0}, nil, child); dk != nil || err != nil {
 		t.Fatalf("nil parent: want (nil, nil), got (%v, %v)", dk, err)
 	}
-	if dk, err := n.CRNDeltaKernel(config, base+1, []int32{0}, snap, child); dk != nil || err != nil {
+	if dk, err := plannedDelta(n, config, base+1, []int32{0}, snap, child); dk != nil || err != nil {
 		t.Fatalf("base mismatch: want (nil, nil), got (%v, %v)", dk, err)
 	}
-	if dk, err := n.CRNDeltaKernel(config, base, nil, snap, child); dk != nil || err != nil {
-		t.Fatalf("empty dirty: want (nil, nil), got (%v, %v)", dk, err)
+	if _, err := n.PlanCone(nil); err == nil {
+		t.Fatal("empty dirty set: want error")
+	}
+	if dk, err := n.CRNDeltaKernelPlanned(config, base, nil, snap, child); dk != nil || err != nil {
+		t.Fatalf("nil plan: want (nil, nil), got (%v, %v)", dk, err)
 	}
 	all := make([]int32, n.W.Len())
 	for i := range all {
 		all[i] = int32(i)
 	}
-	if dk, err := n.CRNDeltaKernel(config, base, all, snap, child); dk != nil || err != nil {
+	if dk, err := plannedDelta(n, config, base, all, snap, child); dk != nil || err != nil {
 		t.Fatalf("full-width dirty set: want structural fallback (nil, nil), got (%v, %v)", dk, err)
 	}
-	if _, err := n.CRNDeltaKernel(config, base, []int32{int32(n.W.Len())}, snap, child); err == nil {
+	if _, err := plannedDelta(n, config, base, []int32{int32(n.W.Len())}, snap, child); err == nil {
 		t.Fatal("out-of-range dirty task: want error")
 	}
 
@@ -354,7 +368,7 @@ func TestSnapshotPinnedUntilMaterialized(t *testing.T) {
 	next := append([]int(nil), config...)
 	next[last] = 1
 	child := n.NewSnapshot()
-	dk, err := n.CRNDeltaKernel(next, base, []int32{last}, parent, child)
+	dk, err := plannedDelta(n, next, base, []int32{last}, parent, child)
 	if err != nil || dk == nil {
 		t.Fatalf("delta kernel: %v (nil=%v)", err, dk == nil)
 	}
@@ -370,7 +384,7 @@ func TestSnapshotPinnedUntilMaterialized(t *testing.T) {
 	// Parenting a kernel materializes the child, which lets the parent go.
 	next2 := append([]int(nil), next...)
 	next2[last] = 2
-	if _, err := n.CRNDeltaKernel(next2, base, []int32{last}, child, n.NewSnapshot()); err != nil {
+	if _, err := plannedDelta(n, next2, base, []int32{last}, child, n.NewSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if parent.pins != 0 || parent.freed || child.from != nil {

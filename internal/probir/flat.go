@@ -8,8 +8,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"deco/internal/dag"
 	"deco/internal/estimate"
@@ -18,19 +18,24 @@ import (
 // This file implements the common-random-number (CRN) evaluation core. A
 // Native program is compiled once per search into a Program: the workflow's
 // flat index form (dag.Flat), the dense per-(task, type) time-distribution
-// table (estimate.FlatTable), and a lazily-filled duration matrix
-// rows[task][type][iteration]. Duration draws are keyed by (task, type,
-// iteration) — NOT by search state — so every state evaluated within one
-// search observes the same world realizations. That is the CRN determinism
-// contract:
+// table (estimate.FlatTable), and the duration matrix rows[task][type][world],
+// sampled in full when the Program is built. Duration draws are keyed by
+// (task, type) and the world's index in the row's stream — NOT by search
+// state — so every state evaluated within one search observes the same
+// world realizations. That is the CRN determinism contract:
 //
-//   - Evaluating a neighbor state that reassigns Δ tasks resolves only the Δ
-//     missing rows (O(Δ·worlds) sampling instead of O(tasks·worlds)).
+//   - Evaluating a neighbor state that reassigns Δ tasks reads Δ other rows;
+//     nothing is sampled after the Program is built.
 //   - State-vs-state comparisons see the same randomness, cutting the
 //     Monte-Carlo variance of score differences.
 //   - Results depend only on (program, base seed, configuration); kernels
 //     built from a Program draw nothing at Sample time, so devices may run
 //     worlds in any order or in parallel and fold bit-identically.
+//
+// Worlds have one numbering. After sampling, the Program sorts the worlds
+// decisive-first (order.go) and stores every duration and cost row in that
+// order, so world p is position p of every row: for the fixed path, the
+// adaptive path, snapshots and the Evaluate oracle alike.
 
 // crnSeed derives the rng seed of one (task, type) duration row from the
 // search-level base seed (splitmix64-style finalizer over a distinct stream
@@ -48,50 +53,28 @@ func crnSeed(base int64, stream int) int64 {
 }
 
 // Program is a Native program compiled for one CRN base seed: the flat DAG,
-// the dense distribution table, and the shared duration matrix. Rows are
-// filled lazily the first time a configuration needs them; a filled row is
-// published through an atomic pointer, so the warm path — every row already
-// sampled, the steady state of a search — is entirely lock-free and never
-// serializes behind another goroutine filling rows for a different
-// configuration. Only the fill itself takes fillMu (double-checked, so two
-// goroutines racing to the same missing row sample it once). The scratch and
-// flag pools serve per-world buffers so device threads evaluating worlds
+// the dense distribution table, and the duration matrix, every row sampled
+// and stored decisive-world-first when the Program is built. A Program is
+// immutable after newProgram returns, so kernels read it without locks. The
+// block pool serves per-chunk scratch so device threads evaluating worlds
 // concurrently never allocate.
 type Program struct {
 	flat   *dag.Flat
-	ft     *estimate.FlatTable
-	base   int64
 	iters  int
 	nTypes int
 
-	// markets, when non-nil, holds one MarketSpec per type column; spot
-	// columns fill a paired cost row alongside the duration row from the same
-	// rng stream (market.go).
-	markets []MarketSpec
+	// negative records that some duration is negative or NaN. Finish times
+	// can then fall along an edge, so a makespan rescan must visit every
+	// task rather than only the sinks.
+	negative bool
 
-	// negative records that some filled duration is negative or NaN. Finish
-	// times can then fall along an edge, so a makespan rescan must visit
-	// every task rather than only the sinks. It is set before the row is
-	// published.
-	negative atomic.Bool
-
-	fillMu sync.Mutex
-	rows   []atomic.Pointer[[]float64] // rows[task*nTypes+type][iteration], lazily filled
-	// costRows parallels rows for spot columns only: costRows[ri][it] is the
-	// realized cost of the (task, spot type) pair in world it. On-demand
-	// entries stay nil — their world cost is duration/3600·price, computed in
-	// the kernel. A cost row is always published before its duration row, so
-	// any reader that observed the duration row can load the cost row
-	// lock-free.
-	costRows []atomic.Pointer[[]float64]
-	// rng, guarded by fillMu, is reseeded for every row fill: reseeding
-	// yields exactly a fresh source's stream without allocating one.
-	rng *rand.Rand
-
-	// orderOnce/order cache the decisive-world-first permutation (order.go):
-	// a pure function of (program content, base), immutable once built.
-	orderOnce sync.Once
-	order     []int32
+	rows [][]float64 // rows[task*nTypes+type][world]
+	// costRows, present when the Native has market columns, parallels rows
+	// for spot columns only: costRows[ri][w] is the realized cost of the
+	// (task, spot type) pair in world w, drawn from the duration row's rng
+	// stream (market.go). On-demand entries stay nil — their world cost is
+	// duration/3600·price, computed in the kernel.
+	costRows [][]float64
 
 	blocks sync.Pool // *blockScratch: per-chunk kernel scratch
 }
@@ -125,11 +108,11 @@ func (e *epochMarks) next(n int) uint32 {
 // argmax and delta bookkeeping. Pooled per Program and grown on demand, so
 // device threads evaluating chunks concurrently never allocate.
 type blockScratch struct {
-	finish                      []float64 // n·m, task t row r at t*m+r
-	ms, cost, tmp, start, chMax []float64 // m
-	amax, chArg, rescan         []int32   // m
-	amaxHit                     []bool    // m
-	marks                       epochMarks
+	finish                 []float64 // n·m, task t row r at t*m+r
+	ms, cost, start, chMax []float64 // m
+	amax, chArg, rescan    []int32   // m
+	amaxHit                []bool    // m
+	marks                  epochMarks
 }
 
 // block checks out a scratch sized for a chunk of m worlds; return it to
@@ -137,7 +120,7 @@ type blockScratch struct {
 func (p *Program) block(m int) *blockScratch {
 	bs := p.blocks.Get().(*blockScratch)
 	if cap(bs.ms) < m {
-		bs.ms, bs.cost, bs.tmp = make([]float64, m), make([]float64, m), make([]float64, m)
+		bs.ms, bs.cost = make([]float64, m), make([]float64, m)
 		bs.start, bs.chMax = make([]float64, m), make([]float64, m)
 		bs.amax, bs.chArg, bs.rescan = make([]int32, m), make([]int32, m), make([]int32, m)
 		bs.amaxHit = make([]bool, m)
@@ -153,95 +136,83 @@ func (bs *blockScratch) scratch(n, m int) []float64 {
 	return bs.finish[:n*m]
 }
 
+// spread runs f over [0, n) cut into one contiguous range per processor,
+// concurrently, and waits for every range. The Program build spreads only
+// work whose result does not depend on the cut: every row, and every type's
+// severity pass, is computed from its own inputs alone.
+func spread(n int, f func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		f(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			f(lo, hi)
+		}(n*w/workers, n*(w+1)/workers)
+	}
+	wg.Wait()
+}
+
+// newProgram samples every (task, type) row of the duration matrix, then
+// stores the worlds decisive-first. Row ri = task*nTypes+type draws from an
+// rng seeded by crnSeed(base, ri), consumed in stream order; each range of
+// rows reseeds one rng per row, which yields exactly a fresh source's
+// stream without allocating one.
 func newProgram(flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, markets []MarketSpec) *Program {
-	p := &Program{
-		flat:    flat,
-		ft:      ft,
-		base:    base,
-		iters:   iters,
-		nTypes:  ft.NumTypes,
-		markets: markets,
-		rows:    make([]atomic.Pointer[[]float64], flat.Len()*ft.NumTypes),
-	}
+	nr := flat.Len() * ft.NumTypes
+	p := &Program{flat: flat, iters: iters, nTypes: ft.NumTypes, rows: make([][]float64, nr)}
 	if markets != nil {
-		p.costRows = make([]atomic.Pointer[[]float64], flat.Len()*ft.NumTypes)
+		p.costRows = make([][]float64, nr)
 	}
+	all := make([]float64, nr*iters)
+	negative := make([]bool, nr)
+	spread(nr, func(lo, hi int) {
+		rng := rand.New(rand.NewSource(0))
+		for ri := lo; ri < hi; ri++ {
+			i, j := ri/p.nTypes, ri%p.nTypes
+			row := all[ri*iters : (ri+1)*iters : (ri+1)*iters]
+			rng.Seed(crnSeed(base, ri))
+			td := ft.Dist(i, j)
+			if markets != nil && markets[j].Spot {
+				p.costRows[ri] = make([]float64, iters)
+				fillSpotRow(td, markets[j], rng, row, p.costRows[ri])
+			} else {
+				for it := range row {
+					row[it] = td.Sample(rng)
+				}
+			}
+			for _, d := range row {
+				if !(d >= 0) {
+					negative[ri] = true
+					break
+				}
+			}
+			p.rows[ri] = row
+		}
+	})
+	for _, neg := range negative {
+		p.negative = p.negative || neg
+	}
+	p.sortWorlds()
 	p.blocks.New = func() any { return new(blockScratch) }
 	return p
 }
 
-// Rows resolves one configuration against the duration matrix, filling any
-// missing (task, type) rows: row[it] is the task's sampled duration in world
-// it, drawn from an rng seeded by crnSeed(base, task*nTypes+type) and
-// consumed in iteration order. The returned per-task slices are shared and
-// immutable once filled; callers must not modify them.
-func (p *Program) Rows(config []int) [][]float64 {
-	p.fill(config)
-	out := make([][]float64, len(config))
-	for i, j := range config {
-		out[i] = p.row(i, j)
-	}
-	return out
-}
-
-// row returns the filled duration row of task i on type j.
-func (p *Program) row(i, j int) []float64 { return *p.rows[i*p.nTypes+j].Load() }
+// row returns the duration row of task i on type j.
+func (p *Program) row(i, j int) []float64 { return p.rows[i*p.nTypes+j] }
 
 // costRow returns the paired per-world cost row of task i on type j, or nil
 // when j is not a spot offering (deterministic pricing — duration/3600·
-// price). The row must have been filled; fill publishes a spot column's
-// cost row before its duration row, so it is present here lock-free.
+// price).
 func (p *Program) costRow(i, j int) []float64 {
-	if p.costRows == nil || !p.markets[j].Spot {
+	if p.costRows == nil {
 		return nil
 	}
-	return *p.costRows[i*p.nTypes+j].Load()
-}
-
-// fill fills every missing (task, type) row of a configuration. A fully
-// warm configuration takes no locks and allocates nothing.
-func (p *Program) fill(config []int) {
-	warm := true
-	for i, j := range config {
-		if p.rows[i*p.nTypes+j].Load() == nil {
-			warm = false
-			break
-		}
-	}
-	if warm {
-		return
-	}
-	p.fillMu.Lock()
-	defer p.fillMu.Unlock()
-	for i, j := range config {
-		ri := i*p.nTypes + j
-		if p.rows[ri].Load() != nil { // filled already, or while we waited
-			continue
-		}
-		row := make([]float64, p.iters)
-		if p.rng == nil {
-			p.rng = rand.New(rand.NewSource(0))
-		}
-		rng := p.rng
-		rng.Seed(crnSeed(p.base, ri))
-		td := p.ft.Dist(i, j)
-		if p.markets != nil && p.markets[j].Spot {
-			costRow := make([]float64, p.iters)
-			fillSpotRow(td, p.markets[j], rng, row, costRow)
-			p.costRows[ri].Store(&costRow)
-		} else {
-			for it := range row {
-				row[it] = td.Sample(rng)
-			}
-		}
-		for _, d := range row {
-			if !(d >= 0) {
-				p.negative.Store(true)
-				break
-			}
-		}
-		p.rows[ri].Store(&row)
-	}
+	return p.costRows[i*p.nTypes+j]
 }
 
 // maxPrograms bounds the per-Native program cache. A search uses a single

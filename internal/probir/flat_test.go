@@ -1,98 +1,89 @@
 package probir
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
+
+	"deco/internal/wlog"
 )
 
-// warmNative builds a small Native fixture for program-cache and Rows tests.
+// warmNative builds a small Native fixture, with a sampled deadline, for
+// program-cache and row tests.
 func warmNative(t testing.TB) *Native {
 	t.Helper()
 	w, tbl, prices := fixture(t, true)
-	n, err := NewNative(w, tbl, prices, GoalCost, nil, 50)
+	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2000}}
+	n, err := NewNative(w, tbl, prices, GoalCost, cons, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
 }
 
-// TestRowsConcurrentWarm hammers Rows from many goroutines over configs that
-// partially overlap, mixing warm reads with first fills. Under -race this
-// fails if the lock-free fast path races the double-checked fill; the value
-// checks fail if two racing fills ever publish different samples for one
-// (task, type) row.
+// TestRowsConcurrentWarm builds kernels from many goroutines at once over
+// several base seeds, as concurrent searches over one Native do. Every
+// goroutine must get the one cached Program of its base, whose rows are
+// bit-identical to a Program built alone on an identical evaluator. Under
+// -race this also fails if a build races the program cache.
 func TestRowsConcurrentWarm(t *testing.T) {
 	n := warmNative(t)
-	p := n.program(42)
-	nTasks := n.W.Len()
-	nTypes := n.NumTypes()
-
-	configs := make([][]int, 8)
-	for c := range configs {
-		cfg := make([]int, nTasks)
-		for i := range cfg {
-			cfg[i] = (c + i) % nTypes
-		}
-		configs[c] = cfg
-	}
-	// Reference rows, filled single-threaded on an identical program.
-	ref := n.program(43)
-	refRows := make([][][]float64, len(configs))
-	for c, cfg := range configs {
-		refRows[c] = ref.Rows(cfg)
-	}
-
+	ref := warmNative(t)
+	cfg := make([]int, n.W.Len())
+	const bases = 4
+	progs := make([][]*Program, 16)
 	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
+	for g := range progs {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for rep := 0; rep < 50; rep++ {
-				c := (g + rep) % len(configs)
-				rows := p.Rows(configs[c])
-				for i := range rows {
-					if len(rows[i]) != p.iters {
-						t.Errorf("row %d: len %d, want %d", i, len(rows[i]), p.iters)
-						return
-					}
+			for b := int64(0); b < bases; b++ {
+				k, err := n.newCRNKernel(cfg, (b+int64(g))%bases)
+				if err != nil {
+					t.Error(err)
+					return
 				}
+				progs[g] = append(progs[g], k.prog)
 			}
 		}(g)
 	}
 	wg.Wait()
-
-	// Same base seed => every row must be bit-identical to the
-	// single-threaded reference, however the concurrent fills interleaved.
-	p2 := n.program(42)
-	if p2 != p {
-		t.Fatalf("program(42) returned a different Program after concurrent use")
+	for g := range progs {
+		for b, p := range progs[g] {
+			base := (int64(b) + int64(g)) % bases
+			if p != n.program(base) {
+				t.Fatalf("goroutine %d base %d: a second Program was built", g, base)
+			}
+		}
 	}
-	for c, cfg := range configs {
-		got := p.Rows(cfg)
-		for i := range got {
-			for it := range got[i] {
-				if got[i][it] != refRows[c][i][it] {
-					t.Fatalf("config %d task %d world %d: %v != reference %v",
-						c, i, it, got[i][it], refRows[c][i][it])
+	for b := int64(0); b < bases; b++ {
+		got, want := n.program(b), ref.program(b)
+		for ri := range want.rows {
+			for w := range want.rows[ri] {
+				if got.rows[ri][w] != want.rows[ri][w] {
+					t.Fatalf("base %d row %d world %d: %v != reference %v", b, ri, w, got.rows[ri][w], want.rows[ri][w])
 				}
 			}
 		}
 	}
 }
 
-// TestRowsSharedPointers verifies filled rows are shared: two Rows calls with
-// the same (task, type) assignment hand out the same underlying slice, so
-// repeat evaluations of a configuration do no sampling work.
+// TestRowsSharedPointers verifies the rows are shared: two kernels with the
+// same (task, type) assignment read the same underlying slice, so repeat
+// evaluations of a configuration copy and sample nothing.
 func TestRowsSharedPointers(t *testing.T) {
 	n := warmNative(t)
-	p := n.program(7)
 	cfg := make([]int, n.W.Len())
-	a := p.Rows(cfg)
-	b := p.Rows(cfg)
-	for i := range a {
-		if &a[i][0] != &b[i][0] {
-			t.Fatalf("task %d: second Rows call returned a different backing row", i)
+	a, err := n.newCRNKernel(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.newCRNKernel(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfg {
+		if &a.row(int32(i))[0] != &b.row(int32(i))[0] {
+			t.Fatalf("task %d: second kernel read a different backing row", i)
 		}
 	}
 }
@@ -136,50 +127,11 @@ func TestProgramLRUEviction(t *testing.T) {
 	}
 }
 
-// BenchmarkRowsWarmParallel measures the warm-path Rows throughput under
-// parallelism: every row is pre-filled, so with the lock-free fast path the
-// goroutines never serialize. Before the fix this benchmark collapsed onto a
-// single global mutex.
-func BenchmarkRowsWarmParallel(b *testing.B) {
-	w, tbl, prices := fixture(b, true)
-	n, err := NewNative(w, tbl, prices, GoalCost, nil, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := n.program(1)
-	cfg := make([]int, n.W.Len())
-	p.Rows(cfg) // warm every row
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			p.Rows(cfg)
-		}
-	})
-}
-
-// TestRowsMatchFreshSource pins the CRN row contract across fills: every
-// (task, type) row holds the draws of a fresh source seeded with crnSeed,
-// whichever rows were filled before it on the program's reused rng.
+// TestRowsMatchFreshSource pins the CRN row contract: every (task, type)
+// row holds the draws of a fresh source seeded with crnSeed, although one
+// rng is reseeded for every row, renumbered decisive-world-first like every
+// other row of the Program.
 func TestRowsMatchFreshSource(t *testing.T) {
 	n := deltaFixture(t, 12, 3, GoalCost, nil, 40) // I/O-bound tasks: draws vary
-	const base = int64(7)
-	p := n.program(base)
-	nTasks, nTypes := n.W.Len(), n.NumTypes()
-	for j := nTypes - 1; j >= 0; j-- {
-		config := make([]int, nTasks)
-		for i := range config {
-			config[i] = (i + j) % nTypes
-		}
-		rows := p.Rows(config)
-		for i, tj := range config {
-			rng := rand.New(rand.NewSource(crnSeed(base, i*nTypes+tj)))
-			td := n.ftab.Dist(i, tj)
-			for it, got := range rows[i] {
-				if want := td.Sample(rng); got != want {
-					t.Fatalf("task %d type %d world %d: %v != fresh-source draw %v", i, tj, it, got, want)
-				}
-			}
-		}
-	}
+	checkNumbering(t, n, 7)
 }

@@ -23,12 +23,12 @@ import "math/rand"
 // bit-identical whether the worlds ran sequentially, state-parallel, or
 // two-level on a device, in whatever chunks. Native kernels follow the
 // common-random-number contract (flat.go): duration draws are keyed by
-// (task, type, iteration) against a search-level base seed, so every state
-// in a search shares the same world realizations. Kernels that cannot share
-// realizations (the Prolog interpreter, the runtime's conditioned residual
-// kernels, whose rejection sampling draws a data-dependent number of
-// variates) take a substream base when they are built and draw world it
-// from WorldRNG(base, it).
+// (task, type, world) against a search-level base seed, so every state in a
+// search shares the same world realizations, numbered decisive-first.
+// Kernels that cannot share realizations (the Prolog interpreter, the
+// runtime's conditioned residual kernels, whose rejection sampling draws a
+// data-dependent number of variates) take a substream base when they are
+// built and draw world it from WorldRNG(base, it).
 
 // WorldKernel is one state's Monte-Carlo evaluation, decomposed for
 // block/thread execution.
@@ -38,24 +38,13 @@ type WorldKernel interface {
 	Worlds() int
 	// Width is the number of figures each world produces.
 	Width() int
-	// Sample computes the worlds listed in ws into out: len(ws) rows of
-	// Width() figures, zeroed on entry, row r receiving world ws[r]. ws is a
-	// run of the identity or of a world permutation, so its entries are
-	// distinct. It must be safe for concurrent calls with disjoint ws.
-	Sample(ws []int32, out []float64) error
+	// Sample computes worlds [lo, hi) into out: hi-lo rows of Width()
+	// figures, zeroed on entry, row r receiving world lo+r. It must be safe
+	// for concurrent calls over disjoint ranges.
+	Sample(lo, hi int, out []float64) error
 	// Reduce folds the figure-wise sums over all worlds (len Width()) into
 	// the final evaluation.
 	Reduce(sums []float64) (*Evaluation, error)
-}
-
-// Identity returns the world list [0, n): the ws of an unpermuted run.
-// Callers slice it to a chunk's range.
-func Identity(n int) []int32 {
-	ws := make([]int32, n)
-	for i := range ws {
-		ws[i] = int32(i)
-	}
-	return ws
 }
 
 // MixSeed mixes a base seed with an index (splitmix64 finalizer), giving
@@ -101,9 +90,9 @@ type nativeKernel struct {
 	config []int
 
 	// prog holds the configuration's CRN duration rows (row(i) = task i's,
-	// indexed by world), filled when the kernel is built; nil when no
-	// figure is sampled. pricePerTask is each task's hourly price under the
-	// configuration, resolved only when cost samples are needed.
+	// indexed by world); nil when no figure is sampled. pricePerTask is each
+	// task's hourly price under the configuration, resolved only when cost
+	// samples are needed.
 	prog         *Program
 	pricePerTask []float64
 	meanCost     float64 // deterministic Eq. 1-2 cost, computed once
@@ -125,9 +114,9 @@ type nativeKernel struct {
 }
 
 // CRNKernel builds the world kernel of one configuration against the
-// shared duration matrix of the given base seed. Row filling happens here
-// (serially, under the program's fill lock), so Sample is read-only and a
-// device may run worlds concurrently.
+// shared duration matrix of the given base seed. The matrix is sampled when
+// its Program is built, so Sample is read-only and a device may run worlds
+// concurrently.
 func (n *Native) CRNKernel(config []int, base int64) (WorldKernel, error) {
 	k, err := n.newCRNKernel(config, base)
 	if err != nil {
@@ -149,7 +138,6 @@ func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
 	k := &nativeKernel{n: n, config: config, Figures: n.figures, meanCost: n.meanCost(config)}
 	if k.needMS || k.needCost {
 		k.prog = n.program(base)
-		k.prog.fill(config)
 	}
 	if k.needCost {
 		k.pricePerTask = make([]float64, len(config))
@@ -164,63 +152,41 @@ func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
 // row returns task i's CRN duration row.
 func (k *nativeKernel) row(i int32) []float64 { return k.prog.row(int(i), k.config[i]) }
 
-// Sample implements WorldKernel: gather the chunk's task durations from the
-// CRN matrix, compute the makespans — by the full longest-path DP, or by the
-// incremental dirty-cone recurrence when a parent snapshot is attached —
-// and sum the realized costs, then score the probabilistic constraints. Each
-// pass runs task-major over the chunk; every world's figures come out of the
+// Sample implements WorldKernel: compute the chunk's makespans from the CRN
+// matrix — by the full longest-path DP, or by the incremental dirty-cone
+// recurrence when a parent snapshot is attached — and sum the realized
+// costs, then score the probabilistic constraints. Each pass runs task-major
+// over the chunk's run of every row; every world's figures come out of the
 // same operations, in the same order, as a lone world's would. All
-// randomness was drawn at row-fill time.
-func (k *nativeKernel) Sample(ws []int32, out []float64) error {
-	m, lo := len(ws), contiguous(ws)
+// randomness was drawn when the Program was built.
+func (k *nativeKernel) Sample(lo, hi int, out []float64) error {
+	m := hi - lo
 	bs := k.prog.block(m)
 	defer k.prog.blocks.Put(bs)
 	ms, cost := bs.ms[:m], bs.cost[:m]
 	if k.needMS {
 		if k.parent != nil {
-			k.deltaMS(ws, lo, bs)
+			k.deltaMS(lo, m, bs)
 		} else {
-			k.fullMS(ws, lo, bs)
+			k.fullMS(lo, m, bs)
 		}
 	}
 	if k.needCost {
-		k.blockCost(ws, lo, cost, bs.tmp[:m])
+		k.blockCost(lo, cost)
 	}
 	w := k.Width()
-	for r := range ws {
+	for r := range m {
 		k.Score(out[r*w:(r+1)*w], ms[r], cost[r])
 	}
 	return nil
 }
 
-// contiguous returns lo when ws is the ascending run lo, lo+1, ..., and -1
-// otherwise: a contiguous chunk reads duration rows and snapshot runs in
-// place instead of gathering them.
-func contiguous(ws []int32) int {
-	for r, w := range ws {
-		if w != ws[0]+int32(r) {
-			return -1
-		}
-	}
-	return int(ws[0])
-}
-
-// gather returns the chunk's entries of one per-world row: the row's run
-// itself when the chunk is contiguous (lo >= 0), else a gather into tmp.
-func gather(row []float64, ws []int32, lo int, tmp []float64) []float64 {
-	if lo >= 0 {
-		return row[lo : lo+len(ws)]
-	}
-	for r, w := range ws {
-		tmp[r] = row[w]
-	}
-	return tmp
-}
-
-// blockCost sums every world's realized cost over the tasks in index order
-// (float summation order is observable): the configuration's transfer cost,
-// then per task its spot cost row or its duration at the on-demand price.
-func (k *nativeKernel) blockCost(ws []int32, lo int, cost, tmp []float64) {
+// blockCost sums the realized cost of worlds [lo, lo+len(cost)) over the
+// tasks in index order (float summation order is observable): the
+// configuration's transfer cost, then per task its spot cost row or its
+// duration at the on-demand price.
+func (k *nativeKernel) blockCost(lo int, cost []float64) {
+	hi := lo + len(cost)
 	for r := range cost {
 		cost[r] = k.xferTotal
 	}
@@ -228,30 +194,28 @@ func (k *nativeKernel) blockCost(ws []int32, lo int, cost, tmp []float64) {
 		// A task on a spot column carries its paired realized cost row
 		// (market.go).
 		if cr := k.prog.costRow(i, j); cr != nil {
-			for r, c := range gather(cr, ws, lo, tmp) {
+			for r, c := range cr[lo:hi] {
 				cost[r] += c
 			}
 			continue
 		}
 		price := k.pricePerTask[i]
-		for r, d := range gather(k.prog.row(i, j), ws, lo, tmp) {
+		for r, d := range k.prog.row(i, j)[lo:hi] {
 			cost[r] += d / 3600 * price
 		}
 	}
 }
 
-// fullMS runs the full longest-path DP for the chunk, task-major: for each
-// task in topological order, the start of every world is the max over the
-// parent finishes (parents in CSR order, strict >, from 0) and its finish
-// adds the world's duration. Without a capture snapshot the finish times
-// live in pooled scratch; with one they land in the snapshot — computed in
-// place for a contiguous chunk, written to the chunk's world columns after
-// the pass for a scattered one — along with each world's makespan and
-// argmax task, so children of this state can later be evaluated
-// incrementally.
-func (k *nativeKernel) fullMS(ws []int32, lo int, bs *blockScratch) {
+// fullMS runs the full longest-path DP for worlds [lo, lo+m), task-major:
+// for each task in topological order, the start of every world is the max
+// over the parent finishes (parents in CSR order, strict >, from 0) and its
+// finish adds the world's duration. Without a capture snapshot the finish
+// times live in pooled scratch; with one they are computed in place in the
+// snapshot's [lo, lo+m) run of each task row, along with each world's
+// makespan and argmax task, so children of this state can later be
+// evaluated incrementally.
+func (k *nativeKernel) fullMS(lo, m int, bs *blockScratch) {
 	f := k.n.flat
-	m := len(ws)
 	ms, amax := bs.ms[:m], bs.amax[:m]
 	clear(ms)
 	for r := range amax {
@@ -259,10 +223,9 @@ func (k *nativeKernel) fullMS(ws []int32, lo int, bs *blockScratch) {
 	}
 	// fin holds task t's finish in chunk row r at fin[t*stride+off+r].
 	fin, stride, off := bs.scratch(f.Len(), m), m, 0
-	if k.capture != nil && lo >= 0 {
+	if k.capture != nil {
 		fin, stride, off = k.capture.finish, k.capture.worlds, lo
 	}
-	tmp := bs.tmp[:m]
 	for ki, ti := range f.Order {
 		dst := fin[int(ti)*stride+off : int(ti)*stride+off+m]
 		// No zeroing of fin needed: topological order writes a task before
@@ -275,7 +238,7 @@ func (k *nativeKernel) fullMS(ws []int32, lo int, bs *blockScratch) {
 				}
 			}
 		}
-		for r, d := range gather(k.row(ti), ws, lo, tmp) {
+		for r, d := range k.row(ti)[lo : lo+m] {
 			end := dst[r] + d
 			dst[r] = end
 			if end > ms[r] {
@@ -284,21 +247,9 @@ func (k *nativeKernel) fullMS(ws []int32, lo int, bs *blockScratch) {
 			}
 		}
 	}
-	if k.capture == nil {
-		return
+	if k.capture != nil {
+		k.capture.store(lo, ms, amax)
 	}
-	if lo < 0 {
-		// A scattered chunk ran in scratch; write its rows to their world
-		// columns.
-		W := k.capture.worlds
-		for t := 0; t < f.Len(); t++ {
-			dst := k.capture.finish[t*W : (t+1)*W]
-			for r, v := range fin[t*m : (t+1)*m] {
-				dst[ws[r]] = v
-			}
-		}
-	}
-	k.capture.store(ws, ms, amax)
 }
 
 // Reduce implements WorldKernel: the reduction over every world, which is

@@ -15,7 +15,7 @@ func foldOutOfOrder(t *testing.T, k WorldKernel) *Evaluation {
 	worlds, width := k.Worlds(), k.Width()
 	slots := make([]float64, worlds*width)
 	for it := worlds - 1; it >= 0; it-- {
-		if err := k.Sample([]int32{int32(it)}, slots[it*width:(it+1)*width]); err != nil {
+		if err := k.Sample(it, it+1, slots[it*width:(it+1)*width]); err != nil {
 			t.Fatal(err)
 		}
 	}

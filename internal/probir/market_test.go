@@ -173,7 +173,7 @@ func TestSpotDeltaMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	childSnap := n.NewSnapshot()
-	dk, err := n.CRNDeltaKernel(childCfg, base, []int32{2}, parentSnap, childSnap)
+	dk, err := plannedDelta(n, childCfg, base, []int32{2}, parentSnap, childSnap)
 	if err != nil {
 		t.Fatal(err)
 	}

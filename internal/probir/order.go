@@ -2,98 +2,79 @@ package probir
 
 import "sort"
 
-// This file implements decisive-world-first ordering: a per-world severity
-// signal computed once per (program, base seed) that lets the adaptive
-// evaluator run likely-violating worlds first. The exact worst-case stopping
-// rule (package sample) bounds the final success probability over the FIXED
-// finite world set, so it stays valid under any fixed permutation of that
-// set — the permutation changes which prefix is seen, never the bound's
-// soundness. Front-loading severe worlds means a near-boundary infeasible
-// state meets its floor((1-pct)*N)+1 failing worlds in the first chunk
-// instead of spread across all N, and a feasible state exhausts its few
-// failing worlds early so the tail checkpoint at ceil(pct*N) can confirm it.
+// This file implements decisive-world-first storage: a per-world severity
+// signal computed once per (program, base seed) and used to number the
+// worlds, so the adaptive evaluator, which runs worlds in ascending position,
+// meets likely-violating worlds first. The exact worst-case stopping rule
+// (package sample) bounds the final success probability over the FIXED
+// finite world set, so it stays valid under any fixed numbering of that set —
+// the numbering changes which prefix is seen, never the bound's soundness.
+// Front-loading severe worlds means a near-boundary infeasible state meets
+// its floor((1-pct)*N)+1 failing worlds in the first chunk instead of spread
+// across all N, and a feasible state exhausts its few failing worlds early
+// so the tail checkpoint at ceil(pct*N) can confirm it.
 //
 // The severity signal is the critical-path length over the CRN duration
 // base, summed across every uniform configuration: severity[w] is the sum
 // over instance types j of the makespan of world w with every task on type
-// j. Duration rows are keyed by (task, type, iteration), so a mixed
+// j. Duration rows are keyed by (task, type, world), so a mixed
 // configuration's makespan reads one uniform configuration's draw per task —
 // a world slow across the uniform sweeps is slow under any configuration.
 // The signal depends only on (program content, base seed), never on the
-// search state or device, so the resulting permutation — and with it every
-// adaptive decision — is bit-identical on every device.
+// search state or device, so the numbering — and with it every adaptive
+// decision — is bit-identical on every device.
 
-// WorldOrder returns the decisive-world-first permutation of the Monte-Carlo
-// worlds for one CRN base seed — position p holds the p-th world to run —
-// or nil when evaluation samples no worlds. Worlds are sorted by descending
-// severity (critical-path sum over the uniform configurations), ties broken
-// by ascending world index. The permutation is computed once per compiled
-// program and cached; computing it fills the program's full duration matrix,
-// which doubles as a warm-up for the search that follows.
-func (n *Native) WorldOrder(base int64) []int32 {
-	if n.Iters <= 0 || !n.samplesWorlds() {
-		return nil
-	}
-	return n.program(base).worldOrder()
-}
-
-// samplesWorlds reports whether evaluation runs any Monte-Carlo worlds at
-// all (a sampled makespan or a sampled cost figure).
-func (n *Native) samplesWorlds() bool {
-	if n.needsMSSampling() || n.hasSpot {
-		return true
-	}
-	for _, c := range n.Constraints {
-		if c.Kind == "budget" && c.Percentile >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// worldOrder computes and caches the program's severity permutation.
-func (p *Program) worldOrder() []int32 {
-	p.orderOnce.Do(func() {
-		f := p.flat
-		nt := f.Len()
-		sev := make([]float64, p.iters)
-		cfg := make([]int, nt)
-		finish := make([]float64, nt)
-		for j := 0; j < p.nTypes; j++ {
-			for i := range cfg {
-				cfg[i] = j
-			}
-			rows := p.Rows(cfg)
+// sortWorlds renumbers the sampled worlds by descending severity, ties
+// broken by ascending stream index, and permutes every duration and cost
+// row into that numbering: afterwards position p of each row is world p.
+func (p *Program) sortWorlds() {
+	f := p.flat
+	// perType[j*iters+w] is world w's makespan with every task on type j.
+	perType := make([]float64, p.nTypes*p.iters)
+	spread(p.nTypes, func(lo, hi int) {
+		dur, finish := make([]float64, f.Len()), make([]float64, f.Len())
+		for j := lo; j < hi; j++ {
 			for it := 0; it < p.iters; it++ {
-				ms := 0.0
-				for k, ti := range f.Order {
-					start := 0.0
-					for _, pa := range f.Parents[f.ParentStart[k]:f.ParentStart[k+1]] {
-						if fp := finish[pa]; fp > start {
-							start = fp
-						}
-					}
-					end := start + rows[ti][it]
-					finish[ti] = end
-					if end > ms {
-						ms = end
-					}
+				for i := range dur {
+					dur[i] = p.row(i, j)[it]
 				}
-				sev[it] += ms
+				perType[j*p.iters+it] = f.Makespan(dur, finish)
 			}
 		}
-		order := make([]int32, p.iters)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			sa, sb := sev[order[a]], sev[order[b]]
-			if sa != sb {
-				return sa > sb
-			}
-			return order[a] < order[b]
-		})
-		p.order = order
 	})
-	return p.order
+	sev := make([]float64, p.iters)
+	for j := 0; j < p.nTypes; j++ {
+		for it := range sev {
+			sev[it] += perType[j*p.iters+it]
+		}
+	}
+	order := make([]int, p.iters)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		sa, sb := sev[order[a]], sev[order[b]]
+		if sa != sb {
+			return sa > sb
+		}
+		return order[a] < order[b]
+	})
+	spread(len(p.rows), func(lo, hi int) {
+		tmp := make([]float64, p.iters)
+		permute := func(row []float64) {
+			if row == nil {
+				return
+			}
+			copy(tmp, row)
+			for pos, w := range order {
+				row[pos] = tmp[w]
+			}
+		}
+		for ri := lo; ri < hi; ri++ {
+			permute(p.rows[ri])
+			if p.costRows != nil {
+				permute(p.costRows[ri])
+			}
+		}
+	})
 }

@@ -86,7 +86,7 @@ func RunKernelRange(k WorldKernel, sums []float64, lo, hi int) error {
 		return nil
 	}
 	out := make([]float64, (hi-lo)*width)
-	if err := k.Sample(Identity(hi)[lo:], out); err != nil {
+	if err := k.Sample(lo, hi, out); err != nil {
 		return err
 	}
 	for r := 0; r < hi-lo; r++ {

@@ -21,9 +21,10 @@
 //
 // Both evaluators run as world kernels plus a reduction (kernel.go), the
 // paper's block/thread shape. The kernel contract is ranged: one Sample call
-// computes a chunk of worlds — a run of the identity or of the
-// decisive-world-first permutation — into one figure row per world, and the
-// native kernel runs its longest-path passes task-major over the chunk.
+// computes a contiguous range of worlds into one figure row per world, and
+// the native kernel runs its longest-path passes task-major over the range.
+// A CRN Program samples its worlds once, when it is built, and stores them
+// decisive-world-first (order.go), so a world has one number everywhere.
 // Delta snapshots are task-major too (finish[task*worlds+w]), and their
 // arenas recycle through one process-wide freelist (delta.go). The
 // constraint semantics — figure layout,
@@ -174,36 +175,6 @@ func (n *Native) meanCost(config []int) float64 {
 		total += td.Mean()/3600*n.PricePerHour[j] + td.XferCostUSD
 	}
 	return total
-}
-
-// MeanMakespan estimates the expected makespan by Monte-Carlo sampling over
-// the flat evaluation core (the CRN base is drawn from rng).
-func (n *Native) MeanMakespan(config []int, rng *rand.Rand) (float64, error) {
-	if err := n.checkConfig(config); err != nil {
-		return 0, err
-	}
-	rows := n.program(rng.Int63()).Rows(config)
-	f := n.flat
-	finish := make([]float64, f.Len())
-	sum := 0.0
-	for it := 0; it < n.Iters; it++ {
-		ms := 0.0
-		for k, ti := range f.Order {
-			start := 0.0
-			for _, p := range f.Parents[f.ParentStart[k]:f.ParentStart[k+1]] {
-				if fp := finish[p]; fp > start {
-					start = fp
-				}
-			}
-			end := start + rows[ti][it]
-			finish[ti] = end
-			if end > ms {
-				ms = end
-			}
-		}
-		sum += ms
-	}
-	return sum / float64(n.Iters), nil
 }
 
 // Evaluate implements Evaluator: Monte-Carlo inference per Algorithm 1, run

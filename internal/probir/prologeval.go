@@ -211,12 +211,13 @@ func (k *prologKernel) Width() int { return 1 + 2*len(k.p.Program.Constraints) }
 
 // Sample implements WorldKernel: the chunk's worlds one at a time on one
 // pooled machine.
-func (k *prologKernel) Sample(ws []int32, out []float64) error {
+func (k *prologKernel) Sample(lo, hi int, out []float64) error {
 	m := k.pool.Get().(*prolog.Machine)
 	defer k.pool.Put(m)
 	width := k.Width()
-	for r, it := range ws {
-		if err := k.world(m, int(it), out[r*width:(r+1)*width]); err != nil {
+	for it := lo; it < hi; it++ {
+		r := it - lo
+		if err := k.world(m, it, out[r*width:(r+1)*width]); err != nil {
 			return err
 		}
 	}

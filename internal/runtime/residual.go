@@ -107,11 +107,12 @@ func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error
 // DAG. Observed finishes are facts; running tasks sample a conditioned
 // residual; unstarted tasks sample a full (drift-inflated) duration
 // starting at max(now, parents' finish).
-func (k *residualKernel) Sample(ws []int32, out []float64) error {
+func (k *residualKernel) Sample(lo, hi int, out []float64) error {
 	finish := make([]float64, len(k.r.ids))
 	width := k.Width()
-	for i, it := range ws {
-		k.world(int(it), finish, out[i*width:(i+1)*width])
+	for it := lo; it < hi; it++ {
+		r := it - lo
+		k.world(it, finish, out[r*width:(r+1)*width])
 	}
 	return nil
 }
@@ -176,9 +177,8 @@ func violationProb(ev *probir.Evaluation) float64 {
 // world) and reduces them — bit-identical to probir.RunKernel on any
 // device, because ReduceBlocks folds thread slots in canonical order.
 func evalKernel(k probir.WorldKernel, dev device.Device) (*probir.Evaluation, error) {
-	ws := probir.Identity(k.Worlds())
 	sums, errs := device.ReduceBlocks(dev, 1, k.Worlds(), k.Width(), func(_, lo, hi int, out []float64) error {
-		return k.Sample(ws[lo:hi], out)
+		return k.Sample(lo, hi, out)
 	})
 	if errs[0] != nil {
 		return nil, errs[0]

@@ -111,13 +111,13 @@ type Assignment struct {
 // PlanResult is the JSON form of a provisioning plan. Assignments are sorted
 // by task ID so identical plans serialize identically (and diff cleanly).
 type PlanResult struct {
-	Workflow        string       `json:"workflow"`
-	Tasks           int          `json:"tasks"`
-	Feasible        bool         `json:"feasible"`
-	EstimatedCost   float64      `json:"estimated_cost"`
-	Objective       float64      `json:"objective"`
-	ConstraintProbs []float64    `json:"constraint_probs,omitempty"`
-	StatesEvaluated int          `json:"states_evaluated"`
+	Workflow        string    `json:"workflow"`
+	Tasks           int       `json:"tasks"`
+	Feasible        bool      `json:"feasible"`
+	EstimatedCost   float64   `json:"estimated_cost"`
+	Objective       float64   `json:"objective"`
+	ConstraintProbs []float64 `json:"constraint_probs,omitempty"`
+	StatesEvaluated int       `json:"states_evaluated"`
 	// WorldsEvaluated / WorldsSaved report the adaptive-precision sampling
 	// economy of this job's solve (zero for fixed-precision solves).
 	WorldsEvaluated int64 `json:"worlds_evaluated,omitempty"`

@@ -270,25 +270,25 @@ type Snapshot struct {
 // gauges are filled by (*Manager).Snapshot, which knows the pool.
 func (m *Metrics) Snapshot(c *Cache, ec *deco.EvalCache) Snapshot {
 	s := Snapshot{
-		JobsQueued:      m.JobsQueued.Load(),
-		JobsRunning:     m.JobsRunning.Load(),
-		JobsDone:        m.JobsDone.Load(),
-		JobsFailed:      m.JobsFailed.Load(),
-		JobsCancelled:   m.JobsCancelled.Load(),
+		JobsQueued:          m.JobsQueued.Load(),
+		JobsRunning:         m.JobsRunning.Load(),
+		JobsDone:            m.JobsDone.Load(),
+		JobsFailed:          m.JobsFailed.Load(),
+		JobsCancelled:       m.JobsCancelled.Load(),
 		RunsDone:            m.RunsDone.Load(),
 		ReplansTotal:        m.ReplansTotal.Load(),
 		RevocationsTotal:    m.RevocationsTotal.Load(),
 		RecoveriesTotal:     m.RecoveriesTotal.Load(),
 		SpotSavingsUSDTotal: float64(m.SpotSavingsMicroUSD.Load()) / 1e6,
-		WorkersBusy:     m.WorkersBusy.Load(),
-		SolvesTotal:     m.SolvesTotal.Load(),
-		CoalescedTotal:  m.CoalescedTotal.Load(),
-		ForwardsTotal:   m.ForwardsTotal.Load(),
-		ForwardFailures: m.ForwardFailures.Load(),
-		ForwardHedged:   m.ForwardHedged.Load(),
-		CrossShardHits:  m.CrossShardHits.Load(),
-		PeerJobs:        m.PeerJobs.Load(),
-		QuotaRejected:   m.QuotaRejected.Load(),
+		WorkersBusy:         m.WorkersBusy.Load(),
+		SolvesTotal:         m.SolvesTotal.Load(),
+		CoalescedTotal:      m.CoalescedTotal.Load(),
+		ForwardsTotal:       m.ForwardsTotal.Load(),
+		ForwardFailures:     m.ForwardFailures.Load(),
+		ForwardHedged:       m.ForwardHedged.Load(),
+		CrossShardHits:      m.CrossShardHits.Load(),
+		PeerJobs:            m.PeerJobs.Load(),
+		QuotaRejected:       m.QuotaRejected.Load(),
 
 		WorldsEvaluatedTotal: m.WorldsEvaluatedTotal.Load(),
 		WorldsSavedTotal:     m.WorldsSavedTotal.Load(),
