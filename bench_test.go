@@ -13,6 +13,7 @@ package deco
 // paper-vs-measured comparison.
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -194,7 +195,7 @@ func BenchmarkEvaluationCore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernel := space.Describe(int64(i) + 1).Kernel
+		kernel := space.Describe(context.Background(), int64(i)+1).Kernel
 		for _, st := range states {
 			k, err := kernel(st)
 			if err != nil {

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -122,7 +123,7 @@ func boundaryDeadline(p *problem, worlds int, pct, lo, hi float64) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		k, err := n.CRNKernel(make([]int, p.w.Len()), 1)
+		k, err := n.CRNKernel(context.Background(), make([]int, p.w.Len()), 1)
 		if err != nil {
 			return 0, err
 		}
@@ -155,7 +156,7 @@ func boundaryDeadline(p *problem, worlds int, pct, lo, hi float64) (float64, err
 // kernels over one shared compiled program, folded canonically.
 func batchFlat(n *probir.Native, p *problem, base int64) error {
 	for _, cfg := range p.configs {
-		k, err := n.CRNKernel(cfg, base)
+		k, err := n.CRNKernel(context.Background(), cfg, base)
 		if err != nil {
 			return err
 		}

@@ -80,7 +80,8 @@ func WithCatalog(cat *cloud.Catalog) Option { return func(e *Engine) { e.cat = c
 func WithMetadata(md *cloud.Metadata) Option { return func(e *Engine) { e.meta = md } }
 
 // WithDevice selects the solver's execution device (default: TwoLevel, the
-// block/thread model of §5.2-5.3). Overrides any WithThreads setting.
+// block/thread model of §5.2-5.3). WithDevice and WithThreads both set the
+// device, so whichever comes later in the options wins.
 func WithDevice(d device.Device) Option { return func(e *Engine) { e.dev = d } }
 
 // WithThreads bounds the Monte-Carlo iteration parallelism within one state's
@@ -88,7 +89,9 @@ func WithDevice(d device.Device) Option { return func(e *Engine) { e.dev = d } }
 // device to state-level parallelism only, n > 1 lets at most n chunks of one
 // state's iterations run at once, and n <= 0 (the default) lets it split a
 // state's iterations freely. Plans are identical for every setting; the knob
-// trades scheduling overhead against narrow-batch utilization.
+// trades scheduling overhead against narrow-batch utilization. It sets the
+// device to TwoLevel{MaxThreads: n}, replacing any earlier WithDevice; a
+// later WithDevice replaces it in turn.
 func WithThreads(n int) Option {
 	return func(e *Engine) { e.dev = device.TwoLevel{MaxThreads: n} }
 }

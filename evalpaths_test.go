@@ -18,6 +18,7 @@ package deco
 // evaluation on every device.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,9 @@ type frozenSpace struct {
 
 func (f *frozenSpace) Starts() []opt.State                 { return []opt.State{f.st.Clone()} }
 func (f *frozenSpace) Neighbors(opt.State) []opt.Transform { return nil }
-func (f *frozenSpace) Describe(seed int64) opt.Descriptor  { return f.inner.Describe(seed) }
+func (f *frozenSpace) Describe(ctx context.Context, seed int64) opt.Descriptor {
+	return f.inner.Describe(ctx, seed)
+}
 
 // children returns the child states of a transform list.
 func children(trs []opt.Transform) []opt.State {
@@ -138,7 +141,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 				want.Value = v
 			}
 			// Kernel path, folded sequentially.
-			k, err := sp.Describe(base).Kernel(st)
+			k, err := sp.Describe(context.Background(), base).Kernel(st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +371,7 @@ func TestEvalPathZeroWorldPrograms(t *testing.T) {
 			states := sp.Starts()
 			states = append(states, children(sp.Neighbors(states[0]))...)
 			for _, st := range states {
-				k, err := sp.Describe(base).Kernel(st)
+				k, err := sp.Describe(context.Background(), base).Kernel(st)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,6 +10,7 @@
 package ensemble
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -233,7 +234,7 @@ func (s *Space) Neighbors(st opt.State) []opt.Transform {
 
 // Describe implements opt.Space: the admission kernel and the space's
 // fingerprint. The objective is deterministic, so the seed plays no part.
-func (s *Space) Describe(int64) opt.Descriptor {
+func (s *Space) Describe(context.Context, int64) opt.Descriptor {
 	return opt.Descriptor{Kernel: s.Kernel, Fingerprint: s.Fingerprint()}
 }
 

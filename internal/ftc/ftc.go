@@ -18,6 +18,7 @@
 package ftc
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -411,7 +412,7 @@ func (s *Space) reduce(sums []float64) *probir.Evaluation {
 
 // Describe implements opt.Space: the placement kernel and the space's
 // fingerprint. The objective is deterministic, so the seed plays no part.
-func (s *Space) Describe(int64) opt.Descriptor {
+func (s *Space) Describe(context.Context, int64) opt.Descriptor {
 	return opt.Descriptor{Kernel: s.Kernel, Fingerprint: s.Fingerprint()}
 }
 

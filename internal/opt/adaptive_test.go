@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -17,7 +18,7 @@ type mapOnlySpace struct{}
 
 func (mapOnlySpace) Starts() []State               { return []State{{0}} }
 func (mapOnlySpace) Neighbors(s State) []Transform { return nil }
-func (mapOnlySpace) Describe(int64) Descriptor {
+func (mapOnlySpace) Describe(context.Context, int64) Descriptor {
 	return Descriptor{Kernel: func(State) (probir.WorldKernel, error) {
 		return evalKernel(func() (*probir.Evaluation, error) {
 			return &probir.Evaluation{Value: 1, Feasible: true}, nil
@@ -308,7 +309,7 @@ type failingReduceSpace struct{ samples atomic.Int64 }
 
 func (s *failingReduceSpace) Starts() []State             { return []State{{0}} }
 func (s *failingReduceSpace) Neighbors(State) []Transform { return nil }
-func (s *failingReduceSpace) Describe(int64) Descriptor {
+func (s *failingReduceSpace) Describe(context.Context, int64) Descriptor {
 	return Descriptor{Kernel: func(State) (probir.WorldKernel, error) {
 		return failingReduceKernel{&s.samples}, nil
 	}}

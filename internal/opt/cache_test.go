@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"testing"
 
 	"deco/internal/cloud"
@@ -141,7 +142,7 @@ func TestSearchCacheDisabledForUnidentifiableSpace(t *testing.T) {
 	sp := NewScheduleSpace(w, ne)
 	sp.CostFn = func(st State) (float64, error) { return float64(len(st)), nil }
 	// CostTag deliberately left empty.
-	if fp := sp.Describe(3).Fingerprint; fp != "" {
+	if fp := sp.Describe(context.Background(), 3).Fingerprint; fp != "" {
 		t.Fatalf("unidentifiable space fingerprinted as %q", fp)
 	}
 	cache := NewEvalCache(0)

@@ -3,12 +3,14 @@ package opt
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"deco/internal/device"
 	"deco/internal/probir"
+	"deco/internal/wfgen"
 )
 
 // slowSpace is a search space whose evaluations take a fixed wall time, so
@@ -34,7 +36,7 @@ func (s *slowSpace) Neighbors(st State) []Transform {
 	return out
 }
 
-func (s *slowSpace) Describe(int64) Descriptor {
+func (s *slowSpace) Describe(context.Context, int64) Descriptor {
 	return Descriptor{Kernel: func(st State) (probir.WorldKernel, error) {
 		return evalKernel(func() (*probir.Evaluation, error) { return s.evaluate(st) }), nil
 	}}
@@ -111,5 +113,34 @@ func TestSearchNilContextStillWorks(t *testing.T) {
 	}
 	if res.BestEval == nil || res.Evaluated == 0 {
 		t.Fatal("search with nil context returned no result")
+	}
+}
+
+// TestCompileCancelsProgramBuild cancels a search while Compile is still
+// building its CRN Program (473 tasks × 4 types × 4000 worlds, hundreds of
+// milliseconds) and requires Compile to give up within 100 ms with an error
+// that wraps context.Canceled.
+func TestCompileCancelsProgramBuild(t *testing.T) {
+	w, err := wfgen.Montage(8, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ne, _ := buildEval(t, w, 40000, 0.95, 4000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Compile(NewScheduleSpace(w, ne), Options{Device: device.Sequential{}, Ctx: ctx})
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	cancelled := time.Now()
+	err = <-done
+	if took := time.Since(cancelled); took > 100*time.Millisecond {
+		t.Errorf("Compile returned %v after the cancel, want within 100ms", took)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compile under a cancelled build: err %v, want context.Canceled (did the build finish within 20ms?)", err)
 	}
 }

@@ -2,16 +2,20 @@
 // provisioning as a search over states (provisioning plans), with state
 // transitions driven by the workflow transformation operations of the
 // authors' earlier work (Move, Merge, Promote, Demote, Split,
-// Co-Scheduling). Two searches are provided:
+// Co-Scheduling). One search driver (Problem.Search) runs both searches of
+// the paper:
 //
-//   - Generic search (Algorithm 2): breadth-first traversal from the initial
-//     state, choosing exploration over exploitation so each level's states
+//   - Generic search (Algorithm 2): breadth-first traversal from the start
+//     states, choosing exploration over exploitation so each level's states
 //     evaluate in parallel on the device; the frontier is beam-bounded to
-//     balance overhead and solution optimality.
+//     balance overhead and solution optimality. A best-first phase over every
+//     evaluated state then spends the rest of the budget.
 //   - A* search: enabled by the WLog program's enabled(astar) directive with
-//     the cal_g_score/est_h_score predicates. States are expanded best-first
-//     and pruned against the best found solution (children of a state never
-//     score better than the state under the monotone assumption of §5.3).
+//     the cal_g_score/est_h_score predicates. It is the same driver without
+//     the breadth-first levels: the best-first phase starts right after the
+//     start batch and prunes states worse than a feasible incumbent (children
+//     of a state never score better than the state under the monotone
+//     assumption of §5.3).
 //
 // Every state evaluation is a Monte-Carlo inference over the probabilistic
 // IR (package probir); evaluations of distinct states are independent and
@@ -87,8 +91,10 @@ type Space interface {
 	// Neighbors generates the child states of s via the transformation
 	// operations, in a deterministic order.
 	Neighbors(s State) []Transform
-	// Describe binds the space's evaluation to one search seed.
-	Describe(seed int64) Descriptor
+	// Describe binds the space's evaluation to one search: its seed, and
+	// the search's context, which cancels any long build the evaluation
+	// needs before its first kernel (a CRN program's sampled worlds).
+	Describe(ctx context.Context, seed int64) Descriptor
 }
 
 // Transform is one transformation edge of the search graph: the child state
@@ -163,8 +169,9 @@ type Options struct {
 	// BeamWidth bounds how many frontier states expand per level of the
 	// generic search (the exploration/exploitation balance of §5.3).
 	BeamWidth int
-	// Patience stops the search after this many levels (generic) or
-	// expansions (A*) without improvement.
+	// Patience ends the generic search's breadth-first levels after this many
+	// levels without a new incumbent, and A* after this many best-first
+	// expansions without a new feasible incumbent.
 	Patience int
 	// Seed makes runs reproducible; the space's Describe binds it. Under the
 	// common-random-number contract it is the search-level CRN base: every
@@ -175,10 +182,12 @@ type Options struct {
 	// matching DefaultOptions, so a zero-value Options and DefaultOptions
 	// agree.
 	Seed int64
-	// AStar selects best-first search with pruning instead of the generic
-	// breadth-first search.
+	// AStar runs A* (§5.3): the search without breadth-first levels after
+	// the start batch, pruning best-first expansions against a feasible
+	// incumbent (see Problem.Search).
 	AStar bool
-	// Ctx cancels the search between evaluation batches; nil means
+	// Ctx cancels the search between evaluation batches and during the
+	// space's evaluation build (see Space.Describe); nil means
 	// context.Background(). A cancelled search returns the context's error
 	// (test with errors.Is against context.Canceled / DeadlineExceeded).
 	Ctx context.Context
@@ -231,15 +240,12 @@ type Options struct {
 	Confidence float64
 }
 
-// DefaultOptions returns a reasonable configuration on the given device.
+// DefaultOptions returns the default configuration on the given device: the
+// zero Options with every default filled in, as Compile fills them.
 func DefaultOptions(d device.Device) Options {
-	return Options{
-		Device:    d,
-		MaxStates: 4000,
-		BeamWidth: 8,
-		Patience:  12,
-		Seed:      1,
-	}
+	o := Options{Device: d}
+	fillDefaults(&o)
+	return o
 }
 
 // Result is the outcome of a search.
@@ -247,8 +253,10 @@ type Result struct {
 	Best      State
 	BestEval  *probir.Evaluation
 	Evaluated int
-	Levels    int
-	Elapsed   time.Duration
+	// Levels counts the evaluated batches: the start batch, the generic
+	// search's breadth-first levels and every best-first expansion.
+	Levels  int
+	Elapsed time.Duration
 	// Feasible reports whether any feasible state was found; if false, Best
 	// is the least-violating state seen.
 	Feasible bool
@@ -308,7 +316,7 @@ func StateBase(seed int64, key string) int64 {
 
 // dedupCandidates returns the candidates not already visited, deduplicated
 // among themselves, WITHOUT marking them visited. Marking happens at
-// evaluation time (markVisited), so a state trimmed from a batch by the
+// evaluation time (search.step), so a state trimmed from a batch by the
 // evaluation budget stays reachable — and evaluable — through a later
 // expansion of another parent.
 func dedupCandidates(cands []candidate, visited map[string]bool) []candidate {
@@ -324,14 +332,8 @@ func dedupCandidates(cands []candidate, visited map[string]bool) []candidate {
 	return out
 }
 
-// markVisited records candidates as visited at the moment they are actually
-// submitted for evaluation.
-func markVisited(cands []candidate, visited map[string]bool) {
-	for _, c := range cands {
-		visited[c.key] = true
-	}
-}
-
+// fillDefaults replaces every unset knob with its default; Compile and
+// DefaultOptions share it.
 func fillDefaults(opt *Options) {
 	if opt.Device == nil {
 		opt.Device = device.TwoLevel{}
@@ -360,11 +362,7 @@ func fillDefaults(opt *Options) {
 }
 
 // Search compiles the space against the options and runs the solver,
-// returning the best state found: Compile then Problem.Search. It dispatches
-// to A* when opt.AStar is set, otherwise to the generic search of
-// Algorithm 2. All start states seed the same frontier, so the shared budget
-// flows to the most promising region and the exploitation phase descends
-// from the single global incumbent.
+// returning the best state found: Compile then Problem.Search.
 func Search(sp Space, opt Options) (*Result, error) {
 	p, err := Compile(sp, opt)
 	if err != nil {
@@ -373,75 +371,56 @@ func Search(sp Space, opt Options) (*Result, error) {
 	return p.Search()
 }
 
-// genericSearch is Algorithm 2 with device-parallel level evaluation and a
-// beam-bounded frontier, seeded with the compiled start states.
-func (p *Problem) genericSearch() (*Result, error) {
+// Search runs the compiled problem to completion. One driver serves both
+// searches of §5.3. All start states form the first batch, so the shared
+// budget flows to the most promising region and the best-first phase
+// descends from one global incumbent. The generic search (Algorithm 2) then
+// explores breadth-first on 40% of the budget, expanding the best BeamWidth
+// states of each level, and exploits best-first over the pool of every state
+// evaluated so far until the budget runs out. A*
+// (Options.AStar) is the same driver with three differences: no beam levels
+// after the start batch, pruning of popped states that score strictly worse
+// than a feasible incumbent, and Patience counted over best-first expansions
+// once a feasible incumbent exists. The incumbent is the lowest Score
+// evaluated, which is feasible whenever any evaluated state is.
+func (p *Problem) Search() (*Result, error) {
+	if p.snaps != nil {
+		// The finished search's snapshots go back to the freelist, where the
+		// next search (on any evaluator) recycles their arenas.
+		defer func() {
+			n, b := p.snaps.drain()
+			p.stats.Snapshots += n
+			p.stats.SnapshotBytes += b
+		}()
+	}
 	opt := p.opts
 	start := time.Now()
-	res := &Result{}
-	visited := map[string]bool{}
-	frontier := dedupCandidates(p.startCandidates(), visited)
-	var best *scored
-	stale := 0
+	s := &search{p: p, visited: map[string]bool{}}
 
-	// pool keeps every evaluated state for the exploitation phase.
-	pool := pq{}
-	heap.Init(&pool)
-
-	// Exploration gets 40% of the budget; the rest funds the exploitation
-	// (best-first descent) phase, which advances one level per
-	// ~branching-factor evaluations and therefore converges much deeper per
-	// evaluation.
-	exploreBudget := opt.MaxStates * 2 / 5
-	if exploreBudget < 1 {
-		exploreBudget = 1
+	// Beam phase. The best-first phase advances one level per
+	// ~branching-factor evaluations and so converges much deeper per
+	// evaluation; exploration gets 40% of the budget. A*'s only level is its
+	// start batch, which may spend all of it.
+	budget := max(opt.MaxStates*2/5, 1)
+	if opt.AStar {
+		budget = opt.MaxStates
 	}
-
+	frontier := dedupCandidates(p.startCandidates(), s.visited)
 	// expanded are the states whose children form the frontier; their
 	// snapshots are released once that frontier has been evaluated (left
-	// childless, they are released when the exploitation phase pops them).
+	// childless, they are released when the best-first phase pops them).
 	var expanded []scored
-	for len(frontier) > 0 && res.Evaluated < exploreBudget {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("opt: search cancelled: %w", err)
+	for len(frontier) > 0 && s.res.Evaluated < budget {
+		batch, changed, err := s.step(frontier, budget)
+		if err != nil {
+			return nil, err
 		}
-		// Trim the level to the remaining budget, and only THEN mark the
-		// survivors visited: a state dropped here was never evaluated, and
-		// marking it up front would make it permanently unreachable even
-		// though the exploitation phase can re-generate it from its pooled
-		// parent and still has budget for it.
-		if res.Evaluated+len(frontier) > exploreBudget {
-			frontier = frontier[:exploreBudget-res.Evaluated]
+		for _, e := range expanded {
+			p.releaseSnapshot(e.key)
 		}
-		markVisited(frontier, visited)
-		batch := p.evaluateCandidates(frontier)
-		for _, s := range expanded {
-			p.releaseSnapshot(s.key)
+		if opt.AStar || !s.patient(changed) {
+			break
 		}
-		res.Evaluated += len(batch)
-		res.Levels++
-
-		improved := false
-		for i := range batch {
-			if batch[i].err != nil {
-				return nil, batch[i].err
-			}
-			pool.PushItem(pqItem{scored: batch[i], priority: Score(batch[i].eval, opt.Maximize)})
-			if best == nil || Score(batch[i].eval, opt.Maximize) < Score(best.eval, opt.Maximize) {
-				b := batch[i]
-				best = &b
-				improved = true
-			}
-		}
-		if improved {
-			stale = 0
-		} else {
-			stale++
-			if stale >= opt.Patience {
-				break
-			}
-		}
-
 		// Rank this level's states and expand the best BeamWidth of them.
 		sort.Slice(batch, func(i, j int) bool {
 			si, sj := Score(batch[i].eval, opt.Maximize), Score(batch[j].eval, opt.Maximize)
@@ -450,69 +429,115 @@ func (p *Problem) genericSearch() (*Result, error) {
 			}
 			return batch[i].key < batch[j].key // deterministic ties
 		})
-		expanded = batch
-		if len(expanded) > opt.BeamWidth {
-			expanded = expanded[:opt.BeamWidth]
-		}
+		expanded = batch[:min(len(batch), opt.BeamWidth)]
 		var next []candidate
-		for _, s := range expanded {
-			next = append(next, p.childCandidates(s.state, s.key)...)
+		for _, e := range expanded {
+			next = append(next, p.childCandidates(e.state, e.key)...)
 		}
-		frontier = dedupCandidates(next, visited)
-	}
-	if best == nil {
-		return nil, fmt.Errorf("opt: no states evaluated")
+		frontier = dedupCandidates(next, s.visited)
 	}
 
-	// Exploitation phase (§5.3's exploration/exploitation balance): spend
-	// the remaining budget on best-first expansion over the pool of states
-	// seen so far, so a stalled greedy line falls back to the next most
-	// promising state instead of giving up.
-	for pool.Len() > 0 && res.Evaluated < opt.MaxStates {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("opt: search cancelled: %w", err)
+	// Best-first phase (§5.3's exploitation): expand the pool's best state,
+	// so a stalled greedy line falls back to the next most promising one.
+	for s.pool.Len() > 0 && s.res.Evaluated < opt.MaxStates {
+		item := heap.Pop(&s.pool).(pqItem)
+		// A* prunes: under the monotone assumption of §5.3 ("child states ...
+		// always generate higher cost than their parent") a state strictly
+		// worse than a feasible incumbent is a dead end. States tying it
+		// (including the incumbent itself) still expand: with plan-level
+		// packing the objective is not perfectly monotone.
+		pruned := opt.AStar && s.best.eval.Feasible && item.priority > s.bestScore
+		var children []candidate
+		if !pruned {
+			children = dedupCandidates(p.childCandidates(item.state, item.key), s.visited)
 		}
-		item := heap.Pop(&pool).(pqItem)
-		children := dedupCandidates(p.childCandidates(item.state, item.key), visited)
 		if len(children) == 0 {
 			p.releaseSnapshot(item.key)
 			continue
 		}
-		// As in the exploration phase: trim to the budget first, mark
-		// visited only what actually gets evaluated.
-		if res.Evaluated+len(children) > opt.MaxStates {
-			children = children[:opt.MaxStates-res.Evaluated]
+		_, changed, err := s.step(children, opt.MaxStates)
+		if err != nil {
+			return nil, err
 		}
-		markVisited(children, visited)
-		batch := p.evaluateCandidates(children)
 		p.releaseSnapshot(item.key)
-		res.Evaluated += len(batch)
-		for i := range batch {
-			if batch[i].err != nil {
-				return nil, batch[i].err
-			}
-			sc := Score(batch[i].eval, opt.Maximize)
-			if sc < Score(best.eval, opt.Maximize) {
-				b := batch[i]
-				best = &b
-			}
-			pool.PushItem(pqItem{scored: batch[i], priority: sc})
+		if opt.AStar && !s.patient(changed) {
+			break
 		}
 	}
 
-	// Adaptive evaluations may have stopped the best state early; the
+	// Adaptive evaluations may have stopped the incumbent early; the
 	// returned result is always backed by a full evaluation.
-	if err := p.confirmBest(best); err != nil {
+	if err := p.confirmBest(s.best); err != nil {
 		return nil, err
 	}
-	res.Best = best.state
-	res.BestEval = best.eval
-	res.Feasible = best.eval.Feasible
+	res := s.res // a copy: the Result must not keep the pool and visited set alive
+	res.Best, res.BestEval, res.Feasible = s.best.state, s.best.eval, s.best.eval.Feasible
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return &res, nil
 }
 
-// pqItem is an entry of the A* open list.
+// search is one run of Problem.Search: the visited set, the pool of every
+// evaluated state, the incumbent and the patience count.
+type search struct {
+	p       *Problem
+	res     Result
+	visited map[string]bool
+	pool    pq
+	// best is the incumbent, the first state evaluated at the lowest Score;
+	// bestScore is its Score.
+	best      *scored
+	bestScore float64
+	stale     int
+}
+
+// step evaluates one batch: it checks for cancellation, trims the batch to
+// the evaluation limit, marks the survivors visited, evaluates them, pushes
+// them into the pool and updates the incumbent, reporting whether it changed.
+// Marking only what is evaluated keeps a trimmed state reachable through a
+// later expansion of another parent.
+func (s *search) step(cands []candidate, limit int) ([]scored, bool, error) {
+	if err := s.p.opts.Ctx.Err(); err != nil {
+		return nil, false, fmt.Errorf("opt: search cancelled: %w", err)
+	}
+	if s.res.Evaluated+len(cands) > limit {
+		cands = cands[:limit-s.res.Evaluated]
+	}
+	for _, c := range cands {
+		s.visited[c.key] = true
+	}
+	batch := s.p.evaluateCandidates(cands)
+	s.res.Evaluated += len(batch)
+	s.res.Levels++
+	changed := false
+	for i := range batch {
+		if batch[i].err != nil {
+			return nil, false, batch[i].err
+		}
+		sc := Score(batch[i].eval, s.p.opts.Maximize)
+		heap.Push(&s.pool, pqItem{scored: batch[i], priority: sc})
+		if s.best == nil || sc < s.bestScore {
+			b := batch[i]
+			s.best, s.bestScore, changed = &b, sc, true
+		}
+	}
+	return batch, changed, nil
+}
+
+// patient counts one batch against Options.Patience and reports whether the
+// search may go on: a batch that changed the incumbent resets the count, any
+// other adds one. A* counts only once its incumbent is feasible.
+func (s *search) patient(changed bool) bool {
+	switch {
+	case s.p.opts.AStar && !s.best.eval.Feasible:
+	case changed:
+		s.stale = 0
+	default:
+		s.stale++
+	}
+	return s.stale < s.p.opts.Patience
+}
+
+// pqItem is an entry of the search pool, ranked by Score, ties by key.
 type pqItem struct {
 	scored
 	priority float64
@@ -527,121 +552,6 @@ func (p pq) Less(i, j int) bool {
 	}
 	return p[i].key < p[j].key
 }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
-func (p *pq) PushItem(i pqItem) { heap.Push(p, i) }
-
-// astarSearch expands states best-first by g+h score (here: the evaluation
-// score, matching the paper's example where both scores are the estimated
-// monetary cost) and prunes states that cannot beat the best found solution.
-func (p *Problem) astarSearch() (*Result, error) {
-	opt := p.opts
-	start := time.Now()
-	res := &Result{}
-	visited := map[string]bool{}
-	initial := dedupCandidates(p.startCandidates(), visited)
-	if len(initial) > opt.MaxStates {
-		initial = initial[:opt.MaxStates]
-	}
-	markVisited(initial, visited)
-	if err := opt.Ctx.Err(); err != nil {
-		return nil, fmt.Errorf("opt: search cancelled: %w", err)
-	}
-	initBatch := p.evaluateCandidates(initial)
-	res.Evaluated = len(initBatch)
-	open := pq{}
-	heap.Init(&open)
-	var best, leastBad *scored
-	// leastBad tracks the least-violating state over everything *evaluated*
-	// (not merely popped from the open list): when the budget runs out before
-	// any pop — e.g. MaxStates <= len(starts) with no feasible start — the
-	// doc contract of Result.Best still holds.
-	noteEvaluated := func(s *scored) {
-		if leastBad == nil || Score(s.eval, opt.Maximize) < Score(leastBad.eval, opt.Maximize) {
-			c := *s
-			leastBad = &c
-		}
-	}
-	for i := range initBatch {
-		if initBatch[i].err != nil {
-			return nil, initBatch[i].err
-		}
-		sc := Score(initBatch[i].eval, opt.Maximize)
-		open.PushItem(pqItem{scored: initBatch[i], priority: sc})
-		noteEvaluated(&initBatch[i])
-		if initBatch[i].eval.Feasible && (best == nil || sc < Score(best.eval, opt.Maximize)) {
-			b := initBatch[i]
-			best = &b
-		}
-	}
-	stale := 0
-
-	for open.Len() > 0 && res.Evaluated < opt.MaxStates {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("opt: search cancelled: %w", err)
-		}
-		item := heap.Pop(&open).(pqItem)
-		// Prune: under the monotone assumption of §5.3 ("child states ...
-		// always generate higher cost than their parent") a state strictly
-		// worse than the incumbent is a dead end. States tying the incumbent
-		// (including the incumbent itself) still expand: with plan-level
-		// packing the objective is not perfectly monotone.
-		if best != nil && Score(item.eval, opt.Maximize) > Score(best.eval, opt.Maximize) {
-			p.releaseSnapshot(item.key)
-			continue
-		}
-		children := dedupCandidates(p.childCandidates(item.state, item.key), visited)
-		if len(children) == 0 {
-			p.releaseSnapshot(item.key)
-			continue
-		}
-		// Trim to the budget before marking visited, so a child dropped here
-		// can still be generated — and evaluated — from another parent.
-		if res.Evaluated+len(children) > opt.MaxStates {
-			children = children[:opt.MaxStates-res.Evaluated]
-		}
-		markVisited(children, visited)
-		batch := p.evaluateCandidates(children)
-		p.releaseSnapshot(item.key)
-		res.Evaluated += len(batch)
-		res.Levels++
-		improved := false
-		for i := range batch {
-			if batch[i].err != nil {
-				return nil, batch[i].err
-			}
-			sc := Score(batch[i].eval, opt.Maximize)
-			noteEvaluated(&batch[i])
-			if batch[i].eval.Feasible && (best == nil || sc < Score(best.eval, opt.Maximize)) {
-				b := batch[i]
-				best = &b
-				improved = true
-			}
-			open.PushItem(pqItem{scored: batch[i], priority: sc})
-		}
-		if improved {
-			stale = 0
-		} else if best != nil {
-			stale++
-			if stale >= opt.Patience {
-				break
-			}
-		}
-	}
-	chosen := best
-	if chosen == nil {
-		chosen = leastBad
-	}
-	if chosen == nil {
-		return nil, fmt.Errorf("opt: no states evaluated")
-	}
-	if err := p.confirmBest(chosen); err != nil {
-		return nil, err
-	}
-	res.Best = chosen.state
-	res.BestEval = chosen.eval
-	res.Feasible = chosen.eval.Feasible
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
+func (p pq) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
+func (p *pq) Push(x any)   { *p = append(*p, x.(pqItem)) }
+func (p *pq) Pop() any     { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }

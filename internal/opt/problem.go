@@ -216,7 +216,7 @@ func Compile(sp Space, o Options) (*Problem, error) {
 	if o.Confidence < 0.5 || o.Confidence >= 1 {
 		return nil, fmt.Errorf("opt: Options.Confidence must be in [0.5, 1) (0 selects the default), got %v", o.Confidence)
 	}
-	d := sp.Describe(o.Seed)
+	d := sp.Describe(o.Ctx, o.Seed)
 	p := &Problem{space: sp, opts: o, valueFig: -1, kernel: d.Kernel, fingerprint: d.Fingerprint}
 	if p.opts.Cache != nil && p.fingerprint != "" {
 		// An unidentifiable program stays unbound: a hit could be wrong.
@@ -292,24 +292,6 @@ func (p *Problem) Starts() []State { return p.starts }
 // (sequential stopping + racing) path. False either because Options.Adaptive
 // was off or because the space/device cannot support it.
 func (p *Problem) Adaptive() bool { return p.adaptive }
-
-// Search runs the compiled problem to completion: A* when Options.AStar is
-// set, otherwise the generic search of Algorithm 2.
-func (p *Problem) Search() (*Result, error) {
-	if p.snaps != nil {
-		// The finished search's snapshots go back to the freelist, where the
-		// next search (on any evaluator) recycles their arenas.
-		defer func() {
-			n, b := p.snaps.drain()
-			p.stats.Snapshots += n
-			p.stats.SnapshotBytes += b
-		}()
-	}
-	if p.opts.AStar {
-		return p.astarSearch()
-	}
-	return p.genericSearch()
-}
 
 // EvaluateStates scores a batch of states on the compiled pipeline — the
 // cache, evaluator, and device the search itself would use — and

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -49,7 +50,7 @@ var errFakeBuild = errors.New("fake kernel construction failure")
 
 func (fakeSpace) Starts() []State               { return []State{{0}} }
 func (fakeSpace) Neighbors(s State) []Transform { return nil }
-func (fakeSpace) Describe(int64) Descriptor {
+func (fakeSpace) Describe(context.Context, int64) Descriptor {
 	return Descriptor{Kernel: func(s State) (probir.WorldKernel, error) {
 		switch s[0] % 3 {
 		case 1:

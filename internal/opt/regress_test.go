@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,7 +29,7 @@ func (g *graphSpace) Neighbors(s State) []Transform {
 	return out
 }
 
-func (g *graphSpace) Describe(int64) Descriptor {
+func (g *graphSpace) Describe(context.Context, int64) Descriptor {
 	return Descriptor{Kernel: func(s State) (probir.WorldKernel, error) {
 		return evalKernel(func() (*probir.Evaluation, error) { return g.evaluate(s) }), nil
 	}}

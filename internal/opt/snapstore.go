@@ -13,8 +13,8 @@ import (
 // child batch has been evaluated, once dedup leaves it no children, or when
 // A* prunes it. Over the byte budget the store evicts the entry the search
 // would expand last — the worst Score, ties broken by the larger key, the
-// reverse of the order in which the exploitation pool and the A* open list
-// pop — so the states about to be expanded keep their snapshots. Released and
+// reverse of the order in which the search's best-first pool pops — so the
+// states about to be expanded keep their snapshots. Released and
 // evicted snapshots go back through the evaluator's ReleaseSnapshot. Missing
 // a snapshot is never an error: the expansion re-evaluates the parent once
 // (completeParent) or its children evaluate fully.

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -252,21 +253,21 @@ func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, 
 // a state-keyed substream (StateBase). The fingerprint — and with it the
 // evaluation cache — is the Native program's, composed with the CostTag;
 // it is empty for Prolog and for a CostFn without a tag.
-func (s *ScheduleSpace) Describe(seed int64) Descriptor {
+func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
 	var d Descriptor
 	switch e := s.Eval.(type) {
 	case *probir.Native:
-		d.Kernel = func(st State) (probir.WorldKernel, error) { return s.objective(st)(e.CRNKernel(st, seed)) }
+		d.Kernel = func(st State) (probir.WorldKernel, error) { return s.objective(st)(e.CRNKernel(ctx, st, seed)) }
 		d.Fingerprint = e.Fingerprint()
 		d.Delta = &DeltaHooks{
 			NewSnapshot:     e.NewSnapshot,
 			ReleaseSnapshot: e.ReleaseSnapshot,
 			PlanCone:        e.PlanCone,
 			Capture: func(st State, snap *probir.Snapshot) (probir.WorldKernel, error) {
-				return s.objective(st)(e.CRNKernelSnap(st, seed, snap))
+				return s.objective(st)(e.CRNKernelSnap(ctx, st, seed, snap))
 			},
 			Planned: func(st State, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-				return s.objective(st)(e.CRNDeltaKernelPlanned(st, seed, plan, parent, snap))
+				return s.objective(st)(e.CRNDeltaKernelPlanned(ctx, st, seed, plan, parent, snap))
 			},
 		}
 	case *probir.Prolog:

@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -241,7 +242,7 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 			}
 		}
 	}
-	full, err := n.newCRNKernel(childCfg, base)
+	full, err := n.newCRNKernel(context.Background(), childCfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 	var refParent, refFull, refDelta *Snapshot
 	capture := func(cfg []int) (*Snapshot, []float64) {
 		s := n.NewSnapshot()
-		k, err := n.CRNKernelSnap(cfg, base, s)
+		k, err := n.CRNKernelSnap(context.Background(), cfg, base, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +283,7 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 			t.Fatal(err)
 		}
 		plan.delta = true // exercise the cone pass whatever the work model says
-		k, err := n.CRNDeltaKernelPlanned(childCfg, base, plan, parent, snap)
+		k, err := n.CRNDeltaKernelPlanned(context.Background(), childCfg, base, plan, parent, snap)
 		if err != nil || k == nil {
 			t.Fatalf("delta kernel: %v (nil=%v)", err, k == nil)
 		}
@@ -324,7 +325,7 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 		if !n.needsMSSampling() {
 			continue
 		}
-		s, err := n.CRNKernelSnap(childCfg, base, n.NewSnapshot())
+		s, err := n.CRNKernelSnap(context.Background(), childCfg, base, n.NewSnapshot())
 		if err != nil {
 			t.Fatal(err)
 		}

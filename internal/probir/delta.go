@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -238,8 +239,8 @@ func recycle(s *Snapshot) {
 // CRNKernelSnap is CRNKernel, additionally recording every world's finish
 // times into snap (which must come from NewSnapshot; nil degrades to
 // CRNKernel). The snapshot is valid once the kernel has run all worlds.
-func (n *Native) CRNKernelSnap(config []int, base int64, snap *Snapshot) (WorldKernel, error) {
-	k, err := n.newCRNKernel(config, base)
+func (n *Native) CRNKernelSnap(ctx context.Context, config []int, base int64, snap *Snapshot) (WorldKernel, error) {
+	k, err := n.newCRNKernel(ctx, config, base)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +304,7 @@ func (n *Native) PlanCone(dirty []int32) (*ConePlan, error) {
 // the snapshot shapes/base do not line up — and the caller must then
 // evaluate fully. The plan must come from PlanCone over exactly the tasks on
 // which config and the parent's configuration differ.
-func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan, parent, snap *Snapshot) (WorldKernel, error) {
+func (n *Native) CRNDeltaKernelPlanned(ctx context.Context, config []int, base int64, plan *ConePlan, parent, snap *Snapshot) (WorldKernel, error) {
 	if plan == nil || !plan.delta || parent == nil || snap == nil || !n.needsMSSampling() {
 		return nil, nil
 	}
@@ -318,7 +319,7 @@ func (n *Native) CRNDeltaKernelPlanned(config []int, base int64, plan *ConePlan,
 		return nil, fmt.Errorf("probir: snapshot shape (%d tasks, %d worlds), want (%d, %d)",
 			snap.n, snap.worlds, nt, n.Iters)
 	}
-	k, err := n.newCRNKernel(config, base)
+	k, err := n.newCRNKernel(ctx, config, base)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -81,7 +82,7 @@ func plannedDelta(n *Native, config []int, base int64, dirty []int32, parent, sn
 	if err != nil {
 		return nil, err
 	}
-	return n.CRNDeltaKernelPlanned(config, base, plan, parent, snap)
+	return n.CRNDeltaKernelPlanned(context.Background(), config, base, plan, parent, snap)
 }
 
 // TestDeltaChainBitIdentical walks random mutation chains — each step
@@ -112,7 +113,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 	if snap == nil {
 		t.Fatal("NewSnapshot returned nil for a makespan-sampling Native")
 	}
-	k, err := n.CRNKernelSnap(config, base, snap)
+	k, err := n.CRNKernelSnap(context.Background(), config, base, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 		if dk == nil {
 			// Structural fallback (cone too large for this mutation); the
 			// chain continues from a fresh full capture.
-			fk, err := n.CRNKernelSnap(next, base, childSnap)
+			fk, err := n.CRNKernelSnap(context.Background(), next, base, childSnap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +178,7 @@ func TestDeltaChainBitIdentical(t *testing.T) {
 			// copied when it first parents a kernel; copy them now.
 			childSnap.materialize()
 			ref := n.NewSnapshot()
-			rk, err := n.CRNKernelSnap(next, base, ref)
+			rk, err := n.CRNKernelSnap(context.Background(), next, base, ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +218,7 @@ func TestDeltaConcurrentWorlds(t *testing.T) {
 	config := make([]int, n.W.Len())
 
 	snap := n.NewSnapshot()
-	k, err := n.CRNKernelSnap(config, base, snap)
+	k, err := n.CRNKernelSnap(context.Background(), config, base, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestDeltaFallbacks(t *testing.T) {
 	config := make([]int, n.W.Len())
 
 	snap := n.NewSnapshot()
-	k, _ := n.CRNKernelSnap(config, base, snap)
+	k, _ := n.CRNKernelSnap(context.Background(), config, base, snap)
 	if _, err := RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestDeltaFallbacks(t *testing.T) {
 	if _, err := n.PlanCone(nil); err == nil {
 		t.Fatal("empty dirty set: want error")
 	}
-	if dk, err := n.CRNDeltaKernelPlanned(config, base, nil, snap, child); dk != nil || err != nil {
+	if dk, err := n.CRNDeltaKernelPlanned(context.Background(), config, base, nil, snap, child); dk != nil || err != nil {
 		t.Fatalf("nil plan: want (nil, nil), got (%v, %v)", dk, err)
 	}
 	all := make([]int32, n.W.Len())
@@ -357,7 +358,7 @@ func TestSnapshotPinnedUntilMaterialized(t *testing.T) {
 	const base = int64(3)
 	config := make([]int, n.W.Len())
 	parent := n.NewSnapshot()
-	k, err := n.CRNKernelSnap(config, base, parent)
+	k, err := n.CRNKernelSnap(context.Background(), config, base, parent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestSnapshotPinnedUntilMaterialized(t *testing.T) {
 		t.Fatalf("after materializing: parent pins %d freed %v, child still linked %v", parent.pins, parent.freed, child.from != nil)
 	}
 	ref := n.NewSnapshot()
-	rk, err := n.CRNKernelSnap(next, base, ref)
+	rk, err := n.CRNKernelSnap(context.Background(), next, base, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -161,8 +162,9 @@ func spread(n int, f func(lo, hi int)) {
 // stores the worlds decisive-first. Row ri = task*nTypes+type draws from an
 // rng seeded by crnSeed(base, ri), consumed in stream order; each range of
 // rows reseeds one rng per row, which yields exactly a fresh source's
-// stream without allocating one.
-func newProgram(flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, markets []MarketSpec) *Program {
+// stream without allocating one. The build checks ctx between rows and
+// between worlds and returns its error once ctx is done.
+func newProgram(ctx context.Context, flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, markets []MarketSpec) (*Program, error) {
 	nr := flat.Len() * ft.NumTypes
 	p := &Program{flat: flat, iters: iters, nTypes: ft.NumTypes, rows: make([][]float64, nr)}
 	if markets != nil {
@@ -172,7 +174,7 @@ func newProgram(flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, m
 	negative := make([]bool, nr)
 	spread(nr, func(lo, hi int) {
 		rng := rand.New(rand.NewSource(0))
-		for ri := lo; ri < hi; ri++ {
+		for ri := lo; ri < hi && ctx.Err() == nil; ri++ {
 			i, j := ri/p.nTypes, ri%p.nTypes
 			row := all[ri*iters : (ri+1)*iters : (ri+1)*iters]
 			rng.Seed(crnSeed(base, ri))
@@ -194,12 +196,17 @@ func newProgram(flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, m
 			p.rows[ri] = row
 		}
 	})
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("probir: building CRN program: %w", err)
+	}
 	for _, neg := range negative {
 		p.negative = p.negative || neg
 	}
-	p.sortWorlds()
+	if err := p.sortWorlds(ctx); err != nil {
+		return nil, fmt.Errorf("probir: building CRN program: %w", err)
+	}
 	p.blocks.New = func() any { return new(blockScratch) }
-	return p
+	return p, nil
 }
 
 // row returns the duration row of task i on type j.
@@ -230,14 +237,19 @@ type progEntry struct {
 // caching it on first use. When the cache is full the least-recently-used
 // base is evicted — deterministically, and never the base just touched, so
 // a running search's duration matrix is only rebuilt if maxPrograms other
-// searches have since used this Native.
-func (n *Native) program(base int64) *Program {
+// searches have since used this Native. A build that ctx cancels returns
+// the context's error and caches nothing.
+func (n *Native) program(ctx context.Context, base int64) (*Program, error) {
 	n.progMu.Lock()
 	defer n.progMu.Unlock()
 	n.progTick++
 	if e, ok := n.progs[base]; ok {
 		e.tick = n.progTick
-		return e.p
+		return e.p, nil
+	}
+	p, err := newProgram(ctx, n.flat, n.ftab, base, n.Iters, n.Markets)
+	if err != nil {
+		return nil, err
 	}
 	if n.progs == nil {
 		n.progs = make(map[int64]*progEntry)
@@ -253,16 +265,15 @@ func (n *Native) program(base int64) *Program {
 		}
 		delete(n.progs, victim)
 	}
-	p := newProgram(n.flat, n.ftab, base, n.Iters, n.Markets)
 	n.progs[base] = &progEntry{p: p, tick: n.progTick}
-	return p
+	return p, nil
 }
 
 // EvaluateCRN evaluates one configuration under the CRN contract with the
 // given base seed. Two calls with equal (program, base, config) return
 // bit-identical evaluations regardless of device or interleaving.
 func (n *Native) EvaluateCRN(config []int, base int64) (*Evaluation, error) {
-	k, err := n.CRNKernel(config, base)
+	k, err := n.CRNKernel(context.Background(), config, base)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package probir
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -20,6 +22,38 @@ func warmNative(t testing.TB) *Native {
 	return n
 }
 
+// mustProgram returns n's Program for base, built without a deadline.
+func mustProgram(n *Native, base int64) *Program {
+	p, err := n.program(context.Background(), base)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// TestProgramBuildCancelled checks that a cancelled Program build fails with
+// the context's error and caches nothing, so the next search on the Native
+// builds the Program afresh and gets the same rows as an uncancelled build.
+func TestProgramBuildCancelled(t *testing.T) {
+	n := warmNative(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := n.CRNKernel(ctx, make([]int, n.W.Len()), 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("kernel build under a cancelled context: err %v, want context.Canceled", err)
+	}
+	if len(n.progs) != 0 {
+		t.Fatalf("a cancelled build left %d Programs in the cache", len(n.progs))
+	}
+	got, want := mustProgram(n, 7), mustProgram(warmNative(t), 7)
+	for ri := range want.rows {
+		for w := range want.rows[ri] {
+			if got.rows[ri][w] != want.rows[ri][w] {
+				t.Fatalf("row %d world %d after a cancelled build: %v != %v", ri, w, got.rows[ri][w], want.rows[ri][w])
+			}
+		}
+	}
+}
+
 // TestRowsConcurrentWarm builds kernels from many goroutines at once over
 // several base seeds, as concurrent searches over one Native do. Every
 // goroutine must get the one cached Program of its base, whose rows are
@@ -37,7 +71,7 @@ func TestRowsConcurrentWarm(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for b := int64(0); b < bases; b++ {
-				k, err := n.newCRNKernel(cfg, (b+int64(g))%bases)
+				k, err := n.newCRNKernel(context.Background(), cfg, (b+int64(g))%bases)
 				if err != nil {
 					t.Error(err)
 					return
@@ -50,13 +84,13 @@ func TestRowsConcurrentWarm(t *testing.T) {
 	for g := range progs {
 		for b, p := range progs[g] {
 			base := (int64(b) + int64(g)) % bases
-			if p != n.program(base) {
+			if p != mustProgram(n, base) {
 				t.Fatalf("goroutine %d base %d: a second Program was built", g, base)
 			}
 		}
 	}
 	for b := int64(0); b < bases; b++ {
-		got, want := n.program(b), ref.program(b)
+		got, want := mustProgram(n, b), mustProgram(ref, b)
 		for ri := range want.rows {
 			for w := range want.rows[ri] {
 				if got.rows[ri][w] != want.rows[ri][w] {
@@ -73,11 +107,11 @@ func TestRowsConcurrentWarm(t *testing.T) {
 func TestRowsSharedPointers(t *testing.T) {
 	n := warmNative(t)
 	cfg := make([]int, n.W.Len())
-	a, err := n.newCRNKernel(cfg, 7)
+	a, err := n.newCRNKernel(context.Background(), cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := n.newCRNKernel(cfg, 7)
+	b, err := n.newCRNKernel(context.Background(), cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +129,15 @@ func TestRowsSharedPointers(t *testing.T) {
 func TestProgramLRUEviction(t *testing.T) {
 	n := warmNative(t)
 
-	first := n.program(0) // base 0 is the running search
+	first := mustProgram(n, 0) // base 0 is the running search
 	for b := int64(1); b < maxPrograms; b++ {
-		n.program(b) // fill the cache: bases 0..maxPrograms-1
+		mustProgram(n, b) // fill the cache: bases 0..maxPrograms-1
 	}
 	// Touch base 0 so it is the MRU; base 1 becomes the LRU.
-	if got := n.program(0); got != first {
+	if got := mustProgram(n, 0); got != first {
 		t.Fatalf("base 0 rebuilt while cache below capacity")
 	}
-	old1 := n.program(1) // re-touch 1; now base 2 is LRU
+	old1 := mustProgram(n, 1) // re-touch 1; now base 2 is LRU
 	if len(n.progs) != maxPrograms {
 		t.Fatalf("cache holds %d programs, want %d", len(n.progs), maxPrograms)
 	}
@@ -111,18 +145,18 @@ func TestProgramLRUEviction(t *testing.T) {
 	// Insert a fresh base at capacity: base 2 (the LRU) must go; 0 and 1
 	// must survive with identical pointers.
 	old2 := n.progs[2].p
-	n.program(int64(maxPrograms))
+	mustProgram(n, int64(maxPrograms))
 	if _, ok := n.progs[2]; ok {
 		t.Fatalf("LRU base 2 not evicted")
 	}
-	if got := n.program(0); got != first {
+	if got := mustProgram(n, 0); got != first {
 		t.Fatalf("MRU-adjacent base 0 was evicted (its Program was rebuilt)")
 	}
-	if got := n.program(1); got != old1 {
+	if got := mustProgram(n, 1); got != old1 {
 		t.Fatalf("recently used base 1 was evicted")
 	}
 	// Re-requesting the evicted base rebuilds it (a new Program).
-	if got := n.program(2); got == old2 {
+	if got := mustProgram(n, 2); got == old2 {
 		t.Fatalf("evicted base 2 returned the stale Program pointer")
 	}
 }

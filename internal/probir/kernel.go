@@ -1,6 +1,9 @@
 package probir
 
-import "math/rand"
+import (
+	"context"
+	"math/rand"
+)
 
 // This file decomposes Monte-Carlo evaluation into the paper's GPU kernel
 // shape (§5.2): a *world kernel* — threads sample realizations of the
@@ -116,9 +119,10 @@ type nativeKernel struct {
 // CRNKernel builds the world kernel of one configuration against the
 // shared duration matrix of the given base seed. The matrix is sampled when
 // its Program is built, so Sample is read-only and a device may run worlds
-// concurrently.
-func (n *Native) CRNKernel(config []int, base int64) (WorldKernel, error) {
-	k, err := n.newCRNKernel(config, base)
+// concurrently. ctx cancels that build, the one step of a kernel build that
+// can take long; the error then wraps ctx's.
+func (n *Native) CRNKernel(ctx context.Context, config []int, base int64) (WorldKernel, error) {
+	k, err := n.newCRNKernel(ctx, config, base)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +131,7 @@ func (n *Native) CRNKernel(config []int, base int64) (WorldKernel, error) {
 
 // newCRNKernel is the concrete-typed CRNKernel build, shared with the
 // snapshot-capturing and delta variants in delta.go.
-func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
+func (n *Native) newCRNKernel(ctx context.Context, config []int, base int64) (*nativeKernel, error) {
 	if err := n.checkConfig(config); err != nil {
 		return nil, err
 	}
@@ -137,7 +141,10 @@ func (n *Native) newCRNKernel(config []int, base int64) (*nativeKernel, error) {
 	n.figOnce.Do(func() { n.figures = NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot) })
 	k := &nativeKernel{n: n, config: config, Figures: n.figures, meanCost: n.meanCost(config)}
 	if k.needMS || k.needCost {
-		k.prog = n.program(base)
+		var err error
+		if k.prog, err = n.program(ctx, base); err != nil {
+			return nil, err
+		}
 	}
 	if k.needCost {
 		k.pricePerTask = make([]float64, len(config))

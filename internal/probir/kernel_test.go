@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestNativeKernelMatchesEvaluateBitExact(t *testing.T) {
 			// Evaluate derives its CRN base by drawing from the rng; the
 			// kernel path must reproduce it from an identical source.
 			base := rand.New(rand.NewSource(seed)).Int63()
-			k, err := n.CRNKernel(config, base)
+			k, err := n.CRNKernel(context.Background(), config, base)
 			if err != nil {
 				t.Fatal(err)
 			}

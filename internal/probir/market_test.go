@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestSpotObjectiveIsSampledExpectedCost(t *testing.T) {
 		}
 	}
 	base := int64(42)
-	k, err := n.CRNKernel([]int{spotSmall, spotSmall, spotSmall, spotSmall}, base)
+	k, err := n.CRNKernel(context.Background(), []int{spotSmall, spotSmall, spotSmall, spotSmall}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestSpotDeltaMatchesFull(t *testing.T) {
 	childCfg := []int{0, 0, 4, 0} // task c moves to m1.small:spot
 
 	parentSnap := n.NewSnapshot()
-	pk, err := n.CRNKernelSnap(parentCfg, base, parentSnap)
+	pk, err := n.CRNKernelSnap(context.Background(), parentCfg, base, parentSnap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package probir
 
-import "sort"
+import (
+	"context"
+	"sort"
+)
 
 // This file implements decisive-world-first storage: a per-world severity
 // signal computed once per (program, base seed) and used to number the
@@ -27,14 +30,16 @@ import "sort"
 // sortWorlds renumbers the sampled worlds by descending severity, ties
 // broken by ascending stream index, and permutes every duration and cost
 // row into that numbering: afterwards position p of each row is world p.
-func (p *Program) sortWorlds() {
+// It stops early with ctx's error once ctx is done, leaving the rows
+// partly permuted.
+func (p *Program) sortWorlds(ctx context.Context) error {
 	f := p.flat
 	// perType[j*iters+w] is world w's makespan with every task on type j.
 	perType := make([]float64, p.nTypes*p.iters)
 	spread(p.nTypes, func(lo, hi int) {
 		dur, finish := make([]float64, f.Len()), make([]float64, f.Len())
 		for j := lo; j < hi; j++ {
-			for it := 0; it < p.iters; it++ {
+			for it := 0; it < p.iters && ctx.Err() == nil; it++ {
 				for i := range dur {
 					dur[i] = p.row(i, j)[it]
 				}
@@ -42,6 +47,9 @@ func (p *Program) sortWorlds() {
 			}
 		}
 	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	sev := make([]float64, p.iters)
 	for j := 0; j < p.nTypes; j++ {
 		for it := range sev {
@@ -70,11 +78,12 @@ func (p *Program) sortWorlds() {
 				row[pos] = tmp[w]
 			}
 		}
-		for ri := lo; ri < hi; ri++ {
+		for ri := lo; ri < hi && ctx.Err() == nil; ri++ {
 			permute(p.rows[ri])
 			if p.costRows != nil {
 				permute(p.costRows[ri])
 			}
 		}
 	})
+	return ctx.Err()
 }

@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -67,7 +68,7 @@ func checkNumbering(t *testing.T, n *Native, base int64) {
 	t.Helper()
 	rows, costRows := streamRows(n, base)
 	order := worldNumbering(n, rows)
-	p := n.program(base)
+	p := mustProgram(n, base)
 	for ri := range rows {
 		for pos, w := range order {
 			if got, want := p.rows[ri][pos], rows[ri][w]; got != want {
@@ -104,7 +105,7 @@ func TestWorldOrderPermutation(t *testing.T) {
 	checkNumbering(t, n1, base)
 
 	// Stored rows replay to a non-increasing severity by position.
-	sev := severity(n1, n1.program(base).rows)
+	sev := severity(n1, mustProgram(n1, base).rows)
 	for p := 1; p < iters; p++ {
 		if sev[p] > sev[p-1] {
 			t.Fatalf("position %d severity %g exceeds position %d's %g", p, sev[p], p-1, sev[p-1])
@@ -117,7 +118,7 @@ func TestWorldOrderPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := n1.program(base), n2.program(base)
+	a, b := mustProgram(n1, base), mustProgram(n2, base)
 	for ri := range a.rows {
 		for p := range a.rows[ri] {
 			if a.rows[ri][p] != b.rows[ri][p] {
@@ -145,7 +146,7 @@ func TestWorldOrderNilWithoutSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := n.newCRNKernel(make([]int, n.W.Len()), 7)
+	k, err := n.newCRNKernel(context.Background(), make([]int, n.W.Len()), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

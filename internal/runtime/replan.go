@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -72,7 +73,7 @@ func (s *residualSpace) Neighbors(st opt.State) []opt.Transform {
 // Describe implements opt.Space: the residual kernel of each state over the
 // state-keyed substream opt.StateBase(seed, key), and the snapshot
 // fingerprint.
-func (s *residualSpace) Describe(seed int64) opt.Descriptor {
+func (s *residualSpace) Describe(_ context.Context, seed int64) opt.Descriptor {
 	return opt.Descriptor{
 		Kernel: func(st opt.State) (probir.WorldKernel, error) {
 			return s.r.buildKernel(st, opt.StateBase(seed, st.Key()))

@@ -281,7 +281,7 @@ func TestResidualReduceMatchesNative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nk, err := native.CRNKernel(config, 5)
+			nk, err := native.CRNKernel(context.Background(), config, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
