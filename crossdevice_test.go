@@ -10,7 +10,7 @@ package deco
 // equivalence of the individual evaluation paths.
 
 import (
-	"hash/fnv"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -121,20 +121,11 @@ func TestCrossDeviceDeterminismScheduling(t *testing.T) {
 	searchAllDevices(t, sp, o)
 }
 
-// stateRNG is the per-state rng the solver evaluates a state-keyed space
-// under: FNV-1a of the state key, xor the search seed. Its first draw is
-// the world substream base (opt.StateBase).
-func stateRNG(seed int64, key string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
-}
-
 // TestCrossDeviceDeterminismProlog covers the interpreted scheduling space:
-// Prolog kernels cannot share world realizations, so each state's worlds
-// draw from a substream keyed by (seed, state) and run the same block/thread
-// path as the native kernels. The result must be identical on every device
-// and equal the Evaluate oracle under the state's rng.
+// Prolog kernels read their worlds from the CRN rows of the search seed and
+// run the same block/thread path as the native kernels. The result must be
+// identical on every device and equal one sequential pass of the
+// interpreter's kernel at the seed.
 func TestCrossDeviceDeterminismProlog(t *testing.T) {
 	env, err := exp.NewEnv(exp.QuickConfig())
 	if err != nil {
@@ -161,11 +152,15 @@ func TestCrossDeviceDeterminismProlog(t *testing.T) {
 	o.MaxStates = 30
 	o.Seed = 11
 	res := searchAllDevices(t, sp, o)
-	want, err := sp.Evaluate(res.Best, stateRNG(o.Seed, res.Best.Key()))
+	k, err := eval.Kernel(context.Background(), res.Best, o.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameEval(t, "prolog: Evaluate oracle", res.BestEval, want)
+	want, err := probir.RunKernel(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameEval(t, "prolog: sequential kernel", res.BestEval, want)
 }
 
 // TestCrossDeviceDeterminismSpotMarkets covers the market-aware scheduling

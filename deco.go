@@ -63,11 +63,12 @@ type Engine struct {
 	// cross-region transfer time and egress cost (data gravity).
 	spots    []string
 	xferFrom string
-	// prologMaxTasks bounds when user-defined goal predicates are
-	// interpreted exactly with the Prolog machine; beyond it the engine
-	// requires the standard constructs and uses the native evaluator.
-	prologMaxTasks int
 }
+
+// prologMaxTasks bounds when user-defined goal predicates are interpreted
+// exactly with the Prolog machine; beyond it the engine requires the
+// standard constructs and uses the native evaluator.
+const prologMaxTasks = 12
 
 // Option configures the engine.
 type Option func(*Engine)
@@ -172,11 +173,10 @@ func WithTransferSource(region string) Option { return func(e *Engine) { e.xferF
 // 100 Monte-Carlo iterations per evaluation.
 func NewEngine(options ...Option) (*Engine, error) {
 	e := &Engine{
-		dev:            device.TwoLevel{},
-		region:         cloud.USEast,
-		iters:          100,
-		seed:           1,
-		prologMaxTasks: 12,
+		dev:    device.TwoLevel{},
+		region: cloud.USEast,
+		iters:  100,
+		seed:   1,
 	}
 	e.search = opt.DefaultOptions(e.dev)
 	for _, o := range options {
@@ -332,7 +332,7 @@ func (e *Engine) ScheduleContext(ctx context.Context, w *dag.Workflow, d Deadlin
 		pct = -1
 	}
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: pct, Bound: d.Seconds}}
-	return e.optimizeNative(ctx, w, probir.GoalCost, cons, false)
+	return e.optimize(ctx, w, probir.GoalCost, cons, false, nil)
 }
 
 // ScheduleForPerformance solves the dual problem the paper's introduction
@@ -357,7 +357,7 @@ func (e *Engine) ScheduleForPerformanceContext(ctx context.Context, w *dag.Workf
 		pct = -1
 	}
 	cons := []wlog.Constraint{{Kind: "budget", Percentile: pct, Bound: b.Dollars}}
-	return e.optimizeNative(ctx, w, probir.GoalMakespan, cons, false)
+	return e.optimize(ctx, w, probir.GoalMakespan, cons, false, nil)
 }
 
 // ScheduleConstrained solves the general form: a goal (cost or makespan)
@@ -392,7 +392,7 @@ func (e *Engine) ScheduleConstrainedContext(ctx context.Context, w *dag.Workflow
 	if minimizeCost {
 		goal = probir.GoalCost
 	}
-	return e.optimizeNative(ctx, w, goal, cons, false)
+	return e.optimize(ctx, w, goal, cons, false, nil)
 }
 
 // marketTable builds the estimate table, per-column hourly prices, and
@@ -464,30 +464,46 @@ func (e *Engine) marketTable(w *dag.Workflow) (*estimate.Table, []float64, []pro
 	return tbl, full, markets, nil
 }
 
-func (e *Engine) optimizeNative(ctx context.Context, w *dag.Workflow, goal probir.GoalKind, cons []wlog.Constraint, astar bool) (*Plan, error) {
+// optimize solves w in one pass: the market table, then the evaluator —
+// the Prolog interpreter of interp's rules when interp is set, the native
+// evaluator of goal under cons otherwise — then compile, search, and the
+// plan with its packed, hour-billed cost.
+func (e *Engine) optimize(ctx context.Context, w *dag.Workflow, goal probir.GoalKind, cons []wlog.Constraint, astar bool, interp *wlog.Program) (*Plan, error) {
 	tbl, prices, markets, err := e.marketTable(w)
 	if err != nil {
 		return nil, err
 	}
-	eval, err := probir.NewNativeMarkets(w, tbl, prices, markets, goal, cons, e.iters)
-	if err != nil {
-		return nil, err
-	}
-	space := opt.NewScheduleSpace(w, eval)
-	if goal == probir.GoalCost && !eval.HasSpotMarkets() {
-		// Transformation-aware objective: the hour-billed cost of the
-		// consolidated plan (Merge/Co-Scheduling exploit partial hours).
-		// With spot markets the objective is the sampled expected cost under
-		// revocation from the evaluator's kernel — a deterministic packed
-		// cost would erase exactly the market risk being optimized.
-		space.CostFn = func(st opt.State) (float64, error) {
-			return opt.PackedMeanCost(w, st, tbl, prices, e.region)
-		}
-		space.CostTag = "packed:" + e.region
-	}
 	search := e.search
 	search.AStar = astar
 	search.Ctx = ctx
+	var space *opt.ScheduleSpace
+	if interp != nil {
+		// Per-world interpretation is expensive: at most 200 worlds.
+		eval, err := probir.NewProlog(w, tbl, prices, interp, min(e.iters, 200))
+		if err != nil {
+			return nil, err
+		}
+		space = opt.NewScheduleSpace(w, eval)
+		search.Maximize = interp.Goal.Maximize
+	} else {
+		eval, err := probir.NewNativeMarkets(w, tbl, prices, markets, goal, cons, e.iters)
+		if err != nil {
+			return nil, err
+		}
+		space = opt.NewScheduleSpace(w, eval)
+		if goal == probir.GoalCost && !eval.HasSpotMarkets() {
+			// Transformation-aware objective: the hour-billed cost of the
+			// consolidated plan (Merge/Co-Scheduling exploit partial hours).
+			// With spot markets the objective is the sampled expected cost
+			// under revocation from the evaluator's kernel — a deterministic
+			// packed cost would erase exactly the market risk being
+			// optimized.
+			space.CostFn = func(st opt.State) (float64, error) {
+				return opt.PackedMeanCost(w, st, tbl, prices, e.region)
+			}
+			space.CostTag = "packed:" + e.region
+		}
+	}
 	problem, err := opt.Compile(space, search)
 	if err != nil {
 		return nil, err
@@ -653,9 +669,9 @@ func (e *Engine) RunProgramContext(ctx context.Context, src string, w *dag.Workf
 	// Exact interpretation: the program defines its own goal predicate and
 	// the workflow is small enough for per-world Prolog evaluation — unless
 	// market semantics are active, which only the native evaluator carries.
-	if prog.HasRule(goalInd.name, goalInd.arity) && w.Len() <= e.prologMaxTasks &&
+	if prog.HasRule(goalInd.name, goalInd.arity) && w.Len() <= prologMaxTasks &&
 		len(eng.spots) == 0 && eng.xferFrom == "" {
-		return eng.runProgramProlog(ctx, prog, w)
+		return eng.optimize(ctx, w, probir.GoalCost, prog.Constraints, prog.AStar, prog)
 	}
 
 	// Engine-native constructs (Table 1): recognize the standard goal names.
@@ -667,12 +683,12 @@ func (e *Engine) RunProgramContext(ctx context.Context, src string, w *dag.Workf
 		goal = probir.GoalMakespan
 	default:
 		return nil, fmt.Errorf("deco: goal predicate %s/%d is not a built-in construct and the workflow has %d tasks (exact interpretation is limited to %d)",
-			goalInd.name, goalInd.arity, w.Len(), e.prologMaxTasks)
+			goalInd.name, goalInd.arity, w.Len(), prologMaxTasks)
 	}
 	if prog.Goal.Maximize {
 		return nil, fmt.Errorf("deco: the scheduling problem minimizes; use the ensemble API for maximization")
 	}
-	return eng.optimizeNative(ctx, w, goal, prog.Constraints, prog.AStar)
+	return eng.optimize(ctx, w, goal, prog.Constraints, prog.AStar, nil)
 }
 
 // truthMetadata is the engine's default metadata: the catalog's ground-truth
@@ -713,45 +729,4 @@ func goalIndicator(prog *wlog.Program) (indicator, error) {
 		return indicator{}, fmt.Errorf("deco: malformed goal query: %w", err)
 	}
 	return indicator{name: pi.Functor, arity: pi.Arity}, nil
-}
-
-// runProgramProlog interprets the program's own rules per sampled world.
-func (e *Engine) runProgramProlog(ctx context.Context, prog *wlog.Program, w *dag.Workflow) (*Plan, error) {
-	prices, err := e.Prices()
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := e.est.BuildTable(w)
-	if err != nil {
-		return nil, err
-	}
-	iters := e.iters
-	if iters > 200 {
-		iters = 200 // per-world interpretation is expensive
-	}
-	eval, err := probir.NewProlog(w, tbl, prices, prog, iters)
-	if err != nil {
-		return nil, err
-	}
-	space := opt.NewScheduleSpace(w, eval)
-	search := e.search
-	search.AStar = prog.AStar
-	search.Maximize = prog.Goal.Maximize
-	search.Ctx = ctx
-	res, err := opt.Search(space, search)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{
-		Workflow:        w,
-		Config:          res.Best,
-		Types:           tbl.Types,
-		EstimatedCost:   res.BestEval.Value,
-		Objective:       res.BestEval.Value,
-		Feasible:        res.Feasible,
-		ConsProb:        res.BestEval.ConsProb,
-		Constraints:     prog.Constraints,
-		StatesEvaluated: res.Evaluated,
-		engine:          e,
-	}, nil
 }

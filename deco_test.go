@@ -11,6 +11,7 @@ import (
 	"deco/internal/cloud"
 	"deco/internal/dag"
 	"deco/internal/device"
+	"deco/internal/opt"
 	"deco/internal/wfgen"
 )
 
@@ -169,6 +170,53 @@ func TestRunProgramPrologPathWithUserRules(t *testing.T) {
 	}
 	if plan.EstimatedCost <= 0 {
 		t.Error("no cost")
+	}
+}
+
+// mytimeProgram minimizes a makespan defined by a user rule the engine has
+// no built-in name for, so its goal value is in seconds.
+const mytimeProgram = `
+import(amazonec2).
+minimize T in mytime(Path,T).
+configs(Tid,Vid,Con) forall task(Tid) and vm(Vid).
+
+path(X,Y,Y,Tp) :- edge(X,Y), exetime(X,Vid,T), configs(X,Vid,Con), Con==1, Tp is T.
+path(X,Y,Z,Tp) :- edge(X,Z), Z\==Y, path(Z,Y,Z2,T1), exetime(X,Vid,T),
+  configs(X,Vid,Con), Con==1, Tp is T+T1.
+mytime(Path,T) :- setof([Z,T1], path(root,tail,Z,T1), Set), max(Set, [Path,T]).
+`
+
+// TestRunProgramPrologPathReportsPackedCost: an interpreted plan reports
+// the packed, hour-billed dollar cost as its EstimatedCost, like every
+// other plan, whatever its goal computes — seconds for mytime, the Eq. 1
+// fractional cost for userRuleProgram's totalcost — and keeps the goal
+// value as its Objective.
+func TestRunProgramPrologPathReportsPackedCost(t *testing.T) {
+	eng := newTestEngine(t, WithIters(30))
+	w, err := wfgen.Pipeline(3, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := eng.Estimator().BuildTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prices, err := eng.Prices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{"mytime": mytimeProgram, "userRuleProgram": userRuleProgram} {
+		plan, err := eng.RunProgram(src, w)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := opt.PackedMeanCost(w, plan.Config, tbl, prices, cloud.USEast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.EstimatedCost != want {
+			t.Errorf("%s: EstimatedCost %v, packed cost %v (objective %v)", name, plan.EstimatedCost, want, plan.Objective)
+		}
 	}
 }
 

@@ -29,8 +29,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -173,12 +171,12 @@ type Options struct {
 	// levels without a new incumbent, and A* after this many best-first
 	// expansions without a new feasible incumbent.
 	Patience int
-	// Seed makes runs reproducible; the space's Describe binds it. Under the
-	// common-random-number contract it is the search-level CRN base: every
-	// state in the search shares the same world realizations, keyed by
-	// (task, type, iteration); kernels that cannot share realizations draw
-	// from a per-state substream (StateBase). Either way results are
-	// identical across devices. The zero value defaults to 1 (fillDefaults),
+	// Seed makes runs reproducible; the space's Describe binds it as the
+	// base of every kernel's worlds, whatever state the kernel evaluates.
+	// Under the common-random-number contract it is the search-level CRN
+	// base: every state in the search shares the same world realizations,
+	// keyed by (task, type, iteration). Results are identical across
+	// devices. The zero value defaults to 1 (fillDefaults),
 	// matching DefaultOptions, so a zero-value Options and DefaultOptions
 	// agree.
 	Seed int64
@@ -302,16 +300,6 @@ func Score(ev *probir.Evaluation, maximize bool) float64 {
 		return ev.Value
 	}
 	return 1e15 * (1 + ev.Violation)
-}
-
-// StateBase derives a state's world-substream base from the search seed and
-// the state key, for kernels that cannot share realizations across states
-// (probir.WorldRNG): evaluation results then depend on neither the
-// scheduling order nor the device.
-func StateBase(seed int64, key string) int64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return rand.New(rand.NewSource(seed ^ int64(h.Sum64()))).Int63()
 }
 
 // dedupCandidates returns the candidates not already visited, deduplicated

@@ -229,10 +229,9 @@ func shift(st State, g []int, all bool, delta, k int) (Transform, bool) {
 	return Transform{Tasks: tasks, Child: child}, child != nil
 }
 
-// Evaluate scores one state with a state-keyed rng — the test oracle the
-// solver's evaluation of the space must reproduce: Native evaluates under
-// the CRN base rng.Int63(), Prolog over the world substream rng.Int63(),
-// and any CostFn replaces the goal value.
+// Evaluate scores one state — the test oracle the solver's evaluation of the
+// space must reproduce: Native and Prolog both evaluate over the CRN worlds
+// of base rng.Int63(), and any CostFn replaces the goal value.
 func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, error) {
 	ev, err := s.Eval.Evaluate(st, rng)
 	if err != nil || s.CostFn == nil {
@@ -246,13 +245,14 @@ func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, 
 	return ev, nil
 }
 
-// Describe implements Space. A Native evaluator runs under the
-// common-random-number contract with the seed as its CRN base: shared world
-// realizations, numbered decisive-world-first, and delta evaluation over
-// dirty-cone plans. A Prolog evaluator interprets each world over
-// a state-keyed substream (StateBase). The fingerprint — and with it the
-// evaluation cache — is the Native program's, composed with the CostTag;
-// it is empty for Prolog and for a CostFn without a tag.
+// Describe implements Space. Both evaluators run under the
+// common-random-number contract with the seed as their CRN base: every
+// state shares the same world realizations, numbered decisive-world-first.
+// A Native evaluator adds delta evaluation over dirty-cone plans; a Prolog
+// evaluator interprets world p over position p of the same rows. The
+// fingerprint — and with it the evaluation cache — is the Native program's,
+// composed with the CostTag; it is empty for Prolog and for a CostFn
+// without a tag.
 func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
 	var d Descriptor
 	switch e := s.Eval.(type) {
@@ -271,9 +271,7 @@ func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
 			},
 		}
 	case *probir.Prolog:
-		d.Kernel = func(st State) (probir.WorldKernel, error) {
-			return s.objective(st)(e.Kernel(st, StateBase(seed, st.Key())))
-		}
+		d.Kernel = func(st State) (probir.WorldKernel, error) { return s.objective(st)(e.Kernel(ctx, st, seed)) }
 	default:
 		d.Kernel = func(State) (probir.WorldKernel, error) {
 			return nil, fmt.Errorf("opt: evaluator %T has no world kernel", s.Eval)

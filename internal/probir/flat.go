@@ -40,8 +40,8 @@ import (
 
 // crnSeed derives the rng seed of one (task, type) duration row from the
 // search-level base seed (splitmix64-style finalizer over a distinct stream
-// constant from MixSeed, so CRN rows never collide with state-keyed world
-// substreams).
+// constant from MixSeed, so CRN rows never collide with the residual
+// kernels' world substreams).
 func crnSeed(base int64, stream int) int64 {
 	z := uint64(base) ^ 0x6A09E667F3BCC909
 	z += uint64(stream+1) * 0x9E3779B97F4A7C15

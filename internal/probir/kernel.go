@@ -24,14 +24,16 @@ import (
 // Determinism: a kernel's figures for world it depend only on (kernel, it)
 // — every kernel carries its randomness with it, so results are
 // bit-identical whether the worlds ran sequentially, state-parallel, or
-// two-level on a device, in whatever chunks. Native kernels follow the
+// two-level on a device, in whatever chunks. No kernel's worlds depend on
+// the state it evaluates. Native and Prolog kernels follow the
 // common-random-number contract (flat.go): duration draws are keyed by
 // (task, type, world) against a search-level base seed, so every state in a
-// search shares the same world realizations, numbered decisive-first.
-// Kernels that cannot share realizations (the Prolog interpreter, the
-// runtime's conditioned residual kernels, whose rejection sampling draws a
-// data-dependent number of variates) take a substream base when they are
-// built and draw world it from WorldRNG(base, it).
+// search shares the same world realizations, numbered decisive-first, and
+// the interpreter reads world p's exetime facts from position p of the same
+// rows the native kernel reads. The runtime's conditioned residual kernels,
+// whose rejection sampling draws a data-dependent number of variates, take
+// a decision base when they are built and draw world it from
+// WorldRNG(base, it).
 
 // WorldKernel is one state's Monte-Carlo evaluation, decomposed for
 // block/thread execution.
@@ -52,8 +54,8 @@ type WorldKernel interface {
 
 // MixSeed mixes a base seed with an index (splitmix64 finalizer), giving
 // every (base, index) pair its own statistically independent substream:
-// world it of a state substream here, decision d of a monitor seed in
-// package runtime.
+// world it of a decision base here, decision d of a monitor seed in package
+// runtime.
 func MixSeed(base int64, i int) int64 {
 	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -65,9 +67,10 @@ func MixSeed(base int64, i int) int64 {
 }
 
 // WorldRNG returns the deterministic rng of Monte-Carlo iteration it within
-// the substream identified by base. The solver derives base from its seed
-// and the state key; results therefore depend on neither the device nor the
-// schedule.
+// the substream identified by base: the runtime's residual kernels draw
+// world it of a monitor decision from it, so every state a replan search
+// evaluates sees the worlds of the risk evaluation that triggered it, on any
+// device and in any schedule.
 func WorldRNG(base int64, it int) *rand.Rand {
 	return rand.New(rand.NewSource(MixSeed(base, it)))
 }

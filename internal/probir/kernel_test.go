@@ -112,7 +112,7 @@ func TestPrologKernelMatchesEvaluateBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := p.Kernel(config, rand.New(rand.NewSource(seed)).Int63())
+	k, err := p.Kernel(context.Background(), config, rand.New(rand.NewSource(seed)).Int63())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,12 @@
 //     cost from mean task times (Eq. 1-3), exactly matching the semantics of
 //     Example 1's rules.
 //   - Prolog: the general path that interprets arbitrary user-defined WLog
-//     rules with the Prolog machine per sampled world.
+//     rules with the Prolog machine per world, reading world p's exetime
+//     facts from position p of the native evaluator's CRN rows.
 //
-// Property tests assert the two agree on the standard scheduling program.
+// Both read the same worlds, so a differential test checks them world by
+// world on the standard scheduling program: equal makespan and cost up to
+// summation order, equal deadline indicators.
 //
 // Both evaluators run as world kernels plus a reduction (kernel.go), the
 // paper's block/thread shape. The kernel contract is ranged: one Sample call

@@ -1,8 +1,11 @@
 package probir
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"deco/internal/dag"
 	"deco/internal/dist"
 	"deco/internal/estimate"
+	"deco/internal/wfgen"
 	"deco/internal/wlog"
 )
 
@@ -61,6 +65,14 @@ func fixture(t testing.TB, cpuOnly bool) (*dag.Workflow, *estimate.Table, []floa
 	_ = w.AddEdge("b", "d")
 	_ = w.AddEdge("c", "d")
 
+	tbl, prices := fixtureTable(t, w)
+	return w, tbl, prices
+}
+
+// fixtureTable builds the estimate table and us-east prices of w over the
+// default catalog's calibrated metadata.
+func fixtureTable(t testing.TB, w *dag.Workflow) (*estimate.Table, []float64) {
+	t.Helper()
 	cat := cloud.DefaultCatalog()
 	md, err := cloud.MetadataFromTruth(cat, 15, 5000, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -75,7 +87,7 @@ func fixture(t testing.TB, cpuOnly bool) (*dag.Workflow, *estimate.Table, []floa
 	for j, name := range tbl.Types {
 		prices[j] = us.PricePerHour[name]
 	}
-	return w, tbl, prices
+	return tbl, prices
 }
 
 func TestNativeMeanCostMonotoneInTypes(t *testing.T) {
@@ -266,39 +278,160 @@ func TestPrologEvaluatorDeterministicAgreesExactly(t *testing.T) {
 	}
 }
 
-// The headline equivalence property: on the stochastic fixture the Prolog
-// interpretation of Example 1 converges to the native evaluator's answers.
-func TestPrologNativeEquivalenceStochastic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MC equivalence is slow")
-	}
-	w, tbl, prices := fixture(t, false)
-	prog := schedProgram(t, "deadline(95%,10h)")
-	pe, err := NewProlog(w, tbl, prices, prog, 300)
+// TestPrologNativeAgreePerWorld is the differential check of the two
+// evaluators: the interpreter reads world p's exetime facts from position p
+// of the CRN rows the native kernel reads, so in every world the
+// interpreted maxtime and totalcost of Example 1's rules equal the native
+// kernel's sampled makespan and cost. The native evaluator carries a
+// percentile budget (never binding) so that it samples the cost figure.
+// The figures agree to a relative perWorldTol, not bit for bit: the
+// interpreter adds a path's times from its last task backwards where the
+// native DP adds them from the first task forward, and it prices per second
+// (T × price/3600) where the native kernel prices per hour (T/3600 × price).
+// Each of the at most 12 terms rounds once either way, a few ulps in all.
+// The deadline indicators, checked against the same bound, are equal in
+// every world, and so are the deadline's probability and the verdict.
+func TestPrologNativeAgreePerWorld(t *testing.T) {
+	const iters = 16
+	const perWorldTol = 1e-12
+	src, err := os.ReadFile("../../programs/adaptive.wlog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ne, err := NewNative(w, tbl, prices, GoalCost,
-		[]wlog.Constraint{{Kind: "deadline", Percentile: 0.95, Bound: 36000}}, 3000)
+	adaptive, err := wlog.Parse(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, config := range [][]int{{0, 0, 0, 0}, {1, 2, 1, 3}, {3, 3, 3, 3}} {
-		pv, err := pe.Evaluate(config, rand.New(rand.NewSource(9)))
+	programs := map[string]*wlog.Program{
+		"schedProgram":  schedProgram(t, "deadline(90%,1h)"),
+		"adaptive.wlog": adaptive,
+	}
+	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	type workflow struct {
+		name string
+		w    *dag.Workflow
+		tbl  *estimate.Table
+		pr   []float64
+	}
+	var wfs []workflow
+	for _, cpuOnly := range []bool{false, true} {
+		w, tbl, prices := fixture(t, cpuOnly)
+		wfs = append(wfs, workflow{fmt.Sprintf("diamond cpuOnly=%v", cpuOnly), w, tbl, prices})
+	}
+	for name, gen := range map[string]func() (*dag.Workflow, error){
+		"pipeline5":    func() (*dag.Workflow, error) { return wfgen.Pipeline(5, rng(1)) },
+		"cybershake12": func() (*dag.Workflow, error) { return wfgen.CyberShake(2, 2, rng(2)) },
+		"cybershake11": func() (*dag.Workflow, error) { return wfgen.CyberShake(1, 4, rng(3)) },
+		"epigenomics9": func() (*dag.Workflow, error) { return wfgen.Epigenomics(1, 1, rng(4)) },
+		"funnel6":      func() (*dag.Workflow, error) { return wfgen.Funnel(6, 300, 100, rng(5)) },
+	} {
+		w, err := gen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := ne.Evaluate(config, rand.New(rand.NewSource(10)))
+		if w.Len() > 12 {
+			t.Fatalf("%s has %d tasks, more than the interpreter's 12", name, w.Len())
+		}
+		tbl, prices := fixtureTable(t, w)
+		wfs = append(wfs, workflow{name, w, tbl, prices})
+	}
+	passes, fails := 0, 0
+	for _, wf := range wfs {
+		k := len(wf.tbl.Types)
+		configs := [][]int{make([]int, wf.w.Len()), make([]int, wf.w.Len()), make([]int, wf.w.Len())}
+		for i := range wf.w.Len() {
+			configs[1][i] = k - 1
+			configs[2][i] = i % k
+		}
+		// A deadline at the mean makespan of the mixed configuration, off
+		// any integer sum, so worlds fall on both sides of it.
+		probe, err := NewNative(wf.w, wf.tbl, wf.pr, GoalMakespan, nil, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if relDiff(pv.Value, nv.Value) > 0.05 {
-			t.Errorf("config %v: prolog cost %v vs native %v", config, pv.Value, nv.Value)
+		pv, err := probe.EvaluateCRN(configs[2], 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pv.Feasible != nv.Feasible {
-			t.Errorf("config %v: feasibility %v vs %v (probs %v vs %v)",
-				config, pv.Feasible, nv.Feasible, pv.ConsProb, nv.ConsProb)
+		bound := math.Floor(pv.Value) + 0.5
+		for pname, prog := range programs {
+			interp := *prog
+			interp.Constraints = []wlog.Constraint{prog.Constraints[0]}
+			interp.Constraints[0].Percentile, interp.Constraints[0].Bound = 0.5, bound
+			pe, err := NewProlog(wf.w, wf.tbl, wf.pr, &interp, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ne, err := NewNative(wf.w, wf.tbl, wf.pr, GoalCost, []wlog.Constraint{
+				{Kind: "deadline", Percentile: 0.5, Bound: bound},
+				{Kind: "budget", Percentile: 0.5, Bound: 1e9},
+			}, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range []int64{5, 1 << 40} {
+				for _, config := range configs {
+					label := fmt.Sprintf("%s/%s base %d config %v", wf.name, pname, base, config)
+					pk, err := pe.Kernel(context.Background(), config, base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nk, err := ne.newCRNKernel(context.Background(), config, base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pw, nw := pk.Width(), nk.Width()
+					pout, nout := make([]float64, iters*pw), make([]float64, iters*nw)
+					if err := pk.Sample(0, iters, pout); err != nil {
+						t.Fatal(err)
+					}
+					if err := nk.Sample(0, iters, nout); err != nil {
+						t.Fatal(err)
+					}
+					psums, nsums := make([]float64, pw), make([]float64, nw)
+					for it := range iters {
+						p, n := pout[it*pw:(it+1)*pw], nout[it*nw:(it+1)*nw]
+						// Interpreted figures: totalcost, maxtime, deadline
+						// indicator.
+						if relDiff(p[0], n[nk.costIdx]) > perWorldTol {
+							t.Errorf("%s world %d: totalcost %v, native cost %v", label, it, p[0], n[nk.costIdx])
+						}
+						if relDiff(p[1], n[nk.msIdx]) > perWorldTol {
+							t.Errorf("%s world %d: maxtime %v, native makespan %v", label, it, p[1], n[nk.msIdx])
+						}
+						if p[2] != n[nk.indIdx[0]] {
+							t.Errorf("%s world %d: deadline indicator %v, native %v", label, it, p[2], n[nk.indIdx[0]])
+						}
+						if p[2] == 1 {
+							passes++
+						} else {
+							fails++
+						}
+						for f := range psums {
+							psums[f] += p[f]
+						}
+						for f := range nsums {
+							nsums[f] += n[f]
+						}
+					}
+					pev, err := pk.Reduce(psums)
+					if err != nil {
+						t.Fatal(err)
+					}
+					nev, err := nk.Reduce(nsums)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pev.Feasible != nev.Feasible || pev.ConsProb[0] != nev.ConsProb[0] {
+						t.Errorf("%s: feasible %v P(deadline) %v, native %v %v",
+							label, pev.Feasible, pev.ConsProb[0], nev.Feasible, nev.ConsProb[0])
+					}
+				}
+			}
 		}
+	}
+	if passes == 0 || fails == 0 {
+		t.Fatalf("deadline met in %d worlds and missed in %d: the bounds test one side only", passes, fails)
 	}
 }
 
@@ -325,6 +458,25 @@ func TestPrologValidation(t *testing.T) {
 	pe, _ := NewProlog(w, tbl, prices, prog, 5)
 	if _, err := pe.Evaluate([]int{0}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("short config accepted")
+	}
+	// A cost-only user-rule program: no rule would notice a type index
+	// outside the table, so the kernel must reject it.
+	costOnly, err := wlog.Parse(`
+minimize Ct in totalcost(Ct).
+cost(Tid,Vid,C) :- price(Vid,Up), exetime(Tid,Vid,T), configs(Tid,Vid,Con), C is T*Up*Con.
+totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := NewProlog(w, tbl, prices, costOnly, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, config := range [][]int{{9, 9, 9, 9}, {-1, 0, 0, 0}} {
+		if ev, err := pc.Evaluate(config, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("out-of-range config %v accepted: %+v", config, ev)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package probir
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,10 +14,13 @@ import (
 )
 
 // Prolog is the general evaluator: it interprets the WLog program's own
-// rules with the Prolog machine, per sampled world. It is the path taken
-// when a program defines its own goal/constraint predicates instead of
-// relying on the engine-native constructs; it is exact but much slower, so
-// Deco uses it for small problems and for validating the native evaluator.
+// rules with the Prolog machine, per world. It is the path taken when a
+// program defines its own goal/constraint predicates instead of relying on
+// the engine-native constructs; it is exact but much slower, so Deco uses it
+// for small problems and as the differential oracle of the native
+// evaluator. World p reads its exetime facts from position p of the CRN
+// rows of a Native built over the same workflow, table and prices, so an
+// interpreted query and a native kernel see the same realizations.
 //
 // Database layout per world (the probabilistic IR realization):
 //
@@ -25,18 +29,15 @@ import (
 //	edge(root,X), edge(X,tail)     virtual source/sink as in Example 1
 //	edge(X,Y).                     workflow structure
 //	price(vid, $/second).
-//	exetime(tid, vid, seconds).    sampled from the calibrated histograms
+//	exetime(tid, vid, seconds).    world p of the CRN duration rows
 //	exetime(root, vid, 0). exetime(tail, vid, 0).
 //	configs(tid, vid, 0|1).        the state being evaluated
 //	configs(root, vid, 1). configs(tail, vid, 1).
 type Prolog struct {
-	W       *dag.Workflow
-	Table   *estimate.Table
-	Prices  []float64 // per hour, converted to $/s in the price facts
 	Program *wlog.Program
-	Iters   int
 
-	base *prolog.Machine // static part: rules + structure facts
+	native *Native         // the CRN rows, shape and iteration count
+	base   *prolog.Machine // static part: rules + structure facts
 }
 
 // typeAtom names catalog type j in the fact database.
@@ -46,21 +47,17 @@ func typeAtom(j int) prolog.Atom { return prolog.Atom(fmt.Sprintf("v%d", j)) }
 // lowercase in our generators; quote-insensitive Atom covers the rest.
 func taskAtom(id string) prolog.Atom { return prolog.Atom(id) }
 
-// NewProlog builds the general evaluator for the given program.
+// NewProlog builds the general evaluator for the given program over iters
+// worlds.
 func NewProlog(w *dag.Workflow, tbl *estimate.Table, prices []float64, prog *wlog.Program, iters int) (*Prolog, error) {
-	if iters < 1 {
-		return nil, fmt.Errorf("probir: iters must be >= 1, got %d", iters)
-	}
 	if prog.Goal == nil {
 		return nil, fmt.Errorf("probir: program has no optimization goal")
 	}
-	if len(prices) != len(tbl.Types) {
-		return nil, fmt.Errorf("probir: %d prices for %d types", len(prices), len(tbl.Types))
-	}
-	if err := w.Validate(); err != nil {
+	n, err := NewNative(w, tbl, prices, GoalCost, nil, iters)
+	if err != nil {
 		return nil, err
 	}
-	p := &Prolog{W: w, Table: tbl, Prices: prices, Program: prog, Iters: iters}
+	p := &Prolog{Program: prog, native: n}
 	m := prolog.NewMachine()
 	for _, r := range prog.Rules {
 		if err := m.Assert(r); err != nil {
@@ -104,53 +101,15 @@ func NewProlog(w *dag.Workflow, tbl *estimate.Table, prices []float64, prog *wlo
 }
 
 // NumTasks implements Evaluator.
-func (p *Prolog) NumTasks() int { return p.W.Len() }
+func (p *Prolog) NumTasks() int { return p.native.NumTasks() }
 
 // NumTypes implements Evaluator.
-func (p *Prolog) NumTypes() int { return len(p.Table.Types) }
+func (p *Prolog) NumTypes() int { return p.native.NumTypes() }
 
 var (
 	exetimeInd = prolog.Indicator{Functor: "exetime", Arity: 3}
 	configsInd = prolog.Indicator{Functor: "configs", Arity: 3}
 )
-
-// assertWorld installs the config facts and one sampled world of exetime
-// facts into m.
-func (p *Prolog) assertWorld(m *prolog.Machine, config []int, rng *rand.Rand) error {
-	m.RetractAll(exetimeInd)
-	m.RetractAll(configsInd)
-	for i, t := range p.W.Tasks {
-		for j := range p.Table.Types {
-			td, err := p.Table.Dist(t.ID, j)
-			if err != nil {
-				return err
-			}
-			secs := td.Sample(rng)
-			if err := m.AssertFact(prolog.Comp("exetime", taskAtom(t.ID), typeAtom(j), prolog.Number(secs))); err != nil {
-				return err
-			}
-			con := 0
-			if config[i] == j {
-				con = 1
-			}
-			if err := m.AssertFact(prolog.Comp("configs", taskAtom(t.ID), typeAtom(j), prolog.Number(con))); err != nil {
-				return err
-			}
-		}
-	}
-	// Virtual root/tail run "for free" on every type.
-	for _, v := range []prolog.Atom{"root", "tail"} {
-		for j := range p.Table.Types {
-			if err := m.AssertFact(prolog.Comp("exetime", v, typeAtom(j), prolog.Number(0))); err != nil {
-				return err
-			}
-			if err := m.AssertFact(prolog.Comp("configs", v, typeAtom(j), prolog.Number(1))); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // queryNumber proves query once and evaluates v.
 func queryNumber(m *prolog.Machine, v, query prolog.Term) (float64, error) {
@@ -168,43 +127,46 @@ func queryNumber(m *prolog.Machine, v, query prolog.Term) (float64, error) {
 	return float64(n), nil
 }
 
-// Evaluate implements Evaluator: the WLog interpreter of Algorithm 1 run for
-// Iters sampled realizations, through the same world kernel the device
-// path executes, so results are device- and schedule-independent.
+// Evaluate implements Evaluator: the WLog interpreter of Algorithm 1 run
+// over every world of the CRN base rng.Int63(), through the same world
+// kernel the device path executes, so results are device- and
+// schedule-independent.
 func (p *Prolog) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {
-	k, err := p.Kernel(config, rng.Int63())
+	k, err := p.Kernel(context.Background(), config, rng.Int63())
 	if err != nil {
 		return nil, err
 	}
 	return RunKernel(k)
 }
 
-// prologKernel interprets one world per thread, world it drawing its facts
-// from WorldRNG(base, it). Figures: the goal value, then per constraint its
-// queried value and a 0/1 satisfaction indicator. Machines are pooled: each
-// concurrent world checks one out, installs its sampled facts (which clears
-// any tabled answers), and returns it.
+// prologKernel interprets one world per thread. Figures: the goal value,
+// then per constraint its queried value and a 0/1 satisfaction indicator.
+// Machines are pooled: each concurrent chunk checks one out, installs its
+// worlds' facts (which clears any tabled answers), and returns it.
 type prologKernel struct {
 	p      *Prolog
 	config []int
-	base   int64
+	crn    *Program
 	pool   sync.Pool
 }
 
-// Kernel builds the world kernel of one configuration over the world
-// substream base. Interpreted worlds cannot share realizations across
-// states, so the solver derives base from its seed and the state key.
-func (p *Prolog) Kernel(config []int, base int64) (WorldKernel, error) {
-	if len(config) != p.W.Len() {
-		return nil, fmt.Errorf("probir: config length %d, want %d", len(config), p.W.Len())
+// Kernel builds the world kernel of one configuration over the CRN rows of
+// base, shaped like Native.CRNKernel: ctx cancels the rows' build.
+func (p *Prolog) Kernel(ctx context.Context, config []int, base int64) (WorldKernel, error) {
+	if err := p.native.checkConfig(config); err != nil {
+		return nil, err
 	}
-	k := &prologKernel{p: p, config: config, base: base}
+	crn, err := p.native.program(ctx, base)
+	if err != nil {
+		return nil, err
+	}
+	k := &prologKernel{p: p, config: config, crn: crn}
 	k.pool.New = func() any { return p.base.Clone() }
 	return k, nil
 }
 
 // Worlds implements WorldKernel.
-func (k *prologKernel) Worlds() int { return k.p.Iters }
+func (k *prologKernel) Worlds() int { return k.crn.iters }
 
 // Width implements WorldKernel.
 func (k *prologKernel) Width() int { return 1 + 2*len(k.p.Program.Constraints) }
@@ -224,9 +186,42 @@ func (k *prologKernel) Sample(lo, hi int, out []float64) error {
 	return nil
 }
 
+// assertWorld installs the config facts and world it's exetime facts into m.
+func (k *prologKernel) assertWorld(m *prolog.Machine, it int) error {
+	m.RetractAll(exetimeInd)
+	m.RetractAll(configsInd)
+	for i, id := range k.crn.flat.IDs {
+		for j := range k.crn.nTypes {
+			secs := k.crn.row(i, j)[it]
+			if err := m.AssertFact(prolog.Comp("exetime", taskAtom(id), typeAtom(j), prolog.Number(secs))); err != nil {
+				return err
+			}
+			con := 0
+			if k.config[i] == j {
+				con = 1
+			}
+			if err := m.AssertFact(prolog.Comp("configs", taskAtom(id), typeAtom(j), prolog.Number(con))); err != nil {
+				return err
+			}
+		}
+	}
+	// Virtual root/tail run "for free" on every type.
+	for _, v := range []prolog.Atom{"root", "tail"} {
+		for j := range k.crn.nTypes {
+			if err := m.AssertFact(prolog.Comp("exetime", v, typeAtom(j), prolog.Number(0))); err != nil {
+				return err
+			}
+			if err := m.AssertFact(prolog.Comp("configs", v, typeAtom(j), prolog.Number(1))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // world interprets world it on machine m into out.
 func (k *prologKernel) world(m *prolog.Machine, it int, out []float64) error {
-	if err := k.p.assertWorld(m, k.config, WorldRNG(k.base, it)); err != nil {
+	if err := k.assertWorld(m, it); err != nil {
 		return err
 	}
 	gv, err := queryNumber(m, k.p.Program.Goal.Var, k.p.Program.Goal.Query)
@@ -251,14 +246,13 @@ func (k *prologKernel) world(m *prolog.Machine, it int, out []float64) error {
 // queried mean and satisfaction probability through the shared verdict
 // (figures.go).
 func (k *prologKernel) Reduce(sums []float64) (*Evaluation, error) {
-	p := k.p
-	iters := float64(p.Iters)
+	iters := float64(k.crn.iters)
 	ev := &Evaluation{
 		Value:    sums[0] / iters,
 		Feasible: true,
-		ConsProb: make([]float64, len(p.Program.Constraints)),
+		ConsProb: make([]float64, len(k.p.Program.Constraints)),
 	}
-	for ci, c := range p.Program.Constraints {
+	for ci, c := range k.p.Program.Constraints {
 		judge(ev, ci, c, sums[2+2*ci]/iters, sums[1+2*ci]/iters)
 	}
 	return ev, nil

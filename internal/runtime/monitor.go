@@ -5,6 +5,7 @@ import (
 
 	"deco/internal/cloud"
 	"deco/internal/dag"
+	"deco/internal/device"
 	"deco/internal/estimate"
 	"deco/internal/probir"
 	"deco/internal/sim"
@@ -265,14 +266,9 @@ func (m *Monitor) Revise() map[string]sim.Placement {
 	if m.err != nil || len(m.cons) == 0 {
 		return nil
 	}
-	k, err := m.res.buildKernel(m.config, probir.MixSeed(m.opt.Seed, m.decisions))
-	if err != nil {
-		m.fail(err)
-		return nil
-	}
+	base := probir.MixSeed(m.opt.Seed, m.decisions)
 	m.decisions++
-	ev, err := evalKernel(k, m.opt.Device)
-	m.riskWorldsRun += int64(k.Worlds())
+	ev, err := m.assess(base)
 	if err != nil {
 		m.fail(err)
 		return nil
@@ -285,9 +281,7 @@ func (m *Monitor) Revise() map[string]sim.Placement {
 	if risk <= m.opt.Risk || m.replans >= m.opt.MaxReplans || m.sinceReplan < m.opt.Cooldown {
 		return nil
 	}
-	searchSeed := probir.MixSeed(m.opt.Seed, m.decisions)
-	m.decisions++
-	upd, rev, err := m.replan(ev, searchSeed)
+	upd, rev, err := m.replan(base)
 	if err != nil {
 		m.fail(err)
 		return nil
@@ -303,6 +297,25 @@ func (m *Monitor) Revise() map[string]sim.Placement {
 	rev.RiskBefore = risk
 	m.emit(StreamEvent{Time: m.res.now, Kind: "replan", Risk: risk, Replan: rev})
 	return upd
+}
+
+// assess is the risk evaluation of the current plan over the worlds of
+// base: the residual kernel's worlds on the device (one block), reduced
+// bit-identically to probir.RunKernel on any device, because ReduceBlocks
+// folds thread slots in canonical order.
+func (m *Monitor) assess(base int64) (*probir.Evaluation, error) {
+	k, err := m.res.buildKernel(m.config, base)
+	if err != nil {
+		return nil, err
+	}
+	m.riskWorldsRun += int64(k.Worlds())
+	sums, errs := device.ReduceBlocks(m.opt.Device, 1, k.Worlds(), k.Width(), func(_, lo, hi int, out []float64) error {
+		return k.Sample(lo, hi, out)
+	})
+	if errs[0] != nil {
+		return nil, errs[0]
+	}
+	return k.Reduce(sums)
 }
 
 // fail records a monitoring error and stops further adaptation; the

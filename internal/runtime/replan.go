@@ -71,13 +71,10 @@ func (s *residualSpace) Neighbors(st opt.State) []opt.Transform {
 }
 
 // Describe implements opt.Space: the residual kernel of each state over the
-// state-keyed substream opt.StateBase(seed, key), and the snapshot
-// fingerprint.
+// worlds of the seed, whatever the state, and the snapshot fingerprint.
 func (s *residualSpace) Describe(_ context.Context, seed int64) opt.Descriptor {
 	return opt.Descriptor{
-		Kernel: func(st opt.State) (probir.WorldKernel, error) {
-			return s.r.buildKernel(st, opt.StateBase(seed, st.Key()))
-		},
+		Kernel:      func(st opt.State) (probir.WorldKernel, error) { return s.r.buildKernel(st, seed) },
 		Fingerprint: s.fingerprint(),
 	}
 }
@@ -128,22 +125,29 @@ func (s *residualSpace) fingerprint() string {
 	return s.fp
 }
 
+// unstarted lists the positions of the tasks that have not started.
+func (m *Monitor) unstarted() []int {
+	var out []int
+	for i, st := range m.res.state {
+		if st == stUnstarted {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // replanPlacements materializes the unstarted portion of a new
 // configuration into placements on fresh slots: the unstarted sub-DAG is
 // consolidated (hour-packed) exactly like an initial plan, then its slots
 // are offset past every slot the execution has already referenced.
 func (m *Monitor) replanPlacements(config []int) (map[string]sim.Placement, error) {
 	sub := dag.New(m.w.Name + "/residual")
-	subIdx := []int{}
-	for i, t := range m.w.Tasks {
-		if m.res.state[i] != stUnstarted {
-			continue
-		}
-		tc := *t
+	subIdx := m.unstarted()
+	for _, i := range subIdx {
+		tc := *m.w.Tasks[i]
 		if err := sub.AddTask(&tc); err != nil {
 			return nil, err
 		}
-		subIdx = append(subIdx, i)
 	}
 	for _, i := range subIdx {
 		id := m.w.Tasks[i].ID
@@ -176,18 +180,16 @@ func (m *Monitor) replanPlacements(config []int) (map[string]sim.Placement, erro
 	return out, nil
 }
 
-// replan runs the warm-started incremental search and, if the best found
-// configuration ranks strictly better than staying the course, returns the
-// revised placements for the unstarted tasks.
-func (m *Monitor) replan(cur *probir.Evaluation, seed int64) (map[string]sim.Placement, *ReplanEvent, error) {
-	unstarted := []int{}
-	for i := range m.config {
-		if m.res.state[i] == stUnstarted {
-			unstarted = append(unstarted, i)
-		}
-	}
+// replanSearch runs the warm-started incremental search over the worlds of
+// base. Revise passes the base of the risk evaluation that triggered the
+// replan, so the search's start state — the current plan — evaluates
+// bit-identically to that risk evaluation. Only unstarted tasks move, so
+// the best state equals the current plan on every started task. The result
+// is nil when every task has started.
+func (m *Monitor) replanSearch(base int64) (*opt.Result, error) {
+	unstarted := m.unstarted()
 	if len(unstarted) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	space := &residualSpace{
 		r:         m.res,
@@ -200,30 +202,39 @@ func (m *Monitor) replan(cur *probir.Evaluation, seed int64) (map[string]sim.Pla
 		MaxStates: m.opt.ReplanBudget,
 		BeamWidth: 6,
 		Patience:  6,
-		Seed:      seed,
+		Seed:      base,
 		Ctx:       m.opt.Ctx,
 		Cache:     m.opt.Cache,
 	}
 	res, err := opt.Search(space, sopt)
 	if err != nil {
-		return nil, nil, fmt.Errorf("runtime: replan search: %w", err)
+		return nil, fmt.Errorf("runtime: replan search: %w", err)
 	}
-	if opt.Score(res.BestEval, false) >= opt.Score(cur, false) {
-		return nil, nil, nil // staying the course is at least as good
+	return res, nil
+}
+
+// replan runs the replan search over the worlds of base and, if it found a
+// configuration that ranks strictly better than staying the course,
+// returns the revised placements for the unstarted tasks. The search's
+// incumbent is the first state evaluated at the lowest Score, and its first
+// state is the current plan, valued exactly as the risk evaluation valued
+// it; so the best configuration differs from the current plan only when it
+// scores strictly better.
+func (m *Monitor) replan(base int64) (map[string]sim.Placement, *ReplanEvent, error) {
+	res, err := m.replanSearch(base)
+	if err != nil || res == nil {
+		return nil, nil, err
 	}
 	changed := map[string]string{}
-	for _, i := range unstarted {
-		if res.Best[i] != m.config[i] {
-			changed[m.w.Tasks[i].ID] = m.tbl.Types[res.Best[i]]
+	for i, j := range res.Best {
+		if j != m.config[i] {
+			changed[m.w.Tasks[i].ID] = m.tbl.Types[j]
 		}
 	}
 	if len(changed) == 0 {
-		return nil, nil, nil
+		return nil, nil, nil // staying the course is at least as good
 	}
-	newCfg := append([]int(nil), m.config...)
-	for _, i := range unstarted {
-		newCfg[i] = res.Best[i]
-	}
+	newCfg := []int(res.Best)
 	upd, err := m.replanPlacements(newCfg)
 	if err != nil {
 		return nil, nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"deco/internal/device"
 	"deco/internal/estimate"
 	"deco/internal/probir"
 	"deco/internal/wlog"
@@ -64,10 +63,10 @@ func condSample(td *estimate.TimeDist, drift, elapsed float64, rng *rand.Rand) f
 // constraint reduction are the embedded probir.Figures — the solver's
 // native semantics — so replan search results rank exactly like
 // initial-planning results; its goal value is the deterministic residual
-// cost. World it draws from probir.WorldRNG(base, it): the conditioned
-// rejection sampling (condSample) draws a data-dependent number of variates
-// per task, which no fixed (task, iteration) stream of a shared duration
-// matrix can serve.
+// cost. World it draws from probir.WorldRNG(base, it), base being the
+// monitor decision's, never a state's: the conditioned rejection sampling
+// (condSample) draws a data-dependent number of variates per task, which no
+// fixed (task, iteration) stream of a shared duration matrix can serve.
 type residualKernel struct {
 	probir.Figures
 	r      *residual
@@ -78,7 +77,7 @@ type residualKernel struct {
 }
 
 // buildKernel resolves config's per-task distributions and figure layout
-// over the world substream base.
+// over the worlds of the decision base.
 func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error) {
 	if len(config) != len(r.ids) {
 		return nil, fmt.Errorf("runtime: config length %d, want %d", len(config), len(r.ids))
@@ -171,17 +170,4 @@ func violationProb(ev *probir.Evaluation) float64 {
 		}
 	}
 	return risk
-}
-
-// evalKernel runs a kernel's worlds on the device (one block, a thread per
-// world) and reduces them — bit-identical to probir.RunKernel on any
-// device, because ReduceBlocks folds thread slots in canonical order.
-func evalKernel(k probir.WorldKernel, dev device.Device) (*probir.Evaluation, error) {
-	sums, errs := device.ReduceBlocks(dev, 1, k.Worlds(), k.Width(), func(_, lo, hi int, out []float64) error {
-		return k.Sample(lo, hi, out)
-	})
-	if errs[0] != nil {
-		return nil, errs[0]
-	}
-	return k.Reduce(sums)
 }

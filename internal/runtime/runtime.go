@@ -40,8 +40,10 @@ type Options struct {
 	// Cooldown is how many task completions must be observed after a replan
 	// before the next may fire (default 1).
 	Cooldown int
-	// Seed makes monitoring decisions reproducible: risk evaluations and
-	// replan searches derive per-decision rng substreams from it.
+	// Seed makes monitoring decisions reproducible: each risk evaluation
+	// draws its worlds from its own decision base, derived from Seed, and a
+	// replan search it triggers evaluates every candidate over those same
+	// worlds.
 	Seed int64
 	// Device runs Monte-Carlo worlds (default device.TwoLevel{MaxThreads: 1}:
 	// states in parallel, each state's worlds on one worker).

@@ -339,3 +339,56 @@ func TestResidualReduceMatchesNative(t *testing.T) {
 		}
 	}
 }
+
+// TestReplanSearchStartsOnRiskWorlds: a replan search evaluates every
+// candidate over the worlds of the risk evaluation that triggered it, so
+// its evaluation of its start state — the current plan — is that risk
+// evaluation, bit for bit, on every device. The replan then compares its
+// candidates with the current plan on the same worlds.
+func TestReplanSearchStartsOnRiskWorlds(t *testing.T) {
+	s := newScenario(t)
+	ids, err := s.w.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := 0
+	for j, name := range s.tbl.Types {
+		if name == "m1.small" {
+			small = j
+		}
+	}
+	td, err := s.tbl.Dist(ids[0], small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{}, device.TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
+		m, err := NewMonitor(s.w, s.plan, s.tbl, s.prices, cloud.USEast, s.cons,
+			Options{Seed: 42, Iters: 150, ReplanBudget: 1, Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first task overran its forecast; the second is running.
+		d := 1.25 * td.Mean()
+		m.OnEvent(sim.Event{Kind: sim.EvTaskStart, Task: ids[0], Type: "m1.small"})
+		m.OnEvent(sim.Event{Kind: sim.EvTaskFinish, Time: d, Task: ids[0], Type: "m1.small", Duration: d, AccruedCost: 0.06})
+		m.OnEvent(sim.Event{Kind: sim.EvTaskStart, Time: d, Task: ids[1], Type: "m1.small"})
+		base := probir.MixSeed(m.opt.Seed, m.decisions)
+		cur, err := m.assess(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := cur.ConsProb[0]; p <= 0 || p >= 1 {
+			t.Fatalf("%s: P(deadline) = %v: every world agrees, so the pairing is untested", dev.Name(), p)
+		}
+		res, err := m.replanSearch(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Evaluated != 1 || !reflect.DeepEqual([]int(res.Best), m.config) {
+			t.Fatalf("%s: search evaluated %d states, best %v; want only the start %v", dev.Name(), res.Evaluated, res.Best, m.config)
+		}
+		if !reflect.DeepEqual(res.BestEval, cur) {
+			t.Errorf("%s: replan start evaluates to %+v, the risk evaluation to %+v", dev.Name(), res.BestEval, cur)
+		}
+	}
+}
