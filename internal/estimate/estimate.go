@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"deco/internal/cloud"
 	"deco/internal/dag"
@@ -151,6 +152,8 @@ func (td *TimeDist) Mean() float64 {
 type Table struct {
 	Types []string
 	Dists map[string][]*TimeDist // task ID -> per-type distribution
+
+	means atomic.Pointer[FlatMeans] // the last FlatMeans resolved (see Means)
 }
 
 // BuildTable precomputes execution-time distributions for all tasks of w on

@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 
+	"deco/internal/dag"
 	"deco/internal/dist"
 )
 
@@ -52,6 +53,38 @@ func (ft *FlatTable) Dist(i, j int) *TimeDist { return ft.Dists[i*ft.NumTypes+j]
 
 // Len is the number of tasks.
 func (ft *FlatTable) Len() int { return len(ft.TaskIDs) }
+
+// FlatMeans is the dense mean-duration table of one workflow's flat form:
+// Means[i*NumTypes+j] is the mean duration of task i (dag.Flat.IDs order)
+// on type j. It is immutable and safe for concurrent use.
+type FlatMeans struct {
+	flat     *dag.Flat
+	NumTypes int
+	Means    []float64
+}
+
+// Means returns the mean duration of every (task, type) pair of f's tasks,
+// resolved once per (table, flat form): the table keeps the last FlatMeans
+// it resolved, keyed by f itself, and a workflow that gains a task or edge
+// flattens to a new dag.Flat, so a kept entry never outlives the form it
+// was resolved for. Concurrent first calls each resolve the same values and
+// one of them is kept. Like FlatTable, the result reflects the table as it
+// stands; a Table is not modified once built.
+func (tb *Table) Means(f *dag.Flat) (*FlatMeans, error) {
+	if m := tb.means.Load(); m != nil && m.flat == f {
+		return m, nil
+	}
+	ft, err := tb.Flatten(f.IDs)
+	if err != nil {
+		return nil, err
+	}
+	m := &FlatMeans{flat: f, NumTypes: ft.NumTypes, Means: make([]float64, len(ft.Dists))}
+	for i, td := range ft.Dists {
+		m.Means[i] = td.Mean()
+	}
+	tb.means.Store(m)
+	return m, nil
+}
 
 // writeFloats writes float64s to a hash in a fixed binary form.
 func writeFloats(w io.Writer, xs ...float64) {

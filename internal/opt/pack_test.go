@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -97,9 +98,9 @@ func oraclePack(w *dag.Workflow, config State, tbl *estimate.Table, prices []flo
 // packFamilies builds one workflow per wfgen family plus three hand-made
 // shapes: a fan whose identical middle tasks all start together and whose
 // tasks are inserted in reverse topological order (ties must break by
-// topological order, not insertion order), and a fork whose short branch
-// leaves its instance idle for more than an hour before the join (the join
-// must not reuse it).
+// topological order, not insertion order), chains of zero-duration tasks
+// sharing one mean start, and a fork whose short branch leaves its instance
+// idle for more than an hour before the join (the join must not reuse it).
 func packFamilies(t testing.TB) []*dag.Workflow {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -136,6 +137,20 @@ func packFamilies(t testing.TB) []*dag.Workflow {
 		must(fan.AddEdge(id, "sink"))
 	}
 	ws = append(ws, fan)
+
+	// Zero-duration tasks (no CPU time, no files) start when their parents
+	// finish, so each chain of them shares one mean start; inserted in
+	// reverse topological order, only the topological rank orders them.
+	zeros := dag.New("zeros")
+	for i := 5; i >= 0; i-- {
+		must(zeros.AddTask(&dag.Task{ID: fmt.Sprintf("z%d", i), Executable: "z"}))
+	}
+	must(zeros.AddTask(&dag.Task{ID: "head", Executable: "h", CPUSeconds: 600}))
+	must(zeros.AddTask(&dag.Task{ID: "tail", Executable: "t", CPUSeconds: 300}))
+	for _, e := range [][2]string{{"head", "z0"}, {"z0", "z1"}, {"z1", "z2"}, {"head", "z3"}, {"z3", "z4"}, {"z4", "tail"}, {"z2", "tail"}, {"z5", "tail"}} {
+		must(zeros.AddEdge(e[0], e[1]))
+	}
+	ws = append(ws, zeros)
 
 	fork := dag.New("fork")
 	for _, tk := range []struct {
@@ -223,6 +238,137 @@ func TestPackedMatchesMapOracle(t *testing.T) {
 				}
 				if !reflect.DeepEqual(plan.Place, wantPlan.Place) {
 					t.Errorf("%s spot=%v config %d: Place map differs from the oracle", w.Name, spot, ci)
+				}
+			}
+		}
+	}
+}
+
+// stablePacking is stablePack's sort.Interface: task indices ordered by
+// mean start.
+type stablePacking struct {
+	start   []float64
+	byStart []int32
+}
+
+func (p *stablePacking) Len() int           { return len(p.byStart) }
+func (p *stablePacking) Less(a, b int) bool { return p.start[p.byStart[a]] < p.start[p.byStart[b]] }
+func (p *stablePacking) Swap(a, b int)      { p.byStart[a], p.byStart[b] = p.byStart[b], p.byStart[a] }
+
+// stablePack is the flat packing as it stood before the dense mean table, kept
+// as a differential reference: a string-keyed tbl.Dist lookup and a Mean per
+// task, then sort.Stable over the topological order by mean start. It
+// returns each task's slot and the hour-billed cost.
+func stablePack(w *dag.Workflow, config State, tbl *estimate.Table, prices []float64) ([]int32, float64, error) {
+	f, err := w.Flatten()
+	if err != nil {
+		return nil, 0, err
+	}
+	n := f.Len()
+	dur, finish := make([]float64, n), make([]float64, n)
+	p := &stablePacking{start: make([]float64, n), byStart: make([]int32, n)}
+	slotOf := make([]int32, n)
+	for i, id := range f.IDs {
+		td, err := tbl.Dist(id, config[i])
+		if err != nil {
+			return nil, 0, err
+		}
+		dur[i] = td.Mean()
+	}
+	f.Makespan(dur, finish)
+	for i := range p.start {
+		p.start[i] = finish[i] - dur[i]
+	}
+	copy(p.byStart, f.Order)
+	sort.Stable(p)
+
+	const hour = 3600.0
+	var slots []packedSlot
+	for _, ti := range p.byStart {
+		j := config[ti]
+		st := p.start[ti]
+		best := -1
+		for si := range slots {
+			if slots[si].typ != j || slots[si].end > st {
+				continue
+			}
+			if st-slots[si].end <= hour {
+				best = si
+				break
+			}
+		}
+		if best < 0 {
+			slots = append(slots, packedSlot{typ: j, start: st})
+			best = len(slots) - 1
+		}
+		slots[best].end = finish[ti]
+		slotOf[ti] = int32(best)
+	}
+	total := 0.0
+	for _, s := range slots {
+		hours := (s.end - s.start) / 3600
+		if hours <= 0 {
+			hours = 0
+		}
+		billed := float64(int(hours) + 1)
+		if hours == float64(int(hours)) && hours > 0 {
+			billed = hours
+		}
+		total += billed * prices[s.typ]
+	}
+	return slotOf, total, nil
+}
+
+// TestPackedMatchesStableReference holds PackedMeanCost and Consolidate's
+// slots to the map-lookup, sort.Stable packing bit for bit: every family of
+// packFamilies (the zero-duration chains among them, whose equal mean
+// starts only the topological rank orders), on-demand and spot-expanded
+// tables, homogeneous and random configurations.
+func TestPackedMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, w := range packFamilies(t) {
+		for _, spot := range []bool{false, true} {
+			tbl, prices := packTable(t, w, spot)
+			var configs []State
+			for j := range tbl.Types {
+				uni := make(State, w.Len())
+				for i := range uni {
+					uni[i] = j
+				}
+				configs = append(configs, uni)
+			}
+			for r := 0; r < 20; r++ {
+				cfg := make(State, w.Len())
+				for i := range cfg {
+					cfg[i] = rng.Intn(len(tbl.Types))
+				}
+				configs = append(configs, cfg)
+			}
+			f, err := w.Flatten()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, cfg := range configs {
+				wantSlots, wantCost, err := stablePack(w, cfg, tbl, prices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost, err := PackedMeanCost(w, cfg, tbl, prices, cloud.USEast)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(cost) != math.Float64bits(wantCost) {
+					t.Errorf("%s spot=%v config %d: packed cost %v, reference %v", w.Name, spot, ci, cost, wantCost)
+				}
+				plan, err := Consolidate(w, cfg, tbl, cloud.USEast)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, id := range f.IDs {
+					if got := plan.Place[id].Slot; got != int(wantSlots[i]) {
+						t.Errorf("%s spot=%v config %d: task %s on slot %d, reference %d", w.Name, spot, ci, id, got, wantSlots[i])
+						break
+					}
 				}
 			}
 		}

@@ -1,9 +1,11 @@
 package opt
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -376,29 +378,44 @@ type packedSlot struct {
 	start, end float64
 }
 
+// packKey orders one task in the packing: its mean start, then its rank in
+// the topological order (dag.Flat.Order), which makes the order total.
+type packKey struct {
+	start float64
+	rank  int32
+}
+
+// comparePackKeys orders packKeys by start, then rank.
+func comparePackKeys(a, b packKey) int {
+	switch {
+	case a.start < b.start:
+		return -1
+	case b.start < a.start:
+		return 1
+	}
+	return cmp.Compare(a.rank, b.rank)
+}
+
 // packing is the pooled scratch and result of packMean. Per-task slices are
-// indexed like dag.Flat.IDs; byStart holds task indices and, sorted, orders
-// the tasks by mean start (sort.Interface below).
+// indexed like dag.Flat.IDs; byStart holds the tasks' keys in packing order.
 type packing struct {
-	dur, start, finish []float64
-	byStart            []int32
-	slotOf             []int32
-	slots              []packedSlot
+	dur, finish []float64
+	byStart     []packKey
+	slotOf      []int32
+	slots       []packedSlot
 }
 
 var packPool = sync.Pool{New: func() any { return new(packing) }}
-
-func (p *packing) Len() int           { return len(p.byStart) }
-func (p *packing) Less(a, b int) bool { return p.start[p.byStart[a]] < p.start[p.byStart[b]] }
-func (p *packing) Swap(a, b int)      { p.byStart[a], p.byStart[b] = p.byStart[b], p.byStart[a] }
 
 // packMean packs a configuration's mean schedule onto shared instances: the
 // Merge and Co-Scheduling transformations reuse an instance of the same type
 // that is idle by a task's start when the gap stays within an
 // already-billed hour; Move is implicit in the serial order. Tasks are
-// visited by mean start, stably over the topological order, and each takes
-// the first fitting slot in creation order. The result lives in pooled
-// scratch: the caller returns it with packPool.Put once done reading.
+// visited by mean start, ties in topological order, and each takes the
+// first fitting slot in creation order. Mean durations come from the
+// table's dense per-(task, type) means (estimate.Table.Means). The result
+// lives in pooled scratch: the caller returns it with packPool.Put once
+// done reading.
 func packMean(w *dag.Workflow, config State, tbl *estimate.Table) (*dag.Flat, *packing, error) {
 	if len(config) != w.Len() {
 		return nil, nil, fmt.Errorf("opt: config length %d, want %d", len(config), w.Len())
@@ -407,37 +424,38 @@ func packMean(w *dag.Workflow, config State, tbl *estimate.Table) (*dag.Flat, *p
 	if err != nil {
 		return nil, nil, err
 	}
-	n := f.Len()
+	means, err := tbl.Means(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, k := f.Len(), means.NumTypes
 	p := packPool.Get().(*packing)
 	if cap(p.dur) < n {
 		p.dur = make([]float64, n)
-		p.start = make([]float64, n)
 		p.finish = make([]float64, n)
-		p.byStart = make([]int32, n)
+		p.byStart = make([]packKey, n)
 		p.slotOf = make([]int32, n)
 	}
-	p.dur, p.start, p.finish = p.dur[:n], p.start[:n], p.finish[:n]
+	p.dur, p.finish = p.dur[:n], p.finish[:n]
 	p.byStart, p.slotOf, p.slots = p.byStart[:n], p.slotOf[:n], p.slots[:0]
-	for i, id := range f.IDs {
-		td, err := tbl.Dist(id, config[i])
-		if err != nil {
+	for i, j := range config {
+		if j < 0 || j >= k {
 			packPool.Put(p)
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("opt: type index %d out of range", j)
 		}
-		p.dur[i] = td.Mean()
+		p.dur[i] = means.Means[i*k+j]
 	}
 	// Mean schedule: start/finish under infinite instances.
 	f.Makespan(p.dur, p.finish)
-	for i := range p.start {
-		p.start[i] = p.finish[i] - p.dur[i]
+	for rank, ti := range f.Order {
+		p.byStart[rank] = packKey{start: p.finish[ti] - p.dur[ti], rank: int32(rank)}
 	}
-	copy(p.byStart, f.Order)
-	sort.Stable(p)
+	slices.SortFunc(p.byStart, comparePackKeys)
 
 	const hour = 3600.0
-	for _, ti := range p.byStart {
-		j := config[ti]
-		st := p.start[ti]
+	for _, key := range p.byStart {
+		ti := f.Order[key.rank]
+		j, st := config[ti], key.start
 		best := -1
 		for si := range p.slots {
 			if p.slots[si].typ != j || p.slots[si].end > st {

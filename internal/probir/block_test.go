@@ -3,6 +3,7 @@ package probir
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -124,17 +125,17 @@ func chunked(t *testing.T, k WorldKernel, size int, rng *rand.Rand) []float64 {
 
 // sameSnapshot fails unless two snapshots hold bitwise-equal finish times
 // and makespans, and argmax tasks that are equal too or, with exactAmax
-// unset (a delta rescan breaks ties in index order, the full DP in
-// topological order), that attain the makespan.
+// unset (on a tie a delta keeps the parent's argmax where the full DP takes
+// the first sink in index order), that attain the makespan.
 func sameSnapshot(t *testing.T, what string, got, want *Snapshot, exactAmax bool) {
 	t.Helper()
 	for i := range want.finish {
-		if got.finish[i] != want.finish[i] {
+		if math.Float64bits(got.finish[i]) != math.Float64bits(want.finish[i]) {
 			t.Fatalf("%s: finish[%d] %v != %v", what, i, got.finish[i], want.finish[i])
 		}
 	}
 	for w := range want.ms {
-		if got.ms[w] != want.ms[w] {
+		if math.Float64bits(got.ms[w]) != math.Float64bits(want.ms[w]) {
 			t.Fatalf("%s: world %d makespan %v != %v", what, w, got.ms[w], want.ms[w])
 		}
 		if a := got.amax[w]; a != want.amax[w] && (exactAmax || got.finish[int(a)*got.worlds+w] != got.ms[w]) {
@@ -299,9 +300,25 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 		refDelta.materialize()
 		sameSnapshot(t, "delta reference vs full capture", refDelta, refFull, false)
 		for it := 0; it < n.Iters; it++ {
-			if a := refFull.amax[it]; refFull.finish[int(a)*n.Iters+it] != refFull.ms[it] {
+			// No argmax task means no finish exceeds 0, the makespan's floor.
+			if a := refFull.amax[it]; a < 0 && refFull.ms[it] != 0 || a >= 0 && refFull.finish[int(a)*n.Iters+it] != refFull.ms[it] {
 				t.Fatalf("world %d: argmax task %d does not attain the makespan", it, a)
 			}
+		}
+		// Reduced sequentially, the full, capturing and delta kernels agree.
+		want, err := RunKernel(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, k := range map[string]WorldKernel{
+			"capture": must(n.CRNKernelSnap(context.Background(), childCfg, base, n.NewSnapshot())),
+			"delta":   deltaKernel(refParent, n.NewSnapshot()),
+		} {
+			got, err := RunKernel(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEvalBits(t, "RunKernel "+kind, got, want)
 		}
 	}
 
@@ -345,8 +362,149 @@ func sameRows(t *testing.T, what string, got, want []float64) {
 		t.Fatalf("%s: %d figures, want %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: figure %d %v != %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// must returns a kernel build's result, failing the test on its error.
+func must(k WorldKernel, err error) WorldKernel {
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
+// sameEvalBits fails unless two evaluations are bitwise identical, NaN
+// figures included.
+func sameEvalBits(t *testing.T, what string, got, want *Evaluation) {
+	t.Helper()
+	same := math.Float64bits(got.Value) == math.Float64bits(want.Value) &&
+		math.Float64bits(got.Violation) == math.Float64bits(want.Violation) &&
+		got.Feasible == want.Feasible && len(got.ConsProb) == len(want.ConsProb)
+	for i := range want.ConsProb {
+		same = same && math.Float64bits(got.ConsProb[i]) == math.Float64bits(want.ConsProb[i])
+	}
+	if !same {
+		t.Fatalf("%s: %+v, want %+v", what, got, want)
+	}
+}
+
+// foldWorkflow builds a random layered DAG of nt tasks whose CPU seconds
+// are set per task once the edges are known: cpu(sink) gives each task's,
+// and a task for which bare(sink) holds carries no files, so its duration
+// is its CPU time alone.
+func foldWorkflow(t *testing.T, name string, nt int, rng *rand.Rand, cpu func(i int, sink bool) float64, bare func(sink bool) bool) *dag.Workflow {
+	t.Helper()
+	w := dag.New(name)
+	id := func(i int) string { return fmt.Sprintf("t%02d", i) }
+	for i := 0; i < nt; i++ {
+		if err := w.AddTask(&dag.Task{ID: id(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < nt; i++ {
+		for p := 1 + rng.Intn(2); p > 0; p-- {
+			if err := w.AddEdge(id(rng.Intn(i)), id(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, task := range w.Tasks {
+		sink := len(w.Children(task.ID)) == 0
+		task.CPUSeconds = cpu(i, sink)
+		if !bare(sink) {
+			task.Inputs = []dag.File{{Name: "in_" + task.ID, SizeMB: 50 + rng.Float64()*300}}
+			task.Outputs = []dag.File{{Name: "out_" + task.ID, SizeMB: 25 + rng.Float64()*150}}
+		}
+	}
+	return w
+}
+
+// TestBlockKernelAllTaskFold covers the makespan fold over every task, which
+// remains for Programs with a negative or NaN duration: there a non-sink's
+// finish can exceed every sink's, so folding the sinks alone would be
+// wrong. Full, capturing and delta kernels, chunked and sequential, must
+// agree bit for bit with the per-world reference and with Flat.Makespan
+// (checkBlockKernels). A non-negative fixture whose zero-duration sinks tie
+// their parents' finishes holds the sinks-only fold to the same figures on
+// the full and delta paths.
+func TestBlockKernelAllTaskFold(t *testing.T) {
+	const worlds = 60
+	md, err := cloud.MetadataFromTruth(cloud.DefaultCatalog(), 15, 2000, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	always := func(bool) bool { return false }
+	fixtures := []struct {
+		name     string
+		w        *dag.Workflow
+		negative bool
+	}{
+		{"negative-sinks", foldWorkflow(t, "negative-sinks", 24, rng, func(i int, sink bool) float64 {
+			switch {
+			case sink:
+				return -3000
+			case i%5 == 4:
+				return -150
+			}
+			return 50 + rng.Float64()*400
+		}, always), true},
+		{"nan", foldWorkflow(t, "nan", 24, rng, func(i int, sink bool) float64 {
+			if i%4 == 1 {
+				return math.NaN()
+			}
+			return 50 + rng.Float64()*400
+		}, always), true},
+		{"zero-sinks", foldWorkflow(t, "zero-sinks", 24, rng, func(i int, sink bool) float64 {
+			if sink {
+				return 0
+			}
+			return 50 + rng.Float64()*400
+		}, func(sink bool) bool { return sink }), false},
+	}
+	for _, fx := range fixtures {
+		tbl, prices, _ := blockTable(t, fx.w, md, false)
+		probe, err := NewNative(fx.w, tbl, prices, GoalMakespan, nil, worlds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := probe.program(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.negative != fx.negative {
+			t.Fatalf("%s: Program.negative %v, want %v", fx.name, prog.negative, fx.negative)
+		}
+		mid := make([]int, fx.w.Len())
+		for i := range mid {
+			mid[i] = probe.NumTypes() / 2
+		}
+		pev, err := probe.EvaluateCRN(mid, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost, err := probe.MeanCost(mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons := []wlog.Constraint{
+			{Kind: "deadline", Percentile: 0.9, Bound: pev.Value},
+			{Kind: "budget", Percentile: 0.8, Bound: cost},
+			{Kind: "deadline", Percentile: -1, Bound: pev.Value},
+		}
+		for _, goal := range []GoalKind{GoalCost, GoalMakespan} {
+			t.Run(fmt.Sprintf("%s/goal=%d", fx.name, goal), func(t *testing.T) {
+				n, err := NewNative(fx.w, tbl, prices, goal, cons, worlds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rep := 0; rep < 4; rep++ {
+					checkBlockKernels(t, n, rng)
+				}
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package probir
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"deco/internal/dag"
@@ -162,56 +163,77 @@ func (n *Native) needsMSSampling() bool {
 	return false
 }
 
-// snapPoolBytes bounds the arenas the snapshot freelist retains. A search's
-// store drains into the freelist when it ends, so the next search — on any
-// Native — builds its snapshots from recycled arenas instead of allocating
-// and zeroing them. The bound trades latency against peak RSS: whatever the
-// freelist holds stays in the GC's live heap between searches and raises
-// the heap goal of the whole process with it.
-const snapPoolBytes = 40 << 20
+// snapPoolBytes bounds the arena capacity the snapshot freelist retains. A
+// search's store drains into the freelist when it ends, so the next search
+// — on any Native, of any size its arenas fit — builds its snapshots from
+// recycled arenas instead of allocating and zeroing them. The bound trades
+// latency against peak RSS: whatever the freelist holds stays in the GC's
+// live heap between searches and raises the heap goal of the whole process
+// with it.
+const snapPoolBytes = 20 << 20
 
-// snapPool is the process-wide snapshot freelist: a stack of arenas, most
-// recently released on top, and the bytes they retain.
+// snapPool is the process-wide snapshot freelist: arenas in release order,
+// most recent last, and the capacity bytes they retain. fresh counts the
+// arenas NewSnapshot had to allocate because none on the list fit.
 var snapPool struct {
 	mu    sync.Mutex
 	bytes int64
 	free  []*Snapshot
+	fresh int64
+}
+
+// capBytes reports the memory the snapshot's arena holds, which a recycled
+// arena keeps whatever shape it is resliced to.
+func (s *Snapshot) capBytes() int64 {
+	return int64(cap(s.finish))*8 + int64(cap(s.ms))*8 + int64(cap(s.amax))*4
 }
 
 // NewSnapshot returns a snapshot sized for this evaluator, or nil when
 // evaluation involves no per-world finish times (nothing to reuse). It
-// recycles the top arena of the freelist when its shape matches exactly;
-// otherwise that arena — sized for a shape no longer in use — goes to the
-// GC and a fresh one is allocated, so a change of shape turns the freelist
-// over instead of stranding it. The returned snapshot's contents are
-// undefined until a capturing kernel has run.
+// reslices the smallest pooled arena whose capacity fits (the most recently
+// released among equals), so arenas left by a search over a larger workflow
+// or more worlds serve any smaller one; only when none fits is a fresh arena
+// allocated. The returned snapshot's contents are undefined until a
+// capturing kernel has run.
 func (n *Native) NewSnapshot() *Snapshot {
 	if !n.needsMSSampling() {
 		return nil
 	}
 	nt, worlds := n.W.Len(), n.Iters
-	var s *Snapshot
 	snapPool.mu.Lock()
-	if k := len(snapPool.free); k > 0 {
-		top := snapPool.free[k-1]
-		snapPool.free[k-1] = nil
-		snapPool.free = snapPool.free[:k-1]
-		snapPool.bytes -= top.Bytes()
-		if top.n == nt && top.worlds == worlds {
-			s = top
+	best := -1
+	for i := len(snapPool.free) - 1; i >= 0; i-- {
+		a := snapPool.free[i]
+		if cap(a.finish) < nt*worlds || cap(a.ms) < worlds || cap(a.amax) < worlds {
+			continue
 		}
+		if best < 0 || cap(a.finish) < cap(snapPool.free[best].finish) {
+			best = i
+		}
+		if cap(a.finish) == nt*worlds {
+			break // no arena fits closer
+		}
+	}
+	var s *Snapshot
+	if best >= 0 {
+		s = snapPool.free[best]
+		snapPool.bytes -= s.capBytes()
+		snapPool.free = slices.Delete(snapPool.free, best, best+1)
+	} else {
+		snapPool.fresh++
 	}
 	snapPool.mu.Unlock()
 	if s == nil {
-		s = &Snapshot{n: nt, worlds: worlds, finish: make([]float64, nt*worlds), ms: make([]float64, worlds), amax: make([]int32, worlds)}
+		return &Snapshot{n: nt, worlds: worlds, finish: make([]float64, nt*worlds), ms: make([]float64, worlds), amax: make([]int32, worlds)}
 	}
+	s.n, s.worlds = nt, worlds
+	s.finish, s.ms, s.amax = s.finish[:nt*worlds], s.ms[:worlds], s.amax[:worlds]
 	return s
 }
 
-// ReleaseSnapshot returns a snapshot's arena to the freelist, or to the GC
-// when the freelist is full. A snapshot that still holds rows of
-// unmaterialized delta children goes back when the last of them lets go.
-// The caller must hold no kernel built against it.
+// ReleaseSnapshot returns a snapshot's arena to the freelist. A snapshot
+// that still holds rows of unmaterialized delta children goes back when the
+// last of them lets go. The caller must hold no kernel built against it.
 func (n *Native) ReleaseSnapshot(s *Snapshot) {
 	if s == nil {
 		return
@@ -224,16 +246,25 @@ func (n *Native) ReleaseSnapshot(s *Snapshot) {
 	recycle(s)
 }
 
-// recycle puts a snapshot's arena on the freelist, or leaves it to the GC
-// when the freelist is full.
+// recycle puts a snapshot's arena on the freelist, handing the oldest
+// arenas to the GC while the list holds more than snapPoolBytes of
+// capacity, so the list turns over to the sizes in current use. An arena
+// larger than the whole bound goes straight to the GC.
 func recycle(s *Snapshot) {
-	b := s.Bytes()
-	snapPool.mu.Lock()
-	if snapPool.bytes+b <= snapPoolBytes {
-		snapPool.free = append(snapPool.free, s)
-		snapPool.bytes += b
+	b := s.capBytes()
+	if b > snapPoolBytes {
+		return
 	}
-	snapPool.mu.Unlock()
+	snapPool.mu.Lock()
+	defer snapPool.mu.Unlock()
+	snapPool.free = append(snapPool.free, s)
+	snapPool.bytes += b
+	drop := 0
+	for snapPool.bytes > snapPoolBytes {
+		snapPool.bytes -= snapPool.free[drop].capBytes()
+		drop++
+	}
+	snapPool.free = slices.Delete(snapPool.free, 0, drop)
 }
 
 // CRNKernelSnap is CRNKernel, additionally recording every world's finish
@@ -350,22 +381,37 @@ type deltaRows struct {
 	amaxHit      []bool
 }
 
-// settle writes task ti's recomputed finish end for chunk row r into the
-// chunk's finish run dst, reporting whether it moved from the parent's
-// finish prev[r].
-func (d *deltaRows) settle(dst, prev []float64, r int, ti int32, end float64) bool {
-	dst[r] = end
-	if end == prev[r] {
-		return false
+// settle notes the worlds of task ti's recomputed chunk run dst that moved
+// from the parent's run prev, reporting whether any did. A NaN finish
+// counts as moved but never enters the changed maximum, as the makespan
+// fold never takes one.
+func (d *deltaRows) settle(dst, prev []float64, ti int32) bool {
+	moved := false
+	for r, end := range dst {
+		if end == prev[r] {
+			continue
+		}
+		moved = true
+		if end == end && (d.chArg[r] < 0 || end > d.chMax[r]) {
+			d.chMax[r] = end
+			d.chArg[r] = ti
+		}
+		if ti == d.pAmax[r] {
+			d.amaxHit[r] = true
+		}
 	}
-	if d.chArg[r] < 0 || end > d.chMax[r] {
-		d.chMax[r] = end
-		d.chArg[r] = ti
+	return moved
+}
+
+// differs reports whether any world of a recomputed chunk run moved from
+// the parent's.
+func differs(dst, prev []float64) bool {
+	for r, end := range dst {
+		if end != prev[r] {
+			return true
+		}
 	}
-	if ti == d.pAmax[r] {
-		d.amaxHit[r] = true
-	}
-	return true
+	return false
 }
 
 // deltaMS computes the chunk's makespans incrementally: walk the cone in
@@ -374,18 +420,22 @@ func (d *deltaRows) settle(dst, prev []float64, r int, ti int32, end float64) bo
 // parent's finishes for the rest), and derive each world's makespan in
 // O(1) from the parent's (makespan, argmax) unless the argmax task itself
 // changed. A recomputed task runs across the whole chunk with its parent
-// list read once, and only worlds whose value actually moved count as
-// changed. Touch marks are per task and epoch-stamped (no clearing per
-// call), and the walk stops as soon as no touched task remains ahead and
-// every dirty task has been visited — past that point every world provably
-// keeps its parent values. All comparisons are bitwise, so each world's
-// result is exactly the full DP's.
+// list read once, straight into the child snapshot's row, and only worlds
+// whose value actually moved count as changed. While every duration is
+// non-negative the makespan is a max over the sinks alone (as in fullMS),
+// so only a sink's moved worlds enter the makespan bookkeeping; a non-sink
+// just reports whether it moved. Touch marks are per task and
+// epoch-stamped (no clearing per call), and the walk stops as soon as no
+// touched task remains ahead and every dirty task has been visited — past
+// that point every world provably keeps its parent values. All comparisons
+// are bitwise, so each world's result is exactly the full DP's.
 func (k *nativeKernel) deltaMS(lo, m int, bs *blockScratch) {
 	f := k.n.flat
 	n0, hi := f.Len(), lo+m
 	par, snap := k.parent, k.capture
 	W := snap.worlds
 	sf, pf := snap.finish, par.finish
+	negative := k.prog.negative
 	// src is the chunk's run of the current finish row of task t: the child
 	// snapshot's for a cone task, the parent's for the rest (they never
 	// change). Each cone task's chunk worlds are written as the walk reaches
@@ -407,7 +457,6 @@ func (k *nativeKernel) deltaMS(lo, m int, bs *blockScratch) {
 	touched := bs.marks.marks[:n0]
 
 	dr := deltaRows{chMax: bs.chMax[:m], chArg: bs.chArg[:m], amaxHit: bs.amaxHit[:m], pAmax: bs.amax[:m]}
-	next := bs.start[:m]
 	copy(dr.pAmax, par.amax[lo:hi])
 	for r := range m {
 		dr.chArg[r] = -1
@@ -428,28 +477,31 @@ func (k *nativeKernel) deltaMS(lo, m int, bs *blockScratch) {
 			keep(ti)
 			continue
 		}
-		// next[r] becomes the task's new finish in chunk row r: max(0,
-		// parents) + duration, the parents folded in CSR order with strict
-		// >, as a lone world folds them.
-		clear(next)
+		// The task's new finish in each chunk world: max(0, parents) +
+		// duration, the parents folded in CSR order with strict >, as a
+		// lone world folds them. No parent is the task itself, so its row
+		// is free to receive the result.
+		dst, prev := sf[int(ti)*W+lo:int(ti)*W+hi], pf[int(ti)*W+lo:int(ti)*W+hi]
+		clear(dst)
 		for _, p := range f.Parents[f.ParentStart[kpos]:f.ParentStart[kpos+1]] {
 			for r, v := range src(p) {
-				if v > next[r] {
-					next[r] = v
+				if v > dst[r] {
+					dst[r] = v
 				}
 			}
 		}
 		for r, d := range k.row(ti)[lo:hi] {
-			next[r] += d
+			dst[r] += d
 		}
-		// Write every chunk world of the task and note the moved ones.
-		dst, prev := sf[int(ti)*W+lo:int(ti)*W+hi], pf[int(ti)*W+lo:int(ti)*W+hi]
-		moved := false
-		for r, end := range next {
-			moved = dr.settle(dst, prev, r, ti, end) || moved
+		children := f.Children[f.ChildStart[ti]:f.ChildStart[ti+1]]
+		var moved bool
+		if negative || len(children) == 0 {
+			moved = dr.settle(dst, prev, ti)
+		} else {
+			moved = differs(dst, prev)
 		}
 		if moved {
-			for _, c := range f.Children[f.ChildStart[ti]:f.ChildStart[ti+1]] {
+			for _, c := range children {
 				if touched[c] != epoch {
 					touched[c] = epoch
 					pending++
@@ -464,7 +516,7 @@ func (k *nativeKernel) deltaMS(lo, m int, bs *blockScratch) {
 	rescan := bs.rescan[:0]
 	for r := range m {
 		switch {
-		case amaxHit[r] && chMax[r] >= pms[r]:
+		case amaxHit[r] && chArg[r] >= 0 && chMax[r] >= pms[r]:
 			// Every unchanged task still sits at its parent value, all of
 			// which are <= the parent makespan, so the changed maximum wins
 			// outright — no rescan needed.
@@ -484,8 +536,7 @@ func (k *nativeKernel) deltaMS(lo, m int, bs *blockScratch) {
 		}
 	}
 	// Rescan task-major, each world visiting its tasks in index order: only
-	// the sinks while every duration is non-negative (no finish exceeds
-	// every sink's), else every task.
+	// the sinks while every duration is non-negative, else every task.
 	visit := func(t int32) {
 		from := src(t)
 		for _, r := range rescan {
@@ -496,7 +547,7 @@ func (k *nativeKernel) deltaMS(lo, m int, bs *blockScratch) {
 	}
 	switch {
 	case len(rescan) == 0:
-	case k.prog.negative:
+	case negative:
 		for t := 0; t < n0; t++ {
 			visit(int32(t))
 		}

@@ -3,6 +3,7 @@ package probir
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -404,4 +405,74 @@ func TestSnapshotPinnedUntilMaterialized(t *testing.T) {
 			t.Fatalf("materialized finish[%d] %v != full capture %v", i, child.finish[i], ref.finish[i])
 		}
 	}
+}
+
+// TestDeltaNaNDurationMoved pins the delta makespan against a NaN duration:
+// a dirty NaN task counts as moved in every world, yet, as in the full
+// fold, its finish never becomes a world's makespan, so a later task that
+// overtakes the parent's makespan must still take it. Here the NaN task
+// leads the cone and the overtaking task is not the parent's argmax.
+func TestDeltaNaNDurationMoved(t *testing.T) {
+	w := dag.New("nan-lead")
+	for _, tk := range []struct {
+		id  string
+		cpu float64
+	}{{"nan", math.NaN()}, {"long", 1000}, {"grow", 2000}} {
+		if err := w.AddTask(&dag.Task{ID: tk.id, CPUSeconds: tk.cpu}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := cloud.DefaultCatalog()
+	md, err := cloud.MetadataFromTruth(cat, 15, 2000, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := estimate.New(cat, md).BuildTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, fast := 0, 0
+	for j, name := range tbl.Types {
+		it, err := cat.Type(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, _ := cat.Type(tbl.Types[slow]); it.ECU < s.ECU {
+			slow = j
+		}
+		if f, _ := cat.Type(tbl.Types[fast]); it.ECU > f.ECU {
+			fast = j
+		}
+	}
+	n, err := NewNative(w, tbl, make([]float64, len(tbl.Types)), GoalMakespan, []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 1500}}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = int64(4)
+	// Parent: "long" (1000 s on the slow type) attains the makespan over
+	// "grow" on the fast type; the child moves "grow" to the slow type
+	// (2000 s) and "nan" to another type.
+	parentCfg := []int{slow, slow, fast}
+	childCfg := []int{fast, slow, slow}
+	parent := n.NewSnapshot()
+	k, err := n.CRNKernelSnap(context.Background(), parentCfg, base, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunKernel(k); err != nil {
+		t.Fatal(err)
+	}
+	dk, err := plannedDelta(n, childCfg, base, []int32{0, 2}, parent, n.NewSnapshot())
+	if err != nil || dk == nil {
+		t.Fatalf("delta kernel: %v (nil=%v)", err, dk == nil)
+	}
+	got, err := RunKernel(dk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := n.EvaluateCRN(childCfg, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEval(t, 0, got, want)
 }

@@ -65,8 +65,8 @@ type Program struct {
 	nTypes int
 
 	// negative records that some duration is negative or NaN. Finish times
-	// can then fall along an edge, so a makespan rescan must visit every
-	// task rather than only the sinks.
+	// can then fall along an edge, so a makespan fold or rescan must visit
+	// every task rather than only the sinks.
 	negative bool
 
 	rows [][]float64 // rows[task*nTypes+type][world]
@@ -109,11 +109,11 @@ func (e *epochMarks) next(n int) uint32 {
 // argmax and delta bookkeeping. Pooled per Program and grown on demand, so
 // device threads evaluating chunks concurrently never allocate.
 type blockScratch struct {
-	finish                 []float64 // n·m, task t row r at t*m+r
-	ms, cost, start, chMax []float64 // m
-	amax, chArg, rescan    []int32   // m
-	amaxHit                []bool    // m
-	marks                  epochMarks
+	finish              []float64 // n·m, task t row r at t*m+r
+	ms, cost, chMax     []float64 // m
+	amax, chArg, rescan []int32   // m
+	amaxHit             []bool    // m
+	marks               epochMarks
 }
 
 // block checks out a scratch sized for a chunk of m worlds; return it to
@@ -121,8 +121,7 @@ type blockScratch struct {
 func (p *Program) block(m int) *blockScratch {
 	bs := p.blocks.Get().(*blockScratch)
 	if cap(bs.ms) < m {
-		bs.ms, bs.cost = make([]float64, m), make([]float64, m)
-		bs.start, bs.chMax = make([]float64, m), make([]float64, m)
+		bs.ms, bs.cost, bs.chMax = make([]float64, m), make([]float64, m), make([]float64, m)
 		bs.amax, bs.chArg, bs.rescan = make([]int32, m), make([]int32, m), make([]int32, m)
 		bs.amaxHit = make([]bool, m)
 	}

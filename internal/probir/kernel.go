@@ -223,7 +223,11 @@ func (k *nativeKernel) blockCost(lo int, cost []float64) {
 // times live in pooled scratch; with one they are computed in place in the
 // snapshot's [lo, lo+m) run of each task row, along with each world's
 // makespan and argmax task, so children of this state can later be
-// evaluated incrementally.
+// evaluated incrementally. While every duration is non-negative no finish
+// exceeds every sink's, so the makespan folds over the sinks alone, in
+// index order, after the DP; otherwise every task's finish is folded as it
+// is computed. The makespan is the same maximum either way; on a tie the
+// argmax may name a different task attaining it.
 func (k *nativeKernel) fullMS(lo, m int, bs *blockScratch) {
 	f := k.n.flat
 	ms, amax := bs.ms[:m], bs.amax[:m]
@@ -236,25 +240,38 @@ func (k *nativeKernel) fullMS(lo, m int, bs *blockScratch) {
 	if k.capture != nil {
 		fin, stride, off = k.capture.finish, k.capture.worlds, lo
 	}
+	run := func(t int32) []float64 { return fin[int(t)*stride+off : int(t)*stride+off+m] }
+	fold := func(t int32) {
+		for r, v := range run(t) {
+			if v > ms[r] {
+				ms[r] = v
+				amax[r] = t
+			}
+		}
+	}
+	negative := k.prog.negative
 	for ki, ti := range f.Order {
-		dst := fin[int(ti)*stride+off : int(ti)*stride+off+m]
+		dst := run(ti)
 		// No zeroing of fin needed: topological order writes a task before
 		// any child reads it, and every task is written for every world.
 		clear(dst)
 		for _, p := range f.Parents[f.ParentStart[ki]:f.ParentStart[ki+1]] {
-			for r, v := range fin[int(p)*stride+off : int(p)*stride+off+m] {
+			for r, v := range run(p) {
 				if v > dst[r] {
 					dst[r] = v
 				}
 			}
 		}
 		for r, d := range k.row(ti)[lo : lo+m] {
-			end := dst[r] + d
-			dst[r] = end
-			if end > ms[r] {
-				ms[r] = end
-				amax[r] = ti
-			}
+			dst[r] += d
+		}
+		if negative {
+			fold(ti)
+		}
+	}
+	if !negative {
+		for _, t := range f.Sinks {
+			fold(t)
 		}
 	}
 	if k.capture != nil {

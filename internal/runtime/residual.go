@@ -108,18 +108,23 @@ func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error
 // starting at max(now, parents' finish).
 func (k *residualKernel) Sample(lo, hi int, out []float64) error {
 	finish := make([]float64, len(k.r.ids))
+	// One generator for the chunk, reseeded per world: Seed restarts it
+	// exactly where a fresh probir.WorldRNG(k.base, it) starts, without
+	// allocating a source per world.
+	rng := rand.New(rand.NewSource(0))
 	width := k.Width()
 	for it := lo; it < hi; it++ {
 		r := it - lo
-		k.world(it, finish, out[r*width:(r+1)*width])
+		rng.Seed(probir.MixSeed(k.base, it))
+		k.world(rng, finish, out[r*width:(r+1)*width])
 	}
 	return nil
 }
 
-// world samples world it into out over the finish-time scratch.
-func (k *residualKernel) world(it int, finish, out []float64) {
+// world samples one world into out over the finish-time scratch, drawing
+// from the world's rng.
+func (k *residualKernel) world(rng *rand.Rand, finish, out []float64) {
 	r := k.r
-	rng := probir.WorldRNG(k.base, it)
 	var ms float64
 	cost := r.accrued
 	for _, ti := range r.order {

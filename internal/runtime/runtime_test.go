@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -335,6 +336,43 @@ func TestResidualReduceMatchesNative(t *testing.T) {
 						t.Errorf("constraint shape %+v never exercised", sh)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestResidualWorldsFollowWorldRNG pins the residual kernel's worlds to
+// their substreams: a chunk sampled with one reseeded generator gives every
+// figure bit for bit as a world drawn from a fresh probir.WorldRNG.
+func TestResidualWorldsFollowWorldRNG(t *testing.T) {
+	s := newScenario(t)
+	const iters, base = 24, 7
+	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: s.deadline}, {Kind: "budget", Percentile: 0.8, Bound: 1}}
+	mon, err := NewMonitor(s.w, s.plan, s.tbl, s.prices, cloud.USEast, cons, Options{Iters: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	config := make([]int, s.w.Len())
+	for i := range config {
+		config[i] = i % len(s.tbl.Types)
+	}
+	k, err := mon.res.buildKernel(config, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := k.Width()
+	got := make([]float64, iters*width)
+	if err := k.Sample(0, iters, got); err != nil {
+		t.Fatal(err)
+	}
+	finish := make([]float64, s.w.Len())
+	want := make([]float64, width)
+	for it := 0; it < iters; it++ {
+		clear(want)
+		k.world(probir.WorldRNG(base, it), finish, want)
+		for f := range want {
+			if math.Float64bits(got[it*width+f]) != math.Float64bits(want[f]) {
+				t.Fatalf("world %d figure %d: chunk %v, fresh WorldRNG %v", it, f, got[it*width+f], want[f])
 			}
 		}
 	}
