@@ -187,7 +187,7 @@ func BenchmarkEvaluationCore(b *testing.B) {
 	space := benchSpace(b, 100, 100)
 	states := []opt.State{space.Initial()}
 	for _, tr := range space.Neighbors(space.Initial()) {
-		states = append(states, tr.Child)
+		states = append(states, tr.Apply(nil, space.Initial()))
 	}
 	if len(states) > 17 {
 		states = states[:17]

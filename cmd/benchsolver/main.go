@@ -30,6 +30,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -37,6 +38,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,7 +181,8 @@ func expandBatch(sp opt.Space, max int) []opt.State {
 		var next []opt.State
 		for _, p := range frontier {
 			for _, tr := range sp.Neighbors(p) {
-				c, k := tr.Child, tr.Child.Key()
+				c := tr.Apply(nil, p)
+				k := c.Key()
 				if seen[k] {
 					continue
 				}
@@ -319,14 +322,19 @@ func newBatchRow(benchmark string, states int, r row) *batchRow {
 // deltaRow compares one frontier expansion with and without incremental
 // (dirty-cone) evaluation: full = every child re-runs the full per-world
 // DP, delta = children reuse the parent's finish-time snapshot. Same states,
-// same worlds, bit-identical results.
+// same worlds, bit-identical results. Both are timed in Rounds interleaved
+// rounds, alternating which runs first; each row is its median round, and
+// the per-round times are kept in round order.
 type deltaRow struct {
-	Benchmark   string  `json:"benchmark"`
-	States      int     `json:"states"`
-	Full        row     `json:"full_expansion"`
-	Delta       row     `json:"delta_expansion"`
-	SpeedupNs   float64 `json:"speedup_ns"`
-	AllocsRatio float64 `json:"allocs_ratio"`
+	Benchmark    string  `json:"benchmark"`
+	States       int     `json:"states"`
+	Rounds       int     `json:"rounds"`
+	Full         row     `json:"full_expansion"`
+	Delta        row     `json:"delta_expansion"`
+	FullRoundNs  []int64 `json:"full_round_ns"`
+	DeltaRoundNs []int64 `json:"delta_round_ns"`
+	SpeedupNs    float64 `json:"speedup_ns"`
+	AllocsRatio  float64 `json:"allocs_ratio"`
 }
 
 // adaptiveRow compares fixed-precision against adaptive-precision
@@ -373,11 +381,10 @@ type orderedRow struct {
 	FixedObjective   float64 `json:"fixed_objective"`
 	OrderedObjective float64 `json:"ordered_objective"`
 	Feasible         bool    `json:"feasible"`
-	// SearchStates / SearchWorldsRun / SearchWorldsReordered describe the
-	// ordered adaptive full search backing the plan-quality assertion.
-	SearchStates          int   `json:"search_states"`
-	SearchWorldsRun       int64 `json:"search_worlds_run"`
-	SearchWorldsReordered int64 `json:"search_worlds_reordered"`
+	// SearchStates / SearchWorldsRun describe the ordered adaptive full
+	// search backing the plan-quality assertion.
+	SearchStates    int   `json:"search_states"`
+	SearchWorldsRun int64 `json:"search_worlds_run"`
 	// BatchStates is the size of the measured frontier-expansion batch;
 	// Baseline names the path Base ran.
 	BatchStates          int     `json:"batch_states"`
@@ -508,11 +515,19 @@ func measure(f func(base int64) error) row {
 	}
 }
 
-// measureExpansion compiles sp under o, warms one frontier expansion of
-// parent (nil: the problem's first start) — rows filled, parent snapshot
-// captured, the steady state of a running search — and measures that
-// expansion. It returns the row and the batch size, parent plus children.
+// measureExpansion measures one warm frontier expansion (see
+// warmExpansion) once. It returns the row and the batch size, parent plus
+// children.
 func measureExpansion(sp opt.Space, o opt.Options, parent opt.State) (row, int) {
+	m, n := warmExpansion(sp, o, parent)
+	return m(), n
+}
+
+// warmExpansion compiles sp under o and warms one frontier expansion of
+// parent (nil: the problem's first start) — rows filled, parent snapshot
+// captured, the steady state of a running search. It returns a measurement
+// of that expansion and the batch size, parent plus children.
+func warmExpansion(sp opt.Space, o opt.Options, parent opt.State) (func() row, int) {
 	prob := must(opt.Compile(sp, o))
 	if parent == nil {
 		parent = prob.Starts()[0]
@@ -521,10 +536,38 @@ func measureExpansion(sp opt.Space, o opt.Options, parent opt.State) (row, int) 
 	if err != nil {
 		log.Fatal(err)
 	}
-	return measure(func(int64) error {
-		_, _, _, err := prob.EvaluateExpansion(parent)
-		return err
-	}), 1 + len(kids)
+	return func() row {
+		return measure(func(int64) error {
+			_, _, _, err := prob.EvaluateExpansion(parent)
+			return err
+		})
+	}, 1 + len(kids)
+}
+
+// interleaved runs two measurements for rounds rounds, alternating which
+// runs first, so a burst of host noise lands on both alike. It returns each
+// side's median round and its per-round ns in round order.
+func interleaved(a, b func() row, rounds int) (ra, rb row, nsA, nsB []int64) {
+	var rowsA, rowsB []row
+	for r := 0; r < rounds; r++ {
+		if r%2 == 0 {
+			rowsA, rowsB = append(rowsA, a()), append(rowsB, b())
+		} else {
+			rowsB, rowsA = append(rowsB, b()), append(rowsA, a())
+		}
+	}
+	median := func(rows []row) (row, []int64) {
+		ns := make([]int64, len(rows))
+		for i, r := range rows {
+			ns[i] = r.NsPerOp
+		}
+		sorted := slices.Clone(rows)
+		slices.SortFunc(sorted, func(x, y row) int { return cmp.Compare(x.NsPerOp, y.NsPerOp) })
+		return sorted[len(sorted)/2], ns
+	}
+	ra, nsA = median(rowsA)
+	rb, nsB = median(rowsB)
+	return ra, rb, nsA, nsB
 }
 
 // search compiles sp under o and runs the search to completion.
@@ -558,7 +601,7 @@ func must[T any](v T, err error) T {
 // Without cones the baseline is the fixed-precision expansion; with cones
 // it is the same adaptive expansion with delta evaluation disabled, and
 // the ordered search must route children through group-cone deltas.
-func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int, fixedOpts opt.Options, cones bool) *orderedRow {
+func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int32, fixedOpts opt.Options, cones bool) *orderedRow {
 	bound := must(boundaryDeadline(p, worlds, 0.96, lo, hi))
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.96, Bound: bound}}
 	sp := opt.NewScheduleSpace(p.w, must(probir.NewNative(p.w, p.tbl, p.prices, probir.GoalCost, cons, worlds)))
@@ -574,7 +617,7 @@ func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int, fixedOp
 	fixedRes, _ := search(sp, fixedOpts)
 	ordRes, ordProb := search(sp, ordOpts)
 	stats, ds := ordProb.SampleStats(), ordProb.DeltaStats()
-	if !stats.Adaptive || stats.WorldsReordered == 0 {
+	if !stats.Adaptive || stats.WorldsRun == 0 {
 		log.Fatalf("ordered search never engaged the adaptive path: %+v", stats)
 	}
 	if cones && ds.DeltaEvals == 0 {
@@ -582,13 +625,12 @@ func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int, fixedOp
 	}
 	sameQuality("ordered plan quality", fixedRes, ordRes)
 	o := &orderedRow{
-		FixedObjective:        fixedRes.BestEval.Value,
-		OrderedObjective:      ordRes.BestEval.Value,
-		Feasible:              ordRes.Feasible,
-		SearchStates:          ordRes.Evaluated,
-		SearchWorldsRun:       stats.WorldsRun,
-		SearchWorldsReordered: stats.WorldsReordered,
-		Baseline:              baseline,
+		FixedObjective:   fixedRes.BestEval.Value,
+		OrderedObjective: ordRes.BestEval.Value,
+		Feasible:         ordRes.Feasible,
+		SearchStates:     ordRes.Evaluated,
+		SearchWorldsRun:  stats.WorldsRun,
+		Baseline:         baseline,
 	}
 	if cones {
 		o.DeltaEvals, o.DeltaFallbacks, o.ConePlanHits = ds.DeltaEvals, ds.Fallbacks, ds.ConePlanHits
@@ -745,10 +787,13 @@ func main() {
 	schedSpace := opt.NewScheduleSpace(p.w, native)
 	schedSpace.Groups = opt.GroupPerTask(p.w)
 	delta := &deltaRow{
-		Benchmark: "frontier expansion (parent + Δ=1 children, per-task groups), scheduling space; full = full per-world DP per child, delta = dirty-cone delta from the parent snapshot",
+		Benchmark: "frontier expansion (parent + Δ=1 children, per-task groups), scheduling space; full = full per-world DP per child, delta = dirty-cone delta from the parent snapshot; median of interleaved rounds",
+		Rounds:    exp.SpeedupRounds,
 	}
-	delta.Full, _ = measureExpansion(schedSpace, opt.Options{Device: device.Sequential{}, Seed: 9, SnapshotBudget: -1}, nil)
-	delta.Delta, delta.States = measureExpansion(schedSpace, opt.Options{Device: device.Sequential{}, Seed: 9}, nil)
+	full, _ := warmExpansion(schedSpace, opt.Options{Device: device.Sequential{}, Seed: 9, SnapshotBudget: -1}, nil)
+	incr, states := warmExpansion(schedSpace, opt.Options{Device: device.Sequential{}, Seed: 9}, nil)
+	delta.States = states
+	delta.Full, delta.Delta, delta.FullRoundNs, delta.DeltaRoundNs = interleaved(full, incr, delta.Rounds)
 	delta.SpeedupNs = ratio(float64(delta.Full.NsPerOp), float64(delta.Delta.NsPerOp))
 	delta.AllocsRatio = ratio(float64(delta.Full.AllocsPerOp), float64(delta.Delta.AllocsPerOp))
 	rep.SchedulingDelta = delta
@@ -898,9 +943,9 @@ func main() {
 		adapt.SearchStates, adapt.SearchWorldsRun, adapt.SearchWorldsRun+adapt.SearchWorldsSaved,
 		adapt.AdaptiveObjective)
 	for i, o := range []*orderedRow{tail, groups} {
-		fmt.Printf("%-12s %s %d ns/op | ordered %d ns/op (%d-state batch) | states/sec speedup %.1fx | search %d states, %d worlds run (%d reordered), %d delta evals, %d plan hits, objective %.4f on both\n",
+		fmt.Printf("%-12s %s %d ns/op | ordered %d ns/op (%d-state batch) | states/sec speedup %.1fx | search %d states, %d worlds run, %d delta evals, %d plan hits, objective %.4f on both\n",
 			[]string{"sched-tail:", "sched-group:"}[i], o.Baseline, o.Base.NsPerOp, o.Ordered.NsPerOp, o.BatchStates, o.SpeedupStatesPerSec,
-			o.SearchStates, o.SearchWorldsRun, o.SearchWorldsReordered, o.DeltaEvals, o.ConePlanHits, o.OrderedObjective)
+			o.SearchStates, o.SearchWorldsRun, o.DeltaEvals, o.ConePlanHits, o.OrderedObjective)
 	}
 	spot := rep.SchedulingSpot
 	fmt.Printf("sched-spot:  ondemand $%.4f | market $%.4f (savings %.0f%%, %d/%d tasks on spot, bit-equal across devices) | expansion od %d ns/op (%d states) vs market %d ns/op (%d states), overhead %.2fx\n",

@@ -280,9 +280,6 @@ type Plan struct {
 	// problem not adaptive-capable).
 	WorldsEvaluated int64
 	WorldsSaved     int64
-	// WorldsReordered counts worlds sampled in the decisive-world-first
-	// numbering: every adaptive world, so it equals WorldsEvaluated.
-	WorldsReordered int64
 	// DeltaEvals / DeltaFallbacks report the incremental-evaluation routing
 	// of the solve: states evaluated from a parent snapshot vs states that
 	// carried transform provenance but evaluated fully. ConePlanHits counts
@@ -490,7 +487,6 @@ func (e *Engine) optimize(ctx context.Context, w *dag.Workflow, goal probir.Goal
 		if err != nil {
 			return nil, err
 		}
-		space = opt.NewScheduleSpace(w, eval)
 		if goal == probir.GoalCost && !eval.HasSpotMarkets() {
 			// Transformation-aware objective: the hour-billed cost of the
 			// consolidated plan (Merge/Co-Scheduling exploit partial hours).
@@ -498,10 +494,9 @@ func (e *Engine) optimize(ctx context.Context, w *dag.Workflow, goal probir.Goal
 			// under revocation from the evaluator's kernel — a deterministic
 			// packed cost would erase exactly the market risk being
 			// optimized.
-			space.CostFn = func(st opt.State) (float64, error) {
-				return opt.PackedMeanCost(w, st, tbl, prices, e.region)
-			}
-			space.CostTag = "packed:" + e.region
+			space = opt.NewPackedScheduleSpace(w, eval, tbl, prices, e.region)
+		} else {
+			space = opt.NewScheduleSpace(w, eval)
 		}
 	}
 	problem, err := opt.Compile(space, search)
@@ -530,7 +525,6 @@ func (e *Engine) optimize(ctx context.Context, w *dag.Workflow, goal probir.Goal
 		StatesEvaluated: res.Evaluated,
 		WorldsEvaluated: sstats.WorldsRun,
 		WorldsSaved:     sstats.WorldsSaved(),
-		WorldsReordered: sstats.WorldsReordered,
 		DeltaEvals:      dstats.DeltaEvals,
 		DeltaFallbacks:  dstats.Fallbacks,
 		ConePlanHits:    dstats.ConePlanHits,

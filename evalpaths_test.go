@@ -50,11 +50,12 @@ func (f *frozenSpace) Describe(ctx context.Context, seed int64) opt.Descriptor {
 	return f.inner.Describe(ctx, seed)
 }
 
-// children returns the child states of a transform list.
-func children(trs []opt.Transform) []opt.State {
+// children returns the child states of parent's moves.
+func children(sp opt.Space, parent opt.State) []opt.State {
+	trs := sp.Neighbors(parent)
 	out := make([]opt.State, len(trs))
 	for i, tr := range trs {
-		out[i] = tr.Child
+		out[i] = tr.Apply(nil, parent)
 	}
 	return out
 }
@@ -121,7 +122,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 	} {
 		const base = 27
 		states := []opt.State{sp.Initial()}
-		states = append(states, children(sp.Neighbors(states[0]))...) // Δ=1 siblings: the row-reuse case
+		states = append(states, children(sp, states[0])...) // Δ=1 siblings: the row-reuse case
 		if len(states) > 12 {
 			states = states[:12]
 		}
@@ -140,14 +141,21 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 				}
 				want.Value = v
 			}
-			// Kernel path, folded sequentially.
-			k, err := sp.Describe(context.Background(), base).Kernel(st)
+			// Kernel path, folded sequentially, then the descriptor's
+			// objective as the solver applies it.
+			d := sp.Describe(context.Background(), base)
+			k, err := d.Kernel(st)
 			if err != nil {
 				t.Fatal(err)
 			}
 			kev, err := probir.RunKernel(k)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if d.Objective != nil {
+				if kev.Value, err = d.Objective(st); err != nil {
+					t.Fatal(err)
+				}
 			}
 			assertSameEval(t, name+": kernel path", kev, want)
 			// Device/delta path through the solver's evaluator, every device.
@@ -263,7 +271,7 @@ func TestEvalPathEquivalenceEnsemble(t *testing.T) {
 		sp.Plans = append(sp.Plans, &ensemble.PlannedWorkflow{Cost: c, Feasible: true})
 	}
 	states := []opt.State{sp.Initial()}
-	states = append(states, children(sp.Neighbors(states[0]))...)
+	states = append(states, children(sp, states[0])...)
 	const base = 13
 	for _, st := range states {
 		want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
@@ -312,7 +320,7 @@ func TestEvalPathEquivalenceFTC(t *testing.T) {
 	}
 	sp := ftc.NewSpace(&ftc.Runtime{Cat: cat, Jobs: jobs})
 	states := []opt.State{sp.Initial()}
-	states = append(states, children(sp.Neighbors(states[0]))...)
+	states = append(states, children(sp, states[0])...)
 	const base = 19
 	for _, st := range states {
 		want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
@@ -369,7 +377,7 @@ func TestEvalPathZeroWorldPrograms(t *testing.T) {
 		} {
 			const base = 23
 			states := sp.Starts()
-			states = append(states, children(sp.Neighbors(states[0]))...)
+			states = append(states, children(sp, states[0])...)
 			for _, st := range states {
 				k, err := sp.Describe(context.Background(), base).Kernel(st)
 				if err != nil {

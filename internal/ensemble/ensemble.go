@@ -222,11 +222,10 @@ func (s *Space) Starts() []opt.State { return []opt.State{s.Initial()} }
 // Neighbors implements opt.Space: admit one more (plannable) workflow.
 func (s *Space) Neighbors(st opt.State) []opt.Transform {
 	var out []opt.Transform
+	all := opt.Indices(len(st))
 	for i := range st {
 		if st[i] == 0 && s.Plans[i] != nil {
-			c := st.Clone()
-			c[i] = 1
-			out = append(out, opt.Transform{Child: c})
+			out = append(out, opt.Transform{Tasks: all[i : i+1], Step: 1})
 		}
 	}
 	return out

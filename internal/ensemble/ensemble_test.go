@@ -3,6 +3,7 @@ package ensemble
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deco/internal/cloud"
@@ -156,7 +157,7 @@ func TestSpaceNeighborsSkipUnplannable(t *testing.T) {
 		t.Fatalf("neighbors %v (b is unplannable)", ns)
 	}
 	for _, n := range ns {
-		if n.Child[1] == 1 {
+		if n.Apply(nil, sp.Initial())[1] == 1 {
 			t.Error("unplannable workflow admitted")
 		}
 	}
@@ -266,5 +267,44 @@ func TestScoreIsMonotoneInAdmission(t *testing.T) {
 	}
 	if math.Abs(prev-e.MaxScore()) > 1e-12 {
 		t.Errorf("full admission %v != max score %v", prev, e.MaxScore())
+	}
+}
+
+// TestSpaceMovesMatchReference holds the admission moves to the clone-based
+// generator they replaced: the children match in order and content, and
+// every move lists exactly the workflow it admits.
+func TestSpaceMovesMatchReference(t *testing.T) {
+	e := &Ensemble{}
+	sp := &Space{E: e}
+	for i := 0; i < 6; i++ {
+		e.Workflows = append(e.Workflows, &dag.Workflow{Priority: i})
+		var p *PlannedWorkflow
+		if i != 2 && i != 5 {
+			p = &PlannedWorkflow{Cost: 1, Feasible: true}
+		}
+		sp.Plans = append(sp.Plans, p)
+	}
+	for _, st := range []opt.State{{0, 0, 0, 0, 0, 0}, {1, 0, 0, 1, 0, 0}, {1, 1, 0, 1, 1, 0}} {
+		var want []opt.State
+		for i := range st {
+			if st[i] == 0 && sp.Plans[i] != nil {
+				c := st.Clone()
+				c[i] = 1
+				want = append(want, c)
+			}
+		}
+		moves := sp.Neighbors(st)
+		if len(moves) != len(want) {
+			t.Fatalf("%v: %d moves, reference %d", st, len(moves), len(want))
+		}
+		for i, mv := range moves {
+			child := mv.Apply(nil, st)
+			if !slices.Equal(child, want[i]) {
+				t.Fatalf("%v: move %d gives %v, reference %v", st, i, child, want[i])
+			}
+			if len(mv.Tasks) != 1 || st[mv.Tasks[0]] == child[mv.Tasks[0]] {
+				t.Fatalf("%v: move %d lists %v, want the one admitted workflow", st, i, mv.Tasks)
+			}
+		}
 	}
 }

@@ -234,7 +234,7 @@ func (e *Env) Ablation(out io.Writer) (*AblationResult, error) {
 	// 5. Transformation granularity.
 	for _, variant := range []struct {
 		name   string
-		groups [][]int
+		groups [][]int32
 	}{
 		{"per-task", opt.GroupPerTask(w)},
 		{"per-executable", opt.GroupByExecutable(w)},

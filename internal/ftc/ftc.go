@@ -350,17 +350,15 @@ func (s *Space) Starts() []opt.State { return []opt.State{s.Initial()} }
 // region (a task-granularity migration decision, Gmn of §3.3).
 func (s *Space) Neighbors(st opt.State) []opt.Transform {
 	var out []opt.Transform
+	all := opt.Indices(len(st))
 	for i, j := range s.rt.Jobs {
 		if j.Done() {
 			continue
 		}
 		for r := range s.rt.Cat.Regions {
-			if r == st[i] {
-				continue
+			if r != st[i] {
+				out = append(out, opt.Transform{Tasks: all[i : i+1], Step: r - st[i]})
 			}
-			c := st.Clone()
-			c[i] = r
-			out = append(out, opt.Transform{Child: c})
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package ftc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deco/internal/cloud"
@@ -332,5 +333,46 @@ func TestThreeRegionMigrationPicksCheapest(t *testing.T) {
 	sp := &Space{rt: &Runtime{Cat: cat, Jobs: jobs2, Rng: rand.New(rand.NewSource(53)), Opt: stayPut{}}}
 	if ns := sp.Neighbors(sp.Initial()); len(ns) != 2 {
 		t.Errorf("neighbors %d, want 2 (three regions minus current)", len(ns))
+	}
+}
+
+// TestSpaceMovesMatchReference holds the placement moves to the clone-based
+// generator they replaced, over three regions with one finished job: the
+// children match in order and content, and every move lists exactly the job
+// it migrates.
+func TestSpaceMovesMatchReference(t *testing.T) {
+	_, est := env(t)
+	jobs := mkJobs(t, est, 4, 0, 1e9)
+	jobs[1].next = len(jobs[1].order) // finished: never moves
+	rt := &Runtime{Cat: threeRegionCatalog(), Jobs: jobs, Rng: rand.New(rand.NewSource(7)), Opt: stayPut{}}
+	sp := &Space{rt: rt}
+	for _, st := range []opt.State{sp.Initial(), {2, 0, 1, 0}, {1, 2, 2, 0}} {
+		var want []opt.State
+		for i, j := range rt.Jobs {
+			if j.Done() {
+				continue
+			}
+			for r := range rt.Cat.Regions {
+				if r == st[i] {
+					continue
+				}
+				c := st.Clone()
+				c[i] = r
+				want = append(want, c)
+			}
+		}
+		moves := sp.Neighbors(st)
+		if len(moves) != len(want) {
+			t.Fatalf("%v: %d moves, reference %d", st, len(moves), len(want))
+		}
+		for i, mv := range moves {
+			child := mv.Apply(nil, st)
+			if !slices.Equal(child, want[i]) {
+				t.Fatalf("%v: move %d gives %v, reference %v", st, i, child, want[i])
+			}
+			if len(mv.Tasks) != 1 || st[mv.Tasks[0]] == child[mv.Tasks[0]] {
+				t.Fatalf("%v: move %d lists %v, want the one migrated job", st, i, mv.Tasks)
+			}
+		}
 	}
 }

@@ -55,7 +55,8 @@ type SampleStats struct {
 	Adaptive bool
 	// WorldsReordered counts the worlds adaptive evaluation sampled in the
 	// decisive-world-first numbering: every adaptive world, so it equals
-	// WorldsRun.
+	// WorldsRun. It stays only because the repository benchmark reads it;
+	// every other surface reports WorldsRun.
 	WorldsReordered int64
 	// StatesAdaptive counts states evaluated on the adaptive path.
 	StatesAdaptive int64
@@ -103,24 +104,36 @@ func (p *Problem) stateVerdict(sums []float64, seen, check int, delta float64) s
 	return sample.Undecided
 }
 
-// finalizePartial reduces an early-stopped state from its world prefix. The
-// pessimistic reduction (unseen worlds fail every indicator) is correct for
-// infeasible and undecided stops. A statistically-decided feasible stop whose
-// worst-case interval is still open needs the optimistic completion for its
-// indicators — otherwise the pessimistic lower bounds would contradict the
-// verdict — while deterministic constraints keep their exact checks.
-func (p *Problem) finalizePartial(k probir.PartialKernel, sums []float64, seen int, v sample.Verdict) (*probir.Evaluation, error) {
+// finalizePartial reduces an early-stopped state st from its world prefix.
+// The pessimistic reduction (unseen worlds fail every indicator) is correct
+// for infeasible and undecided stops. A statistically-decided feasible stop
+// whose worst-case interval is still open needs the optimistic completion for
+// its indicators — otherwise the pessimistic lower bounds would contradict
+// the verdict — while deterministic constraints keep their exact checks. Any
+// objective applies once, to the final reduction.
+func (p *Problem) finalizePartial(k probir.PartialKernel, st State, sums []float64, seen int, v sample.Verdict) (*probir.Evaluation, error) {
 	ev, err := k.ReducePartial(sums, seen)
-	if err != nil {
-		return nil, err
-	}
-	if v == sample.DecidedFeasible && !ev.Feasible {
+	if err == nil && v == sample.DecidedFeasible && !ev.Feasible {
 		opt := append([]float64(nil), sums...)
 		for _, fi := range p.indIdx {
 			opt[fi] += float64(p.worlds - seen)
 		}
-		return k.ReducePartial(opt, seen)
+		ev, err = k.ReducePartial(opt, seen)
 	}
+	return p.reduced(st, ev, err)
+}
+
+// reduced applies the compiled objective to a reduction of state st: the
+// objective's value replaces the reduced goal value.
+func (p *Problem) reduced(st State, ev *probir.Evaluation, err error) (*probir.Evaluation, error) {
+	if err != nil || p.objective == nil {
+		return ev, err
+	}
+	v, err := p.objective(st)
+	if err != nil {
+		return nil, err
+	}
+	ev.Value = v
 	return ev, nil
 }
 
@@ -334,7 +347,7 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 		done = append(done, i)
 	}
 	// Finished states reduce as device blocks: a reduction can do real work
-	// (CostFn objectives such as the packed plan cost run there).
+	// (objectives such as the packed plan cost run there).
 	if len(done) > 0 {
 		p.opts.Device.Map(len(done), func(d int) {
 			i := done[d]
@@ -342,11 +355,12 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 				b.out[i].err = fmt.Errorf("opt: search cancelled: %w", err)
 				return
 			}
-			row := b.row(i)
+			st, row := b.cands[i].state, b.row(i)
 			if end == p.worlds {
-				b.out[i].eval, b.out[i].err = b.kernels[i].Reduce(row)
+				ev, err := b.kernels[i].Reduce(row)
+				b.out[i].eval, b.out[i].err = p.reduced(st, ev, err)
 			} else {
-				b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], row, end, b.verdict[i])
+				b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], st, row, end, b.verdict[i])
 			}
 		})
 	}
@@ -397,7 +411,7 @@ func (b *batch) race(active []int, slots []float64, span, check int, delta float
 		keep = 1
 	}
 	eliminate := func(i int) {
-		b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], b.row(i), b.seen[i], sample.Undecided)
+		b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], b.cands[i].state, b.row(i), b.seen[i], sample.Undecided)
 		b.out[i].worlds = b.seen[i]
 		p.sstats.Raced++
 	}
@@ -423,6 +437,7 @@ func (b *batch) race(active []int, slots []float64, span, check int, delta float
 		var optimistic float64
 		if p.valueFig < 0 {
 			ev, err := b.partial[i].ReducePartial(b.row(i), b.seen[i])
+			ev, err = p.reduced(b.cands[i].state, ev, err)
 			if err != nil {
 				b.out[i].err = err
 				b.out[i].worlds = b.seen[i]

@@ -28,9 +28,7 @@ func (s *slowSpace) Neighbors(st State) []Transform {
 	var out []Transform
 	for i := 0; i < s.n; i++ {
 		if st[i]+1 < s.types {
-			c := st.Clone()
-			c[i]++
-			out = append(out, Transform{Child: c})
+			out = append(out, Transform{Tasks: Indices(s.n)[i : i+1], Step: 1})
 		}
 	}
 	return out

@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"deco/internal/device"
@@ -44,39 +45,28 @@ type State []int
 // Clone copies a state.
 func (s State) Clone() State { return append(State(nil), s...) }
 
-// Key returns a compact map key for visited-state deduplication. Components
-// are zigzag-encoded before the varint so negative values round-trip: a raw
-// byte(v) of a negative component would set the continuation bit and merge
-// with the next element, making distinct states collide (e.g. {255} and
-// {-1, 1} under the old encoding).
+// Key returns a compact map key for visited-state deduplication, in the
+// encoding of appendKey.
 func (s State) Key() string {
-	// Size pass first, so the encoding fits a stack buffer for typical
-	// states and the only allocation is the string itself — Key runs once
-	// per state per dedup pass and once per cache lookup, so it is on the
-	// solver's hot path.
-	n := 0
+	var buf [128]byte
+	return string(s.appendKey(buf[:0]))
+}
+
+// appendKey appends the state's key encoding to b: every component as a
+// zigzag-encoded varint, so negative values round-trip (a raw byte(v) of a
+// negative component would set the continuation bit and merge with the next
+// element, making distinct states collide, e.g. {255} and {-1, 1}). Key and
+// the solver's child dedup share it, so there is one key encoding.
+func (s State) appendKey(b []byte) []byte {
 	for _, v := range s {
 		u := uint64(int64(v)<<1) ^ uint64(int64(v)>>63) // zigzag
-		for u >= 0x80 {
-			n++
-			u >>= 7
-		}
-		n++
-	}
-	var buf [128]byte
-	b := buf[:0]
-	if n > len(buf) {
-		b = make([]byte, 0, n)
-	}
-	for _, v := range s {
-		u := uint64(int64(v)<<1) ^ uint64(int64(v)>>63)
 		for u >= 0x80 {
 			b = append(b, byte(u)|0x80)
 			u >>= 7
 		}
 		b = append(b, byte(u))
 	}
-	return string(b)
+	return b
 }
 
 // Space defines a search problem. Implementations exist for the three use
@@ -86,8 +76,8 @@ type Space interface {
 	// Starts are the search's start states (e.g. every task on the cheapest
 	// type, as in Figure 5b); at least one.
 	Starts() []State
-	// Neighbors generates the child states of s via the transformation
-	// operations, in a deterministic order.
+	// Neighbors lists the moves out of s, in a deterministic order; the
+	// solver applies them (see Transform).
 	Neighbors(s State) []Transform
 	// Describe binds the space's evaluation to one search: its seed, and
 	// the search's context, which cancels any long build the evaluation
@@ -95,20 +85,43 @@ type Space interface {
 	Describe(ctx context.Context, seed int64) Descriptor
 }
 
-// Transform is one transformation edge of the search graph: the child state
-// produced from a parent plus the metadata delta evaluation needs — which
-// operation ran and exactly which task assignments changed.
+// Transform is one move of the search graph: the child is the parent with
+// Step added to each listed component. Tasks is exactly the set of
+// components that change, which is what delta evaluation needs. It is
+// read-only to the solver, so a space may share one slice across moves and
+// calls (a precomputed group list, or a subslice of Indices); the solver
+// keeps it as the key of its cone-plan cache.
 type Transform struct {
-	// Op is the transformation operation that produced Child (scheduling
-	// spaces only).
-	Op Op
-	// Tasks are the task indices whose assignment differs between the
-	// parent and Child, or nil when the space does not annotate its
-	// transitions. The slice is owned by the Transform and must not alias
-	// the parent state.
 	Tasks []int32
-	// Child is the resulting state.
-	Child State
+	Step  int
+}
+
+// Apply writes the child of parent under t into dst, reusing its capacity,
+// and returns it.
+func (t Transform) Apply(dst, parent State) State {
+	dst = append(dst[:0], parent...)
+	for _, i := range t.Tasks {
+		dst[i] += t.Step
+	}
+	return dst
+}
+
+// indices backs Indices: a grow-only, read-only 0, 1, 2, … list.
+var indices atomic.Pointer[[]int32]
+
+// Indices returns the read-only list 0, 1, …, n-1, shared by every caller:
+// a space lists all of its components as Indices(n) and component i alone
+// as Indices(n)[i:i+1], without allocating per move.
+func Indices(n int) []int32 {
+	if p := indices.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n:n]
+	}
+	l := make([]int32, max(n, 64))
+	for i := range l {
+		l[i] = int32(i)
+	}
+	indices.Store(&l)
+	return l[:n:n]
 }
 
 // Descriptor is how a space describes its evaluation to the solver for one
@@ -119,6 +132,11 @@ type Descriptor struct {
 	// share the kernel shape (worlds and figures) of the first start state;
 	// a kernel that differs is an error for that state.
 	Kernel func(s State) (probir.WorldKernel, error)
+	// Objective, when set, replaces the reduced goal value of every state
+	// with a world-free objective of the state (a plan-level cost such as
+	// PackedMeanCost): after a full reduction, after a partial one, and as
+	// racing's optimistic value. Feasibility still comes from the kernel.
+	Objective func(State) (float64, error)
 	// Fingerprint is a content hash of everything an evaluation depends on
 	// (program, distributions, objective). It gates the evaluation cache —
 	// empty means the space cannot vouch for its identity and caching is
@@ -132,9 +150,8 @@ type Descriptor struct {
 // DeltaHooks is the incremental-evaluation capability of a space whose
 // kernels share one world realization per seed (probir's CRN contract):
 // every evaluated state can capture a finish-time snapshot, and a child
-// whose Transform names its changed tasks evaluates over the dirty cone of
-// those tasks from its parent's snapshot, bit-identically to a full
-// evaluation.
+// evaluates over the dirty cone of the tasks its move changed from its
+// parent's snapshot, bit-identically to a full evaluation.
 type DeltaHooks struct {
 	// NewSnapshot returns a pooled snapshot sized for this space's
 	// evaluation, or nil when evaluations have no reusable per-world state
@@ -275,9 +292,8 @@ type scored struct {
 
 // candidate is a state queued for evaluation together with its provenance:
 // the key of the parent it was expanded from and the tasks the producing
-// transformation changed, when known. Provenance is what lets the solver
-// route a state through delta evaluation; a candidate without it (a start
-// state, or a space without transform metadata) evaluates fully.
+// move changed. Provenance is what lets the solver route a state through
+// delta evaluation; a candidate without it (a start state) evaluates fully.
 type candidate struct {
 	state     State
 	key       string
@@ -300,24 +316,6 @@ func Score(ev *probir.Evaluation, maximize bool) float64 {
 		return ev.Value
 	}
 	return 1e15 * (1 + ev.Violation)
-}
-
-// dedupCandidates returns the candidates not already visited, deduplicated
-// among themselves, WITHOUT marking them visited. Marking happens at
-// evaluation time (search.step), so a state trimmed from a batch by the
-// evaluation budget stays reachable — and evaluable — through a later
-// expansion of another parent.
-func dedupCandidates(cands []candidate, visited map[string]bool) []candidate {
-	seen := make(map[string]bool, len(cands))
-	var out []candidate
-	for _, c := range cands {
-		if visited[c.key] || seen[c.key] {
-			continue
-		}
-		seen[c.key] = true
-		out = append(out, c)
-	}
-	return out
 }
 
 // fillDefaults replaces every unset knob with its default; Compile and
@@ -383,7 +381,7 @@ func (p *Problem) Search() (*Result, error) {
 	}
 	opt := p.opts
 	start := time.Now()
-	s := &search{p: p, visited: map[string]bool{}}
+	s := &search{p: p, visited: map[string]bool{}, seen: map[string]bool{}}
 
 	// Beam phase. The best-first phase advances one level per
 	// ~branching-factor evaluations and so converges much deeper per
@@ -393,7 +391,7 @@ func (p *Problem) Search() (*Result, error) {
 	if opt.AStar {
 		budget = opt.MaxStates
 	}
-	frontier := dedupCandidates(p.startCandidates(), s.visited)
+	frontier := p.startCandidates()
 	// expanded are the states whose children form the frontier; their
 	// snapshots are released once that frontier has been evaluated (left
 	// childless, they are released when the best-first phase pops them).
@@ -409,7 +407,8 @@ func (p *Problem) Search() (*Result, error) {
 		if opt.AStar || !s.patient(changed) {
 			break
 		}
-		// Rank this level's states and expand the best BeamWidth of them.
+		// Rank this level's states and expand the best BeamWidth of them;
+		// dedup spans the whole level.
 		sort.Slice(batch, func(i, j int) bool {
 			si, sj := Score(batch[i].eval, opt.Maximize), Score(batch[j].eval, opt.Maximize)
 			if si != sj {
@@ -418,11 +417,12 @@ func (p *Problem) Search() (*Result, error) {
 			return batch[i].key < batch[j].key // deterministic ties
 		})
 		expanded = batch[:min(len(batch), opt.BeamWidth)]
-		var next []candidate
+		clear(s.seen)
+		frontier = s.cands[:0]
 		for _, e := range expanded {
-			next = append(next, p.childCandidates(e.state, e.key)...)
+			frontier = p.children(frontier, e.state, e.key, s.visited, s.seen)
 		}
-		frontier = dedupCandidates(next, s.visited)
+		s.cands = frontier
 	}
 
 	// Best-first phase (§5.3's exploitation): expand the pool's best state,
@@ -435,9 +435,11 @@ func (p *Problem) Search() (*Result, error) {
 		// (including the incumbent itself) still expand: with plan-level
 		// packing the objective is not perfectly monotone.
 		pruned := opt.AStar && s.best.eval.Feasible && item.priority > s.bestScore
-		var children []candidate
+		children := s.cands[:0]
 		if !pruned {
-			children = dedupCandidates(p.childCandidates(item.state, item.key), s.visited)
+			clear(s.seen)
+			children = p.children(children, item.state, item.key, s.visited, s.seen)
+			s.cands = children
 		}
 		if len(children) == 0 {
 			p.releaseSnapshot(item.key)
@@ -470,7 +472,11 @@ type search struct {
 	p       *Problem
 	res     Result
 	visited map[string]bool
-	pool    pq
+	// seen and cands are an expansion's reused dedup set and candidate
+	// list (see Problem.children).
+	seen  map[string]bool
+	cands []candidate
+	pool  pq
 	// best is the incumbent, the first state evaluated at the lowest Score;
 	// bestScore is its Score.
 	best      *scored

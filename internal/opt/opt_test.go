@@ -222,14 +222,7 @@ func TestNeighborsPromoteDemote(t *testing.T) {
 	if len(ns) != 3 {
 		t.Fatalf("neighbors of (3,3): %v", ns)
 	}
-	// Promote-only configuration.
-	space.Ops = []Op{OpPromote}
-	ns = space.Neighbors(State{3, 3})
-	if len(ns) != 0 {
-		t.Fatalf("promote-only at top: %v", ns)
-	}
 	// Multi-start: one homogeneous start per type.
-	space.Ops = []Op{OpPromote, OpDemote}
 	starts := space.Starts()
 	if len(starts) != 4 {
 		t.Fatalf("starts %v", starts)
@@ -346,21 +339,6 @@ func TestConsolidateValidation(t *testing.T) {
 	_, tbl := buildEval(t, w, 0, 0, 5)
 	if _, err := Consolidate(w, State{0}, tbl, cloud.USEast); err == nil {
 		t.Error("short config accepted")
-	}
-}
-
-func TestOpStrings(t *testing.T) {
-	names := map[Op]string{
-		OpMove: "Move", OpMerge: "Merge", OpPromote: "Promote",
-		OpDemote: "Demote", OpSplit: "Split", OpCoSchedule: "Co-Scheduling",
-	}
-	for op, want := range names {
-		if op.String() != want {
-			t.Errorf("%d = %s, want %s", int(op), op.String(), want)
-		}
-	}
-	if Op(99).String() != "Op(99)" {
-		t.Error("unknown op rendering")
 	}
 }
 

@@ -33,6 +33,16 @@ type Problem struct {
 	kernel        func(State) (probir.WorldKernel, error)
 	worlds, width int
 
+	// objective, when set, replaces every reduced goal value (see
+	// Descriptor.Objective and reduced).
+	objective func(State) (float64, error)
+
+	// scratch and keyBuf are the search goroutine's reused child state and
+	// key encoding: a move is applied and keyed here, and a child gets its
+	// own State and key string only once it survives dedup (children).
+	scratch State
+	keyBuf  []byte
+
 	// delta, when set, routes kernel construction through the space's delta
 	// hooks: every evaluated state captures a finish-time snapshot into
 	// snaps, and a candidate whose parent snapshot is retained evaluates
@@ -145,7 +155,7 @@ type planEntry struct {
 	plan  *probir.ConePlan
 }
 
-// maxConePlans bounds the plan cache. Transform spaces generate a fixed set
+// maxConePlans bounds the plan cache. Scheduling spaces generate a fixed set
 // of dirty groups per search (one per (group, direction) plus the global
 // shifts), so the cap exists only as a backstop for pathological spaces.
 const maxConePlans = 1024
@@ -217,7 +227,7 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		return nil, fmt.Errorf("opt: Options.Confidence must be in [0.5, 1) (0 selects the default), got %v", o.Confidence)
 	}
 	d := sp.Describe(o.Ctx, o.Seed)
-	p := &Problem{space: sp, opts: o, valueFig: -1, kernel: d.Kernel, fingerprint: d.Fingerprint}
+	p := &Problem{space: sp, opts: o, valueFig: -1, kernel: d.Kernel, objective: d.Objective, fingerprint: d.Fingerprint}
 	if p.opts.Cache != nil && p.fingerprint != "" {
 		// An unidentifiable program stays unbound: a hit could be wrong.
 		p.cache = p.opts.Cache.Bind(fmt.Sprintf("%s|%d|", p.fingerprint, p.opts.Seed), p.opts.CacheScope)
@@ -243,12 +253,16 @@ func Compile(sp Space, o Options) (*Problem, error) {
 	// a kernel that can finalize from a world prefix, indicator figures that
 	// fully determine feasibility, and a world budget the first chunk does
 	// not already cover. Otherwise the flag is inert and the problem runs the
-	// fixed path (Problem.Adaptive reports which).
+	// fixed path (Problem.Adaptive reports which). An objective is
+	// world-free, exact under any world prefix, so it leaves no sampled goal
+	// figure.
 	if pk, ok := probe.(probir.PartialKernel); ok && o.Adaptive && p.worlds > o.MinWorlds {
 		if idx, targets, okInd := pk.Indicators(); okInd && len(idx) > 0 {
 			p.adaptive = true
 			p.indIdx, p.indTargets = idx, targets
-			p.valueFig = pk.ValueFigure()
+			if p.objective == nil {
+				p.valueFig = pk.ValueFigure()
+			}
 		}
 	}
 	p.sstats.Adaptive = p.adaptive
@@ -315,18 +329,19 @@ func (p *Problem) EvaluateStates(states []State) ([]*probir.Evaluation, error) {
 
 // EvaluateExpansion scores a parent state and then its full neighbor
 // expansion on the compiled pipeline, returning the parent's evaluation and
-// the children with theirs in generation order. When the problem compiled
-// with delta evaluation, the parent's evaluation captures its finish-time
-// snapshot and every child whose dirty cone is small enough evaluates
-// incrementally from it — the frontier-expansion hot loop the delta engine
-// exists for, exposed for benchmarks and equivalence tests.
+// the children with theirs in generation order, duplicates included. When
+// the problem compiled with delta evaluation, the parent's evaluation
+// captures its finish-time snapshot and every child whose dirty cone is
+// small enough evaluates incrementally from it — the frontier-expansion hot
+// loop the delta engine exists for, exposed for benchmarks and equivalence
+// tests.
 func (p *Problem) EvaluateExpansion(parent State) (*probir.Evaluation, []State, []*probir.Evaluation, error) {
 	pk := parent.Key()
 	ps := p.evaluateCandidates([]candidate{{state: parent, key: pk}})
 	if ps[0].err != nil {
 		return nil, nil, nil, ps[0].err
 	}
-	batch := p.evaluateCandidates(p.childCandidates(parent, pk))
+	batch := p.evaluateCandidates(p.children(nil, parent, pk, nil, nil))
 	states := make([]State, len(batch))
 	evals := make([]*probir.Evaluation, len(batch))
 	for i, s := range batch {
@@ -338,23 +353,41 @@ func (p *Problem) EvaluateExpansion(parent State) (*probir.Evaluation, []State, 
 	return ps[0].eval, states, evals, nil
 }
 
-// startCandidates wraps the compiled start states as parentless candidates.
+// startCandidates wraps the compiled start states, repeats dropped, as
+// parentless candidates.
 func (p *Problem) startCandidates() []candidate {
-	out := make([]candidate, len(p.starts))
-	for i, s := range p.starts {
-		out[i] = candidate{state: s, key: s.Key()}
+	out := make([]candidate, 0, len(p.starts))
+	seen := make(map[string]bool, len(p.starts))
+	for _, s := range p.starts {
+		if k := s.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, candidate{state: s, key: k})
+		}
 	}
 	return out
 }
 
-// childCandidates expands a parent into evaluation candidates, each
-// carrying the parent key and the changed-task set so the solver can
-// evaluate it incrementally.
-func (p *Problem) childCandidates(parent State, parentKey string) []candidate {
-	trs := p.space.Neighbors(parent)
-	out := make([]candidate, len(trs))
-	for i, tr := range trs {
-		out[i] = candidate{state: tr.Child, key: tr.Child.Key(), parentKey: parentKey, parent: parent, dirty: tr.Tasks}
+// children appends the children of parent to out in generation order, each
+// carrying the parent key and its move's changed tasks so the solver can
+// evaluate it incrementally. Every move is applied into the problem's
+// scratch state and keyed into its reused buffer; a child already visited,
+// or already in seen, is dropped before anything is allocated, and a
+// surviving child gets its own State and key and joins seen. Nothing is
+// marked visited: marking happens at evaluation time (search.step), so a
+// child trimmed from a batch by the evaluation budget stays reachable through
+// a later expansion. Nil visited and seen keep every child.
+func (p *Problem) children(out []candidate, parent State, parentKey string, visited, seen map[string]bool) []candidate {
+	for _, tr := range p.space.Neighbors(parent) {
+		p.scratch = tr.Apply(p.scratch, parent)
+		p.keyBuf = p.scratch.appendKey(p.keyBuf[:0])
+		if visited[string(p.keyBuf)] || seen[string(p.keyBuf)] {
+			continue
+		}
+		key := string(p.keyBuf)
+		if seen != nil {
+			seen[key] = true
+		}
+		out = append(out, candidate{state: p.scratch.Clone(), key: key, parentKey: parentKey, parent: parent, dirty: tr.Tasks})
 	}
 	return out
 }

@@ -24,7 +24,7 @@ func (g *graphSpace) Starts() []State { return []State{{g.start}} }
 func (g *graphSpace) Neighbors(s State) []Transform {
 	var out []Transform
 	for _, n := range g.neighbors[s[0]] {
-		out = append(out, Transform{Child: State{n}})
+		out = append(out, Transform{Tasks: Indices(1), Step: n - s[0]})
 	}
 	return out
 }

@@ -15,54 +15,15 @@ import (
 	"deco/internal/sim"
 )
 
-// Op identifies one of the six workflow transformation operations the
-// solver's state transitions are driven by (§5.3, citing the authors' ToC
-// work). Promote and Demote change instance configurations and therefore the
-// value of the probabilistic goal/constraints; Move, Merge, Split and
-// Co-Scheduling rearrange tasks on instances to exploit partial hours and
-// are applied when a configuration is materialized into an executable plan
-// (Consolidate).
-type Op int
-
-// The six transformation operations.
-const (
-	// OpMove delays a task's execution to a later time (materialized by the
-	// serial ordering of merged instances).
-	OpMove Op = iota
-	// OpMerge merges two tasks with the same configuration onto the same
-	// instance to fully utilize the instance partial hour.
-	OpMerge
-	// OpPromote changes a task's configuration to a more powerful type.
-	OpPromote
-	// OpDemote changes a task's configuration to a less powerful type.
-	OpDemote
-	// OpSplit suspends a running task and resumes it later. Our simulator
-	// has no preemption, so Split never materializes; it is accepted in
-	// operation sets for API completeness.
-	OpSplit
-	// OpCoSchedule assigns multiple same-configuration tasks to the same
-	// instance.
-	OpCoSchedule
-)
-
-// String implements fmt.Stringer.
-func (o Op) String() string {
-	switch o {
-	case OpMove:
-		return "Move"
-	case OpMerge:
-		return "Merge"
-	case OpPromote:
-		return "Promote"
-	case OpDemote:
-		return "Demote"
-	case OpSplit:
-		return "Split"
-	case OpCoSchedule:
-		return "Co-Scheduling"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
+// The solver's state transitions are the workflow transformation operations
+// of §5.3 (citing the authors' ToC work). Promote and Demote change instance
+// configurations, and with them the probabilistic goal and constraints: they
+// are the moves ScheduleSpace.Neighbors lists (Step +1 and -1 over a task
+// group). Move, Merge and Co-Scheduling rearrange tasks on instances to
+// exploit partial hours; they are Consolidate's packing, applied when a
+// configuration is materialized into an executable plan. Split (suspend a
+// running task, resume it later) is not materialized: the simulator has no
+// preemption.
 
 // ScheduleSpace is the search space of the workflow scheduling problem
 // (§3.1): states assign an instance-type index to every task; neighbors
@@ -70,11 +31,10 @@ func (o Op) String() string {
 type ScheduleSpace struct {
 	W    *dag.Workflow
 	Eval probir.Evaluator
-	// Groups partitions task indices; a transformation applies to a whole
-	// group (see GroupPerTask / GroupByExecutable).
-	Groups [][]int
-	// Ops enables Promote and/or Demote transitions.
-	Ops []Op
+	// Groups partitions task indices; a move applies to a whole group (see
+	// GroupPerTask / GroupByExecutable). Moves share these lists, so they
+	// must not change while a search runs.
+	Groups [][]int32
 	// Init is the initial configuration; nil means all tasks on type 0
 	// (the cheapest — Figure 5b's initial state).
 	Init State
@@ -92,10 +52,11 @@ type ScheduleSpace struct {
 
 // GroupPerTask puts every task in its own group: the exact space of the
 // paper's formulation, used for small workflows.
-func GroupPerTask(w *dag.Workflow) [][]int {
-	groups := make([][]int, w.Len())
+func GroupPerTask(w *dag.Workflow) [][]int32 {
+	all := Indices(w.Len())
+	groups := make([][]int32, len(all))
 	for i := range groups {
-		groups[i] = []int{i}
+		groups[i] = all[i : i+1]
 	}
 	return groups
 }
@@ -104,17 +65,17 @@ func GroupPerTask(w *dag.Workflow) [][]int {
 // of mProjectPP tasks promote together. This collapses the optimization
 // space the way the Autoscaling baseline's per-level typing does and keeps
 // the branching factor independent of workflow size.
-func GroupByExecutable(w *dag.Workflow) [][]int {
-	byExec := map[string][]int{}
+func GroupByExecutable(w *dag.Workflow) [][]int32 {
+	byExec := map[string][]int32{}
 	var names []string
 	for i, t := range w.Tasks {
 		if _, ok := byExec[t.Executable]; !ok {
 			names = append(names, t.Executable)
 		}
-		byExec[t.Executable] = append(byExec[t.Executable], i)
+		byExec[t.Executable] = append(byExec[t.Executable], int32(i))
 	}
 	sort.Strings(names)
-	groups := make([][]int, 0, len(names))
+	groups := make([][]int32, 0, len(names))
 	for _, n := range names {
 		groups = append(groups, byExec[n])
 	}
@@ -123,19 +84,16 @@ func GroupByExecutable(w *dag.Workflow) [][]int {
 
 // NewScheduleSpace builds the scheduling search space with sensible
 // defaults: per-task groups up to 30 tasks (the exact formulation),
-// per-executable beyond (keeping the branching factor workable); Promote
-// and Demote enabled; all-cheapest initial state.
+// per-executable beyond (keeping the branching factor workable);
+// all-cheapest initial state.
 func NewScheduleSpace(w *dag.Workflow, eval probir.Evaluator) *ScheduleSpace {
-	var groups [][]int
+	var groups [][]int32
 	if w.Len() <= 30 {
 		groups = GroupPerTask(w)
 	} else {
 		groups = GroupByExecutable(w)
 	}
-	return &ScheduleSpace{
-		W: w, Eval: eval, Groups: groups,
-		Ops: []Op{OpPromote, OpDemote},
-	}
+	return &ScheduleSpace{W: w, Eval: eval, Groups: groups}
 }
 
 // Initial implements Space.
@@ -166,69 +124,49 @@ func (s *ScheduleSpace) Starts() []State {
 	return starts
 }
 
-// Neighbors implements Space: one child per (group, enabled direction), as
-// in Figure 5b where each child promotes one task, plus one whole-workflow
-// shift per direction, each annotated with the operation and the exact task
-// indices whose type changed. The global shift
-// preserves type homogeneity, which the Merge/Co-Scheduling packing rewards
-// (heterogeneous plans cannot share instances across types), so it lets the
-// search cross the homogeneity ridge single-group moves cannot.
+// Neighbors implements Space: Promote (Step +1) then Demote (Step -1), each
+// as one move per group, as in Figure 5b where each child promotes one task,
+// plus one whole-workflow shift. A move lists the tasks that can take its
+// step (Movable). The global shift preserves type homogeneity, which the
+// Merge/Co-Scheduling packing rewards (heterogeneous plans cannot share
+// instances across types), so it lets the search cross the homogeneity
+// ridge single-group moves cannot.
 func (s *ScheduleSpace) Neighbors(st State) []Transform {
 	k := s.Eval.NumTypes()
-	var out []Transform
-	for _, op := range s.Ops {
-		var delta int
-		switch op {
-		case OpPromote:
-			delta = 1
-		case OpDemote:
-			delta = -1
-		default:
-			continue // Move/Merge/Split/Co-Scheduling act at plan level
-		}
+	out := make([]Transform, 0, 2*len(s.Groups)+2)
+	for _, step := range [2]int{1, -1} {
 		for _, g := range s.Groups {
-			if tr, ok := shift(st, g, false, delta, k); ok {
-				tr.Op = op
-				out = append(out, tr)
+			if tasks := Movable(st, g, step, k); len(tasks) > 0 {
+				out = append(out, Transform{Tasks: tasks, Step: step})
 			}
 		}
-		// Global shift: every task moves one step in this direction.
-		if tr, ok := shift(st, nil, true, delta, k); ok {
-			tr.Op = op
-			out = append(out, tr)
+		if tasks := Movable(st, Indices(len(st)), step, k); len(tasks) > 0 {
+			out = append(out, Transform{Tasks: tasks, Step: step})
 		}
 	}
 	return out
 }
 
-// shift moves the tasks of group g (every task when all is set) one type
-// step by delta within [0, k), reporting false when none can move. The child
-// is cloned only once the first task changes, so an all-cheapest Demote or a
-// top-type Promote costs no allocation.
-func shift(st State, g []int, all bool, delta, k int) (Transform, bool) {
-	var child State
-	var tasks []int32
-	move := func(i int) {
-		nv := st[i] + delta
-		if nv < 0 || nv >= k {
-			return
-		}
-		if child == nil {
-			child = st.Clone()
-		}
-		child[i] = nv
-		tasks = append(tasks, int32(i))
-	}
-	if all {
-		for i := range st {
-			move(i)
-		}
-	} else {
-		for _, i := range g {
-			move(i)
+// Movable returns the tasks of g whose type index stays within [0, k) after
+// adding step, in g's order: g itself when every task can move, so the common
+// move shares the caller's list, and empty when none can.
+func Movable(st State, g []int32, step, k int) []int32 {
+	n := 0
+	for _, i := range g {
+		if v := st[i] + step; v >= 0 && v < k {
+			n++
 		}
 	}
-	return Transform{Tasks: tasks, Child: child}, child != nil
+	if n == len(g) || n == 0 {
+		return g[:n]
+	}
+	out := make([]int32, 0, n)
+	for _, i := range g {
+		if v := st[i] + step; v >= 0 && v < k {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Evaluate scores one state — the test oracle the solver's evaluation of the
@@ -251,29 +189,29 @@ func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, 
 // common-random-number contract with the seed as their CRN base: every
 // state shares the same world realizations, numbered decisive-world-first.
 // A Native evaluator adds delta evaluation over dirty-cone plans; a Prolog
-// evaluator interprets world p over position p of the same rows. The
-// fingerprint — and with it the evaluation cache — is the Native program's,
-// composed with the CostTag; it is empty for Prolog and for a CostFn
-// without a tag.
+// evaluator interprets world p over position p of the same rows. Any CostFn
+// is the objective. The fingerprint — and with it the evaluation cache — is
+// the Native program's, composed with the CostTag; it is empty for Prolog
+// and for a CostFn without a tag.
 func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
-	var d Descriptor
+	d := Descriptor{Objective: s.CostFn}
 	switch e := s.Eval.(type) {
 	case *probir.Native:
-		d.Kernel = func(st State) (probir.WorldKernel, error) { return s.objective(st)(e.CRNKernel(ctx, st, seed)) }
+		d.Kernel = func(st State) (probir.WorldKernel, error) { return e.CRNKernel(ctx, st, seed) }
 		d.Fingerprint = e.Fingerprint()
 		d.Delta = &DeltaHooks{
 			NewSnapshot:     e.NewSnapshot,
 			ReleaseSnapshot: e.ReleaseSnapshot,
 			PlanCone:        e.PlanCone,
 			Capture: func(st State, snap *probir.Snapshot) (probir.WorldKernel, error) {
-				return s.objective(st)(e.CRNKernelSnap(ctx, st, seed, snap))
+				return e.CRNKernelSnap(ctx, st, seed, snap)
 			},
 			Planned: func(st State, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-				return s.objective(st)(e.CRNDeltaKernelPlanned(ctx, st, seed, plan, parent, snap))
+				return e.CRNDeltaKernelPlanned(ctx, st, seed, plan, parent, snap)
 			},
 		}
 	case *probir.Prolog:
-		d.Kernel = func(st State) (probir.WorldKernel, error) { return s.objective(st)(e.Kernel(ctx, st, seed)) }
+		d.Kernel = func(st State) (probir.WorldKernel, error) { return e.Kernel(ctx, st, seed) }
 	default:
 		d.Kernel = func(State) (probir.WorldKernel, error) {
 			return nil, fmt.Errorf("opt: evaluator %T has no world kernel", s.Eval)
@@ -289,73 +227,6 @@ func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
 		}
 	}
 	return d
-}
-
-// objective returns the kernel post-processor of state st: any CostFn
-// objective applied at reduction time, exactly as Evaluate applies it after
-// the Monte-Carlo loop. Capture happens inside the wrapped kernel's Sample,
-// so the wrapper never affects a snapshot.
-func (s *ScheduleSpace) objective(st State) func(probir.WorldKernel, error) (probir.WorldKernel, error) {
-	return func(k probir.WorldKernel, err error) (probir.WorldKernel, error) {
-		if err != nil || k == nil || s.CostFn == nil {
-			return k, err
-		}
-		return &costFnKernel{WorldKernel: k, fn: s.CostFn, st: st.Clone()}, nil
-	}
-}
-
-// costFnKernel replaces the reduced goal value with the plan-level cost,
-// mirroring ScheduleSpace.Evaluate. The cost runs inside Reduce, which the
-// solver schedules per-state on the device, so packing stays parallel.
-type costFnKernel struct {
-	probir.WorldKernel
-	fn func(State) (float64, error)
-	st State
-}
-
-func (k *costFnKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
-	ev, err := k.WorldKernel.Reduce(sums)
-	if err != nil {
-		return nil, err
-	}
-	v, err := k.fn(k.st)
-	if err != nil {
-		return nil, err
-	}
-	ev.Value = v
-	return ev, nil
-}
-
-// Indicators forwards the inner kernel's partial-evaluation capability: the
-// CostFn changes the goal value only, never the constraint indicators.
-func (k *costFnKernel) Indicators() (idx []int, targets []float64, ok bool) {
-	if pk, isPartial := k.WorldKernel.(probir.PartialKernel); isPartial {
-		return pk.Indicators()
-	}
-	return nil, nil, false
-}
-
-// ValueFigure reports a deterministic goal value: the CostFn replaces the
-// reduced value with a world-free plan cost, exact under any world prefix.
-func (k *costFnKernel) ValueFigure() int { return -1 }
-
-// ReducePartial applies the CostFn over the inner partial reduction, exactly
-// as Reduce applies it over the full one.
-func (k *costFnKernel) ReducePartial(sums []float64, seen int) (*probir.Evaluation, error) {
-	pk, isPartial := k.WorldKernel.(probir.PartialKernel)
-	if !isPartial {
-		return nil, fmt.Errorf("opt: inner kernel does not support partial reduction")
-	}
-	ev, err := pk.ReducePartial(sums, seen)
-	if err != nil {
-		return nil, err
-	}
-	v, err := k.fn(k.st)
-	if err != nil {
-		return nil, err
-	}
-	ev.Value = v
-	return ev, nil
 }
 
 // NewPackedScheduleSpace builds the scheduling space with the hour-billed

@@ -24,7 +24,7 @@ import (
 type residualSpace struct {
 	r         *residual
 	base      []int
-	unstarted []int // positions free to change
+	unstarted []int32 // positions free to change
 	numTypes  int
 
 	fpOnce sync.Once
@@ -41,30 +41,17 @@ func (s *residualSpace) Starts() []opt.State {
 // type, plus a global shift of all unstarted tasks (the escape move for
 // uniform drift).
 func (s *residualSpace) Neighbors(st opt.State) []opt.Transform {
-	var out []opt.Transform
-	for _, i := range s.unstarted {
-		for _, d := range []int{1, -1} {
-			j := st[i] + d
-			if j < 0 || j >= s.numTypes {
-				continue
+	out := make([]opt.Transform, 0, 2*len(s.unstarted)+2)
+	for k, i := range s.unstarted {
+		for _, d := range [2]int{1, -1} {
+			if j := st[i] + d; j >= 0 && j < s.numTypes {
+				out = append(out, opt.Transform{Tasks: s.unstarted[k : k+1], Step: d})
 			}
-			c := append(opt.State(nil), st...)
-			c[i] = j
-			out = append(out, opt.Transform{Child: c})
 		}
 	}
-	for _, d := range []int{1, -1} {
-		c := append(opt.State(nil), st...)
-		moved := false
-		for _, i := range s.unstarted {
-			j := st[i] + d
-			if j >= 0 && j < s.numTypes {
-				c[i] = j
-				moved = true
-			}
-		}
-		if moved {
-			out = append(out, opt.Transform{Child: c})
+	for _, d := range [2]int{1, -1} {
+		if tasks := opt.Movable(st, s.unstarted, d, s.numTypes); len(tasks) > 0 {
+			out = append(out, opt.Transform{Tasks: tasks, Step: d})
 		}
 	}
 	return out
@@ -194,8 +181,11 @@ func (m *Monitor) replanSearch(base int64) (*opt.Result, error) {
 	space := &residualSpace{
 		r:         m.res,
 		base:      append([]int(nil), m.config...),
-		unstarted: unstarted,
+		unstarted: make([]int32, len(unstarted)),
 		numTypes:  len(m.tbl.Types),
+	}
+	for k, i := range unstarted {
+		space.unstarted[k] = int32(i)
 	}
 	sopt := opt.Options{
 		Device:    m.opt.Device,

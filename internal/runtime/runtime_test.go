@@ -12,6 +12,7 @@ import (
 	"deco/internal/dag"
 	"deco/internal/device"
 	"deco/internal/estimate"
+	"deco/internal/opt"
 	"deco/internal/probir"
 	"deco/internal/sim"
 	"deco/internal/wfgen"
@@ -427,6 +428,62 @@ func TestReplanSearchStartsOnRiskWorlds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.BestEval, cur) {
 			t.Errorf("%s: replan start evaluates to %+v, the risk evaluation to %+v", dev.Name(), res.BestEval, cur)
+		}
+	}
+}
+
+// TestResidualMovesMatchReference holds the replan moves to the clone-based
+// generator they replaced: ±1 per unstarted task, then ±1 over every
+// unstarted task that can move. The children match in order and content,
+// every move lists exactly the components it changes, and started tasks
+// never move.
+func TestResidualMovesMatchReference(t *testing.T) {
+	const numTypes = 4
+	sp := &residualSpace{unstarted: []int32{1, 2, 4, 5}, numTypes: numTypes}
+	for _, st := range []opt.State{{0, 0, 0, 0, 0, 0}, {3, 3, 3, 3, 3, 3}, {2, 0, 3, 1, 1, 2}} {
+		var want []opt.State
+		for _, i := range sp.unstarted {
+			for _, d := range []int{1, -1} {
+				j := st[i] + d
+				if j < 0 || j >= numTypes {
+					continue
+				}
+				c := append(opt.State(nil), st...)
+				c[i] = j
+				want = append(want, c)
+			}
+		}
+		for _, d := range []int{1, -1} {
+			c := append(opt.State(nil), st...)
+			moved := false
+			for _, i := range sp.unstarted {
+				if j := st[i] + d; j >= 0 && j < numTypes {
+					c[i] = j
+					moved = true
+				}
+			}
+			if moved {
+				want = append(want, c)
+			}
+		}
+		moves := sp.Neighbors(st)
+		if len(moves) != len(want) {
+			t.Fatalf("%v: %d moves, reference %d", st, len(moves), len(want))
+		}
+		for i, mv := range moves {
+			child := mv.Apply(nil, st)
+			if !reflect.DeepEqual(child, want[i]) {
+				t.Fatalf("%v: move %d gives %v, reference %v", st, i, child, want[i])
+			}
+			var changed []int32
+			for j := range st {
+				if child[j] != st[j] {
+					changed = append(changed, int32(j))
+				}
+			}
+			if !reflect.DeepEqual(mv.Tasks, changed) {
+				t.Fatalf("%v: move %d lists %v, changes %v", st, i, mv.Tasks, changed)
+			}
 		}
 	}
 }

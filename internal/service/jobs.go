@@ -122,14 +122,12 @@ type PlanResult struct {
 	// economy of this job's solve (zero for fixed-precision solves).
 	WorldsEvaluated int64 `json:"worlds_evaluated,omitempty"`
 	WorldsSaved     int64 `json:"worlds_saved,omitempty"`
-	// WorldsReordered counts worlds sampled under decisive-world-first
-	// ordering; DeltaEvals / DeltaFallbacks / ConePlanHits report the
-	// group-cone incremental evaluation routing.
-	WorldsReordered int64        `json:"worlds_reordered,omitempty"`
-	DeltaEvals      int64        `json:"delta_evals,omitempty"`
-	DeltaFallbacks  int64        `json:"delta_fallbacks,omitempty"`
-	ConePlanHits    int64        `json:"cone_plan_hits,omitempty"`
-	Assignments     []Assignment `json:"assignments"`
+	// DeltaEvals / DeltaFallbacks / ConePlanHits report the group-cone
+	// incremental evaluation routing.
+	DeltaEvals     int64        `json:"delta_evals,omitempty"`
+	DeltaFallbacks int64        `json:"delta_fallbacks,omitempty"`
+	ConePlanHits   int64        `json:"cone_plan_hits,omitempty"`
+	Assignments    []Assignment `json:"assignments"`
 }
 
 // PlanResultOf converts an engine plan into its canonical JSON form.
@@ -150,7 +148,6 @@ func PlanResultOf(p *deco.Plan) PlanResult {
 		StatesEvaluated: p.StatesEvaluated,
 		WorldsEvaluated: p.WorldsEvaluated,
 		WorldsSaved:     p.WorldsSaved,
-		WorldsReordered: p.WorldsReordered,
 		DeltaEvals:      p.DeltaEvals,
 		DeltaFallbacks:  p.DeltaFallbacks,
 		ConePlanHits:    p.ConePlanHits,
@@ -973,7 +970,6 @@ func (m *Manager) solveLocal(j *job, eng *deco.Engine) (solveOut, error) {
 		if plan, err = solve(j.ctx, eng, j); err == nil {
 			m.metrics.WorldsEvaluatedTotal.Add(plan.WorldsEvaluated)
 			m.metrics.WorldsSavedTotal.Add(plan.WorldsSaved)
-			m.metrics.WorldsReorderedTotal.Add(plan.WorldsReordered)
 			m.metrics.DeltaEvalsTotal.Add(plan.DeltaEvals)
 			m.metrics.DeltaFallbacksTotal.Add(plan.DeltaFallbacks)
 			m.metrics.ConePlanHitsTotal.Add(plan.ConePlanHits)

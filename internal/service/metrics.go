@@ -56,14 +56,12 @@ type Metrics struct {
 	// adaptive solve has run.
 	WorldsEvaluatedTotal atomic.Int64
 	WorldsSavedTotal     atomic.Int64
-	// WorldsReorderedTotal counts worlds sampled under decisive-world-first
-	// ordering; DeltaEvalsTotal / DeltaFallbacksTotal report the incremental
+	// DeltaEvalsTotal / DeltaFallbacksTotal report the incremental
 	// (group-cone) evaluation routing and ConePlanHitsTotal the sibling
 	// cone-extraction reuse across all local solves.
-	WorldsReorderedTotal atomic.Int64
-	DeltaEvalsTotal      atomic.Int64
-	DeltaFallbacksTotal  atomic.Int64
-	ConePlanHitsTotal    atomic.Int64
+	DeltaEvalsTotal     atomic.Int64
+	DeltaFallbacksTotal atomic.Int64
+	ConePlanHitsTotal   atomic.Int64
 
 	mu     sync.Mutex
 	solve  reservoir
@@ -235,7 +233,6 @@ type Snapshot struct {
 	// Adaptive-precision sampling counters (zero unless adaptive solves ran).
 	WorldsEvaluatedTotal int64 `json:"worlds_evaluated_total"`
 	WorldsSavedTotal     int64 `json:"worlds_saved_total"`
-	WorldsReorderedTotal int64 `json:"worlds_reordered_total"`
 
 	// Incremental (group-cone delta) evaluation counters.
 	DeltaEvalsTotal     int64 `json:"delta_evals_total"`
@@ -292,7 +289,6 @@ func (m *Metrics) Snapshot(c *Cache, ec *deco.EvalCache) Snapshot {
 
 		WorldsEvaluatedTotal: m.WorldsEvaluatedTotal.Load(),
 		WorldsSavedTotal:     m.WorldsSavedTotal.Load(),
-		WorldsReorderedTotal: m.WorldsReorderedTotal.Load(),
 		DeltaEvalsTotal:      m.DeltaEvalsTotal.Load(),
 		DeltaFallbacksTotal:  m.DeltaFallbacksTotal.Load(),
 		ConePlanHitsTotal:    m.ConePlanHitsTotal.Load(),
