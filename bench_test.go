@@ -208,22 +208,18 @@ func BenchmarkEvaluationCore(b *testing.B) {
 	}
 }
 
-// benchExpansion measures one frontier expansion — a parent and its full
-// Δ=1 neighbor set — through the compiled problem pipeline at per-task
-// granularity, where a child's dirty cone is a sliver of the DAG. budget
-// selects the evaluation mode: 0 compiles the delta (snapshot-reusing)
-// engine, -1 disables it, so the Delta/Full pair isolates the dirty-cone
-// saving. cmd/benchsolver runs this same comparison and records it as the
-// scheduling_delta row of BENCH_solver.json.
-func benchExpansion(b *testing.B, budget int64) {
+// BenchmarkExpansion measures one frontier expansion — a parent and its
+// full Δ=1 neighbor set — through the compiled problem pipeline at per-task
+// granularity.
+func BenchmarkExpansion(b *testing.B) {
 	space := benchSpace(b, 100, 100)
 	space.Groups = opt.GroupPerTask(space.W)
-	p, err := opt.Compile(space, opt.Options{Device: device.Sequential{}, Seed: 6, SnapshotBudget: budget})
+	p, err := opt.Compile(space, opt.Options{Device: device.Sequential{}, Seed: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
 	parent := p.Starts()[0]
-	if _, _, _, err := p.EvaluateExpansion(parent); err != nil { // warm rows + snapshot
+	if _, _, _, err := p.EvaluateExpansion(parent); err != nil { // warm rows
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -234,9 +230,6 @@ func benchExpansion(b *testing.B, budget int64) {
 		}
 	}
 }
-
-func BenchmarkDeltaExpansion(b *testing.B) { benchExpansion(b, 0) }
-func BenchmarkFullExpansion(b *testing.B)  { benchExpansion(b, -1) }
 
 // BenchmarkEvalCacheWarmSearch measures a full search answered from a warm
 // evaluation cache — the decod resubmission / replan-reuse case.

@@ -19,8 +19,8 @@
 //
 // These three rows report allocations and bytes per evaluated state, which
 // CI holds under fixed ceilings. The other rows compare two live paths on
-// the same states (delta vs full, adaptive vs fixed, ordered adaptive vs
-// fixed or delta-off, market vs on-demand), and device_scaling times the
+// the same states (adaptive vs fixed, ordered adaptive vs fixed, market vs
+// on-demand), and device_scaling times the
 // same searches on the sequential, state-parallel and two-level devices
 // (exp.Env.Speedup).
 //
@@ -30,7 +30,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -38,7 +37,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"slices"
 	"testing"
 	"time"
 
@@ -319,24 +317,6 @@ func newBatchRow(benchmark string, states int, r row) *batchRow {
 	}
 }
 
-// deltaRow compares one frontier expansion with and without incremental
-// (dirty-cone) evaluation: full = every child re-runs the full per-world
-// DP, delta = children reuse the parent's finish-time snapshot. Same states,
-// same worlds, bit-identical results. Both are timed in Rounds interleaved
-// rounds, alternating which runs first; each row is its median round, and
-// the per-round times are kept in round order.
-type deltaRow struct {
-	Benchmark    string  `json:"benchmark"`
-	States       int     `json:"states"`
-	Rounds       int     `json:"rounds"`
-	Full         row     `json:"full_expansion"`
-	Delta        row     `json:"delta_expansion"`
-	FullRoundNs  []int64 `json:"full_round_ns"`
-	DeltaRoundNs []int64 `json:"delta_round_ns"`
-	SpeedupNs    float64 `json:"speedup_ns"`
-	AllocsRatio  float64 `json:"allocs_ratio"`
-}
-
 // adaptiveRow compares fixed-precision against adaptive-precision
 // Monte-Carlo inference (sequential stopping + racing) on two levels. Plan
 // quality: complete solver searches, fixed and adaptive, must land on the
@@ -369,10 +349,8 @@ type adaptiveRow struct {
 // tail-regime instance: a 0.96-percentile deadline calibrated so the probed
 // states violate in only a small fraction of worlds. Every Program stores
 // its worlds most-severe first, so the exact worst-case stopping rule meets
-// the failures it needs within the first chunks. The baseline is a live
-// path over the same states: fixed precision for the tail row, the same
-// adaptive expansion with delta evaluation disabled for the groups row.
-// SearchWorldsRun is deterministic, so CI also gates it: losing the order
+// the failures it needs within the first chunks. The baseline is the live
+// fixed-precision path over the same states. SearchWorldsRun is deterministic, so CI also gates it: losing the order
 // shows up as more worlds whatever the host's noise. Plan quality is
 // asserted the same way as adaptiveRow: complete fixed and ordered searches
 // must land on the same objective value and feasibility.
@@ -394,11 +372,6 @@ type orderedRow struct {
 	BaselineStatesPerSec float64 `json:"baseline_states_per_sec"`
 	OrderedStatesPerSec  float64 `json:"ordered_states_per_sec"`
 	SpeedupStatesPerSec  float64 `json:"speedup_states_per_sec"`
-	// DeltaEvals / DeltaFallbacks / ConePlanHits report the group-cone routing
-	// of the ordered search (groups row only; the baseline disables delta).
-	DeltaEvals     int64 `json:"delta_evals,omitempty"`
-	DeltaFallbacks int64 `json:"delta_fallbacks,omitempty"`
-	ConePlanHits   int64 `json:"cone_plan_hits,omitempty"`
 }
 
 // spotRow compares complete cost-minimizing searches over the same Montage
@@ -468,9 +441,6 @@ type report struct {
 	Worlds int            `json:"worlds"`
 	// Flat is one frontier expansion on the flat CRN core.
 	Flat *batchRow `json:"flat"`
-	// SchedulingDelta compares full against incremental evaluation of one
-	// frontier expansion; see deltaRow.
-	SchedulingDelta *deltaRow `json:"scheduling_delta"`
 	// SchedulingAdaptive compares full solver searches — fixed-precision
 	// against adaptive-precision — over the same space; see adaptiveRow.
 	SchedulingAdaptive *adaptiveRow `json:"scheduling_adaptive"`
@@ -478,10 +448,8 @@ type report struct {
 	// fixed precision on a tail-regime deadline (states violate in a small
 	// fraction of worlds); see orderedRow.
 	SchedulingTail *orderedRow `json:"scheduling_tail"`
-	// SchedulingGroups runs the ordered adaptive path on the per-executable
-	// grouping, where promotions dirty Montage-scale cones: the ordered row
-	// compounds world ordering with group-cone delta evaluation, the baseline
-	// is the same adaptive path with delta disabled.
+	// SchedulingGroups runs the same comparison on the per-executable
+	// grouping, where one promotion moves a whole executable's tasks.
 	SchedulingGroups *orderedRow `json:"scheduling_groups"`
 	// SchedulingSpot compares market-aware search (spot columns, sampled
 	// clearing prices, revocation rework) against the on-demand-only search
@@ -515,19 +483,11 @@ func measure(f func(base int64) error) row {
 	}
 }
 
-// measureExpansion measures one warm frontier expansion (see
-// warmExpansion) once. It returns the row and the batch size, parent plus
-// children.
+// measureExpansion compiles sp under o, warms one frontier expansion of
+// parent (nil: the problem's first start) — rows filled, the steady state of
+// a running search — and measures that expansion. It returns the row and the
+// batch size, parent plus children.
 func measureExpansion(sp opt.Space, o opt.Options, parent opt.State) (row, int) {
-	m, n := warmExpansion(sp, o, parent)
-	return m(), n
-}
-
-// warmExpansion compiles sp under o and warms one frontier expansion of
-// parent (nil: the problem's first start) — rows filled, parent snapshot
-// captured, the steady state of a running search. It returns a measurement
-// of that expansion and the batch size, parent plus children.
-func warmExpansion(sp opt.Space, o opt.Options, parent opt.State) (func() row, int) {
 	prob := must(opt.Compile(sp, o))
 	if parent == nil {
 		parent = prob.Starts()[0]
@@ -536,38 +496,10 @@ func warmExpansion(sp opt.Space, o opt.Options, parent opt.State) (func() row, i
 	if err != nil {
 		log.Fatal(err)
 	}
-	return func() row {
-		return measure(func(int64) error {
-			_, _, _, err := prob.EvaluateExpansion(parent)
-			return err
-		})
-	}, 1 + len(kids)
-}
-
-// interleaved runs two measurements for rounds rounds, alternating which
-// runs first, so a burst of host noise lands on both alike. It returns each
-// side's median round and its per-round ns in round order.
-func interleaved(a, b func() row, rounds int) (ra, rb row, nsA, nsB []int64) {
-	var rowsA, rowsB []row
-	for r := 0; r < rounds; r++ {
-		if r%2 == 0 {
-			rowsA, rowsB = append(rowsA, a()), append(rowsB, b())
-		} else {
-			rowsB, rowsA = append(rowsB, b()), append(rowsA, a())
-		}
-	}
-	median := func(rows []row) (row, []int64) {
-		ns := make([]int64, len(rows))
-		for i, r := range rows {
-			ns[i] = r.NsPerOp
-		}
-		sorted := slices.Clone(rows)
-		slices.SortFunc(sorted, func(x, y row) int { return cmp.Compare(x.NsPerOp, y.NsPerOp) })
-		return sorted[len(sorted)/2], ns
-	}
-	ra, nsA = median(rowsA)
-	rb, nsB = median(rowsB)
-	return ra, rb, nsA, nsB
+	return measure(func(int64) error {
+		_, _, _, err := prob.EvaluateExpansion(parent)
+		return err
+	}), 1 + len(kids)
 }
 
 // search compiles sp under o and runs the search to completion.
@@ -597,11 +529,8 @@ func must[T any](v T, err error) T {
 // 0.96-percentile deadline at which the all-cheapest start meets it in a
 // share of worlds within [lo, hi], complete fixed and ordered-adaptive
 // searches that must agree on plan quality, and one warm expansion of the
-// all-cheapest start on the baseline and on the ordered adaptive path.
-// Without cones the baseline is the fixed-precision expansion; with cones
-// it is the same adaptive expansion with delta evaluation disabled, and
-// the ordered search must route children through group-cone deltas.
-func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int32, fixedOpts opt.Options, cones bool) *orderedRow {
+// all-cheapest start at fixed precision and on the ordered adaptive path.
+func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int32, fixedOpts opt.Options) *orderedRow {
 	bound := must(boundaryDeadline(p, worlds, 0.96, lo, hi))
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.96, Bound: bound}}
 	sp := opt.NewScheduleSpace(p.w, must(probir.NewNative(p.w, p.tbl, p.prices, probir.GoalCost, cons, worlds)))
@@ -609,19 +538,11 @@ func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int32, fixed
 	sp.Init = make(opt.State, p.w.Len())
 	ordOpts := fixedOpts
 	ordOpts.Adaptive = true
-	baseOpts, baseline := fixedOpts, "fixed precision"
-	if cones {
-		baseOpts, baseline = ordOpts, "adaptive, delta disabled"
-		baseOpts.SnapshotBudget = -1
-	}
 	fixedRes, _ := search(sp, fixedOpts)
 	ordRes, ordProb := search(sp, ordOpts)
-	stats, ds := ordProb.SampleStats(), ordProb.DeltaStats()
+	stats := ordProb.SampleStats()
 	if !stats.Adaptive || stats.WorldsRun == 0 {
 		log.Fatalf("ordered search never engaged the adaptive path: %+v", stats)
-	}
-	if cones && ds.DeltaEvals == 0 {
-		log.Fatalf("group search never engaged group-cone delta evaluation: %+v", ds)
 	}
 	sameQuality("ordered plan quality", fixedRes, ordRes)
 	o := &orderedRow{
@@ -630,12 +551,9 @@ func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int32, fixed
 		Feasible:         ordRes.Feasible,
 		SearchStates:     ordRes.Evaluated,
 		SearchWorldsRun:  stats.WorldsRun,
-		Baseline:         baseline,
+		Baseline:         "fixed precision",
 	}
-	if cones {
-		o.DeltaEvals, o.DeltaFallbacks, o.ConePlanHits = ds.DeltaEvals, ds.Fallbacks, ds.ConePlanHits
-	}
-	o.Base, _ = measureExpansion(sp, baseOpts, nil)
+	o.Base, _ = measureExpansion(sp, fixedOpts, nil)
 	o.Ordered, o.BatchStates = measureExpansion(sp, ordOpts, nil)
 	o.BaselineStatesPerSec = o.Base.statesPerSec(o.BatchStates)
 	o.OrderedStatesPerSec = o.Ordered.statesPerSec(o.BatchStates)
@@ -778,26 +696,6 @@ func main() {
 	rep.Flat = newBatchRow("batch state evaluation (one frontier expansion), Montage scheduling space, flat CRN kernels",
 		len(p.configs), measure(func(base int64) error { return batchFlat(native, p, base) }))
 
-	// Delta evaluation: one frontier expansion — a parent plus its full Δ=1
-	// neighbor set at per-task granularity — through the compiled problem
-	// pipeline, with and without snapshot-reusing delta evaluation. Both
-	// rows run warm (rows filled, parent snapshot captured), the steady
-	// state of a running search; results are bit-identical by construction,
-	// so this row measures pure wall clock.
-	schedSpace := opt.NewScheduleSpace(p.w, native)
-	schedSpace.Groups = opt.GroupPerTask(p.w)
-	delta := &deltaRow{
-		Benchmark: "frontier expansion (parent + Δ=1 children, per-task groups), scheduling space; full = full per-world DP per child, delta = dirty-cone delta from the parent snapshot; median of interleaved rounds",
-		Rounds:    exp.SpeedupRounds,
-	}
-	full, _ := warmExpansion(schedSpace, opt.Options{Device: device.Sequential{}, Seed: 9, SnapshotBudget: -1}, nil)
-	incr, states := warmExpansion(schedSpace, opt.Options{Device: device.Sequential{}, Seed: 9}, nil)
-	delta.States = states
-	delta.Full, delta.Delta, delta.FullRoundNs, delta.DeltaRoundNs = interleaved(full, incr, delta.Rounds)
-	delta.SpeedupNs = ratio(float64(delta.Full.NsPerOp), float64(delta.Delta.NsPerOp))
-	delta.AllocsRatio = ratio(float64(delta.Full.AllocsPerOp), float64(delta.Delta.AllocsPerOp))
-	rep.SchedulingDelta = delta
-
 	// Adaptive precision. The space reproduces the paper's Figure 5b search:
 	// start from the all-cheapest plan and promote, under a deadline at the
 	// uniform-medium mean makespan with a 0.96-percentile constraint — tight
@@ -872,29 +770,21 @@ func main() {
 		MaxStates: 500, BeamWidth: 6, Patience: 20,
 		Worlds: tailWorlds, MinWorlds: 8,
 	}
-	tail := orderedPair(p, tailWorlds, 0.88, 0.92, opt.GroupPerTask(p.w), tailFixedOpts, false)
+	tail := orderedPair(p, tailWorlds, 0.88, 0.92, opt.GroupPerTask(p.w), tailFixedOpts)
 	tail.Benchmark = "frontier expansion at the all-cheapest start, tail-regime deadline (all-cheapest meets it in ~90% of worlds, 0.96 percentile required); fixed precision vs decisive-world-first adaptive stopping, equal full-search objective asserted"
 	rep.SchedulingTail = tail
 
-	// Executable groups: the same tail-regime instance on the per-executable
-	// grouping NewScheduleSpace picks for Montage at scale, where one
-	// promotion dirties a cone covering half the DAG. The ordered row
-	// compounds decisive-world-first ordering with group-cone delta
-	// evaluation (the work-estimate model keeps these cones on the delta
-	// path); the baseline is the same adaptive path with delta disabled.
-	// The measured expansion grows from the all-cheapest start: its own
-	// evaluation stops early, so the compound path pays one on-demand parent
-	// completion and then evaluates the sibling batch incrementally with
-	// early stops, while the baseline runs every child in full.
-	// The group deadline is calibrated lower ([0.78, 0.85] at all-cheapest) so
-	// that promoting a single executable group is not enough to reach the 0.96
-	// percentile: every child of the start stays infeasible, ordering decides
-	// each one within the first chunks, and the delta path makes the surviving
-	// worlds cheap.
+	// Executable groups: the same tail-regime comparison on the
+	// per-executable grouping NewScheduleSpace picks for Montage at scale,
+	// where one promotion moves a whole executable's tasks. The group
+	// deadline is calibrated lower ([0.78, 0.85] at all-cheapest) so that
+	// promoting a single executable group is not enough to reach the 0.96
+	// percentile: every child of the start stays infeasible, and ordering
+	// decides each one within the first chunks.
 	grpFixedOpts := tailFixedOpts
 	grpFixedOpts.Seed = 17
-	groups := orderedPair(p, tailWorlds, 0.78, 0.85, opt.GroupByExecutable(p.w), grpFixedOpts, true)
-	groups.Benchmark = "frontier expansion at the all-cheapest start, per-executable groups, tail-regime deadline; decisive-world-first adaptive with delta disabled vs the same compounded with group-cone delta evaluation, equal full-search objective asserted"
+	groups := orderedPair(p, tailWorlds, 0.78, 0.85, opt.GroupByExecutable(p.w), grpFixedOpts)
+	groups.Benchmark = "frontier expansion at the all-cheapest start, per-executable groups, tail-regime deadline; fixed precision vs decisive-world-first adaptive stopping, equal full-search objective asserted"
 	rep.SchedulingGroups = groups
 
 	rep.SchedulingSpot = spotPair(p)
@@ -936,16 +826,14 @@ func main() {
 		fmt.Printf("%-12s %d ns/op | %.2f allocs/state, %.0f B/state (%d states)\n",
 			[]string{"flat:", "ensemble:", "ftc:"}[i], b.NsPerOp, b.AllocsPerState, b.BytesPerState, b.States)
 	}
-	fmt.Printf("sched-delta: full %d ns/op %d allocs/op | delta %d ns/op %d allocs/op | speedup %.1fx\n",
-		delta.Full.NsPerOp, delta.Full.AllocsPerOp, delta.Delta.NsPerOp, delta.Delta.AllocsPerOp, delta.SpeedupNs)
 	fmt.Printf("sched-adapt: fixed %d ns/op | adaptive %d ns/op (%d-state batch) | states/sec speedup %.1fx | search %d states, %d/%d worlds, objective %.4f on both\n",
 		adapt.Fixed.NsPerOp, adapt.Adaptive.NsPerOp, adapt.BatchStates, adapt.SpeedupStatesPerSec,
 		adapt.SearchStates, adapt.SearchWorldsRun, adapt.SearchWorldsRun+adapt.SearchWorldsSaved,
 		adapt.AdaptiveObjective)
 	for i, o := range []*orderedRow{tail, groups} {
-		fmt.Printf("%-12s %s %d ns/op | ordered %d ns/op (%d-state batch) | states/sec speedup %.1fx | search %d states, %d worlds run, %d delta evals, %d plan hits, objective %.4f on both\n",
+		fmt.Printf("%-12s %s %d ns/op | ordered %d ns/op (%d-state batch) | states/sec speedup %.1fx | search %d states, %d worlds run, objective %.4f on both\n",
 			[]string{"sched-tail:", "sched-group:"}[i], o.Baseline, o.Base.NsPerOp, o.Ordered.NsPerOp, o.BatchStates, o.SpeedupStatesPerSec,
-			o.SearchStates, o.SearchWorldsRun, o.DeltaEvals, o.ConePlanHits, o.OrderedObjective)
+			o.SearchStates, o.SearchWorldsRun, o.OrderedObjective)
 	}
 	spot := rep.SchedulingSpot
 	fmt.Printf("sched-spot:  ondemand $%.4f | market $%.4f (savings %.0f%%, %d/%d tasks on spot, bit-equal across devices) | expansion od %d ns/op (%d states) vs market %d ns/op (%d states), overhead %.2fx\n",

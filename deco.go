@@ -280,13 +280,6 @@ type Plan struct {
 	// problem not adaptive-capable).
 	WorldsEvaluated int64
 	WorldsSaved     int64
-	// DeltaEvals / DeltaFallbacks report the incremental-evaluation routing
-	// of the solve: states evaluated from a parent snapshot vs states that
-	// carried transform provenance but evaluated fully. ConePlanHits counts
-	// sibling children that reused a cached dirty-cone extraction.
-	DeltaEvals     int64
-	DeltaFallbacks int64
-	ConePlanHits   int64
 
 	engine *Engine
 }
@@ -512,7 +505,6 @@ func (e *Engine) optimize(ctx context.Context, w *dag.Workflow, goal probir.Goal
 		return nil, err
 	}
 	sstats := problem.SampleStats()
-	dstats := problem.DeltaStats()
 	return &Plan{
 		Workflow:        w,
 		Config:          res.Best,
@@ -525,9 +517,6 @@ func (e *Engine) optimize(ctx context.Context, w *dag.Workflow, goal probir.Goal
 		StatesEvaluated: res.Evaluated,
 		WorldsEvaluated: sstats.WorldsRun,
 		WorldsSaved:     sstats.WorldsSaved(),
-		DeltaEvals:      dstats.DeltaEvals,
-		DeltaFallbacks:  dstats.Fallbacks,
-		ConePlanHits:    dstats.ConePlanHits,
 		engine:          e,
 	}, nil
 }

@@ -7,10 +7,9 @@ package deco
 //   - full evaluation     probir.Native.EvaluateCRN (one sequential pass)
 //   - kernel path         the space descriptor's Kernel + probir.RunKernel
 //                         (world-decomposed, folded canonically)
-//   - device/delta path   opt.Search's batch evaluator, which shares the
-//                         lazily-filled CRN duration rows across sibling
-//                         states and runs them on whatever device is
-//                         configured
+//   - device path         opt.Search's batch evaluator, which shares the
+//                         CRN duration rows across sibling states and runs
+//                         them on whatever device is configured
 //
 // The deterministic ensemble and follow-the-cost spaces carry Worlds()=1
 // kernels (their evaluations ignore the seed), so the same three-way
@@ -158,7 +157,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 				}
 			}
 			assertSameEval(t, name+": kernel path", kev, want)
-			// Device/delta path through the solver's evaluator, every device.
+			// Device path through the solver's evaluator, every device.
 			for _, dev := range crossDevices {
 				got := searchOneState(t, sp, st, dev, base, false)
 				assertSameEval(t, name+": "+dev.Name(), got, want)
@@ -167,14 +166,13 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 	}
 }
 
-// TestDeltaChainEquivalence walks randomized Promote/Demote chains through
-// the scheduling space and asserts that delta (snapshot-reusing) evaluation
-// is bit-identical to full evaluation at every step — on every device, with
-// and without the evaluation cache, and against the one-pass sequential
-// reference EvaluateCRN. The chain descends through EvaluateExpansion, so
-// each step's children evaluate from the parent snapshot captured the step
-// before: delta-on-delta, the regime a beam search actually runs in.
-func TestDeltaChainEquivalence(t *testing.T) {
+// TestExpansionChainEquivalence walks randomized Promote/Demote chains
+// through the scheduling space with EvaluateExpansion and asserts that the
+// solver's evaluation of every parent and child is bit-identical to the
+// one-pass sequential reference EvaluateCRN — on every device, and with the
+// evaluation cache on, where each step's parent is a hit from the step
+// before.
+func TestExpansionChainEquivalence(t *testing.T) {
 	env, err := exp.NewEnv(exp.QuickConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -207,57 +205,37 @@ func TestDeltaChainEquivalence(t *testing.T) {
 			if cached {
 				name += "/cache"
 			}
-			compile := func(budget int64) *opt.Problem {
-				o := opt.Options{Device: dev, Seed: base, SnapshotBudget: budget}
-				if cached {
-					o.Cache = opt.NewEvalCache(4096)
-				}
-				p, err := opt.Compile(sp, o)
+			o := opt.Options{Device: dev, Seed: base}
+			if cached {
+				o.Cache = opt.NewEvalCache(4096)
+			}
+			p, err := opt.Compile(sp, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reference := func(what string, st opt.State, got *probir.Evaluation) {
+				t.Helper()
+				want, err := eval.EvaluateCRN(st, base)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return p
+				assertSameEval(t, name+": "+what, got, want)
 			}
-			delta, full := compile(0), compile(-1)
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			st := sp.Initial()
 			for step := 0; step < 6; step++ {
-				pe, kids, evs, err := delta.EvaluateExpansion(st)
+				pe, kids, evs, err := p.EvaluateExpansion(st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				peF, kidsF, evsF, err := full.EvaluateExpansion(st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameEval(t, name+": parent", pe, peF)
-				if len(kids) != len(kidsF) {
-					t.Fatalf("%s step %d: %d children vs %d", name, step, len(kids), len(kidsF))
-				}
+				reference("parent", st, pe)
 				for i := range kids {
-					if kids[i].Key() != kidsF[i].Key() {
-						t.Fatalf("%s step %d child %d: %v != %v", name, step, i, kids[i], kidsF[i])
-					}
-					assertSameEval(t, name+": child", evs[i], evsF[i])
+					reference("child", kids[i], evs[i])
 				}
 				if len(kids) == 0 {
 					break
 				}
-				// Spot-check one child against the sequential reference and
-				// descend through it.
-				j := rng.Intn(len(kids))
-				want, err := eval.EvaluateCRN(kids[j], base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameEval(t, name+": reference", evs[j], want)
-				st = kids[j]
-			}
-			if st := delta.DeltaStats(); st.DeltaEvals == 0 {
-				t.Errorf("%s: chain never took the delta path: %+v", name, st)
-			}
-			if st := full.DeltaStats(); st.DeltaEvals != 0 || st.Snapshots != 0 {
-				t.Errorf("%s: delta-disabled problem took the delta path: %+v", name, st)
+				st = kids[rng.Intn(len(kids))]
 			}
 		}
 	}

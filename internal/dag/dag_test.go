@@ -1,8 +1,8 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -311,91 +311,10 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-// coneIDs runs Flat.Cone on the tasks with the given IDs and returns the cone
-// members as a sorted ID set.
-func coneIDs(t *testing.T, w *Workflow, dirty ...string) ([]string, int) {
-	t.Helper()
-	f, err := w.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := map[string]int32{}
-	for i, id := range f.IDs {
-		idx[id] = int32(i)
-	}
-	var d []int32
-	for _, id := range dirty {
-		d = append(d, idx[id])
-	}
-	var sc ConeScratch
-	cone, edges := f.Cone(d, &sc)
-	var ids []string
-	prev := int32(-1)
-	for _, k := range cone {
-		if k <= prev {
-			t.Fatalf("cone positions not ascending: %v", cone)
-		}
-		prev = k
-		ids = append(ids, f.IDs[f.Order[k]])
-	}
-	sort.Strings(ids)
-	return ids, edges
-}
-
-func TestFlatChildrenCSR(t *testing.T) {
-	w := diamond(t)
-	f, err := w.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	children := map[string][]string{}
-	for i, id := range f.IDs {
-		var cs []string
-		for _, c := range f.Children[f.ChildStart[i]:f.ChildStart[i+1]] {
-			cs = append(cs, f.IDs[c])
-		}
-		sort.Strings(cs)
-		children[id] = cs
-	}
-	want := map[string][]string{"A": {"B", "C"}, "B": {"D"}, "C": {"D"}, "D": nil}
-	for id, cs := range want {
-		got := children[id]
-		if len(got) != len(cs) {
-			t.Fatalf("children of %s = %v, want %v", id, got, cs)
-		}
-		for i := range cs {
-			if got[i] != cs[i] {
-				t.Fatalf("children of %s = %v, want %v", id, got, cs)
-			}
-		}
-	}
-}
-
-func TestConeDiamond(t *testing.T) {
-	w := diamond(t)
-	for _, tc := range []struct {
-		dirty []string
-		want  []string
-		edges int
-	}{
-		{[]string{"A"}, []string{"A", "B", "C", "D"}, 4}, // all four edges enter the cone
-		{[]string{"B"}, []string{"B", "D"}, 3},           // B's edge from A, D's two edges
-		{[]string{"D"}, []string{"D"}, 2},
-		{[]string{"B", "C"}, []string{"B", "C", "D"}, 4},
-	} {
-		got, edges := coneIDs(t, w, tc.dirty...)
-		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
-			t.Errorf("cone(%v) = %v, want %v", tc.dirty, got, tc.want)
-		}
-		if edges != tc.edges {
-			t.Errorf("cone(%v) edges = %d, want %d", tc.dirty, edges, tc.edges)
-		}
-	}
-}
-
-// TestConeMatchesReachability cross-checks Cone against a straightforward
-// forward BFS over random DAGs, and that scratch reuse leaves no stale marks.
-func TestConeMatchesReachability(t *testing.T) {
+// TestFlatSinks checks Flat.Sinks against Workflow.Children on the diamond
+// and on random DAGs: exactly the childless tasks, ascending.
+func TestFlatSinks(t *testing.T) {
+	ws := []*Workflow{diamond(t)}
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(20)
@@ -416,46 +335,25 @@ func TestConeMatchesReachability(t *testing.T) {
 				}
 			}
 		}
+		ws = append(ws, w)
+	}
+	for _, w := range ws {
 		f, err := w.Flatten()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sc ConeScratch
-		for rep := 0; rep < 4; rep++ { // reuse the scratch across calls
-			dirty := []int32{int32(rng.Intn(n))}
-			if rng.Intn(2) == 0 {
-				dirty = append(dirty, int32(rng.Intn(n)))
-			}
-			// Reference: BFS over Workflow.Children.
-			want := map[string]bool{}
-			queue := []string{}
-			for _, d := range dirty {
-				id := f.IDs[d]
-				if !want[id] {
-					want[id] = true
-					queue = append(queue, id)
-				}
-			}
-			for len(queue) > 0 {
-				id := queue[0]
-				queue = queue[1:]
-				for _, c := range w.Children(id) {
-					if !want[c] {
-						want[c] = true
-						queue = append(queue, c)
-					}
-				}
-			}
-			cone, _ := f.Cone(dirty, &sc)
-			if len(cone) != len(want) {
-				t.Fatalf("cone size %d, want %d", len(cone), len(want))
-			}
-			for _, k := range cone {
-				if !want[f.IDs[f.Order[k]]] {
-					t.Fatalf("cone contains unreachable task %s", f.IDs[f.Order[k]])
-				}
+		var want []int32
+		for i, id := range f.IDs {
+			if len(w.Children(id)) == 0 {
+				want = append(want, int32(i))
 			}
 		}
+		if fmt.Sprint(f.Sinks) != fmt.Sprint(want) {
+			t.Fatalf("%s: sinks %v, want %v", w.Name, f.Sinks, want)
+		}
+	}
+	if f, _ := ws[0].Flatten(); len(f.Sinks) != 1 || f.IDs[f.Sinks[0]] != "D" {
+		t.Fatalf("diamond sinks %v, want [D]", f.Sinks)
 	}
 }
 

@@ -17,12 +17,6 @@ type Flat struct {
 	// Parents[ParentStart[k]:ParentStart[k+1]] (task indices).
 	ParentStart []int32
 	Parents     []int32
-	// ChildStart/Children are the child adjacency in CSR form, indexed by
-	// task (not topological position): the children of task i are
-	// Children[ChildStart[i]:ChildStart[i+1]] (task indices). Delta
-	// evaluation uses it to push finish-time changes forward.
-	ChildStart []int32
-	Children   []int32
 	// Sinks lists the tasks without children, ascending. With non-negative
 	// durations every finish time is at most some sink's, so a makespan is
 	// a max over the sinks alone.
@@ -67,85 +61,17 @@ func (w *Workflow) Flatten() (*Flat, error) {
 		}
 	}
 	f.ParentStart[len(order)] = int32(len(f.Parents))
-	// Child CSR: counting sort of the parent arrays, so Children[i] lists
-	// every task that names i as a parent.
-	f.ChildStart = make([]int32, len(order)+1)
+	hasChild := make([]bool, len(order))
 	for _, p := range f.Parents {
-		f.ChildStart[p+1]++
+		hasChild[p] = true
 	}
-	for i := 0; i < len(order); i++ {
-		f.ChildStart[i+1] += f.ChildStart[i]
-	}
-	f.Children = make([]int32, len(f.Parents))
-	fill := append([]int32(nil), f.ChildStart[:len(order)]...)
-	for k := range f.Order {
-		ti := f.Order[k]
-		for _, p := range f.Parents[f.ParentStart[k]:f.ParentStart[k+1]] {
-			f.Children[fill[p]] = ti
-			fill[p]++
-		}
-	}
-	for i := 0; i < len(order); i++ {
-		if f.ChildStart[i] == f.ChildStart[i+1] {
+	for i, c := range hasChild {
+		if !c {
 			f.Sinks = append(f.Sinks, int32(i))
 		}
 	}
 	w.flat.Store(f)
 	return f, nil
-}
-
-// ConeScratch holds the reusable buffers of Flat.Cone so repeated cone
-// computations over one workflow allocate nothing. The zero value is ready to
-// use; a scratch must not be shared between concurrent Cone calls.
-type ConeScratch struct {
-	mark []bool
-	cone []int32
-}
-
-// Cone computes the dirty cone of a set of task indices: the dirty tasks plus
-// every topological descendant — exactly the tasks whose finish times can
-// change when the dirty tasks' durations change. It returns the cone as
-// positions into Order, ascending, so callers can recompute finish times in
-// one forward pass, plus the total number of parent edges entering cone
-// members (the recomputation cost of the cone in DP edge-scan units). The
-// returned slice aliases the scratch and is valid until the next Cone call
-// with the same scratch.
-func (f *Flat) Cone(dirty []int32, sc *ConeScratch) ([]int32, int) {
-	n := f.Len()
-	if cap(sc.mark) < n {
-		sc.mark = make([]bool, n)
-	}
-	mark := sc.mark[:n]
-	cone := sc.cone[:0]
-	for _, d := range dirty {
-		mark[d] = true
-	}
-	edges := 0
-	for k, ti := range f.Order {
-		ps, pe := f.ParentStart[k], f.ParentStart[k+1]
-		in := mark[ti]
-		if !in {
-			for _, p := range f.Parents[ps:pe] {
-				if mark[p] {
-					in = true
-					break
-				}
-			}
-			if !in {
-				continue
-			}
-			mark[ti] = true
-		}
-		cone = append(cone, int32(k))
-		edges += int(pe - ps)
-	}
-	// Reset the marks (dirty tasks are cone members, so clearing the cone
-	// clears everything).
-	for _, k := range cone {
-		mark[f.Order[k]] = false
-	}
-	sc.cone = cone
-	return cone, edges
 }
 
 // Len is the number of tasks.

@@ -23,12 +23,12 @@ import (
 // severe world first), so the first chunks hold the likely-violating
 // worlds:
 //
-//   - A state whose feasibility verdict is decided — certainly, by the exact
-//     worst-case interval, or statistically, by the anytime-valid confidence
-//     sequence — stops and is finalized from its prefix. Early verdicts are
-//     pessimistic where they must be: a state is only reported Feasible when
-//     that is proven (or statistically decided), so a partially evaluated
-//     state can never wrongly become the incumbent.
+//   - A state decided infeasible — certainly, by the exact worst-case
+//     interval, or statistically, by the anytime-valid confidence sequence —
+//     stops and is finalized pessimistically from its prefix. A state decided
+//     feasible runs on to the world cap, so every evaluation reported
+//     Feasible is complete: its value and probabilities are the fixed
+//     path's, whatever stopped its siblings, and racing never eliminates it.
 //
 //   - Racing (successive elimination) drops states that provably cannot rank
 //     among the batch's best BeamWidth: their optimistic final score already
@@ -41,8 +41,8 @@ import (
 // All decisions are functions of the running sums and the fixed chunk
 // schedule, so adaptive results are identical across devices. States that
 // reach the world cap reduce exactly as at fixed precision; only
-// fully-evaluated states enter the evaluation cache or the snapshot store,
-// and partial verdicts carry their world count (scored.worlds).
+// fully-evaluated states enter the evaluation cache, and partial verdicts
+// carry their world count (scored.worlds).
 
 // SampleStats reports how adaptive evaluation spent its world budget, for
 // observability and benchmark gating. Counters cover live adaptive
@@ -64,10 +64,9 @@ type SampleStats struct {
 	// states; WorldsRun is the worlds actually sampled.
 	WorldsBudget int64
 	WorldsRun    int64
-	// StoppedFeasible / StoppedInfeasible count states whose verdict was
-	// decided before the cap; Raced counts states eliminated by racing;
-	// FullRuns counts states that ran every world.
-	StoppedFeasible   int64
+	// StoppedInfeasible counts states decided infeasible before the cap;
+	// Raced counts states eliminated by racing; FullRuns counts states that
+	// ran every world.
 	StoppedInfeasible int64
 	Raced             int64
 	FullRuns          int64
@@ -80,8 +79,8 @@ type SampleStats struct {
 // relative to the fixed budget.
 func (s SampleStats) WorldsSaved() int64 { return s.WorldsBudget - s.WorldsRun }
 
-// SampleStats returns the problem's adaptive-evaluation counters. Like
-// DeltaStats, it is only meaningful between searches.
+// SampleStats returns the problem's adaptive-evaluation counters. It is
+// only meaningful between searches.
 func (p *Problem) SampleStats() SampleStats { return p.sstats }
 
 // stateVerdict combines the per-constraint sequential checks of one state:
@@ -104,22 +103,11 @@ func (p *Problem) stateVerdict(sums []float64, seen, check int, delta float64) s
 	return sample.Undecided
 }
 
-// finalizePartial reduces an early-stopped state st from its world prefix.
-// The pessimistic reduction (unseen worlds fail every indicator) is correct
-// for infeasible and undecided stops. A statistically-decided feasible stop
-// whose worst-case interval is still open needs the optimistic completion for
-// its indicators — otherwise the pessimistic lower bounds would contradict
-// the verdict — while deterministic constraints keep their exact checks. Any
-// objective applies once, to the final reduction.
-func (p *Problem) finalizePartial(k probir.PartialKernel, st State, sums []float64, seen int, v sample.Verdict) (*probir.Evaluation, error) {
+// finalizePartial reduces an early-stopped state st pessimistically from
+// its world prefix (unseen worlds fail every indicator), then applies any
+// objective.
+func (p *Problem) finalizePartial(k probir.PartialKernel, st State, sums []float64, seen int) (*probir.Evaluation, error) {
 	ev, err := k.ReducePartial(sums, seen)
-	if err == nil && v == sample.DecidedFeasible && !ev.Feasible {
-		opt := append([]float64(nil), sums...)
-		for _, fi := range p.indIdx {
-			opt[fi] += float64(p.worlds - seen)
-		}
-		ev, err = k.ReducePartial(opt, seen)
-	}
 	return p.reduced(st, ev, err)
 }
 
@@ -147,19 +135,14 @@ type batch struct {
 	out      []scored
 	kernels  []probir.WorldKernel
 	partial  []probir.PartialKernel // adaptive only
-	snaps    []*probir.Snapshot     // delta only
-	buf      *batchBuf              // reused round buffers
 	sums     []float64
 	seen     []int
 
-	// Adaptive only: the stop verdict of each finished state; pinned marks
-	// states whose feasible verdict is already certain but that keep running
-	// to completion so their capture snapshot survives (racing must not
-	// eliminate them — a pessimistic finalize would overwrite a
-	// decided-feasible verdict); blockOf maps a state to its block in the
+	// Adaptive only: pinned marks states decided feasible, which run on to
+	// the world cap (racing must not eliminate them — a pessimistic finalize
+	// would overwrite the verdict); blockOf maps a state to its block in the
 	// current chunk; pairRef/pairs are the paired-value racing reference and
 	// its per-state difference trackers.
-	verdict []sample.Verdict
 	pinned  []bool
 	blockOf []int
 	pairRef string
@@ -169,23 +152,19 @@ type batch struct {
 // row returns state i's running figure sums.
 func (b *batch) row(i int) []float64 { return b.sums[i*b.p.width : (i+1)*b.p.width] }
 
-// evaluate scores a batch of candidates. Kernels are built serially (the
-// delta path's plan cache and snapshot store are search-goroutine state); a
-// state whose kernel fails to build, or differs from the compiled shape,
-// carries that error while the others evaluate. With adaptive false every
-// state runs every world; with adaptive true states stop, and race, as
-// their verdicts are decided.
+// evaluate scores a batch of candidates. Kernels are built serially; a state
+// whose kernel fails to build, or differs from the compiled shape, carries
+// that error while the others evaluate. With adaptive false every state
+// runs every world; with adaptive true states stop, and race, as their
+// verdicts are decided.
 func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 	n := len(cands)
 	b := &batch{p: p, adaptive: adaptive, cands: cands,
 		out: make([]scored, n), kernels: make([]probir.WorldKernel, n),
 		sums: make([]float64, n*p.width), seen: make([]int, n)}
-	bb := p.getBatchBuf(n)
-	defer p.putBatchBuf(bb)
-	b.buf, b.snaps = bb, bb.snaps
+	p.evals += int64(n)
 	if adaptive {
 		b.partial = make([]probir.PartialKernel, n)
-		b.verdict = make([]sample.Verdict, n)
 		b.pinned = make([]bool, n)
 		b.blockOf = make([]int, n)
 		b.pairs = make(map[int]*sample.Paired)
@@ -194,7 +173,7 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 	active := make([]int, 0, n)
 	for i, c := range cands {
 		b.out[i] = scored{state: c.state, key: c.key}
-		k, snap, err := p.buildKernel(c)
+		k, err := p.kernel(c.state)
 		if err == nil {
 			err = p.checkKernel(k)
 		}
@@ -205,16 +184,10 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 			}
 		}
 		if err != nil {
-			if snap != nil {
-				p.delta.ReleaseSnapshot(snap)
-			}
 			b.out[i].err = err
 			continue
 		}
 		b.kernels[i] = k
-		if b.snaps != nil {
-			b.snaps[i] = snap
-		}
 		active = append(active, i)
 	}
 	p.exitPhase()
@@ -243,26 +216,6 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 		p.sstats.WorldsRun += run
 		p.sstats.WorldsReordered += run
 	}
-	// Sampling is complete: snapshots of completely evaluated states enter
-	// the store under their search score (possibly evicting worse-scored
-	// states' snapshots back to the pool); all others — failed states, and
-	// partial snapshots with unwritten worlds — are recycled directly.
-	// Storing strictly after the batch finishes is what makes eviction safe:
-	// no running kernel can hold a reference to an evicted snapshot.
-	if b.snaps != nil {
-		p.enterPhase(phaseSnapshotPut)
-		for i, sn := range b.snaps {
-			if sn == nil {
-				continue
-			}
-			if s := b.out[i]; s.err == nil && s.eval != nil && b.seen[i] == p.worlds {
-				p.snaps.put(s.key, Score(s.eval, p.opts.Maximize), sn)
-			} else {
-				p.delta.ReleaseSnapshot(sn)
-			}
-		}
-		p.exitPhase()
-	}
 	return b.out
 }
 
@@ -280,9 +233,9 @@ func (p *Problem) checkKernel(k probir.WorldKernel) error {
 
 // chunk runs worlds [lo, end) of the active states as device blocks, folds
 // them into the running sums, finalizes every state that is done — all of
-// them at the world cap, decided ones before it — and, on the adaptive path,
-// races the rest. check is the 1-based index of the chunk in the schedule.
-// It returns the states still running.
+// them at the world cap, infeasible-decided ones before it — and, on the
+// adaptive path, races the rest. check is the 1-based index of the chunk in
+// the schedule. It returns the states still running.
 func (b *batch) chunk(active []int, lo, end, check int) []int {
 	p := b.p
 	width, nb, span := p.width, len(active), end-lo
@@ -290,17 +243,17 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 	// otherwise the active rows are gathered into their block order.
 	round := b.sums
 	if nb < len(b.cands) {
-		if cap(b.buf.round) < nb*width {
-			b.buf.round = make([]float64, nb*width)
+		if cap(p.buf.round) < nb*width {
+			p.buf.round = make([]float64, nb*width)
 		}
-		round = b.buf.round[:nb*width]
+		round = p.buf.round[:nb*width]
 		for bi, i := range active {
 			copy(round[bi*width:(bi+1)*width], b.row(i))
 		}
 	}
 	p.enterPhase(phaseChunkEval)
 	// Cancellation is checked once per (state, chunk) unit.
-	slots, errs := device.ReduceBlocksRange(p.opts.Device, nb, lo, end, width, round, &b.buf.dev, func(bi, clo, chi int, out []float64) error {
+	slots, errs := device.ReduceBlocksRange(p.opts.Device, nb, lo, end, width, round, &p.buf.dev, func(bi, clo, chi int, out []float64) error {
 		if err := p.opts.Ctx.Err(); err != nil {
 			return fmt.Errorf("opt: search cancelled: %w", err)
 		}
@@ -310,10 +263,10 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 	delta := 1 - p.opts.Confidence
 	// next filters active in place: entry bi is read before any later
 	// state is appended.
-	if cap(b.buf.done) < nb {
-		b.buf.done = make([]int, nb)
+	if cap(p.buf.done) < nb {
+		p.buf.done = make([]int, nb)
 	}
-	done := b.buf.done[:0]
+	done := p.buf.done[:0]
 	next := active[:0]
 	for bi, i := range active {
 		if errs[bi] != nil {
@@ -326,23 +279,18 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 		}
 		b.seen[i] = end
 		if end < p.worlds {
-			// Sequential stopping: a decided state finishes now. A
-			// feasible-decided state still holding a capture snapshot is
-			// pinned to completion instead: its verdict can only be confirmed
-			// by the remaining worlds (a feasible-certain prefix stays
-			// feasible), finishing costs at most the tail cushion, and only a
-			// complete evaluation may keep its snapshot — the parent material
-			// every delta child of this state needs.
+			// Sequential stopping: an infeasible-decided state finishes now.
+			// A feasible-decided one is pinned to the cap: the remaining
+			// worlds can only confirm its verdict (a feasible-certain prefix
+			// stays feasible), and a complete evaluation is exactly the fixed
+			// path's, so no feasible result rests on a world prefix.
 			b.blockOf[i] = bi
 			v := p.stateVerdict(b.row(i), end, check, delta)
-			if v == sample.Undecided || (v == sample.DecidedFeasible && b.snaps != nil && b.snaps[i] != nil) {
-				if v == sample.DecidedFeasible {
-					b.pinned[i] = true
-				}
+			if v != sample.DecidedInfeasible {
+				b.pinned[i] = b.pinned[i] || v == sample.DecidedFeasible
 				next = append(next, i)
 				continue
 			}
-			b.verdict[i] = v
 		}
 		done = append(done, i)
 	}
@@ -360,7 +308,7 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 				ev, err := b.kernels[i].Reduce(row)
 				b.out[i].eval, b.out[i].err = p.reduced(st, ev, err)
 			} else {
-				b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], st, row, end, b.verdict[i])
+				b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], st, row, end)
 			}
 		})
 	}
@@ -371,8 +319,6 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 		case !b.adaptive:
 		case end == p.worlds:
 			p.sstats.FullRuns++
-		case b.verdict[i] == sample.DecidedFeasible:
-			p.sstats.StoppedFeasible++
 		default:
 			p.sstats.StoppedInfeasible++
 		}
@@ -402,8 +348,8 @@ func (b *batch) chunk(active []int, lo, end, check int) []int {
 //     CRN contract; a state whose mean difference has a positive
 //     empirical-Bernstein lower bound is provably worse than the reference.
 //
-// Eliminated states finalize pessimistically via finalizePartial (verdict
-// undecided ⇒ never feasible), so they cannot wrongly become the incumbent.
+// Eliminated states finalize pessimistically via finalizePartial, so they
+// cannot wrongly become the incumbent.
 func (b *batch) race(active []int, slots []float64, span, check int, delta float64) []int {
 	p := b.p
 	keep := p.opts.BeamWidth
@@ -411,7 +357,7 @@ func (b *batch) race(active []int, slots []float64, span, check int, delta float
 		keep = 1
 	}
 	eliminate := func(i int) {
-		b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], b.cands[i].state, b.row(i), b.seen[i], sample.Undecided)
+		b.out[i].eval, b.out[i].err = p.finalizePartial(b.partial[i], b.cands[i].state, b.row(i), b.seen[i])
 		b.out[i].worlds = b.seen[i]
 		p.sstats.Raced++
 	}
@@ -500,9 +446,9 @@ func (b *batch) race(active []int, slots []float64, span, check int, delta float
 
 // confirmBest re-evaluates a partially evaluated search result at full
 // precision, so every returned Result is backed by a complete evaluation (exact
-// value, probabilities, and violation). Feasible early stops by the exact
-// rule are guaranteed to stay feasible; the confirmation refines the
-// reported numbers.
+// value, probabilities, and violation). States decided feasible run every
+// world; the confirmation refines the numbers of an incumbent that stopped
+// early.
 func (p *Problem) confirmBest(s *scored) error {
 	if s == nil || s.worlds == 0 || s.worlds >= p.worlds {
 		return nil

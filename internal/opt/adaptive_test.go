@@ -248,37 +248,6 @@ func TestAdaptiveConcurrentSearches(t *testing.T) {
 	}
 }
 
-// TestSnapStoreOverwriteAccounting is the regression test for byte accounting
-// on key overwrite: replacing a stored snapshot must charge the delta, not
-// double-count, and must release exactly the replaced snapshot.
-func TestSnapStoreOverwriteAccounting(t *testing.T) {
-	w := cpuChain(t, 6, 300)
-	ne, _ := buildEval(t, w, 1300, 0.9, 20)
-	var released []*probir.Snapshot
-	s := newSnapStore(1<<20, func(sn *probir.Snapshot) { released = append(released, sn) })
-
-	a, b := ne.NewSnapshot(), ne.NewSnapshot()
-	s.put("k", 0, a)
-	_, bytesA, _ := s.stats()
-	if bytesA != a.Bytes() || bytesA == 0 {
-		t.Fatalf("after first put: %d bytes, want %d", bytesA, a.Bytes())
-	}
-	s.put("k", 0, b)
-	entries, bytesB, _ := s.stats()
-	if entries != 1 {
-		t.Fatalf("overwrite left %d entries", entries)
-	}
-	if bytesB != b.Bytes() {
-		t.Fatalf("after overwrite: %d bytes, want %d (double-counted?)", bytesB, b.Bytes())
-	}
-	if len(released) != 1 || released[0] != a {
-		t.Fatalf("overwrite released %d snapshots, want exactly the replaced one", len(released))
-	}
-	if got, ok := s.get("k"); !ok || got != b {
-		t.Fatalf("get after overwrite: %v %v", got, ok)
-	}
-}
-
 // failingReduceKernel is a one-indicator partial kernel whose every world
 // satisfies its constraint and whose reductions all fail; samples counts
 // the worlds actually sampled.

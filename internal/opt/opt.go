@@ -86,11 +86,9 @@ type Space interface {
 }
 
 // Transform is one move of the search graph: the child is the parent with
-// Step added to each listed component. Tasks is exactly the set of
-// components that change, which is what delta evaluation needs. It is
-// read-only to the solver, so a space may share one slice across moves and
-// calls (a precomputed group list, or a subslice of Indices); the solver
-// keeps it as the key of its cone-plan cache.
+// Step added to each listed component. Tasks is read-only to the solver, so
+// a space may share one slice across moves and calls (a precomputed group
+// list, or a subslice of Indices).
 type Transform struct {
 	Tasks []int32
 	Step  int
@@ -142,35 +140,6 @@ type Descriptor struct {
 	// empty means the space cannot vouch for its identity and caching is
 	// disabled.
 	Fingerprint string
-	// Delta, when set, lets the solver evaluate a child incrementally from
-	// its parent's per-world finish times.
-	Delta *DeltaHooks
-}
-
-// DeltaHooks is the incremental-evaluation capability of a space whose
-// kernels share one world realization per seed (probir's CRN contract):
-// every evaluated state can capture a finish-time snapshot, and a child
-// evaluates over the dirty cone of the tasks its move changed from its
-// parent's snapshot, bit-identically to a full evaluation.
-type DeltaHooks struct {
-	// NewSnapshot returns a pooled snapshot sized for this space's
-	// evaluation, or nil when evaluations have no reusable per-world state
-	// (which disables delta evaluation at Compile).
-	NewSnapshot func() *probir.Snapshot
-	// ReleaseSnapshot returns a snapshot to the pool.
-	ReleaseSnapshot func(*probir.Snapshot)
-	// Capture is Kernel, additionally capturing the state's per-world finish
-	// times into snap.
-	Capture func(s State, snap *probir.Snapshot) (probir.WorldKernel, error)
-	// PlanCone extracts the dirty cone of one changed-task set into an
-	// immutable, shareable plan; the solver caches one plan per distinct
-	// dirty set, so sibling children changing the same task group share one
-	// cone extraction and one delta-vs-full decision.
-	PlanCone func(dirty []int32) (*probir.ConePlan, error)
-	// Planned builds the kernel evaluating s from its parent's snapshot over
-	// the plan's cone, capturing into snap. Returns (nil, nil) when delta
-	// does not apply; the solver then evaluates fully.
-	Planned func(s State, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error)
 }
 
 // Options configures a search.
@@ -217,24 +186,15 @@ type Options struct {
 	// kind so ensemble members' cross-member sharing is observable. Empty
 	// means unscoped; the scope never affects keys or results.
 	CacheScope string
-	// SnapshotBudget caps the bytes of per-state finish-time snapshots the
-	// compiled problem retains for incremental (delta) evaluation. 0 selects
-	// the default (16 MiB); negative disables delta evaluation entirely.
-	// Snapshots are kept only until their state is expanded, and under
-	// pressure the worst-scored go first, so the states the search expands
-	// next keep theirs. Delta evaluation is bit-identical to full
-	// evaluation, so the budget trades memory against wall clock only —
-	// never results.
-	SnapshotBudget int64
 	// Adaptive enables adaptive-precision Monte-Carlo evaluation: worlds run
 	// in chunks, sequential stopping rules decide each state's feasibility
 	// verdict as soon as it is certain (or statistically decided at the
 	// configured Confidence), and racing eliminates frontier states that
-	// provably cannot rank. Feasibility verdicts and feasible states' scores
-	// match the fixed-worlds path; partially evaluated states carry
-	// pessimistic violation estimates, so the search trajectory may differ
-	// while plan quality is preserved (the final best is always confirmed by
-	// a full evaluation). Off (the default) is the deterministic mode: bit
+	// provably cannot rank. A state decided feasible still runs every world,
+	// so feasible states' evaluations match the fixed-worlds path; partially
+	// evaluated states carry pessimistic violation estimates, so the search
+	// trajectory may differ while plan quality is preserved (the final best
+	// is always confirmed by a full evaluation). Off (the default) is the deterministic mode: bit
 	// identical to all prior behavior. Adaptive engages only when the
 	// space's kernels decide feasibility from indicator-backed constraints;
 	// it is silently inert otherwise (see Problem.SampleStats).
@@ -290,19 +250,10 @@ type scored struct {
 	worlds int
 }
 
-// candidate is a state queued for evaluation together with its provenance:
-// the key of the parent it was expanded from and the tasks the producing
-// move changed. Provenance is what lets the solver route a state through
-// delta evaluation; a candidate without it (a start state) evaluates fully.
+// candidate is a state queued for evaluation with its key.
 type candidate struct {
-	state     State
-	key       string
-	parentKey string
-	// parent is the generating state itself (when known), so a missing parent
-	// snapshot can be regenerated on demand with one full evaluation instead
-	// of pushing the whole sibling batch off the delta path.
-	parent State
-	dirty  []int32
+	state State
+	key   string
 }
 
 // Score ranks states, lower first: any feasible state beats any infeasible
@@ -370,15 +321,6 @@ func Search(sp Space, opt Options) (*Result, error) {
 // once a feasible incumbent exists. The incumbent is the lowest Score
 // evaluated, which is feasible whenever any evaluated state is.
 func (p *Problem) Search() (*Result, error) {
-	if p.snaps != nil {
-		// The finished search's snapshots go back to the freelist, where the
-		// next search (on any evaluator) recycles their arenas.
-		defer func() {
-			n, b := p.snaps.drain()
-			p.stats.Snapshots += n
-			p.stats.SnapshotBytes += b
-		}()
-	}
 	opt := p.opts
 	start := time.Now()
 	s := &search{p: p, visited: map[string]bool{}, seen: map[string]bool{}}
@@ -392,17 +334,10 @@ func (p *Problem) Search() (*Result, error) {
 		budget = opt.MaxStates
 	}
 	frontier := p.startCandidates()
-	// expanded are the states whose children form the frontier; their
-	// snapshots are released once that frontier has been evaluated (left
-	// childless, they are released when the best-first phase pops them).
-	var expanded []scored
 	for len(frontier) > 0 && s.res.Evaluated < budget {
 		batch, changed, err := s.step(frontier, budget)
 		if err != nil {
 			return nil, err
-		}
-		for _, e := range expanded {
-			p.releaseSnapshot(e.key)
 		}
 		if opt.AStar || !s.patient(changed) {
 			break
@@ -416,11 +351,10 @@ func (p *Problem) Search() (*Result, error) {
 			}
 			return batch[i].key < batch[j].key // deterministic ties
 		})
-		expanded = batch[:min(len(batch), opt.BeamWidth)]
 		clear(s.seen)
 		frontier = s.cands[:0]
-		for _, e := range expanded {
-			frontier = p.children(frontier, e.state, e.key, s.visited, s.seen)
+		for _, e := range batch[:min(len(batch), opt.BeamWidth)] {
+			frontier = p.children(frontier, e.state, s.visited, s.seen)
 		}
 		s.cands = frontier
 	}
@@ -438,18 +372,16 @@ func (p *Problem) Search() (*Result, error) {
 		children := s.cands[:0]
 		if !pruned {
 			clear(s.seen)
-			children = p.children(children, item.state, item.key, s.visited, s.seen)
+			children = p.children(children, item.state, s.visited, s.seen)
 			s.cands = children
 		}
 		if len(children) == 0 {
-			p.releaseSnapshot(item.key)
 			continue
 		}
 		_, changed, err := s.step(children, opt.MaxStates)
 		if err != nil {
 			return nil, err
 		}
-		p.releaseSnapshot(item.key)
 		if opt.AStar && !s.patient(changed) {
 			break
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sync"
 
 	"deco/internal/device"
 	"deco/internal/probir"
@@ -12,9 +11,9 @@ import (
 
 // Problem is a search compiled against a space and a fixed Options: the
 // space's Descriptor is resolved exactly once, here, and carried as plain
-// fields — kernel builder, fingerprint, cache binding, start states and
-// delta hooks. The search loops and the batch evaluator never probe the
-// space again.
+// fields — kernel builder, objective, fingerprint, cache binding and start
+// states. The search loops and the batch evaluator never probe the space
+// again.
 type Problem struct {
 	space  Space
 	opts   Options
@@ -43,24 +42,8 @@ type Problem struct {
 	scratch State
 	keyBuf  []byte
 
-	// delta, when set, routes kernel construction through the space's delta
-	// hooks: every evaluated state captures a finish-time snapshot into
-	// snaps, and a candidate whose parent snapshot is retained evaluates
-	// incrementally over the dirty cone instead of the full DAG. Delta is
-	// bit-identical to full evaluation by construction; disabling it
-	// (Options.SnapshotBudget < 0) changes wall clock only.
-	delta *DeltaHooks
-	snaps *snapStore
-	stats DeltaStats
-
-	// planCache holds one immutable ConePlan per distinct dirty set (keyed
-	// by an FNV hash with exact-match buckets), so sibling children changing
-	// the same task group — the whole expansion under GroupByExecutable —
-	// share a single cone extraction and one delta-vs-full decision. Kernel
-	// construction runs only in the search goroutine, so the cache needs no
-	// lock; plans are read-only during concurrent sampling.
-	planCache   map[uint64][]planEntry
-	planEntries int
+	// evals counts live state evaluations (see DeltaStats).
+	evals int64
 
 	// adaptive, when set, routes evaluation through chunked sequential
 	// stopping (adaptive.go): states stop as soon as their feasibility
@@ -79,60 +62,20 @@ type Problem struct {
 	// phaseCtx holds one context per profiling phase with its pprof label
 	// pre-attached, plus the base context to restore on exit. Entering a
 	// phase is then two SetGoroutineLabels calls and no allocation — pprof.Do
-	// would allocate a label set and a context per batch, and the delta path
-	// has one more phase (snapshot_put) than the full path, so per-call
-	// allocation would show up as a delta-only allocs/op regression.
+	// would allocate a label set and a context per batch.
 	phaseCtx [nPhases]context.Context
 
-	// batchBufs freelists per-batch scratch (batchBuf): the device rounds'
-	// slot and error buffers and the delta path's snapshot pointers, so a
-	// batch allocates neither. Batches nest (completeParent evaluates the
-	// parent in the middle of building a child batch), hence a stack, not
-	// one field.
-	batchBufMu sync.Mutex
-	batchBufs  []*batchBuf
+	// buf is the batch evaluator's reused scratch: the device rounds' slot
+	// and error buffers, so a batch allocates neither. Like scratch, it
+	// belongs to the one goroutine running the problem's evaluations.
+	buf batchBuf
 }
 
-// batchBuf is one live batch's reusable scratch.
+// batchBuf is one batch's reusable scratch.
 type batchBuf struct {
 	dev   device.Buffers
-	snaps []*probir.Snapshot // delta only: per-state capture snapshots
-	round []float64          // a partial round's gathered running sums
-	done  []int              // the states a round finishes
-}
-
-// getBatchBuf returns a batch scratch, reusing a freelisted one; snaps is
-// resized to n states when the problem evaluates incrementally.
-func (p *Problem) getBatchBuf(n int) *batchBuf {
-	p.batchBufMu.Lock()
-	var bb *batchBuf
-	if k := len(p.batchBufs); k > 0 {
-		bb = p.batchBufs[k-1]
-		p.batchBufs = p.batchBufs[:k-1]
-	}
-	p.batchBufMu.Unlock()
-	if bb == nil {
-		bb = new(batchBuf)
-	}
-	if p.delta != nil {
-		if cap(bb.snaps) < n {
-			bb.snaps = make([]*probir.Snapshot, n)
-		}
-		bb.snaps = bb.snaps[:n]
-	}
-	return bb
-}
-
-// putBatchBuf recycles a batch scratch. Ownership of any snapshots it held
-// has already moved to the snapshot store or back to the freelist, so
-// entries are only cleared, never released.
-func (p *Problem) putBatchBuf(bb *batchBuf) {
-	clear(bb.snaps)
-	p.batchBufMu.Lock()
-	if len(p.batchBufs) < 8 {
-		p.batchBufs = append(p.batchBufs, bb)
-	}
-	p.batchBufMu.Unlock()
+	round []float64 // a partial round's gathered running sums
+	done  []int     // the states a round finishes
 }
 
 // Profiling phases: CPU profiles attribute hot-path time to the solver phase
@@ -141,75 +84,31 @@ const (
 	phaseKernelBuild = iota
 	phaseChunkEval
 	phaseRacing
-	phaseSnapshotPut
 	nPhases
 )
 
 // phaseNames holds the deco_phase label values, indexed by phase constant.
-var phaseNames = [nPhases]string{"kernel_build", "chunk_eval", "racing", "snapshot_put"}
+var phaseNames = [nPhases]string{"kernel_build", "chunk_eval", "racing"}
 
-// planEntry is one cached dirty-cone plan; dirty is the exact set the plan
-// was built for (hash buckets resolve collisions by comparing it).
-type planEntry struct {
-	dirty []int32
-	plan  *probir.ConePlan
-}
-
-// maxConePlans bounds the plan cache. Scheduling spaces generate a fixed set
-// of dirty groups per search (one per (group, direction) plus the global
-// shifts), so the cap exists only as a backstop for pathological spaces.
-const maxConePlans = 1024
-
-// DeltaStats reports how the compiled problem's evaluations were routed, for
-// observability and benchmark gating. Counters cover live evaluations only
-// (cache hits evaluate nothing).
+// DeltaStats keeps the evaluation-routing counters the repository benchmark
+// reads. Every state evaluates in full, so FullEvals counts the live
+// evaluations (cache hits evaluate nothing) and the other three fields are
+// always 0. It stays only until the benchmark stops reading it.
 type DeltaStats struct {
-	// DeltaEvals counts states evaluated incrementally from a parent
-	// snapshot.
-	DeltaEvals int64
-	// FullEvals counts states of a delta-enabled problem evaluated by the
-	// full DP.
-	FullEvals int64
-	// Fallbacks counts states that carried transform provenance but
-	// evaluated fully anyway (parent snapshot missing or evicted, or the
-	// dirty cone exceeded the structural threshold).
-	Fallbacks int64
-	// Snapshots / SnapshotBytes are the retained snapshot count and bytes:
-	// those the store holds now plus those it held when a search ended and
-	// drained it back to the freelist. Evictions counts snapshots recycled
-	// under budget pressure.
-	Snapshots     int
-	SnapshotBytes int64
-	Evictions     int64
-	// ConePlans counts dirty-cone plan extractions; ConePlanHits counts warm
-	// plan-cache hits — every hit is a sibling child that reused another
-	// child's cone extraction instead of re-walking the DAG.
-	ConePlans    int64
+	DeltaEvals   int64
+	FullEvals    int64
+	Fallbacks    int64
 	ConePlanHits int64
-	// ParentCompletions counts expansion parents re-evaluated in full to
-	// regenerate a snapshot their own (early-stopped) evaluation never
-	// captured or the store evicted, unlocking delta evaluation for their
-	// sibling batches.
-	ParentCompletions int64
 }
 
-// DeltaStats returns the problem's evaluation-routing counters. It is only
+// DeltaStats returns the problem's evaluation counters. It is only
 // meaningful between searches (the counters are updated from the search
 // goroutine).
-func (p *Problem) DeltaStats() DeltaStats {
-	st := p.stats
-	if p.snaps != nil {
-		n, b, ev := p.snaps.stats()
-		st.Snapshots += n
-		st.SnapshotBytes += b
-		st.Evictions = ev
-	}
-	return st
-}
+func (p *Problem) DeltaStats() DeltaStats { return DeltaStats{FullEvals: p.evals} }
 
 // Compile binds the space's Descriptor to the options and returns the
-// runnable problem. The compiled kernel shape, and with it the adaptive and
-// delta machinery, is decided by probing the first start state: a kernel that
+// runnable problem. The compiled kernel shape, and with it the adaptive
+// machinery, is decided by probing the first start state: a kernel that
 // fails to build for it fails Compile — the same construction would fail for
 // the search's first batch anyway.
 func Compile(sp Space, o Options) (*Problem, error) {
@@ -266,33 +165,10 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		}
 	}
 	p.sstats.Adaptive = p.adaptive
-	// Delta evaluation needs an evaluation that actually has per-world
-	// finish times to snapshot.
-	if d.Delta != nil && p.opts.SnapshotBudget >= 0 {
-		if probeSnap := d.Delta.NewSnapshot(); probeSnap != nil {
-			d.Delta.ReleaseSnapshot(probeSnap)
-			budget := p.opts.SnapshotBudget
-			if budget == 0 {
-				budget = 16 << 20
-			}
-			p.delta = d.Delta
-			p.snaps = newSnapStore(budget, d.Delta.ReleaseSnapshot)
-			p.planCache = map[uint64][]planEntry{}
-		}
-	}
 	for ph, name := range phaseNames {
 		p.phaseCtx[ph] = pprof.WithLabels(p.opts.Ctx, pprof.Labels("deco_phase", name))
 	}
 	return p, nil
-}
-
-// releaseSnapshot drops a state's retained snapshot once the search has
-// expanded it (its child batch is evaluated, dedup left it no children, or
-// A* pruned it): no later kernel reads it as a parent.
-func (p *Problem) releaseSnapshot(key string) {
-	if p.snaps != nil {
-		p.snaps.remove(key)
-	}
 }
 
 // Fingerprint returns the compiled program fingerprint (empty when the space
@@ -329,19 +205,15 @@ func (p *Problem) EvaluateStates(states []State) ([]*probir.Evaluation, error) {
 
 // EvaluateExpansion scores a parent state and then its full neighbor
 // expansion on the compiled pipeline, returning the parent's evaluation and
-// the children with theirs in generation order, duplicates included. When
-// the problem compiled with delta evaluation, the parent's evaluation
-// captures its finish-time snapshot and every child whose dirty cone is
-// small enough evaluates incrementally from it — the frontier-expansion hot
-// loop the delta engine exists for, exposed for benchmarks and equivalence
-// tests.
+// the children with theirs in generation order, duplicates included: the
+// frontier-expansion hot loop, exposed for benchmarks and equivalence tests.
 func (p *Problem) EvaluateExpansion(parent State) (*probir.Evaluation, []State, []*probir.Evaluation, error) {
 	pk := parent.Key()
 	ps := p.evaluateCandidates([]candidate{{state: parent, key: pk}})
 	if ps[0].err != nil {
 		return nil, nil, nil, ps[0].err
 	}
-	batch := p.evaluateCandidates(p.children(nil, parent, pk, nil, nil))
+	batch := p.evaluateCandidates(p.children(nil, parent, nil, nil))
 	states := make([]State, len(batch))
 	evals := make([]*probir.Evaluation, len(batch))
 	for i, s := range batch {
@@ -354,7 +226,7 @@ func (p *Problem) EvaluateExpansion(parent State) (*probir.Evaluation, []State, 
 }
 
 // startCandidates wraps the compiled start states, repeats dropped, as
-// parentless candidates.
+// candidates.
 func (p *Problem) startCandidates() []candidate {
 	out := make([]candidate, 0, len(p.starts))
 	seen := make(map[string]bool, len(p.starts))
@@ -367,16 +239,15 @@ func (p *Problem) startCandidates() []candidate {
 	return out
 }
 
-// children appends the children of parent to out in generation order, each
-// carrying the parent key and its move's changed tasks so the solver can
-// evaluate it incrementally. Every move is applied into the problem's
+// children appends the children of parent to out in generation order. Every
+// move is applied into the problem's
 // scratch state and keyed into its reused buffer; a child already visited,
 // or already in seen, is dropped before anything is allocated, and a
 // surviving child gets its own State and key and joins seen. Nothing is
 // marked visited: marking happens at evaluation time (search.step), so a
 // child trimmed from a batch by the evaluation budget stays reachable through
 // a later expansion. Nil visited and seen keep every child.
-func (p *Problem) children(out []candidate, parent State, parentKey string, visited, seen map[string]bool) []candidate {
+func (p *Problem) children(out []candidate, parent State, visited, seen map[string]bool) []candidate {
 	for _, tr := range p.space.Neighbors(parent) {
 		p.scratch = tr.Apply(p.scratch, parent)
 		p.keyBuf = p.scratch.appendKey(p.keyBuf[:0])
@@ -387,7 +258,7 @@ func (p *Problem) children(out []candidate, parent State, parentKey string, visi
 		if seen != nil {
 			seen[key] = true
 		}
-		out = append(out, candidate{state: p.scratch.Clone(), key: key, parentKey: parentKey, parent: parent, dirty: tr.Tasks})
+		out = append(out, candidate{state: p.scratch.Clone(), key: key})
 	}
 	return out
 }
@@ -425,129 +296,6 @@ func (p *Problem) evaluateCandidates(cands []candidate) []scored {
 		}
 	}
 	return out
-}
-
-// buildKernel constructs one candidate's world kernel. Without delta this is
-// the compiled kernel builder. With delta, the candidate's evaluation
-// captures a snapshot, and when its parent's snapshot is retained the kernel
-// evaluates incrementally over the dirty cone; a declined delta (cone too
-// large, parent evicted) falls back to a full capturing kernel. The returned
-// snapshot, if any, is owned by the caller: stored on evaluation success,
-// released otherwise.
-func (p *Problem) buildKernel(c candidate) (probir.WorldKernel, *probir.Snapshot, error) {
-	if p.delta == nil {
-		k, err := p.kernel(c.state)
-		return k, nil, err
-	}
-	snap := p.delta.NewSnapshot()
-	if snap != nil && c.parentKey != "" && len(c.dirty) > 0 {
-		parent, ok := p.snaps.get(c.parentKey)
-		if !ok && c.parent != nil && p.worthDelta(c.dirty) {
-			// The parent's own evaluation stopped early (adaptive partial
-			// verdicts never capture), or its snapshot was evicted. One full
-			// evaluation regenerates it and buys incremental evaluation for the
-			// whole sibling batch — this is what lets sequential stopping and
-			// delta evaluation compound instead of starving each other.
-			p.completeParent(c.parent, c.parentKey)
-			parent, ok = p.snaps.get(c.parentKey)
-		}
-		if ok {
-			k, err := p.deltaKernel(c, parent, snap)
-			if err != nil {
-				p.delta.ReleaseSnapshot(snap)
-				return nil, nil, err
-			}
-			if k != nil {
-				p.stats.DeltaEvals++
-				return k, snap, nil
-			}
-		}
-		p.stats.Fallbacks++
-	}
-	k, err := p.delta.Capture(c.state, snap)
-	if err != nil {
-		p.delta.ReleaseSnapshot(snap)
-		return nil, nil, err
-	}
-	p.stats.FullEvals++
-	return k, snap, nil
-}
-
-// deltaKernel builds the incremental kernel of one candidate from the cone
-// plan of its dirty set (one shared extraction per distinct set, cached on
-// the problem). Returns (nil, nil) when delta does not apply and the caller
-// must evaluate fully.
-func (p *Problem) deltaKernel(c candidate, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-	plan, err := p.planFor(c.dirty)
-	if err != nil || !plan.Delta() {
-		return nil, err
-	}
-	return p.delta.Planned(c.state, plan, parent, snap)
-}
-
-// worthDelta reports whether a child dirtying this task set would actually
-// evaluate incrementally — the gate on regenerating a missing parent snapshot,
-// so a batch whose cones the work model rejects anyway never pays the extra
-// full evaluation.
-func (p *Problem) worthDelta(dirty []int32) bool {
-	plan, err := p.planFor(dirty)
-	return err == nil && plan.Delta()
-}
-
-// completeParent re-evaluates an expansion parent at full precision to
-// regenerate its finish-time snapshot. Errors are deliberately swallowed: the
-// caller falls back to full child evaluations, which surface any real failure
-// themselves under the same kernels.
-func (p *Problem) completeParent(parent State, parentKey string) {
-	batch := p.evaluate([]candidate{{state: parent, key: parentKey}}, false)
-	p.stats.ParentCompletions++
-	if s := batch[0]; s.err == nil && s.eval != nil && p.cache != nil {
-		p.cache.Put(s.key, s.eval)
-	}
-}
-
-// planFor returns the (possibly cached) cone plan of one dirty set. The
-// cache key is an FNV-1a hash of the set with exact-match buckets, so two
-// children dirtying the same task group — every sibling pair under
-// GroupByExecutable — share one plan, one cone walk, and one delta-vs-full
-// decision. Only the search goroutine calls this (kernel construction is
-// serial), so no lock is needed.
-func (p *Problem) planFor(dirty []int32) (*probir.ConePlan, error) {
-	h := uint64(1469598103934665603)
-	for _, d := range dirty {
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(byte(d >> s))
-			h *= 1099511628211
-		}
-	}
-	for _, e := range p.planCache[h] {
-		if equalDirty(e.dirty, dirty) {
-			p.stats.ConePlanHits++
-			return e.plan, nil
-		}
-	}
-	plan, err := p.delta.PlanCone(dirty)
-	if err != nil {
-		return nil, err
-	}
-	p.stats.ConePlans++
-	if p.planEntries < maxConePlans {
-		p.planCache[h] = append(p.planCache[h], planEntry{dirty: dirty, plan: plan})
-		p.planEntries++
-	}
-	return plan, nil
-}
-
-func equalDirty(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // enterPhase labels the search goroutine with a solver phase so CPU profiles

@@ -125,136 +125,6 @@ func TestKernelDriftFallbackPreservesErrors(t *testing.T) {
 	}
 }
 
-// deltaProblem compiles the chain scheduling space twice: once with delta
-// evaluation (given budget) and once with it disabled, sharing one
-// evaluator so both see identical CRN realizations.
-func deltaProblem(t *testing.T, budget int64) (*Problem, *Problem, *ScheduleSpace) {
-	t.Helper()
-	w := cpuChain(t, 6, 300)
-	ne, _ := buildEval(t, w, 1300, 0.9, 20)
-	space := NewScheduleSpace(w, ne)
-	on, err := Compile(space, Options{Device: device.Sequential{}, Seed: 5, SnapshotBudget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Compile(space, Options{Device: device.Sequential{}, Seed: 5, SnapshotBudget: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return on, off, space
-}
-
-// TestEvaluateExpansionDeltaMatchesFull drives the frontier-expansion hot
-// path: children of an evaluated parent take the delta route and must score
-// bit-identically to the delta-disabled problem.
-func TestEvaluateExpansionDeltaMatchesFull(t *testing.T) {
-	on, off, _ := deltaProblem(t, 0)
-	if on.delta == nil {
-		t.Fatal("problem did not compile with delta evaluation")
-	}
-	if off.delta != nil {
-		t.Fatal("SnapshotBudget -1 did not disable delta")
-	}
-
-	parent := on.Starts()[0]
-	pe, children, evs, err := on.EvaluateExpansion(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peOff, childrenOff, evsOff, err := off.EvaluateExpansion(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe.Value != peOff.Value || pe.Feasible != peOff.Feasible || pe.Violation != peOff.Violation {
-		t.Fatalf("parent eval differs: delta %+v full %+v", pe, peOff)
-	}
-	if len(children) != len(childrenOff) {
-		t.Fatalf("child counts differ: %d vs %d", len(children), len(childrenOff))
-	}
-	for i := range children {
-		if children[i].Key() != childrenOff[i].Key() {
-			t.Fatalf("child %d differs: %v vs %v", i, children[i], childrenOff[i])
-		}
-		if evs[i].Value != evsOff[i].Value || evs[i].Feasible != evsOff[i].Feasible ||
-			evs[i].Violation != evsOff[i].Violation {
-			t.Fatalf("child %d eval differs: delta %+v full %+v", i, evs[i], evsOff[i])
-		}
-	}
-
-	st := on.DeltaStats()
-	if st.DeltaEvals == 0 {
-		t.Fatalf("no child took the delta path: %+v", st)
-	}
-	if st.Snapshots == 0 || st.SnapshotBytes == 0 {
-		t.Fatalf("no snapshots retained: %+v", st)
-	}
-	if off.DeltaStats() != (DeltaStats{}) {
-		t.Fatalf("delta-disabled problem recorded stats: %+v", off.DeltaStats())
-	}
-}
-
-// TestSnapshotBudgetEvicts forces the snapshot store under a budget that
-// holds only a couple of snapshots: older generations must be evicted (and
-// recycled), later children fall back to full evaluation, and results stay
-// identical throughout.
-func TestSnapshotBudgetEvicts(t *testing.T) {
-	// A chain of 6 tasks at 20 worlds retains 6*20*8 + 20*12 = 1200 bytes
-	// per snapshot; 3000 holds two.
-	on, off, _ := deltaProblem(t, 3000)
-	parent := on.Starts()[0]
-	for round := 0; round < 3; round++ {
-		_, _, evs, err := on.EvaluateExpansion(parent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, evsOff, err := off.EvaluateExpansion(parent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range evs {
-			if evs[i].Value != evsOff[i].Value || evs[i].Feasible != evsOff[i].Feasible {
-				t.Fatalf("round %d child %d: delta %+v full %+v", round, i, evs[i], evsOff[i])
-			}
-		}
-	}
-	st := on.DeltaStats()
-	if st.Evictions == 0 {
-		t.Fatalf("tight budget evicted nothing: %+v", st)
-	}
-	if st.SnapshotBytes > 3000 {
-		t.Fatalf("retained bytes %d exceed budget: %+v", st.SnapshotBytes, st)
-	}
-	if st.DeltaEvals == 0 {
-		t.Fatalf("no delta evaluations under eviction pressure: %+v", st)
-	}
-}
-
-// TestSearchDeltaInvariance runs the full search with and without delta
-// evaluation: identical trajectories, identical results — delta is a
-// wall-clock optimization, never a semantics change.
-func TestSearchDeltaInvariance(t *testing.T) {
-	for _, astar := range []bool{false, true} {
-		on, off, _ := deltaProblem(t, 0)
-		on.opts.AStar, off.opts.AStar = astar, astar
-		ron, err := on.Search()
-		if err != nil {
-			t.Fatal(err)
-		}
-		roff, err := off.Search()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ron.Best.Key() != roff.Best.Key() || ron.Evaluated != roff.Evaluated ||
-			ron.BestEval.Value != roff.BestEval.Value || ron.Feasible != roff.Feasible {
-			t.Fatalf("astar=%v: delta search diverged:\n delta: %+v %v\n full:  %+v %v",
-				astar, ron, ron.Best, roff, roff.Best)
-		}
-		if st := on.DeltaStats(); st.DeltaEvals == 0 {
-			t.Fatalf("astar=%v: search never took the delta path: %+v", astar, st)
-		}
-	}
-}
-
 // TestTransformNeighborsMatchesNeighbors pins the scheduling space's
 // Transform contract: Tasks lists exactly the changed indices.
 func TestTransformNeighborsMatchesNeighbors(t *testing.T) {

@@ -17,12 +17,12 @@ import (
 
 // searchTrajectoriesSHA is the digest of every line TestSearchTrajectoriesPinned
 // produces. A change of search order, pruning, patience, budget trimming or
-// snapshot retention shows up here even when the best plan stays the same.
-const searchTrajectoriesSHA = "a1e9f5c237332ed24acff32d39b41b81381d400962b5ebedd4a11e4082e35e4e"
+// stopping shows up here even when the best plan stays the same.
+const searchTrajectoriesSHA = "5d9f71d3b0a9ed469beb2d0f124c2ad26dfeee3b47619bf396edfc7dc3297dae"
 
 // packedTrajectoriesSHA is the digest of every line
 // TestPackedSearchTrajectoriesPinned produces.
-const packedTrajectoriesSHA = "da2cc85a4dd7007332b844f4db53d4a1251de26768b5b60d502b803d78a23cc5"
+const packedTrajectoriesSHA = "b3645e311061eb35b6c62199cecfaba45b4772b3aec3e142cda4926015938486"
 
 // trajectoryWorkload is one search problem of the pinned trajectories.
 type trajectoryWorkload struct {
@@ -48,10 +48,10 @@ func trajectoryWorkflows(t *testing.T) (montage, pipe *dag.Workflow) {
 	return montage, pipe
 }
 
-// pinTrajectories runs one search per (workload, A*, adaptive, snapshot
-// budget, state budget) over the space space(wl) builds, records one line
-// per search — the best state, the evaluation count, the best evaluation's
-// float bits and every DeltaStats and SampleStats counter — and fails unless
+// pinTrajectories runs one search per (workload, A*, adaptive, state budget)
+// over the space space(wl) builds, records one line per search — the best
+// state, the evaluation count, the best evaluation's float bits and every
+// SampleStats counter — and fails unless
 // the lines hash to want. On a mismatch the lines are logged, so a diff
 // against a known-good run names the searches that moved.
 func pinTrajectories(t *testing.T, want string, workloads []trajectoryWorkload, budgets []int, space func(trajectoryWorkload) *ScheduleSpace) {
@@ -61,27 +61,25 @@ func pinTrajectories(t *testing.T, want string, workloads []trajectoryWorkload, 
 		sp := space(wl)
 		for _, astar := range []bool{false, true} {
 			for _, adaptive := range []bool{false, true} {
-				for _, snaps := range []int64{0, 16 << 10, -1} {
-					for _, budget := range budgets {
-						o := Options{Device: device.TwoLevel{}, Seed: 11, MaxStates: budget, BeamWidth: 4, Patience: 5,
-							AStar: astar, Adaptive: adaptive, MinWorlds: 8, SnapshotBudget: snaps, Maximize: wl.maximize}
-						p, err := Compile(sp, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := p.Search()
-						if err != nil {
-							t.Fatal(err)
-						}
-						ev := res.BestEval
-						probs := make([]string, len(ev.ConsProb))
-						for i, pr := range ev.ConsProb {
-							probs[i] = fmt.Sprintf("%016x", math.Float64bits(pr))
-						}
-						lines = append(lines, fmt.Sprintf("%s astar=%v adaptive=%v snaps=%d budget=%d: best=%v evaluated=%d feasible=%v value=%016x violation=%016x consprob=%v delta=%+v sample=%+v",
-							wl.name, astar, adaptive, snaps, budget, res.Best, res.Evaluated, res.Feasible,
-							math.Float64bits(ev.Value), math.Float64bits(ev.Violation), probs, p.DeltaStats(), p.SampleStats()))
+				for _, budget := range budgets {
+					o := Options{Device: device.TwoLevel{}, Seed: 11, MaxStates: budget, BeamWidth: 4, Patience: 5,
+						AStar: astar, Adaptive: adaptive, MinWorlds: 8, Maximize: wl.maximize}
+					p, err := Compile(sp, o)
+					if err != nil {
+						t.Fatal(err)
 					}
+					res, err := p.Search()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ev := res.BestEval
+					probs := make([]string, len(ev.ConsProb))
+					for i, pr := range ev.ConsProb {
+						probs[i] = fmt.Sprintf("%016x", math.Float64bits(pr))
+					}
+					lines = append(lines, fmt.Sprintf("%s astar=%v adaptive=%v budget=%d: best=%v evaluated=%d feasible=%v value=%016x violation=%016x consprob=%v sample=%+v",
+						wl.name, astar, adaptive, budget, res.Best, res.Evaluated, res.Feasible,
+						math.Float64bits(ev.Value), math.Float64bits(ev.Violation), probs, p.SampleStats()))
 				}
 			}
 		}
@@ -96,11 +94,10 @@ func pinTrajectories(t *testing.T, want string, workloads []trajectoryWorkload, 
 }
 
 // TestSearchTrajectoriesPinned pins what each search does, not only what it
-// returns: for generic and A* search, fixed and adaptive precision, the
-// default, a tight and no snapshot budget, and several state budgets. The
-// workloads cover a feasible and an infeasible deadline, group cones
-// (Montage-1 under GroupByExecutable), per-task moves (a pipeline) and a
-// maximizing objective.
+// returns: for generic and A* search, fixed and adaptive precision, and
+// several state budgets. The workloads cover a feasible and an infeasible
+// deadline, group moves (Montage-1 under GroupByExecutable), per-task moves
+// (a pipeline) and a maximizing objective.
 func TestSearchTrajectoriesPinned(t *testing.T) {
 	montage, pipe := trajectoryWorkflows(t)
 	workloads := []trajectoryWorkload{

@@ -127,46 +127,76 @@ func (s *ScheduleSpace) Starts() []State {
 // Neighbors implements Space: Promote (Step +1) then Demote (Step -1), each
 // as one move per group, as in Figure 5b where each child promotes one task,
 // plus one whole-workflow shift. A move lists the tasks that can take its
-// step (Movable). The global shift preserves type homogeneity, which the
-// Merge/Co-Scheduling packing rewards (heterogeneous plans cannot share
-// instances across types), so it lets the search cross the homogeneity
+// step (Movable); the filtered lists of one call share one backing slice,
+// sized by a counting pass. The global shift preserves type homogeneity,
+// which the Merge/Co-Scheduling packing rewards (heterogeneous plans cannot
+// share instances across types), so it lets the search cross the homogeneity
 // ridge single-group moves cannot.
 func (s *ScheduleSpace) Neighbors(st State) []Transform {
 	k := s.Eval.NumTypes()
-	out := make([]Transform, 0, 2*len(s.Groups)+2)
+	all := Indices(len(st))
+	need := 0
 	for _, step := range [2]int{1, -1} {
 		for _, g := range s.Groups {
-			if tasks := Movable(st, g, step, k); len(tasks) > 0 {
-				out = append(out, Transform{Tasks: tasks, Step: step})
-			}
+			need += filteredLen(st, g, step, k)
 		}
-		if tasks := Movable(st, Indices(len(st)), step, k); len(tasks) > 0 {
+		need += filteredLen(st, all, step, k)
+	}
+	buf := make([]int32, 0, need)
+	out := make([]Transform, 0, 2*len(s.Groups)+2)
+	move := func(g []int32, step int) {
+		var tasks []int32
+		if tasks, buf = Movable(buf, st, g, step, k); len(tasks) > 0 {
 			out = append(out, Transform{Tasks: tasks, Step: step})
 		}
+	}
+	for _, step := range [2]int{1, -1} {
+		for _, g := range s.Groups {
+			move(g, step)
+		}
+		move(all, step)
 	}
 	return out
 }
 
-// Movable returns the tasks of g whose type index stays within [0, k) after
-// adding step, in g's order: g itself when every task can move, so the common
-// move shares the caller's list, and empty when none can.
-func Movable(st State, g []int32, step, k int) []int32 {
+// movableLen counts the tasks of g whose type index stays within [0, k)
+// after adding step.
+func movableLen(st State, g []int32, step, k int) int {
 	n := 0
 	for _, i := range g {
 		if v := st[i] + step; v >= 0 && v < k {
 			n++
 		}
 	}
-	if n == len(g) || n == 0 {
-		return g[:n]
+	return n
+}
+
+// filteredLen is the length of the list Movable appends for g: its movable
+// count when some but not all of its tasks can move, else 0.
+func filteredLen(st State, g []int32, step, k int) int {
+	if n := movableLen(st, g, step, k); n < len(g) {
+		return n
 	}
-	out := make([]int32, 0, n)
+	return 0
+}
+
+// Movable returns the tasks of g whose type index stays within [0, k) after
+// adding step, in g's order: g itself when every task can move, so the common
+// move shares the caller's list, and empty when none can. Otherwise it
+// appends the list to buf and returns it with the grown buf, so the filtered
+// lists of several calls can share one backing slice.
+func Movable(buf []int32, st State, g []int32, step, k int) (tasks, grown []int32) {
+	n := movableLen(st, g, step, k)
+	if n == len(g) || n == 0 {
+		return g[:n], buf
+	}
+	lo := len(buf)
 	for _, i := range g {
 		if v := st[i] + step; v >= 0 && v < k {
-			out = append(out, i)
+			buf = append(buf, i)
 		}
 	}
-	return out
+	return buf[lo:len(buf):len(buf)], buf
 }
 
 // Evaluate scores one state — the test oracle the solver's evaluation of the
@@ -188,28 +218,16 @@ func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, 
 // Describe implements Space. Both evaluators run under the
 // common-random-number contract with the seed as their CRN base: every
 // state shares the same world realizations, numbered decisive-world-first.
-// A Native evaluator adds delta evaluation over dirty-cone plans; a Prolog
-// evaluator interprets world p over position p of the same rows. Any CostFn
-// is the objective. The fingerprint — and with it the evaluation cache — is
-// the Native program's, composed with the CostTag; it is empty for Prolog
-// and for a CostFn without a tag.
+// A Prolog evaluator interprets world p over position p of the same rows.
+// Any CostFn is the objective. The fingerprint — and with it the evaluation
+// cache — is the Native program's, composed with the CostTag; it is empty
+// for Prolog and for a CostFn without a tag.
 func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
 	d := Descriptor{Objective: s.CostFn}
 	switch e := s.Eval.(type) {
 	case *probir.Native:
 		d.Kernel = func(st State) (probir.WorldKernel, error) { return e.CRNKernel(ctx, st, seed) }
 		d.Fingerprint = e.Fingerprint()
-		d.Delta = &DeltaHooks{
-			NewSnapshot:     e.NewSnapshot,
-			ReleaseSnapshot: e.ReleaseSnapshot,
-			PlanCone:        e.PlanCone,
-			Capture: func(st State, snap *probir.Snapshot) (probir.WorldKernel, error) {
-				return e.CRNKernelSnap(ctx, st, seed, snap)
-			},
-			Planned: func(st State, plan *probir.ConePlan, parent, snap *probir.Snapshot) (probir.WorldKernel, error) {
-				return e.CRNDeltaKernelPlanned(ctx, st, seed, plan, parent, snap)
-			},
-		}
 	case *probir.Prolog:
 		d.Kernel = func(st State) (probir.WorldKernel, error) { return e.Kernel(ctx, st, seed) }
 	default:

@@ -123,32 +123,10 @@ func chunked(t *testing.T, k WorldKernel, size int, rng *rand.Rand) []float64 {
 	return rows
 }
 
-// sameSnapshot fails unless two snapshots hold bitwise-equal finish times
-// and makespans, and argmax tasks that are equal too or, with exactAmax
-// unset (on a tie a delta keeps the parent's argmax where the full DP takes
-// the first sink in index order), that attain the makespan.
-func sameSnapshot(t *testing.T, what string, got, want *Snapshot, exactAmax bool) {
-	t.Helper()
-	for i := range want.finish {
-		if math.Float64bits(got.finish[i]) != math.Float64bits(want.finish[i]) {
-			t.Fatalf("%s: finish[%d] %v != %v", what, i, got.finish[i], want.finish[i])
-		}
-	}
-	for w := range want.ms {
-		if math.Float64bits(got.ms[w]) != math.Float64bits(want.ms[w]) {
-			t.Fatalf("%s: world %d makespan %v != %v", what, w, got.ms[w], want.ms[w])
-		}
-		if a := got.amax[w]; a != want.amax[w] && (exactAmax || got.finish[int(a)*got.worlds+w] != got.ms[w]) {
-			t.Fatalf("%s: world %d argmax task %d, want %d", what, w, a, want.amax[w])
-		}
-	}
-}
-
 // TestBlockKernelMatchesPerWorld pins the ranged kernel contract: the native
-// CRN kernel's full, capturing and dirty-cone delta passes, run over random
-// chunkings of the worlds (chunk sizes 1, 7, 13, 50 and all worlds, called
-// in shuffled order), produce figure rows, folded sums and snapshot contents
-// (finish, ms, amax) bitwise equal to the one-world-per-call reference.
+// CRN kernel, run over random chunkings of the worlds (chunk sizes 1, 7, 13,
+// 50 and all worlds, called in shuffled order), produces figure rows and
+// folded sums bitwise equal to the one-world-per-call reference.
 // The reference itself is checked against dag.Flat.Makespan per world.
 // The sweep covers the wfgen Montage, CyberShake, LIGO and Epigenomics
 // families plus random small DAGs, with and without spot markets, under
@@ -222,28 +200,16 @@ func TestBlockKernelMatchesPerWorld(t *testing.T) {
 	}
 }
 
-// checkBlockKernels runs one evaluator's kernels through every chunking and
-// compares them with the per-world reference.
+// checkBlockKernels runs one evaluator's kernel of a random configuration
+// through every chunking and compares it with the per-world reference.
 func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 	base := rng.Int63()
 	nt := n.W.Len()
-	parentCfg := make([]int, nt)
-	for i := range parentCfg {
-		parentCfg[i] = rng.Intn(n.NumTypes())
+	cfg := make([]int, nt)
+	for i := range cfg {
+		cfg[i] = rng.Intn(n.NumTypes())
 	}
-	childCfg := append([]int(nil), parentCfg...)
-	var dirty []int32
-	for len(dirty) == 0 {
-		for i := range childCfg {
-			if rng.Intn(nt) < 3 {
-				childCfg[i] = rng.Intn(n.NumTypes())
-				if childCfg[i] != parentCfg[i] {
-					dirty = append(dirty, int32(i))
-				}
-			}
-		}
-	}
-	full, err := n.newCRNKernel(context.Background(), childCfg, base)
+	full, err := crnKernel(n, cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,61 +233,6 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 		}
 	}
 
-	// Reference snapshots, one world per call: the parent captured in full,
-	// the child captured in full, and the child by a forced dirty-cone delta.
-	var refParent, refFull, refDelta *Snapshot
-	capture := func(cfg []int) (*Snapshot, []float64) {
-		s := n.NewSnapshot()
-		k, err := n.CRNKernelSnap(context.Background(), cfg, base, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, perWorld(t, k)
-	}
-	deltaKernel := func(parent, snap *Snapshot) WorldKernel {
-		plan, err := n.PlanCone(dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan.delta = true // exercise the cone pass whatever the work model says
-		k, err := n.CRNDeltaKernelPlanned(context.Background(), childCfg, base, plan, parent, snap)
-		if err != nil || k == nil {
-			t.Fatalf("delta kernel: %v (nil=%v)", err, k == nil)
-		}
-		return k
-	}
-	if n.needsMSSampling() {
-		refParent, _ = capture(parentCfg)
-		var got []float64
-		refFull, got = capture(childCfg)
-		sameRows(t, "capture reference", got, ref)
-		refDelta = n.NewSnapshot()
-		sameRows(t, "delta reference", perWorld(t, deltaKernel(refParent, refDelta)), ref)
-		refDelta.materialize()
-		sameSnapshot(t, "delta reference vs full capture", refDelta, refFull, false)
-		for it := 0; it < n.Iters; it++ {
-			// No argmax task means no finish exceeds 0, the makespan's floor.
-			if a := refFull.amax[it]; a < 0 && refFull.ms[it] != 0 || a >= 0 && refFull.finish[int(a)*n.Iters+it] != refFull.ms[it] {
-				t.Fatalf("world %d: argmax task %d does not attain the makespan", it, a)
-			}
-		}
-		// Reduced sequentially, the full, capturing and delta kernels agree.
-		want, err := RunKernel(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for kind, k := range map[string]WorldKernel{
-			"capture": must(n.CRNKernelSnap(context.Background(), childCfg, base, n.NewSnapshot())),
-			"delta":   deltaKernel(refParent, n.NewSnapshot()),
-		} {
-			got, err := RunKernel(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameEvalBits(t, "RunKernel "+kind, got, want)
-		}
-	}
-
 	for _, size := range []int{1, 7, 13, 50, n.Iters} {
 		what := fmt.Sprintf("chunk=%d", size)
 		check := func(kind string, got []float64) {
@@ -339,19 +250,6 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 			sameRows(t, what+" "+kind+" sums", gs, rs)
 		}
 		check("full", chunked(t, full, size, rng))
-		if !n.needsMSSampling() {
-			continue
-		}
-		s, err := n.CRNKernelSnap(context.Background(), childCfg, base, n.NewSnapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("capture", chunked(t, s, size, rng))
-		sameSnapshot(t, what+" capture", s.(*nativeKernel).capture, refFull, true)
-		snap := n.NewSnapshot()
-		check("delta", chunked(t, deltaKernel(refParent, snap), size, rng))
-		snap.materialize()
-		sameSnapshot(t, what+" delta", snap, refDelta, true)
 	}
 }
 
@@ -365,29 +263,6 @@ func sameRows(t *testing.T, what string, got, want []float64) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: figure %d %v != %v", what, i, got[i], want[i])
 		}
-	}
-}
-
-// must returns a kernel build's result, failing the test on its error.
-func must(k WorldKernel, err error) WorldKernel {
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
-// sameEvalBits fails unless two evaluations are bitwise identical, NaN
-// figures included.
-func sameEvalBits(t *testing.T, what string, got, want *Evaluation) {
-	t.Helper()
-	same := math.Float64bits(got.Value) == math.Float64bits(want.Value) &&
-		math.Float64bits(got.Violation) == math.Float64bits(want.Violation) &&
-		got.Feasible == want.Feasible && len(got.ConsProb) == len(want.ConsProb)
-	for i := range want.ConsProb {
-		same = same && math.Float64bits(got.ConsProb[i]) == math.Float64bits(want.ConsProb[i])
-	}
-	if !same {
-		t.Fatalf("%s: %+v, want %+v", what, got, want)
 	}
 }
 
@@ -425,11 +300,10 @@ func foldWorkflow(t *testing.T, name string, nt int, rng *rand.Rand, cpu func(i 
 // TestBlockKernelAllTaskFold covers the makespan fold over every task, which
 // remains for Programs with a negative or NaN duration: there a non-sink's
 // finish can exceed every sink's, so folding the sinks alone would be
-// wrong. Full, capturing and delta kernels, chunked and sequential, must
-// agree bit for bit with the per-world reference and with Flat.Makespan
-// (checkBlockKernels). A non-negative fixture whose zero-duration sinks tie
-// their parents' finishes holds the sinks-only fold to the same figures on
-// the full and delta paths.
+// wrong. The kernel, chunked and sequential, must agree bit for bit with
+// the per-world reference and with Flat.Makespan (checkBlockKernels). A
+// non-negative fixture whose zero-duration sinks tie their parents'
+// finishes holds the sinks-only fold to the same figures.
 func TestBlockKernelAllTaskFold(t *testing.T) {
 	const worlds = 60
 	md, err := cloud.MetadataFromTruth(cloud.DefaultCatalog(), 15, 2000, rand.New(rand.NewSource(3)))

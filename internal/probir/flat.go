@@ -36,7 +36,7 @@ import (
 // Worlds have one numbering. After sampling, the Program sorts the worlds
 // decisive-first (order.go) and stores every duration and cost row in that
 // order, so world p is position p of every row: for the fixed path, the
-// adaptive path, snapshots and the Evaluate oracle alike.
+// adaptive path and the Evaluate oracle alike.
 
 // crnSeed derives the rng seed of one (task, type) duration row from the
 // search-level base seed (splitmix64-style finalizer over a distinct stream
@@ -65,8 +65,8 @@ type Program struct {
 	nTypes int
 
 	// negative records that some duration is negative or NaN. Finish times
-	// can then fall along an edge, so a makespan fold or rescan must visit
-	// every task rather than only the sinks.
+	// can then fall along an edge, so a makespan fold must visit every task
+	// rather than only the sinks.
 	negative bool
 
 	rows [][]float64 // rows[task*nTypes+type][world]
@@ -80,40 +80,13 @@ type Program struct {
 	blocks sync.Pool // *blockScratch: per-chunk kernel scratch
 }
 
-// epochMarks is a reusable mark buffer that resets in O(1): an entry is
-// marked iff marks[i] == epoch, so bumping the epoch unmarks everything.
-// The delta makespan pass marks the tasks a moved parent finish touched.
-type epochMarks struct {
-	epoch uint32
-	marks []uint32
-}
-
-// next unmarks every entry, growing the buffer to at least n entries, and
-// returns the fresh epoch, clearing the buffer explicitly on the (once per
-// 4G calls) wrap so stale marks can never alias a live epoch.
-func (e *epochMarks) next(n int) uint32 {
-	if len(e.marks) < n {
-		e.marks = make([]uint32, n)
-		e.epoch = 0
-	}
-	e.epoch++
-	if e.epoch == 0 {
-		clear(e.marks)
-		e.epoch = 1
-	}
-	return e.epoch
-}
-
 // blockScratch is one kernel call's working memory for a chunk of m worlds
-// over n tasks: chunk-major finish times (n·m) and per-row makespan, cost,
-// argmax and delta bookkeeping. Pooled per Program and grown on demand, so
-// device threads evaluating chunks concurrently never allocate.
+// over n tasks: chunk-major finish times (n·m) and per-row makespan and
+// cost. Pooled per Program and grown on demand, so device threads
+// evaluating chunks concurrently never allocate.
 type blockScratch struct {
-	finish              []float64 // n·m, task t row r at t*m+r
-	ms, cost, chMax     []float64 // m
-	amax, chArg, rescan []int32   // m
-	amaxHit             []bool    // m
-	marks               epochMarks
+	finish   []float64 // n·m, task t row r at t*m+r
+	ms, cost []float64 // m
 }
 
 // block checks out a scratch sized for a chunk of m worlds; return it to
@@ -121,9 +94,7 @@ type blockScratch struct {
 func (p *Program) block(m int) *blockScratch {
 	bs := p.blocks.Get().(*blockScratch)
 	if cap(bs.ms) < m {
-		bs.ms, bs.cost, bs.chMax = make([]float64, m), make([]float64, m), make([]float64, m)
-		bs.amax, bs.chArg, bs.rescan = make([]int32, m), make([]int32, m), make([]int32, m)
-		bs.amaxHit = make([]bool, m)
+		bs.ms, bs.cost = make([]float64, m), make([]float64, m)
 	}
 	return bs
 }

@@ -71,7 +71,7 @@ func TestRowsConcurrentWarm(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for b := int64(0); b < bases; b++ {
-				k, err := n.newCRNKernel(context.Background(), cfg, (b+int64(g))%bases)
+				k, err := crnKernel(n, cfg, (b+int64(g))%bases)
 				if err != nil {
 					t.Error(err)
 					return
@@ -107,11 +107,11 @@ func TestRowsConcurrentWarm(t *testing.T) {
 func TestRowsSharedPointers(t *testing.T) {
 	n := warmNative(t)
 	cfg := make([]int, n.W.Len())
-	a, err := n.newCRNKernel(context.Background(), cfg, 7)
+	a, err := crnKernel(n, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := n.newCRNKernel(context.Background(), cfg, 7)
+	b, err := crnKernel(n, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,6 @@ func TestProgramLRUEviction(t *testing.T) {
 // rng is reseeded for every row, renumbered decisive-world-first like every
 // other row of the Program.
 func TestRowsMatchFreshSource(t *testing.T) {
-	n := deltaFixture(t, 12, 3, GoalCost, nil, 40) // I/O-bound tasks: draws vary
+	n := layeredFixture(t, 12, 3, GoalCost, nil, 40) // I/O-bound tasks: draws vary
 	checkNumbering(t, n, 7)
 }

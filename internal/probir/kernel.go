@@ -105,18 +105,6 @@ type nativeKernel struct {
 	// xferTotal is the configuration's deterministic cross-region egress
 	// cost, added to every world's cost figure.
 	xferTotal float64
-
-	// capture, when non-nil, receives every world's finish-time row,
-	// makespan, and argmax task as Sample runs — the parent-side half of
-	// delta evaluation (delta.go). parent/cone/dirtyMask, when set, switch
-	// Sample's makespan pass to the incremental dirty-cone recurrence that
-	// starts from the parent snapshot instead of the full topological DP.
-	capture   *Snapshot
-	parent    *Snapshot
-	cone      []int32 // dirty-cone positions into flat.Order, ascending
-	dirtyMask []bool  // per task: duration row differs from the parent's
-	inCone    []bool  // per task: a cone member
-	lastDirty int     // index into cone of the last dirty task
 }
 
 // CRNKernel builds the world kernel of one configuration against the
@@ -125,16 +113,6 @@ type nativeKernel struct {
 // concurrently. ctx cancels that build, the one step of a kernel build that
 // can take long; the error then wraps ctx's.
 func (n *Native) CRNKernel(ctx context.Context, config []int, base int64) (WorldKernel, error) {
-	k, err := n.newCRNKernel(ctx, config, base)
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// newCRNKernel is the concrete-typed CRNKernel build, shared with the
-// snapshot-capturing and delta variants in delta.go.
-func (n *Native) newCRNKernel(ctx context.Context, config []int, base int64) (*nativeKernel, error) {
 	if err := n.checkConfig(config); err != nil {
 		return nil, err
 	}
@@ -163,23 +141,18 @@ func (n *Native) newCRNKernel(ctx context.Context, config []int, base int64) (*n
 func (k *nativeKernel) row(i int32) []float64 { return k.prog.row(int(i), k.config[i]) }
 
 // Sample implements WorldKernel: compute the chunk's makespans from the CRN
-// matrix — by the full longest-path DP, or by the incremental dirty-cone
-// recurrence when a parent snapshot is attached — and sum the realized
-// costs, then score the probabilistic constraints. Each pass runs task-major
-// over the chunk's run of every row; every world's figures come out of the
-// same operations, in the same order, as a lone world's would. All
-// randomness was drawn when the Program was built.
+// matrix by the longest-path DP and sum the realized costs, then score the
+// probabilistic constraints. Each pass runs task-major over the chunk's run
+// of every row; every world's figures come out of the same operations, in
+// the same order, as a lone world's would. All randomness was drawn when
+// the Program was built.
 func (k *nativeKernel) Sample(lo, hi int, out []float64) error {
 	m := hi - lo
 	bs := k.prog.block(m)
 	defer k.prog.blocks.Put(bs)
 	ms, cost := bs.ms[:m], bs.cost[:m]
 	if k.needMS {
-		if k.parent != nil {
-			k.deltaMS(lo, m, bs)
-		} else {
-			k.fullMS(lo, m, bs)
-		}
+		k.makespans(lo, ms, bs)
 	}
 	if k.needCost {
 		k.blockCost(lo, cost)
@@ -216,36 +189,25 @@ func (k *nativeKernel) blockCost(lo int, cost []float64) {
 	}
 }
 
-// fullMS runs the full longest-path DP for worlds [lo, lo+m), task-major:
-// for each task in topological order, the start of every world is the max
-// over the parent finishes (parents in CSR order, strict >, from 0) and its
-// finish adds the world's duration. Without a capture snapshot the finish
-// times live in pooled scratch; with one they are computed in place in the
-// snapshot's [lo, lo+m) run of each task row, along with each world's
-// makespan and argmax task, so children of this state can later be
-// evaluated incrementally. While every duration is non-negative no finish
-// exceeds every sink's, so the makespan folds over the sinks alone, in
-// index order, after the DP; otherwise every task's finish is folded as it
-// is computed. The makespan is the same maximum either way; on a tie the
-// argmax may name a different task attaining it.
-func (k *nativeKernel) fullMS(lo, m int, bs *blockScratch) {
+// makespans runs the longest-path DP for worlds [lo, lo+len(ms)),
+// task-major, into ms: for each task in topological order, the start of
+// every world is the max over the parent finishes (parents in CSR order,
+// strict >, from 0) and its finish adds the world's duration. The finish
+// times live in pooled scratch. While every duration is non-negative no
+// finish exceeds every sink's, so the makespan folds over the sinks alone,
+// in index order, after the DP; otherwise every task's finish is folded as
+// it is computed. The makespan is the same maximum either way.
+func (k *nativeKernel) makespans(lo int, ms []float64, bs *blockScratch) {
 	f := k.n.flat
-	ms, amax := bs.ms[:m], bs.amax[:m]
+	m := len(ms)
 	clear(ms)
-	for r := range amax {
-		amax[r] = -1
-	}
-	// fin holds task t's finish in chunk row r at fin[t*stride+off+r].
-	fin, stride, off := bs.scratch(f.Len(), m), m, 0
-	if k.capture != nil {
-		fin, stride, off = k.capture.finish, k.capture.worlds, lo
-	}
-	run := func(t int32) []float64 { return fin[int(t)*stride+off : int(t)*stride+off+m] }
+	// fin holds task t's finish in chunk row r at fin[t*m+r].
+	fin := bs.scratch(f.Len(), m)
+	run := func(t int32) []float64 { return fin[int(t)*m : int(t)*m+m] }
 	fold := func(t int32) {
 		for r, v := range run(t) {
 			if v > ms[r] {
 				ms[r] = v
-				amax[r] = t
 			}
 		}
 	}
@@ -273,9 +235,6 @@ func (k *nativeKernel) fullMS(lo, m int, bs *blockScratch) {
 		for _, t := range f.Sinks {
 			fold(t)
 		}
-	}
-	if k.capture != nil {
-		k.capture.store(lo, ms, amax)
 	}
 }
 

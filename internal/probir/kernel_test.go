@@ -2,9 +2,13 @@ package probir
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"deco/internal/cloud"
+	"deco/internal/dag"
+	"deco/internal/estimate"
 	"deco/internal/wlog"
 )
 
@@ -139,4 +143,74 @@ func TestWorldRNGSubstreams(t *testing.T) {
 			t.Fatal("same (base, it) not reproducible")
 		}
 	}
+}
+
+// layeredFixture builds a random layered workflow with stochastic I/O (so
+// per-world durations actually vary) and a Native over it.
+func layeredFixture(t testing.TB, nTasks int, seed int64, goal GoalKind, cons []wlog.Constraint, iters int) *Native {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	w := dag.New("rand")
+	id := func(i int) string { return fmt.Sprintf("t%02d", i) }
+	for i := 0; i < nTasks; i++ {
+		task := &dag.Task{ID: id(i), CPUSeconds: 50 + rng.Float64()*400}
+		task.Inputs = []dag.File{{Name: "in_" + id(i), SizeMB: 50 + rng.Float64()*300}}
+		task.Outputs = []dag.File{{Name: "out_" + id(i), SizeMB: 25 + rng.Float64()*150}}
+		if err := w.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < nTasks; i++ {
+		for p := 1 + rng.Intn(3); p > 0; p-- {
+			if err := w.AddEdge(id(rng.Intn(i)), id(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cat := cloud.DefaultCatalog()
+	md, err := cloud.MetadataFromTruth(cat, 15, 2000, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := estimate.New(cat, md).BuildTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us, _ := cat.Region(cloud.USEast)
+	prices := make([]float64, len(tbl.Types))
+	for j, name := range tbl.Types {
+		prices[j] = us.PricePerHour[name]
+	}
+	n, err := NewNative(w, tbl, prices, goal, cons, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// sameEval fails the test unless two evaluations are bitwise identical.
+func sameEval(t *testing.T, step int, got, want *Evaluation) {
+	t.Helper()
+	if got.Value != want.Value || got.Feasible != want.Feasible ||
+		got.Violation != want.Violation {
+		t.Fatalf("step %d: %+v != %+v", step, got, want)
+	}
+	if len(got.ConsProb) != len(want.ConsProb) {
+		t.Fatalf("step %d: ConsProb lengths differ", step)
+	}
+	for ci := range got.ConsProb {
+		if got.ConsProb[ci] != want.ConsProb[ci] {
+			t.Fatalf("step %d: ConsProb[%d] %v != %v",
+				step, ci, got.ConsProb[ci], want.ConsProb[ci])
+		}
+	}
+}
+
+// crnKernel builds the native CRN kernel of config as its concrete type.
+func crnKernel(n *Native, config []int, base int64) (*nativeKernel, error) {
+	k, err := n.CRNKernel(context.Background(), config, base)
+	if err != nil {
+		return nil, err
+	}
+	return k.(*nativeKernel), nil
 }

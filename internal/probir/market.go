@@ -17,8 +17,8 @@ import (
 // deterministic hourly price. All market randomness is drawn at row-fill time
 // from the same per-(task, column) CRN stream as the duration draws, so cost
 // and makespan stay paired world by world and every determinism contract
-// built on the duration matrix — delta evaluation, decisive-world ordering,
-// adaptive stopping, the eval cache — composes unchanged.
+// built on the duration matrix — decisive-world ordering, adaptive stopping,
+// the eval cache — composes unchanged.
 
 // MarketSpec describes the pricing market of one table column. The zero
 // value is the degenerate on-demand market: deterministic price, no

@@ -151,54 +151,6 @@ func TestSpotEvaluationDeterministic(t *testing.T) {
 	}
 }
 
-// TestSpotDeltaMatchesFull: incremental dirty-cone evaluation of a spot
-// configuration is bit-identical to the full path — the paired cost rows are
-// part of the shared CRN matrix, untouched by the delta makespan recurrence.
-func TestSpotDeltaMatchesFull(t *testing.T) {
-	w, xtbl, prices, markets := marketFixture(t)
-	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2000}}
-	n, err := NewNativeMarkets(w, xtbl, prices, markets, GoalCost, cons, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := int64(99)
-	parentCfg := []int{0, 0, 0, 0}
-	childCfg := []int{0, 0, 4, 0} // task c moves to m1.small:spot
-
-	parentSnap := n.NewSnapshot()
-	pk, err := n.CRNKernelSnap(context.Background(), parentCfg, base, parentSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunKernel(pk); err != nil {
-		t.Fatal(err)
-	}
-	childSnap := n.NewSnapshot()
-	dk, err := plannedDelta(n, childCfg, base, []int32{2}, parentSnap, childSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dk == nil {
-		t.Fatal("delta kernel declined on a 2-task cone")
-	}
-	got, err := RunKernel(dk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := n.EvaluateCRN(childCfg, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Value != want.Value || got.Feasible != want.Feasible || got.Violation != want.Violation {
-		t.Errorf("delta %+v != full %+v", got, want)
-	}
-	for ci := range want.ConsProb {
-		if got.ConsProb[ci] != want.ConsProb[ci] {
-			t.Errorf("constraint %d: delta prob %v != full %v", ci, got.ConsProb[ci], want.ConsProb[ci])
-		}
-	}
-}
-
 // TestNonSpotMarketsMatchPlainNative: a markets vector with no spot columns
 // is semantically the plain evaluator — draws, figures, and reductions all
 // bit-identical.

@@ -1,7 +1,6 @@
 package probir
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -146,7 +145,7 @@ func TestWorldOrderNilWithoutSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := n.newCRNKernel(context.Background(), make([]int, n.W.Len()), 7)
+	k, err := crnKernel(n, make([]int, n.W.Len()), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestRunCRNKernelRangeChains(t *testing.T) {
 		{Kind: "deadline", Percentile: 0.9, Bound: 2500},
 		{Kind: "budget", Percentile: 0.8, Bound: 5},
 	}
-	n := deltaFixture(t, 24, 41, GoalCost, cons, 64)
+	n := layeredFixture(t, 24, 41, GoalCost, cons, 64)
 	cfg := make([]int, 24)
 	rng := rand.New(rand.NewSource(5))
 	for i := range cfg {
@@ -60,7 +60,7 @@ func TestReducePartialFullIsReduce(t *testing.T) {
 			{Kind: "budget", Percentile: 0.8, Bound: 5},
 			{Kind: "budget", Percentile: -1, Bound: 50},
 		}
-		n := deltaFixture(t, 20, 17, goal, cons, 48)
+		n := layeredFixture(t, 20, 17, goal, cons, 48)
 		cfg := make([]int, 20)
 		rng := rand.New(rand.NewSource(3))
 		for i := range cfg {
@@ -92,7 +92,7 @@ func TestReducePartialFullIsReduce(t *testing.T) {
 // probabilities no higher than the full evaluation's.
 func TestReducePartialPessimistic(t *testing.T) {
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2500}}
-	n := deltaFixture(t, 20, 23, GoalCost, cons, 64)
+	n := layeredFixture(t, 20, 23, GoalCost, cons, 64)
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
 		cfg := make([]int, 20)
@@ -142,7 +142,7 @@ func TestReducePartialPessimistic(t *testing.T) {
 func TestIndicators(t *testing.T) {
 	cfgFor := func(n *Native) []int { return make([]int, n.W.Len()) }
 
-	n := deltaFixture(t, 8, 3, GoalCost, []wlog.Constraint{
+	n := layeredFixture(t, 8, 3, GoalCost, []wlog.Constraint{
 		{Kind: "deadline", Percentile: 0.96, Bound: 2500},
 		{Kind: "budget", Percentile: -1, Bound: 50},
 		{Kind: "budget", Percentile: 0.8, Bound: 5},
@@ -168,7 +168,7 @@ func TestIndicators(t *testing.T) {
 		t.Fatalf("GoalCost ValueFigure() = %d, want -1", vf)
 	}
 
-	n = deltaFixture(t, 8, 3, GoalMakespan, []wlog.Constraint{
+	n = layeredFixture(t, 8, 3, GoalMakespan, []wlog.Constraint{
 		{Kind: "deadline", Percentile: -1, Bound: 2500},
 	}, 16)
 	wk, err = n.CRNKernel(context.Background(), cfgFor(n), 1)

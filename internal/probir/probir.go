@@ -28,10 +28,7 @@
 // the native kernel runs its longest-path passes task-major over the range.
 // A CRN Program samples its worlds once, when it is built, and stores them
 // decisive-world-first (order.go), so a world has one number everywhere.
-// Delta snapshots are task-major too (finish[task*worlds+w]), and their
-// arenas recycle through one process-wide freelist (delta.go). The
-// constraint semantics — figure layout,
-// indicator scoring, verdicts, violation gradient and the world-prefix
+// The constraint semantics — figure layout, indicator scoring, verdicts, violation gradient and the world-prefix
 // reduction — exists once, in Figures (figures.go): the native kernel and
 // the runtime's residual kernel embed it, and the Prolog kernel folds its
 // per-constraint verdicts through the same step.

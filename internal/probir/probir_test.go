@@ -376,7 +376,7 @@ func TestPrologNativeAgreePerWorld(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					nk, err := ne.newCRNKernel(context.Background(), config, base)
+					nk, err := crnKernel(ne, config, base)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -50,7 +50,7 @@ func (s *residualSpace) Neighbors(st opt.State) []opt.Transform {
 		}
 	}
 	for _, d := range [2]int{1, -1} {
-		if tasks := opt.Movable(st, s.unstarted, d, s.numTypes); len(tasks) > 0 {
+		if tasks, _ := opt.Movable(nil, st, s.unstarted, d, s.numTypes); len(tasks) > 0 {
 			out = append(out, opt.Transform{Tasks: tasks, Step: d})
 		}
 	}

@@ -120,14 +120,9 @@ type PlanResult struct {
 	StatesEvaluated int       `json:"states_evaluated"`
 	// WorldsEvaluated / WorldsSaved report the adaptive-precision sampling
 	// economy of this job's solve (zero for fixed-precision solves).
-	WorldsEvaluated int64 `json:"worlds_evaluated,omitempty"`
-	WorldsSaved     int64 `json:"worlds_saved,omitempty"`
-	// DeltaEvals / DeltaFallbacks / ConePlanHits report the group-cone
-	// incremental evaluation routing.
-	DeltaEvals     int64        `json:"delta_evals,omitempty"`
-	DeltaFallbacks int64        `json:"delta_fallbacks,omitempty"`
-	ConePlanHits   int64        `json:"cone_plan_hits,omitempty"`
-	Assignments    []Assignment `json:"assignments"`
+	WorldsEvaluated int64        `json:"worlds_evaluated,omitempty"`
+	WorldsSaved     int64        `json:"worlds_saved,omitempty"`
+	Assignments     []Assignment `json:"assignments"`
 }
 
 // PlanResultOf converts an engine plan into its canonical JSON form.
@@ -148,9 +143,6 @@ func PlanResultOf(p *deco.Plan) PlanResult {
 		StatesEvaluated: p.StatesEvaluated,
 		WorldsEvaluated: p.WorldsEvaluated,
 		WorldsSaved:     p.WorldsSaved,
-		DeltaEvals:      p.DeltaEvals,
-		DeltaFallbacks:  p.DeltaFallbacks,
-		ConePlanHits:    p.ConePlanHits,
 		Assignments:     make([]Assignment, 0, len(ids)),
 	}
 	for _, id := range ids {
@@ -970,9 +962,6 @@ func (m *Manager) solveLocal(j *job, eng *deco.Engine) (solveOut, error) {
 		if plan, err = solve(j.ctx, eng, j); err == nil {
 			m.metrics.WorldsEvaluatedTotal.Add(plan.WorldsEvaluated)
 			m.metrics.WorldsSavedTotal.Add(plan.WorldsSaved)
-			m.metrics.DeltaEvalsTotal.Add(plan.DeltaEvals)
-			m.metrics.DeltaFallbacksTotal.Add(plan.DeltaFallbacks)
-			m.metrics.ConePlanHitsTotal.Add(plan.ConePlanHits)
 			doc, err = json.Marshal(PlanResultOf(plan))
 		}
 	}

@@ -56,12 +56,6 @@ type Metrics struct {
 	// adaptive solve has run.
 	WorldsEvaluatedTotal atomic.Int64
 	WorldsSavedTotal     atomic.Int64
-	// DeltaEvalsTotal / DeltaFallbacksTotal report the incremental
-	// (group-cone) evaluation routing and ConePlanHitsTotal the sibling
-	// cone-extraction reuse across all local solves.
-	DeltaEvalsTotal     atomic.Int64
-	DeltaFallbacksTotal atomic.Int64
-	ConePlanHitsTotal   atomic.Int64
 
 	mu     sync.Mutex
 	solve  reservoir
@@ -234,11 +228,6 @@ type Snapshot struct {
 	WorldsEvaluatedTotal int64 `json:"worlds_evaluated_total"`
 	WorldsSavedTotal     int64 `json:"worlds_saved_total"`
 
-	// Incremental (group-cone delta) evaluation counters.
-	DeltaEvalsTotal     int64 `json:"delta_evals_total"`
-	DeltaFallbacksTotal int64 `json:"delta_fallbacks_total"`
-	ConePlanHitsTotal   int64 `json:"cone_plan_hits_total"`
-
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	CacheSize   int   `json:"cache_size"`
@@ -289,9 +278,6 @@ func (m *Metrics) Snapshot(c *Cache, ec *deco.EvalCache) Snapshot {
 
 		WorldsEvaluatedTotal: m.WorldsEvaluatedTotal.Load(),
 		WorldsSavedTotal:     m.WorldsSavedTotal.Load(),
-		DeltaEvalsTotal:      m.DeltaEvalsTotal.Load(),
-		DeltaFallbacksTotal:  m.DeltaFallbacksTotal.Load(),
-		ConePlanHitsTotal:    m.ConePlanHitsTotal.Load(),
 	}
 	if c != nil {
 		s.CacheHits, s.CacheMisses = c.Stats()
