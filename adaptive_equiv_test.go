@@ -2,8 +2,8 @@ package deco
 
 // Adaptive-precision equivalence: the property behind the Options.Adaptive
 // contract. Over randomized workflows (different applications, sizes and
-// generator seeds), the adaptive search — sequential stopping plus racing —
-// must return a plan with the identical objective value and feasibility as
+// generator seeds), the adaptive search — a state stops once it is proven
+// infeasible — must return a plan with the identical objective value and feasibility as
 // the fixed-worlds search, on every device, with the evaluation cache on
 // and off. The search trajectory is allowed to differ (partial verdicts
 // carry pessimistic violation estimates), but the plan the caller gets must

@@ -318,10 +318,11 @@ func newBatchRow(benchmark string, states int, r row) *batchRow {
 }
 
 // adaptiveRow compares fixed-precision against adaptive-precision
-// Monte-Carlo inference (sequential stopping + racing) on two levels. Plan
-// quality: complete solver searches, fixed and adaptive, must land on the
-// same objective value and feasibility — benchsolver aborts otherwise, so
-// the row only ever reports a speedup at unchanged quality. Throughput: the
+// Monte-Carlo inference (a state stops once it is proven infeasible) on two
+// levels. Plan quality: complete solver searches, fixed and adaptive, must
+// land on the same objective value and feasibility — benchsolver aborts
+// otherwise, so the row only ever reports a speedup at unchanged quality.
+// Throughput: the
 // measured operation is the solver's hot loop, one warm frontier expansion
 // over the deadline-probing batch every search from the paper's all-cheapest
 // start evaluates first, where the exact worst-case stopping rule decides
@@ -708,11 +709,11 @@ func main() {
 	//
 	// Throughput: the measured op is one warm frontier expansion of the
 	// all-cheapest parent — the deadline-probing batch every search from
-	// that start evaluates first, and the regime sequential stopping
+	// that start evaluates first, and the regime adaptive stopping
 	// accelerates: sharply infeasible children are decided within the first
 	// world chunks by the exact worst-case rule, while boundary and feasible
-	// states still run their full budget (a feasible verdict at the 0.96
-	// percentile needs at least 96 of 100 worlds by construction).
+	// states still run their full budget (only a proven-infeasible state
+	// stops early, so a feasible state always runs every world).
 	tightMeans := must(p.tbl.MeanDurations(uniformConfig(p.w, p.tbl, 1)))
 	tightDeadline, _, err := p.w.Makespan(tightMeans)
 	if err != nil {
@@ -738,7 +739,7 @@ func main() {
 	}
 	sameQuality("adaptive plan quality", fixedRes, adaptRes)
 	adapt := &adaptiveRow{
-		Benchmark:         "frontier expansion at the all-cheapest start (deadline-probing batch), Montage scheduling space; fixed worlds per state vs adaptive sequential stopping, equal full-search objective asserted",
+		Benchmark:         "frontier expansion at the all-cheapest start (deadline-probing batch), Montage scheduling space; fixed worlds per state vs adaptive stopping, equal full-search objective asserted",
 		FixedObjective:    fixedRes.BestEval.Value,
 		AdaptiveObjective: adaptRes.BestEval.Value,
 		Feasible:          adaptRes.Feasible,

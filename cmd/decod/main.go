@@ -64,7 +64,7 @@ func main() {
 	iters := flag.Int("iters", 100, "default Monte-Carlo iterations per state evaluation")
 	budget := flag.Int("budget", 4000, "default solver state-evaluation budget")
 	threads := flag.Int("threads", 0, "default Monte-Carlo threads per state evaluation (0 = unbounded, 1 = state-level parallelism only)")
-	adaptive := flag.Bool("adaptive", false, "default to adaptive-precision Monte-Carlo inference (sequential stopping + racing; same plan quality, fewer worlds)")
+	adaptive := flag.Bool("adaptive", false, "default to adaptive-precision Monte-Carlo inference (a state stops once it is proven infeasible; exact verdicts, fewer worlds)")
 	seed := flag.Int64("seed", 1, "default rng seed")
 	risk := flag.Float64("risk", 0.1, "default replan risk threshold for managed runs")
 	drain := flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown drain bound")

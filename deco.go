@@ -140,18 +140,13 @@ func WithEvalCacheScope(scope string) Option {
 }
 
 // WithAdaptive toggles adaptive-precision Monte-Carlo inference: state
-// evaluations run their worlds in chunks and stop as soon as the feasibility
-// verdict is decided, and racing prunes frontier states that provably cannot
-// rank. Plan feasibility and quality match the fixed-precision engine (the
-// returned plan is always backed by a complete evaluation); the wall-clock
-// saving is reported by Plan.WorldsSaved. Off (the default) is bit-identical
-// to all prior behavior.
+// evaluations run their worlds in chunks, and a state stops as soon as some
+// percentile constraint can no longer be met whatever its remaining worlds
+// hold. Every verdict is exact: a stopped state is infeasible at full
+// precision, and a feasible state runs every world, so the returned plan is
+// always backed by a complete evaluation. The saving is reported by
+// Plan.WorldsSaved. Off (the default) runs every world of every state.
 func WithAdaptive(on bool) Option { return func(e *Engine) { e.search.Adaptive = on } }
-
-// WithConfidence sets the anytime-valid confidence level of the adaptive
-// stopping and racing rules, in [0.5, 1); 0 keeps the default (0.999). The
-// exact worst-case stopping rule carries no error at any setting.
-func WithConfidence(c float64) Option { return func(e *Engine) { e.search.Confidence = c } }
 
 // WithSpot offers the named base instance types on the spot market: the
 // search space gains a "<type>:spot" column per entry whose per-world cost is
@@ -681,7 +676,7 @@ func truthMetadata(cat *cloud.Catalog, seed int64) (*cloud.Metadata, error) {
 }
 
 // overCatalog derives an engine over a custom catalog: a copy of e — every
-// solver option (adaptive precision, eval cache, confidence, budgets,
+// solver option (adaptive precision, eval cache, budgets,
 // device, seed) carried over — with the catalog, its default metadata, the
 // estimator and the region (its first) replaced.
 func (e *Engine) overCatalog(cat *cloud.Catalog) (*Engine, error) {

@@ -508,8 +508,8 @@ func TestPlanWriteDOT(t *testing.T) {
 
 // TestRunProgramCustomCloudKeepsSolverOptions is the regression test for a
 // custom-cloud import that rebuilt the engine from a handful of options:
-// import('x.json') must keep the engine's adaptive precision, eval cache,
-// cache scope and confidence. On the default catalog written to JSON the
+// import('x.json') must keep the engine's adaptive precision, eval cache
+// and cache scope. On the default catalog written to JSON the
 // solve must match import(amazonec2) world for world, and its evaluations
 // must go through the shared cache under the engine's scope.
 func TestRunProgramCustomCloudKeepsSolverOptions(t *testing.T) {
@@ -526,7 +526,7 @@ configs(Tid,Vid,Con) forall task(Tid) and vm(Vid).
 	run := func(imp string) (*Plan, *EvalCache) {
 		t.Helper()
 		cache := NewEvalCache(0)
-		eng, err := NewEngine(WithAdaptive(true), WithSearchBudget(300), WithConfidence(0.99),
+		eng, err := NewEngine(WithAdaptive(true), WithSearchBudget(300),
 			WithEvalCache(cache), WithEvalCacheScope("custom"))
 		if err != nil {
 			t.Fatal(err)

@@ -215,8 +215,8 @@ const minChunk = 32
 // Buffers is the reusable scratch of ReduceBlocksRange: the per-world slots
 // and the per-block errors. The zero value is ready to use; a caller that
 // runs many rounds keeps one and reuses it, so a round allocates nothing.
-// A Buffers serves one ReduceBlocksRange call at a time, and the slots and
-// errors a call returns stay valid until the next call on the same Buffers.
+// A Buffers serves one ReduceBlocksRange call at a time, and the errors a
+// call returns stay valid until the next call on the same Buffers.
 type Buffers struct {
 	slots []float64
 	errs  []error
@@ -239,8 +239,7 @@ type Buffers struct {
 // sums are meaningless.
 func ReduceBlocks(d Device, nBlocks, threads, width int, kernel BlockKernel) (sums []float64, errs []error) {
 	sums = make([]float64, nBlocks*width)
-	_, errs = ReduceBlocksRange(d, nBlocks, 0, threads, width, sums, nil, kernel)
-	return sums, errs
+	return sums, ReduceBlocksRange(d, nBlocks, 0, threads, width, sums, nil, kernel)
 }
 
 // ReduceBlocksRange is ReduceBlocks restricted to the position range
@@ -257,12 +256,10 @@ func ReduceBlocks(d Device, nBlocks, threads, width int, kernel BlockKernel) (su
 //
 // errs[b] is the error of block b's first failing chunk within this range,
 // or nil; a block with an error still has its remaining chunks run, and its
-// sums are left untouched (not folded). The returned slots hold the range's
-// raw per-position figures, laid out slots[(b*(hi-lo)+(t-lo))*width+w], for
-// callers that need per-world figures beyond the sums (racing's paired
-// differences). Slots and errs live in buf, which may be nil (fresh
-// buffers) and is reused by the next call on it.
-func ReduceBlocksRange(d Device, nBlocks, lo, hi, width int, sums []float64, buf *Buffers, kernel BlockKernel) (slots []float64, errs []error) {
+// sums are left untouched (not folded). The range's per-position slots and
+// errs live in buf, which may be nil (fresh buffers) and is reused by the
+// next call on it.
+func ReduceBlocksRange(d Device, nBlocks, lo, hi, width int, sums []float64, buf *Buffers, kernel BlockKernel) (errs []error) {
 	if buf == nil {
 		buf = new(Buffers)
 	}
@@ -273,10 +270,10 @@ func ReduceBlocksRange(d Device, nBlocks, lo, hi, width int, sums []float64, buf
 	buf.errs = errs
 	clear(errs)
 	if nBlocks == 0 || hi <= lo || width <= 0 {
-		return nil, errs
+		return errs
 	}
 	span := hi - lo
-	slots = grow(buf.slots, nBlocks*span*width)
+	slots := grow(buf.slots, nBlocks*span*width)
 	buf.slots = slots
 	clear(slots)
 	errAt := grow(buf.errAt, nBlocks)
@@ -326,7 +323,7 @@ func ReduceBlocksRange(d Device, nBlocks, lo, hi, width int, sums []float64, buf
 			}
 		}
 	}
-	return slots, errs
+	return errs
 }
 
 // grow returns s resliced to n, reallocated when its capacity is short.

@@ -3,6 +3,8 @@ package opt
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,9 +43,6 @@ func TestCompileAdaptiveOptionValidation(t *testing.T) {
 	}{
 		{"negative worlds", Options{Device: device.Sequential{}, Worlds: -1}, "Options.Worlds"},
 		{"negative min worlds", Options{Device: device.Sequential{}, MinWorlds: -5}, "Options.MinWorlds"},
-		{"low confidence", Options{Device: device.Sequential{}, Confidence: 0.3}, "Options.Confidence"},
-		{"negative confidence", Options{Device: device.Sequential{}, Confidence: -0.1}, "Options.Confidence"},
-		{"unit confidence", Options{Device: device.Sequential{}, Confidence: 1.0}, "Options.Confidence"},
 		{"worlds mismatch", Options{Device: device.Sequential{}, Worlds: 21}, "samples 20 worlds"},
 	}
 	for _, tc := range cases {
@@ -52,7 +51,7 @@ func TestCompileAdaptiveOptionValidation(t *testing.T) {
 		}
 	}
 	// Valid settings compile; a correct Worlds assertion passes.
-	p, err := Compile(space, Options{Device: device.Sequential{}, Worlds: 20, MinWorlds: 8, Confidence: 0.99})
+	p, err := Compile(space, Options{Device: device.Sequential{}, Worlds: 20, MinWorlds: 8})
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
@@ -141,7 +140,7 @@ func TestAdaptiveSearchMatchesFixed(t *testing.T) {
 }
 
 // TestAdaptiveDeviceInvariance pins determinism of the adaptive path across
-// devices: stopping and racing decisions are functions of the running sums,
+// devices: stopping decisions are functions of the running sums,
 // which chunked folding keeps bit-identical everywhere.
 func TestAdaptiveDeviceInvariance(t *testing.T) {
 	var refBest float64
@@ -268,7 +267,6 @@ func (k failingReduceKernel) Reduce([]float64) (*probir.Evaluation, error) { ret
 func (k failingReduceKernel) Indicators() ([]int, []float64, bool) {
 	return []int{0}, []float64{0.5}, true
 }
-func (k failingReduceKernel) ValueFigure() int { return -1 }
 func (k failingReduceKernel) ReducePartial([]float64, int) (*probir.Evaluation, error) {
 	return nil, errFakeReduce
 }
@@ -285,8 +283,8 @@ func (s *failingReduceSpace) Describe(context.Context, int64) Descriptor {
 }
 
 // TestAdaptiveReduceErrorCountsWorldsOnce pins the world accounting of
-// failed reductions: whether a state's final reduction, its prefix
-// finalization or racing's optimistic reduction fails, its spend counts once
+// failed reductions: whether a state's final reduction or its prefix
+// finalization fails, its spend counts once
 // — WorldsRun equals the worlds actually sampled and stays within budget.
 func TestAdaptiveReduceErrorCountsWorldsOnce(t *testing.T) {
 	for _, minWorlds := range []int{16, 63} {
@@ -311,5 +309,99 @@ func TestAdaptiveReduceErrorCountsWorldsOnce(t *testing.T) {
 		if st.WorldsRun != sp.samples.Load() || st.WorldsRun > st.WorldsBudget {
 			t.Fatalf("min %d: WorldsRun %d, sampled %d, budget %d", minWorlds, st.WorldsRun, sp.samples.Load(), st.WorldsBudget)
 		}
+	}
+}
+
+func TestChunks(t *testing.T) {
+	cases := []struct {
+		min, total int
+		want       []int
+	}{
+		{16, 100, []int{16, 48, 100}},
+		{16, 16, []int{16}},
+		{16, 10, []int{10}},
+		{1, 7, []int{1, 3, 7}},
+		{4, 64, []int{4, 12, 28, 60, 64}},
+		{16, 0, nil},
+		{0, 5, []int{1, 3, 5}},
+	}
+	for _, c := range cases {
+		if got := chunks(c.min, c.total); !slices.Equal(got, c.want) {
+			t.Fatalf("chunks(%d, %d) = %v, want %v", c.min, c.total, got, c.want)
+		}
+	}
+	// The last chunk must always land exactly on total.
+	for min := 1; min < 40; min++ {
+		for total := 1; total < 200; total += 7 {
+			ends := chunks(min, total)
+			if ends[len(ends)-1] != total {
+				t.Fatalf("chunks(%d, %d) ends at %d", min, total, ends[len(ends)-1])
+			}
+			prev := 0
+			for _, e := range ends {
+				if e <= prev {
+					t.Fatalf("chunks(%d, %d): non-increasing end %d after %d", min, total, e, prev)
+				}
+				prev = e
+			}
+		}
+	}
+}
+
+// TestBernoulliExactNeverWrong drives random indicator sequences through the
+// stopping rule at the chunk ends and asserts that an early infeasible stop
+// always matches the verdict of the full sequence, and that at the last
+// world the rule is the exact verdict itself.
+func TestBernoulliExactNeverWrong(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const total = 100
+	for trial := 0; trial < 2000; trial++ {
+		p := rng.Float64()
+		target := 0.5 + rng.Float64()/2
+		outcomes := make([]float64, total)
+		full := 0.0
+		for i := range outcomes {
+			if rng.Float64() < p {
+				outcomes[i] = 1
+				full++
+			}
+		}
+		finalFeasible := full/float64(total) >= target
+		succ, seen := 0.0, 0
+		for _, end := range chunks(8, total) {
+			for ; seen < end; seen++ {
+				succ += outcomes[seen]
+			}
+			stop := maxProb(succ, seen, total) < target
+			if seen == total && stop == finalFeasible {
+				t.Fatalf("trial %d: verdict at t=N infeasible=%v, full sequence feasible=%v", trial, stop, finalFeasible)
+			}
+			if stop && finalFeasible {
+				t.Fatalf("trial %d: stopped infeasible at t=%d, but the full sequence is feasible", trial, seen)
+			}
+			if stop {
+				break
+			}
+		}
+	}
+}
+
+// TestBernoulliDecidesInfeasibleEarly checks the savings claim: a clearly
+// infeasible state at pct=0.96 is decided after a handful of worlds.
+func TestBernoulliDecidesInfeasibleEarly(t *testing.T) {
+	const total = 100
+	succ, decidedAt := 0.0, 0
+	// Alternate success/failure: p ~ 0.5, far below 0.96.
+	for it := 0; it < total; it++ {
+		if it%2 == 0 {
+			succ++
+		}
+		if maxProb(succ, it+1, total) < 0.96 {
+			decidedAt = it + 1
+			break
+		}
+	}
+	if decidedAt == 0 || decidedAt > 12 {
+		t.Fatalf("clearly infeasible state decided at t=%d, want <= 12", decidedAt)
 	}
 }

@@ -132,8 +132,8 @@ type Descriptor struct {
 	Kernel func(s State) (probir.WorldKernel, error)
 	// Objective, when set, replaces the reduced goal value of every state
 	// with a world-free objective of the state (a plan-level cost such as
-	// PackedMeanCost): after a full reduction, after a partial one, and as
-	// racing's optimistic value. Feasibility still comes from the kernel.
+	// PackedMeanCost): after a full reduction and after a partial one.
+	// Feasibility still comes from the kernel.
 	Objective func(State) (float64, error)
 	// Fingerprint is a content hash of everything an evaluation depends on
 	// (program, distributions, objective). It gates the evaluation cache —
@@ -187,17 +187,17 @@ type Options struct {
 	// means unscoped; the scope never affects keys or results.
 	CacheScope string
 	// Adaptive enables adaptive-precision Monte-Carlo evaluation: worlds run
-	// in chunks, sequential stopping rules decide each state's feasibility
-	// verdict as soon as it is certain (or statistically decided at the
-	// configured Confidence), and racing eliminates frontier states that
-	// provably cannot rank. A state decided feasible still runs every world,
-	// so feasible states' evaluations match the fixed-worlds path; partially
-	// evaluated states carry pessimistic violation estimates, so the search
-	// trajectory may differ while plan quality is preserved (the final best
-	// is always confirmed by a full evaluation). Off (the default) is the deterministic mode: bit
-	// identical to all prior behavior. Adaptive engages only when the
-	// space's kernels decide feasibility from indicator-backed constraints;
-	// it is silently inert otherwise (see Problem.SampleStats).
+	// in geometric chunks, and a state stops as soon as some percentile
+	// constraint can no longer be met however its remaining worlds come out.
+	// That verdict is exact, so a stopped state is infeasible at full
+	// precision too; every other state runs every world, so feasible states'
+	// evaluations match the fixed-worlds path. Stopped states carry
+	// pessimistic violation estimates, so the search trajectory may differ
+	// from the fixed path's (the final best is always confirmed by a full
+	// evaluation). Off (the default) runs every world of every state.
+	// Adaptive engages only when the space's kernels decide feasibility from
+	// indicator-backed constraints; it is silently inert otherwise (see
+	// Problem.SampleStats).
 	Adaptive bool
 	// Worlds, when positive, asserts the per-state Monte-Carlo world count
 	// the compiled kernel must have; Compile fails with a clear error on a
@@ -208,11 +208,6 @@ type Options struct {
 	// number of worlds every state runs before any stop decision. 0 defaults
 	// to 16.
 	MinWorlds int
-	// Confidence is the anytime-valid confidence level of the statistical
-	// stopping and racing rules, in [0.5, 1); 0 defaults to 0.999. The exact
-	// worst-case stopping rule is always applied first and carries no error;
-	// Confidence only governs the supplementary large-world-count rules.
-	Confidence float64
 }
 
 // DefaultOptions returns the default configuration on the given device: the
@@ -292,9 +287,6 @@ func fillDefaults(opt *Options) {
 	}
 	if opt.MinWorlds == 0 {
 		opt.MinWorlds = 16
-	}
-	if opt.Confidence == 0 {
-		opt.Confidence = 0.999
 	}
 }
 

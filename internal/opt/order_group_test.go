@@ -2,11 +2,15 @@ package opt
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 
+	"deco/internal/cloud"
 	"deco/internal/device"
+	"deco/internal/estimate"
 	"deco/internal/probir"
+	"deco/internal/wfgen"
 	"deco/internal/wlog"
 )
 
@@ -95,9 +99,11 @@ type worldLog struct {
 	evals []*loggedEval
 }
 
-// loggedEval is one kernel's record: worlds is one past the highest world
-// sampled, seen the worlds behind the last reduction, ev its result.
+// loggedEval is one kernel's record: the state it evaluates, worlds one
+// past the highest world sampled, seen the worlds behind the last
+// reduction, ev its result.
 type loggedEval struct {
+	state        State
 	worlds, seen int
 	ev           *probir.Evaluation
 }
@@ -148,7 +154,7 @@ func (s loggedSpace) Describe(ctx context.Context, seed int64) Descriptor {
 		if err != nil {
 			return nil, err
 		}
-		rec := &loggedEval{}
+		rec := &loggedEval{state: st.Clone()}
 		s.log.mu.Lock()
 		s.log.evals = append(s.log.evals, rec)
 		s.log.mu.Unlock()
@@ -159,20 +165,20 @@ func (s loggedSpace) Describe(ctx context.Context, seed int64) Descriptor {
 }
 
 // TestPinnedFeasibleRunsToCap pins adaptive precision's stop rule: only
-// infeasible and raced states stop early; a state decided feasible runs on
-// to the world cap. So in an adaptive search no evaluation reported Feasible
-// was finalized from a world prefix, and WorldsRun counts a full cap for
-// every feasible state. It runs on a deadline space and on a cost goal under
-// a percentile budget with no deadline.
+// states proven infeasible stop early; every other state runs on to the
+// world cap. So in an adaptive search no evaluation reported Feasible was
+// finalized from a world prefix, and WorldsRun counts a full cap for every
+// feasible state. It runs on a deadline space and on a cost goal under a
+// percentile budget with no deadline.
 func TestPinnedFeasibleRunsToCap(t *testing.T) {
 	const worlds = 100
 	w, _ := trajectoryWorkflows(t)
 	deadlineEval, _ := buildEval(t, w, 1500, 0.9, worlds)
 	// Montage-1's all-cheapest plan costs ~0.056 USD and its uniform plans
-	// ~0.066 on the second type and ~0.084 on the third: the budget admits
-	// the first two.
+	// ~0.066 on the second type and ~0.084 on the third: at the 90th
+	// percentile the budget admits the first and stops states early.
 	budgetEval, err := probir.NewNative(w, deadlineEval.Table, deadlineEval.PricePerHour, probir.GoalCost,
-		[]wlog.Constraint{{Kind: "budget", Percentile: 0.5, Bound: 0.075}}, worlds)
+		[]wlog.Constraint{{Kind: "budget", Percentile: 0.9, Bound: 0.065}}, worlds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +220,88 @@ func TestPinnedFeasibleRunsToCap(t *testing.T) {
 				t.Fatalf("kernels sampled %d worlds, WorldsRun and confirmations account for %d: %+v", sampled, want, st)
 			}
 		})
+	}
+}
+
+// TestEarlyStopsAreInfeasible pins the soundness of adaptive precision's
+// stopping rule: every evaluation an adaptive search finalized before the
+// world cap must be infeasible under a full evaluation on the same CRN base.
+// A CRN Program stores its worlds most severe first, so a world prefix is no
+// i.i.d. sample and a statistical stop on it can be wrong; the exact
+// worst-case rule cannot. The fixture is Montage-1 with spot columns under a
+// 90% deadline, where over a thousand states stop early.
+func TestEarlyStopsAreInfeasible(t *testing.T) {
+	const worlds, seed = 100, 1
+	w, err := wfgen.Montage(1, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := cloud.DefaultCatalog()
+	md, err := cloud.MetadataFromTruth(cat, 15, 4000, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := estimate.New(cat, md).BuildTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err = tbl.ExpandSpot([]string{"m1.small", "m1.medium"}); err != nil {
+		t.Fatal(err)
+	}
+	us, err := cat.Region(cloud.USEast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prices := make([]float64, len(tbl.Types))
+	markets := make([]probir.MarketSpec, len(tbl.Types))
+	for j, name := range tbl.Types {
+		prices[j] = us.PricePerHour[name]
+		if cloud.IsSpotName(name) {
+			m := us.Spot[cloud.BaseType(name)]
+			prices[j] = m.PricePerHourMean
+			markets[j] = probir.MarketSpec{Spot: true, PriceMean: m.PricePerHourMean, PriceSigma: m.PriceSigma,
+				RevocationsPerHour: m.RevocationsPerHour, OnDemandUSD: us.PricePerHour[cloud.BaseType(name)]}
+		}
+	}
+	ne, err := probir.NewNativeMarkets(w, tbl, prices, markets, probir.GoalCost,
+		[]wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2000}}, worlds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &worldLog{}
+	p, err := Compile(loggedSpace{NewScheduleSpace(w, ne), log},
+		Options{Device: device.Sequential{}, Seed: seed, Adaptive: true, MinWorlds: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Adaptive() {
+		t.Fatal("fixture did not compile adaptive")
+	}
+	if _, err := p.Search(); err != nil {
+		t.Fatal(err)
+	}
+	stopped, wrong := 0, 0
+	for _, r := range log.evals {
+		if r.ev == nil || r.seen >= worlds {
+			continue
+		}
+		stopped++
+		full, err := ne.EvaluateCRN(r.state, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Feasible {
+			wrong++
+			if wrong <= 5 {
+				t.Errorf("state %v stopped infeasible after %d worlds, but is feasible over all %d (P=%v)",
+					r.state, r.seen, worlds, full.ConsProb)
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no evaluation stopped early; the check is vacuous")
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d early stops are feasible under full evaluation", wrong, stopped)
 	}
 }

@@ -45,18 +45,15 @@ type Problem struct {
 	// evals counts live state evaluations (see DeltaStats).
 	evals int64
 
-	// adaptive, when set, routes evaluation through chunked sequential
-	// stopping (adaptive.go): states stop as soon as their feasibility
-	// verdict is decided against the compiled indicator targets, and racing
-	// prunes provably-worse frontier states. Resolved at Compile from
-	// Options.Adaptive and the probe kernel's PartialKernel capability;
+	// adaptive, when set, routes evaluation through chunked evaluation with
+	// early stopping (adaptive.go): a state stops as soon as it is proven
+	// infeasible against the compiled indicator targets. Resolved at Compile
+	// from Options.Adaptive and the probe kernel's PartialKernel capability;
 	// indIdx/indTargets are the indicator figures and their percentile
-	// targets, valueFig the sampled goal figure (-1 when the goal value is
-	// deterministic).
+	// targets.
 	adaptive   bool
 	indIdx     []int
 	indTargets []float64
-	valueFig   int
 	sstats     SampleStats
 
 	// phaseCtx holds one context per profiling phase with its pprof label
@@ -83,12 +80,11 @@ type batchBuf struct {
 const (
 	phaseKernelBuild = iota
 	phaseChunkEval
-	phaseRacing
 	nPhases
 )
 
 // phaseNames holds the deco_phase label values, indexed by phase constant.
-var phaseNames = [nPhases]string{"kernel_build", "chunk_eval", "racing"}
+var phaseNames = [nPhases]string{"kernel_build", "chunk_eval"}
 
 // DeltaStats keeps the evaluation-routing counters the repository benchmark
 // reads. Every state evaluates in full, so FullEvals counts the live
@@ -122,11 +118,8 @@ func Compile(sp Space, o Options) (*Problem, error) {
 	if o.MinWorlds < 0 {
 		return nil, fmt.Errorf("opt: Options.MinWorlds must be >= 0 (0 selects the default first chunk), got %d", o.MinWorlds)
 	}
-	if o.Confidence < 0.5 || o.Confidence >= 1 {
-		return nil, fmt.Errorf("opt: Options.Confidence must be in [0.5, 1) (0 selects the default), got %v", o.Confidence)
-	}
 	d := sp.Describe(o.Ctx, o.Seed)
-	p := &Problem{space: sp, opts: o, valueFig: -1, kernel: d.Kernel, objective: d.Objective, fingerprint: d.Fingerprint}
+	p := &Problem{space: sp, opts: o, kernel: d.Kernel, objective: d.Objective, fingerprint: d.Fingerprint}
 	if p.opts.Cache != nil && p.fingerprint != "" {
 		// An unidentifiable program stays unbound: a hit could be wrong.
 		p.cache = p.opts.Cache.Bind(fmt.Sprintf("%s|%d|", p.fingerprint, p.opts.Seed), p.opts.CacheScope)
@@ -152,16 +145,11 @@ func Compile(sp Space, o Options) (*Problem, error) {
 	// a kernel that can finalize from a world prefix, indicator figures that
 	// fully determine feasibility, and a world budget the first chunk does
 	// not already cover. Otherwise the flag is inert and the problem runs the
-	// fixed path (Problem.Adaptive reports which). An objective is
-	// world-free, exact under any world prefix, so it leaves no sampled goal
-	// figure.
+	// fixed path (Problem.Adaptive reports which).
 	if pk, ok := probe.(probir.PartialKernel); ok && o.Adaptive && p.worlds > o.MinWorlds {
 		if idx, targets, okInd := pk.Indicators(); okInd && len(idx) > 0 {
 			p.adaptive = true
 			p.indIdx, p.indTargets = idx, targets
-			if p.objective == nil {
-				p.valueFig = pk.ValueFigure()
-			}
 		}
 	}
 	p.sstats.Adaptive = p.adaptive
@@ -179,8 +167,8 @@ func (p *Problem) Fingerprint() string { return p.fingerprint }
 func (p *Problem) Starts() []State { return p.starts }
 
 // Adaptive reports whether state evaluations run on the adaptive-precision
-// (sequential stopping + racing) path. False either because Options.Adaptive
-// was off or because the space/device cannot support it.
+// (early-stopping) path. False either because Options.Adaptive was off or
+// because the space/device cannot support it.
 func (p *Problem) Adaptive() bool { return p.adaptive }
 
 // EvaluateStates scores a batch of states on the compiled pipeline — the

@@ -104,8 +104,7 @@ func TestSpotObjectiveIsSampledExpectedCost(t *testing.T) {
 	if k.Worlds() == 0 {
 		t.Fatal("spot cost goal needs sampled worlds")
 	}
-	pk := k.(PartialKernel)
-	if fig := pk.ValueFigure(); fig < 0 {
+	if fig := k.(*nativeKernel).ValueFigure(); fig < 0 {
 		t.Fatalf("ValueFigure() = %d, want the sampled cost column", fig)
 	}
 	evSpot, err := RunKernel(k)

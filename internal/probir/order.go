@@ -8,14 +8,13 @@ import (
 // This file implements decisive-world-first storage: a per-world severity
 // signal computed once per (program, base seed) and used to number the
 // worlds, so the adaptive evaluator, which runs worlds in ascending position,
-// meets likely-violating worlds first. The exact worst-case stopping rule
-// (package sample) bounds the final success probability over the FIXED
-// finite world set, so it stays valid under any fixed numbering of that set —
-// the numbering changes which prefix is seen, never the bound's soundness.
-// Front-loading severe worlds means a near-boundary infeasible state meets
-// its floor((1-pct)*N)+1 failing worlds in the first chunk instead of spread
-// across all N, and a feasible state exhausts its few failing worlds early
-// so the tail checkpoint at ceil(pct*N) can confirm it.
+// meets likely-violating worlds first. The solver's exact worst-case stopping
+// rule bounds the final success probability over the FIXED finite world set,
+// so it stays valid under any fixed numbering of that set — the numbering
+// changes which prefix is seen, never the bound's soundness. Front-loading
+// severe worlds means a near-boundary infeasible state meets its
+// floor((1-pct)*N)+1 failing worlds in the first chunk instead of spread
+// across all N.
 //
 // The severity signal is the critical-path length over the CRN duration
 // base, summed across every uniform configuration: severity[w] is the sum

@@ -5,11 +5,10 @@ import "fmt"
 // This file extends the world-kernel decomposition (kernel.go) with
 // partial evaluation: finalizing a state's Evaluation from a prefix of its
 // Monte-Carlo worlds. The adaptive evaluator in the solver runs worlds in
-// chunks, consults sequential stopping rules on the running indicator sums,
-// and stops a state as soon as its feasibility verdict is decided — which
-// requires the kernel to (a) expose which figures are constraint indicators
-// and what targets they face, and (b) reduce a world prefix into a sound,
-// pessimistic Evaluation.
+// chunks and stops a state as soon as its running indicator sums prove it
+// infeasible — which requires the kernel to (a) expose which figures are
+// constraint indicators and what targets they face, and (b) reduce a world
+// prefix into a sound, pessimistic Evaluation.
 
 // PartialKernel is a WorldKernel whose evaluation can be finalized from a
 // prefix of its worlds. All probir chunked execution folds worlds in
@@ -25,10 +24,6 @@ type PartialKernel interface {
 	// deadline that compares the sampled mean makespan), partial evaluation
 	// cannot decide feasibility early and the caller must run every world.
 	Indicators() (idx []int, targets []float64, ok bool)
-	// ValueFigure returns the figure index the goal value is reduced from, or
-	// -1 when the goal value is world-free (deterministic, exact under any
-	// prefix).
-	ValueFigure() int
 	// ReducePartial folds figure sums over the first seen worlds (accumulated
 	// in ascending world order) into a pessimistic Evaluation: every unseen
 	// world is assumed to violate every probabilistic constraint, so Feasible
@@ -39,7 +34,8 @@ type PartialKernel interface {
 	ReducePartial(sums []float64, seen int) (*Evaluation, error)
 }
 
-// ValueFigure implements PartialKernel: the sampled mean makespan drives the
+// ValueFigure returns the figure index the goal value is reduced from, or -1
+// when the goal value is world-free: the sampled mean makespan drives the
 // GoalMakespan value; the GoalCost value is the deterministic mean cost —
 // unless spot markets make cost itself a sampled figure, in which case the
 // goal reduces from the realized-cost column.

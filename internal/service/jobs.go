@@ -88,11 +88,11 @@ type SubmitRequest struct {
 	// server default; 1 restricts the solver to state-level parallelism.
 	// The produced plan is identical for every setting.
 	Threads int `json:"threads,omitempty"`
-	// Adaptive toggles adaptive-precision Monte-Carlo inference (sequential
-	// stopping + racing) for this job's solve; absent takes the server
-	// default (decod -adaptive). Plan feasibility and quality match the
-	// fixed-precision solve; worlds_evaluated/worlds_saved in the result
-	// report the sampling economy.
+	// Adaptive toggles adaptive-precision Monte-Carlo inference (a state
+	// stops once it is proven infeasible) for this job's solve; absent takes
+	// the server default (decod -adaptive). Every verdict is exact, and the
+	// plan is backed by a complete evaluation; worlds_evaluated/worlds_saved
+	// in the result report the sampling economy.
 	Adaptive *bool `json:"adaptive,omitempty"`
 
 	// RequestID is transport metadata, not part of the request body: it is
