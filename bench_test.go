@@ -236,7 +236,7 @@ func BenchmarkExpansion(b *testing.B) {
 func BenchmarkEvalCacheWarmSearch(b *testing.B) {
 	space := benchSpace(b, 100, 40)
 	cache := opt.NewEvalCache(0)
-	so := opt.DefaultOptions(device.TwoLevel{MaxThreads: 1})
+	so := opt.DefaultOptions(device.TwoLevel{})
 	so.MaxStates = 400
 	so.Seed = 5
 	so.Cache = cache
@@ -254,7 +254,7 @@ func BenchmarkEvalCacheWarmSearch(b *testing.B) {
 // BenchmarkAStarSearch measures the pruned best-first variant.
 func BenchmarkAStarSearch(b *testing.B) {
 	space := benchSpace(b, 100, 40)
-	so := opt.DefaultOptions(device.TwoLevel{MaxThreads: 1})
+	so := opt.DefaultOptions(device.TwoLevel{})
 	so.MaxStates = 400
 	so.Seed = 5
 	so.AStar = true

@@ -383,7 +383,7 @@ type orderedRow struct {
 // the row: both searches must converge to a feasible plan, the market
 // objective (expected cost under revocation) must land strictly below the
 // on-demand objective, and the market search must produce a bit-identical
-// objective on the sequential and state-parallel devices — the CRN
+// objective on the sequential and two-level devices — the CRN
 // determinism contract extended over the spot virtual columns. The
 // throughput halves measure one warm frontier expansion each — the
 // on-demand batch from the all-cheapest state, the market batch from the
@@ -394,7 +394,7 @@ type spotRow struct {
 	OnDemandObjective float64 `json:"ondemand_objective"`
 	SpotObjective     float64 `json:"spot_objective"`
 	// SpotObjectiveParallel is the market search's objective on the
-	// state-parallel device; CI asserts bit-equality with SpotObjective.
+	// two-level device; CI asserts bit-equality with SpotObjective.
 	SpotObjectiveParallel float64 `json:"spot_objective_parallel"`
 	Feasible              bool    `json:"feasible"`
 	// SavingsFrac is 1 - spot/on-demand: the fraction of the bill the market
@@ -571,7 +571,7 @@ func orderedPair(p *problem, worlds int, lo, hi float64, groups [][]int32, fixed
 // expected revocation rework in every world. Multi-start is left on — the
 // homogeneous all-spot starts are how the production engine reaches the
 // market shelf — and the market search runs twice, on the sequential and
-// state-parallel devices, to pin the CRN bit-equality contract over the
+// two-level devices, to pin the CRN bit-equality contract over the
 // spot columns.
 func spotPair(p *problem) *spotRow {
 	spotCat := cloud.DefaultCatalog()
@@ -604,7 +604,7 @@ func spotPair(p *problem) *spotRow {
 		Worlds: p.worlds, MinWorlds: 8,
 	}
 	spotParOpts := spotOpts
-	spotParOpts.Device = device.TwoLevel{MaxThreads: 1}
+	spotParOpts.Device = device.TwoLevel{}
 	odRes, _ := search(odSpace, spotOpts)
 	mkRes, _ := search(mkSpace, spotOpts)
 	mkResPar, _ := search(mkSpace, spotParOpts)
@@ -625,7 +625,7 @@ func spotPair(p *problem) *spotRow {
 		log.Fatal("market plan cheaper than on-demand but placed nothing on spot")
 	}
 	spot := &spotRow{
-		Benchmark:             "complete cost search, loose deadline; on-demand-only columns vs spot markets (clearing-price process + revocation rework), feasibility and spot < on-demand asserted, market objective bit-equal across sequential and state-parallel devices; expansion halves measured at the all-cheapest and all-cheapest-spot states",
+		Benchmark:             "complete cost search, loose deadline; on-demand-only columns vs spot markets (clearing-price process + revocation rework), feasibility and spot < on-demand asserted, market objective bit-equal across sequential and two-level devices; expansion halves measured at the all-cheapest and all-cheapest-spot states",
 		OnDemandObjective:     odRes.BestEval.Value,
 		SpotObjective:         mkRes.BestEval.Value,
 		SpotObjectiveParallel: mkResPar.BestEval.Value,
@@ -663,7 +663,7 @@ func deviceScaling() *scalingRow {
 	env := must(exp.NewEnv(exp.QuickConfig()))
 	res := must(env.Speedup(nil, exp.SpeedupRounds))
 	sr := &scalingRow{
-		Benchmark: "complete Montage scheduling searches (quick scale: default beam, and beam 2 where batches are narrower than the machine) on the sequential, state-parallel (TwoLevel MaxThreads 1) and two-level devices; median of interleaved rounds, device order rotated per round, identical plans asserted",
+		Benchmark: "complete Montage scheduling searches (quick scale: default beam, and beam 2 where batches are narrower than the machine) on the sequential, state-parallel (one worker per state) and two-level devices; median of interleaved rounds, device order rotated per round, identical plans asserted",
 		Blocks:    res.ParallelBlocks,
 		Rounds:    exp.SpeedupRounds,
 	}

@@ -58,12 +58,11 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 2, "solver worker pool size")
 	queue := flag.Int("queue", 64, "bounded queue depth; submissions beyond it get HTTP 429")
-	cache := flag.Int("cache", 256, "plan cache capacity in entries (0 disables)")
+	cache := flag.Int("cache", 256, "plan cache capacity in entries (0 = default, negative disables)")
 	evalCache := flag.Int("evalcache", 0, "state-evaluation cache capacity in entries (0 = default, negative disables)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	iters := flag.Int("iters", 100, "default Monte-Carlo iterations per state evaluation")
 	budget := flag.Int("budget", 4000, "default solver state-evaluation budget")
-	threads := flag.Int("threads", 0, "default Monte-Carlo threads per state evaluation (0 = unbounded, 1 = state-level parallelism only)")
 	adaptive := flag.Bool("adaptive", false, "default to adaptive-precision Monte-Carlo inference (a state stops once it is proven infeasible; exact verdicts, fewer worlds)")
 	seed := flag.Int64("seed", 1, "default rng seed")
 	risk := flag.Float64("risk", 0.1, "default replan risk threshold for managed runs")
@@ -76,6 +75,10 @@ func main() {
 	tenantWeights := flag.String("tenant-weights", "", `per-tenant scheduling weights, e.g. "gold=3,free=1" (absent tenants get 1)`)
 	flag.Parse()
 
+	if *iters > service.MaxIters {
+		fmt.Fprintf(os.Stderr, "decod: -iters %d exceeds the per-request cap of %d\n", *iters, service.MaxIters)
+		os.Exit(2)
+	}
 	weights, err := parseWeights(*tenantWeights)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "decod:", err)
@@ -103,7 +106,6 @@ func main() {
 		EnablePprof:         *pprofOn,
 		DefaultIters:        *iters,
 		DefaultSearchBudget: *budget,
-		DefaultThreads:      *threads,
 		DefaultAdaptive:     *adaptive,
 		DefaultSeed:         *seed,
 		DefaultRisk:         *risk,

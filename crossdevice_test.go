@@ -1,13 +1,13 @@
 package deco
 
 // Cross-device determinism: the search must return the identical Result on
-// every device — the contract that lets decod cache plans regardless of the
-// worker's parallelism settings (jobKey deliberately excludes the threads
-// knob). The scheduling space exercises the common-random-number kernel
-// path (shared world realizations across states, two-level block/thread
-// execution); the ensemble and follow-the-cost spaces exercise their
-// deterministic Worlds()=1 kernels. evalpaths_test.go proves the per-state
-// equivalence of the individual evaluation paths.
+// every device — the contract that lets decod cache plans regardless of
+// the machine a worker runs on (jobKey names no device). The scheduling
+// space exercises the common-random-number kernel path (shared world
+// realizations across states, two-level block/thread execution); the
+// ensemble and follow-the-cost spaces exercise their deterministic
+// Worlds()=1 kernels. evalpaths_test.go proves the per-state equivalence
+// of the individual evaluation paths.
 
 import (
 	"context"
@@ -28,14 +28,12 @@ import (
 )
 
 // crossDevices is the device matrix every space must agree across: the
-// sequential baseline, the state-parallel shape (one worker per block), the
-// two-level default, and an oversubscribed pool whose blocks are capped at
-// two threads.
+// sequential baseline, the two-level default, and a three-worker pool that
+// oversubscribes a machine with fewer cores.
 var crossDevices = []device.Device{
 	device.Sequential{},
-	device.TwoLevel{MaxThreads: 1},
 	device.TwoLevel{},
-	device.TwoLevel{NumWorkers: 3, MaxThreads: 2},
+	device.TwoLevel{NumWorkers: 3},
 }
 
 // searchAllDevices runs the same search on every device (crossDevices when

@@ -81,21 +81,9 @@ func WithCatalog(cat *cloud.Catalog) Option { return func(e *Engine) { e.cat = c
 func WithMetadata(md *cloud.Metadata) Option { return func(e *Engine) { e.meta = md } }
 
 // WithDevice selects the solver's execution device (default: TwoLevel, the
-// block/thread model of §5.2-5.3). WithDevice and WithThreads both set the
-// device, so whichever comes later in the options wins.
+// block/thread model of §5.2-5.3). Plans are identical on every device; it
+// decides only how the work is scheduled.
 func WithDevice(d device.Device) Option { return func(e *Engine) { e.dev = d } }
-
-// WithThreads bounds the Monte-Carlo iteration parallelism within one state's
-// evaluation (threads per block in the §5.2 model): n == 1 restricts the
-// device to state-level parallelism only, n > 1 lets at most n chunks of one
-// state's iterations run at once, and n <= 0 (the default) lets it split a
-// state's iterations freely. Plans are identical for every setting; the knob
-// trades scheduling overhead against narrow-batch utilization. It sets the
-// device to TwoLevel{MaxThreads: n}, replacing any earlier WithDevice; a
-// later WithDevice replaces it in turn.
-func WithThreads(n int) Option {
-	return func(e *Engine) { e.dev = device.TwoLevel{MaxThreads: n} }
-}
 
 // WithIters sets the Monte-Carlo iteration budget per state evaluation
 // (Max_iter of Algorithm 1; default 100).

@@ -17,7 +17,7 @@ import (
 
 func newTestEngine(t *testing.T, options ...Option) *Engine {
 	t.Helper()
-	base := []Option{WithSeed(1), WithIters(40), WithSearchBudget(2000), WithDevice(device.TwoLevel{MaxThreads: 1})}
+	base := []Option{WithSeed(1), WithIters(40), WithSearchBudget(2000)}
 	eng, err := NewEngine(append(base, options...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestRunProgramPrologPathDeviceInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want *Plan
-	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{MaxThreads: 1}, device.TwoLevel{}} {
+	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{}, device.TwoLevel{NumWorkers: 3}} {
 		eng := newTestEngine(t, WithIters(30), WithSearchBudget(200), WithDevice(dev))
 		plan, err := eng.RunProgram(userRuleProgram, w)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"deco"
-	"deco/internal/device"
 )
 
 const ensembleProgram = `
@@ -100,8 +99,7 @@ C in totalcost(C) satisfies budget(mean, 10).
 }
 
 func TestRunEnsembleProgram(t *testing.T) {
-	eng, err := deco.NewEngine(deco.WithSeed(1), deco.WithIters(40),
-		deco.WithDevice(device.TwoLevel{MaxThreads: 1}), deco.WithSearchBudget(400))
+	eng, err := deco.NewEngine(deco.WithSeed(1), deco.WithIters(40), deco.WithSearchBudget(400))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	}
 	fmt.Printf("ensemble: %d Ligo workflows, max score %.3f\n\n", len(e.Workflows), e.MaxScore())
 
-	search := opt.DefaultOptions(device.TwoLevel{MaxThreads: 1})
+	search := opt.DefaultOptions(device.TwoLevel{})
 	search.MaxStates = 800
 	search.Seed = 3
 	decoSpace, err := ensemble.NewSpace(e, 0, ensemble.DecoPlanner(tblOf, prices, 60, search))
@@ -66,7 +66,7 @@ func main() {
 
 		res, err := opt.Search(decoSpace, opt.Options{
 			Maximize: true, MaxStates: 2000, BeamWidth: 10, Patience: 10, Seed: 4,
-			Device: device.TwoLevel{MaxThreads: 1},
+			Device: device.TwoLevel{},
 		})
 		if err != nil {
 			log.Fatal(err)

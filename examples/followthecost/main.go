@@ -60,7 +60,7 @@ func main() {
 	}
 
 	fmt.Println("follow-the-cost across us-east-1 and ap-southeast-1:")
-	deco := run("deco", ftc.NewDecoOptimizer(device.TwoLevel{MaxThreads: 1}, 5), 9)
+	deco := run("deco", ftc.NewDecoOptimizer(device.TwoLevel{}, 5), 9)
 	heur := run("heuristic", ftc.NewHeuristic(0.5, 1800), 9)
 	fmt.Printf("\ndeco / heuristic cost ratio: %.2f\n", deco.TotalCost/heur.TotalCost)
 

@@ -13,18 +13,18 @@
 //   - MapBlocks schedules blocks *and* the threads within them, so a batch
 //     narrower than the machine — one A* expansion, a handful of
 //     multi-start seeds, an exploitation-phase child set — still saturates
-//     every core. The TwoLevel device shares thread chunks across its
-//     worker pool, stealing work from wide blocks when the batch is narrow;
-//     with MaxThreads 1 it pins each block to one worker and parallelizes
-//     across blocks only.
+//     every core. The TwoLevel device shares every (block, thread) unit
+//     across its worker pool, so when the batch is narrow the surplus
+//     workers take threads from the blocks that remain.
 //
 // ReduceBlocksRange, the solver's one evaluation primitive, maps a block's
 // Monte-Carlo worlds onto MapBlocks threads in *world chunks*: each
 // (block, chunk) unit hands a run of consecutive world positions to one
 // kernel call, the software analogue of a warp stepping consecutive worlds
-// through the same task in lockstep. The chunk size depends on the device's
-// width and the batch, never on results: slots are folded per block in
-// ascending world order whatever the chunking.
+// through the same task in lockstep. It is the one place that decides how a
+// block's worlds split across workers. The chunk size depends on the
+// device's width and the batch, never on results: slots are folded per block
+// in ascending world order whatever the chunking.
 //
 // All implementations run the same work and produce identical results given
 // per-(block,thread) deterministic seeds; only wall-clock time differs,
@@ -83,28 +83,17 @@ func (Sequential) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 
 // TwoLevel is the full block/thread device of §5.2-5.3: states are blocks,
 // Monte-Carlo iterations are threads within a block, and the worker pool
-// shares thread chunks across blocks. A wide batch degenerates to block
-// scheduling (each worker drains whole blocks); a narrow batch splits each
-// block's threads across many workers, so even a single-state evaluation
-// uses the whole machine.
+// shares (block, thread) units across blocks. A wide batch degenerates to
+// block scheduling (each worker drains whole blocks); a narrow batch spreads
+// each block's threads across many workers, so even a single-state
+// evaluation uses the whole machine.
 type TwoLevel struct {
 	// NumWorkers is the goroutine pool size; 0 means GOMAXPROCS.
 	NumWorkers int
-	// MaxThreads caps how many thread chunks of one block may be in flight
-	// concurrently — the iteration-parallelism knob. 0 (or less) means
-	// unbounded (split blocks as finely as keeps all workers busy); 1 pins
-	// each block to a single worker, so the device parallelizes across
-	// states only: its threads run in order on the worker that owns it.
-	MaxThreads int
 }
 
 // Name implements Device.
-func (d TwoLevel) Name() string {
-	if d.MaxThreads > 0 {
-		return fmt.Sprintf("twolevel-%dx%d", d.workers(), d.MaxThreads)
-	}
-	return fmt.Sprintf("twolevel-%d", d.workers())
-}
+func (d TwoLevel) Name() string { return fmt.Sprintf("twolevel-%d", d.workers()) }
 
 // Blocks implements Device.
 func (d TwoLevel) Blocks() int { return d.workers() }
@@ -153,33 +142,18 @@ func run(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// MapBlocks implements Device. Every block's threads are cut into
-// chunks that never span blocks; workers pull chunks from a shared counter,
-// so when the batch is narrower than the pool the surplus workers steal
-// chunks from the blocks that remain — the cross-block work-sharing a real
-// GPU gets from oversubscribing its multiprocessors.
+// MapBlocks implements Device. Workers pull (block, thread) units from a
+// shared counter, so when the batch is narrower than the pool the surplus
+// workers take threads from the blocks that remain — the cross-block
+// work-sharing a real GPU gets from oversubscribing its multiprocessors. It
+// never starts more workers than there are units, and a call with one unit
+// (or one worker) runs inline.
 func (d TwoLevel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)) {
 	if nBlocks <= 0 || threads <= 0 {
 		return
 	}
-	// Aim for ~4 chunks per worker so stealing stays cheap but no worker
-	// idles behind one long chunk; never split finer than MaxThreads allows.
+	units := nBlocks * threads
 	workers := d.workers()
-	chunksPerBlock := (4*workers + nBlocks - 1) / nBlocks
-	if chunksPerBlock > threads {
-		chunksPerBlock = threads
-	}
-	if d.MaxThreads > 0 && chunksPerBlock > d.MaxThreads {
-		chunksPerBlock = d.MaxThreads
-	}
-	if chunksPerBlock < 1 {
-		chunksPerBlock = 1
-	}
-	chunk := (threads + chunksPerBlock - 1) / chunksPerBlock
-	perBlock := (threads + chunk - 1) / chunk // tight after rounding
-	units := nBlocks * perBlock
-	// Never start more workers than there are units: with MaxThreads 1 a
-	// one-block call runs inline rather than waking an idle goroutine.
 	if workers > units {
 		workers = units
 	}
@@ -187,17 +161,7 @@ func (d TwoLevel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)
 		Sequential{}.MapBlocks(nBlocks, threads, kernel)
 		return
 	}
-	run(workers, units, func(u int) {
-		b := u / perBlock
-		lo := (u % perBlock) * chunk
-		hi := lo + chunk
-		if hi > threads {
-			hi = threads
-		}
-		for t := lo; t < hi; t++ {
-			kernel(b, t)
-		}
-	})
+	run(workers, units, func(u int) { kernel(u/threads, u%threads) })
 }
 
 // BlockKernel computes the worlds at positions [lo, hi) of block b into out:
@@ -332,16 +296,4 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// Reduce runs fn(i) for every i in [0, n) on the device and sums the results
-// in index order — a single-block ReduceBlocks.
-func Reduce(d Device, n int, fn func(i int) float64) float64 {
-	sums, _ := ReduceBlocks(d, 1, n, 1, func(_, lo, hi int, out []float64) error {
-		for i := lo; i < hi; i++ {
-			out[i-lo] = fn(i)
-		}
-		return nil
-	})
-	return sums[0]
 }

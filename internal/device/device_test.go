@@ -21,7 +21,7 @@ func TestSequentialMapVisitsAllInOrder(t *testing.T) {
 
 func TestTwoLevelMapVisitsAllExactlyOnce(t *testing.T) {
 	const n = 1000
-	for _, d := range []Device{TwoLevel{NumWorkers: 8}, TwoLevel{NumWorkers: 8, MaxThreads: 1}} {
+	for _, d := range []Device{TwoLevel{NumWorkers: 8}, TwoLevel{NumWorkers: 1}} {
 		var counts [n]int32
 		d.Map(n, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
@@ -52,26 +52,30 @@ func TestBlocksAndNames(t *testing.T) {
 	if (Sequential{}).Blocks() != 1 || (Sequential{}).Name() != "sequential" {
 		t.Error("sequential identity wrong")
 	}
-	d := TwoLevel{NumWorkers: 6, MaxThreads: 1}
+	d := TwoLevel{NumWorkers: 6}
 	if d.Blocks() != 6 {
 		t.Errorf("blocks %d", d.Blocks())
 	}
-	if d.Name() != "twolevel-6x1" {
+	if d.Name() != "twolevel-6" {
 		t.Errorf("name %s", d.Name())
-	}
-	if (TwoLevel{MaxThreads: 1}).Blocks() < 1 {
-		t.Error("default blocks < 1")
 	}
 }
 
+// A single-block ReduceBlocks sums in index order on every device.
 func TestReduceMatchesSequentialSum(t *testing.T) {
 	f := func(vals []float64) bool {
-		n := len(vals)
-		fn := func(i int) float64 { return vals[i] }
-		seq := Reduce(Sequential{}, n, fn)
-		par := Reduce(TwoLevel{NumWorkers: 4, MaxThreads: 1}, n, fn)
-		two := Reduce(TwoLevel{NumWorkers: 4}, n, fn)
-		return seq == par && seq == two
+		sum := func(d Device) float64 {
+			sums, _ := ReduceBlocks(d, 1, len(vals), 1, perWorld(func(_, i int, out []float64) error {
+				out[0] = vals[i]
+				return nil
+			}))
+			return sums[0]
+		}
+		var seq float64
+		for _, v := range vals {
+			seq += v
+		}
+		return seq == sum(Sequential{}) && seq == sum(TwoLevel{NumWorkers: 1}) && seq == sum(TwoLevel{NumWorkers: 4})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -98,9 +102,9 @@ func TestTwoLevelMapDeterminism(t *testing.T) {
 func TestMapBlocksVisitsEveryPairExactlyOnce(t *testing.T) {
 	devices := []Device{
 		Sequential{},
+		TwoLevel{NumWorkers: 1},
 		TwoLevel{NumWorkers: 5},
-		TwoLevel{NumWorkers: 5, MaxThreads: 1},
-		TwoLevel{NumWorkers: 5, MaxThreads: 3},
+		TwoLevel{NumWorkers: 64},
 	}
 	shapes := [][2]int{{1, 100}, {2, 37}, {13, 1}, {8, 8}, {40, 3}, {3, 0}, {0, 3}}
 	for _, d := range devices {
@@ -119,46 +123,8 @@ func TestMapBlocksVisitsEveryPairExactlyOnce(t *testing.T) {
 	}
 }
 
-// MaxThreads=1 pins each block to one worker: whatever the shape, each
-// block's threads run in ascending order and never two at once, and every
-// (block, thread) pair runs exactly once — the state-parallel schedule.
-func TestTwoLevelMaxThreadsOnePinsBlocks(t *testing.T) {
-	shapes := [][2]int{{6, 50}, {1, 2}, {1, 40}, {2, 7}, {9, 1}}
-	for _, workers := range []int{1, 2, 4} {
-		d := TwoLevel{NumWorkers: workers, MaxThreads: 1}
-		for _, sh := range shapes {
-			nb, th := sh[0], sh[1]
-			last := make([]int32, nb)
-			busy := make([]int32, nb)
-			counts := make([]int32, nb*th)
-			for i := range last {
-				last[i] = -1
-			}
-			d.MapBlocks(nb, th, func(b, tt int) {
-				if n := atomic.AddInt32(&busy[b], 1); n != 1 {
-					t.Errorf("%s %dx%d: block %d runs %d threads at once", d.Name(), nb, th, b, n)
-				}
-				if prev := atomic.LoadInt32(&last[b]); int32(tt) != prev+1 {
-					t.Errorf("%s %dx%d: block %d: thread %d after %d", d.Name(), nb, th, b, tt, prev)
-				}
-				atomic.StoreInt32(&last[b], int32(tt))
-				atomic.AddInt32(&counts[b*th+tt], 1)
-				atomic.AddInt32(&busy[b], -1)
-			})
-			for i, c := range counts {
-				if c != 1 {
-					t.Errorf("%s %dx%d: pair %d ran %d times", d.Name(), nb, th, i, c)
-				}
-			}
-		}
-	}
-}
-
 func TestTwoLevelNames(t *testing.T) {
 	if got := (TwoLevel{NumWorkers: 4}).Name(); got != "twolevel-4" {
-		t.Errorf("name %s", got)
-	}
-	if got := (TwoLevel{NumWorkers: 4, MaxThreads: 2}).Name(); got != "twolevel-4x2" {
 		t.Errorf("name %s", got)
 	}
 	if (TwoLevel{}).Blocks() < 1 {
@@ -180,7 +146,7 @@ func TestReduceBlocksBitIdenticalAcrossDevices(t *testing.T) {
 		return nil
 	}
 	ref, _ := ReduceBlocks(Sequential{}, nb, th, width, perWorld(kernel))
-	for _, d := range []Device{TwoLevel{NumWorkers: 5, MaxThreads: 1}, TwoLevel{NumWorkers: 5}, TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
+	for _, d := range []Device{TwoLevel{NumWorkers: 1}, TwoLevel{NumWorkers: 5}, TwoLevel{NumWorkers: 3}, TwoLevel{}} {
 		for rep := 0; rep < 10; rep++ {
 			got, errs := ReduceBlocks(d, nb, th, width, perWorld(kernel))
 			for _, err := range errs {
@@ -262,7 +228,7 @@ func TestReduceBlocksRangeChainsBitIdentical(t *testing.T) {
 	// One Buffers serves every round: reuse must not leak a round's slots
 	// or errors into the next.
 	buf := new(Buffers)
-	for _, d := range []Device{Sequential{}, TwoLevel{NumWorkers: 4, MaxThreads: 1}, TwoLevel{NumWorkers: 5}} {
+	for _, d := range []Device{Sequential{}, TwoLevel{NumWorkers: 2}, TwoLevel{NumWorkers: 5}} {
 		for _, bounds := range [][]int{{th}, {16, 48, th}, {1, 2, 3, 50, th}} {
 			sums := make([]float64, nb*width)
 			lo := 0

@@ -34,7 +34,7 @@ type Config struct {
 	Iters int
 	// SearchBudget bounds solver evaluations.
 	SearchBudget int
-	// Device runs the solver.
+	// Device runs the solver (NewEnv defaults it to device.TwoLevel{}).
 	Device device.Device
 	// Quick selects reduced workflow sizes.
 	Quick bool
@@ -46,12 +46,12 @@ type Config struct {
 // worlds keeps quick-scale searches on the same plans as paper scale, and
 // the flat evaluation core makes them cheap.
 func QuickConfig() Config {
-	return Config{Seed: 1, Runs: 12, Iters: 80, SearchBudget: 1600, Device: device.TwoLevel{MaxThreads: 1}, Quick: true}
+	return Config{Seed: 1, Runs: 12, Iters: 80, SearchBudget: 1600, Quick: true}
 }
 
 // FullConfig returns the paper-scale configuration.
 func FullConfig() Config {
-	return Config{Seed: 1, Runs: 100, Iters: 100, SearchBudget: 4000, Device: device.TwoLevel{MaxThreads: 1}}
+	return Config{Seed: 1, Runs: 100, Iters: 100, SearchBudget: 4000}
 }
 
 // Env is the shared experimental environment: catalog, calibrated metadata,
@@ -73,7 +73,7 @@ type Env struct {
 // calibrated ground truth.
 func NewEnv(cfg Config) (*Env, error) {
 	if cfg.Device == nil {
-		cfg.Device = device.TwoLevel{MaxThreads: 1}
+		cfg.Device = device.TwoLevel{}
 	}
 	if cfg.Runs < 1 || cfg.Iters < 1 {
 		return nil, fmt.Errorf("exp: Runs and Iters must be >= 1")

@@ -3,8 +3,10 @@ package exp
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"deco/internal/device"
 	"deco/internal/ensemble"
 )
 
@@ -284,6 +286,41 @@ func TestSpeedupShape(t *testing.T) {
 	}
 	if narrow == 0 {
 		t.Error("no narrow-beam rows in the series")
+	}
+}
+
+// The state-parallel comparator pins each block to one worker: whatever
+// the shape, each block's threads run in ascending order and never two at
+// once, and every (block, thread) pair runs exactly once.
+func TestStateParallelPinsBlocks(t *testing.T) {
+	shapes := [][2]int{{6, 50}, {1, 2}, {1, 40}, {2, 7}, {9, 1}}
+	for _, workers := range []int{1, 2, 4} {
+		d := stateParallel{device.TwoLevel{NumWorkers: workers}}
+		for _, sh := range shapes {
+			nb, th := sh[0], sh[1]
+			last := make([]int32, nb)
+			busy := make([]int32, nb)
+			counts := make([]int32, nb*th)
+			for i := range last {
+				last[i] = -1
+			}
+			d.MapBlocks(nb, th, func(b, tt int) {
+				if n := atomic.AddInt32(&busy[b], 1); n != 1 {
+					t.Errorf("%s %dx%d: block %d runs %d threads at once", d.Name(), nb, th, b, n)
+				}
+				if prev := atomic.LoadInt32(&last[b]); int32(tt) != prev+1 {
+					t.Errorf("%s %dx%d: block %d: thread %d after %d", d.Name(), nb, th, b, tt, prev)
+				}
+				atomic.StoreInt32(&last[b], int32(tt))
+				atomic.AddInt32(&counts[b*th+tt], 1)
+				atomic.AddInt32(&busy[b], -1)
+			})
+			for i, c := range counts {
+				if c != 1 {
+					t.Errorf("%s %dx%d: pair %d ran %d times", d.Name(), nb, th, i, c)
+				}
+			}
+		}
 	}
 }
 

@@ -44,9 +44,27 @@ type SpeedupResult struct {
 }
 
 // SpeedupDevices are the devices the speedup rows compare, in column order:
-// the sequential baseline, the state-parallel shape (each block's threads
-// pinned to one worker) and the full two-level device.
-var SpeedupDevices = []device.Device{device.Sequential{}, device.TwoLevel{MaxThreads: 1}, device.TwoLevel{}}
+// the sequential baseline, the state-parallel comparator and the full
+// two-level device.
+var SpeedupDevices = []device.Device{device.Sequential{}, stateParallel{}, device.TwoLevel{}}
+
+// stateParallel is the §6.3 state-parallel comparator: blocks run in
+// parallel on the two-level device's pool, and each block's threads run in
+// order on the worker that owns it, so only state-level parallelism is
+// used. It exists to be measured against TwoLevel; the solver never picks it.
+type stateParallel struct{ device.TwoLevel }
+
+// Name implements device.Device.
+func (d stateParallel) Name() string { return fmt.Sprintf("state-parallel-%d", d.Blocks()) }
+
+// MapBlocks implements device.Device: one unit per block.
+func (d stateParallel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)) {
+	d.Map(nBlocks, func(b int) {
+		for t := 0; t < threads; t++ {
+			kernel(b, t)
+		}
+	})
+}
 
 // SpeedupRounds is how many rounds a speedup measurement that reports
 // ratios takes. Rounds interleave the devices and rotate their order, so a

@@ -90,7 +90,7 @@ func TestSearchWithEvalCacheIsTrajectoryIdentical(t *testing.T) {
 	}
 	sp := NewPackedScheduleSpace(w, ne, tbl, prices, cloud.USEast)
 	cache := NewEvalCache(0)
-	base := Options{Device: device.TwoLevel{MaxThreads: 1}, MaxStates: 400, Seed: 7, Cache: cache}
+	base := Options{Device: device.TwoLevel{}, MaxStates: 400, Seed: 7, Cache: cache}
 
 	cold, err := Search(sp, base)
 	if err != nil {

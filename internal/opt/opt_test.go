@@ -17,14 +17,12 @@ import (
 )
 
 // testDevices is the device matrix the solver's determinism tests agree
-// across: the sequential baseline, the state-parallel shape (one worker per
-// block), the two-level default, and an oversubscribed pool whose blocks
-// are capped at two threads.
+// across: the sequential baseline, the two-level default, and a
+// three-worker pool that oversubscribes a machine with fewer cores.
 var testDevices = []device.Device{
 	device.Sequential{},
-	device.TwoLevel{MaxThreads: 1},
 	device.TwoLevel{},
-	device.TwoLevel{NumWorkers: 3, MaxThreads: 2},
+	device.TwoLevel{NumWorkers: 3},
 }
 
 // buildEval assembles a native evaluator for a workflow with the given
@@ -189,7 +187,7 @@ func TestParallelDeviceSameResultAsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Device = device.TwoLevel{NumWorkers: 8, MaxThreads: 1}
+	opts.Device = device.TwoLevel{NumWorkers: 8}
 	par, err := Search(space, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -45,8 +45,8 @@ type Options struct {
 	// replan search it triggers evaluates every candidate over those same
 	// worlds.
 	Seed int64
-	// Device runs Monte-Carlo worlds (default device.TwoLevel{MaxThreads: 1}:
-	// states in parallel, each state's worlds on one worker).
+	// Device runs Monte-Carlo worlds (default device.TwoLevel{}: a risk
+	// evaluation's worlds and a replan's states share the whole pool).
 	Device device.Device
 	// Ctx cancels replan searches; nil means context.Background().
 	Ctx context.Context
@@ -78,7 +78,7 @@ func (o *Options) fillDefaults() {
 		o.Cooldown = 1
 	}
 	if o.Device == nil {
-		o.Device = device.TwoLevel{MaxThreads: 1}
+		o.Device = device.TwoLevel{}
 	}
 	if o.Ctx == nil {
 		o.Ctx = context.Background()

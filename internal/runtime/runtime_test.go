@@ -201,7 +201,7 @@ func TestAdaptiveRunsAreDeterministic(t *testing.T) {
 	// The residual kernels seed every world themselves, so risk estimates
 	// and replan searches are identical on every device, run after run.
 	a := run(device.Sequential{})
-	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{MaxThreads: 1}, device.TwoLevel{}, device.TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
+	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{}, device.TwoLevel{NumWorkers: 3}} {
 		b := run(dev)
 		if string(a.events) != string(b.events) {
 			t.Fatalf("%s: event logs differ between identical seeded runs:\n%s\n---\n%s", dev.Name(), a.events, b.events)
@@ -400,7 +400,7 @@ func TestReplanSearchStartsOnRiskWorlds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{}, device.TwoLevel{NumWorkers: 3, MaxThreads: 2}} {
+	for _, dev := range []device.Device{device.Sequential{}, device.TwoLevel{}, device.TwoLevel{NumWorkers: 3}} {
 		m, err := NewMonitor(s.w, s.plan, s.tbl, s.prices, cloud.USEast, s.cons,
 			Options{Seed: 42, Iters: 150, ReplanBudget: 1, Device: dev})
 		if err != nil {

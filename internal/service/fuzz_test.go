@@ -20,7 +20,7 @@ import (
 // workflows, an inline DAX written by dax.Write, and malformed bodies.
 // normalize must never panic; it returns either an error or a workflow that
 // is non-nil exactly in workflow/DAX mode; the same request always gets the
-// same job key, and the key does not change with threads or tenant.
+// same job key, and the key does not change with the tenant.
 //
 // Run it with: go test -run '^$' -fuzz FuzzSubmitRequest -fuzztime 20s -fuzzminimizetime 5s ./internal/service/
 func FuzzSubmitRequest(f *testing.F) {
@@ -49,7 +49,7 @@ func FuzzSubmitRequest(f *testing.F) {
 	for _, name := range []string{"montage", "montage4", "ligo", "epigenomics", "cybershake", "pipeline", "bag"} {
 		add(SubmitRequest{Workflow: name, Deadline: deadline})
 	}
-	add(SubmitRequest{Workflow: "montage", Budget: &PctBound{Percentile: -1, Value: 2}, Goal: "makespan", Threads: 2, Tenant: "t1"})
+	add(SubmitRequest{Workflow: "montage", Budget: &PctBound{Percentile: -1, Value: 2}, Goal: "makespan", Tenant: "t1"})
 	w, err := wfgen.Montage(1, rand.New(rand.NewSource(7)))
 	if err != nil {
 		f.Fatal(err)
@@ -67,7 +67,8 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"workflow":"nosuch","deadline":{"value":1}}`,
 		`{"program":"minimize C in totalcost(C).","deadline":{"value":1}}`,
 		`{"workflow":"pipeline","budget":{"value":1},"iters":-1}`,
-		`{"workflow":"pipeline","budget":{"value":1},"threads":-2}`,
+		`{"workflow":"pipeline","budget":{"value":1},"iters":10001}`,
+		`{"workflow":"pipeline","budget":{"value":1},"threads":2}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -106,17 +107,13 @@ func FuzzSubmitRequest(f *testing.F) {
 		key := m.jobKey(&req, w)
 
 		// The same request, decoded and normalized again, gets the same key;
-		// so does the request from another tenant with another thread bound.
+		// so does the request from another tenant.
 		for _, vary := range []bool{false, true} {
 			again, err := decode(body)
 			if err != nil {
 				t.Fatalf("second decode failed: %v", err)
 			}
 			if vary {
-				again.Threads = 1
-				if req.Threads == 1 {
-					again.Threads = 2
-				}
 				again.Tenant = "fuzz-other-tenant"
 			}
 			w2, _, err := m.normalize(&again)
@@ -124,7 +121,7 @@ func FuzzSubmitRequest(f *testing.F) {
 				t.Fatalf("request accepted once, rejected on repeat (vary=%v): %v", vary, err)
 			}
 			if k := m.jobKey(&again, w2); k != key {
-				t.Fatalf("job key changed (vary threads/tenant %v): %s vs %s", vary, k, key)
+				t.Fatalf("job key changed (vary tenant %v): %s vs %s", vary, k, key)
 			}
 		}
 	})

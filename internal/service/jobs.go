@@ -44,6 +44,11 @@ const (
 // DefaultTenant is the tenant jobs without an explicit tenant belong to.
 const DefaultTenant = "default"
 
+// MaxIters caps a request's Monte-Carlo iterations at 100 times the default.
+// A solve compiles tasks x types x iters samples up front, so an unbounded
+// value would let one request exhaust the daemon's memory.
+const MaxIters = 10000
+
 // PctBound is a probabilistic bound: P(X <= Value) >= Percentile. A
 // Percentile <= 0 selects the deterministic (expected-value) notion.
 type PctBound struct {
@@ -83,11 +88,6 @@ type SubmitRequest struct {
 	Seed         int64 `json:"seed,omitempty"`
 	Iters        int   `json:"iters,omitempty"`
 	SearchBudget int   `json:"search_budget,omitempty"`
-	// Threads bounds Monte-Carlo iteration parallelism within one state
-	// evaluation (threads per block in the §5.2 device model). 0 takes the
-	// server default; 1 restricts the solver to state-level parallelism.
-	// The produced plan is identical for every setting.
-	Threads int `json:"threads,omitempty"`
 	// Adaptive toggles adaptive-precision Monte-Carlo inference (a state
 	// stops once it is proven infeasible) for this job's solve; absent takes
 	// the server default (decod -adaptive). Every verdict is exact, and the
@@ -341,20 +341,14 @@ func (m *Manager) normalize(req *SubmitRequest) (*dag.Workflow, string, error) {
 	if req.Iters == 0 {
 		req.Iters = m.cfg.DefaultIters
 	}
-	if req.Iters < 1 {
-		return nil, "", fmt.Errorf("iters must be >= 1")
+	if req.Iters < 1 || req.Iters > MaxIters {
+		return nil, "", fmt.Errorf("iters must be in [1, %d]", MaxIters)
 	}
 	if req.SearchBudget == 0 {
 		req.SearchBudget = m.cfg.DefaultSearchBudget
 	}
 	if req.SearchBudget < 1 {
 		return nil, "", fmt.Errorf("search_budget must be >= 1")
-	}
-	if req.Threads == 0 {
-		req.Threads = m.cfg.DefaultThreads
-	}
-	if req.Threads < 0 {
-		return nil, "", fmt.Errorf("threads must be >= 0")
 	}
 	if req.Adaptive == nil {
 		v := m.cfg.DefaultAdaptive
@@ -428,12 +422,10 @@ func (m *Manager) normalize(req *SubmitRequest) (*dag.Workflow, string, error) {
 // jobKey computes the content-addressed cache key: a hash over the workflow
 // structure (or program text), the catalog, the goal and constraints, and the
 // solver configuration. Two requests with the same key provably ask for the
-// same plan. Threads is deliberately excluded: plans are device- and
-// parallelism-independent (the solver's cross-device determinism tests pin
-// this down), so requests differing only in threads share a cache entry. The
-// tenant is excluded too (see SubmitRequest.Tenant). The same key shards
-// ownership across the peer ring, so it must be computed identically on
-// every node.
+// same plan. Nothing about the device enters it: plans are device-independent
+// (the solver's cross-device determinism tests pin this down). The tenant is
+// excluded too (see SubmitRequest.Tenant). The same key shards ownership
+// across the peer ring, so it must be computed identically on every node.
 func (m *Manager) jobKey(req *SubmitRequest, w *dag.Workflow) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v1|cat=%s|seed=%d|iters=%d|budget=%d|goal=%s|", m.catHash, req.Seed, req.Iters, req.SearchBudget, req.Goal)
@@ -743,7 +735,6 @@ func (m *Manager) worker() {
 		seed     int64
 		iters    int
 		budget   int
-		threads  int
 		adaptive bool
 		scope    string
 	}
@@ -768,8 +759,7 @@ func (m *Manager) worker() {
 		// The scope labels the engine's eval-cache traffic by job kind, so
 		// /metrics can report e.g. how well ensemble members share
 		// evaluations; the cache itself stays one shared table.
-		cfg := engineCfg{seed: j.req.Seed, iters: j.req.Iters, budget: j.req.SearchBudget,
-			threads: j.req.Threads, scope: j.kind}
+		cfg := engineCfg{seed: j.req.Seed, iters: j.req.Iters, budget: j.req.SearchBudget, scope: j.kind}
 		if j.req.Adaptive != nil {
 			cfg.adaptive = *j.req.Adaptive
 		}
@@ -777,8 +767,7 @@ func (m *Manager) worker() {
 		var err error
 		if !ok {
 			opts := []deco.Option{deco.WithSeed(cfg.seed), deco.WithIters(cfg.iters),
-				deco.WithSearchBudget(cfg.budget), deco.WithThreads(cfg.threads),
-				deco.WithAdaptive(cfg.adaptive)}
+				deco.WithSearchBudget(cfg.budget), deco.WithAdaptive(cfg.adaptive)}
 			if m.evalCache != nil {
 				opts = append(opts, deco.WithEvalCache(m.evalCache), deco.WithEvalCacheScope(cfg.scope))
 			}

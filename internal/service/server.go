@@ -72,8 +72,8 @@ type Config struct {
 	// Logf, when non-nil, receives operational log lines (submissions,
 	// forwards, failures) with request IDs. nil discards them.
 	Logf func(format string, args ...any)
-	// CacheCapacity is the plan cache size in entries (default 256; 0
-	// disables caching).
+	// CacheCapacity is the plan cache size in entries (default 256;
+	// negative disables caching).
 	CacheCapacity int
 	// MaxJobsRetained bounds the job table; the oldest finished jobs are
 	// dropped past it (default 1024).
@@ -92,11 +92,6 @@ type Config struct {
 	DefaultSeed         int64
 	DefaultIters        int
 	DefaultSearchBudget int
-	// DefaultThreads bounds Monte-Carlo iteration parallelism per state
-	// evaluation (threads per block); 0 lets the device split iterations
-	// freely, 1 restricts it to state-level parallelism. Plans do not depend
-	// on this knob.
-	DefaultThreads int
 	// DefaultAdaptive enables adaptive-precision Monte-Carlo inference for
 	// requests that do not set "adaptive" themselves (decod -adaptive).
 	DefaultAdaptive bool

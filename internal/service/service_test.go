@@ -190,6 +190,60 @@ func TestCacheHitOnIdenticalResubmission(t *testing.T) {
 	}
 }
 
+// CacheCapacity follows the EvalCacheCapacity convention: 0 takes the
+// default plan cache, a negative capacity disables it, so an identical
+// resubmission is solved again.
+func TestCacheCapacityNegativeDisables(t *testing.T) {
+	req := SubmitRequest{Workflow: "pipeline", Deadline: &PctBound{Percentile: 0.9, Value: 40000}}
+	for _, tc := range []struct {
+		capacity int
+		cached   bool
+	}{{-1, false}, {0, true}} {
+		cfg := quickCfg()
+		cfg.CacheCapacity = tc.capacity
+		_, ts := newTestServer(t, cfg)
+		first := submit(t, ts, req, http.StatusAccepted)
+		waitForState(t, ts, first.ID, JobDone, 30*time.Second)
+		code := http.StatusAccepted
+		if tc.cached {
+			code = http.StatusOK
+		}
+		again := submit(t, ts, req, code)
+		if again.Cached != tc.cached {
+			t.Errorf("capacity %d: resubmission cached = %v, want %v", tc.capacity, again.Cached, tc.cached)
+		}
+		if !tc.cached {
+			if done := waitForState(t, ts, again.ID, JobDone, 30*time.Second); done.Cached {
+				t.Errorf("capacity %d: resubmission answered from the cache", tc.capacity)
+			}
+		}
+	}
+}
+
+// A request may ask for at most MaxIters worlds per state: the bound keeps
+// one request from allocating the daemon out of memory.
+func TestSubmitItersBound(t *testing.T) {
+	srv, ts := newTestServer(t, quickCfg())
+	req := SubmitRequest{Workflow: "pipeline", Deadline: &PctBound{Value: 40000}, Iters: MaxIters + 1}
+	if resp, body := postJSON(t, ts.URL+"/v1/jobs", req); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("iters %d: status %d, want 400; body: %s", req.Iters, resp.StatusCode, body)
+	}
+	req.Iters = MaxIters
+	if _, _, err := srv.Manager().normalize(&req); err != nil {
+		t.Errorf("iters %d rejected: %v", MaxIters, err)
+	}
+}
+
+// The device decides how a state's worlds spread over the machine, so a
+// request cannot carry a thread bound: the field is unknown and gets 400.
+func TestSubmitRejectsThreadsField(t *testing.T) {
+	_, ts := newTestServer(t, quickCfg())
+	body := map[string]any{"workflow": "pipeline", "deadline": map[string]any{"value": 40000}, "threads": 2}
+	if resp, b := postJSON(t, ts.URL+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("threads field: status %d, want 400; body: %s", resp.StatusCode, b)
+	}
+}
+
 // slowRequest is a problem big enough to keep a worker busy for a long time:
 // a large synthetic Montage with a heavy Monte-Carlo and search budget.
 func slowRequest(seed int64) SubmitRequest {
@@ -287,9 +341,11 @@ func TestGracefulShutdownDrainsInFlightJob(t *testing.T) {
 	defer ts.Close()
 
 	v := submit(t, ts, SubmitRequest{
-		Workflow:     "pipeline",
-		Deadline:     &PctBound{Percentile: 0.9, Value: 40000},
-		Iters:        2000, // ~600ms solve: reliably observable in flight
+		Workflow: "montage",
+		Deadline: &PctBound{Percentile: 0.9, Value: 40000},
+		// ~140 ms on a 2-core host, several 20 ms poll intervals: reliably
+		// observable in flight.
+		Iters:        5000,
 		SearchBudget: 400,
 	}, http.StatusAccepted)
 	waitForState(t, ts, v.ID, JobRunning, 30*time.Second)

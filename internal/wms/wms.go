@@ -134,7 +134,7 @@ func (d *Deco) Schedule(w *dag.Workflow) (*sim.Plan, error) {
 	space := opt.NewPackedScheduleSpace(w, eval, tbl, d.Prices, d.Region)
 	search := d.Search
 	if search.Device == nil {
-		search.Device = device.TwoLevel{MaxThreads: 1}
+		search.Device = device.TwoLevel{}
 	}
 	res, err := opt.Search(space, search)
 	if err != nil {

@@ -123,7 +123,7 @@ func TestDecoSchedulerEndToEnd(t *testing.T) {
 
 	m := New(cat, rand.New(rand.NewSource(7)))
 	deco := &Deco{Est: est, Prices: prices, Region: cloud.USEast, Iters: 40,
-		Search: opt.Options{Device: device.TwoLevel{MaxThreads: 1}, MaxStates: 300, BeamWidth: 4, Patience: 6, Seed: 8}}
+		Search: opt.Options{Device: device.TwoLevel{}, MaxStates: 300, BeamWidth: 4, Patience: 6, Seed: 8}}
 	run, err := m.Execute(context.Background(), w, deco)
 	if err != nil {
 		t.Fatal(err)
