@@ -219,13 +219,14 @@ func (e *Engine) Prices() ([]float64, error) {
 // Deadline is the probabilistic deadline requirement of §3.1: the
 // Percentile-th quantile of the execution-time distribution must not exceed
 // Seconds. Percentile <= 0 selects the deterministic (expected-value)
-// notion.
+// notion; a Percentile above 1 is an error.
 type Deadline struct {
 	Percentile float64
 	Seconds    float64
 }
 
-// Budget is the probabilistic budget requirement (Table 1).
+// Budget is the probabilistic budget requirement (Table 1), with
+// Deadline's Percentile convention.
 type Budget struct {
 	Percentile float64
 	Dollars    float64
@@ -286,6 +287,38 @@ func (p *Plan) Assignments() map[string]string {
 	return out
 }
 
+// constraints builds the solver's constraint list: the deadline, then the
+// budget, each only when its bound is positive. A percentile <= 0 selects the
+// deterministic (expected-value) notion; one above 1, or NaN, is an error, as
+// it is in WLog.
+func constraints(d Deadline, b Budget) ([]wlog.Constraint, error) {
+	var cons []wlog.Constraint
+	for _, c := range []wlog.Constraint{
+		{Kind: "deadline", Percentile: d.Percentile, Bound: d.Seconds},
+		{Kind: "budget", Percentile: b.Percentile, Bound: b.Dollars},
+	} {
+		if c.Bound <= 0 {
+			continue
+		}
+		if err := checkPercentile(c.Kind, c.Percentile); err != nil {
+			return nil, err
+		}
+		if c.Percentile <= 0 {
+			c.Percentile = -1
+		}
+		cons = append(cons, c)
+	}
+	return cons, nil
+}
+
+// checkPercentile rejects a requirement percentile above 1 or NaN.
+func checkPercentile(kind string, pct float64) error {
+	if !(pct <= 1) {
+		return fmt.Errorf("deco: %s percentile %v is not at most 1; write 0.95 for 95%%", kind, pct)
+	}
+	return nil
+}
+
 // Schedule solves the workflow scheduling problem (§3.1) directly: minimize
 // the mean monetary cost subject to the probabilistic deadline. This is the
 // native path behind the standard WLog program of Example 1.
@@ -300,11 +333,10 @@ func (e *Engine) ScheduleContext(ctx context.Context, w *dag.Workflow, d Deadlin
 	if d.Seconds <= 0 {
 		return nil, fmt.Errorf("deco: deadline must be positive")
 	}
-	pct := d.Percentile
-	if pct <= 0 {
-		pct = -1
+	cons, err := constraints(d, Budget{})
+	if err != nil {
+		return nil, err
 	}
-	cons := []wlog.Constraint{{Kind: "deadline", Percentile: pct, Bound: d.Seconds}}
 	return e.optimize(ctx, w, probir.GoalCost, cons, false, nil)
 }
 
@@ -325,11 +357,10 @@ func (e *Engine) ScheduleForPerformanceContext(ctx context.Context, w *dag.Workf
 	if b.Dollars <= 0 {
 		return nil, fmt.Errorf("deco: budget must be positive")
 	}
-	pct := b.Percentile
-	if pct <= 0 {
-		pct = -1
+	cons, err := constraints(Deadline{}, b)
+	if err != nil {
+		return nil, err
 	}
-	cons := []wlog.Constraint{{Kind: "budget", Percentile: pct, Bound: b.Dollars}}
 	return e.optimize(ctx, w, probir.GoalMakespan, cons, false, nil)
 }
 
@@ -343,20 +374,9 @@ func (e *Engine) ScheduleConstrained(w *dag.Workflow, minimizeCost bool, d Deadl
 
 // ScheduleConstrainedContext is ScheduleConstrained with cancellation.
 func (e *Engine) ScheduleConstrainedContext(ctx context.Context, w *dag.Workflow, minimizeCost bool, d Deadline, b Budget) (*Plan, error) {
-	var cons []wlog.Constraint
-	if d.Seconds > 0 {
-		pct := d.Percentile
-		if pct <= 0 {
-			pct = -1
-		}
-		cons = append(cons, wlog.Constraint{Kind: "deadline", Percentile: pct, Bound: d.Seconds})
-	}
-	if b.Dollars > 0 {
-		pct := b.Percentile
-		if pct <= 0 {
-			pct = -1
-		}
-		cons = append(cons, wlog.Constraint{Kind: "budget", Percentile: pct, Bound: b.Dollars})
+	cons, err := constraints(d, b)
+	if err != nil {
+		return nil, err
 	}
 	if len(cons) == 0 {
 		return nil, fmt.Errorf("deco: at least one constraint required")

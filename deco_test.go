@@ -1,6 +1,7 @@
 package deco
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"deco/internal/device"
 	"deco/internal/opt"
 	"deco/internal/wfgen"
+	"deco/internal/wlog"
 )
 
 func newTestEngine(t *testing.T, options ...Option) *Engine {
@@ -112,6 +114,56 @@ func TestScheduleValidation(t *testing.T) {
 	w, _ := wfgen.Pipeline(3, rand.New(rand.NewSource(3)))
 	if _, err := eng.Schedule(w, Deadline{Percentile: 0.96, Seconds: 0}); err == nil {
 		t.Error("zero deadline accepted")
+	}
+}
+
+func TestPercentileAboveOneRejected(t *testing.T) {
+	eng := newTestEngine(t)
+	w, _ := wfgen.Pipeline(4, rand.New(rand.NewSource(3)))
+	for _, pct := range []float64{95, math.NaN()} {
+		d, b := Deadline{Percentile: pct, Seconds: 1e9}, Budget{Percentile: pct, Dollars: 1e9}
+		calls := map[string]func() error{
+			"Schedule": func() error { _, err := eng.Schedule(w, d); return err },
+			"ScheduleForPerformance": func() error {
+				_, err := eng.ScheduleForPerformance(w, b)
+				return err
+			},
+			"ScheduleConstrained/deadline": func() error {
+				_, err := eng.ScheduleConstrained(w, true, d, Budget{})
+				return err
+			},
+			"ScheduleConstrained/budget": func() error {
+				_, err := eng.ScheduleConstrained(w, false, Deadline{}, b)
+				return err
+			},
+			"RunEnsemble": func() error {
+				_, err := eng.RunEnsemble(EnsembleSpec{Kind: "constant", App: "ligo", N: 2, Budget: 5, DeadlinePercentile: pct})
+				return err
+			},
+		}
+		for name, call := range calls {
+			if err := call(); err == nil || !strings.Contains(err.Error(), "percentile") {
+				t.Errorf("%s with percentile %v: err = %v, want a percentile error", name, pct, err)
+			}
+		}
+	}
+}
+
+func TestConstraintsKeepValidPercentiles(t *testing.T) {
+	cons, err := constraints(Deadline{Percentile: 0.9, Seconds: 100}, Budget{Percentile: 0, Dollars: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wlog.Constraint{
+		{Kind: "deadline", Percentile: 0.9, Bound: 100},
+		{Kind: "budget", Percentile: -1, Bound: 5},
+	}
+	if !reflect.DeepEqual(cons, want) {
+		t.Errorf("constraints = %+v, want %+v", cons, want)
+	}
+	// A zero bound drops its constraint, whatever its percentile.
+	if cons, err := constraints(Deadline{Percentile: 95}, Budget{Percentile: 1, Dollars: 5}); err != nil || len(cons) != 1 {
+		t.Errorf("constraints = %+v, %v, want the budget alone", cons, err)
 	}
 }
 

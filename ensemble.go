@@ -35,7 +35,8 @@ type EnsembleSpec struct {
 	// path (the paper's D3 midpoint).
 	DeadlineSeconds float64
 	// DeadlinePercentile is the probabilistic deadline requirement (0
-	// defaults to 0.96; -1 selects the deterministic mean notion).
+	// defaults to 0.96; -1 selects the deterministic mean notion; above 1
+	// is an error).
 	DeadlinePercentile float64
 	// AStar selects best-first admission search (enabled(astar)).
 	AStar bool
@@ -109,6 +110,9 @@ func (e *Engine) RunEnsembleContext(ctx context.Context, spec EnsembleSpec) (*En
 	}
 	if spec.Budget <= 0 {
 		return nil, fmt.Errorf("deco: ensemble budget must be positive")
+	}
+	if err := checkPercentile("deadline", spec.DeadlinePercentile); err != nil {
+		return nil, err
 	}
 	prices, err := e.Prices()
 	if err != nil {

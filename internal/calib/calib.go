@@ -14,7 +14,6 @@ package calib
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"deco/internal/cloud"
@@ -216,15 +215,4 @@ func LinkHistogram(cat *cloud.Catalog, typeA, typeB string, samples, bins int, r
 	}
 	vals, _ := probe(d, samples, 60, rng)
 	return dist.FromSamples(vals, bins)
-}
-
-// SortedTypes returns calibrated type names sorted alphabetically, a
-// convenience for deterministic iteration in reports.
-func (r *Result) SortedTypes() []string {
-	var out []string
-	for t := range r.Raw {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }

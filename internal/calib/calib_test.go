@@ -167,16 +167,3 @@ func TestLinkHistogramWeakerEndpoint(t *testing.T) {
 		t.Error("unknown endpoint accepted")
 	}
 }
-
-func TestSortedTypes(t *testing.T) {
-	_, res := run(t, 500)
-	got := res.SortedTypes()
-	if len(got) != 4 {
-		t.Fatalf("types %v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Errorf("not sorted: %v", got)
-		}
-	}
-}

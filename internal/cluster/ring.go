@@ -52,9 +52,6 @@ func NewRing(self string, peers []string) *Ring {
 // Self returns this node's own address as configured.
 func (r *Ring) Self() string { return r.self }
 
-// Peers returns the full sorted membership, including self.
-func (r *Ring) Peers() []string { return append([]string(nil), r.peers...) }
-
 // Size returns the number of members.
 func (r *Ring) Size() int { return len(r.peers) }
 
@@ -74,9 +71,6 @@ func (r *Ring) Owner(key string) string {
 	}
 	return best
 }
-
-// IsOwner reports whether this node owns key.
-func (r *Ring) IsOwner(key string) bool { return r.Owner(key) == r.self }
 
 // score is the rendezvous weight of (peer, key): FNV-1a over both, with a
 // separator so ("ab","c") and ("a","bc") never collide.

@@ -288,94 +288,3 @@ func (w *Workflow) CriticalPath(duration map[string]float64) ([]string, float64,
 	}
 	return path, makespan, nil
 }
-
-// Levels returns tasks grouped by their depth (longest hop distance from a
-// root), which characterizes the parallelism structure of the workflow.
-func (w *Workflow) Levels() ([][]string, error) {
-	order, err := w.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	depth := map[string]int{}
-	maxDepth := 0
-	for _, id := range order {
-		d := 0
-		for _, p := range w.parents[id] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[id] = d
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	levels := make([][]string, maxDepth+1)
-	for _, id := range order {
-		levels[depth[id]] = append(levels[depth[id]], id)
-	}
-	return levels, nil
-}
-
-// TotalCPUSeconds sums the reference CPU seconds across all tasks.
-func (w *Workflow) TotalCPUSeconds() float64 {
-	s := 0.0
-	for _, t := range w.Tasks {
-		s += t.CPUSeconds
-	}
-	return s
-}
-
-// TransferMB returns the number of megabytes task id must receive from
-// parent tasks that ran on a *different* instance, given the set of co-located
-// parents. It is used by the simulator and by migration-cost accounting: data
-// from co-located parents moves via local disk, the rest over the network.
-func (w *Workflow) TransferMB(id string, colocatedParent func(parent string) bool) float64 {
-	t := w.byID[id]
-	if t == nil {
-		return 0
-	}
-	// Map file name → producing parent.
-	producers := map[string]string{}
-	for _, p := range w.parents[id] {
-		pt := w.byID[p]
-		for _, f := range pt.Outputs {
-			producers[f.Name] = p
-		}
-	}
-	total := 0.0
-	for _, f := range t.Inputs {
-		if p, ok := producers[f.Name]; ok && colocatedParent(p) {
-			continue
-		}
-		total += f.SizeMB
-	}
-	return total
-}
-
-// Clone returns a deep copy of the workflow structure (tasks are copied;
-// file slices are copied).
-func (w *Workflow) Clone() *Workflow {
-	nw := New(w.Name)
-	nw.Priority = w.Priority
-	nw.DeadlineSeconds = w.DeadlineSeconds
-	nw.DeadlinePercentile = w.DeadlinePercentile
-	for _, t := range w.Tasks {
-		ct := &Task{
-			ID:         t.ID,
-			Executable: t.Executable,
-			CPUSeconds: t.CPUSeconds,
-			Inputs:     append([]File(nil), t.Inputs...),
-			Outputs:    append([]File(nil), t.Outputs...),
-		}
-		if err := nw.AddTask(ct); err != nil {
-			panic(err) // impossible: source workflow was valid
-		}
-	}
-	for _, e := range w.Edges() {
-		if err := nw.AddEdge(e[0], e[1]); err != nil {
-			panic(err)
-		}
-	}
-	return nw
-}

@@ -130,46 +130,13 @@ func TestCriticalPathDiamond(t *testing.T) {
 	}
 }
 
-func TestRootsLeavesLevels(t *testing.T) {
+func TestRootsLeaves(t *testing.T) {
 	w := diamond(t)
 	if r := w.Roots(); len(r) != 1 || r[0] != "A" {
 		t.Errorf("roots %v", r)
 	}
 	if l := w.Leaves(); len(l) != 1 || l[0] != "D" {
 		t.Errorf("leaves %v", l)
-	}
-	levels, err := w.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(levels) != 3 || len(levels[1]) != 2 {
-		t.Errorf("levels %v", levels)
-	}
-}
-
-func TestTransferMB(t *testing.T) {
-	w := New("xfer")
-	_ = w.AddTask(&Task{ID: "p1", Outputs: []File{{Name: "f1", SizeMB: 100}}})
-	_ = w.AddTask(&Task{ID: "p2", Outputs: []File{{Name: "f2", SizeMB: 50}}})
-	_ = w.AddTask(&Task{ID: "c", Inputs: []File{
-		{Name: "f1", SizeMB: 100}, {Name: "f2", SizeMB: 50}, {Name: "ext", SizeMB: 7},
-	}})
-	_ = w.AddEdge("p1", "c")
-	_ = w.AddEdge("p2", "c")
-
-	// Nothing co-located: everything transfers.
-	got := w.TransferMB("c", func(string) bool { return false })
-	if got != 157 {
-		t.Errorf("transfer %v, want 157", got)
-	}
-	// p1 co-located: its file is local.
-	got = w.TransferMB("c", func(p string) bool { return p == "p1" })
-	if got != 57 {
-		t.Errorf("transfer %v, want 57", got)
-	}
-	// Unknown task.
-	if w.TransferMB("zz", func(string) bool { return true }) != 0 {
-		t.Error("unknown task should transfer 0")
 	}
 }
 
@@ -180,35 +147,6 @@ func TestInputOutputMB(t *testing.T) {
 	}
 	if task.InputMB() != 3 || task.OutputMB() != 4 {
 		t.Errorf("in=%v out=%v", task.InputMB(), task.OutputMB())
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	w := diamond(t)
-	w.Priority = 3
-	w.DeadlineSeconds = 100
-	w.DeadlinePercentile = 0.95
-	c := w.Clone()
-	if c.Len() != 4 || c.Priority != 3 || c.DeadlineSeconds != 100 || c.DeadlinePercentile != 0.95 {
-		t.Fatal("clone lost metadata")
-	}
-	// Mutating the clone must not touch the original.
-	c.Task("A").CPUSeconds = 999
-	if w.Task("A").CPUSeconds == 999 {
-		t.Error("clone shares task memory")
-	}
-	if err := c.AddEdge("B", "C"); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Children("B")) != 1 {
-		t.Error("clone shares edge maps")
-	}
-}
-
-func TestTotalCPUSeconds(t *testing.T) {
-	w := diamond(t)
-	if got := w.TotalCPUSeconds(); got != 40 {
-		t.Errorf("total %v", got)
 	}
 }
 

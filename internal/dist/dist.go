@@ -65,25 +65,6 @@ func (n Normal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
 }
 
-// Quantile returns the p-quantile (inverse CDF) for p in (0,1).
-func (n Normal) Quantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("dist: quantile p=%v out of (0,1)", p))
-	}
-	// Bisection on the CDF: robust and dependency-free. The CDF is monotone,
-	// so 200 iterations give ~1e-14 relative precision on the bracket.
-	lo, hi := n.Mu-40*n.Sigma-1, n.Mu+40*n.Sigma+1
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if n.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // String implements fmt.Stringer.
 func (n Normal) String() string {
 	return fmt.Sprintf("Normal(mu=%.4g, sigma=%.4g)", n.Mu, n.Sigma)

@@ -9,7 +9,7 @@ import (
 // This file implements the distribution-fitting half of the calibration
 // pipeline: given raw micro-benchmark samples, fit Normal and Gamma
 // distributions (method of moments, as is standard for Gamma calibration) and
-// test the fit (chi-square and Kolmogorov-Smirnov). Section 6.2 of the paper
+// test the fit (Kolmogorov-Smirnov). Section 6.2 of the paper
 // verifies, e.g., that m1.medium network performance "can be modeled with a
 // normal distribution" via a null-hypothesis test; Table 2 reports the fitted
 // parameters.
@@ -45,24 +45,6 @@ func (g Gamma) CDF(x float64) float64 {
 		return 0
 	}
 	return regIncGammaLower(g.K, x/g.Theta)
-}
-
-// Quantile returns the p-quantile of the Gamma distribution by bisection on
-// the CDF, for p in (0,1).
-func (g Gamma) Quantile(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("dist: quantile p=%v out of (0,1)", p))
-	}
-	lo, hi := 0.0, g.Mean()+40*math.Sqrt(g.Var())+1
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if g.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }
 
 // regIncGammaLower computes the regularized lower incomplete gamma function
@@ -157,69 +139,4 @@ func KSTest(xs []float64, d CDFer, alpha float64) (ok bool, stat, crit float64) 
 	}
 	crit = c / math.Sqrt(float64(len(xs)))
 	return stat <= crit, stat, crit
-}
-
-// ChiSquareStatistic bins the sample into the histogram's bins and compares
-// observed counts with the counts expected under d. It returns the statistic
-// and the degrees of freedom (bins-1-params).
-func ChiSquareStatistic(xs []float64, h *Histogram, d CDFer, fittedParams int) (stat float64, dof int) {
-	n := float64(len(xs))
-	obs := make([]float64, h.Bins())
-	for _, x := range xs {
-		// Locate bin (clamping out-of-range values to the edge bins).
-		i := sort.SearchFloat64s(h.Edges, x) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= h.Bins() {
-			i = h.Bins() - 1
-		}
-		obs[i]++
-	}
-	for i := 0; i < h.Bins(); i++ {
-		p := d.CDF(h.Edges[i+1]) - d.CDF(h.Edges[i])
-		exp := n * p
-		if exp < 1e-9 {
-			if obs[i] > 0 {
-				// Observations in a bin the model says is impossible: strong
-				// evidence against the fit. Floor the expectation so the
-				// statistic blows up instead of silently skipping the bin.
-				exp = 1e-9
-			} else {
-				continue
-			}
-		}
-		diff := obs[i] - exp
-		stat += diff * diff / exp
-	}
-	dof = h.Bins() - 1 - fittedParams
-	if dof < 1 {
-		dof = 1
-	}
-	return stat, dof
-}
-
-// FitReport is the outcome of fitting one parametric family to a sample.
-type FitReport struct {
-	Family string  // "normal" or "gamma"
-	Dist   Dist    // the fitted distribution
-	KSStat float64 // KS statistic against the sample
-	KSCrit float64 // critical value at the 5% level
-	KSPass bool    // whether the fit is not rejected at 5%
-}
-
-// BestFit fits both Normal and Gamma to the sample and returns the reports
-// sorted by ascending KS statistic (best first). Samples with non-positive
-// values skip the Gamma fit.
-func BestFit(xs []float64) []FitReport {
-	var reports []FitReport
-	nrm := FitNormal(xs)
-	ok, stat, crit := KSTest(xs, nrm, 0.05)
-	reports = append(reports, FitReport{Family: "normal", Dist: nrm, KSStat: stat, KSCrit: crit, KSPass: ok})
-	if gm, err := FitGamma(xs); err == nil {
-		ok, stat, crit := KSTest(xs, gm, 0.05)
-		reports = append(reports, FitReport{Family: "gamma", Dist: gm, KSStat: stat, KSCrit: crit, KSPass: ok})
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].KSStat < reports[j].KSStat })
-	return reports
 }

@@ -86,57 +86,6 @@ func TestKSAlphaLevels(t *testing.T) {
 	}
 }
 
-func TestChiSquareLowForGoodFit(t *testing.T) {
-	g := NewGamma(129.3, 0.79)
-	r := rng(30)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = g.Sample(r)
-	}
-	h, err := FromSamples(xs, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stat, dof := ChiSquareStatistic(xs, h, g, 2)
-	// For a good fit the statistic should be near dof; allow generous slack.
-	if stat > float64(dof)*3 {
-		t.Errorf("chi2 = %v with dof %d: suspiciously high for true distribution", stat, dof)
-	}
-	// And a clearly wrong distribution should give a much higher statistic.
-	statBad, _ := ChiSquareStatistic(xs, h, NewNormal(0, 1), 2)
-	if statBad < stat*10 {
-		t.Errorf("chi2 bad=%v should dwarf good=%v", statBad, stat)
-	}
-}
-
-func TestBestFitPrefersTrueFamily(t *testing.T) {
-	// Gamma data with strong skew so the Normal fit is distinguishable.
-	g := NewGamma(2, 3)
-	r := rng(40)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = g.Sample(r)
-	}
-	reports := BestFit(xs)
-	if len(reports) != 2 {
-		t.Fatalf("want 2 reports, got %d", len(reports))
-	}
-	if reports[0].Family != "gamma" {
-		t.Errorf("best fit = %s, want gamma (KS %v vs %v)", reports[0].Family, reports[0].KSStat, reports[1].KSStat)
-	}
-
-	// Normal data: normal should win.
-	n := NewNormal(50, 5)
-	ys := make([]float64, 20000)
-	for i := range ys {
-		ys[i] = n.Sample(r)
-	}
-	reports = BestFit(ys)
-	if reports[0].Family != "normal" {
-		t.Errorf("best fit = %s, want normal", reports[0].Family)
-	}
-}
-
 func TestRegIncGammaLowerKnown(t *testing.T) {
 	// P(1, x) = 1 - e^-x.
 	for _, x := range []float64{0.5, 1, 2, 10} {

@@ -135,16 +135,6 @@ func (h *Histogram) Sample(rng *rand.Rand) float64 {
 	return h.Mid(i)
 }
 
-// SampleBin draws a bin index according to the masses.
-func (h *Histogram) SampleBin(rng *rand.Rand) int {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(h.cum, u)
-	if i >= len(h.Probs) {
-		i = len(h.Probs) - 1
-	}
-	return i
-}
-
 // Mean returns the histogram mean (using bin midpoints).
 func (h *Histogram) Mean() float64 {
 	m := 0.0
@@ -163,36 +153,6 @@ func (h *Histogram) Var() float64 {
 		v += p * d * d
 	}
 	return v
-}
-
-// Quantile returns the smallest bin midpoint m such that P(X <= m) >= p.
-func (h *Histogram) Quantile(p float64) float64 {
-	if p <= 0 {
-		return h.Mid(0)
-	}
-	if p >= 1 {
-		return h.Mid(len(h.Probs) - 1)
-	}
-	i := sort.SearchFloat64s(h.cum, p)
-	if i >= len(h.Probs) {
-		i = len(h.Probs) - 1
-	}
-	return h.Mid(i)
-}
-
-// Scale returns a new histogram with all edges multiplied by f > 0. Deco uses
-// this to scale a base performance histogram by data size or CPU factor.
-func (h *Histogram) Scale(f float64) *Histogram {
-	if f <= 0 {
-		panic(fmt.Sprintf("dist: non-positive scale %v", f))
-	}
-	edges := make([]float64, len(h.Edges))
-	for i, e := range h.Edges {
-		edges[i] = e * f
-	}
-	nh := &Histogram{Edges: edges, Probs: append([]float64(nil), h.Probs...)}
-	nh.buildCum()
-	return nh
 }
 
 // Support returns the [lo, hi] range covered by the histogram.

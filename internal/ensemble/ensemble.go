@@ -23,7 +23,6 @@ import (
 	"deco/internal/opt"
 	"deco/internal/probir"
 	"deco/internal/wfgen"
-	"deco/internal/wlog"
 )
 
 // Kind enumerates the ensemble types of §6.1.
@@ -410,9 +409,4 @@ func DefaultDeadlines(e *Ensemble, tbl func(w *dag.Workflow) (*estimate.Table, e
 		w.DeadlinePercentile = percentile
 	}
 	return nil
-}
-
-// Constraint builds the wlog budget constraint of Eq. 5 for reporting.
-func Constraint(budget float64) wlog.Constraint {
-	return wlog.Constraint{Kind: "budget", Percentile: -1, Bound: budget}
 }

@@ -243,13 +243,6 @@ func TestInfeasiblePlansNeverAdmitted(t *testing.T) {
 	}
 }
 
-func TestConstraintHelper(t *testing.T) {
-	c := Constraint(42)
-	if c.Kind != "budget" || c.Bound != 42 || c.Percentile != -1 {
-		t.Errorf("constraint %+v", c)
-	}
-}
-
 func TestScoreIsMonotoneInAdmission(t *testing.T) {
 	e, err := Generate(ParetoUnsorted, wfgen.AppCyberShake, 12, rng(7))
 	if err != nil {

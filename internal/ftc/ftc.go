@@ -72,9 +72,6 @@ func NewJob(w *dag.Workflow, tbl *estimate.Table, region, typeIndex int, deadlin
 // Done reports whether all tasks have completed.
 func (j *Job) Done() bool { return j.next >= len(j.order) }
 
-// TotalCost is the job's accumulated cost.
-func (j *Job) TotalCost() float64 { return j.ExecCost + j.MigCost }
-
 // RemainingMeanSec is the expected serialized time of the unfinished tasks.
 func (j *Job) RemainingMeanSec() (float64, error) {
 	sum := 0.0

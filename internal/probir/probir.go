@@ -65,8 +65,7 @@ type Evaluation struct {
 // assigned to workflow task i (in Workflow.Tasks order).
 type Evaluator interface {
 	Evaluate(config []int, rng *rand.Rand) (*Evaluation, error)
-	// NumTasks and NumTypes give the dimensions of the configuration space.
-	NumTasks() int
+	// NumTypes is the number of catalog types a task can take.
 	NumTypes() int
 }
 
@@ -148,9 +147,6 @@ func NewNative(w *dag.Workflow, tbl *estimate.Table, prices []float64, goal Goal
 		Constraints: cons, Iters: iters, flat: flat, ftab: ftab,
 	}, nil
 }
-
-// NumTasks implements Evaluator.
-func (n *Native) NumTasks() int { return n.W.Len() }
 
 // NumTypes implements Evaluator.
 func (n *Native) NumTypes() int { return len(n.Table.Types) }

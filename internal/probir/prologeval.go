@@ -100,9 +100,6 @@ func NewProlog(w *dag.Workflow, tbl *estimate.Table, prices []float64, prog *wlo
 	return p, nil
 }
 
-// NumTasks implements Evaluator.
-func (p *Prolog) NumTasks() int { return p.native.NumTasks() }
-
 // NumTypes implements Evaluator.
 func (p *Prolog) NumTypes() int { return p.native.NumTypes() }
 
@@ -142,7 +139,7 @@ func (p *Prolog) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {
 // prologKernel interprets one world per thread. Figures: the goal value,
 // then per constraint its queried value and a 0/1 satisfaction indicator.
 // Machines are pooled: each concurrent chunk checks one out, installs its
-// worlds' facts (which clears any tabled answers), and returns it.
+// worlds' facts, and returns it.
 type prologKernel struct {
 	p      *Prolog
 	config []int

@@ -9,11 +9,9 @@ import (
 // structure-sharing interpreter: binding a variable pushes it on the trail;
 // backtracking pops the trail to undo bindings.
 type Machine struct {
-	db     map[Indicator][]*Clause
-	order  []Indicator // insertion order, for deterministic listings
-	trail  []*Var
-	tabled map[Indicator]bool
-	memo   map[string][]Term
+	db    map[Indicator][]*Clause
+	order []Indicator // insertion order, for deterministic listings
+	trail []*Var
 
 	// Steps counts solver resolutions; MaxSteps bounds runaway queries
 	// (0 = unlimited).
@@ -23,11 +21,7 @@ type Machine struct {
 
 // NewMachine returns an empty engine.
 func NewMachine() *Machine {
-	return &Machine{
-		db:     map[Indicator][]*Clause{},
-		tabled: map[Indicator]bool{},
-		memo:   map[string][]Term{},
-	}
+	return &Machine{db: map[Indicator][]*Clause{}}
 }
 
 // Assert appends a clause to the database.
@@ -43,7 +37,6 @@ func (m *Machine) Assert(c *Clause) error {
 		m.order = append(m.order, ind)
 	}
 	m.db[ind] = append(m.db[ind], c)
-	m.clearMemo()
 	return nil
 }
 
@@ -52,29 +45,14 @@ func (m *Machine) AssertFact(head Term) error {
 	return m.Assert(&Clause{Head: head})
 }
 
-// RetractAll removes every clause of the given predicate and clears memos.
-func (m *Machine) RetractAll(ind Indicator) {
-	delete(m.db, ind)
-	m.clearMemo()
-}
-
-// Table marks a predicate for answer tabling: the first call with a given
-// binding pattern computes all answers once; later identical calls replay
-// the cached answers. Only pure predicates may be tabled; asserting or
-// retracting clauses clears the cache.
-func (m *Machine) Table(ind Indicator) { m.tabled[ind] = true }
-
-func (m *Machine) clearMemo() {
-	if len(m.memo) > 0 {
-		m.memo = map[string][]Term{}
-	}
-}
+// RetractAll removes every clause of the given predicate.
+func (m *Machine) RetractAll(ind Indicator) { delete(m.db, ind) }
 
 // Defined reports whether the predicate has clauses.
 func (m *Machine) Defined(ind Indicator) bool { return len(m.db[ind]) > 0 }
 
 // Clone returns a machine sharing no mutable state with m, with the same
-// clauses and tabling marks. Clause structures are reused — they are
+// clauses. Clause structures are reused — they are
 // immutable; the solver renames them before use.
 func (m *Machine) Clone() *Machine {
 	nm := NewMachine()
@@ -82,9 +60,6 @@ func (m *Machine) Clone() *Machine {
 	for _, ind := range m.order {
 		nm.order = append(nm.order, ind)
 		nm.db[ind] = append([]*Clause(nil), m.db[ind]...)
-	}
-	for ind := range m.tabled {
-		nm.tabled[ind] = true
 	}
 	return nm
 }
@@ -246,24 +221,6 @@ func (m *Machine) solveAll(goals []Term, depth int, k func() error) error {
 		return fmt.Errorf("prolog: unknown predicate %s", ind)
 	}
 
-	if m.tabled[ind] {
-		answers, err := m.tabledAnswers(goal, ind)
-		if err != nil {
-			return err
-		}
-		for _, ans := range answers {
-			mark := m.mark()
-			if m.Unify(goal, renameTerm(ans, map[*Var]*Var{})) {
-				if err := m.solveAll(rest, depth, k); err != nil {
-					m.undo(mark)
-					return err
-				}
-			}
-			m.undo(mark)
-		}
-		return nil
-	}
-
 	myDepth := depth + 1
 	for _, c := range clauses {
 		rc := renameClause(c)
@@ -327,55 +284,6 @@ func (m *Machine) collect(template, goal Term, depth int) ([]Term, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// canonicalKey renders a term with variables numbered by first appearance,
-// so structurally identical calls share a memo entry regardless of variable
-// names.
-func canonicalKey(t Term, n *int, seen map[*Var]string) string {
-	switch tt := deref(t).(type) {
-	case Atom:
-		return "a:" + string(tt)
-	case Number:
-		return tt.String()
-	case *Var:
-		if s, ok := seen[tt]; ok {
-			return s
-		}
-		s := fmt.Sprintf("_%d", *n)
-		*n++
-		seen[tt] = s
-		return s
-	case *Compound:
-		out := tt.Functor + "("
-		for i, a := range tt.Args {
-			if i > 0 {
-				out += ","
-			}
-			out += canonicalKey(a, n, seen)
-		}
-		return out + ")"
-	}
-	return "?"
-}
-
-// tabledAnswers returns (computing on first use) all answers of goal.
-func (m *Machine) tabledAnswers(goal Term, ind Indicator) ([]Term, error) {
-	n := 0
-	key := ind.String() + "|" + canonicalKey(goal, &n, map[*Var]string{})
-	if ans, ok := m.memo[key]; ok {
-		return ans, nil
-	}
-	// Compute untabled so recursive calls don't consult the incomplete memo.
-	m.tabled[ind] = false
-	answers, err := m.collect(goal, goal, 0)
-	m.tabled[ind] = true
-	if err != nil {
-		return nil, err
-	}
-	answers = SortUnique(answers)
-	m.memo[key] = answers
-	return answers, nil
 }
 
 // Query proves the single goal and reports whether a solution exists.

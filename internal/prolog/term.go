@@ -1,7 +1,7 @@
 // Package prolog implements the logic-programming engine WLog extends: terms,
 // unification, a SLD-resolution solver with backtracking and cut, the
 // built-in predicates the paper's example programs rely on (is, findall,
-// setof, sum, max, member, ...), and answer tabling for pure predicates.
+// setof, sum, max, member, ...).
 // WLog programs are translated to this engine's clause database; the
 // probabilistic IR (package probir) evaluates queries against it per sampled
 // world.

@@ -63,6 +63,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		``, `{`, `null`, `[]`, `{"workflow":1}`, `{"unknown":true}`, `{"program":""}`,
 		`{"workflow":"montage","dax":"<adag/>","deadline":{"value":1}}`,
 		`{"workflow":"montage","deadline":{"percentile":0.9,"value":-1}}`,
+		`{"workflow":"montage","deadline":{"percentile":95,"value":1}}`,
 		`{"workflow":"montage","deadline":{"value":1},"goal":"speed"}`,
 		`{"workflow":"nosuch","deadline":{"value":1}}`,
 		`{"program":"minimize C in totalcost(C).","deadline":{"value":1}}`,

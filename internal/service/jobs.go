@@ -50,7 +50,8 @@ const DefaultTenant = "default"
 const MaxIters = 10000
 
 // PctBound is a probabilistic bound: P(X <= Value) >= Percentile. A
-// Percentile <= 0 selects the deterministic (expected-value) notion.
+// Percentile <= 0 selects the deterministic (expected-value) notion; one
+// above 1 is rejected.
 type PctBound struct {
 	Percentile float64 `json:"percentile"`
 	Value      float64 `json:"value"`
@@ -404,6 +405,12 @@ func (m *Manager) normalize(req *SubmitRequest) (*dag.Workflow, string, error) {
 	}
 	if req.Budget != nil && req.Budget.Value <= 0 {
 		return nil, "", fmt.Errorf("budget value must be positive")
+	}
+	if req.Deadline != nil && req.Deadline.Percentile > 1 {
+		return nil, "", fmt.Errorf("deadline percentile must be at most 1; write 0.95 for 95%%")
+	}
+	if req.Budget != nil && req.Budget.Percentile > 1 {
+		return nil, "", fmt.Errorf("budget percentile must be at most 1; write 0.95 for 95%%")
 	}
 	switch req.Goal {
 	case "":

@@ -234,6 +234,31 @@ func TestSubmitItersBound(t *testing.T) {
 	}
 }
 
+// A percentile above 1 is a 400 on both submit paths, as WLog rejects it:
+// the engine would otherwise solve for an unattainable probability and
+// serve the infeasible plan.
+func TestSubmitRejectsPercentileAboveOne(t *testing.T) {
+	srv, ts := newTestServer(t, quickCfg())
+	for _, req := range []SubmitRequest{
+		{Workflow: "pipeline", Deadline: &PctBound{Percentile: 95, Value: 40000}},
+		{Workflow: "pipeline", Budget: &PctBound{Percentile: 1.5, Value: 2}},
+	} {
+		for _, path := range []string{"/v1/jobs", "/v1/runs"} {
+			var body any = req
+			if path == "/v1/runs" {
+				body = RunRequest{SubmitRequest: req}
+			}
+			if resp, b := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %+v: status %d, want 400; body: %s", path, req, resp.StatusCode, b)
+			}
+		}
+	}
+	req := SubmitRequest{Workflow: "pipeline", Deadline: &PctBound{Percentile: 1, Value: 40000}}
+	if _, _, err := srv.Manager().normalize(&req); err != nil {
+		t.Errorf("percentile 1 rejected: %v", err)
+	}
+}
+
 // The device decides how a state's worlds spread over the machine, so a
 // request cannot carry a thread bound: the field is unknown and gets 400.
 func TestSubmitRejectsThreadsField(t *testing.T) {

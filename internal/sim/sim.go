@@ -44,23 +44,6 @@ func UniformPlan(w *dag.Workflow, typ, region string) *Plan {
 	return p
 }
 
-// PlanFromConfig builds a plan from a task→type-index assignment, each task
-// on its own slot.
-func PlanFromConfig(w *dag.Workflow, config map[string]int, typeNames []string, region string) (*Plan, error) {
-	p := &Plan{Place: make(map[string]Placement, w.Len())}
-	for i, t := range w.Tasks {
-		j, ok := config[t.ID]
-		if !ok {
-			return nil, fmt.Errorf("sim: config missing task %q", t.ID)
-		}
-		if j < 0 || j >= len(typeNames) {
-			return nil, fmt.Errorf("sim: config for %q has type index %d out of range", t.ID, j)
-		}
-		p.Place[t.ID] = Placement{Slot: i, Type: typeNames[j], Region: region}
-	}
-	return p, nil
-}
-
 // RandomPlan places each task on its own instance of a uniformly random type
 // (the paper's "randomly chosen instance types" scenario and Pegasus's
 // default Random scheduler).
@@ -709,23 +692,4 @@ func Costs(rs []*Result) []float64 {
 		out[i] = r.TotalCost
 	}
 	return out
-}
-
-// Utilization is the fraction of billed instance time actually spent
-// executing tasks — the resource-waste measure behind the Merge and
-// Co-Scheduling transformations (idle partial hours are pure waste).
-func (r *Result) Utilization() float64 {
-	billedSec := r.InstanceHours * 3600
-	if billedSec <= 0 {
-		return 0
-	}
-	busy := 0.0
-	for _, t := range r.Tasks {
-		busy += t.Finish - t.Start
-	}
-	u := busy / billedSec
-	if u > 1 {
-		u = 1
-	}
-	return u
 }

@@ -202,24 +202,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-func TestPlanFromConfig(t *testing.T) {
-	w := chain(t)
-	cat := cloud.DefaultCatalog()
-	plan, err := PlanFromConfig(w, map[string]int{"a": 0, "b": 3}, cat.TypeNames(), cloud.USEast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Place["b"].Type != "m1.xlarge" {
-		t.Errorf("b type %s", plan.Place["b"].Type)
-	}
-	if _, err := PlanFromConfig(w, map[string]int{"a": 0}, cat.TypeNames(), cloud.USEast); err == nil {
-		t.Error("missing task accepted")
-	}
-	if _, err := PlanFromConfig(w, map[string]int{"a": 0, "b": 9}, cat.TypeNames(), cloud.USEast); err == nil {
-		t.Error("bad index accepted")
-	}
-}
-
 func TestRandomPlanUsesCatalogTypes(t *testing.T) {
 	w, _ := wfgen.Pipeline(20, rand.New(rand.NewSource(9)))
 	cat := cloud.DefaultCatalog()
@@ -310,47 +292,5 @@ func TestMontageRunsAtAllDegrees(t *testing.T) {
 				t.Errorf("task %s start %v > finish %v", id, tr.Start, tr.Finish)
 			}
 		}
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	// One task of ~600s on one instance billed a full hour: utilization ~1/6.
-	w := dag.New("u")
-	_ = w.AddTask(&dag.Task{ID: "t", CPUSeconds: 600})
-	s, _ := newSim(t, 40)
-	res, err := s.Run(context.Background(), w, UniformPlan(w, "m1.small", cloud.USEast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := res.Utilization()
-	if u < 0.1 || u > 0.25 {
-		t.Errorf("utilization %v, want ~0.167", u)
-	}
-	// A merged chain fills its hour better than one-instance-per-task.
-	wc := dag.New("chain")
-	_ = wc.AddTask(&dag.Task{ID: "a", CPUSeconds: 1500})
-	_ = wc.AddTask(&dag.Task{ID: "b", CPUSeconds: 1500})
-	_ = wc.AddEdge("a", "b")
-	merged := &Plan{Place: map[string]Placement{
-		"a": {Slot: 0, Type: "m1.small", Region: cloud.USEast},
-		"b": {Slot: 0, Type: "m1.small", Region: cloud.USEast},
-	}}
-	s2, _ := newSim(t, 41)
-	rm, err := s2.Run(context.Background(), wc, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3, _ := newSim(t, 41)
-	rs, err := s3.Run(context.Background(), wc, UniformPlan(wc, "m1.small", cloud.USEast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.Utilization() <= rs.Utilization() {
-		t.Errorf("merged utilization %v should beat separate %v", rm.Utilization(), rs.Utilization())
-	}
-	// Empty result.
-	empty := &Result{}
-	if empty.Utilization() != 0 {
-		t.Error("empty result utilization should be 0")
 	}
 }
