@@ -66,8 +66,8 @@ func TestAdaptiveFixedEquivalence(t *testing.T) {
 					o := opt.Options{
 						Device: dev, Seed: 11,
 						MaxStates: 400, BeamWidth: 6, Patience: 12,
-						Worlds: worlds, MinWorlds: 8,
-						Adaptive: adaptive,
+						MinWorlds: 8,
+						Adaptive:  adaptive,
 					}
 					if cached {
 						// A fresh cache per search: a cache warmed by the

@@ -123,11 +123,7 @@ func boundaryDeadline(p *problem, worlds int, pct, lo, hi float64) (float64, err
 		if err != nil {
 			return 0, err
 		}
-		k, err := n.CRNKernel(context.Background(), make([]int, p.w.Len()), 1)
-		if err != nil {
-			return 0, err
-		}
-		ev, err := probir.RunKernel(k)
+		ev, err := probir.Evaluate(context.Background(), n, make([]int, p.w.Len()), 1)
 		if err != nil {
 			return 0, err
 		}
@@ -152,11 +148,16 @@ func boundaryDeadline(p *problem, worlds int, pct, lo, hi float64) (float64, err
 	return 0, fmt.Errorf("no deadline with all-cheapest P(met) in [%g, %g]", lo, hi)
 }
 
-// batchFlat evaluates the batch on the production path: per-state CRN world
-// kernels over one shared compiled program, folded canonically.
+// batchFlat evaluates the batch on the production path: one binding of the
+// base, then per-state CRN world kernels over its one Program, folded
+// canonically.
 func batchFlat(n *probir.Native, p *problem, base int64) error {
+	kernels, err := n.Bind(context.Background(), base)
+	if err != nil {
+		return err
+	}
 	for _, cfg := range p.configs {
-		k, err := n.CRNKernel(context.Background(), cfg, base)
+		k, err := kernels(cfg)
 		if err != nil {
 			return err
 		}
@@ -601,7 +602,7 @@ func spotPair(p *problem) *spotRow {
 	spotOpts := opt.Options{
 		Device: device.Sequential{}, Seed: 23,
 		MaxStates: 500, BeamWidth: 6, Patience: 20,
-		Worlds: p.worlds, MinWorlds: 8,
+		MinWorlds: 8,
 	}
 	spotParOpts := spotOpts
 	spotParOpts.Device = device.TwoLevel{}
@@ -727,7 +728,7 @@ func main() {
 	searchOpts := opt.Options{
 		Device: device.Sequential{}, Seed: 11,
 		MaxStates: 500, BeamWidth: 6, Patience: 20,
-		Worlds: *worlds, MinWorlds: 8,
+		MinWorlds: 8,
 	}
 	adaptOpts := searchOpts
 	adaptOpts.Adaptive = true
@@ -769,7 +770,7 @@ func main() {
 	tailFixedOpts := opt.Options{
 		Device: device.Sequential{}, Seed: 13,
 		MaxStates: 500, BeamWidth: 6, Patience: 20,
-		Worlds: tailWorlds, MinWorlds: 8,
+		MinWorlds: 8,
 	}
 	tail := orderedPair(p, tailWorlds, 0.88, 0.92, opt.GroupPerTask(p.w), tailFixedOpts)
 	tail.Benchmark = "frontier expansion at the all-cheapest start, tail-regime deadline (all-cheapest meets it in ~90% of worlds, 0.96 percentile required); fixed precision vs decisive-world-first adaptive stopping, equal full-search objective asserted"

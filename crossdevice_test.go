@@ -150,11 +150,7 @@ func TestCrossDeviceDeterminismProlog(t *testing.T) {
 	o.MaxStates = 30
 	o.Seed = 11
 	res := searchAllDevices(t, sp, o)
-	k, err := eval.Kernel(context.Background(), res.Best, o.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := probir.RunKernel(k)
+	want, err := probir.Evaluate(context.Background(), eval, res.Best, o.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

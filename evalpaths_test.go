@@ -4,7 +4,7 @@ package deco
 // state's evaluation is a pure function of (program, config, base seed), so
 // every way the solver can compute it must agree bit-for-bit:
 //
-//   - full evaluation     probir.Native.EvaluateCRN (one sequential pass)
+//   - full evaluation     probir.Evaluate (one binding, one sequential pass)
 //   - kernel path         the space descriptor's Kernel + probir.RunKernel
 //                         (world-decomposed, folded canonically)
 //   - device path         opt.Search's batch evaluator, which shares the
@@ -90,6 +90,28 @@ func searchOneState(t *testing.T, sp opt.Space, st opt.State, dev device.Device,
 	return res.BestEval
 }
 
+// boundReference binds e at base once and returns the one-pass sequential
+// evaluation of a state over that binding.
+func boundReference(t *testing.T, e probir.Evaluator, base int64) func(opt.State) *probir.Evaluation {
+	t.Helper()
+	kernels, err := e.Bind(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(st opt.State) *probir.Evaluation {
+		t.Helper()
+		k, err := kernels(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := probir.RunKernel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+}
+
 func TestEvalPathEquivalenceScheduling(t *testing.T) {
 	env, err := exp.NewEnv(exp.QuickConfig())
 	if err != nil {
@@ -120,6 +142,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 		"packed": opt.NewPackedScheduleSpace(w, eval, tbl, env.Prices, cloud.USEast),
 	} {
 		const base = 27
+		full := boundReference(t, eval, base)
 		states := []opt.State{sp.Initial()}
 		states = append(states, children(sp, states[0])...) // Δ=1 siblings: the row-reuse case
 		if len(states) > 12 {
@@ -129,10 +152,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 			// Full evaluation: one sequential pass at the shared base, plus
 			// the plan-level objective exactly as ScheduleSpace.Evaluate
 			// applies it.
-			want, err := eval.EvaluateCRN(st, base)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := full(st)
 			if sp.CostFn != nil {
 				v, err := sp.CostFn(st)
 				if err != nil {
@@ -169,7 +189,7 @@ func TestEvalPathEquivalenceScheduling(t *testing.T) {
 // TestExpansionChainEquivalence walks randomized Promote/Demote chains
 // through the scheduling space with EvaluateExpansion and asserts that the
 // solver's evaluation of every parent and child is bit-identical to the
-// one-pass sequential reference EvaluateCRN — on every device, and with the
+// one-pass sequential reference over one binding of the base — on every device, and with the
 // evaluation cache on, where each step's parent is a hit from the step
 // before.
 func TestExpansionChainEquivalence(t *testing.T) {
@@ -199,6 +219,7 @@ func TestExpansionChainEquivalence(t *testing.T) {
 	}
 	sp := opt.NewScheduleSpace(w, eval)
 	const base = 31
+	full := boundReference(t, eval, base)
 	for _, dev := range crossDevices {
 		for _, cached := range []bool{false, true} {
 			name := dev.Name()
@@ -215,11 +236,7 @@ func TestExpansionChainEquivalence(t *testing.T) {
 			}
 			reference := func(what string, st opt.State, got *probir.Evaluation) {
 				t.Helper()
-				want, err := eval.EvaluateCRN(st, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameEval(t, name+": "+what, got, want)
+				assertSameEval(t, name+": "+what, got, full(st))
 			}
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			st := sp.Initial()
@@ -252,7 +269,7 @@ func TestEvalPathEquivalenceEnsemble(t *testing.T) {
 	states = append(states, children(sp, states[0])...)
 	const base = 13
 	for _, st := range states {
-		want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
+		want, err := sp.Evaluate(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +318,7 @@ func TestEvalPathEquivalenceFTC(t *testing.T) {
 	states = append(states, children(sp, states[0])...)
 	const base = 19
 	for _, st := range states {
-		want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
+		want, err := sp.Evaluate(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +381,7 @@ func TestEvalPathZeroWorldPrograms(t *testing.T) {
 				if k.Worlds() != 0 || k.Width() != 0 {
 					t.Fatalf("%s: kernel shape (%d worlds, %d figures), want (0, 0)", name, k.Worlds(), k.Width())
 				}
-				want, err := sp.Evaluate(st, rand.New(rand.NewSource(base)))
+				want, err := sp.Evaluate(st, base)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -159,7 +159,7 @@ func TestSPSSAdmitRespectsBudget(t *testing.T) {
 	if got := sp.TotalCost(state); got > 5.0 {
 		t.Errorf("SPSS overspent: %v > 5.0", got)
 	}
-	ev, err := sp.Evaluate(state, rand.New(rand.NewSource(6)))
+	ev, err := sp.Evaluate(state)
 	if err != nil {
 		t.Fatal(err)
 	}

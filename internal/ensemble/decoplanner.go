@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"math/rand"
 
 	"deco/internal/dag"
@@ -36,9 +37,13 @@ func DecoPlanner(tblOf func(w *dag.Workflow) (*estimate.Table, error), prices []
 			return nil, err
 		}
 		cost := res.BestEval.Value
-		// Re-evaluate feasibility with an independent seed for an honest
+		// Re-evaluate feasibility over independent worlds for an honest
 		// admission decision.
-		ev, err := eval.Evaluate(res.Best, rand.New(rand.NewSource(search.Seed+104729)))
+		ctx := search.Ctx
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		ev, err := probir.Evaluate(ctx, eval, res.Best, rand.New(rand.NewSource(search.Seed+104729)).Int63())
 		if err != nil {
 			return nil, err
 		}

@@ -239,7 +239,7 @@ func (s *Space) Describe(context.Context, int64) opt.Descriptor {
 // Evaluate scores the admitted set directly — the test oracle of the
 // kernel: the score of the admitted set, feasible iff the total cost fits
 // the budget (per-workflow deadlines are already folded into the plans).
-func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
+func (s *Space) Evaluate(st opt.State) (*probir.Evaluation, error) {
 	if len(st) != len(s.E.Workflows) {
 		return nil, fmt.Errorf("ensemble: state length %d, want %d", len(st), len(s.E.Workflows))
 	}

@@ -121,7 +121,7 @@ func TestSpaceEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Admit a+c: cost 7 <= 10, score 1.25.
-	ev, err := sp.Evaluate(opt.State{1, 0, 1}, rng(4))
+	ev, err := sp.Evaluate(opt.State{1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSpaceEvaluate(t *testing.T) {
 		t.Errorf("eval %+v", ev)
 	}
 	// Admit all: cost 12 > 10.
-	ev, err = sp.Evaluate(opt.State{1, 1, 1}, rng(4))
+	ev, err = sp.Evaluate(opt.State{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSpaceEvaluate(t *testing.T) {
 	if ev.Violation <= 0 {
 		t.Error("violation not set")
 	}
-	if _, err := sp.Evaluate(opt.State{1}, rng(4)); err == nil {
+	if _, err := sp.Evaluate(opt.State{1}); err == nil {
 		t.Error("short state accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -136,11 +137,12 @@ func (e *Env) Ablation(out io.Writer) (*AblationResult, error) {
 	// variance is maximal (P(X<=mean) ≈ 0.5) and the feasibility decision is
 	// hardest.
 	config := make(opt.State, w.Len()) // all-cheapest
+	ctx := context.Background()
 	msEval, err := probir.NewNative(w, tbl, e.Prices, probir.GoalMakespan, nil, 400)
 	if err != nil {
 		return nil, err
 	}
-	msEv, err := msEval.Evaluate(config, rand.New(rand.NewSource(e.Cfg.Seed+70)))
+	msEv, err := probir.Evaluate(ctx, msEval, config, rand.New(rand.NewSource(e.Cfg.Seed+70)).Int63())
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +151,7 @@ func (e *Env) Ablation(out io.Writer) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	refEv, err := ref.Evaluate(config, rand.New(rand.NewSource(e.Cfg.Seed+71)))
+	refEv, err := probir.Evaluate(ctx, ref, config, rand.New(rand.NewSource(e.Cfg.Seed+71)).Int63())
 	if err != nil {
 		return nil, err
 	}
@@ -165,12 +167,12 @@ func (e *Env) Ablation(out io.Writer) (*AblationResult, error) {
 		const reps = 16
 		rng := rand.New(rand.NewSource(e.Cfg.Seed + 72))
 		start := time.Now()
-		ev, err := n.Evaluate(config, rng)
+		ev, err := probir.Evaluate(ctx, n, config, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
 		for r := 1; r < reps; r++ {
-			if _, err := n.Evaluate(config, rng); err != nil {
+			if _, err := probir.Evaluate(ctx, n, config, rng.Int63()); err != nil {
 				return nil, err
 			}
 		}

@@ -414,7 +414,7 @@ func (s *Space) Describe(context.Context, int64) opt.Descriptor {
 // Evaluate scores one placement directly — the test oracle of the kernel:
 // Eq. 7's expected remaining cost plus migration charges, with Eq. 10's
 // deterministic deadline per job.
-func (s *Space) Evaluate(st opt.State, rng *rand.Rand) (*probir.Evaluation, error) {
+func (s *Space) Evaluate(st opt.State) (*probir.Evaluation, error) {
 	if err := s.compile(); err != nil {
 		return nil, err
 	}

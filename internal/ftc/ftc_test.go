@@ -192,11 +192,11 @@ func TestSpaceEvaluateAndNeighbors(t *testing.T) {
 	if len(ns) != 2 { // two jobs × one other region
 		t.Fatalf("neighbors %v", ns)
 	}
-	evStay, err := sp.Evaluate(init, rand.New(rand.NewSource(8)))
+	evStay, err := sp.Evaluate(init)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evMove, err := sp.Evaluate(opt.State{0, 0}, rand.New(rand.NewSource(8)))
+	evMove, err := sp.Evaluate(opt.State{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSpaceEvaluateAndNeighbors(t *testing.T) {
 	if !evStay.Feasible || !evMove.Feasible {
 		t.Error("huge deadline should be feasible")
 	}
-	if _, err := sp.Evaluate(opt.State{9, 9}, rand.New(rand.NewSource(8))); err == nil {
+	if _, err := sp.Evaluate(opt.State{9, 9}); err == nil {
 		t.Error("bad region accepted")
 	}
 }
@@ -220,7 +220,7 @@ func TestDeadlineBlocksMigration(t *testing.T) {
 	sp := &Space{rt: rt}
 	// Any state is deadline-violating (1-second deadline): evaluation must
 	// mark infeasibility with a violation gradient.
-	ev, err := sp.Evaluate(sp.Initial(), rand.New(rand.NewSource(10)))
+	ev, err := sp.Evaluate(sp.Initial())
 	if err != nil {
 		t.Fatal(err)
 	}

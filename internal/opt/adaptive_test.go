@@ -14,54 +14,24 @@ import (
 	"deco/internal/probir"
 )
 
-// mapOnlySpace has no per-world decomposition at all: its evaluation is a
-// world-free kernel. Used to pin the Worlds-assertion error.
-type mapOnlySpace struct{}
-
-func (mapOnlySpace) Starts() []State               { return []State{{0}} }
-func (mapOnlySpace) Neighbors(s State) []Transform { return nil }
-func (mapOnlySpace) Describe(context.Context, int64) Descriptor {
-	return Descriptor{Kernel: func(State) (probir.WorldKernel, error) {
-		return evalKernel(func() (*probir.Evaluation, error) {
-			return &probir.Evaluation{Value: 1, Feasible: true}, nil
-		}), nil
-	}}
-}
-
 // TestCompileAdaptiveOptionValidation pins the Compile-time validation of the
-// adaptive-sampling knobs: bad values fail with errors naming the option, and
-// a Worlds assertion is checked against the compiled kernel.
+// adaptive-sampling knobs: a bad value fails with an error naming the option,
+// and valid settings compile.
 func TestCompileAdaptiveOptionValidation(t *testing.T) {
 	w := cpuChain(t, 4, 300)
 	ne, _ := buildEval(t, w, 1300, 0.9, 20)
 	space := NewScheduleSpace(w, ne)
 
-	cases := []struct {
-		name string
-		opts Options
-		want string
-	}{
-		{"negative worlds", Options{Device: device.Sequential{}, Worlds: -1}, "Options.Worlds"},
-		{"negative min worlds", Options{Device: device.Sequential{}, MinWorlds: -5}, "Options.MinWorlds"},
-		{"worlds mismatch", Options{Device: device.Sequential{}, Worlds: 21}, "samples 20 worlds"},
+	if _, err := Compile(space, Options{Device: device.Sequential{}, MinWorlds: -5}); err == nil ||
+		!strings.Contains(err.Error(), "Options.MinWorlds") {
+		t.Errorf("negative min worlds: Compile error = %v, want mention of %q", err, "Options.MinWorlds")
 	}
-	for _, tc := range cases {
-		if _, err := Compile(space, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Compile error = %v, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-	// Valid settings compile; a correct Worlds assertion passes.
-	p, err := Compile(space, Options{Device: device.Sequential{}, Worlds: 20, MinWorlds: 8})
+	p, err := Compile(space, Options{Device: device.Sequential{}, MinWorlds: 8})
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 	if p.Adaptive() {
 		t.Fatal("Adaptive off must compile the fixed path")
-	}
-	// Asserting Worlds against a space with no kernel decomposition fails.
-	if _, err := Compile(mapOnlySpace{}, Options{Device: device.Sequential{}, Worlds: 5}); err == nil ||
-		!strings.Contains(err.Error(), "no per-world kernel decomposition") {
-		t.Errorf("kernel-less Worlds assertion: error = %v", err)
 	}
 }
 

@@ -199,11 +199,6 @@ type Options struct {
 	// indicator-backed constraints; it is silently inert otherwise (see
 	// Problem.SampleStats).
 	Adaptive bool
-	// Worlds, when positive, asserts the per-state Monte-Carlo world count
-	// the compiled kernel must have; Compile fails with a clear error on a
-	// mismatch (instead of a confusing kernel-shape error mid-search). 0
-	// takes the kernel's own count.
-	Worlds int
 	// MinWorlds is the first chunk size of adaptive evaluation — the minimum
 	// number of worlds every state runs before any stop decision. 0 defaults
 	// to 16.

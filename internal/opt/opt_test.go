@@ -112,7 +112,8 @@ func TestGenericSearchFindsFeasibleCheapest(t *testing.T) {
 		t.Fatalf("no feasible state found: %+v", res)
 	}
 	// Verify against the evaluator: best state must satisfy the deadline.
-	ev, err := ne.Evaluate(res.Best, rand.New(rand.NewSource(99)))
+	base := rand.New(rand.NewSource(99)).Int63()
+	ev, err := space.Evaluate(res.Best, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestGenericSearchFindsFeasibleCheapest(t *testing.T) {
 	// CPU-only tasks: all-xlarge is feasible (makespan 200) and costs
 	// ~the same as any other config, so the optimum should not exceed it.
 	allXL := State{3, 3, 3, 3}
-	evXL, _ := ne.Evaluate(allXL, rand.New(rand.NewSource(99)))
+	evXL, _ := space.Evaluate(allXL, base)
 	if res.BestEval.Value > evXL.Value*1.01 {
 		t.Errorf("search result %v worse than trivial all-xlarge %v", res.BestEval.Value, evXL.Value)
 	}
@@ -374,7 +375,7 @@ func TestSearchImprovesOnStartsProperty(t *testing.T) {
 			return false
 		}
 		for _, st := range space.Starts() {
-			ev, err := space.Evaluate(st, rand.New(rand.NewSource(seed)))
+			ev, err := space.Evaluate(st, rand.New(rand.NewSource(seed)).Int63())
 			if err != nil {
 				return false
 			}

@@ -280,13 +280,21 @@ func TestEarlyStopsAreInfeasible(t *testing.T) {
 	if _, err := p.Search(); err != nil {
 		t.Fatal(err)
 	}
+	kernels, err := ne.Bind(context.Background(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stopped, wrong := 0, 0
 	for _, r := range log.evals {
 		if r.ev == nil || r.seen >= worlds {
 			continue
 		}
 		stopped++
-		full, err := ne.EvaluateCRN(r.state, seed)
+		k, err := kernels(r.state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := probir.RunKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}

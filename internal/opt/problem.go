@@ -112,9 +112,6 @@ func Compile(sp Space, o Options) (*Problem, error) {
 	// Adaptive-sampling knobs are validated here, at compile time, so a bad
 	// configuration fails with a clear error instead of silently running a
 	// fixed-precision (or subtly wrong) search.
-	if o.Worlds < 0 {
-		return nil, fmt.Errorf("opt: Options.Worlds must be >= 0, got %d", o.Worlds)
-	}
 	if o.MinWorlds < 0 {
 		return nil, fmt.Errorf("opt: Options.MinWorlds must be >= 0 (0 selects the default first chunk), got %d", o.MinWorlds)
 	}
@@ -135,12 +132,6 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		return nil, fmt.Errorf("opt: compiling kernel: %w", err)
 	}
 	p.worlds, p.width = probe.Worlds(), probe.Width()
-	if o.Worlds > 0 && p.worlds == 0 {
-		return nil, fmt.Errorf("opt: Options.Worlds=%d asserted, but the space has no per-world kernel decomposition", o.Worlds)
-	}
-	if o.Worlds > 0 && p.worlds != o.Worlds {
-		return nil, fmt.Errorf("opt: Options.Worlds=%d, but the compiled kernel samples %d worlds per state", o.Worlds, p.worlds)
-	}
 	// Adaptive precision engages only when everything it rests on is present:
 	// a kernel that can finalize from a world prefix, indicator figures that
 	// fully determine feasibility, and a world budget the first chunk does

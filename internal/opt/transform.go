@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -200,10 +199,11 @@ func Movable(buf []int32, st State, g []int32, step, k int) (tasks, grown []int3
 }
 
 // Evaluate scores one state — the test oracle the solver's evaluation of the
-// space must reproduce: Native and Prolog both evaluate over the CRN worlds
-// of base rng.Int63(), and any CostFn replaces the goal value.
-func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, error) {
-	ev, err := s.Eval.Evaluate(st, rng)
+// space must reproduce: the evaluator's reference evaluation over the CRN
+// worlds of base (probir.Evaluate), with any CostFn replacing the goal
+// value.
+func (s *ScheduleSpace) Evaluate(st State, base int64) (*probir.Evaluation, error) {
+	ev, err := probir.Evaluate(context.Background(), s.Eval, st, base)
 	if err != nil || s.CostFn == nil {
 		return ev, err
 	}
@@ -215,26 +215,19 @@ func (s *ScheduleSpace) Evaluate(st State, rng *rand.Rand) (*probir.Evaluation, 
 	return ev, nil
 }
 
-// Describe implements Space. Both evaluators run under the
-// common-random-number contract with the seed as their CRN base: every
-// state shares the same world realizations, numbered decisive-world-first.
-// A Prolog evaluator interprets world p over position p of the same rows.
-// Any CostFn is the objective. The fingerprint — and with it the evaluation
-// cache — is the Native program's, composed with the CostTag; it is empty
-// for Prolog and for a CostFn without a tag.
+// Describe implements Space: it binds the evaluator to the seed once, so
+// every state of the search reads the same CRN worlds, numbered
+// decisive-world-first; a failed binding (a cancelled build) is the error of
+// every kernel. Any CostFn is the objective. The fingerprint — and with it
+// the evaluation cache — is the evaluator's, composed with the CostTag; it
+// is empty for Prolog and for a CostFn without a tag.
 func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
-	d := Descriptor{Objective: s.CostFn}
-	switch e := s.Eval.(type) {
-	case *probir.Native:
-		d.Kernel = func(st State) (probir.WorldKernel, error) { return e.CRNKernel(ctx, st, seed) }
-		d.Fingerprint = e.Fingerprint()
-	case *probir.Prolog:
-		d.Kernel = func(st State) (probir.WorldKernel, error) { return e.Kernel(ctx, st, seed) }
-	default:
-		d.Kernel = func(State) (probir.WorldKernel, error) {
-			return nil, fmt.Errorf("opt: evaluator %T has no world kernel", s.Eval)
-		}
+	d := Descriptor{Objective: s.CostFn, Fingerprint: s.Eval.Fingerprint()}
+	kernels, err := s.Eval.Bind(ctx, seed)
+	if err != nil {
+		kernels = func([]int) (probir.WorldKernel, error) { return nil, err }
 	}
+	d.Kernel = func(st State) (probir.WorldKernel, error) { return kernels(st) }
 	if s.CostFn != nil {
 		// The closure cannot be hashed: without a tag a hit could carry the
 		// wrong objective.

@@ -1,7 +1,6 @@
 package probir
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -176,7 +175,7 @@ func TestBlockKernelMatchesPerWorld(t *testing.T) {
 			for i := range mid {
 				mid[i] = probe.NumTypes() / 2
 			}
-			pev, err := probe.EvaluateCRN(mid, 1)
+			pev, err := evalAt(probe, mid, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,18 +344,18 @@ func TestBlockKernelAllTaskFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := probe.program(context.Background(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prog.negative != fx.negative {
-			t.Fatalf("%s: Program.negative %v, want %v", fx.name, prog.negative, fx.negative)
-		}
 		mid := make([]int, fx.w.Len())
 		for i := range mid {
 			mid[i] = probe.NumTypes() / 2
 		}
-		pev, err := probe.EvaluateCRN(mid, 1)
+		pk, err := crnKernel(probe, mid, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pk.prog.negative != fx.negative {
+			t.Fatalf("%s: Program.negative %v, want %v", fx.name, pk.prog.negative, fx.negative)
+		}
+		pev, err := RunKernel(pk)
 		if err != nil {
 			t.Fatal(err)
 		}

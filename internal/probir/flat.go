@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"deco/internal/dag"
-	"deco/internal/estimate"
 )
 
 // This file implements the common-random-number (CRN) evaluation core. A
@@ -36,22 +35,15 @@ import (
 // Worlds have one numbering. After sampling, the Program sorts the worlds
 // decisive-first (order.go) and stores every duration and cost row in that
 // order, so world p is position p of every row: for the fixed path, the
-// adaptive path and the Evaluate oracle alike.
+// adaptive path and the Evaluate reference alike.
+//
+// A search binds its Native once (Native.Bind), which builds the one
+// Program of the search's base; every kernel of that binding reads it.
 
-// crnSeed derives the rng seed of one (task, type) duration row from the
-// search-level base seed (splitmix64-style finalizer over a distinct stream
-// constant from MixSeed, so CRN rows never collide with the residual
-// kernels' world substreams).
-func crnSeed(base int64, stream int) int64 {
-	z := uint64(base) ^ 0x6A09E667F3BCC909
-	z += uint64(stream+1) * 0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
-}
+// crnStream separates the CRN rows' seeds from the residual kernels' world
+// substreams: row ri of base seeds from MixSeed(base^crnStream, ri), world
+// it of a decision base from MixSeed(base, it).
+const crnStream = 0x6A09E667F3BCC909
 
 // Program is a Native program compiled for one CRN base seed: the flat DAG,
 // the dense distribution table, and the duration matrix, every row sampled
@@ -128,15 +120,17 @@ func spread(n int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-// newProgram samples every (task, type) row of the duration matrix, then
-// stores the worlds decisive-first. Row ri = task*nTypes+type draws from an
-// rng seeded by crnSeed(base, ri), consumed in stream order; each range of
-// rows reseeds one rng per row, which yields exactly a fresh source's
-// stream without allocating one. The build checks ctx between rows and
-// between worlds and returns its error once ctx is done.
-func newProgram(ctx context.Context, flat *dag.Flat, ft *estimate.FlatTable, base int64, iters int, markets []MarketSpec) (*Program, error) {
-	nr := flat.Len() * ft.NumTypes
-	p := &Program{flat: flat, iters: iters, nTypes: ft.NumTypes, rows: make([][]float64, nr)}
+// newProgram samples every (task, type) row of n's duration matrix for
+// base, then stores the worlds decisive-first. Row ri = task*nTypes+type
+// draws from an rng seeded by MixSeed(base^crnStream, ri), consumed in
+// stream order; each range of rows reseeds one rng per row, which yields
+// exactly a fresh source's stream without allocating one. The build checks
+// ctx between rows and between worlds and returns its error once ctx is
+// done.
+func (n *Native) newProgram(ctx context.Context, base int64) (*Program, error) {
+	ft, iters, markets := n.ftab, n.Iters, n.Markets
+	nr := n.flat.Len() * ft.NumTypes
+	p := &Program{flat: n.flat, iters: iters, nTypes: ft.NumTypes, rows: make([][]float64, nr)}
 	if markets != nil {
 		p.costRows = make([][]float64, nr)
 	}
@@ -147,7 +141,7 @@ func newProgram(ctx context.Context, flat *dag.Flat, ft *estimate.FlatTable, bas
 		for ri := lo; ri < hi && ctx.Err() == nil; ri++ {
 			i, j := ri/p.nTypes, ri%p.nTypes
 			row := all[ri*iters : (ri+1)*iters : (ri+1)*iters]
-			rng.Seed(crnSeed(base, ri))
+			rng.Seed(MixSeed(base^crnStream, ri))
 			td := ft.Dist(i, j)
 			if markets != nil && markets[j].Spot {
 				p.costRows[ri] = make([]float64, iters)
@@ -190,64 +184,6 @@ func (p *Program) costRow(i, j int) []float64 {
 		return nil
 	}
 	return p.costRows[i*p.nTypes+j]
-}
-
-// maxPrograms bounds the per-Native program cache. A search uses a single
-// base seed, so this only needs to cover a handful of concurrent or
-// successive searches (e.g. runtime replans) over the same Native.
-const maxPrograms = 8
-
-// progEntry is one cached Program plus its last-use tick for LRU eviction.
-type progEntry struct {
-	p    *Program
-	tick uint64
-}
-
-// program returns the compiled Program for the given CRN base, building and
-// caching it on first use. When the cache is full the least-recently-used
-// base is evicted — deterministically, and never the base just touched, so
-// a running search's duration matrix is only rebuilt if maxPrograms other
-// searches have since used this Native. A build that ctx cancels returns
-// the context's error and caches nothing.
-func (n *Native) program(ctx context.Context, base int64) (*Program, error) {
-	n.progMu.Lock()
-	defer n.progMu.Unlock()
-	n.progTick++
-	if e, ok := n.progs[base]; ok {
-		e.tick = n.progTick
-		return e.p, nil
-	}
-	p, err := newProgram(ctx, n.flat, n.ftab, base, n.Iters, n.Markets)
-	if err != nil {
-		return nil, err
-	}
-	if n.progs == nil {
-		n.progs = make(map[int64]*progEntry)
-	}
-	if len(n.progs) >= maxPrograms {
-		var victim int64
-		oldest := uint64(math.MaxUint64)
-		for k, e := range n.progs {
-			if e.tick < oldest {
-				oldest = e.tick
-				victim = k
-			}
-		}
-		delete(n.progs, victim)
-	}
-	n.progs[base] = &progEntry{p: p, tick: n.progTick}
-	return p, nil
-}
-
-// EvaluateCRN evaluates one configuration under the CRN contract with the
-// given base seed. Two calls with equal (program, base, config) return
-// bit-identical evaluations regardless of device or interleaving.
-func (n *Native) EvaluateCRN(config []int, base int64) (*Evaluation, error) {
-	k, err := n.CRNKernel(context.Background(), config, base)
-	if err != nil {
-		return nil, err
-	}
-	return RunKernel(k)
 }
 
 // hashFloats writes float64s to a hash in a fixed binary form.

@@ -1,9 +1,6 @@
 package probir
 
-import (
-	"context"
-	"math/rand"
-)
+import "context"
 
 // This file decomposes Monte-Carlo evaluation into the paper's GPU kernel
 // shape (§5.2): a *world kernel* — threads sample realizations of the
@@ -32,8 +29,8 @@ import (
 // the interpreter reads world p's exetime facts from position p of the same
 // rows the native kernel reads. The runtime's conditioned residual kernels,
 // whose rejection sampling draws a data-dependent number of variates, take
-// a decision base when they are built and draw world it from
-// WorldRNG(base, it).
+// a decision base when they are built and draw world it from an rng seeded
+// by MixSeed(base, it).
 
 // WorldKernel is one state's Monte-Carlo evaluation, decomposed for
 // block/thread execution.
@@ -54,8 +51,8 @@ type WorldKernel interface {
 
 // MixSeed mixes a base seed with an index (splitmix64 finalizer), giving
 // every (base, index) pair its own statistically independent substream:
-// world it of a decision base here, decision d of a monitor seed in package
-// runtime.
+// row ri of a CRN Program (flat.go), world it of a residual kernel's
+// decision base, decision d of a monitor seed in package runtime.
 func MixSeed(base int64, i int) int64 {
 	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -64,15 +61,6 @@ func MixSeed(base int64, i int) int64 {
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return int64(z)
-}
-
-// WorldRNG returns the deterministic rng of Monte-Carlo iteration it within
-// the substream identified by base: the runtime's residual kernels draw
-// world it of a monitor decision from it, so every state a replan search
-// evaluates sees the worlds of the risk evaluation that triggered it, on any
-// device and in any schedule.
-func WorldRNG(base int64, it int) *rand.Rand {
-	return rand.New(rand.NewSource(MixSeed(base, it)))
 }
 
 // RunKernel executes a kernel's worlds sequentially and reduces them,
@@ -107,34 +95,38 @@ type nativeKernel struct {
 	xferTotal float64
 }
 
-// CRNKernel builds the world kernel of one configuration against the
-// shared duration matrix of the given base seed. The matrix is sampled when
-// its Program is built, so Sample is read-only and a device may run worlds
-// concurrently. ctx cancels that build, the one step of a kernel build that
-// can take long; the error then wraps ctx's.
-func (n *Native) CRNKernel(ctx context.Context, config []int, base int64) (WorldKernel, error) {
-	if err := n.checkConfig(config); err != nil {
-		return nil, err
-	}
+// Bind implements Evaluator. It resolves the figure layout and, when some
+// figure samples worlds, builds the CRN Program of base: every row sampled
+// and stored decisive-world-first, so each kernel it builds reads that one
+// Program and Sample is read-only — a device may run worlds concurrently.
+// A world-free layout builds no Program. ctx cancels the build, the one
+// step of a binding that can take long; the error then wraps ctx's.
+func (n *Native) Bind(ctx context.Context, base int64) (Kernels, error) {
 	// Spot markets make cost a random variable for every state of the search
 	// (uniform kernel shape — the compiled solver resolves figure layout once
 	// per problem), so the cost figure is always sampled.
-	n.figOnce.Do(func() { n.figures = NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot) })
-	k := &nativeKernel{n: n, config: config, Figures: n.figures, meanCost: n.meanCost(config)}
-	if k.needMS || k.needCost {
+	figs := NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot)
+	var prog *Program
+	if figs.Worlds() > 0 {
 		var err error
-		if k.prog, err = n.program(ctx, base); err != nil {
+		if prog, err = n.newProgram(ctx, base); err != nil {
 			return nil, err
 		}
 	}
-	if k.needCost {
-		k.pricePerTask = make([]float64, len(config))
-		for i, j := range config {
-			k.pricePerTask[i] = n.PricePerHour[j]
-			k.xferTotal += n.ftab.Dist(i, j).XferCostUSD
+	return func(config []int) (WorldKernel, error) {
+		if err := n.checkConfig(config); err != nil {
+			return nil, err
 		}
-	}
-	return k, nil
+		k := &nativeKernel{n: n, config: config, Figures: figs, prog: prog, meanCost: n.meanCost(config)}
+		if k.needCost {
+			k.pricePerTask = make([]float64, len(config))
+			for i, j := range config {
+				k.pricePerTask[i] = n.PricePerHour[j]
+				k.xferTotal += n.ftab.Dist(i, j).XferCostUSD
+			}
+		}
+		return k, nil
+	}, nil
 }
 
 // row returns task i's CRN duration row.

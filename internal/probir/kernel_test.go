@@ -59,7 +59,8 @@ func assertBitIdentical(t *testing.T, got, want *Evaluation) {
 }
 
 // The device path (kernels sampled in any order, sums folded canonically)
-// must be bit-identical to Evaluate, for every native goal/constraint mix.
+// must be bit-identical to the Evaluate reference, for every native
+// goal/constraint mix.
 func TestNativeKernelMatchesEvaluateBitExact(t *testing.T) {
 	w, tbl, prices := fixture(t, false)
 	cases := []struct {
@@ -84,15 +85,12 @@ func TestNativeKernelMatchesEvaluateBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			config := []int{0, 1, 2, 0}
-			const seed = 42
-			want, err := n.Evaluate(config, rand.New(rand.NewSource(seed)))
+			base := seedBase(42)
+			want, err := evalAt(n, config, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Evaluate derives its CRN base by drawing from the rng; the
-			// kernel path must reproduce it from an identical source.
-			base := rand.New(rand.NewSource(seed)).Int63()
-			k, err := n.CRNKernel(context.Background(), config, base)
+			k, err := kernelAt(n, config, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,12 +109,12 @@ func TestPrologKernelMatchesEvaluateBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	config := []int{1, 0, 2, 1}
-	const seed = 7
-	want, err := p.Evaluate(config, rand.New(rand.NewSource(seed)))
+	base := seedBase(7)
+	want, err := evalAt(p, config, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := p.Kernel(context.Background(), config, rand.New(rand.NewSource(seed)).Int63())
+	k, err := kernelAt(p, config, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func TestPrologKernelMatchesEvaluateBitExact(t *testing.T) {
 
 // Substreams must differ across iterations and across bases; the same
 // (base, it) pair must reproduce its stream.
-func TestWorldRNGSubstreams(t *testing.T) {
+func TestMixSeedSubstreams(t *testing.T) {
 	seen := map[int64]bool{}
 	for _, base := range []int64{0, 1, 1 << 40} {
 		for it := 0; it < 100; it++ {
@@ -137,7 +135,7 @@ func TestWorldRNGSubstreams(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	a, b := WorldRNG(9, 3), WorldRNG(9, 3)
+	a, b := rand.New(rand.NewSource(MixSeed(9, 3))), rand.New(rand.NewSource(MixSeed(9, 3)))
 	for i := 0; i < 10; i++ {
 		if a.Int63() != b.Int63() {
 			t.Fatal("same (base, it) not reproducible")
@@ -206,9 +204,26 @@ func sameEval(t *testing.T, step int, got, want *Evaluation) {
 	}
 }
 
+// seedBase is the CRN base a fresh source seeded with seed draws first.
+func seedBase(seed int64) int64 { return rand.New(rand.NewSource(seed)).Int63() }
+
+// evalAt is the reference evaluation of config over the worlds of base.
+func evalAt(e Evaluator, config []int, base int64) (*Evaluation, error) {
+	return Evaluate(context.Background(), e, config, base)
+}
+
+// kernelAt binds e at base and builds config's kernel.
+func kernelAt(e Evaluator, config []int, base int64) (WorldKernel, error) {
+	kernels, err := e.Bind(context.Background(), base)
+	if err != nil {
+		return nil, err
+	}
+	return kernels(config)
+}
+
 // crnKernel builds the native CRN kernel of config as its concrete type.
 func crnKernel(n *Native, config []int, base int64) (*nativeKernel, error) {
-	k, err := n.CRNKernel(context.Background(), config, base)
+	k, err := kernelAt(n, config, base)
 	if err != nil {
 		return nil, err
 	}

@@ -96,8 +96,11 @@ func TestSpotObjectiveIsSampledExpectedCost(t *testing.T) {
 			spotSmall = j
 		}
 	}
-	base := int64(42)
-	k, err := n.CRNKernel(context.Background(), []int{spotSmall, spotSmall, spotSmall, spotSmall}, base)
+	kernels, err := n.Bind(context.Background(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernels([]int{spotSmall, spotSmall, spotSmall, spotSmall})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,11 @@ func TestSpotObjectiveIsSampledExpectedCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evOD, err := n.EvaluateCRN([]int{0, 0, 0, 0}, base)
+	kOD, err := kernels([]int{0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evOD, err := RunKernel(kOD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +139,11 @@ func TestSpotEvaluationDeterministic(t *testing.T) {
 	}
 	cfg := []int{4, 1, 5, 0} // mixed spot and on-demand columns
 	base := int64(7)
-	a, err := n.EvaluateCRN(cfg, base)
+	a, err := evalAt(n, cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := n.EvaluateCRN(cfg, base)
+	b, err := evalAt(n, cfg, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +179,11 @@ func TestNonSpotMarketsMatchPlainNative(t *testing.T) {
 		t.Fatal("all-on-demand markets flagged as spot")
 	}
 	cfg := []int{1, 4, 2, 5}
-	a, err := plain.EvaluateCRN(cfg, 13)
+	a, err := evalAt(plain, cfg, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := marked.EvaluateCRN(cfg, 13)
+	b, err := evalAt(marked, cfg, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@ import (
 )
 
 // streamRows samples every (task, type) row of a Native's CRN matrix in
-// stream order, each from a fresh source seeded with crnSeed: the matrix a
+// stream order, each from a fresh source seeded with MixSeed(base^crnStream,
+// row): the matrix a
 // Program holds before it numbers its worlds. Spot columns also return their
 // paired cost rows.
 func streamRows(n *Native, base int64) (rows, costRows [][]float64) {
@@ -17,7 +18,7 @@ func streamRows(n *Native, base int64) (rows, costRows [][]float64) {
 	rows, costRows = make([][]float64, nr), make([][]float64, nr)
 	for ri := range rows {
 		i, j := ri/n.NumTypes(), ri%n.NumTypes()
-		rng := rand.New(rand.NewSource(crnSeed(base, ri)))
+		rng := rand.New(rand.NewSource(MixSeed(base^crnStream, ri)))
 		rows[ri] = make([]float64, n.Iters)
 		if n.Markets != nil && n.Markets[j].Spot {
 			costRows[ri] = make([]float64, n.Iters)
@@ -135,9 +136,9 @@ func TestWorldOrderPermutation(t *testing.T) {
 	checkNumbering(t, ns, 9)
 }
 
-// TestWorldOrderNilWithoutSampling checks that a program whose evaluation
-// runs no Monte-Carlo worlds (cost goal, mean-notion constraints only)
-// builds no CRN Program: there are no worlds to sample or number.
+// TestWorldOrderNilWithoutSampling checks that binding a program whose
+// evaluation runs no Monte-Carlo worlds (cost goal, mean-notion constraints
+// only) builds no CRN Program: there are no worlds to sample or number.
 func TestWorldOrderNilWithoutSampling(t *testing.T) {
 	w, tbl, prices := fixture(t, false)
 	cons := []wlog.Constraint{{Kind: "budget", Percentile: -1, Bound: 100}}
@@ -149,7 +150,7 @@ func TestWorldOrderNilWithoutSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.prog != nil || len(n.progs) != 0 {
-		t.Fatalf("world-free program built a CRN Program (kernel %v, cached %d)", k.prog != nil, len(n.progs))
+	if k.prog != nil || k.Worlds() != 0 {
+		t.Fatalf("world-free program bound a CRN Program (%v) over %d worlds", k.prog != nil, k.Worlds())
 	}
 }

@@ -1,7 +1,6 @@
 package probir
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -22,7 +21,7 @@ func TestRunCRNKernelRangeChains(t *testing.T) {
 	for i := range cfg {
 		cfg[i] = rng.Intn(n.NumTypes())
 	}
-	k, err := n.CRNKernel(context.Background(), cfg, 9)
+	k, err := kernelAt(n, cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestReducePartialFullIsReduce(t *testing.T) {
 		for i := range cfg {
 			cfg[i] = rng.Intn(n.NumTypes())
 		}
-		wk, err := n.CRNKernel(context.Background(), cfg, 7)
+		wk, err := kernelAt(n, cfg, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func TestReducePartialPessimistic(t *testing.T) {
 		for i := range cfg {
 			cfg[i] = rng.Intn(n.NumTypes())
 		}
-		wk, err := n.CRNKernel(context.Background(), cfg, 7)
+		wk, err := kernelAt(n, cfg, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +146,7 @@ func TestIndicators(t *testing.T) {
 		{Kind: "budget", Percentile: -1, Bound: 50},
 		{Kind: "budget", Percentile: 0.8, Bound: 5},
 	}, 16)
-	wk, err := n.CRNKernel(context.Background(), cfgFor(n), 1)
+	wk, err := kernelAt(n, cfgFor(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +170,7 @@ func TestIndicators(t *testing.T) {
 	n = layeredFixture(t, 8, 3, GoalMakespan, []wlog.Constraint{
 		{Kind: "deadline", Percentile: -1, Bound: 2500},
 	}, 16)
-	wk, err = n.CRNKernel(context.Background(), cfgFor(n), 1)
+	wk, err = kernelAt(n, cfgFor(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@
 // in each world, and aggregate — the mean value for goal queries, the
 // satisfaction probability for constraint queries.
 //
-// Two evaluators implement the same interface:
+// An evaluator is bound once per search: Bind samples the worlds of one
+// common-random-number (CRN) base and returns the kernel builder every state
+// of that search evaluates through. Two evaluators implement it:
 //
 //   - Native: the engine-native fast path behind WLog's built-in
 //     deadline/budget/totalcost/maxtime constructs (Table 1). It computes the
@@ -20,7 +22,8 @@
 //
 // Both read the same worlds, so a differential test checks them world by
 // world on the standard scheduling program: equal makespan and cost up to
-// summation order, equal deadline indicators.
+// summation order, equal deadline indicators. Evaluate is the one-shot
+// reference: bind, build one kernel, run its worlds in order.
 //
 // Both evaluators run as world kernels plus a reduction (kernel.go), the
 // paper's block/thread shape. The kernel contract is ranged: one Sample call
@@ -35,8 +38,8 @@
 package probir
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"deco/internal/dag"
@@ -61,12 +64,40 @@ type Evaluation struct {
 	Violation float64
 }
 
-// Evaluator scores a configuration: config[i] is the catalog type index
+// Evaluator scores configurations: config[i] is the catalog type index
 // assigned to workflow task i (in Workflow.Tasks order).
 type Evaluator interface {
-	Evaluate(config []int, rng *rand.Rand) (*Evaluation, error)
 	// NumTypes is the number of catalog types a task can take.
 	NumTypes() int
+	// Bind samples the worlds of the CRN base and returns the kernel
+	// builder of every configuration over them. ctx cancels the sampling;
+	// the error then wraps ctx's.
+	Bind(ctx context.Context, base int64) (Kernels, error)
+	// Fingerprint identifies everything an evaluation depends on besides
+	// (config, base); empty when the evaluator cannot vouch for its
+	// identity, which leaves the solver's evaluation cache unbound.
+	Fingerprint() string
+}
+
+// Kernels builds the world kernel of one configuration over the worlds of
+// one binding. Kernels of one binding share its worlds and may be built and
+// run concurrently.
+type Kernels func(config []int) (WorldKernel, error)
+
+// Evaluate is the one-shot reference evaluation of one configuration over
+// the worlds of base: it binds e, builds the configuration's kernel and
+// runs its worlds in order (RunKernel). A caller evaluating many
+// configurations at one base binds once instead.
+func Evaluate(ctx context.Context, e Evaluator, config []int, base int64) (*Evaluation, error) {
+	kernels, err := e.Bind(ctx, base)
+	if err != nil {
+		return nil, err
+	}
+	k, err := kernels(config)
+	if err != nil {
+		return nil, err
+	}
+	return RunKernel(k)
 }
 
 // GoalKind selects what the native evaluator's goal query computes.
@@ -104,19 +135,8 @@ type Native struct {
 	flat *dag.Flat
 	ftab *estimate.FlatTable
 
-	// progs caches compiled CRN Programs by base seed with LRU eviction
-	// (see flat.go).
-	progMu   sync.Mutex
-	progs    map[int64]*progEntry
-	progTick uint64
-
 	fpOnce sync.Once
 	fp     string
-
-	// figures is the figure layout every kernel of this evaluator shares
-	// (read-only), built on the first kernel, after any market columns.
-	figOnce sync.Once
-	figures Figures
 }
 
 // NewNative builds a native evaluator. The constraint list may contain
@@ -171,12 +191,4 @@ func (n *Native) meanCost(config []int) float64 {
 		total += td.Mean()/3600*n.PricePerHour[j] + td.XferCostUSD
 	}
 	return total
-}
-
-// Evaluate implements Evaluator: Monte-Carlo inference per Algorithm 1, run
-// as the world kernel plus reduction of kernel.go under the CRN contract
-// with a base seed drawn from rng. Results are bit-identical whether the
-// kernel's worlds run sequentially or in parallel on a device.
-func (n *Native) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {
-	return n.EvaluateCRN(config, rng.Int63())
 }

@@ -138,7 +138,7 @@ func TestNativeDeadlineFeasibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := n.Evaluate([]int{0, 0, 0, 0}, rand.New(rand.NewSource(2)))
+		ev, err := evalAt(n, []int{0, 0, 0, 0}, seedBase(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestNativeProbabilisticDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := n.Evaluate(config, rand.New(rand.NewSource(4)))
+		out, err := evalAt(n, config, seedBase(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestNativeBudgetConstraint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := n.Evaluate([]int{0, 0, 0, 0}, rand.New(rand.NewSource(5)))
+		ev, err := evalAt(n, []int{0, 0, 0, 0}, seedBase(5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,10 +241,10 @@ func TestNativeValidation(t *testing.T) {
 		t.Error("bad constraint kind accepted")
 	}
 	n, _ := NewNative(w, tbl, prices, GoalCost, nil, 10)
-	if _, err := n.Evaluate([]int{0}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := evalAt(n, []int{0}, seedBase(1)); err == nil {
 		t.Error("short config accepted")
 	}
-	if _, err := n.Evaluate([]int{9, 9, 9, 9}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := evalAt(n, []int{9, 9, 9, 9}, seedBase(1)); err == nil {
 		t.Error("out-of-range type accepted")
 	}
 }
@@ -262,11 +262,11 @@ func TestPrologEvaluatorDeterministicAgreesExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	config := []int{0, 1, 2, 3}
-	pv, err := pe.Evaluate(config, rand.New(rand.NewSource(7)))
+	pv, err := evalAt(pe, config, seedBase(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv, err := ne.Evaluate(config, rand.New(rand.NewSource(8)))
+	nv, err := evalAt(ne, config, seedBase(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestPrologNativeAgreePerWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pv, err := probe.EvaluateCRN(configs[2], 5)
+		pv, err := evalAt(probe, configs[2], 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,16 +370,25 @@ func TestPrologNativeAgreePerWorld(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, base := range []int64{5, 1 << 40} {
+				pkernels, err := pe.Bind(context.Background(), base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nkernels, err := ne.Bind(context.Background(), base)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, config := range configs {
 					label := fmt.Sprintf("%s/%s base %d config %v", wf.name, pname, base, config)
-					pk, err := pe.Kernel(context.Background(), config, base)
+					pk, err := pkernels(config)
 					if err != nil {
 						t.Fatal(err)
 					}
-					nk, err := crnKernel(ne, config, base)
+					wk, err := nkernels(config)
 					if err != nil {
 						t.Fatal(err)
 					}
+					nk := wk.(*nativeKernel)
 					pw, nw := pk.Width(), nk.Width()
 					pout, nout := make([]float64, iters*pw), make([]float64, iters*nw)
 					if err := pk.Sample(0, iters, pout); err != nil {
@@ -456,7 +465,7 @@ func TestPrologValidation(t *testing.T) {
 		t.Error("program without goal accepted")
 	}
 	pe, _ := NewProlog(w, tbl, prices, prog, 5)
-	if _, err := pe.Evaluate([]int{0}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := evalAt(pe, []int{0}, seedBase(1)); err == nil {
 		t.Error("short config accepted")
 	}
 	// A cost-only user-rule program: no rule would notice a type index
@@ -474,7 +483,7 @@ totalcost(Ct) :- findall(C, cost(Tid,Vid,C), Bag), sum(Bag, Ct).
 		t.Fatal(err)
 	}
 	for _, config := range [][]int{{9, 9, 9, 9}, {-1, 0, 0, 0}} {
-		if ev, err := pc.Evaluate(config, rand.New(rand.NewSource(1))); err == nil {
+		if ev, err := evalAt(pc, config, seedBase(1)); err == nil {
 			t.Errorf("out-of-range config %v accepted: %+v", config, ev)
 		}
 	}
@@ -521,7 +530,7 @@ func TestNativeMakespanGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := n.Evaluate([]int{0, 0, 0, 0}, rand.New(rand.NewSource(12)))
+	ev, err := evalAt(n, []int{0, 0, 0, 0}, seedBase(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +538,7 @@ func TestNativeMakespanGoal(t *testing.T) {
 		t.Errorf("makespan goal %v, want 800", ev.Value)
 	}
 	// xlarge divides by 8.
-	ev, _ = n.Evaluate([]int{3, 3, 3, 3}, rand.New(rand.NewSource(12)))
+	ev, _ = evalAt(n, []int{3, 3, 3, 3}, seedBase(12))
 	if ev.Value != 100 {
 		t.Errorf("makespan on xlarge %v, want 100", ev.Value)
 	}

@@ -124,42 +124,44 @@ func queryNumber(m *prolog.Machine, v, query prolog.Term) (float64, error) {
 	return float64(n), nil
 }
 
-// Evaluate implements Evaluator: the WLog interpreter of Algorithm 1 run
-// over every world of the CRN base rng.Int63(), through the same world
-// kernel the device path executes, so results are device- and
-// schedule-independent.
-func (p *Prolog) Evaluate(config []int, rng *rand.Rand) (*Evaluation, error) {
-	k, err := p.Kernel(context.Background(), config, rng.Int63())
-	if err != nil {
-		return nil, err
-	}
-	return RunKernel(k)
-}
+// Fingerprint implements Evaluator: empty, since the interpreted rules are
+// not hashed, so a Prolog search runs without the evaluation cache.
+func (p *Prolog) Fingerprint() string { return "" }
 
 // prologKernel interprets one world per thread. Figures: the goal value,
 // then per constraint its queried value and a 0/1 satisfaction indicator.
-// Machines are pooled: each concurrent chunk checks one out, installs its
-// worlds' facts, and returns it.
 type prologKernel struct {
-	p      *Prolog
+	*prologBinding
 	config []int
-	crn    *Program
-	pool   sync.Pool
 }
 
-// Kernel builds the world kernel of one configuration over the CRN rows of
-// base, shaped like Native.CRNKernel: ctx cancels the rows' build.
-func (p *Prolog) Kernel(ctx context.Context, config []int, base int64) (WorldKernel, error) {
-	if err := p.native.checkConfig(config); err != nil {
-		return nil, err
-	}
-	crn, err := p.native.program(ctx, base)
+// prologBinding is one Bind's CRN rows and machine pool, shared by every
+// kernel of the binding: each concurrent chunk checks a machine out,
+// installs its worlds' facts, and returns it.
+type prologBinding struct {
+	p    *Prolog
+	crn  *Program
+	pool sync.Pool
+}
+
+// Bind implements Evaluator: the WLog interpreter of Algorithm 1 over the
+// CRN rows of base — the rows a Native over the same workflow, table and
+// prices samples — through the same world kernel contract the device path
+// executes, so results are device- and schedule-independent. ctx cancels
+// the rows' build.
+func (p *Prolog) Bind(ctx context.Context, base int64) (Kernels, error) {
+	crn, err := p.native.newProgram(ctx, base)
 	if err != nil {
 		return nil, err
 	}
-	k := &prologKernel{p: p, config: config, crn: crn}
-	k.pool.New = func() any { return p.base.Clone() }
-	return k, nil
+	b := &prologBinding{p: p, crn: crn}
+	b.pool.New = func() any { return p.base.Clone() }
+	return func(config []int) (WorldKernel, error) {
+		if err := p.native.checkConfig(config); err != nil {
+			return nil, err
+		}
+		return &prologKernel{prologBinding: b, config: config}, nil
+	}, nil
 }
 
 // Worlds implements WorldKernel.

@@ -63,10 +63,11 @@ func condSample(td *estimate.TimeDist, drift, elapsed float64, rng *rand.Rand) f
 // constraint reduction are the embedded probir.Figures — the solver's
 // native semantics — so replan search results rank exactly like
 // initial-planning results; its goal value is the deterministic residual
-// cost. World it draws from probir.WorldRNG(base, it), base being the
-// monitor decision's, never a state's: the conditioned rejection sampling
-// (condSample) draws a data-dependent number of variates per task, which no
-// fixed (task, iteration) stream of a shared duration matrix can serve.
+// cost. World it draws from an rng seeded by probir.MixSeed(base, it), base
+// being the monitor decision's, never a state's: the conditioned rejection
+// sampling (condSample) draws a data-dependent number of variates per task,
+// which no fixed (task, iteration) stream of a shared duration matrix can
+// serve.
 type residualKernel struct {
 	probir.Figures
 	r      *residual
@@ -109,8 +110,8 @@ func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error
 func (k *residualKernel) Sample(lo, hi int, out []float64) error {
 	finish := make([]float64, len(k.r.ids))
 	// One generator for the chunk, reseeded per world: Seed restarts it
-	// exactly where a fresh probir.WorldRNG(k.base, it) starts, without
-	// allocating a source per world.
+	// exactly where a fresh source seeded by probir.MixSeed(k.base, it)
+	// starts, without allocating a source per world.
 	rng := rand.New(rand.NewSource(0))
 	width := k.Width()
 	for it := lo; it < hi; it++ {

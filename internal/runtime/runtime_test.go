@@ -283,7 +283,11 @@ func TestResidualReduceMatchesNative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nk, err := native.CRNKernel(context.Background(), config, 5)
+			kernels, err := native.Bind(context.Background(), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nk, err := kernels(config)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,10 +346,11 @@ func TestResidualReduceMatchesNative(t *testing.T) {
 	}
 }
 
-// TestResidualWorldsFollowWorldRNG pins the residual kernel's worlds to
+// TestResidualWorldsFollowMixSeed pins the residual kernel's worlds to
 // their substreams: a chunk sampled with one reseeded generator gives every
-// figure bit for bit as a world drawn from a fresh probir.WorldRNG.
-func TestResidualWorldsFollowWorldRNG(t *testing.T) {
+// figure bit for bit as a world drawn from a fresh source seeded with
+// probir.MixSeed(base, it).
+func TestResidualWorldsFollowMixSeed(t *testing.T) {
 	s := newScenario(t)
 	const iters, base = 24, 7
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: s.deadline}, {Kind: "budget", Percentile: 0.8, Bound: 1}}
@@ -370,10 +375,10 @@ func TestResidualWorldsFollowWorldRNG(t *testing.T) {
 	want := make([]float64, width)
 	for it := 0; it < iters; it++ {
 		clear(want)
-		k.world(probir.WorldRNG(base, it), finish, want)
+		k.world(rand.New(rand.NewSource(probir.MixSeed(base, it))), finish, want)
 		for f := range want {
 			if math.Float64bits(got[it*width+f]) != math.Float64bits(want[f]) {
-				t.Fatalf("world %d figure %d: chunk %v, fresh WorldRNG %v", it, f, got[it*width+f], want[f])
+				t.Fatalf("world %d figure %d: chunk %v, fresh source %v", it, f, got[it*width+f], want[f])
 			}
 		}
 	}
