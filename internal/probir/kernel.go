@@ -29,8 +29,10 @@ import "context"
 // the interpreter reads world p's exetime facts from position p of the same
 // rows the native kernel reads. The runtime's conditioned residual kernels,
 // whose rejection sampling draws a data-dependent number of variates, take
-// a decision base when they are built and draw world it from an rng seeded
-// by MixSeed(base, it).
+// a decision base when they are built and draw world it from a Stream
+// seeded at MixSeed(base, it): a counter-based stream restarts per world in
+// O(1), so any number of draws per world costs only its arithmetic, and
+// world it reads the same variates whichever chunk it falls in.
 
 // WorldKernel is one state's Monte-Carlo evaluation, decomposed for
 // block/thread execution.
@@ -52,7 +54,9 @@ type WorldKernel interface {
 // MixSeed mixes a base seed with an index (splitmix64 finalizer), giving
 // every (base, index) pair its own statistically independent substream:
 // row ri of a CRN Program (flat.go), world it of a residual kernel's
-// decision base, decision d of a monitor seed in package runtime.
+// decision base, decision d of a monitor seed in package runtime. For
+// i = 0, 1, 2, … it is the splitmix64 sequence seeded at base, which is
+// what a Stream draws.
 func MixSeed(base int64, i int) int64 {
 	z := uint64(base) + uint64(i+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -62,6 +66,29 @@ func MixSeed(base int64, i int) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
+
+// Stream is a counter-based rand.Source64: a seed and a draw counter, draw
+// k being MixSeed(seed, k). Seed restarts it in O(1), where a math/rand
+// source refills a 607-word state, so a kernel whose worlds draw a
+// data-dependent number of variates can give every world its own stream
+// from one Stream per chunk. The zero value is the stream of seed 0.
+type Stream struct {
+	seed int64
+	n    int
+}
+
+// Seed restarts the stream at draw 0 of seed.
+func (s *Stream) Seed(seed int64) { s.seed, s.n = seed, 0 }
+
+// Uint64 returns the next draw.
+func (s *Stream) Uint64() uint64 {
+	v := MixSeed(s.seed, s.n)
+	s.n++
+	return uint64(v)
+}
+
+// Int63 returns the next draw's top 63 bits.
+func (s *Stream) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // RunKernel executes a kernel's worlds sequentially and reduces them,
 // accumulating in iteration order — the reference semantics every device

@@ -143,6 +143,33 @@ func TestMixSeedSubstreams(t *testing.T) {
 	}
 }
 
+// TestStreamGolden pins Stream to the splitmix64 reference: the first
+// draws of seed 1234567 are the published splitmix64 outputs, Int63 keeps
+// each draw's top 63 bits, Seed restarts the sequence at draw 0, and draw
+// k of a seed is MixSeed(seed, k).
+func TestStreamGolden(t *testing.T) {
+	want := []uint64{6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821}
+	var s Stream
+	s.Seed(1234567)
+	for k, w := range want {
+		if got := s.Uint64(); got != w {
+			t.Fatalf("draw %d: %d, want %d", k, got, w)
+		}
+	}
+	s.Seed(1234567)
+	for k, w := range want {
+		if got := s.Int63(); got != int64(w>>1) {
+			t.Fatalf("Int63 draw %d: %d, want %d", k, got, int64(w>>1))
+		}
+	}
+	s.Seed(99)
+	for k := 0; k < 100; k++ {
+		if got, w := s.Uint64(), uint64(MixSeed(99, k)); got != w {
+			t.Fatalf("draw %d of seed 99: %d, MixSeed %d", k, got, w)
+		}
+	}
+}
+
 // layeredFixture builds a random layered workflow with stochastic I/O (so
 // per-world durations actually vary) and a Native over it.
 func layeredFixture(t testing.TB, nTasks int, seed int64, goal GoalKind, cons []wlog.Constraint, iters int) *Native {

@@ -63,11 +63,12 @@ func condSample(td *estimate.TimeDist, drift, elapsed float64, rng *rand.Rand) f
 // constraint reduction are the embedded probir.Figures — the solver's
 // native semantics — so replan search results rank exactly like
 // initial-planning results; its goal value is the deterministic residual
-// cost. World it draws from an rng seeded by probir.MixSeed(base, it), base
-// being the monitor decision's, never a state's: the conditioned rejection
-// sampling (condSample) draws a data-dependent number of variates per task,
-// which no fixed (task, iteration) stream of a shared duration matrix can
-// serve.
+// cost. World it draws from a probir.Stream seeded at probir.MixSeed(base,
+// it), base being the monitor decision's, never a state's: the conditioned
+// rejection sampling (condSample) draws a data-dependent number of variates
+// per task, which no fixed (task, iteration) stream of a shared duration
+// matrix can serve, while a counter-based stream serves any number of
+// draws and restarts per world in O(1).
 type residualKernel struct {
 	probir.Figures
 	r      *residual
@@ -109,14 +110,15 @@ func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error
 // starting at max(now, parents' finish).
 func (k *residualKernel) Sample(lo, hi int, out []float64) error {
 	finish := make([]float64, len(k.r.ids))
-	// One generator for the chunk, reseeded per world: Seed restarts it
-	// exactly where a fresh source seeded by probir.MixSeed(k.base, it)
-	// starts, without allocating a source per world.
-	rng := rand.New(rand.NewSource(0))
+	// One counter-based stream for the chunk, restarted per world at the
+	// world's seed: world it reads the same draws in any chunk, and the
+	// restart costs two stores.
+	var src probir.Stream
+	rng := rand.New(&src)
 	width := k.Width()
 	for it := lo; it < hi; it++ {
 		r := it - lo
-		rng.Seed(probir.MixSeed(k.base, it))
+		src.Seed(probir.MixSeed(k.base, it))
 		k.world(rng, finish, out[r*width:(r+1)*width])
 	}
 	return nil

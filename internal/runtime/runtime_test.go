@@ -3,9 +3,11 @@ package runtime
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"deco/internal/cloud"
@@ -32,7 +34,7 @@ type scenario struct {
 	cons     []wlog.Constraint
 }
 
-func newScenario(t *testing.T) *scenario {
+func newScenario(t testing.TB) *scenario {
 	t.Helper()
 	cat := cloud.DefaultCatalog()
 	meta, err := cloud.MetadataFromTruth(cat, 20, 400, rand.New(rand.NewSource(11)))
@@ -346,15 +348,19 @@ func TestResidualReduceMatchesNative(t *testing.T) {
 	}
 }
 
-// TestResidualWorldsFollowMixSeed pins the residual kernel's worlds to
-// their substreams: a chunk sampled with one reseeded generator gives every
-// figure bit for bit as a world drawn from a fresh source seeded with
-// probir.MixSeed(base, it).
-func TestResidualWorldsFollowMixSeed(t *testing.T) {
-	s := newScenario(t)
-	const iters, base = 24, 7
+// midRunKernel builds the residual kernel of a mixed configuration over
+// the scenario part-way through execution: the first task finished at 1.5
+// times its forecast, the second has run for its drifted mean (so about
+// half of condSample's rejection draws fail and the draw count varies by
+// world) and the rest are unstarted.
+func midRunKernel(t testing.TB, s *scenario, iters int, base int64) *residualKernel {
+	t.Helper()
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: s.deadline}, {Kind: "budget", Percentile: 0.8, Bound: 1}}
-	mon, err := NewMonitor(s.w, s.plan, s.tbl, s.prices, cloud.USEast, cons, Options{Iters: iters})
+	mon, err := NewMonitor(s.w, s.plan, s.tbl, s.prices, cloud.USEast, cons, Options{Iters: iters, MaxReplans: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.w.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,26 +368,142 @@ func TestResidualWorldsFollowMixSeed(t *testing.T) {
 	for i := range config {
 		config[i] = i % len(s.tbl.Types)
 	}
+	first, err := s.tbl.Dist(ids[0], mon.types["m1.small"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.tbl.Dist(ids[1], config[mon.index[ids[1]]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := 1.5 * first.Mean()
+	mon.OnEvent(sim.Event{Kind: sim.EvTaskStart, Task: ids[0], Type: "m1.small"})
+	mon.OnEvent(sim.Event{Kind: sim.EvTaskFinish, Time: d, Task: ids[0], Type: "m1.small", Duration: d, AccruedCost: 0.02})
+	mon.OnEvent(sim.Event{Kind: sim.EvTaskStart, Time: d, Task: ids[1], Type: "m1.small"})
+	// In a chain no finish follows the second start, so advance the clock
+	// by hand.
+	elapsed := mon.res.drift * second.Mean()
+	mon.res.now = d + elapsed
+	mon.res.elapsed[mon.index[ids[1]]] = elapsed
 	k, err := mon.res.buildKernel(config, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return k
+}
+
+// TestResidualWorldsFollowMixSeed pins the residual kernel's worlds to
+// their substreams: a chunk sampled with one restarted stream gives every
+// figure bit for bit as a world drawn from a fresh probir.Stream seeded at
+// probir.MixSeed(base, it).
+func TestResidualWorldsFollowMixSeed(t *testing.T) {
+	const iters, base = 24, 7
+	k := midRunKernel(t, newScenario(t), iters, base)
 	width := k.Width()
 	got := make([]float64, iters*width)
 	if err := k.Sample(0, iters, got); err != nil {
 		t.Fatal(err)
 	}
-	finish := make([]float64, s.w.Len())
+	finish := make([]float64, len(k.r.ids))
 	want := make([]float64, width)
 	for it := 0; it < iters; it++ {
 		clear(want)
-		k.world(rand.New(rand.NewSource(probir.MixSeed(base, it))), finish, want)
+		src := new(probir.Stream)
+		src.Seed(probir.MixSeed(base, it))
+		k.world(rand.New(src), finish, want)
 		for f := range want {
 			if math.Float64bits(got[it*width+f]) != math.Float64bits(want[f]) {
-				t.Fatalf("world %d figure %d: chunk %v, fresh source %v", it, f, got[it*width+f], want[f])
+				t.Fatalf("world %d figure %d: chunk %v, fresh stream %v", it, f, got[it*width+f], want[f])
 			}
 		}
 	}
+}
+
+// TestResidualChunkSplit: a world's figures do not depend on the chunk it
+// is sampled in. Sample(0, n) equals Sample(0, m) followed by Sample(m, n)
+// bit for bit, for splits at every width down to one-world chunks, and
+// equals n one-world chunks.
+func TestResidualChunkSplit(t *testing.T) {
+	const iters = 40
+	k := midRunKernel(t, newScenario(t), iters, 11)
+	width := k.Width()
+	whole := make([]float64, iters*width)
+	if err := k.Sample(0, iters, whole); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, got []float64) {
+		t.Helper()
+		for i := range whole {
+			if math.Float64bits(got[i]) != math.Float64bits(whole[i]) {
+				t.Fatalf("%s: world %d figure %d: %v, whole chunk %v", name, i/width, i%width, got[i], whole[i])
+			}
+		}
+	}
+	for _, m := range []int{1, 2, 7, iters / 2, iters - 1} {
+		got := make([]float64, iters*width)
+		if err := k.Sample(0, m, got[:m*width]); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Sample(m, iters, got[m*width:]); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("split at %d", m), got)
+	}
+	got := make([]float64, iters*width)
+	for it := 0; it < iters; it++ {
+		if err := k.Sample(it, it+1, got[it*width:(it+1)*width]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("one-world chunks", got)
+}
+
+// TestResidualSampleAllocs caps what one chunk allocates, whatever its
+// width: two allocations (the finish-time scratch and the chunk's stream)
+// of no more than the scratch plus 128 bytes. Per-world allocations break
+// the count; a per-chunk math/rand source, a ~5 KB state, breaks the bytes.
+func TestResidualSampleAllocs(t *testing.T) {
+	const iters, runs = 64, 20
+	k := midRunKernel(t, newScenario(t), iters, 3)
+	width := k.Width()
+	out := make([]float64, iters*width)
+	maxBytes := uint64(8*len(k.r.ids) + 128)
+	for _, n := range []int{1, 8, iters} {
+		sample := func() {
+			clear(out)
+			if err := k.Sample(0, n, out[:n*width]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(runs, sample); allocs > 2 {
+			t.Errorf("%d-world chunk: %v allocations, cap 2", n, allocs)
+		}
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sample()
+		}
+		goruntime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > maxBytes {
+			t.Errorf("%d-world chunk: %d bytes allocated, cap %d", n, b, maxBytes)
+		}
+	}
+}
+
+// BenchmarkResidualRisk times the monitor's risk evaluation on the
+// scenario part-way through execution, run sequentially, and reports the
+// cost of one residual world.
+func BenchmarkResidualRisk(b *testing.B) {
+	const iters = 200
+	k := midRunKernel(b, newScenario(b), iters, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := probir.RunKernel(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters), "ns/world")
 }
 
 // TestReplanSearchStartsOnRiskWorlds: a replan search evaluates every
