@@ -19,7 +19,8 @@
 // search, evaluates states with Monte-Carlo inference on a parallel device
 // (the software stand-in for the paper's GPU), and returns a provisioning
 // plan mapping every task to an instance type, ready for execution through
-// the bundled Pegasus-like WMS or any external system.
+// the scheduler-callout surfaces a workflow management system calls
+// (Plan.Execute, decorun -json, the decod service).
 //
 // The quick path for Go callers skips WLog:
 //

@@ -334,7 +334,7 @@ func (k *admissionKernel) Sample(lo, hi int, out []float64) error {
 	return nil
 }
 
-func (k *admissionKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
+func (k *admissionKernel) Reduce(sums []float64, _ int) (*probir.Evaluation, error) {
 	cost := sums[1]
 	ev := &probir.Evaluation{Value: sums[0], Feasible: cost <= k.budget}
 	if !ev.Feasible && k.budget > 0 {

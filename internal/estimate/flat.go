@@ -51,9 +51,6 @@ func (tb *Table) Flatten(taskIDs []string) (*FlatTable, error) {
 // must be in range (hot-path accessor, no error return).
 func (ft *FlatTable) Dist(i, j int) *TimeDist { return ft.Dists[i*ft.NumTypes+j] }
 
-// Len is the number of tasks.
-func (ft *FlatTable) Len() int { return len(ft.TaskIDs) }
-
 // FlatMeans is the dense mean-duration table of one workflow's flat form:
 // Means[i*NumTypes+j] is the mean duration of task i (dag.Flat.IDs order)
 // on type j. It is immutable and safe for concurrent use.

@@ -493,6 +493,6 @@ func (k *placementKernel) Sample(lo, hi int, out []float64) error {
 	return nil
 }
 
-func (k *placementKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
+func (k *placementKernel) Reduce(sums []float64, _ int) (*probir.Evaluation, error) {
 	return k.sp.reduce(sums), nil
 }

@@ -38,7 +38,7 @@ import (
 type SampleStats struct {
 	// Adaptive reports whether the compiled problem routes evaluation
 	// through the adaptive path at all (Options.Adaptive requested it AND
-	// the space's kernels are indicator-backed partial kernels).
+	// the space declared the indicators that decide feasibility).
 	Adaptive bool
 	// WorldsReordered counts the worlds adaptive evaluation sampled in the
 	// decisive-world-first numbering: every adaptive world, so it equals
@@ -135,7 +135,6 @@ type batch struct {
 	cands    []candidate
 	out      []scored
 	kernels  []probir.WorldKernel
-	partial  []probir.PartialKernel // adaptive only
 	sums     []float64
 	seen     []int
 }
@@ -154,9 +153,6 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 		out: make([]scored, n), kernels: make([]probir.WorldKernel, n),
 		sums: make([]float64, n*p.width), seen: make([]int, n)}
 	p.evals += int64(n)
-	if adaptive {
-		b.partial = make([]probir.PartialKernel, n)
-	}
 	p.enterPhase(phaseKernelBuild)
 	active := make([]int, 0, n)
 	for i, c := range cands {
@@ -164,12 +160,6 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 		k, err := p.kernel(c.state)
 		if err == nil {
 			err = p.checkKernel(k)
-		}
-		if err == nil && adaptive {
-			var ok bool
-			if b.partial[i], ok = k.(probir.PartialKernel); !ok {
-				err = fmt.Errorf("opt: kernel %T cannot reduce a world prefix", k)
-			}
 		}
 		if err != nil {
 			b.out[i].err = err
@@ -279,15 +269,8 @@ func (b *batch) chunk(active []int, lo, end int) []int {
 				b.out[i].err = fmt.Errorf("opt: search cancelled: %w", err)
 				return
 			}
-			st, row := b.cands[i].state, b.row(i)
-			var ev *probir.Evaluation
-			var err error
-			if end == p.worlds {
-				ev, err = b.kernels[i].Reduce(row)
-			} else {
-				ev, err = b.partial[i].ReducePartial(row, end)
-			}
-			b.out[i].eval, b.out[i].err = p.reduced(st, ev, err)
+			ev, err := b.kernels[i].Reduce(b.row(i), end)
+			b.out[i].eval, b.out[i].err = p.reduced(b.cands[i].state, ev, err)
 		})
 	}
 	p.exitPhase()

@@ -12,6 +12,7 @@ import (
 
 	"deco/internal/device"
 	"deco/internal/probir"
+	"deco/internal/wlog"
 )
 
 // TestCompileAdaptiveOptionValidation pins the Compile-time validation of the
@@ -30,8 +31,59 @@ func TestCompileAdaptiveOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
-	if p.Adaptive() {
+	if p.SampleStats().Adaptive {
 		t.Fatal("Adaptive off must compile the fixed path")
+	}
+	for _, d := range []Descriptor{
+		{Indicators: []int{5}, Targets: []float64{0.9}},
+		{Indicators: []int{0}},
+	} {
+		if _, err := Compile(declaredSpace{space, d}, Options{Device: device.Sequential{}}); err == nil ||
+			!strings.Contains(err.Error(), "indicator") {
+			t.Errorf("indicators %v, targets %v: Compile error = %v, want an indicator error", d.Indicators, d.Targets, err)
+		}
+	}
+}
+
+// declaredSpace is a scheduling space that declares the indicators of d.
+type declaredSpace struct {
+	*ScheduleSpace
+	d Descriptor
+}
+
+func (s declaredSpace) Describe(ctx context.Context, seed int64) Descriptor {
+	d := s.ScheduleSpace.Describe(ctx, seed)
+	d.Indicators, d.Targets = s.d.Indicators, s.d.Targets
+	return d
+}
+
+// TestCompileAdaptiveFollowsIndicators pins that adaptive precision engages
+// on the evaluator's indicator declaration: a Native evaluator with a
+// percentile deadline compiles adaptive; a Prolog evaluator declares no
+// indicators, so its space compiled with Adaptive on runs the fixed path.
+func TestCompileAdaptiveFollowsIndicators(t *testing.T) {
+	w := cpuChain(t, 4, 300)
+	ne, tbl := buildEval(t, w, 1300, 0.9, 20)
+	prog, err := wlog.Parse("minimize Ct in totalcost(Ct).\nT in maxtime(Path,T) satisfies deadline(90%,1h).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, err := probir.NewProlog(w, tbl, ne.PricePerHour, prog, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		eval probir.Evaluator
+		want bool
+	}{{"native", ne, true}, {"prolog", pe, false}} {
+		p, err := Compile(NewScheduleSpace(w, c.eval), Options{Device: device.Sequential{}, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.SampleStats().Adaptive; got != c.want {
+			t.Errorf("%s: SampleStats().Adaptive = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -55,10 +107,10 @@ func adaptiveFixture(t *testing.T, d device.Device, cache *EvalCache) (*Problem,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !adaptive.Adaptive() {
+	if !adaptive.SampleStats().Adaptive {
 		t.Fatal("adaptive problem did not compile onto the adaptive path")
 	}
-	if fixed.Adaptive() {
+	if fixed.SampleStats().Adaptive {
 		t.Fatal("fixed problem compiled adaptive")
 	}
 	return fixed, adaptive
@@ -233,11 +285,7 @@ func (k failingReduceKernel) Sample(lo, hi int, out []float64) error {
 	}
 	return nil
 }
-func (k failingReduceKernel) Reduce([]float64) (*probir.Evaluation, error) { return nil, errFakeReduce }
-func (k failingReduceKernel) Indicators() ([]int, []float64, bool) {
-	return []int{0}, []float64{0.5}, true
-}
-func (k failingReduceKernel) ReducePartial([]float64, int) (*probir.Evaluation, error) {
+func (k failingReduceKernel) Reduce([]float64, int) (*probir.Evaluation, error) {
 	return nil, errFakeReduce
 }
 
@@ -249,7 +297,7 @@ func (s *failingReduceSpace) Neighbors(State) []Transform { return nil }
 func (s *failingReduceSpace) Describe(context.Context, int64) Descriptor {
 	return Descriptor{Kernel: func(State) (probir.WorldKernel, error) {
 		return failingReduceKernel{&s.samples}, nil
-	}}
+	}, Indicators: []int{0}, Targets: []float64{0.5}}
 }
 
 // TestAdaptiveReduceErrorCountsWorldsOnce pins the world accounting of
@@ -263,7 +311,7 @@ func TestAdaptiveReduceErrorCountsWorldsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.Adaptive() {
+		if !p.SampleStats().Adaptive {
 			t.Fatal("space did not compile adaptive")
 		}
 		var cands []candidate

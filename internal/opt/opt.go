@@ -140,6 +140,14 @@ type Descriptor struct {
 	// empty means the space cannot vouch for its identity and caching is
 	// disabled.
 	Fingerprint string
+	// Indicators and Targets are the indicator figure and target percentile
+	// of every percentile constraint (probir.Evaluator.Indicators), when
+	// they alone decide feasibility: a state whose indicator sums can no
+	// longer reach a target stops early under Options.Adaptive, its world
+	// prefix reduced by the kernel's Reduce. Empty keeps every state at
+	// every world.
+	Indicators []int
+	Targets    []float64
 }
 
 // Options configures a search.
@@ -195,9 +203,9 @@ type Options struct {
 	// pessimistic violation estimates, so the search trajectory may differ
 	// from the fixed path's (the final best is always confirmed by a full
 	// evaluation). Off (the default) runs every world of every state.
-	// Adaptive engages only when the space's kernels decide feasibility from
-	// indicator-backed constraints; it is silently inert otherwise (see
-	// Problem.SampleStats).
+	// Adaptive engages only when the space declares the indicators that
+	// decide feasibility (Descriptor.Indicators); it is silently inert
+	// otherwise (see SampleStats.Adaptive).
 	Adaptive bool
 	// MinWorlds is the first chunk size of adaptive evaluation — the minimum
 	// number of worlds every state runs before any stop decision. 0 defaults

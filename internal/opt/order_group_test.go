@@ -108,9 +108,9 @@ type loggedEval struct {
 	ev           *probir.Evaluation
 }
 
-// loggedKernel forwards to a partial kernel and logs into rec.
+// loggedKernel forwards to a world kernel and logs into rec.
 type loggedKernel struct {
-	probir.PartialKernel
+	probir.WorldKernel
 	log *worldLog
 	rec *loggedEval
 }
@@ -119,25 +119,15 @@ func (k loggedKernel) Sample(lo, hi int, out []float64) error {
 	k.log.mu.Lock()
 	k.rec.worlds = max(k.rec.worlds, hi)
 	k.log.mu.Unlock()
-	return k.PartialKernel.Sample(lo, hi, out)
+	return k.WorldKernel.Sample(lo, hi, out)
 }
 
-func (k loggedKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
-	ev, err := k.PartialKernel.Reduce(sums)
-	k.reduced(k.Worlds(), ev)
-	return ev, err
-}
-
-func (k loggedKernel) ReducePartial(sums []float64, seen int) (*probir.Evaluation, error) {
-	ev, err := k.PartialKernel.ReducePartial(sums, seen)
-	k.reduced(seen, ev)
-	return ev, err
-}
-
-func (k loggedKernel) reduced(seen int, ev *probir.Evaluation) {
+func (k loggedKernel) Reduce(sums []float64, seen int) (*probir.Evaluation, error) {
+	ev, err := k.WorldKernel.Reduce(sums, seen)
 	k.log.mu.Lock()
 	k.rec.seen, k.rec.ev = seen, ev
 	k.log.mu.Unlock()
+	return ev, err
 }
 
 // loggedSpace is a scheduling space whose kernels log into log.
@@ -158,7 +148,7 @@ func (s loggedSpace) Describe(ctx context.Context, seed int64) Descriptor {
 		s.log.mu.Lock()
 		s.log.evals = append(s.log.evals, rec)
 		s.log.mu.Unlock()
-		return loggedKernel{k.(probir.PartialKernel), s.log, rec}, nil
+		return loggedKernel{k, s.log, rec}, nil
 	}
 	d.Fingerprint = ""
 	return d
@@ -190,7 +180,7 @@ func TestPinnedFeasibleRunsToCap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !p.Adaptive() {
+			if !p.SampleStats().Adaptive {
 				t.Fatal("fixture did not compile adaptive")
 			}
 			res, err := p.Search()
@@ -274,7 +264,7 @@ func TestEarlyStopsAreInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Adaptive() {
+	if !p.SampleStats().Adaptive {
 		t.Fatal("fixture did not compile adaptive")
 	}
 	if _, err := p.Search(); err != nil {

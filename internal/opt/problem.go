@@ -48,9 +48,8 @@ type Problem struct {
 	// adaptive, when set, routes evaluation through chunked evaluation with
 	// early stopping (adaptive.go): a state stops as soon as it is proven
 	// infeasible against the compiled indicator targets. Resolved at Compile
-	// from Options.Adaptive and the probe kernel's PartialKernel capability;
-	// indIdx/indTargets are the indicator figures and their percentile
-	// targets.
+	// from Options.Adaptive and the Descriptor's indicators; indIdx/
+	// indTargets are the indicator figures and their percentile targets.
 	adaptive   bool
 	indIdx     []int
 	indTargets []float64
@@ -132,16 +131,21 @@ func Compile(sp Space, o Options) (*Problem, error) {
 		return nil, fmt.Errorf("opt: compiling kernel: %w", err)
 	}
 	p.worlds, p.width = probe.Worlds(), probe.Width()
-	// Adaptive precision engages only when everything it rests on is present:
-	// a kernel that can finalize from a world prefix, indicator figures that
-	// fully determine feasibility, and a world budget the first chunk does
-	// not already cover. Otherwise the flag is inert and the problem runs the
-	// fixed path (Problem.Adaptive reports which).
-	if pk, ok := probe.(probir.PartialKernel); ok && o.Adaptive && p.worlds > o.MinWorlds {
-		if idx, targets, okInd := pk.Indicators(); okInd && len(idx) > 0 {
-			p.adaptive = true
-			p.indIdx, p.indTargets = idx, targets
+	if len(d.Targets) != len(d.Indicators) {
+		return nil, fmt.Errorf("opt: %d indicator targets for %d indicators", len(d.Targets), len(d.Indicators))
+	}
+	for _, fi := range d.Indicators {
+		if fi < 0 || fi >= p.width {
+			return nil, fmt.Errorf("opt: indicator figure %d outside the kernel's %d figures", fi, p.width)
 		}
+	}
+	// Adaptive precision engages only when everything it rests on is present:
+	// indicator figures that fully determine feasibility, and a world budget
+	// the first chunk does not already cover. Otherwise the flag is inert and
+	// the problem runs the fixed path (SampleStats.Adaptive reports which).
+	if o.Adaptive && len(d.Indicators) > 0 && p.worlds > o.MinWorlds {
+		p.adaptive = true
+		p.indIdx, p.indTargets = d.Indicators, d.Targets
 	}
 	p.sstats.Adaptive = p.adaptive
 	for ph, name := range phaseNames {
@@ -150,17 +154,8 @@ func Compile(sp Space, o Options) (*Problem, error) {
 	return p, nil
 }
 
-// Fingerprint returns the compiled program fingerprint (empty when the space
-// has none and caching is disabled).
-func (p *Problem) Fingerprint() string { return p.fingerprint }
-
 // Starts returns the compiled start states.
 func (p *Problem) Starts() []State { return p.starts }
-
-// Adaptive reports whether state evaluations run on the adaptive-precision
-// (early-stopping) path. False either because Options.Adaptive was off or
-// because the space/device cannot support it.
-func (p *Problem) Adaptive() bool { return p.adaptive }
 
 // EvaluateStates scores a batch of states on the compiled pipeline — the
 // cache, evaluator, and device the search itself would use — and

@@ -16,10 +16,10 @@ import (
 // through it.
 type evalKernel func() (*probir.Evaluation, error)
 
-func (evalKernel) Worlds() int                                    { return 0 }
-func (evalKernel) Width() int                                     { return 0 }
-func (evalKernel) Sample(int, int, []float64) error               { return nil }
-func (k evalKernel) Reduce([]float64) (*probir.Evaluation, error) { return k() }
+func (evalKernel) Worlds() int                                         { return 0 }
+func (evalKernel) Width() int                                          { return 0 }
+func (evalKernel) Sample(int, int, []float64) error                    { return nil }
+func (k evalKernel) Reduce([]float64, int) (*probir.Evaluation, error) { return k() }
 
 // fakeKernel is a one-figure kernel whose reduced value is the state
 // component it was built for.
@@ -36,7 +36,7 @@ func (k *fakeKernel) Sample(lo, hi int, out []float64) error {
 	}
 	return nil
 }
-func (k *fakeKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
+func (k *fakeKernel) Reduce(sums []float64, _ int) (*probir.Evaluation, error) {
 	return &probir.Evaluation{Value: sums[0] / float64(k.worlds), Feasible: true}, nil
 }
 

@@ -95,7 +95,8 @@ func NewScheduleSpace(w *dag.Workflow, eval probir.Evaluator) *ScheduleSpace {
 	return &ScheduleSpace{W: w, Eval: eval, Groups: groups}
 }
 
-// Initial implements Space.
+// Initial returns the explicit Init, or else the all-cheapest state of
+// Figure 5b.
 func (s *ScheduleSpace) Initial() State {
 	if s.Init != nil {
 		return s.Init.Clone()
@@ -218,11 +219,13 @@ func (s *ScheduleSpace) Evaluate(st State, base int64) (*probir.Evaluation, erro
 // Describe implements Space: it binds the evaluator to the seed once, so
 // every state of the search reads the same CRN worlds, numbered
 // decisive-world-first; a failed binding (a cancelled build) is the error of
-// every kernel. Any CostFn is the objective. The fingerprint — and with it
+// every kernel. Any CostFn is the objective, and the indicators are the
+// evaluator's (probir.Evaluator.Indicators). The fingerprint — and with it
 // the evaluation cache — is the evaluator's, composed with the CostTag; it
 // is empty for Prolog and for a CostFn without a tag.
 func (s *ScheduleSpace) Describe(ctx context.Context, seed int64) Descriptor {
 	d := Descriptor{Objective: s.CostFn, Fingerprint: s.Eval.Fingerprint()}
+	d.Indicators, d.Targets = s.Eval.Indicators()
 	kernels, err := s.Eval.Bind(ctx, seed)
 	if err != nil {
 		kernels = func([]int) (probir.WorldKernel, error) { return nil, err }

@@ -100,11 +100,12 @@ func (f *Figures) Score(out []float64, ms, cost float64) {
 	}
 }
 
-// Indicators implements PartialKernel's indicator probe. The verdict
-// decomposes completely unless a constraint needs a sampled mean without an
-// indicator — the mean-notion deadline, whose pass/fail depends on the mean
-// makespan over all worlds. A mean-notion budget compares the world-free
-// mean cost and never blocks partial evaluation.
+// Indicators returns the indicator figure index and target percentile of
+// every percentile constraint. ok reports whether they decide feasibility
+// together with world-free checks alone; it is false when a constraint
+// needs a sampled mean without an indicator — the mean-notion deadline,
+// whose pass/fail depends on the mean makespan over all worlds. A
+// mean-notion budget compares the world-free mean cost and keeps ok.
 func (f *Figures) Indicators() (idx []int, targets []float64, ok bool) {
 	ok = true
 	for ci, c := range f.cons {
@@ -123,11 +124,12 @@ func (f *Figures) Indicators() (idx []int, targets []float64, ok bool) {
 // caller sets Value. Constraint probabilities divide by the full world
 // count — the pessimistic completion, in which every unseen world fails —
 // and sampled means by the seen count. meanCost is the world-free mean cost
-// a mean-notion budget is checked against. At seen == iters both
-// denominators coincide, which is the full reduction.
+// a mean-notion budget is checked against. At seen == Worlds() both
+// denominators coincide, which is the full reduction; a world-free layout
+// reduces at seen == 0 and divides by neither.
 func (f *Figures) ReducePrefix(sums []float64, seen int, meanCost float64) (*Evaluation, error) {
-	if seen <= 0 || seen > f.iters {
-		return nil, fmt.Errorf("probir: partial reduction over %d of %d worlds", seen, f.iters)
+	if worlds := f.Worlds(); seen < 0 || seen > worlds || seen == 0 && worlds > 0 {
+		return nil, fmt.Errorf("probir: reduction over %d of %d worlds", seen, worlds)
 	}
 	iters := float64(f.iters)
 	fseen := float64(seen)

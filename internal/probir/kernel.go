@@ -46,9 +46,16 @@ type WorldKernel interface {
 	// figures, zeroed on entry, row r receiving world lo+r. It must be safe
 	// for concurrent calls over disjoint ranges.
 	Sample(lo, hi int, out []float64) error
-	// Reduce folds the figure-wise sums over all worlds (len Width()) into
-	// the final evaluation.
-	Reduce(sums []float64) (*Evaluation, error)
+	// Reduce folds the figure-wise sums (len Width()) over the first seen
+	// worlds, accumulated in ascending world order, into an evaluation. At
+	// seen == Worlds() it is the full reduction. A shorter prefix reduces
+	// pessimistically: every unseen world is assumed to violate every
+	// probabilistic constraint, so Feasible holds only when the prefix alone
+	// proves every constraint probability, and each reported probability is
+	// a lower bound of the full evaluation's; sampled means are the
+	// prefix's. The solver reduces a prefix only for an evaluator that
+	// declares its indicators (Evaluator.Indicators).
+	Reduce(sums []float64, seen int) (*Evaluation, error)
 }
 
 // MixSeed mixes a base seed with an index (splitmix64 finalizer), giving
@@ -98,7 +105,7 @@ func RunKernel(k WorldKernel) (*Evaluation, error) {
 	if err := RunKernelRange(k, sums, 0, k.Worlds()); err != nil {
 		return nil, err
 	}
-	return k.Reduce(sums)
+	return k.Reduce(sums, k.Worlds())
 }
 
 // nativeKernel is the Native evaluator's world kernel under the CRN
@@ -129,10 +136,7 @@ type nativeKernel struct {
 // A world-free layout builds no Program. ctx cancels the build, the one
 // step of a binding that can take long; the error then wraps ctx's.
 func (n *Native) Bind(ctx context.Context, base int64) (Kernels, error) {
-	// Spot markets make cost a random variable for every state of the search
-	// (uniform kernel shape — the compiled solver resolves figure layout once
-	// per problem), so the cost figure is always sampled.
-	figs := NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot)
+	figs := n.figures()
 	var prog *Program
 	if figs.Worlds() > 0 {
 		var err error
@@ -154,6 +158,24 @@ func (n *Native) Bind(ctx context.Context, base int64) (Kernels, error) {
 		}
 		return k, nil
 	}, nil
+}
+
+// figures lays out the figures of every kernel of n. Spot markets make cost
+// a random variable for every state of the search (uniform kernel shape —
+// the compiled solver resolves figure layout once per problem), so the cost
+// figure is then always sampled.
+func (n *Native) figures() Figures {
+	return NewFigures(n.Constraints, n.Iters, n.Goal == GoalMakespan, n.hasSpot)
+}
+
+// Indicators implements Evaluator from the figure layout: nil under a
+// mean-notion deadline.
+func (n *Native) Indicators() (idx []int, targets []float64) {
+	f := n.figures()
+	if idx, targets, ok := f.Indicators(); ok {
+		return idx, targets
+	}
+	return nil, nil
 }
 
 // row returns task i's CRN duration row.
@@ -255,10 +277,4 @@ func (k *nativeKernel) makespans(lo int, ms []float64, bs *blockScratch) {
 			fold(t)
 		}
 	}
-}
-
-// Reduce implements WorldKernel: the reduction over every world, which is
-// ReducePartial over all of them.
-func (k *nativeKernel) Reduce(sums []float64) (*Evaluation, error) {
-	return k.ReducePartial(sums, k.n.Iters)
 }

@@ -30,7 +30,7 @@ func foldOutOfOrder(t *testing.T, k WorldKernel) *Evaluation {
 			sums[w] += slots[it*width+w]
 		}
 	}
-	ev, err := k.Reduce(sums)
+	ev, err := k.Reduce(sums, worlds)
 	if err != nil {
 		t.Fatal(err)
 	}

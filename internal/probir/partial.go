@@ -2,37 +2,13 @@ package probir
 
 import "fmt"
 
-// This file extends the world-kernel decomposition (kernel.go) with
-// partial evaluation: finalizing a state's Evaluation from a prefix of its
-// Monte-Carlo worlds. The adaptive evaluator in the solver runs worlds in
-// chunks and stops a state as soon as its running indicator sums prove it
-// infeasible — which requires the kernel to (a) expose which figures are
-// constraint indicators and what targets they face, and (b) reduce a world
-// prefix into a sound, pessimistic Evaluation.
-
-// PartialKernel is a WorldKernel whose evaluation can be finalized from a
-// prefix of its worlds. All probir chunked execution folds worlds in
-// ascending iteration order, so a prefix's figure sums are exactly the first
-// worlds' contribution to the full sums; ReducePartial(sums, Worlds()) is
-// bit-identical to Reduce(sums).
-type PartialKernel interface {
-	WorldKernel
-	// Indicators returns the indicator figure index and target percentile of
-	// every probabilistic (percentile-bounded) constraint. ok reports whether
-	// the feasibility verdict is fully determined by those indicators plus
-	// world-free deterministic checks; when false (e.g. a deterministic
-	// deadline that compares the sampled mean makespan), partial evaluation
-	// cannot decide feasibility early and the caller must run every world.
-	Indicators() (idx []int, targets []float64, ok bool)
-	// ReducePartial folds figure sums over the first seen worlds (accumulated
-	// in ascending world order) into a pessimistic Evaluation: every unseen
-	// world is assumed to violate every probabilistic constraint, so Feasible
-	// is true only when the prefix alone proves every constraint probability,
-	// and reported constraint probabilities are guaranteed lower bounds of
-	// the full evaluation's. Sampled means (and a sampled goal value) are
-	// estimated from the prefix.
-	ReducePartial(sums []float64, seen int) (*Evaluation, error)
-}
+// This file holds the world-prefix side of the kernel contract. Every
+// probir chunked execution folds worlds in ascending iteration order, so a
+// prefix's figure sums are exactly the first worlds' contribution to the
+// full sums, and a kernel's Reduce finalizes a state from any prefix. The
+// adaptive evaluator in the solver runs worlds in chunks and stops a state
+// as soon as its running indicator sums (Evaluator.Indicators) prove it
+// infeasible, reducing that prefix pessimistically.
 
 // ValueFigure returns the figure index the goal value is reduced from, or -1
 // when the goal value is world-free: the sampled mean makespan drives the
@@ -49,10 +25,10 @@ func (k *nativeKernel) ValueFigure() int {
 	return -1
 }
 
-// ReducePartial implements PartialKernel: the embedded Figures' prefix
-// reduction, plus the goal value — the world-free mean cost, or the prefix
-// mean of the figure ValueFigure names.
-func (k *nativeKernel) ReducePartial(sums []float64, seen int) (*Evaluation, error) {
+// Reduce implements WorldKernel: the embedded Figures' prefix reduction,
+// plus the goal value — the world-free mean cost, or the prefix mean of the
+// figure ValueFigure names.
+func (k *nativeKernel) Reduce(sums []float64, seen int) (*Evaluation, error) {
 	if k.n.Goal != GoalCost && k.n.Goal != GoalMakespan {
 		return nil, fmt.Errorf("probir: unknown goal kind %d", k.n.Goal)
 	}

@@ -2,6 +2,7 @@ package probir
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deco/internal/wlog"
@@ -50,9 +51,10 @@ func TestRunCRNKernelRangeChains(t *testing.T) {
 	}
 }
 
-// TestReducePartialFullIsReduce asserts the contract adaptive evaluation
-// rests on: ReducePartial over all worlds is bit-identical to Reduce.
-func TestReducePartialFullIsReduce(t *testing.T) {
+// TestReduceFullIsRunKernel asserts the contract adaptive evaluation rests
+// on: chunked sums reduced at every world are bit-identical to the
+// reference RunKernel.
+func TestReduceFullIsRunKernel(t *testing.T) {
 	for _, goal := range []GoalKind{GoalCost, GoalMakespan} {
 		cons := []wlog.Constraint{
 			{Kind: "deadline", Percentile: 0.9, Bound: 2500},
@@ -65,31 +67,32 @@ func TestReducePartialFullIsReduce(t *testing.T) {
 		for i := range cfg {
 			cfg[i] = rng.Intn(n.NumTypes())
 		}
-		wk, err := kernelAt(n, cfg, 7)
+		k, err := kernelAt(n, cfg, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := wk.(*nativeKernel)
 		sums := make([]float64, k.Width())
-		if err := RunKernelRange(k, sums, 0, k.Worlds()); err != nil {
-			t.Fatal(err)
+		for _, r := range [][2]int{{0, 16}, {16, 48}} {
+			if err := RunKernelRange(k, sums, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		full, err := k.Reduce(sums)
+		got, err := k.Reduce(sums, k.Worlds())
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := k.ReducePartial(sums, k.Worlds())
+		want, err := RunKernel(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameEval(t, int(goal), part, full)
+		sameEval(t, int(goal), got, want)
 	}
 }
 
-// TestReducePartialPessimistic checks that a prefix reduction never claims
+// TestReducePrefixPessimistic checks that a prefix reduction never claims
 // feasibility the remaining worlds could retract, and reports constraint
 // probabilities no higher than the full evaluation's.
-func TestReducePartialPessimistic(t *testing.T) {
+func TestReducePrefixPessimistic(t *testing.T) {
 	cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 2500}}
 	n := layeredFixture(t, 20, 23, GoalCost, cons, 64)
 	rng := rand.New(rand.NewSource(13))
@@ -107,7 +110,7 @@ func TestReducePartialPessimistic(t *testing.T) {
 		if err := RunKernelRange(k, fullSums, 0, k.Worlds()); err != nil {
 			t.Fatal(err)
 		}
-		full, err := k.Reduce(fullSums)
+		full, err := k.Reduce(fullSums, k.Worlds())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +121,7 @@ func TestReducePartialPessimistic(t *testing.T) {
 				t.Fatal(err)
 			}
 			lo = hi
-			part, err := k.ReducePartial(sums, hi)
+			part, err := k.Reduce(sums, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,9 +138,11 @@ func TestReducePartialPessimistic(t *testing.T) {
 	}
 }
 
-// TestIndicators covers the capability probe: percentile constraints expose
-// indicator figures; a deterministic-notion deadline blocks partial
-// evaluation; a deterministic budget does not; the goal decides ValueFigure.
+// TestIndicators covers the evaluators' indicator declarations: a Native's
+// percentile constraints declare their figures in its kernels' layout; a
+// mean-notion deadline, which needs the mean makespan over every world,
+// declares none, while a mean-notion budget does not block; a Prolog
+// evaluator declares none. The goal decides ValueFigure.
 func TestIndicators(t *testing.T) {
 	cfgFor := func(n *Native) []int { return make([]int, n.W.Len()) }
 
@@ -146,17 +151,13 @@ func TestIndicators(t *testing.T) {
 		{Kind: "budget", Percentile: -1, Bound: 50},
 		{Kind: "budget", Percentile: 0.8, Bound: 5},
 	}, 16)
-	wk, err := kernelAt(n, cfgFor(n), 1)
+	k, err := crnKernel(n, cfgFor(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := wk.(*nativeKernel)
-	idx, targets, ok := k.Indicators()
-	if !ok {
-		t.Fatal("indicator-backed constraints reported as not partialable")
-	}
-	if len(idx) != 2 || len(targets) != 2 || targets[0] != 0.96 || targets[1] != 0.8 {
-		t.Fatalf("Indicators() = %v, %v", idx, targets)
+	idx, targets := n.Indicators()
+	if !slices.Equal(idx, []int{k.indIdx[0], k.indIdx[2]}) || !slices.Equal(targets, []float64{0.96, 0.8}) {
+		t.Fatalf("Indicators() = %v, %v; kernel indicator figures %v", idx, targets, k.indIdx)
 	}
 	for _, fi := range idx {
 		if fi < 0 || fi >= k.Width() {
@@ -169,16 +170,24 @@ func TestIndicators(t *testing.T) {
 
 	n = layeredFixture(t, 8, 3, GoalMakespan, []wlog.Constraint{
 		{Kind: "deadline", Percentile: -1, Bound: 2500},
+		{Kind: "budget", Percentile: 0.8, Bound: 5},
 	}, 16)
-	wk, err = kernelAt(n, cfgFor(n), 1)
-	if err != nil {
-		t.Fatal(err)
+	if idx, targets := n.Indicators(); idx != nil || targets != nil {
+		t.Fatalf("mean-notion deadline declared indicators %v, %v", idx, targets)
 	}
-	k = wk.(*nativeKernel)
-	if _, _, ok := k.Indicators(); ok {
-		t.Fatal("deterministic-notion deadline must block partial evaluation")
+	if k, err = crnKernel(n, cfgFor(n), 1); err != nil {
+		t.Fatal(err)
 	}
 	if vf := k.ValueFigure(); vf != k.msIdx {
 		t.Fatalf("GoalMakespan ValueFigure() = %d, want %d", vf, k.msIdx)
+	}
+
+	w, tbl, prices := fixture(t, true)
+	pe, err := NewProlog(w, tbl, prices, schedProgram(t, "deadline(90%,1h)"), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx, targets := pe.Indicators(); idx != nil || targets != nil {
+		t.Fatalf("Prolog declared indicators %v, %v", idx, targets)
 	}
 }

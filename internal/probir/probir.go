@@ -28,7 +28,11 @@
 // Both evaluators run as world kernels plus a reduction (kernel.go), the
 // paper's block/thread shape. The kernel contract is ranged: one Sample call
 // computes a contiguous range of worlds into one figure row per world, and
-// the native kernel runs its longest-path passes task-major over the range.
+// the native kernel runs its longest-path passes task-major over the range;
+// one Reduce folds the figure sums of any world prefix, the full reduction
+// at every world. An evaluator declares the indicator figures that decide
+// its feasibility (Indicators), which the solver's adaptive precision stops
+// on.
 // A CRN Program samples its worlds once, when it is built, and stores them
 // decisive-world-first (order.go), so a world has one number everywhere.
 // The constraint semantics — figure layout, indicator scoring, verdicts, violation gradient and the world-prefix
@@ -73,6 +77,13 @@ type Evaluator interface {
 	// builder of every configuration over them. ctx cancels the sampling;
 	// the error then wraps ctx's.
 	Bind(ctx context.Context, base int64) (Kernels, error)
+	// Indicators returns the indicator figure index and target percentile
+	// of every percentile constraint, in the figure layout of every kernel
+	// Bind builds: the figures adaptive precision watches to stop a state
+	// early. It returns nil when feasibility does not follow from the
+	// indicators alone (a mean-notion deadline compares the mean makespan
+	// over every world); every state then runs every world.
+	Indicators() (idx []int, targets []float64)
 	// Fingerprint identifies everything an evaluation depends on besides
 	// (config, base); empty when the evaluator cannot vouch for its
 	// identity, which leaves the solver's evaluation cache unbound.

@@ -290,9 +290,11 @@ func TestPrologEvaluatorDeterministicAgreesExactly(t *testing.T) {
 // (T × price/3600) where the native kernel prices per hour (T/3600 × price).
 // Each of the at most 12 terms rounds once either way, a few ulps in all.
 // The deadline indicators, checked against the same bound, are equal in
-// every world, and so are the deadline's probability and the verdict.
+// every world, and so are the deadline's probability and the verdict of
+// both kernels' Reduce over the first world, the first 16 and all of them:
+// a prefix divides probabilities by every world in both.
 func TestPrologNativeAgreePerWorld(t *testing.T) {
-	const iters = 16
+	const iters = 24
 	const perWorldTol = 1e-12
 	src, err := os.ReadFile("../../programs/adaptive.wlog")
 	if err != nil {
@@ -422,18 +424,20 @@ func TestPrologNativeAgreePerWorld(t *testing.T) {
 						for f := range nsums {
 							nsums[f] += n[f]
 						}
-					}
-					pev, err := pk.Reduce(psums)
-					if err != nil {
-						t.Fatal(err)
-					}
-					nev, err := nk.Reduce(nsums)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if pev.Feasible != nev.Feasible || pev.ConsProb[0] != nev.ConsProb[0] {
-						t.Errorf("%s: feasible %v P(deadline) %v, native %v %v",
-							label, pev.Feasible, pev.ConsProb[0], nev.Feasible, nev.ConsProb[0])
+						if seen := it + 1; seen == 1 || seen == 16 || seen == iters {
+							pev, err := pk.Reduce(psums, seen)
+							if err != nil {
+								t.Fatal(err)
+							}
+							nev, err := nk.Reduce(nsums, seen)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if pev.Feasible != nev.Feasible || pev.ConsProb[0] != nev.ConsProb[0] {
+								t.Errorf("%s at %d worlds: feasible %v P(deadline) %v, native %v %v",
+									label, seen, pev.Feasible, pev.ConsProb[0], nev.Feasible, nev.ConsProb[0])
+							}
+						}
 					}
 				}
 			}

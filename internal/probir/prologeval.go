@@ -124,6 +124,11 @@ func queryNumber(m *prolog.Machine, v, query prolog.Term) (float64, error) {
 	return float64(n), nil
 }
 
+// Indicators implements Evaluator: nil, since the interpreted constraints
+// declare no indicator layout the solver may stop on, so a Prolog search
+// runs every world of every state.
+func (p *Prolog) Indicators() (idx []int, targets []float64) { return nil, nil }
+
 // Fingerprint implements Evaluator: empty, since the interpreted rules are
 // not hashed, so a Prolog search runs without the evaluation cache.
 func (p *Prolog) Fingerprint() string { return "" }
@@ -243,16 +248,20 @@ func (k *prologKernel) world(m *prolog.Machine, it int, out []float64) error {
 
 // Reduce implements WorldKernel: the goal mean, and each constraint's
 // queried mean and satisfaction probability through the shared verdict
-// (figures.go).
-func (k *prologKernel) Reduce(sums []float64) (*Evaluation, error) {
-	iters := float64(k.crn.iters)
+// (figures.go). As in Figures, means divide by the seen worlds and
+// probabilities by every world, so a prefix reduces pessimistically.
+func (k *prologKernel) Reduce(sums []float64, seen int) (*Evaluation, error) {
+	if seen < 1 || seen > k.crn.iters {
+		return nil, fmt.Errorf("probir: reduction over %d of %d worlds", seen, k.crn.iters)
+	}
+	iters, fseen := float64(k.crn.iters), float64(seen)
 	ev := &Evaluation{
-		Value:    sums[0] / iters,
+		Value:    sums[0] / fseen,
 		Feasible: true,
 		ConsProb: make([]float64, len(k.p.Program.Constraints)),
 	}
 	for ci, c := range k.p.Program.Constraints {
-		judge(ev, ci, c, sums[2+2*ci]/iters, sums[1+2*ci]/iters)
+		judge(ev, ci, c, sums[2+2*ci]/iters, sums[1+2*ci]/fseen)
 	}
 	return ev, nil
 }

@@ -87,14 +87,17 @@ func NewMonitor(w *dag.Workflow, plan *sim.Plan, tbl *estimate.Table, prices []f
 			m.nextSlot = pl.Slot + 1
 		}
 	}
-	ids, err := w.TopoOrder()
+	flat, err := w.Flatten()
 	if err != nil {
 		return nil, err
 	}
-	r := &residual{
-		ids:     make([]string, n),
-		order:   make([]int, n),
-		parents: make([][]int, n),
+	ftab, err := tbl.Flatten(flat.IDs)
+	if err != nil {
+		return nil, err
+	}
+	m.res = &residual{
+		flat:    flat,
+		ftab:    ftab,
 		state:   make([]int, n),
 		startAt: make([]float64, n),
 		elapsed: make([]float64, n),
@@ -105,16 +108,6 @@ func NewMonitor(w *dag.Workflow, plan *sim.Plan, tbl *estimate.Table, prices []f
 		cons:    cons,
 		iters:   o.Iters,
 	}
-	for i, t := range w.Tasks {
-		r.ids[i] = t.ID
-		for _, p := range w.Parents(t.ID) {
-			r.parents[i] = append(r.parents[i], m.index[p])
-		}
-	}
-	for k, id := range ids {
-		r.order[k] = m.index[id]
-	}
-	m.res = r
 	return m, nil
 }
 
@@ -315,7 +308,7 @@ func (m *Monitor) assess(base int64) (*probir.Evaluation, error) {
 	if errs[0] != nil {
 		return nil, errs[0]
 	}
-	return k.Reduce(sums)
+	return k.Reduce(sums, k.Worlds())
 }
 
 // fail records a monitoring error and stops further adaptation; the

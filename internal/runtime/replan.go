@@ -88,15 +88,17 @@ func (s *residualSpace) fingerprint() string {
 				h.Write(buf[:])
 			}
 		}
-		writeI(int64(len(r.ids)), int64(r.iters))
-		for i, id := range r.ids {
+		f := r.flat
+		writeI(int64(f.Len()), int64(r.iters))
+		for i, id := range f.IDs {
 			io.WriteString(h, id)
 			writeI(int64(r.state[i]))
 			writeF(r.startAt[i], r.elapsed[i], r.finish[i])
 		}
-		for _, ti := range r.order {
-			writeI(int64(ti), int64(len(r.parents[ti])))
-			for _, p := range r.parents[ti] {
+		for ki, ti := range f.Order {
+			parents := f.Parents[f.ParentStart[ki]:f.ParentStart[ki+1]]
+			writeI(int64(ti), int64(len(parents)))
+			for _, p := range parents {
 				writeI(int64(p))
 			}
 		}

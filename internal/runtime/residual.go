@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"deco/internal/dag"
 	"deco/internal/estimate"
 	"deco/internal/probir"
 	"deco/internal/wlog"
@@ -24,20 +25,22 @@ const (
 // observed finish times, running tasks their observed starts plus a
 // duration conditioned on having survived `elapsed` seconds, unstarted
 // tasks a full sampled duration starting no earlier than now. All sampled
-// durations are inflated by the learned drift factor.
+// durations are inflated by the learned drift factor. Tasks are indexed as
+// in the workflow's flat form, which the solver's kernels read too: its
+// topological order and parent lists, and the distribution table resolved
+// against its IDs.
 type residual struct {
-	ids     []string
-	order   []int   // topo order, indices into ids
-	parents [][]int // parent indices per task
+	flat    *dag.Flat
+	ftab    *estimate.FlatTable
 	state   []int
 	startAt []float64 // running tasks: observed start
 	elapsed []float64 // running tasks: now - startAt
 	finish  []float64 // finished tasks: observed finish
 	now     float64
-	accrued float64 // committed cost so far
-	drift   float64 // realized/forecast duration ratio, ≥ small positive
-	tbl     *estimate.Table
-	prices  []float64 // per type index, hourly
+	accrued float64         // committed cost so far
+	drift   float64         // realized/forecast duration ratio, ≥ small positive
+	tbl     *estimate.Table // fingerprinted; kernels read ftab
+	prices  []float64       // per type index, hourly
 	cons    []wlog.Constraint
 	iters   int
 }
@@ -81,8 +84,8 @@ type residualKernel struct {
 // buildKernel resolves config's per-task distributions and figure layout
 // over the worlds of the decision base.
 func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error) {
-	if len(config) != len(r.ids) {
-		return nil, fmt.Errorf("runtime: config length %d, want %d", len(config), len(r.ids))
+	if len(config) != r.flat.Len() {
+		return nil, fmt.Errorf("runtime: config length %d, want %d", len(config), r.flat.Len())
 	}
 	k := &residualKernel{r: r, base: base,
 		Figures: probir.NewFigures(r.cons, r.iters, false, false),
@@ -91,10 +94,11 @@ func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error
 	}
 	k.mean = r.accrued
 	for i, j := range config {
-		td, err := r.tbl.Dist(r.ids[i], j)
-		if err != nil {
-			return nil, err
+		// FlatTable.Dist does not check its indices.
+		if j < 0 || j >= r.ftab.NumTypes {
+			return nil, fmt.Errorf("runtime: type index %d out of range", j)
 		}
+		td := r.ftab.Dist(i, j)
 		k.dists[i] = td
 		k.prices[i] = r.prices[j]
 		if r.state[i] == stUnstarted {
@@ -109,7 +113,7 @@ func (r *residual) buildKernel(config []int, base int64) (*residualKernel, error
 // residual; unstarted tasks sample a full (drift-inflated) duration
 // starting at max(now, parents' finish).
 func (k *residualKernel) Sample(lo, hi int, out []float64) error {
-	finish := make([]float64, len(k.r.ids))
+	finish := make([]float64, k.r.flat.Len())
 	// One counter-based stream for the chunk, restarted per world at the
 	// world's seed: world it reads the same draws in any chunk, and the
 	// restart costs two stores.
@@ -127,10 +131,10 @@ func (k *residualKernel) Sample(lo, hi int, out []float64) error {
 // world samples one world into out over the finish-time scratch, drawing
 // from the world's rng.
 func (k *residualKernel) world(rng *rand.Rand, finish, out []float64) {
-	r := k.r
+	r, flat := k.r, k.r.flat
 	var ms float64
 	cost := r.accrued
-	for _, ti := range r.order {
+	for ki, ti := range flat.Order {
 		var f float64
 		switch r.state[ti] {
 		case stFinished:
@@ -139,7 +143,7 @@ func (k *residualKernel) world(rng *rand.Rand, finish, out []float64) {
 			f = r.startAt[ti] + condSample(k.dists[ti], r.drift, r.elapsed[ti], rng)
 		default:
 			s := r.now
-			for _, p := range r.parents[ti] {
+			for _, p := range flat.Parents[flat.ParentStart[ki]:flat.ParentStart[ki+1]] {
 				if finish[p] > s {
 					s = finish[p]
 				}
@@ -157,9 +161,9 @@ func (k *residualKernel) world(rng *rand.Rand, finish, out []float64) {
 }
 
 // Reduce implements probir.WorldKernel: the shared constraint reduction
-// over every world, valued at the deterministic residual cost.
-func (k *residualKernel) Reduce(sums []float64) (*probir.Evaluation, error) {
-	ev, err := k.ReducePrefix(sums, k.r.iters, k.mean)
+// over the first seen worlds, valued at the deterministic residual cost.
+func (k *residualKernel) Reduce(sums []float64, seen int) (*probir.Evaluation, error) {
+	ev, err := k.ReducePrefix(sums, seen, k.mean)
 	if err != nil {
 		return nil, err
 	}

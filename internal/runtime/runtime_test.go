@@ -317,11 +317,11 @@ func TestResidualReduceMatchesNative(t *testing.T) {
 				for _, fi := range ind {
 					sums[fi] = fill[1] * iters
 				}
-				want, err := nk.Reduce(sums)
+				want, err := nk.Reduce(sums, nk.Worlds())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := rk.Reduce(sums)
+				got, err := rk.Reduce(sums, rk.Worlds())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -404,7 +404,7 @@ func TestResidualWorldsFollowMixSeed(t *testing.T) {
 	if err := k.Sample(0, iters, got); err != nil {
 		t.Fatal(err)
 	}
-	finish := make([]float64, len(k.r.ids))
+	finish := make([]float64, k.r.flat.Len())
 	want := make([]float64, width)
 	for it := 0; it < iters; it++ {
 		clear(want)
@@ -467,7 +467,7 @@ func TestResidualSampleAllocs(t *testing.T) {
 	k := midRunKernel(t, newScenario(t), iters, 3)
 	width := k.Width()
 	out := make([]float64, iters*width)
-	maxBytes := uint64(8*len(k.r.ids) + 128)
+	maxBytes := uint64(8*k.r.flat.Len() + 128)
 	for _, n := range []int{1, 8, iters} {
 		sample := func() {
 			clear(out)

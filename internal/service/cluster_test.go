@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -455,6 +456,64 @@ func TestTenantQuotaRejects(t *testing.T) {
 	}
 	if s.Tenants["alice"].Submitted != 2 || s.Tenants["bob"].Submitted != 1 {
 		t.Errorf("tenant submitted counts: %+v", s.Tenants)
+	}
+}
+
+// TestTenantFloodBoundsState floods the manager with 20 000 cached
+// submissions under distinct tenant names: the per-tenant metrics rows and
+// admission buckets stay bounded — DefaultTenant and weighted names keep
+// their own, the first maxOtherTenants other names get theirs, and every
+// later name shares overflowTenant's — while each job view still reports
+// the name it was submitted under.
+func TestTenantFloodBoundsState(t *testing.T) {
+	const flood = 20000
+	cfg := quickCfg()
+	cfg.TenantRate = 1e9
+	cfg.TenantWeights = map[string]float64{"gold": 2}
+	srv, _ := newTestServer(t, cfg)
+	mgr := srv.Manager()
+	req := clusterRequest(1)
+	key, err := mgr.JobKeyFor(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.cache.Put(key, json.RawMessage(`{}`))
+	submitAs := func(tenant string) {
+		t.Helper()
+		r := req
+		r.Tenant = tenant
+		v, err := mgr.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Cached || v.Tenant != r.Tenant {
+			t.Fatalf("tenant %q: view %+v, want a cache hit reporting the submitted tenant", tenant, v)
+		}
+	}
+	submitAs(DefaultTenant)
+	for i := range flood {
+		submitAs(fmt.Sprintf("flood-%05d", i))
+	}
+	submitAs("gold")
+
+	s := mgr.Snapshot()
+	if want := maxOtherTenants + 3; len(s.Tenants) != want {
+		t.Errorf("%d tenant rows, want %d", len(s.Tenants), want)
+	}
+	for name, submitted := range map[string]int64{
+		DefaultTenant: 1, "gold": 1, "flood-00000": 1,
+		fmt.Sprintf("flood-%05d", maxOtherTenants-1): 1,
+		overflowTenant: flood - maxOtherTenants,
+	} {
+		if got := s.Tenants[name].Submitted; got != submitted {
+			t.Errorf("tenant %q submitted %d, want %d", name, got, submitted)
+		}
+	}
+	if _, ok := s.Tenants[fmt.Sprintf("flood-%05d", maxOtherTenants)]; ok {
+		t.Error("a name past the bound got its own row")
+	}
+	if n := len(mgr.quota.buckets); n != maxOtherTenants+3 {
+		t.Errorf("%d admission buckets, want %d", n, maxOtherTenants+3)
 	}
 }
 

@@ -44,6 +44,19 @@ const (
 // DefaultTenant is the tenant jobs without an explicit tenant belong to.
 const DefaultTenant = "default"
 
+// overflowTenant keys the per-tenant state shared by late tenant names.
+// Clients choose tenant names, so the state each name keys — a metrics row,
+// an admission token bucket, a fair-queue FIFO — is bounded: DefaultTenant
+// and the names in Config.TenantWeights always keep their own, at most
+// maxOtherTenants other names get their own in the order they first arrive,
+// and every later name shares overflowTenant's. A job's view still reports
+// the name it was submitted under.
+const overflowTenant = "(overflow)"
+
+// maxOtherTenants bounds the tenant names outside Config.TenantWeights that
+// key their own state.
+const maxOtherTenants = 256
+
 // MaxIters caps a request's Monte-Carlo iterations at 100 times the default.
 // A solve compiles tasks x types x iters samples up front, so an unbounded
 // value would let one request exhaust the daemon's memory.
@@ -248,6 +261,9 @@ type Manager struct {
 	order  []string // submission order, for List and retention pruning
 	nextID int
 	closed bool
+	// tenants holds the tenant names outside Config.TenantWeights and
+	// DefaultTenant that key their own state (see overflowTenant).
+	tenants map[string]bool
 
 	// runCond (on mu) wakes event streamers when a run appends events or
 	// reaches a terminal state, and WaitJob callers when any job finishes.
@@ -510,35 +526,12 @@ func (m *Manager) submit(req SubmitRequest, forwarded bool) (JobView, error) {
 	if req.RequestID == "" {
 		req.RequestID = genRequestID()
 	}
-	if !forwarded && !m.quota.allow(req.Tenant, time.Now()) {
-		m.metrics.QuotaRejected.Add(1)
-		return JobView{}, fmt.Errorf("%w: tenant %q", ErrQuotaExceeded, req.Tenant)
-	}
-	key := m.jobKey(&req, w)
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return JobView{}, ErrShuttingDown
-	}
-	m.nextID++
-	j := &job{
-		id:        fmt.Sprintf("j-%06d", m.nextID),
-		req:       req,
-		tenant:    req.Tenant,
-		requestID: req.RequestID,
-		forwarded: forwarded,
-		wf:        w,
-		kind:      kind,
-		key:       key,
-		submitted: time.Now(),
-	}
-	m.metrics.TenantAdd(j.tenant, "submitted", 1)
-	if forwarded {
-		m.metrics.PeerJobs.Add(1)
-	}
-
-	if cached, ok := m.cache.Get(key); ok {
+	j := &job{req: req, requestID: req.RequestID, forwarded: forwarded, wf: w, kind: kind, key: m.jobKey(&req, w)}
+	return m.enqueue(j, "j", func(j *job) bool {
+		cached, ok := m.cache.Get(j.key)
+		if !ok {
+			return false
+		}
 		j.state = JobDone
 		j.cached = true
 		j.result = cached
@@ -547,10 +540,37 @@ func (m *Manager) submit(req SubmitRequest, forwarded bool) (JobView, error) {
 		m.metrics.JobsDone.Add(1)
 		m.metrics.TenantAdd(j.tenant, "done", 1)
 		m.metrics.TenantAdd(j.tenant, "cache_hits", 1)
+		return true
+	})
+}
+
+// enqueue admits a validated submission of either kind: it charges the
+// tenant's admission quota unless j was forwarded (the ingress node charged
+// it), numbers j under prefix, counts it against its tenant and queues it —
+// unless done, called with m.mu held once j is numbered, completes j on the
+// spot.
+func (m *Manager) enqueue(j *job, prefix string, done func(*job) bool) (JobView, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j.tenant = m.tenantLocked(j.req.Tenant)
+	if !j.forwarded && !m.quota.allow(j.tenant, time.Now()) {
+		m.metrics.QuotaRejected.Add(1)
+		return JobView{}, fmt.Errorf("%w: tenant %q", ErrQuotaExceeded, j.req.Tenant)
+	}
+	if m.closed {
+		return JobView{}, ErrShuttingDown
+	}
+	m.nextID++
+	j.id = fmt.Sprintf("%s-%06d", prefix, m.nextID)
+	j.submitted = time.Now()
+	m.metrics.TenantAdd(j.tenant, "submitted", 1)
+	if j.forwarded {
+		m.metrics.PeerJobs.Add(1)
+	}
+	if done != nil && done(j) {
 		m.recordLocked(j)
 		return j.viewLocked(), nil
 	}
-
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.state = JobQueued
 	if err := m.queue.push(j); err != nil {
@@ -559,8 +579,25 @@ func (m *Manager) submit(req SubmitRequest, forwarded bool) (JobView, error) {
 	}
 	m.metrics.JobsQueued.Add(1)
 	m.recordLocked(j)
-	m.logf("job %s rid=%s tenant=%s kind=%s queued (forwarded=%v)", j.id, j.requestID, j.tenant, j.kind, forwarded)
+	m.logf("job %s rid=%s tenant=%s kind=%s queued (forwarded=%v)", j.id, j.requestID, j.tenant, j.kind, j.forwarded)
 	return j.viewLocked(), nil
+}
+
+// tenantLocked returns the name tenant's state is kept under: tenant
+// itself, or overflowTenant once maxOtherTenants other names hold their
+// own. Caller holds m.mu.
+func (m *Manager) tenantLocked(tenant string) string {
+	if _, ok := m.cfg.TenantWeights[tenant]; ok || tenant == DefaultTenant || m.tenants[tenant] {
+		return tenant
+	}
+	if len(m.tenants) >= maxOtherTenants {
+		return overflowTenant
+	}
+	if m.tenants == nil {
+		m.tenants = make(map[string]bool)
+	}
+	m.tenants[tenant] = true
+	return tenant
 }
 
 // errBadRequest tags validation failures for the HTTP layer.
@@ -989,7 +1026,7 @@ func (j *job) viewLocked() JobView {
 	v := JobView{
 		ID:        j.id,
 		State:     j.state,
-		Tenant:    j.tenant,
+		Tenant:    j.req.Tenant,
 		RequestID: j.requestID,
 		Cached:    j.cached,
 		Coalesced: j.coalesced,

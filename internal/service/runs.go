@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"deco"
 	"deco/internal/cloud"
@@ -103,38 +102,8 @@ func (m *Manager) SubmitRun(req RunRequest) (JobView, error) {
 	if req.RequestID == "" {
 		req.RequestID = genRequestID()
 	}
-	if !m.quota.allow(req.Tenant, time.Now()) {
-		m.metrics.QuotaRejected.Add(1)
-		return JobView{}, fmt.Errorf("%w: tenant %q", ErrQuotaExceeded, req.Tenant)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return JobView{}, ErrShuttingDown
-	}
-	m.nextID++
-	j := &job{
-		id:        fmt.Sprintf("r-%06d", m.nextID),
-		req:       req.SubmitRequest,
-		tenant:    req.Tenant,
-		requestID: req.RequestID,
-		wf:        w,
-		kind:      KindRun,
-		run:       &runState{req: req},
-		submitted: time.Now(),
-	}
-	m.metrics.TenantAdd(j.tenant, "submitted", 1)
-	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.state = JobQueued
-	if err := m.queue.push(j); err != nil {
-		j.cancel()
-		return JobView{}, err
-	}
-	m.metrics.JobsQueued.Add(1)
-	m.recordLocked(j)
-	m.logf("run %s rid=%s tenant=%s queued", j.id, j.requestID, j.tenant)
-	return j.viewLocked(), nil
+	j := &job{req: req.SubmitRequest, requestID: req.RequestID, wf: w, kind: KindRun, run: &runState{req: req}}
+	return m.enqueue(j, "r", nil)
 }
 
 // runManaged plans and then executes a managed run, appending every monitor
