@@ -140,9 +140,14 @@ func BenchmarkOptimizationOverhead(b *testing.B) {
 // benchSpace builds a scheduling space over a Montage workflow with a
 // 96% deadline for micro-benchmarks.
 func benchSpace(b *testing.B, tasks, iters int) *opt.ScheduleSpace {
+	return benchSpaceOf(b, wfgen.AppMontage, tasks, iters)
+}
+
+// benchSpaceOf is benchSpace over a workflow of family app.
+func benchSpaceOf(b *testing.B, app wfgen.App, tasks, iters int) *opt.ScheduleSpace {
 	b.Helper()
 	env := benchEnv(b)
-	w, err := wfgen.BySize(wfgen.AppMontage, tasks, rand.New(rand.NewSource(3)))
+	w, err := wfgen.BySize(app, tasks, rand.New(rand.NewSource(3)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -167,7 +172,19 @@ func benchSpace(b *testing.B, tasks, iters int) *opt.ScheduleSpace {
 // runs under one fixed CRN base, evaluated once before the timer starts, so
 // the figure leaves out building that base's compiled program.
 func BenchmarkMonteCarloEvaluation(b *testing.B) {
-	space := benchSpace(b, 100, 100)
+	benchMonteCarlo(b, benchSpace(b, 100, 100))
+}
+
+// BenchmarkMonteCarloEvaluationCyberShake is the same measurement on a
+// 100-task CyberShake workflow. Its two 48-parent tasks put the makespan
+// DP's fan-in path of three or more parents (the register tile) on the hot
+// loop, which Montage exercises only through three tasks.
+func BenchmarkMonteCarloEvaluationCyberShake(b *testing.B) {
+	benchMonteCarlo(b, benchSpaceOf(b, wfgen.AppCyberShake, 100, 100))
+}
+
+// benchMonteCarlo times one state evaluation of space's initial state.
+func benchMonteCarlo(b *testing.B, space *opt.ScheduleSpace) {
 	state := space.Initial()
 	kernel := space.Describe(context.Background(), 4).Kernel
 	evaluate := func() {

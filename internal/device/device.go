@@ -7,15 +7,13 @@
 // goroutines, with the Sequential device standing in for the single-thread
 // CPU baseline the paper's speedup numbers compare against.
 //
-// The execution model has two levels:
-//
-//   - Map schedules blocks only (one per searched state) — the outer level.
-//   - MapBlocks schedules blocks *and* the threads within them, so a batch
-//     narrower than the machine — one A* expansion, a handful of
-//     multi-start seeds, an exploitation-phase child set — still saturates
-//     every core. The TwoLevel device shares every (block, thread) unit
-//     across its worker pool, so when the batch is narrow the surplus
-//     workers take threads from the blocks that remain.
+// The execution model has two levels: MapBlocks schedules blocks (one per
+// searched state) *and* the threads within them, so a batch narrower than
+// the machine — one A* expansion, a handful of multi-start seeds, an
+// exploitation-phase child set — still saturates every core. The TwoLevel
+// device shares every (block, thread) unit across its worker pool, so when
+// the batch is narrow the surplus workers take threads from the blocks that
+// remain.
 //
 // ReduceBlocksRange, the solver's one evaluation primitive, maps a block's
 // Monte-Carlo worlds onto MapBlocks threads in *world chunks*: each
@@ -39,18 +37,16 @@ import (
 )
 
 // Device schedules independent "blocks" of work, and the Monte-Carlo
-// "threads" within them. Implementations must call fn exactly once for every
-// i in [0, n), and kernel exactly once for every pair in [0, nBlocks) x
-// [0, threads); the schedule (which worker runs which item, in what order)
-// is unspecified, so kernels must write only to per-(block,thread) state.
+// "threads" within them. Implementations must call kernel exactly once for
+// every pair in [0, nBlocks) x [0, threads); the schedule (which worker runs
+// which pair, in what order) is unspecified, so kernels must write only to
+// per-(block,thread) state.
 type Device interface {
 	// Name identifies the device in benchmark output.
 	Name() string
 	// Blocks is the number of concurrently executing blocks (the GPU's
 	// multiprocessor count N in §5.3; 1 for the sequential device).
 	Blocks() int
-	// Map runs fn(i) for every i in [0, n).
-	Map(n int, fn func(i int))
 	// MapBlocks runs kernel(b, t) for every block b in [0, nBlocks) and
 	// thread t in [0, threads).
 	MapBlocks(nBlocks, threads int, kernel func(block, thread int))
@@ -64,13 +60,6 @@ func (Sequential) Name() string { return "sequential" }
 
 // Blocks implements Device.
 func (Sequential) Blocks() int { return 1 }
-
-// Map implements Device.
-func (Sequential) Map(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
 
 // MapBlocks implements Device: block-major, thread order.
 func (Sequential) MapBlocks(nBlocks, threads int, kernel func(block, thread int)) {
@@ -105,17 +94,18 @@ func (d TwoLevel) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map implements Device (outer level only), for callers that have no
-// per-thread decomposition: workers claim items from a shared atomic
-// counter, with no cross-block communication, matching the GPU
-// implementation principle of §5.2.
+// Map runs fn(i) for every i in [0, n) on the pool, blocks only: workers
+// claim items from a shared atomic counter. The solver schedules through
+// MapBlocks; Map stays because e2ebench's timedDevice still forwards it.
 func (d TwoLevel) Map(n int, fn func(i int)) {
 	workers := d.workers()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		Sequential{}.Map(n, fn)
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
 	run(workers, n, fn)

@@ -6,22 +6,24 @@ import (
 	"testing/quick"
 )
 
-func TestSequentialMapVisitsAllInOrder(t *testing.T) {
+// The sequential device runs MapBlocks block-major, threads in order.
+func TestSequentialMapBlocksVisitsAllInOrder(t *testing.T) {
+	const nb, th = 3, 4
 	var got []int
-	Sequential{}.Map(5, func(i int) { got = append(got, i) })
+	Sequential{}.MapBlocks(nb, th, func(b, tt int) { got = append(got, b*th+tt) })
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("order %v", got)
 		}
 	}
-	if len(got) != 5 {
+	if len(got) != nb*th {
 		t.Fatalf("visited %d", len(got))
 	}
 }
 
 func TestTwoLevelMapVisitsAllExactlyOnce(t *testing.T) {
 	const n = 1000
-	for _, d := range []Device{TwoLevel{NumWorkers: 8}, TwoLevel{NumWorkers: 1}} {
+	for _, d := range []TwoLevel{{NumWorkers: 8}, {NumWorkers: 1}} {
 		var counts [n]int32
 		d.Map(n, func(i int) {
 			atomic.AddInt32(&counts[i], 1)
@@ -82,17 +84,16 @@ func TestReduceMatchesSequentialSum(t *testing.T) {
 	}
 }
 
-// The parallel device must produce identical results to the sequential one
-// when blocks are independent — the determinism contract the solver relies
-// on.
+// The parallel pool must produce identical results to a single worker when
+// blocks are independent — the determinism contract the solver relies on.
 func TestTwoLevelMapDeterminism(t *testing.T) {
 	const n = 200
-	run := func(d Device) [n]float64 {
+	run := func(d TwoLevel) [n]float64 {
 		var out [n]float64
 		d.Map(n, func(i int) { out[i] = float64(i*i) * 0.5 })
 		return out
 	}
-	if run(Sequential{}) != run(TwoLevel{NumWorkers: 7}) {
+	if run(TwoLevel{NumWorkers: 1}) != run(TwoLevel{NumWorkers: 7}) {
 		t.Error("devices disagree")
 	}
 }

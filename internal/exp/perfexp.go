@@ -59,7 +59,7 @@ func (d stateParallel) Name() string { return fmt.Sprintf("state-parallel-%d", d
 
 // MapBlocks implements device.Device: one unit per block.
 func (d stateParallel) MapBlocks(nBlocks, threads int, kernel func(block, thread int)) {
-	d.Map(nBlocks, func(b int) {
+	d.TwoLevel.MapBlocks(nBlocks, 1, func(b, _ int) {
 		for t := 0; t < threads; t++ {
 			kernel(b, t)
 		}

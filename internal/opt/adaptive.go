@@ -11,8 +11,10 @@ import (
 // device block and every Monte-Carlo world a thread (§5.2-5.3): a batch of
 // states advances through contiguous world ranges on the device, each range
 // folds into running figure sums in ascending world order (so the sums are
-// bit-identical at every prefix), and finished states reduce as device
-// blocks. At fixed precision the schedule is the single range [0, worlds).
+// bit-identical at every prefix), and finished states reduce on the caller.
+// A state's world-free objective runs on the device too, in the unit that
+// covers its world 0, so a range costs one device round. At fixed precision
+// the schedule is the single range [0, worlds).
 //
 // Adaptive precision runs the geometric chunks of chunks(MinWorlds, worlds)
 // and has one stopping rule, exact under any world order: after a chunk, a
@@ -112,23 +114,30 @@ func (p *Problem) provenInfeasible(sums []float64, seen int) bool {
 	return false
 }
 
-// reduced applies the compiled objective to a reduction of state st: the
-// objective's value replaces the reduced goal value.
-func (p *Problem) reduced(st State, ev *probir.Evaluation, err error) (*probir.Evaluation, error) {
+// reduce reduces state i over its first seen worlds and applies the
+// compiled objective: the objective's value replaces the reduced goal value.
+// The objective was computed by the unit that ran the state's world 0; a
+// program without worlds runs no unit, so its objective is computed here.
+func (b *batch) reduce(i, seen int) (*probir.Evaluation, error) {
+	p := b.p
+	ev, err := b.kernels[i].Reduce(b.row(i), seen)
 	if err != nil || p.objective == nil {
 		return ev, err
 	}
-	v, err := p.objective(st)
-	if err != nil {
-		return nil, err
+	if p.worlds == 0 || p.width == 0 {
+		b.obj[i], b.objErr[i] = p.objective(b.cands[i].state)
 	}
-	ev.Value = v
+	if b.objErr[i] != nil {
+		return nil, b.objErr[i]
+	}
+	ev.Value = b.obj[i]
 	return ev, nil
 }
 
 // batch is the working state of one evaluate call. Per-state slices are
 // indexed like the candidates; sums holds each state's running figure sums
-// (width per state) and seen the worlds folded into them.
+// (width per state) and seen the worlds folded into them; obj and objErr
+// hold each state's objective once its world-0 unit has run.
 type batch struct {
 	p        *Problem
 	adaptive bool
@@ -137,6 +146,8 @@ type batch struct {
 	kernels  []probir.WorldKernel
 	sums     []float64
 	seen     []int
+	obj      []float64
+	objErr   []error
 }
 
 // row returns state i's running figure sums.
@@ -152,6 +163,13 @@ func (p *Problem) evaluate(cands []candidate, adaptive bool) []scored {
 	b := &batch{p: p, adaptive: adaptive, cands: cands,
 		out: make([]scored, n), kernels: make([]probir.WorldKernel, n),
 		sums: make([]float64, n*p.width), seen: make([]int, n)}
+	if p.objective != nil {
+		if cap(p.buf.obj) < n {
+			p.buf.obj, p.buf.objErr = make([]float64, n), make([]error, n)
+		}
+		b.obj, b.objErr = p.buf.obj[:n], p.buf.objErr[:n]
+		clear(b.objErr)
+	}
 	p.evals += int64(n)
 	p.enterPhase(phaseKernelBuild)
 	active := make([]int, 0, n)
@@ -209,10 +227,10 @@ func (p *Problem) checkKernel(k probir.WorldKernel) error {
 	return nil
 }
 
-// chunk runs worlds [lo, end) of the active states as device blocks, folds
-// them into the running sums and finalizes every state that is done: all of
-// them at the world cap, the proven-infeasible ones before it. It returns
-// the states still running.
+// chunk runs worlds [lo, end) of the active states as device blocks, one
+// device round, folds them into the running sums and reduces every state
+// that is done on the caller: all of them at the world cap, the
+// proven-infeasible ones before it. It returns the states still running.
 func (b *batch) chunk(active []int, lo, end int) []int {
 	p := b.p
 	width, nb := p.width, len(active)
@@ -229,20 +247,26 @@ func (b *batch) chunk(active []int, lo, end int) []int {
 		}
 	}
 	p.enterPhase(phaseChunkEval)
-	// Cancellation is checked once per (state, chunk) unit.
+	// Cancellation is checked once per (state, chunk) unit. The unit that
+	// covers a state's world 0 also computes its world-free objective, so
+	// the objective runs once per state, in its first round.
 	errs := device.ReduceBlocksRange(p.opts.Device, nb, lo, end, width, round, &p.buf.dev, func(bi, clo, chi int, out []float64) error {
 		if err := p.opts.Ctx.Err(); err != nil {
 			return fmt.Errorf("opt: search cancelled: %w", err)
 		}
-		return b.kernels[active[bi]].Sample(clo, chi, out)
+		i := active[bi]
+		if err := b.kernels[i].Sample(clo, chi, out); err != nil {
+			return err
+		}
+		if clo == 0 && p.objective != nil {
+			b.obj[i], b.objErr[i] = p.objective(b.cands[i].state)
+		}
+		return nil
 	})
 
 	// next filters active in place: entry bi is read before any later
-	// state is appended.
-	if cap(p.buf.done) < nb {
-		p.buf.done = make([]int, nb)
-	}
-	done := p.buf.done[:0]
+	// state is appended. A finished state reduces here, serially: a
+	// reduction is a few divisions, and its objective is already computed.
 	next := active[:0]
 	for bi, i := range active {
 		if errs[bi] != nil {
@@ -258,23 +282,11 @@ func (b *batch) chunk(active []int, lo, end int) []int {
 			next = append(next, i)
 			continue
 		}
-		done = append(done, i)
-	}
-	// Finished states reduce as device blocks: a reduction can do real work
-	// (objectives such as the packed plan cost run there).
-	if len(done) > 0 {
-		p.opts.Device.Map(len(done), func(d int) {
-			i := done[d]
-			if err := p.opts.Ctx.Err(); err != nil {
-				b.out[i].err = fmt.Errorf("opt: search cancelled: %w", err)
-				return
-			}
-			ev, err := b.kernels[i].Reduce(b.row(i), end)
-			b.out[i].eval, b.out[i].err = p.reduced(b.cands[i].state, ev, err)
-		})
-	}
-	p.exitPhase()
-	for _, i := range done {
+		if err := p.opts.Ctx.Err(); err != nil {
+			b.out[i].err = fmt.Errorf("opt: search cancelled: %w", err)
+		} else {
+			b.out[i].eval, b.out[i].err = b.reduce(i, end)
+		}
 		b.out[i].worlds = end
 		switch {
 		case !b.adaptive:
@@ -284,6 +296,7 @@ func (b *batch) chunk(active []int, lo, end int) []int {
 			p.sstats.StoppedInfeasible++
 		}
 	}
+	p.exitPhase()
 	return next
 }
 

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -326,6 +327,112 @@ func TestAdaptiveReduceErrorCountsWorldsOnce(t *testing.T) {
 		st := p.SampleStats()
 		if st.WorldsRun != sp.samples.Load() || st.WorldsRun > st.WorldsBudget {
 			t.Fatalf("min %d: WorldsRun %d, sampled %d, budget %d", minWorlds, st.WorldsRun, sp.samples.Load(), st.WorldsBudget)
+		}
+	}
+}
+
+// objectiveKernel is a kernel of worlds worlds whose every world satisfies
+// its one indicator; Sample fails from world failAt on (never when
+// failAt < 0).
+type objectiveKernel struct{ worlds, failAt int }
+
+var errFakeSample = errors.New("fake sample failure")
+
+func (k objectiveKernel) Worlds() int { return k.worlds }
+func (k objectiveKernel) Width() int  { return 1 }
+func (k objectiveKernel) Sample(lo, hi int, out []float64) error {
+	if k.failAt >= 0 && hi > k.failAt {
+		return errFakeSample
+	}
+	for r := range hi - lo {
+		out[r] = 1
+	}
+	return nil
+}
+func (k objectiveKernel) Reduce([]float64, int) (*probir.Evaluation, error) {
+	return &probir.Evaluation{Value: -1, Feasible: true}, nil
+}
+
+// objectiveSpace evaluates state {i} with an objectiveKernel whose Sample
+// fails for i == 4, under an objective that counts its calls per state,
+// returns 10·i and fails for i >= 3.
+type objectiveSpace struct {
+	worlds int
+	calls  [5]atomic.Int64
+}
+
+var errFakeObjective = errors.New("fake objective failure")
+
+func (s *objectiveSpace) Starts() []State             { return []State{{0}} }
+func (s *objectiveSpace) Neighbors(State) []Transform { return nil }
+func (s *objectiveSpace) Describe(context.Context, int64) Descriptor {
+	d := Descriptor{
+		Kernel: func(st State) (probir.WorldKernel, error) {
+			k := objectiveKernel{worlds: s.worlds, failAt: -1}
+			if st[0] == 4 {
+				k.failAt = s.worlds / 2
+			}
+			return k, nil
+		},
+		Objective: func(st State) (float64, error) {
+			s.calls[st[0]].Add(1)
+			if st[0] >= 3 {
+				return 0, errFakeObjective
+			}
+			return 10 * float64(st[0]), nil
+		},
+	}
+	if s.worlds > 0 {
+		d.Indicators, d.Targets = []int{0}, []float64{0.5}
+	}
+	return d
+}
+
+// TestObjectiveOncePerState pins where the objective runs: once per state,
+// whether the state's worlds run in one round or in adaptive chunks split
+// across workers, and at reduction for a program without worlds. Its value
+// replaces the reduced goal value; its error fails the state, unless the
+// state's kernel failed first.
+func TestObjectiveOncePerState(t *testing.T) {
+	for _, c := range []struct {
+		worlds   int
+		adaptive bool
+		d        device.Device
+	}{
+		{64, false, device.Sequential{}},
+		{64, true, device.Sequential{}},
+		{64, false, device.TwoLevel{NumWorkers: 4}},
+		{200, true, device.TwoLevel{NumWorkers: 4}},
+		{0, false, device.TwoLevel{NumWorkers: 4}},
+	} {
+		sp := &objectiveSpace{worlds: c.worlds}
+		p, err := Compile(sp, Options{Device: c.d, Seed: 3, Adaptive: c.adaptive, MinWorlds: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cands []candidate
+		for i := range 5 {
+			cands = append(cands, candidate{state: State{i}, key: State{i}.Key()})
+		}
+		what := func(i int) string {
+			return fmt.Sprintf("%d worlds, adaptive %v, %s, state %d", c.worlds, c.adaptive, c.d.Name(), i)
+		}
+		for i, s := range p.evaluateCandidates(cands) {
+			switch {
+			case i == 4 && c.worlds > 0:
+				if !errors.Is(s.err, errFakeSample) {
+					t.Errorf("%s: err %v, want the sample error", what(i), s.err)
+				}
+			case i >= 3:
+				if !errors.Is(s.err, errFakeObjective) {
+					t.Errorf("%s: err %v, want the objective error", what(i), s.err)
+				}
+			case s.err != nil || s.eval.Value != 10*float64(i):
+				t.Errorf("%s: eval %+v err %v, want value %v", what(i), s.eval, s.err, 10*float64(i))
+			}
+			if n := sp.calls[i].Load(); n > 1 || (n == 0 && i != 4) {
+				t.Errorf("%s: objective ran %d times", what(i), n)
+			}
 		}
 	}
 }

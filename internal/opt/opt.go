@@ -133,7 +133,10 @@ type Descriptor struct {
 	// Objective, when set, replaces the reduced goal value of every state
 	// with a world-free objective of the state (a plan-level cost such as
 	// PackedMeanCost): after a full reduction and after a partial one.
-	// Feasibility still comes from the kernel.
+	// Feasibility still comes from the kernel. It is computed once per
+	// state, on the device, in the unit that runs the state's first world
+	// chunk (at reduction for a program without worlds), so it must be safe
+	// for concurrent calls.
 	Objective func(State) (float64, error)
 	// Fingerprint is a content hash of everything an evaluation depends on
 	// (program, distributions, objective). It gates the evaluation cache —

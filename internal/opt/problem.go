@@ -33,7 +33,7 @@ type Problem struct {
 	worlds, width int
 
 	// objective, when set, replaces every reduced goal value (see
-	// Descriptor.Objective and reduced).
+	// Descriptor.Objective and batch.reduce).
 	objective func(State) (float64, error)
 
 	// scratch and keyBuf are the search goroutine's reused child state and
@@ -71,7 +71,9 @@ type Problem struct {
 type batchBuf struct {
 	dev   device.Buffers
 	round []float64 // a partial round's gathered running sums
-	done  []int     // the states a round finishes
+	// obj and objErr are the batch's per-state objective slots (batch.obj).
+	obj    []float64
+	objErr []error
 }
 
 // Profiling phases: CPU profiles attribute hot-path time to the solver phase

@@ -224,7 +224,7 @@ func checkBlockKernels(t *testing.T, n *Native, rng *rand.Rand) {
 	fin := make([]float64, nt)
 	for it := 0; it < full.Worlds(); it++ {
 		for i := range dur {
-			dur[i] = full.row(int32(i))[it]
+			dur[i] = full.prog.row(i, cfg[i])[it]
 		}
 		ms := n.flat.Makespan(dur, fin)
 		if full.needMS && ref[it*width+full.msIdx] != ms {
@@ -376,6 +376,129 @@ func TestBlockKernelAllTaskFold(t *testing.T) {
 				}
 				for rep := 0; rep < 4; rep++ {
 					checkBlockKernels(t, n, rng)
+				}
+			})
+		}
+	}
+}
+
+// fanInWorkflow builds a DAG whose tasks have every fan-in the makespan DP
+// handles differently: 0, 1 and 2 (straight loops), 3, 5 and 9 (the
+// four-world register tile at several parent counts).
+func fanInWorkflow(t *testing.T, rng *rand.Rand) *dag.Workflow {
+	t.Helper()
+	w := dag.New("fanin")
+	add := func(id string, parents ...string) {
+		task := &dag.Task{ID: id, CPUSeconds: 50 + rng.Float64()*400,
+			Inputs:  []dag.File{{Name: "in_" + id, SizeMB: 50 + rng.Float64()*300}},
+			Outputs: []dag.File{{Name: "out_" + id, SizeMB: 25 + rng.Float64()*150}}}
+		if err := w.AddTask(task); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parents {
+			if err := w.AddEdge(p, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range 9 {
+		add(fmt.Sprintf("r%d", i))
+	}
+	add("a", "r0")
+	add("b", "r1", "a")
+	add("c", "r2", "r3", "b")
+	add("d", "r4", "r5", "r6", "c", "a")
+	add("e", "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "d")
+	add("f", "e")
+	add("g", "b", "c", "r8")
+	return w
+}
+
+// TestBlockKernelFanIn checks the makespan DP against dag.Flat.Makespan, bit
+// for bit per world, on a DAG with fan-in 0, 1, 2, 3, 5 and 9, at chunk
+// sizes 1 to 9 and the full world count, so every chunk length mod 4 (the
+// register tile's tail) is covered. Besides the sampled durations it runs
+// rows overwritten with +0, -0, negative, NaN and infinite durations, which
+// take the all-task makespan fold, and rows of +0, -0 and positive
+// durations, which keep the sinks-only fold. Every chunked run must also
+// reproduce the one-world-per-call rows.
+func TestBlockKernelFanIn(t *testing.T) {
+	const worlds = 23
+	md, err := cloud.MetadataFromTruth(cloud.DefaultCatalog(), 15, 2000, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	w := fanInWorkflow(t, rng)
+	tbl, prices, _ := blockTable(t, w, md, false)
+	special := []float64{0, math.Copysign(0, -1), -120, math.NaN(), math.Inf(1), math.Inf(-1)}
+	fixtures := []struct {
+		name     string
+		draw     func() float64 // nil keeps the sampled durations
+		negative bool
+	}{
+		{"sampled", nil, false},
+		{"signed-zeros", func() float64 {
+			if rng.Intn(3) == 0 {
+				return special[rng.Intn(2)]
+			}
+			return rng.Float64() * 500
+		}, false},
+		{"negative-nan-inf", func() float64 {
+			if rng.Intn(3) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return rng.Float64() * 500
+		}, true},
+	}
+	for _, fx := range fixtures {
+		for _, goal := range []GoalKind{GoalCost, GoalMakespan} {
+			t.Run(fmt.Sprintf("%s/goal=%d", fx.name, goal), func(t *testing.T) {
+				cons := []wlog.Constraint{{Kind: "deadline", Percentile: 0.9, Bound: 1500}}
+				n, err := NewNative(w, tbl, prices, goal, cons, worlds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := make([]int, w.Len())
+				for i := range cfg {
+					cfg[i] = rng.Intn(n.NumTypes())
+				}
+				k, err := crnKernel(n, cfg, rng.Int63())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !k.needMS {
+					t.Fatal("kernel samples no makespan")
+				}
+				if fx.draw != nil {
+					// The binding's Program is this test's own; overwrite
+					// the configuration's rows and the flag they decide.
+					for i := range cfg {
+						row := k.prog.row(i, cfg[i])
+						for it := range row {
+							row[it] = fx.draw()
+						}
+					}
+					k.prog.negative = fx.negative
+				}
+				if k.prog.negative != fx.negative {
+					t.Fatalf("Program.negative %v, want %v", k.prog.negative, fx.negative)
+				}
+				width := k.Width()
+				ref := perWorld(t, k)
+				dur := make([]float64, w.Len())
+				fin := make([]float64, w.Len())
+				for it := range worlds {
+					for i := range dur {
+						dur[i] = k.prog.row(i, cfg[i])[it]
+					}
+					want := n.flat.Makespan(dur, fin)
+					if got := ref[it*width+k.msIdx]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("world %d: kernel makespan %v, Flat.Makespan %v", it, got, want)
+					}
+				}
+				for _, size := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, worlds} {
+					sameRows(t, fmt.Sprintf("chunk=%d", size), chunked(t, k, size, rng), ref)
 				}
 			})
 		}

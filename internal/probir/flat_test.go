@@ -124,7 +124,7 @@ func TestRowsSharedPointers(t *testing.T) {
 		t.Fatalf("kernels of one binding read different Programs: %p, %p, %p", a.prog, b.prog, c.prog)
 	}
 	for i := range cfg {
-		if &a.row(int32(i))[0] != &b.row(int32(i))[0] {
+		if &a.prog.row(i, a.config[i])[0] != &b.prog.row(i, b.config[i])[0] {
 			t.Fatalf("task %d: second kernel read a different backing row", i)
 		}
 	}

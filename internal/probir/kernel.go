@@ -13,10 +13,10 @@ import "context"
 // The kernel contract is ranged: one call computes a chunk of worlds, the
 // software form of a warp that steps consecutive worlds through the same
 // instruction. The native CRN kernel runs its longest-path DP task-major
-// over the chunk — each task's parent list is read once and the max/add
-// run across the chunk's worlds — while every world still sees exactly the
-// operation sequence of a lone world, so figures are bitwise independent of
-// the chunking.
+// over the chunk — each task's parent list is read once and its finish run
+// is written in one pass across the chunk's worlds — while every world
+// still sees exactly the operation sequence of a lone world, so figures are
+// bitwise independent of the chunking.
 //
 // Determinism: a kernel's figures for world it depend only on (kernel, it)
 // — every kernel carries its randomness with it, so results are
@@ -178,9 +178,6 @@ func (n *Native) Indicators() (idx []int, targets []float64) {
 	return nil, nil
 }
 
-// row returns task i's CRN duration row.
-func (k *nativeKernel) row(i int32) []float64 { return k.prog.row(int(i), k.config[i]) }
-
 // Sample implements WorldKernel: compute the chunk's makespans from the CRN
 // matrix by the longest-path DP and sum the realized costs, then score the
 // probabilistic constraints. Each pass runs task-major over the chunk's run
@@ -231,13 +228,16 @@ func (k *nativeKernel) blockCost(lo int, cost []float64) {
 }
 
 // makespans runs the longest-path DP for worlds [lo, lo+len(ms)),
-// task-major, into ms: for each task in topological order, the start of
-// every world is the max over the parent finishes (parents in CSR order,
-// strict >, from 0) and its finish adds the world's duration. The finish
-// times live in pooled scratch. While every duration is non-negative no
-// finish exceeds every sink's, so the makespan folds over the sinks alone,
-// in index order, after the DP; otherwise every task's finish is folded as
-// it is computed. The makespan is the same maximum either way.
+// task-major, into ms. Each task's run of finish times is written in one
+// pass: per world, the start is the max over the parent finishes (parents
+// in CSR order, strict >, from +0) and the finish adds the world's duration,
+// which is a lone world's operation sequence (dag.Flat.Makespan). Fan-in 0,
+// 1 and 2 run as straight loops; a wider fan-in keeps four worlds' starts in
+// registers while it walks the parents (startTile). The finish times live in
+// pooled scratch. While every duration is non-negative no finish exceeds
+// every sink's, so the makespan folds over the sinks alone, in index order,
+// after the DP; otherwise every task's finish is folded as it is computed.
+// The makespan is the same maximum either way.
 func (k *nativeKernel) makespans(lo int, ms []float64, bs *blockScratch) {
 	f := k.n.flat
 	m := len(ms)
@@ -253,20 +253,44 @@ func (k *nativeKernel) makespans(lo int, ms []float64, bs *blockScratch) {
 		}
 	}
 	negative := k.prog.negative
+	// Locals, not fields: the finish stores would otherwise make the
+	// compiler reload them for every task.
+	rows, nTypes, config := k.prog.rows, k.prog.nTypes, k.config
+	parents, start := f.Parents, f.ParentStart
 	for ki, ti := range f.Order {
-		dst := run(ti)
-		// No zeroing of fin needed: topological order writes a task before
-		// any child reads it, and every task is written for every world.
-		clear(dst)
-		for _, p := range f.Parents[f.ParentStart[ki]:f.ParentStart[ki+1]] {
-			for r, v := range run(p) {
-				if v > dst[r] {
-					dst[r] = v
-				}
+		// Topological order writes a task before any child reads it, and
+		// every task is written for every world, so fin needs no zeroing.
+		d := rows[int(ti)*nTypes+config[ti]][lo : lo+m]
+		dst := run(ti)[:len(d)]
+		switch ps := parents[start[ki]:start[ki+1]]; len(ps) {
+		case 0:
+			for r, v := range d {
+				s := 0.0
+				dst[r] = s + v
 			}
-		}
-		for r, d := range k.row(ti)[lo : lo+m] {
-			dst[r] += d
+		case 1:
+			a := run(ps[0])[:len(d)]
+			for r, v := range d {
+				s := 0.0
+				if x := a[r]; x > s {
+					s = x
+				}
+				dst[r] = s + v
+			}
+		case 2:
+			a, b := run(ps[0])[:len(d)], run(ps[1])[:len(d)]
+			for r, v := range d {
+				s := 0.0
+				if x := a[r]; x > s {
+					s = x
+				}
+				if x := b[r]; x > s {
+					s = x
+				}
+				dst[r] = s + v
+			}
+		default:
+			startTile(fin, m, ps, dst, d)
 		}
 		if negative {
 			fold(ti)
@@ -276,5 +300,43 @@ func (k *nativeKernel) makespans(lo int, ms []float64, bs *blockScratch) {
 		for _, t := range f.Sinks {
 			fold(t)
 		}
+	}
+}
+
+// startTile writes the finishes of a task with three or more parents:
+// dst[r] is the max over the parents' finishes fin[p*m+r] (CSR order,
+// strict >, from +0) plus d[r]. Four worlds' starts stay in registers while
+// the parents are walked, so the finish run is stored once; the last
+// len(dst) mod 4 worlds run one at a time.
+func startTile(fin []float64, m int, ps []int32, dst, d []float64) {
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		var s0, s1, s2, s3 float64
+		for _, p := range ps {
+			a := (*[4]float64)(fin[int(p)*m+r:])
+			if x := a[0]; x > s0 {
+				s0 = x
+			}
+			if x := a[1]; x > s1 {
+				s1 = x
+			}
+			if x := a[2]; x > s2 {
+				s2 = x
+			}
+			if x := a[3]; x > s3 {
+				s3 = x
+			}
+		}
+		o, v := (*[4]float64)(dst[r:]), (*[4]float64)(d[r:])
+		o[0], o[1], o[2], o[3] = s0+v[0], s1+v[1], s2+v[2], s3+v[3]
+	}
+	for ; r < len(dst); r++ {
+		s := 0.0
+		for _, p := range ps {
+			if x := fin[int(p)*m+r]; x > s {
+				s = x
+			}
+		}
+		dst[r] = s + d[r]
 	}
 }

@@ -47,6 +47,10 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) []*tes
 		nodes[i] = &testNode{srv: srv, url: urls[i]}
 	}
 	t.Cleanup(func() {
+		// Concurrent submits can leave the shared client holding dialed
+		// connections that never carried a request; the server's Shutdown
+		// waits 5 s before it treats such new connections as idle.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		for _, nd := range nodes {
